@@ -351,8 +351,8 @@ def _add_line_limits(model: Model, vix: VarIndex, instance: Instance):
     injection; the load side folds into the right-hand side."""
     net = instance.network
     if net is None:
-        log.warning("extended base built without a network; "
-                    "line limit family is empty")
+        log.debug("extended base built without a network; "
+                  "line limit family is empty")
         return
     T = instance.horizon
     for m, line in enumerate(net.lines, 1):

@@ -10,7 +10,14 @@ tighten anything behind the model's back.
 
 MIP solving is best-first branch-and-bound on binary variables, fully
 deterministic: node selection by (bound, creation index), branching on
-the most fractional binary with ties to the lowest variable index.
+the most fractional binary with ties to the lowest variable index. The
+root node is solved whatever the time budget, cold, on the model's own
+bounds, i.e. exactly as ``solve_lp`` solves it; its objective is kept
+as ``Solution.root_bound`` (NaN unless that LP is optimal), so a caller
+that wants both z_LP and z_MIP needs one run. ``Solution.iterations``
+of a MIP is the LP iteration count summed over all nodes. One DEBUG
+line per ``solve_mip`` reports status, nodes, iterations, root and best
+bound, and seconds.
 
 ``solve_external`` ships a model to any command-line solver via MPS and
 reads the solution back from a file (two-column text or an XML-like
@@ -68,8 +75,9 @@ class Solution:
     best_bound: float = math.nan
     values: dict[str, float] = field(default_factory=dict)
     nodes: int = 0
-    iterations: int = 0
+    iterations: int = 0              # LP iterations, summed over all nodes
     message: str = ""
+    root_bound: float = math.nan     # root relaxation objective (MIP only)
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +85,9 @@ class Solution:
 # ---------------------------------------------------------------------------
 
 _BASIC, _AT_LOWER, _AT_UPPER, _AT_FREE = 0, 1, 2, 3
+# which way a column may move from its status, indexed by vstat
+_CAN_INC = np.array([False, True, False, True])
+_CAN_DEC = np.array([False, False, True, True])
 
 
 @dataclass
@@ -266,12 +277,12 @@ def _simplex(A, b, c, lo, up, warm=None) -> _LpResult:
             obj_now = float(c[basis] @ xB + c @ xN)
 
         # entering candidates: improving, movable, nonbasic
-        can_inc = (vstat == _AT_LOWER) | (vstat == _AT_FREE)
-        can_dec = (vstat == _AT_UPPER) | (vstat == _AT_FREE)
-        improving = ((can_inc & (rc < -OPT_TOL)) | (can_dec & (rc > OPT_TOL))) \
-            & movable
+        improving = ((_CAN_INC[vstat] & (rc < -OPT_TOL))
+                     | (_CAN_DEC[vstat] & (rc > OPT_TOL))) & movable
+        scores = np.where(improving, np.abs(rc), -1.0)
+        q = int(np.argmax(scores))  # first max -> lowest index on ties
 
-        if not improving.any():
+        if scores[q] < 0.0:  # nothing improves
             if not fresh:
                 # refresh the factorization and double-check before exiting
                 Binv = refreshed()
@@ -290,28 +301,22 @@ def _simplex(A, b, c, lo, up, warm=None) -> _LpResult:
 
         if bland:
             q = int(np.flatnonzero(improving)[0])
-        else:
-            scores = np.where(improving, np.abs(rc), -1.0)
-            q = int(np.argmax(scores))  # first max -> lowest index on ties
         sigma = 1.0 if rc[q] < 0 else -1.0
 
         w = Binv @ A[:, q]
         rate = -sigma * w  # d x_B / d step
 
         # ratio test: first breakpoint among basic bounds and the entering
-        # variable's own opposite bound
-        limits = np.full(m, INF)
-        feas = ~(below | above)
+        # variable's own opposite bound. A rising basic variable runs into
+        # its upper bound, or its lower one while still below it; a falling
+        # one its lower bound, or its upper one while still above it; one
+        # moving away from a bound it violates meets none.
         pos = rate > PIVOT_TOL
         neg = rate < -PIVOT_TOL
-        mask = feas & pos & (ub_B < INF)
-        limits[mask] = (ub_B[mask] - xB[mask]) / rate[mask]
-        mask = feas & neg & (lb_B > -INF)
-        limits[mask] = (lb_B[mask] - xB[mask]) / rate[mask]
-        mask = below & pos
-        limits[mask] = (lb_B[mask] - xB[mask]) / rate[mask]
-        mask = above & neg
-        limits[mask] = (ub_B[mask] - xB[mask]) / rate[mask]
+        target = np.where(np.where(pos, ~below, above), ub_B, lb_B)
+        hits = ((pos & ~above) | (neg & ~below)) & (np.abs(target) < INF)
+        limits = np.full(m, INF)
+        np.divide(target - xB, rate, out=limits, where=hits)
         np.maximum(limits, 0.0, out=limits)
 
         own = up[q] - lo[q] if (lo[q] > -INF and up[q] < INF) else INF
@@ -336,14 +341,15 @@ def _simplex(A, b, c, lo, up, warm=None) -> _LpResult:
         # tie-break among rows reaching the minimum: largest pivot for
         # stability (Bland mode: lowest variable index for termination)
         ties = np.flatnonzero(limits <= step + 1e-12)
-        if bland:
-            r = int(ties[np.argmin(basis[ties])])
-        else:
-            r = int(ties[np.argmax(np.abs(w[ties]))])
+        if len(ties) > 1:  # a lone tie is the argmin row itself
+            if bland:
+                r = int(ties[np.argmin(basis[ties])])
+            else:
+                r = int(ties[np.argmax(np.abs(w[ties]))])
 
         leave = int(basis[r])
         # which bound the leaving variable lands on
-        if below[r] or (feas[r] and rate[r] < 0):
+        if below[r] or (not above[r] and rate[r] < 0):
             vstat[leave] = _AT_LOWER
             xN[leave] = lo[leave]
         else:
@@ -368,7 +374,7 @@ def _simplex(A, b, c, lo, up, warm=None) -> _LpResult:
             since_refactor = 0
         else:
             row = Binv[r] / piv
-            Binv -= np.outer(w, row)
+            Binv -= w[:, None] * row
             Binv[r] = row
             since_refactor += 1
 
@@ -464,16 +470,30 @@ def solve_mip(model: Model, config: SolveConfig | None = None) -> Solution:
     Deterministic: nodes are keyed by (LP bound of the parent, creation
     index); the branch variable is the most fractional binary, ties going
     to the lowest variable id. Child LPs warm-start from the parent basis.
+    The root LP is solved whatever the time budget, so ``root_bound`` is
+    always the relaxation ``solve_lp`` would report.
     """
     config = config or SolveConfig()
     core = model if isinstance(model, LpCore) else LpCore(model)
     t0 = time.monotonic()
+    sol = _branch_and_bound(core, config, t0)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("mip: %s after %d nodes, %d LP iterations; root bound %r, "
+                  "best bound %r; %.3f s", sol.status, sol.nodes,
+                  sol.iterations, sol.root_bound, sol.best_bound,
+                  time.monotonic() - t0)
+    return sol
 
+
+def _branch_and_bound(core: LpCore, config: SolveConfig,
+                      t0: float) -> Solution:
     lo0, up0 = core.struct_bounds()
     bin_ids = core.binary_ids
     incumbent = math.inf
     incumbent_x: np.ndarray | None = None
     nodes_solved = 0
+    iterations = 0
+    root_bound = math.nan
     counter = 0
     # heap entries: (parent LP bound, creation index, lo, up, warm basis);
     # the counter breaks bound ties deterministically and keeps heapq from
@@ -481,6 +501,10 @@ def solve_mip(model: Model, config: SolveConfig | None = None) -> Solution:
     heap: list = [(-INF, counter, lo0, up0, None)]
     stop: str | None = None   # why the loop broke, if early
     best_open = math.inf      # bound of the best node left unexplored
+
+    def done(status: str, **kw) -> Solution:
+        return Solution(status=status, nodes=nodes_solved,
+                        iterations=iterations, root_bound=root_bound, **kw)
 
     while heap:
         bound, _, lo, up, warm = heapq.heappop(heap)
@@ -492,21 +516,22 @@ def solve_mip(model: Model, config: SolveConfig | None = None) -> Solution:
             if gap_now <= config.gap:
                 stop, best_open = "gap_reached", bound
                 break
-        if time.monotonic() - t0 > config.time_limit:
+        if nodes_solved and time.monotonic() - t0 > config.time_limit:
             stop, best_open = "time_limit", bound
             break
 
         res = core.solve(lo, up, warm)
         nodes_solved += 1
+        iterations += res.iterations
+        if nodes_solved == 1 and res.status == "optimal":
+            root_bound = res.objective
         if res.status == "infeasible":
             continue
         if res.status == "unbounded":
             # binaries are bounded, so unboundedness lives in the relaxation
-            return Solution(status="unbounded", best_bound=-INF,
-                            nodes=nodes_solved, message=res.message)
+            return done("unbounded", best_bound=-INF, message=res.message)
         if res.status != "optimal":
-            return Solution(status="error", nodes=nodes_solved,
-                            message=f"node LP failed: {res.message}")
+            return done("error", message=f"node LP failed: {res.message}")
         if res.objective >= incumbent - 1e-9 * max(1.0, abs(incumbent)):
             continue
 
@@ -532,17 +557,13 @@ def solve_mip(model: Model, config: SolveConfig | None = None) -> Solution:
             name = core.model.variables[vid].name
             values[name] = float(round(values[name]))
         if stop is None:  # tree exhausted: the incumbent is proven optimal
-            return Solution(status="optimal", objective=incumbent,
-                            best_bound=incumbent, values=values,
-                            nodes=nodes_solved)
-        return Solution(status=stop, objective=incumbent,
-                        best_bound=min(best_open, incumbent), values=values,
-                        nodes=nodes_solved)
+            return done("optimal", objective=incumbent,
+                        best_bound=incumbent, values=values)
+        return done(stop, objective=incumbent,
+                    best_bound=min(best_open, incumbent), values=values)
     if stop == "time_limit":
-        return Solution(status="time_limit", best_bound=best_open,
-                        nodes=nodes_solved)
-    return Solution(status="infeasible", nodes=nodes_solved,
-                    message="no feasible binary assignment")
+        return done("time_limit", best_bound=best_open)
+    return done("infeasible", message="no feasible binary assignment")
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,19 @@ measurement semantics, and the CSV/JSON report contract."""
 
 import json
 import math
+import sys
 
 import pytest
 
 from ucbench import (
+    STARTUPS,
     BenchConfig,
     FormulationChoice,
+    build_model,
     generate_instance,
     measure_gap,
     run_benchmark,
+    solve_lp,
     validate_instance,
 )
 
@@ -105,6 +109,48 @@ class TestMeasureGap:
         assert row.nodes == 1
         assert row.gap_abs == 0.0
         assert row.gap_rel == 0.0
+
+
+class TestRootBoundSource:
+    """In the reference path z_LP is the branch-and-bound root node; it
+    must be exactly what a stand-alone ``solve_lp`` reports."""
+
+    CHOICES = [FormulationChoice(base, m, 0.0)
+               for base in ("basic", "extended") for m in STARTUPS]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("time_limit", [60.0, 1e-9])
+    def test_z_lp_matches_solve_lp(self, seed, time_limit):
+        inst = generate_instance(seed, 2, 3)
+        cfg = BenchConfig(time_limit=time_limit)
+        for choice in self.CHOICES:
+            model, _ = build_model(inst, choice)
+            row = measure_gap(inst, choice, cfg)
+            assert row.z_lp == solve_lp(model).objective, choice
+
+    def test_external_backend_takes_z_lp_from_solve_lp(self, monkeypatch):
+        import ucbench.bench as bench
+
+        calls = []
+
+        def spy(model, config=None):
+            calls.append(model)
+            return solve_lp(model, config)
+
+        def no_mip(*a, **kw):
+            raise AssertionError("reference MIP run on an external row")
+
+        monkeypatch.setattr(bench, "solve_lp", spy)
+        monkeypatch.setattr(bench, "solve_mip", no_mip)
+        inst = generate_instance(1, 2, 3)
+        choice = FormulationChoice("basic", "temp", 0.0)
+        backend = (f"{sys.executable} -c 'import sys; sys.exit(3)' "
+                   "{input} {output}")
+        row = measure_gap(inst, choice, BenchConfig(backend=backend))
+        assert len(calls) == 1
+        assert row.status == "error"  # the backend exits non-zero
+        model, _ = build_model(inst, choice)
+        assert row.z_lp == solve_lp(model).objective
 
 
 class TestBenchConfig:

@@ -8,6 +8,7 @@ checks the minimized cost against the closed-form start-up curve.
 """
 
 import itertools
+import logging
 import math
 
 import pytest
@@ -111,6 +112,15 @@ class TestBaseShape:
         assert names[4:8] == ["p_1_1", "p_1_2", "p_2_1", "p_2_2"]
         assert names[8:12] == ["y_1_1", "y_1_2", "y_2_1", "y_2_2"]
         assert names[12:16] == ["z_1_1", "z_1_2", "z_2_1", "z_2_2"]
+
+    def test_no_network_is_not_a_warning(self, caplog):
+        # generated instances carry no network by default, so an empty
+        # line-limit family is the common case, not a problem
+        inst = make_instance([25.0, 25.0])
+        with caplog.at_level(logging.DEBUG, logger="ucbench.formulations"):
+            build_model(inst, FormulationChoice("extended", "one_bin"))
+        assert [r.levelno for r in caplog.records
+                if "without a network" in r.getMessage()] == [logging.DEBUG]
 
     def test_choice_validation(self):
         with pytest.raises(ValueError, match="unknown base"):

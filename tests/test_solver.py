@@ -1,3 +1,5 @@
+import logging
+import math
 import sys
 import textwrap
 
@@ -141,6 +143,42 @@ class TestSolveMip:
         assert r1.objective == r2.objective
         assert r1.nodes == r2.nodes
         assert r1.values == r2.values
+        assert r1.iterations > 0
+        assert r1.iterations == r2.iterations
+
+    def test_root_bound_is_the_lp_relaxation(self):
+        inst = make_instance([12.0, 35.0, 20.0, 11.0],
+                             units=[make_unit("a"),
+                                    make_unit("b", p_max=30.0,
+                                              cost_variable=2.3)])
+        model, _ = build_model(
+            inst, FormulationChoice("basic", "one_bin", 0.0))
+        lp = solve_lp(model)
+        for cfg in (SolveConfig(gap=0.0), SolveConfig(time_limit=1e-9)):
+            res = solve_mip(model, cfg)
+            assert res.nodes >= 1  # the root is solved whatever the budget
+            assert res.root_bound == lp.objective
+
+    def test_root_bound_is_nan_for_an_infeasible_root(self):
+        m = Model("inf")
+        x = m.add_variable("x", 0, 1, "binary")
+        m.add_constraint("c", {x: 1.0}, ">=", 2.0)
+        assert math.isnan(solve_mip(m).root_bound)
+
+    def test_one_debug_line_per_solve(self, caplog):
+        inst = make_instance([12.0, 35.0, 20.0, 11.0],
+                             units=[make_unit("a"),
+                                    make_unit("b", p_max=30.0,
+                                              cost_variable=2.3)])
+        model, _ = build_model(
+            inst, FormulationChoice("basic", "one_bin", 0.0))
+        with caplog.at_level(logging.DEBUG, logger="ucbench.solver"):
+            res = solve_mip(model, SolveConfig(gap=0.0))
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "ucbench.solver"]
+        assert len(lines) == 1
+        assert lines[0].startswith(f"mip: optimal after {res.nodes} nodes, "
+                                   f"{res.iterations} LP iterations")
 
 
 class TestVertexOracleAgreement:
