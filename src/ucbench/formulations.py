@@ -134,7 +134,7 @@ def build_base(instance: Instance, base: str = "basic") -> tuple[Model, VarIndex
         for t in range(1, T + 1):
             obj[vix.v[i, t]] = u.cost_fixed_on
             obj[vix.p[i, t]] = u.cost_variable
-    model.add_objective_terms(obj)
+    model.set_objective(model.objective | obj)
 
     for t in range(1, T + 1):
         model.add_constraint(f"demand_{t}",
@@ -377,7 +377,8 @@ def _add_cu(model: Model, vix: VarIndex, with_cost: bool) -> None:
         for t in range(1, vix.horizon + 1):
             vix.cu[i, t] = model.add_variable(f"cu_{i}_{t}", 0, INF)
     if with_cost:
-        model.add_objective_terms({vid: 1.0 for vid in vix.cu.values()})
+        model.set_objective(model.objective
+                            | {vid: 1.0 for vid in vix.cu.values()})
 
 
 def _window(instance: Instance, u) -> int:
@@ -427,29 +428,19 @@ def add_startup_1bin(model: Model, vix: VarIndex, instance: Instance,
         except KeyError:
             raise ValueError(f"no step function for unit {u.id!r}") from None
         window = _window(instance, u)
-        ktab = _step_table(sf, window)
+        ktab = _step_table(sf, window).tolist()
         rising = [l for l in range(1, window) if ktab[l] > ktab[l - 1]]
-        vbase = vix.v[i, 1]
-        cubase = vix.cu[i, 1]
         for t in range(1, T + 1):
             cap = t - 1 + u.pre_offline
             for l in rising:
                 if l > cap:
                     break
-                m = min(l, t - 1)
                 kl = ktab[l]
-                ids = np.empty(m + 2, dtype=np.int64)
-                ids[:m + 1] = np.arange(vbase + t - 1 - m, vbase + t)
-                ids[m + 1] = cubase + t - 1
-                coeffs = np.empty(m + 2, dtype=np.float64)
-                if tightened and m:
-                    coeffs[:m] = kl - ktab[m - 1::-1]
-                else:
-                    coeffs[:m] = kl
-                coeffs[m] = -kl
-                coeffs[m + 1] = 1.0
-                rows.append(model._add_prepared(f"su1_{i}_{t}_{l}", ids,
-                                                coeffs, ">=", 0.0))
+                terms = [(vix.v[i, t - n], kl - ktab[n - 1] if tightened
+                          else kl) for n in range(min(l, t - 1), 0, -1)]
+                terms += [(vix.v[i, t], -kl), (vix.cu[i, t], 1.0)]
+                rows.append(model.add_constraint(f"su1_{i}_{t}_{l}", terms,
+                                                 ">=", 0.0))
     return rows
 
 
@@ -495,70 +486,42 @@ def add_startup_3bin(model: Model, vix: VarIndex, instance: Instance,
                 vid = model.add_variable(f"d_{i}_{t}_{s}", 0, 1)
                 vix.d[i, t, s] = vid
                 obj[vid] = sf.steps[s - 1].value
-    model.add_objective_terms(obj)
+    model.set_objective(model.objective | obj)
 
     for i, u in enumerate(instance.units, 1):
         sf = steps[u.id]
         S = sf.n_steps
-        zbase = vix.z[i, 1]
         for t in range(1, T + 1):
-            if S:
-                dbase = vix.d[i, t, 1]
-                ids = np.empty(S + 1, dtype=np.int64)
-                ids[0] = vix.y[i, t]
-                ids[1:] = np.arange(dbase, dbase + S)
-                coeffs = np.empty(S + 1, dtype=np.float64)
-                coeffs[0] = -1.0
-                coeffs[1:] = 1.0
-                rows.append(model._add_prepared(f"ssum_{i}_{t}", ids, coeffs,
-                                                "=", 0.0))
-                if all(st.value for st in sf.steps):
-                    ids2 = np.empty(S + 1, dtype=np.int64)
-                    ids2[0] = vix.cu[i, t]
-                    ids2[1:] = np.arange(dbase, dbase + S)
-                    coeffs2 = np.empty(S + 1, dtype=np.float64)
-                    coeffs2[0] = 1.0
-                    coeffs2[1:] = [-st.value for st in sf.steps]
-                    rows.append(model._add_prepared(f"sdef_{i}_{t}", ids2,
-                                                    coeffs2, "=", 0.0))
-                else:  # zero-cost steps drop out of the tie
-                    terms = {vix.d[i, t, s]: -sf.steps[s - 1].value
-                             for s in range(1, S + 1)}
-                    terms[vix.cu[i, t]] = 1.0
-                    rows.append(model.add_constraint(f"sdef_{i}_{t}", terms,
-                                                     "=", 0.0))
-            else:  # degenerate single-period horizon: no off-times at all
-                rows.append(model.add_constraint(f"sdef_{i}_{t}",
-                                                 {vix.cu[i, t]: 1.0},
-                                                 "=", 0.0))
+            d = [vix.d[i, t, s] for s in range(1, S + 1)]
+            if S:  # an empty step table (no off-times) has no selectors
+                rows.append(model.add_constraint(
+                    f"ssum_{i}_{t}",
+                    [(vix.y[i, t], -1.0)] + [(vid, 1.0) for vid in d],
+                    "=", 0.0))
+            # zero-cost steps drop out of the tie
+            rows.append(model.add_constraint(
+                f"sdef_{i}_{t}",
+                [(vix.cu[i, t], 1.0)]
+                + [(vid, -st.value) for vid, st in zip(d, sf.steps)],
+                "=", 0.0))
         for s in range(1, S):  # the final type is never capped
             lo, hi = sf.steps[s - 1].lo, sf.steps[s - 1].hi
             for t in range(hi + 1, T + 1):
-                dsid = vix.d[i, t, s]
-                ids = np.empty(hi - lo + 2, dtype=np.int64)
-                ids[:-1] = np.arange(zbase + t - hi - 1, zbase + t - lo)
-                ids[-1] = dsid
-                coeffs = np.empty(hi - lo + 2, dtype=np.float64)
-                coeffs[:-1] = -1.0
-                coeffs[-1] = 1.0
-                rows.append(model._add_prepared(f"stype_{i}_{t}_{s}", ids,
-                                                coeffs, "<=", 0.0))
+                terms = [(vix.z[i, k], -1.0) for k in range(t - hi, t - lo + 1)]
+                terms.append((vix.d[i, t, s], 1.0))
+                rows.append(model.add_constraint(f"stype_{i}_{t}_{s}", terms,
+                                                 "<=", 0.0))
             if u.pre_offline <= 0:
                 continue  # entered online: no pre-horizon shutdown visible
             outage_start = 1 - u.pre_offline
             for t in range(1, min(hi, T) + 1):
                 if t - hi <= outage_start <= t - lo:
                     continue  # the recorded outage itself covers the type
-                k_lo, k_hi = max(1, t - hi), t - lo
-                n_z = max(0, k_hi - k_lo + 1)
-                ids = np.empty(n_z + 1, dtype=np.int64)
-                ids[:n_z] = np.arange(zbase + k_lo - 1, zbase + k_hi)
-                ids[n_z] = vix.d[i, t, s]
-                coeffs = np.empty(n_z + 1, dtype=np.float64)
-                coeffs[:n_z] = -1.0
-                coeffs[n_z] = 1.0
-                rows.append(model._add_prepared(f"stype_{i}_{t}_{s}", ids,
-                                                coeffs, "<=", 0.0))
+                terms = [(vix.z[i, k], -1.0)
+                         for k in range(max(1, t - hi), t - lo + 1)]
+                terms.append((vix.d[i, t, s], 1.0))
+                rows.append(model.add_constraint(f"stype_{i}_{t}_{s}", terms,
+                                                 "<=", 0.0))
     return rows
 
 

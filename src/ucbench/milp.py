@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -55,7 +56,10 @@ class Variable:
 
 
 class Constraint:
-    """A linear row: terms stored as parallel (ids, coeffs) numpy arrays."""
+    """A linear row: terms stored as parallel (ids, coeffs) numpy arrays.
+
+    Rows are created only by :meth:`Model.add_constraint`, which puts the
+    terms in canonical order."""
 
     __slots__ = ("name", "ids", "coeffs", "sense", "rhs")
 
@@ -142,62 +146,29 @@ class Model:
             raise ModelError(f"duplicate constraint name {name!r}")
         if sense not in SENSES:
             raise ModelError(f"unknown sense {sense!r}; expected one of {SENSES}")
-        items = list(terms.items()) if isinstance(terms, dict) else list(terms)
-        ids = np.fromiter((i for i, _ in items), dtype=np.int64,
-                          count=len(items))
-        coeffs = np.fromiter((float(c) for _, c in items), dtype=np.float64,
-                             count=len(items))
-        if len(ids):
-            if ids.min() < 0 or ids.max() >= len(self.variables):
+        items = sorted(terms.items() if isinstance(terms, dict) else terms,
+                       key=itemgetter(0))
+        if items:
+            if items[0][0] < 0 or items[-1][0] >= len(self.variables):
                 raise ModelError(
                     f"constraint {name!r} references an undeclared variable")
-            order = np.argsort(ids, kind="stable")
-            ids = ids[order]
-            coeffs = coeffs[order]
-            if len(ids) > 1 and (ids[1:] == ids[:-1]).any():
-                raise ModelError(
-                    f"constraint {name!r} repeats a variable; combine "
-                    "coefficients before adding")
-            keep = coeffs != 0.0
-            if not keep.all():
-                ids, coeffs = ids[keep], coeffs[keep]
+            for (a, _), (b, _) in zip(items, items[1:]):
+                if a == b:
+                    raise ModelError(
+                        f"constraint {name!r} repeats a variable; combine "
+                        "coefficients before adding")
+        ids, coeffs = [], []
+        for i, c in items:
+            c = float(c)
+            if c != 0.0:
+                ids.append(i)
+                coeffs.append(c)
         cid = len(self.constraints)
-        self.constraints.append(Constraint(name, ids, coeffs, sense, float(rhs)))
+        self.constraints.append(Constraint(
+            name, np.array(ids, dtype=np.int64),
+            np.array(coeffs, dtype=np.float64), sense, float(rhs)))
         self._con_names.add(name)
         return cid
-
-    def _add_prepared(self, name: str, ids: np.ndarray, coeffs: np.ndarray,
-                      sense: str, rhs: float) -> int:
-        """Trusted fast path for bulk builders: ``ids`` must already be a
-        sorted, duplicate-free int64 array of declared variable ids and
-        ``coeffs`` a float64 array with no zeros. Skips the per-row
-        validation of :meth:`add_constraint` — large model families (one
-        row per unit, period, and off-time) are built through this."""
-        if self.frozen:
-            raise ModelError("model is frozen")
-        if name in self._con_names or name == self.objective_name:
-            raise ModelError(f"duplicate constraint name {name!r}")
-        cid = len(self.constraints)
-        self.constraints.append(Constraint(name, ids, coeffs, sense,
-                                           float(rhs)))
-        self._con_names.add(name)
-        return cid
-
-    def add_objective_terms(self, coeffs) -> None:
-        """Merge terms into the objective (coefficients of variables already
-        present are summed). Lets builders contribute costs incrementally."""
-        if self.frozen:
-            raise ModelError("model is frozen")
-        if not isinstance(coeffs, dict):
-            coeffs = dict(coeffs)
-        merged = dict(self.objective)
-        for vid, c in coeffs.items():
-            if not (0 <= vid < len(self.variables)):
-                raise ModelError(f"objective references undeclared variable "
-                                 f"id {vid}")
-            merged[vid] = merged.get(vid, 0.0) + float(c)
-        self.objective = {vid: c for vid in sorted(merged)
-                          if (c := merged[vid]) != 0.0}
 
     def set_objective(self, coeffs) -> None:
         """Replace the (minimization) objective. Zero terms are dropped and
@@ -281,7 +252,7 @@ def fix_variables(model: Model, assignments: dict) -> Model:
         out._var_ids[var.name] = vid
     out.constraints = list(model.constraints)  # rows are immutable, share them
     out._con_names = set(model._con_names)
-    out.objective = dict(model.objective)
+    out.set_objective(model.objective)
     return out
 
 
@@ -416,7 +387,6 @@ def read_mps(text: str) -> Model:
     common subset of foreign files). Unsupported features — RANGES, SOS,
     general (non-binary) integers, multiple objective rows — raise
     :class:`MpsParseError` with the offending line number."""
-    model = Model("model")
     section = None
     objective_name: str | None = None
     row_sense: dict[str, str] = {}
@@ -594,22 +564,9 @@ def read_mps(text: str) -> Model:
             model.variables.append(Variable(cname, lb, ub, kind))
             model._var_ids[cname] = cid
         for rname in row_order:
-            terms = row_terms[rname]
-            ids = np.fromiter((i for i, _ in terms), dtype=np.int64,
-                              count=len(terms))
-            coeffs = np.fromiter((c for _, c in terms), dtype=np.float64,
-                                 count=len(terms))
-            if len(ids) > 1:
-                order = np.argsort(ids, kind="stable")
-                ids, coeffs = ids[order], coeffs[order]
-                if (ids[1:] == ids[:-1]).any():
-                    raise MpsParseError(
-                        f"row {rname!r} has duplicate entries for a column")
-            _check_name(rname, "constraint")
-            model.constraints.append(Constraint(
-                rname, ids, coeffs, row_sense[rname], row_rhs.get(rname, 0.0)))
-            model._con_names.add(rname)
-        model.objective = dict(sorted(objective.items()))
+            model.add_constraint(rname, row_terms[rname], row_sense[rname],
+                                 row_rhs.get(rname, 0.0))
+        model.set_objective(objective)
     except ModelError as e:
         raise MpsParseError(str(e)) from e
     return model

@@ -239,12 +239,10 @@ def optimal_dispatch(instance: Instance, schedule: Schedule,
     return out
 
 
-def exact_total_cost(instance: Instance, schedule: Schedule,
-                     base: str = "basic") -> CostBreakdown:
-    """Cost a fixed schedule from first principles: optimal dispatch for
-    the production part, the exact exponential start-up curve (never the
-    step approximation) for each start found by offline_runs."""
-    _, production = optimal_dispatch(instance, schedule, base)
+def _breakdown(instance: Instance, schedule: Schedule,
+               production: float) -> CostBreakdown:
+    """Split the exact start-up cost of every start found by offline_runs
+    into its variable and fixed parts, and total it with ``production``."""
     su_var = su_fix = 0.0
     for k, u in enumerate(instance.units):
         for _, length in offline_runs(schedule, k, u.pre_offline):
@@ -253,6 +251,15 @@ def exact_total_cost(instance: Instance, schedule: Schedule,
     return CostBreakdown(production=production, startup_variable=su_var,
                          startup_fixed=su_fix,
                          total=production + su_var + su_fix)
+
+
+def exact_total_cost(instance: Instance, schedule: Schedule,
+                     base: str = "basic") -> CostBreakdown:
+    """Cost a fixed schedule from first principles: optimal dispatch for
+    the production part, the exact exponential start-up curve (never the
+    step approximation) for each start found by offline_runs."""
+    _, production = optimal_dispatch(instance, schedule, base)
+    return _breakdown(instance, schedule, production)
 
 
 def brute_force_optimum(instance: Instance, base: str = "basic",
@@ -287,16 +294,9 @@ def brute_force_optimum(instance: Instance, base: str = "basic",
     if best is None:
         raise ValueError("no feasible schedule: every commitment pattern "
                          "fails to meet demand")
-    total, sched, p, production = best
-    su_var = su_fix = 0.0
-    for k, u in enumerate(units):
-        for _, length in offline_runs(sched, k, u.pre_offline):
-            su_var += startup_cost(u, length) - u.startup_fixed_cost
-            su_fix += u.startup_fixed_cost
-    breakdown = CostBreakdown(production=production, startup_variable=su_var,
-                              startup_fixed=su_fix,
-                              total=production + su_var + su_fix)
-    return OracleResult(schedule=sched, dispatch=p, breakdown=breakdown,
+    _, sched, p, production = best
+    return OracleResult(schedule=sched, dispatch=p,
+                        breakdown=_breakdown(instance, sched, production),
                         n_feasible=n_feasible)
 
 

@@ -13,11 +13,10 @@ independent dynamic program that certifies the step count is minimal.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
-from .domain import Schedule, Unit
+from .domain import Unit
 
 
 def startup_cost(unit: Unit, l: int) -> float:
@@ -118,10 +117,6 @@ class StepFunction:
                 return s.value
         raise ValueError(f"off-time {l} not covered")  # pragma: no cover
 
-    def to_json(self) -> str:
-        return json.dumps(
-            [{"lo": s.lo, "hi": s.hi, "value": s.value} for s in self.steps])
-
 
 def _band_feasible(k_lo: float, k_hi: float, ktol: float) -> bool:
     """Whether one constant can cover costs k_lo..k_hi within the band.
@@ -186,21 +181,3 @@ def minimal_steps_oracle(unit: Unit, horizon: int, ktol: float) -> int:
         best[j] = b
     return best[end]
 
-
-def offline_time_before(schedule: Schedule, unit_index: int, t: int,
-                        pre_offline: int) -> int:
-    """Consecutive offline periods of a unit immediately before period t.
-
-    Counts backwards from t-1 and keeps going into the pre-horizon
-    stretch when the whole prefix is offline. Returns 0 when the unit ran
-    in period t-1 (or, at t=1, when it entered the horizon online).
-    """
-    row = schedule.on_off[unit_index]
-    length = 0
-    k = t - 1
-    while k >= 1 and row[k - 1] == 0:
-        length += 1
-        k -= 1
-    if k == 0:
-        length += pre_offline
-    return length

@@ -1,5 +1,11 @@
 """Shared factories for small hand-built instances."""
 import math
+import os
+
+# The bundled solver multiplies tiny dense matrices; a multithreaded BLAS
+# only adds contention there, so pin one thread before numpy is loaded.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import pytest
 

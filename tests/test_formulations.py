@@ -22,10 +22,10 @@ from ucbench import (
     build_model,
     enumerate_schedules,
     fix_variables,
+    offline_runs,
     solve_lp,
     startup_cost,
 )
-from ucbench.startup import offline_time_before
 
 from conftest import make_instance, make_unit
 
@@ -256,6 +256,21 @@ class TestStartTypeRows:
         assert terms(model, con) == {"cu_1_2": 1.0, "d_1_2_1": -K1,
                                      "d_1_2_2": -K2}
 
+    def test_free_starts_leave_only_cu_in_the_cost_tie(self):
+        """A unit whose restarts cost nothing has one zero-cost start type;
+        its selector drops out of the cost tie, pinning cu to zero."""
+        inst = make_instance([15.0] * 3, startup_var_cost=0.0,
+                             startup_fixed_cost=0.0)
+        model, vix = build_model(inst, FormulationChoice("extended",
+                                                         "three_bin"))
+        assert [st.value for st in vix.steps["u1"].steps] == [0.0]
+        assert row_names(model, "sdef_") == ["sdef_1_1", "sdef_1_2",
+                                             "sdef_1_3"]
+        for t in (1, 2, 3):
+            con = row(model, f"sdef_1_{t}")
+            assert terms(model, con) == {f"cu_1_{t}": 1.0}
+            assert (con.sense, con.rhs) == ("=", 0.0)
+
     def test_cap_rows_with_recorded_outage(self):
         """T=3, two periods cold at entry: each non-final type is capped by
         the shutdowns that could produce it, with the recorded outage
@@ -469,11 +484,8 @@ def expected_commitment_cost(unit, bits):
     schedule with free (zero) production."""
     sched = Schedule(on_off=[list(bits)])
     total = unit.cost_fixed_on * sum(bits)
-    for t, x in enumerate(bits, 1):
-        prev = bits[t - 2] if t > 1 else (0 if unit.pre_offline else 1)
-        if x and not prev:
-            off = offline_time_before(sched, 0, t, unit.pre_offline)
-            total += startup_cost(unit, off)
+    for _, off in offline_runs(sched, 0, unit.pre_offline):
+        total += startup_cost(unit, off)
     return total
 
 

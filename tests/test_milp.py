@@ -51,6 +51,14 @@ class TestModelConstruction:
         with pytest.raises(ModelError, match="undeclared"):
             m.add_constraint("c", {3: 1.0}, "<=", 1.0)
 
+    def test_constraint_repeating_a_variable_rejected(self):
+        m = Model("m")
+        x = m.add_variable("x", 0, 1, "binary")
+        y = m.add_variable("y", 0, 1, "binary")
+        with pytest.raises(ModelError, match="repeats a variable"):
+            m.add_constraint("c", [(x, 1.0), (y, 2.0), (x, 3.0)], "<=", 1.0)
+        assert m.n_constraints == 0
+
     def test_empty_equality_row_is_vacuous_but_accepted(self):
         m = Model("m")
         cid = m.add_constraint("nothing", {}, "=", 0.0)
@@ -157,6 +165,12 @@ class TestMpsRoundTrip:
     def test_duplicate_row_name_rejected(self):
         text = "NAME d\nROWS\n N COST\n L c1\n L c1\nCOLUMNS\nENDATA\n"
         with pytest.raises(MpsParseError, match="duplicate"):
+            read_mps(text)
+
+    def test_duplicate_column_entry_in_a_row_rejected(self):
+        text = ("NAME d\nROWS\n N COST\n L c1\nCOLUMNS\n    x c1 1\n"
+                "    x c1 2\nRHS\nBOUNDS\nENDATA\n")
+        with pytest.raises(MpsParseError, match="c1"):
             read_mps(text)
 
     def test_missing_endata_rejected(self):
