@@ -15,7 +15,6 @@ from .domain import (
     validate_instance,
 )
 from .milp import (
-    Constraint,
     Model,
     ModelError,
     ModelStats,
@@ -76,7 +75,7 @@ __all__ = [
     "CostBreakdown", "Instance", "InstanceFormatError", "Line", "Network",
     "Schedule", "Unit", "load_instance", "offline_runs", "save_instance",
     "validate_instance",
-    "Constraint", "Model", "ModelError", "ModelStats", "MpsParseError",
+    "Model", "ModelError", "ModelStats", "MpsParseError",
     "Variable", "fix_variables", "model_stats", "read_mps", "write_lp",
     "write_mps",
     "Step", "StepFunction", "approximate_steps", "discretized_temperature",

@@ -63,8 +63,8 @@ def _cmd_build(args) -> int:
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"wrote {args.out}: {len(model.variables)} variables, "
-          f"{len(model.constraints)} constraints")
+    print(f"wrote {args.out}: {model.n_variables} variables, "
+          f"{model.n_constraints} constraints")
     return 0
 
 

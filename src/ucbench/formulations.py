@@ -160,6 +160,14 @@ def build_base(instance: Instance, base: str = "basic") -> tuple[Model, VarIndex
     return model, vix
 
 
+def _start_stop_speeds(u) -> tuple[float, float]:
+    """The unit's start-up and shutdown speeds, clamped to p_max. Speeds
+    above the production ceiling cannot bind, and leaving them unclamped
+    would flip coefficient signs in ramping rows that assume they sit
+    within [p_min, p_max]."""
+    return min(u.startup_ramp, u.p_max), min(u.shutdown_ramp, u.p_max)
+
+
 def _add_basic_ramping(model: Model, vix: VarIndex, instance: Instance):
     """Ramping on (v, p) alone: up/down rows coupling consecutive periods
     (start-up and shutdown speeds enter via v-differences, with a p_max
@@ -169,11 +177,7 @@ def _add_basic_ramping(model: Model, vix: VarIndex, instance: Instance):
     for i, u in enumerate(instance.units, 1):
         ru, rd = u.ramp_up, u.ramp_down
         pmax = u.p_max
-        # start/stop speeds above the production ceiling cannot bind, and
-        # leaving them unclamped would flip coefficient signs in rows that
-        # assume they sit within [p_min, p_max]
-        su = min(u.startup_ramp, pmax)
-        sd = min(u.shutdown_ramp, pmax)
+        su, sd = _start_stop_speeds(u)
         for t in range(2, T + 1):
             # p_t - p_{t-1} <= RU v_{t-1} + SU (v_t - v_{t-1}) + Pmax (1 - v_t)
             model.add_constraint(
@@ -261,8 +265,7 @@ def _add_indicator_ramping(model: Model, vix: VarIndex, instance: Instance):
     T = instance.horizon
     for i, u in enumerate(instance.units, 1):
         ru, rd, pmin = u.ramp_up, u.ramp_down, u.p_min
-        su = min(u.startup_ramp, u.p_max)  # same capping as the basic base
-        sd = min(u.shutdown_ramp, u.p_max)
+        su, sd = _start_stop_speeds(u)
         v, p, y, z = vix.v, vix.p, vix.y, vix.z
         for t in range(2, T + 1):
             # p_t - p_{t-1} <= RU v_{t-1} + SU y_t

@@ -1,9 +1,10 @@
 """Solver-agnostic linear model container and exchange-format I/O.
 
 A :class:`Model` is an ordered collection of bounded variables, linear
-constraints, and a minimization objective. It knows nothing about unit
-commitment; the formulation builders produce models, the bundled solver
-and the MPS/LP writers consume them.
+constraints held as one compressed-sparse-row block, and a minimization
+objective. It knows nothing about unit commitment; the formulation
+builders produce models, the bundled solver and the MPS/LP writers
+consume them.
 
 Determinism is a design requirement: models store their terms in a
 canonical order (sorted by variable id within each row, zero coefficients
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -55,35 +56,6 @@ class Variable:
     kind: str  # "continuous" | "binary"
 
 
-class Constraint:
-    """A linear row: terms stored as parallel (ids, coeffs) numpy arrays.
-
-    Rows are created only by :meth:`Model.add_constraint`, which puts the
-    terms in canonical order."""
-
-    __slots__ = ("name", "ids", "coeffs", "sense", "rhs")
-
-    def __init__(self, name: str, ids: np.ndarray, coeffs: np.ndarray,
-                 sense: str, rhs: float):
-        self.name = name
-        self.ids = ids
-        self.coeffs = coeffs
-        self.sense = sense
-        self.rhs = rhs
-
-    def __eq__(self, other):
-        return (isinstance(other, Constraint)
-                and self.name == other.name
-                and self.sense == other.sense
-                and self.rhs == other.rhs
-                and np.array_equal(self.ids, other.ids)
-                and np.array_equal(self.coeffs, other.coeffs))
-
-    def __repr__(self):
-        return (f"Constraint({self.name!r}, {len(self.ids)} terms, "
-                f"{self.sense} {self.rhs})")
-
-
 @dataclass
 class ModelStats:
     n_variables: int
@@ -105,8 +77,16 @@ class Model:
         self.name = _check_name(name, "model")
         self.objective_name = "COST"
         self.variables: list[Variable] = []
-        self.constraints: list[Constraint] = []
         self.objective: dict[int, float] = {}
+        # The rows, as one compressed-sparse-row block: row r is named
+        # row_names[r] and holds the terms ids[k], coeffs[k] for k in
+        # range(starts[r], starts[r + 1]), sorted by variable id.
+        self.row_names: list[str] = []
+        self.senses: list[str] = []
+        self.rhs: list[float] = []
+        self.starts: list[int] = [0]
+        self.ids: list[int] = []
+        self.coeffs: list[float] = []
         self.frozen = False
         self._var_ids: dict[str, int] = {}
         self._con_names: set[str] = set()
@@ -122,10 +102,10 @@ class Model:
             raise ModelError(f"duplicate variable name {name!r}")
         if kind not in ("continuous", "binary"):
             raise ModelError(f"unknown variable kind {kind!r}")
-        if kind == "binary" and (lb, ub) != (0, 1):
+        if kind == "binary" and (lb, ub) not in ((0, 1), (0, 0), (1, 1)):
             raise ModelError(
-                f"binary variable {name!r} must be created with bounds "
-                f"[0, 1], got [{lb}, {ub}]")
+                f"binary variable {name!r} must have bounds [0, 1] or be "
+                f"fixed at 0 or 1, got [{lb}, {ub}]")
         if lb > ub:
             raise ModelError(f"variable {name!r}: inverted bounds "
                              f"[{lb}, {ub}]")
@@ -163,12 +143,16 @@ class Model:
             if c != 0.0:
                 ids.append(i)
                 coeffs.append(c)
-        cid = len(self.constraints)
-        self.constraints.append(Constraint(
-            name, np.array(ids, dtype=np.int64),
-            np.array(coeffs, dtype=np.float64), sense, float(rhs)))
+        rhs = float(rhs)
+        # every check has passed: only now does the row enter the block
+        self.ids += ids
+        self.coeffs += coeffs
+        self.starts.append(len(self.ids))
+        self.row_names.append(name)
+        self.senses.append(sense)
+        self.rhs.append(rhs)
         self._con_names.add(name)
-        return cid
+        return len(self.row_names) - 1
 
     def set_objective(self, coeffs) -> None:
         """Replace the (minimization) objective. Zero terms are dropped and
@@ -202,7 +186,7 @@ class Model:
 
     @property
     def n_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self.row_names)
 
     def objective_value(self, values: dict[str, float]) -> float:
         """Evaluate the objective on a {variable name: value} mapping."""
@@ -214,7 +198,12 @@ class Model:
                 and self.name == other.name
                 and self.objective_name == other.objective_name
                 and self.variables == other.variables
-                and self.constraints == other.constraints
+                and self.row_names == other.row_names
+                and self.senses == other.senses
+                and self.rhs == other.rhs
+                and self.starts == other.starts
+                and self.ids == other.ids
+                and self.coeffs == other.coeffs
                 and self.objective == other.objective)
 
     def __repr__(self):
@@ -245,13 +234,15 @@ def fix_variables(model: Model, assignments: dict) -> Model:
     out.objective_name = model.objective_name
     for vid, var in enumerate(model.variables):
         if vid in resolved:
-            v = resolved[vid]
-            out.variables.append(Variable(var.name, v, v, var.kind))
+            lb = ub = resolved[vid]
         else:
-            out.variables.append(Variable(var.name, var.lb, var.ub, var.kind))
-        out._var_ids[var.name] = vid
-    out.constraints = list(model.constraints)  # rows are immutable, share them
-    out._con_names = set(model._con_names)
+            lb, ub = var.lb, var.ub
+        out.add_variable(var.name, lb, ub, var.kind)
+    starts = model.starts
+    for r, name in enumerate(model.row_names):
+        a, b = starts[r], starts[r + 1]
+        out.add_constraint(name, zip(model.ids[a:b], model.coeffs[a:b]),
+                           model.senses[r], model.rhs[r])
     out.set_objective(model.objective)
     return out
 
@@ -262,7 +253,7 @@ def model_stats(model: Model) -> ModelStats:
         n_variables=model.n_variables,
         n_constraints=model.n_constraints,
         n_binary=sum(1 for v in model.variables if v.kind == "binary"),
-        n_nonzeros=sum(len(c.ids) for c in model.constraints),
+        n_nonzeros=len(model.ids),
     )
 
 
@@ -292,34 +283,23 @@ def write_mps(model: Model) -> str:
     """
     model.freeze()
     nvar = model.n_variables
+    con_names = model.row_names
     lines: list[str] = [f"NAME {model.name}", "ROWS",
                         f" N {model.objective_name}"]
-    for con in model.constraints:
-        lines.append(f" {_SENSE_TO_ROW[con.sense]} {con.name}")
+    for sense, name in zip(model.senses, con_names):
+        lines.append(f" {_SENSE_TO_ROW[sense]} {name}")
 
-    # transpose the row-major storage into column-major entry order
+    # transpose the row block into column-major entry order: the block is
+    # row-major, so a stable sort by column keeps each column's rows in
+    # model order
     lines.append("COLUMNS")
-    if model.constraints:
-        lengths = np.fromiter((len(c.ids) for c in model.constraints),
-                              dtype=np.int64, count=len(model.constraints))
-        total = int(lengths.sum())
-    else:
-        lengths = np.zeros(0, dtype=np.int64)
-        total = 0
-    if total:
-        cols_flat = np.concatenate([c.ids for c in model.constraints])
-        vals_flat = np.concatenate([c.coeffs for c in model.constraints])
-        rows_flat = np.repeat(np.arange(len(model.constraints)), lengths)
-        order = np.lexsort((rows_flat, cols_flat))
-        cols_sorted = cols_flat[order]
-        rows_sorted = rows_flat[order].tolist()
-        vals_sorted = vals_flat[order].tolist()
-        col_starts = np.searchsorted(cols_sorted, np.arange(nvar + 1)).tolist()
-    else:
-        rows_sorted = vals_sorted = []
-        col_starts = [0] * (nvar + 1)
+    cols = np.array(model.ids, dtype=np.int64)
+    order = np.argsort(cols, kind="stable")
+    rows_sorted = np.repeat(np.arange(len(con_names)),
+                            np.diff(model.starts))[order].tolist()
+    vals_sorted = np.array(model.coeffs, dtype=np.float64)[order].tolist()
+    col_starts = np.searchsorted(cols[order], np.arange(nvar + 1)).tolist()
 
-    con_names = [c.name for c in model.constraints]
     obj_name = model.objective_name
     integer_mode = False
     for vid, var in enumerate(model.variables):
@@ -345,9 +325,9 @@ def write_mps(model: Model) -> str:
         lines.append("    MARKER 'MARKER' 'INTEND'")
 
     lines.append("RHS")
-    for con in model.constraints:
-        if con.rhs != 0.0:
-            lines.append(f"    RHS {con.name} {_fmt(con.rhs)}")
+    for name, rhs in zip(con_names, model.rhs):
+        if rhs != 0.0:
+            lines.append(f"    RHS {name} {_fmt(rhs)}")
 
     lines.append("BOUNDS")
     for var in model.variables:
@@ -390,18 +370,20 @@ def read_mps(text: str) -> Model:
     section = None
     objective_name: str | None = None
     row_sense: dict[str, str] = {}
-    row_order: list[str] = []
+    row_line: dict[str, int] = {}  # row name -> line declaring it (ROWS)
     row_terms: dict[str, list[tuple[int, float]]] = {}
     row_rhs: dict[str, float] = {}
     objective: dict[int, float] = {}
-    # column state
+    # column state; col_line[cid] is the column's first COLUMNS line
     col_ids: dict[str, int] = {}
+    col_line: list[int] = []
     col_kind: dict[int, str] = {}
     col_bounds: dict[int, list[float]] = {}
     bounds_seen: dict[int, set[str]] = {}
     obj_cols_seen: set[int] = set()
     integer_mode = False
     model_name = "model"
+    name_line = 0
     saw_endata = False
     lineno = 0
 
@@ -414,11 +396,12 @@ def read_mps(text: str) -> Model:
         except ValueError:
             err(lineno, f"not a number: {tok!r}")
 
-    def get_col(name: str) -> int:
+    def get_col(name: str, lineno: int) -> int:
         if name in col_ids:
             return col_ids[name]
         cid = len(col_ids)
         col_ids[name] = cid
+        col_line.append(lineno)
         # a column's kind is set by its first appearance (BV bounds may
         # still promote it to binary later)
         col_kind[cid] = "binary" if integer_mode else "continuous"
@@ -450,6 +433,7 @@ def read_mps(text: str) -> Model:
             if section == "NAME":
                 if len(tokens) > 1:
                     model_name = tokens[1]
+                    name_line = lineno
             if section == "ENDATA":
                 saw_endata = True
                 break
@@ -468,7 +452,7 @@ def read_mps(text: str) -> Model:
                 if rname in row_sense or rname == objective_name:
                     err(lineno, f"duplicate row name {rname!r}")
                 row_sense[rname] = _ROW_TO_SENSE[rtype]
-                row_order.append(rname)
+                row_line[rname] = lineno
                 row_terms[rname] = []
             else:
                 err(lineno, f"unknown row type {rtype!r}")
@@ -486,7 +470,7 @@ def read_mps(text: str) -> Model:
             if len(tokens) not in (3, 5):
                 err(lineno, "expected 'column row value' "
                             "(optionally twice per line)")
-            cid = get_col(tokens[0])
+            cid = get_col(tokens[0], lineno)
             add_entry(cid, tokens[1], parse_value(tokens[2], lineno), lineno)
             if len(tokens) == 5:
                 add_entry(cid, tokens[3], parse_value(tokens[4], lineno), lineno)
@@ -547,28 +531,23 @@ def read_mps(text: str) -> Model:
     if objective_name is None:
         raise MpsParseError("line 0: no objective (N) row")
 
-    try:
-        model = Model(model_name)
-        model.objective_name = objective_name
-        names_by_id = sorted(col_ids, key=col_ids.get)
-        for cid, cname in enumerate(names_by_id):
-            lb, ub = col_bounds.get(cid, [0.0, INF])
-            kind = col_kind[cid]
-            if kind == "binary":
-                ok = (lb, ub) in ((0.0, 1.0), (0.0, 0.0), (1.0, 1.0))
-                if not ok:
-                    raise MpsParseError(
-                        f"integer column {cname!r} has bounds [{lb}, {ub}]; "
-                        "only binary variables are supported")
-            _check_name(cname, "variable")
-            model.variables.append(Variable(cname, lb, ub, kind))
-            model._var_ids[cname] = cid
-        for rname in row_order:
-            model.add_constraint(rname, row_terms[rname], row_sense[rname],
-                                 row_rhs.get(rname, 0.0))
-        model.set_objective(objective)
-    except ModelError as e:
-        raise MpsParseError(str(e)) from e
+    # the model rejects what the grammar cannot (bad names, non-binary
+    # integers, repeated entries); blame the line that declared the item
+    def build(lineno: int, add, *args):
+        try:
+            return add(*args)
+        except ModelError as e:
+            raise MpsParseError(f"line {lineno}: {e}") from e
+
+    model = build(name_line, Model, model_name)
+    model.objective_name = objective_name
+    for cname, cid in col_ids.items():
+        lb, ub = col_bounds.get(cid, (0.0, INF))
+        build(col_line[cid], model.add_variable, cname, lb, ub, col_kind[cid])
+    for rname, terms in row_terms.items():
+        build(row_line[rname], model.add_constraint, rname, terms,
+              row_sense[rname], row_rhs.get(rname, 0.0))
+    model.set_objective(objective)
     return model
 
 
@@ -584,10 +563,11 @@ def write_lp(model: Model) -> str:
     out.append(f" {model.objective_name}: "
                + _lp_expr(model, list(model.objective.items())))
     out.append("Subject To")
-    for con in model.constraints:
-        op = {"<=": "<=", "=": "=", ">=": ">="}[con.sense]
-        expr = _lp_expr(model, list(zip(con.ids.tolist(), con.coeffs.tolist())))
-        out.append(f" {con.name}: {expr} {op} {_fmt(con.rhs)}")
+    starts = model.starts
+    for r, name in enumerate(model.row_names):
+        a, b = starts[r], starts[r + 1]
+        expr = _lp_expr(model, list(zip(model.ids[a:b], model.coeffs[a:b])))
+        out.append(f" {name}: {expr} {model.senses[r]} {_fmt(model.rhs[r])}")
     bounds = []
     for var in model.variables:
         if var.kind == "binary" and (var.lb, var.ub) == (0.0, 1.0):

@@ -18,7 +18,7 @@ from itertools import product
 
 from .domain import (CostBreakdown, Instance, Schedule, offline_runs,
                      validate_instance)
-from .milp import INF, Model
+from .milp import Model
 from .solver import SolveConfig, solve_lp, solve_mip
 from .startup import startup_cost
 

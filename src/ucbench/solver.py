@@ -89,6 +89,10 @@ _BASIC, _AT_LOWER, _AT_UPPER, _AT_FREE = 0, 1, 2, 3
 _CAN_INC = np.array([False, True, False, True])
 _CAN_DEC = np.array([False, False, True, True])
 
+# bounds of the slack that carries each row sense
+_SLACK_LO = {"<=": 0.0, ">=": -INF, "=": 0.0}
+_SLACK_UP = {"<=": INF, ">=": 0.0, "=": 0.0}
+
 
 @dataclass
 class _LpResult:
@@ -118,28 +122,21 @@ class LpCore:
         self.n_struct = ns
         self.m = m
         A = np.zeros((m, ns + m))
-        b = np.empty(m)
-        for r, con in enumerate(model.constraints):
-            A[r, con.ids] = con.coeffs
-            b[r] = con.rhs
-            A[r, ns + r] = 1.0
+        rows = np.arange(m)
+        A[np.repeat(rows, np.diff(model.starts)), model.ids] = model.coeffs
+        A[rows, ns + rows] = 1.0
         self.A = A
-        self.b = b
+        self.b = np.array(model.rhs, dtype=np.float64)
         c = np.zeros(ns + m)
         for vid, coeff in model.objective.items():
             c[vid] = coeff
         self.c = c
         lo = np.empty(ns + m)
         up = np.empty(ns + m)
-        for vid, var in enumerate(model.variables):
-            lo[vid], up[vid] = var.lb, var.ub
-        for r, con in enumerate(model.constraints):
-            if con.sense == "<=":
-                lo[ns + r], up[ns + r] = 0.0, INF
-            elif con.sense == ">=":
-                lo[ns + r], up[ns + r] = -INF, 0.0
-            else:
-                lo[ns + r], up[ns + r] = 0.0, 0.0
+        lo[:ns] = [var.lb for var in model.variables]
+        up[:ns] = [var.ub for var in model.variables]
+        lo[ns:] = [_SLACK_LO[sense] for sense in model.senses]
+        up[ns:] = [_SLACK_UP[sense] for sense in model.senses]
         self.lo = lo
         self.up = up
         self.binary_ids = np.array(
@@ -456,7 +453,7 @@ def _to_solution(core: LpCore, res: _LpResult) -> Solution:
 
 def solve_lp(model: Model, config: SolveConfig | None = None) -> Solution:
     """Solve the LP relaxation (integrality ignored; bounds kept)."""
-    core = model if isinstance(model, LpCore) else LpCore(model)
+    core = LpCore(model)
     res = core.solve()
     sol = _to_solution(core, res)
     if res.status == "unbounded":
@@ -474,7 +471,7 @@ def solve_mip(model: Model, config: SolveConfig | None = None) -> Solution:
     always the relaxation ``solve_lp`` would report.
     """
     config = config or SolveConfig()
-    core = model if isinstance(model, LpCore) else LpCore(model)
+    core = LpCore(model)
     t0 = time.monotonic()
     sol = _branch_and_bound(core, config, t0)
     if log.isEnabledFor(logging.DEBUG):

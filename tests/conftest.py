@@ -1,6 +1,7 @@
-"""Shared factories for small hand-built instances."""
+"""Shared factories for small hand-built instances, and a row reader."""
 import math
 import os
+from collections import namedtuple
 
 # The bundled solver multiplies tiny dense matrices; a multithreaded BLAS
 # only adds contention there, so pin one thread before numpy is loaded.
@@ -10,6 +11,17 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import pytest
 
 from ucbench import Instance, Unit
+
+
+Row = namedtuple("Row", "name ids coeffs sense rhs")
+
+
+def rows(model):
+    """The model's rows as Row tuples, sliced out of its CSR block."""
+    s = model.starts
+    return [Row(name, model.ids[s[r]:s[r + 1]], model.coeffs[s[r]:s[r + 1]],
+                model.senses[r], model.rhs[r])
+            for r, name in enumerate(model.row_names)]
 
 
 def make_unit(uid="u1", **over):

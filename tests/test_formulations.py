@@ -27,7 +27,7 @@ from ucbench import (
     startup_cost,
 )
 
-from conftest import make_instance, make_unit
+from conftest import make_instance, make_unit, rows
 
 # default unit of the fixtures: V=100, F=10, heat_loss=ln 2, so the exact
 # curve is K(l) = 100 (1 - 2^-l) + 10
@@ -35,15 +35,14 @@ K1, K2, K3, K4 = 60.0, 85.0, 97.5, 103.75
 
 
 def row(model, name):
-    for con in model.constraints:
+    for con in rows(model):
         if con.name == name:
             return con
     raise AssertionError(f"no constraint named {name!r}")
 
 
 def row_names(model, prefix):
-    return sorted(c.name for c in model.constraints
-                  if c.name.startswith(prefix))
+    return sorted(n for n in model.row_names if n.startswith(prefix))
 
 
 def terms(model, con):
@@ -66,7 +65,7 @@ class TestBaseShape:
         """The smallest basic skeleton: 9 rows, all named predictably."""
         model, _ = build_base(make_instance([15.0, 15.0]), "basic")
         assert model.n_constraints == 9
-        assert sorted(c.name for c in model.constraints) == sorted([
+        assert sorted(model.row_names) == sorted([
             "demand_1", "demand_2",
             "lim_lo_1_1", "lim_hi_1_1", "lim_lo_1_2", "lim_hi_1_2",
             "ramp_up_1_2", "ramp_down_1_2", "shut_ramp_1_1",
@@ -289,7 +288,7 @@ class TestStartTypeRows:
         assert terms(model, row(model, "stype_1_1_1")) == {"d_1_1_1": 1.0}
         # two off periods at t=1 is exactly the recorded outage: no row
         # for s=2 at t=1 at all
-        assert "stype_1_1_2" not in {c.name for c in model.constraints}
+        assert "stype_1_1_2" not in model.row_names
         # in-horizon part only: a type-2 claim at t=3 needs the period-1
         # shutdown
         assert terms(model, row(model, "stype_1_3_2")) == {"z_1_1": -1.0,

@@ -1,8 +1,9 @@
-import numpy as np
 import pytest
 
 from ucbench import (Model, ModelError, MpsParseError, fix_variables,
                      model_stats, read_mps, write_lp, write_mps)
+
+from conftest import rows
 
 INF = float("inf")
 
@@ -12,8 +13,7 @@ def models_equal(a: Model, b: Model) -> bool:
             and a.objective_name == b.objective_name
             and a.variables == b.variables
             and a.objective == b.objective
-            and len(a.constraints) == len(b.constraints)
-            and all(x == y for x, y in zip(a.constraints, b.constraints)))
+            and rows(a) == rows(b))
 
 
 def small_model() -> Model:
@@ -45,6 +45,16 @@ class TestModelConstruction:
         with pytest.raises(ModelError):
             m.add_variable("v", 0, 2, "binary")
 
+    def test_binary_may_be_created_fixed_at_zero_or_one(self):
+        m = Model("m")
+        off = m.add_variable("off", 0, 0, "binary")
+        on = m.add_variable("on", 1, 1, "binary")
+        assert [(v.lb, v.ub) for v in m.variables] == [(0.0, 0.0), (1.0, 1.0)]
+        assert (off, on) == (0, 1)
+        with pytest.raises(ModelError, match="fixed at 0 or 1"):
+            m.add_variable("two", 0, 2, "binary")
+        assert m.n_variables == 2
+
     def test_constraint_referencing_undeclared_id_rejected(self):
         m = Model("m")
         m.add_variable("x", 0, 1, "binary")
@@ -58,6 +68,11 @@ class TestModelConstruction:
         with pytest.raises(ModelError, match="repeats a variable"):
             m.add_constraint("c", [(x, 1.0), (y, 2.0), (x, 3.0)], "<=", 1.0)
         assert m.n_constraints == 0
+        assert (m.ids, m.coeffs, m.starts) == ([], [], [0])
+        assert (m.row_names, m.senses, m.rhs) == ([], [], [])
+        # the rejected name is still free
+        m.add_constraint("c", {x: 1.0}, "<=", 1.0)
+        assert rows(m) == [("c", [x], [1.0], "<=", 1.0)]
 
     def test_empty_equality_row_is_vacuous_but_accepted(self):
         m = Model("m")
@@ -70,9 +85,9 @@ class TestModelConstruction:
         b = m.add_variable("b", 0, 10)
         c = m.add_variable("c", 0, 10)
         m.add_constraint("row", [(c, 2.0), (a, 1.0), (b, 0.0)], "<=", 4.0)
-        row = m.constraints[0]
-        assert row.ids.tolist() == [a, c]  # sorted, zero dropped
-        assert row.coeffs.tolist() == [1.0, 2.0]
+        row = rows(m)[0]
+        assert row.ids == [a, c]  # sorted, zero dropped
+        assert row.coeffs == [1.0, 2.0]
 
     def test_frozen_model_rejects_writes(self):
         m = small_model()
@@ -142,8 +157,8 @@ class TestMpsRoundTrip:
         m.add_constraint("c", {x: 1.0 / 3.0}, ">=", 0.1 + 0.2)
         m.set_objective({x: 1e-17})
         back = read_mps(write_mps(m))
-        assert back.constraints[0].coeffs[0] == 1.0 / 3.0
-        assert back.constraints[0].rhs == 0.1 + 0.2
+        assert rows(back)[0].coeffs[0] == 1.0 / 3.0
+        assert rows(back)[0].rhs == 0.1 + 0.2
         assert back.objective[0] == 1e-17
 
     def test_truncated_columns_section_raises_with_line_number(self):
@@ -173,6 +188,45 @@ class TestMpsRoundTrip:
         with pytest.raises(MpsParseError, match="c1"):
             read_mps(text)
 
+    def test_repeated_column_entry_names_the_row_line(self):
+        text = ("NAME d\nROWS\n N COST\n L c0\n L c1\nCOLUMNS\n"
+                "    x c1 1\n    x c1 2\nRHS\nBOUNDS\nENDATA\n")
+        with pytest.raises(MpsParseError,
+                           match=r"^line 5: constraint 'c1' repeats"):
+            read_mps(text)
+
+    def test_bad_row_name_names_its_rows_line(self):
+        text = ("NAME d\nROWS\n N COST\n L 1c\nCOLUMNS\n    x 1c 1\n"
+                "RHS\nBOUNDS\nENDATA\n")
+        with pytest.raises(MpsParseError,
+                           match=r"^line 4: invalid constraint name '1c'"):
+            read_mps(text)
+
+    def test_bad_column_name_names_its_first_columns_line(self):
+        text = ("NAME d\nROWS\n N COST\n L c1\nCOLUMNS\n    x c1 1\n"
+                "    9x COST 2\n    9x c1 1\nRHS\nBOUNDS\nENDATA\n")
+        with pytest.raises(MpsParseError,
+                           match=r"^line 7: invalid variable name '9x'"):
+            read_mps(text)
+
+    def test_non_binary_integer_column_names_its_line(self):
+        text = ("NAME d\nROWS\n N COST\n L c1\nCOLUMNS\n"
+                "    MARKER 'MARKER' 'INTORG'\n    n c1 1\n"
+                "    MARKER 'MARKER' 'INTEND'\nRHS\nBOUNDS\n"
+                " UP BND n 2\nENDATA\n")
+        with pytest.raises(MpsParseError,
+                           match=r"^line 7: binary variable 'n'"):
+            read_mps(text)
+
+    def test_fixed_binaries_round_trip(self):
+        m = Model("fixed")
+        m.add_variable("off", 0, 0, "binary")
+        m.add_variable("on", 1, 1, "binary")
+        m.add_constraint("c", {0: 1.0, 1: 1.0}, "<=", 1.0)
+        back = read_mps(write_mps(m))
+        assert models_equal(back, m)
+        assert [v.kind for v in back.variables] == ["binary", "binary"]
+
     def test_missing_endata_rejected(self):
         text = "NAME d\nROWS\n N COST\nCOLUMNS\n"
         with pytest.raises(MpsParseError):
@@ -194,7 +248,7 @@ class TestMpsRoundTrip:
         m = read_mps(text)
         assert [v.name for v in m.variables] == ["x"]
         assert m.objective == {0: 2.0}
-        assert m.constraints[0].rhs == 4.0
+        assert rows(m)[0].rhs == 4.0
         assert m.variables[0].ub == 9.0
 
 
@@ -231,3 +285,17 @@ class TestFixVariables:
     def test_fix_nothing_is_identity(self):
         m = small_model()
         assert models_equal(fix_variables(m, {}), m)
+
+    def test_copy_does_not_share_rows_or_bounds(self):
+        m = small_model()
+        def snapshot(model):
+            return (rows(model), model.starts[:],
+                    [(v.name, v.lb, v.ub, v.kind) for v in model.variables])
+
+        before = snapshot(m)
+        out = fix_variables(m, {"p_1_1": 130.0})
+        out.add_variable("extra", 0.0, 5.0)
+        out.add_constraint("extra_row", {0: 1.0, 3: 2.0}, ">=", 1.0)
+        assert out.n_constraints == m.n_constraints + 1
+        assert snapshot(m) == before
+        assert (out.variables[1].lb, out.variables[1].ub) == (130.0, 130.0)
