@@ -23,17 +23,14 @@ from .milp import (
     fix_variables,
     model_stats,
     read_mps,
-    write_lp,
     write_mps,
 )
 from .startup import (
     Step,
     StepFunction,
     approximate_steps,
-    discretized_temperature,
     minimal_steps_oracle,
     startup_cost,
-    temperature,
 )
 from .solver import (
     SolveConfig,
@@ -76,10 +73,9 @@ __all__ = [
     "Schedule", "Unit", "load_instance", "offline_runs", "save_instance",
     "validate_instance",
     "Model", "ModelError", "ModelStats", "MpsParseError",
-    "Variable", "fix_variables", "model_stats", "read_mps", "write_lp",
-    "write_mps",
-    "Step", "StepFunction", "approximate_steps", "discretized_temperature",
-    "minimal_steps_oracle", "startup_cost", "temperature",
+    "Variable", "fix_variables", "model_stats", "read_mps", "write_mps",
+    "Step", "StepFunction", "approximate_steps", "minimal_steps_oracle",
+    "startup_cost",
     "SolveConfig", "Solution", "solve_external", "solve_lp", "solve_mip",
     "BASES", "STARTUPS", "FormulationChoice", "VarIndex",
     "add_startup_1bin", "add_startup_3bin", "add_startup_temp",

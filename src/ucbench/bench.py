@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
 
-from .domain import Instance, Line, Network, Unit, load_instance
+from .domain import (Instance, Line, Network, Unit, check_instance,
+                     load_instance)
 from .formulations import STARTUPS, FormulationChoice, build_model
 from .solver import SolveConfig, solve_external, solve_lp, solve_mip
 
@@ -213,21 +214,22 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def run_benchmark(config: BenchConfig, out_dir: str = ".") -> dict:
-    """Measure every (instance, formulation, ktol) combination and write
-    ``<prefix>.csv`` (rows), ``<prefix>_summary.csv`` (instances solved
-    within budget, per horizon), and ``<prefix>.json`` (both, mirrored).
-    Per-row failures are recorded as rows with status ``error`` and the
-    run continues. Returns {"csv": path, "summary": path, "json": path}.
-    """
+def gap_rows(config: BenchConfig) -> tuple[list[GapRow], dict[str, int]]:
+    """Load, generate and check the config's instances, then measure every
+    (instance, formulation, ktol) combination. An invalid instance raises
+    ValueError before any row is measured; a failure within one row is
+    recorded as a row with status ``error: ...`` and the run continues.
+    Returns the rows sorted by (instance, formulation, ktol) and each
+    instance's horizon by name."""
     instances: list[Instance] = [load_instance(p) for p in config.instances]
     for spec in config.generate:
         instances.append(generate_instance(
             seed=spec["seed"], n_units=spec["n_units"], T=spec["T"],
             volatility=spec.get("volatility", 0.3),
             with_network=spec.get("with_network", False)))
+    for inst in instances:
+        check_instance(inst)
     rows: list[GapRow] = []
-    horizon_of = {inst.name: inst.horizon for inst in instances}
     for inst in instances:
         for formulation in config.formulations:
             for ktol in config.ktols:
@@ -242,6 +244,26 @@ def run_benchmark(config: BenchConfig, out_dir: str = ".") -> dict:
                         nodes=0, status=f"error: {exc}",
                         backend=config.backend))
     rows.sort(key=lambda r: (r.instance, r.formulation, r.ktol))
+    return rows, {inst.name: inst.horizon for inst in instances}
+
+
+def write_csv(rows: list[GapRow], fh) -> None:
+    """Write CSV_HEADER and one line per row to the text stream ``fh``;
+    floats are written with repr, so they read back exactly."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(","))
+    for r in rows:
+        writer.writerow([_fmt(x) for x in r.to_list()])
+
+
+def run_benchmark(config: BenchConfig, out_dir: str = ".") -> dict:
+    """Measure every (instance, formulation, ktol) combination through
+    :func:`gap_rows` and write ``<prefix>.csv`` (rows),
+    ``<prefix>_summary.csv`` (instances solved within budget, per
+    horizon), and ``<prefix>.json`` (both, mirrored). Returns
+    {"csv": path, "summary": path, "json": path}.
+    """
+    rows, horizon_of = gap_rows(config)
 
     solved = {}
     for r in rows:
@@ -259,10 +281,7 @@ def run_benchmark(config: BenchConfig, out_dir: str = ".") -> dict:
     json_path = out / f"{config.out_prefix}.json"
 
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
-    for r in rows:
-        writer.writerow([_fmt(x) for x in r.to_list()])
+    write_csv(rows, buf)
     csv_path.write_text(buf.getvalue(), encoding="utf-8")
 
     buf = io.StringIO()

@@ -12,9 +12,9 @@ import argparse
 import json
 import sys
 
-from .bench import (CSV_HEADER, BenchConfig, generate_instance, measure_gap,
-                    run_benchmark)
-from .domain import InstanceFormatError, load_instance, validate_instance
+from .bench import BenchConfig, gap_rows, run_benchmark, write_csv
+from .domain import (InstanceFormatError, check_instance, load_instance,
+                     validate_instance)
 from .formulations import BASES, STARTUPS, FormulationChoice, build_model
 from .milp import MpsParseError, read_mps, write_mps
 from .oracle import certify_equivalence
@@ -112,24 +112,18 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gap(args) -> int:
-    inst, err = _load(args.instance)
-    if inst is None:
-        return err
-    formulations = [f.strip() for f in args.formulations.split(",")
-                    if f.strip()]
-    for f in formulations:
-        if f not in STARTUPS:
-            print(f"error: unknown formulation {f!r}", file=sys.stderr)
-            return 2
-    config = BenchConfig(formulations=formulations, base=args.base,
-                         ktols=[args.ktol], gap=args.gap,
-                         time_limit=args.time_limit, backend=args.backend)
-    print(CSV_HEADER)
-    for f in formulations:
-        row = measure_gap(inst, FormulationChoice(args.base, f, args.ktol),
-                          config)
-        print(",".join(repr(x) if isinstance(x, float) else str(x)
-                       for x in row.to_list()))
+    try:
+        config = BenchConfig(
+            instances=[args.instance],
+            formulations=[f.strip() for f in args.formulations.split(",")
+                          if f.strip()],
+            base=args.base, ktols=[args.ktol], gap=args.gap,
+            time_limit=args.time_limit, backend=args.backend)
+        rows, _ = gap_rows(config)
+    except _DATA_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    write_csv(rows, sys.stdout)
     return 0
 
 
@@ -150,6 +144,7 @@ def _cmd_approx(args) -> int:
     if inst is None:
         return err
     try:
+        check_instance(inst)
         for u in inst.units:
             # same pricing window the model builders use: horizon plus the
             # unit's recorded pre-horizon outage

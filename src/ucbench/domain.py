@@ -183,10 +183,6 @@ class Instance:
     network: Network | None = None
     name: str = "instance"
 
-    @property
-    def n_units(self) -> int:
-        return len(self.units)
-
     def to_dict(self) -> dict:
         d = {
             "name": self.name,
@@ -315,6 +311,14 @@ def validate_instance(instance: Instance) -> list[str]:
                 out.append(f"unit {u.id}: node {u.node!r} is not declared "
                            f"in the network")
     return out
+
+
+def check_instance(instance: Instance) -> None:
+    """Raise ValueError("invalid instance: ...") naming every violation
+    :func:`validate_instance` finds; return quietly on a valid instance."""
+    problems = validate_instance(instance)
+    if problems:
+        raise ValueError("invalid instance: " + "; ".join(problems))
 
 
 def offline_runs(schedule: Schedule, i: int, pre_offline: int

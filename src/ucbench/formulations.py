@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Instance, validate_instance
+from .domain import Instance, check_instance
 from .milp import INF, Model
 from .startup import StepFunction, approximate_steps
 
@@ -84,7 +84,6 @@ class VarIndex:
 
     n_units: int
     horizon: int
-    base: str
     v: dict = field(default_factory=dict)
     p: dict = field(default_factory=dict)
     cu: dict = field(default_factory=dict)
@@ -94,7 +93,6 @@ class VarIndex:
     h: dict = field(default_factory=dict)
     d: dict = field(default_factory=dict)
     steps: dict = field(default_factory=dict)
-    startup: str | None = None
 
 
 def _model_name(*parts: str) -> str:
@@ -112,15 +110,13 @@ def build_base(instance: Instance, base: str = "basic") -> tuple[Model, VarIndex
     Start-up cost variables are *not* created here; attach one of the
     ``add_startup_*`` modules (or use :func:`build_model`).
     """
-    problems = validate_instance(instance)
-    if problems:
-        raise ValueError("invalid instance: " + "; ".join(problems))
+    check_instance(instance)
     if base not in BASES:
         raise ValueError(f"unknown base {base!r}; expected one of {BASES}")
     T = instance.horizon
     units = instance.units
     model = Model(_model_name(instance.name, base))
-    vix = VarIndex(n_units=len(units), horizon=T, base=base)
+    vix = VarIndex(n_units=len(units), horizon=T)
 
     for i in range(1, len(units) + 1):
         for t in range(1, T + 1):
@@ -393,7 +389,7 @@ def _window(instance: Instance, u) -> int:
 
 def _step_table(sf: StepFunction, window: int) -> np.ndarray:
     """Array K[0..window-1] of approximated costs with K[0] = 0; off-times
-    past the step domain are priced at the final step (matching value_at)."""
+    past the step domain are priced at the final step."""
     ktab = np.zeros(window, dtype=np.float64)
     for step in sf.steps:
         if step.lo <= window - 1:
@@ -405,7 +401,7 @@ def _step_table(sf: StepFunction, window: int) -> np.ndarray:
 
 def add_startup_1bin(model: Model, vix: VarIndex, instance: Instance,
                      steps: dict[str, StepFunction],
-                     tightened: bool = False) -> list[int]:
+                     tightened: bool = False) -> None:
     """Lookback rows bounding cu below on the on/off binaries alone.
 
     For each period t and off-time l at which the step table strictly
@@ -422,9 +418,7 @@ def add_startup_1bin(model: Model, vix: VarIndex, instance: Instance,
     """
     T = instance.horizon
     _add_cu(model, vix, with_cost=True)
-    vix.startup = "one_bin_star" if tightened else "one_bin"
     vix.steps = dict(steps)
-    rows: list[int] = []
     for i, u in enumerate(instance.units, 1):
         try:
             sf = steps[u.id]
@@ -442,13 +436,11 @@ def add_startup_1bin(model: Model, vix: VarIndex, instance: Instance,
                 terms = [(vix.v[i, t - n], kl - ktab[n - 1] if tightened
                           else kl) for n in range(min(l, t - 1), 0, -1)]
                 terms += [(vix.v[i, t], -kl), (vix.cu[i, t], 1.0)]
-                rows.append(model.add_constraint(f"su1_{i}_{t}_{l}", terms,
-                                                 ">=", 0.0))
-    return rows
+                model.add_constraint(f"su1_{i}_{t}_{l}", terms, ">=", 0.0)
 
 
 def add_startup_3bin(model: Model, vix: VarIndex, instance: Instance,
-                     steps: dict[str, StepFunction]) -> list[int]:
+                     steps: dict[str, StepFunction]) -> None:
     """Start-type selectors: one continuous d(i,t,s) in [0,1] per start
     type (one type per step of the unit's cost table), charged that
     step's cost in the objective. The selectors of each (unit, period)
@@ -475,9 +467,7 @@ def add_startup_3bin(model: Model, vix: VarIndex, instance: Instance,
         raise ValueError("start-type rows need shutdown indicators; "
                          "build the base with them or use a fresh model")
     _add_cu(model, vix, with_cost=False)
-    vix.startup = "three_bin"
     vix.steps = dict(steps)
-    rows: list[int] = []
     obj = {}
     for i, u in enumerate(instance.units, 1):
         try:
@@ -497,23 +487,22 @@ def add_startup_3bin(model: Model, vix: VarIndex, instance: Instance,
         for t in range(1, T + 1):
             d = [vix.d[i, t, s] for s in range(1, S + 1)]
             if S:  # an empty step table (no off-times) has no selectors
-                rows.append(model.add_constraint(
+                model.add_constraint(
                     f"ssum_{i}_{t}",
                     [(vix.y[i, t], -1.0)] + [(vid, 1.0) for vid in d],
-                    "=", 0.0))
+                    "=", 0.0)
             # zero-cost steps drop out of the tie
-            rows.append(model.add_constraint(
+            model.add_constraint(
                 f"sdef_{i}_{t}",
                 [(vix.cu[i, t], 1.0)]
                 + [(vid, -st.value) for vid, st in zip(d, sf.steps)],
-                "=", 0.0))
+                "=", 0.0)
         for s in range(1, S):  # the final type is never capped
             lo, hi = sf.steps[s - 1].lo, sf.steps[s - 1].hi
             for t in range(hi + 1, T + 1):
                 terms = [(vix.z[i, k], -1.0) for k in range(t - hi, t - lo + 1)]
                 terms.append((vix.d[i, t, s], 1.0))
-                rows.append(model.add_constraint(f"stype_{i}_{t}_{s}", terms,
-                                                 "<=", 0.0))
+                model.add_constraint(f"stype_{i}_{t}_{s}", terms, "<=", 0.0)
             if u.pre_offline <= 0:
                 continue  # entered online: no pre-horizon shutdown visible
             outage_start = 1 - u.pre_offline
@@ -523,13 +512,11 @@ def add_startup_3bin(model: Model, vix: VarIndex, instance: Instance,
                 terms = [(vix.z[i, k], -1.0)
                          for k in range(max(1, t - hi), t - lo + 1)]
                 terms.append((vix.d[i, t, s], 1.0))
-                rows.append(model.add_constraint(f"stype_{i}_{t}_{s}", terms,
-                                                 "<=", 0.0))
-    return rows
+                model.add_constraint(f"stype_{i}_{t}_{s}", terms, "<=", 0.0)
 
 
 def add_startup_temp(model: Model, vix: VarIndex, instance: Instance
-                     ) -> list[int]:
+                     ) -> None:
     """Temperature dynamics: tmp decays geometrically while offline, is
     held at 1 while online, and may be raised by nonnegative heating h.
     Heating purchased in the period before a start is exactly the heat
@@ -540,8 +527,6 @@ def add_startup_temp(model: Model, vix: VarIndex, instance: Instance
     if not vix.y:
         _add_indicators(model, vix, instance, with_z=False)
     _add_cu(model, vix, with_cost=True)
-    vix.startup = "temp"
-    rows: list[int] = []
     for i in range(1, vix.n_units + 1):
         for t in range(1, T + 1):
             vix.tmp[i, t] = model.add_variable(f"tmp_{i}_{t}", 0, INF)
@@ -556,30 +541,29 @@ def add_startup_temp(model: Model, vix: VarIndex, instance: Instance
         lam = u.heat_loss
         decay = math.exp(-lam)
         for t in range(1, T + 1):
-            rows.append(model.add_constraint(
+            model.add_constraint(
                 f"tnorm_{i}_{t}",
-                {vix.tmp[i, t]: 1.0, vix.v[i, t]: -1.0}, ">=", 0.0))
+                {vix.tmp[i, t]: 1.0, vix.v[i, t]: -1.0}, ">=", 0.0)
         if u.pre_offline > 0:
-            rows.append(model.add_constraint(
+            model.add_constraint(
                 f"trec_{i}_1",
                 {vix.tmp[i, 1]: 1.0, vix.h[i, 0]: -1.0},
-                "=", math.exp(-lam * u.pre_offline)))
+                "=", math.exp(-lam * u.pre_offline))
         else:
-            rows.append(model.add_constraint(
-                f"trec_{i}_1", {vix.tmp[i, 1]: 1.0}, "=", 1.0))
+            model.add_constraint(
+                f"trec_{i}_1", {vix.tmp[i, 1]: 1.0}, "=", 1.0)
         for t in range(2, T + 1):
-            rows.append(model.add_constraint(
+            model.add_constraint(
                 f"trec_{i}_{t}",
                 {vix.tmp[i, t]: 1.0, vix.tmp[i, t - 1]: -decay,
                  vix.v[i, t - 1]: -(1.0 - decay), vix.h[i, t - 1]: -1.0},
-                "=", 0.0))
+                "=", 0.0)
         for t in range(1, T + 1):
-            rows.append(model.add_constraint(
+            model.add_constraint(
                 f"tcost_{i}_{t}",
                 {vix.cu[i, t]: 1.0, vix.h[i, t - 1]: -u.startup_var_cost,
                  vix.y[i, t]: -u.startup_fixed_cost},
-                "=", 0.0))
-    return rows
+                "=", 0.0)
 
 
 def build_model(instance: Instance,

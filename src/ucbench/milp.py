@@ -3,15 +3,15 @@
 A :class:`Model` is an ordered collection of bounded variables, linear
 constraints held as one compressed-sparse-row block, and a minimization
 objective. It knows nothing about unit commitment; the formulation
-builders produce models, the bundled solver and the MPS/LP writers
-consume them.
+builders produce models, the bundled solver and the MPS writer consume
+them.
 
 Determinism is a design requirement: models store their terms in a
 canonical order (sorted by variable id within each row, zero coefficients
 dropped), so :func:`write_mps` is a pure function of the model and
 ``read_mps(write_mps(m))`` reproduces ``m`` exactly — names, order,
-coefficients, bounds, and kinds. The exchange grammars are documented in
-``docs/mps-format.md`` and ``docs/lp-format.md``.
+coefficients, bounds, and kinds. The exchange grammar is documented in
+``docs/mps-format.md``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import index, itemgetter
 
 import numpy as np
 
@@ -139,6 +139,11 @@ class Model:
                         "coefficients before adding")
         ids, coeffs = [], []
         for i, c in items:
+            try:
+                i = index(i)
+            except TypeError:
+                raise ModelError(f"constraint {name!r}: variable id {i!r} "
+                                 "is not an integer") from None
             c = float(c)
             if c != 0.0:
                 ids.append(i)
@@ -214,7 +219,9 @@ class Model:
 def fix_variables(model: Model, assignments: dict) -> Model:
     """Copy ``model`` with both bounds of each assigned variable set to its
     value. Keys may be variable names or ids; binaries only accept 0/1,
-    and any value must lie inside the variable's current bounds."""
+    and any value must lie inside the variable's current bounds. The
+    tests use it to price fixed schedules as a reference for the
+    formulations' start-up costs."""
     resolved: dict[int, float] = {}
     for key, val in assignments.items():
         vid = model.var_id(key) if isinstance(key, str) else int(key)
@@ -384,6 +391,7 @@ def read_mps(text: str) -> Model:
     integer_mode = False
     model_name = "model"
     name_line = 0
+    objective_line = 0
     saw_endata = False
     lineno = 0
 
@@ -448,6 +456,7 @@ def read_mps(text: str) -> Model:
                 if objective_name is not None:
                     err(lineno, "multiple objective (N) rows")
                 objective_name = rname
+                objective_line = lineno
             elif rtype in _ROW_TO_SENSE:
                 if rname in row_sense or rname == objective_name:
                     err(lineno, f"duplicate row name {rname!r}")
@@ -540,7 +549,8 @@ def read_mps(text: str) -> Model:
             raise MpsParseError(f"line {lineno}: {e}") from e
 
     model = build(name_line, Model, model_name)
-    model.objective_name = objective_name
+    model.objective_name = build(objective_line, _check_name, objective_name,
+                                 "objective")
     for cname, cid in col_ids.items():
         lb, ub = col_bounds.get(cid, (0.0, INF))
         build(col_line[cid], model.add_variable, cname, lb, ub, col_kind[cid])
@@ -550,61 +560,3 @@ def read_mps(text: str) -> Model:
     model.set_objective(objective)
     return model
 
-
-# ---------------------------------------------------------------------------
-# LP writer (for human inspection; no reader)
-# ---------------------------------------------------------------------------
-
-def write_lp(model: Model) -> str:
-    """Emit the model in CPLEX LP text form (Minimize / Subject To /
-    Bounds / Binary / End)."""
-    model.freeze()
-    out = [f"\\ Problem: {model.name}", "Minimize"]
-    out.append(f" {model.objective_name}: "
-               + _lp_expr(model, list(model.objective.items())))
-    out.append("Subject To")
-    starts = model.starts
-    for r, name in enumerate(model.row_names):
-        a, b = starts[r], starts[r + 1]
-        expr = _lp_expr(model, list(zip(model.ids[a:b], model.coeffs[a:b])))
-        out.append(f" {name}: {expr} {model.senses[r]} {_fmt(model.rhs[r])}")
-    bounds = []
-    for var in model.variables:
-        if var.kind == "binary" and (var.lb, var.ub) == (0.0, 1.0):
-            continue
-        if var.lb == var.ub:
-            bounds.append(f" {var.name} = {_fmt(var.lb)}")
-        elif var.lb == -INF and var.ub == INF:
-            bounds.append(f" {var.name} free")
-        else:
-            lo = "-inf" if var.lb == -INF else _fmt(var.lb)
-            hi = "+inf" if var.ub == INF else _fmt(var.ub)
-            if var.ub == INF:
-                if var.lb != 0.0:
-                    bounds.append(f" {var.name} >= {lo}")
-            else:
-                bounds.append(f" {lo} <= {var.name} <= {hi}")
-    if bounds:
-        out.append("Bounds")
-        out.extend(bounds)
-    binaries = [v.name for v in model.variables if v.kind == "binary"]
-    if binaries:
-        out.append("Binary")
-        out.extend(f" {n}" for n in binaries)
-    out.append("End")
-    return "\n".join(out) + "\n"
-
-
-def _lp_expr(model: Model, terms: list[tuple[int, float]]) -> str:
-    if not terms:
-        return "0"
-    parts = []
-    for k, (vid, c) in enumerate(terms):
-        name = model.variables[vid].name
-        if k == 0:
-            parts.append(f"{_fmt(c)} {name}" if c >= 0
-                         else f"- {_fmt(-c)} {name}")
-        else:
-            parts.append(f"+ {_fmt(c)} {name}" if c >= 0
-                         else f"- {_fmt(-c)} {name}")
-    return " ".join(parts)

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .domain import (CostBreakdown, Instance, Schedule, offline_runs,
-                     validate_instance)
+from .domain import (CostBreakdown, Instance, Schedule, check_instance,
+                     offline_runs)
 from .milp import Model
 from .solver import SolveConfig, solve_lp, solve_mip
 from .startup import startup_cost
@@ -37,12 +37,6 @@ class OracleResult:
     n_feasible: int
 
 
-def _check_instance(instance: Instance) -> None:
-    problems = validate_instance(instance)
-    if problems:
-        raise ValueError("invalid instance: " + "; ".join(problems))
-
-
 def enumerate_schedules(instance: Instance, base: str = "basic",
                         guard: int = 24):
     """Yield every on/off matrix satisfying the base's commitment-only
@@ -60,7 +54,7 @@ def enumerate_schedules(instance: Instance, base: str = "basic",
     ``guard`` caps units x T (the enumeration is exponential); raise it
     consciously.
     """
-    _check_instance(instance)
+    check_instance(instance)
     if base not in ("basic", "extended"):
         raise ValueError(f"unknown base {base!r}")
     n, T = len(instance.units), instance.horizon
@@ -228,7 +222,7 @@ def optimal_dispatch(instance: Instance, schedule: Schedule,
     the network entirely (mirroring the MILP builders). Raises ValueError
     if the schedule cannot meet demand.
     """
-    _check_instance(instance)
+    check_instance(instance)
     if schedule.n_units != len(instance.units) \
             or schedule.horizon != instance.horizon:
         raise ValueError("schedule dimensions do not match the instance")

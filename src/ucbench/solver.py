@@ -451,7 +451,7 @@ def _to_solution(core: LpCore, res: _LpResult) -> Solution:
                     message=res.message)
 
 
-def solve_lp(model: Model, config: SolveConfig | None = None) -> Solution:
+def solve_lp(model: Model) -> Solution:
     """Solve the LP relaxation (integrality ignored; bounds kept)."""
     core = LpCore(model)
     res = core.solve()

@@ -27,42 +27,6 @@ def startup_cost(unit: Unit, l: int) -> float:
         + unit.startup_fixed_cost
 
 
-def temperature(unit: Unit, l: int) -> float:
-    """Relative unit temperature after ``l`` offline periods: e^{-lam*l}."""
-    if l < 0:
-        raise ValueError(f"off-time must be >= 0, got {l}")
-    return math.exp(-unit.heat_loss * l)
-
-
-def discretized_temperature(unit: Unit, row, pre_offline: int | None = None
-                            ) -> list[float]:
-    """Per-period temperature of a unit following a fixed on/off row.
-
-    The temperature is 1 whenever the unit is online or was online in the
-    previous period (it only starts cooling one period after a stop), and
-    decays by e^{-lam} per period otherwise. At t=1 an offline unit enters
-    with the pre-horizon decay e^{-lam * pre_offline} already applied.
-
-    ``row`` is a sequence of 0/1; ``pre_offline`` defaults to the unit's own.
-    """
-    pd = unit.pre_offline if pre_offline is None else pre_offline
-    lam = unit.heat_loss
-    out: list[float] = []
-    for t, v in enumerate(row, start=1):
-        if v not in (0, 1):
-            raise ValueError(f"on/off row entries must be 0/1, got {v!r}")
-        if v == 1 or (t > 1 and row[t - 2] == 1):
-            out.append(1.0)
-        elif t == 1:
-            # offline at horizon start: pre-horizon decay already applied
-            # (pd == 0 gives 1: the unit was online in the fictitious
-            # period 0 and is still warm)
-            out.append(math.exp(-lam * pd))
-        else:
-            out.append(math.exp(-lam) * out[-1])
-    return out
-
-
 @dataclass
 class Step:
     lo: int       # first off-time covered (inclusive)
@@ -100,22 +64,6 @@ class StepFunction:
     @property
     def n_steps(self) -> int:
         return len(self.steps)
-
-    def value_at(self, l: int) -> float:
-        """Approximate cost for off-time ``l`` (clamped into the domain).
-
-        ``l == 0`` returns 0: a unit that never actually went cold carries
-        no restart cost in the constraint algebra. Off-times beyond the
-        domain end take the last step's value.
-        """
-        if l <= 0:
-            return 0.0
-        if l > self.domain_end:
-            l = self.domain_end
-        for s in self.steps:
-            if s.lo <= l <= s.hi:
-                return s.value
-        raise ValueError(f"off-time {l} not covered")  # pragma: no cover
 
 
 def _band_feasible(k_lo: float, k_hi: float, ktol: float) -> bool:
@@ -162,7 +110,8 @@ def minimal_steps_oracle(unit: Unit, horizon: int, ktol: float) -> int:
     best[j] = fewest pieces covering off-times 1..j; a piece [i, j] is
     usable iff its whole cost range fits one band-feasible constant. Works
     for any nondecreasing tabulated curve, so it certifies the greedy
-    without sharing its reasoning.
+    without sharing its reasoning. The tests use it as the reference
+    step count for ``approximate_steps``.
     """
     if ktol < 0:
         raise ValueError(f"ktol must be >= 0, got {ktol}")

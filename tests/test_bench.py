@@ -133,9 +133,9 @@ class TestRootBoundSource:
 
         calls = []
 
-        def spy(model, config=None):
+        def spy(model):
             calls.append(model)
-            return solve_lp(model, config)
+            return solve_lp(model)
 
         def no_mip(*a, **kw):
             raise AssertionError("reference MIP run on an external row")

@@ -28,6 +28,13 @@ def bad_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def hot_file(tmp_path):
+    path = tmp_path / "hot.json"
+    save_instance(make_instance([15.0, 15.0], heat_loss=1.5), path)
+    return str(path)
+
+
 class TestUsage:
     def test_no_arguments(self, capsys):
         assert cli([]) == 1
@@ -130,6 +137,54 @@ class TestGap:
     def test_unknown_formulation(self, inst_file, capsys):
         assert cli(["gap", inst_file, "--formulations", "two_bin"]) == 2
         assert "unknown formulation" in capsys.readouterr().err
+
+    def test_rows_equal_the_bench_csv(self, inst_file, tmp_path, capsys):
+        """gap is a one-instance bench: same rows, order and bytes."""
+        assert cli(["gap", inst_file, "--formulations", "temp,one_bin",
+                    "--base", "extended", "--ktol", "0.05", "--gap", "0.01",
+                    "--time-limit", "60"]) == 0
+        gap_out = capsys.readouterr().out
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "instances": [inst_file], "formulations": ["temp", "one_bin"],
+            "base": "extended", "ktols": [0.05], "gap": 0.01,
+            "time_limit": 60.0,
+        }), encoding="utf-8")
+        assert cli(["bench", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "bench.csv").read_bytes() == gap_out.encode()
+
+
+class TestInvalidInstance:
+    """Every subcommand that reads an instance exits 2 on an invalid one
+    and names the violation, before writing any output."""
+
+    @pytest.mark.parametrize("command", ["validate", "build", "solve", "gap",
+                                         "approx", "oracle", "bench"])
+    def test_exits_two_naming_the_violation(self, command, hot_file,
+                                            tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"instances": [hot_file]}),
+                       encoding="utf-8")
+        argv = {
+            "validate": [hot_file],
+            "build": [hot_file, "--formulation", "temp",
+                      "--out", str(tmp_path / "m.mps")],
+            "solve": [hot_file],
+            "gap": [hot_file, "--formulations", "temp"],
+            "approx": [hot_file],
+            "oracle": [hot_file],
+            "bench": [str(cfg), "--out-dir", str(tmp_path / "out")],
+        }[command]
+        assert cli([command] + argv) == 2
+        out, err = capsys.readouterr()
+        violation = "unit u1: heat_loss must lie in (0, 1), got 1.5"
+        if command == "validate":
+            assert out.splitlines() == [violation]
+        else:
+            assert out == ""
+            assert err == f"error: invalid instance: {violation}\n"
+        assert not (tmp_path / "m.mps").exists()
+        assert not (tmp_path / "out").exists()
 
 
 class TestBench:

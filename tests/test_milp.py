@@ -1,7 +1,7 @@
 import pytest
 
 from ucbench import (Model, ModelError, MpsParseError, fix_variables,
-                     model_stats, read_mps, write_lp, write_mps)
+                     model_stats, read_mps, write_mps)
 
 from conftest import rows
 
@@ -73,6 +73,16 @@ class TestModelConstruction:
         # the rejected name is still free
         m.add_constraint("c", {x: 1.0}, "<=", 1.0)
         assert rows(m) == [("c", [x], [1.0], "<=", 1.0)]
+
+    def test_constraint_with_a_non_integer_id_rejected(self):
+        m = Model("m")
+        x = m.add_variable("x", 0, 1, "binary")
+        m.add_variable("y", 0, 1, "binary")
+        m.add_constraint("c", {x: 1.0}, "<=", 1.0)
+        before = rows(m), list(m.starts)
+        with pytest.raises(ModelError, match="0.5 is not an integer"):
+            m.add_constraint("d", {0.5: 1.0}, "<=", 1.0)
+        assert (rows(m), m.starts) == before
 
     def test_empty_equality_row_is_vacuous_but_accepted(self):
         m = Model("m")
@@ -202,6 +212,13 @@ class TestMpsRoundTrip:
                            match=r"^line 4: invalid constraint name '1c'"):
             read_mps(text)
 
+    def test_bad_objective_name_names_its_rows_line(self):
+        text = ("NAME d\nROWS\n N 1obj\n L c1\nCOLUMNS\n    x c1 1\n"
+                "RHS\nBOUNDS\nENDATA\n")
+        with pytest.raises(MpsParseError,
+                           match=r"^line 3: invalid objective name '1obj'"):
+            read_mps(text)
+
     def test_bad_column_name_names_its_first_columns_line(self):
         text = ("NAME d\nROWS\n N COST\n L c1\nCOLUMNS\n    x c1 1\n"
                 "    9x COST 2\n    9x c1 1\nRHS\nBOUNDS\nENDATA\n")
@@ -250,19 +267,6 @@ class TestMpsRoundTrip:
         assert m.objective == {0: 2.0}
         assert rows(m)[0].rhs == 4.0
         assert m.variables[0].ub == 9.0
-
-
-class TestWriteLp:
-    def test_sections_present_and_ordered(self):
-        text = write_lp(small_model())
-        lines = text.splitlines()
-        order = [lines.index(h) for h in
-                 ("Minimize", "Subject To", "Bounds", "Binary", "End")]
-        assert order == sorted(order)
-
-    def test_constraint_rendering(self):
-        text = write_lp(small_model())
-        assert " demand_1: 1 p_1_1 = 130" in text
 
 
 class TestFixVariables:

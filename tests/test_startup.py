@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from ucbench import (approximate_steps, discretized_temperature,
-                     minimal_steps_oracle, startup_cost, temperature)
+from ucbench import approximate_steps, minimal_steps_oracle, startup_cost
 
 from conftest import make_unit
 
@@ -30,37 +29,6 @@ class TestStartupCost:
     def test_negative_off_time_rejected(self):
         with pytest.raises(ValueError):
             startup_cost(HOT_HALF, -1)
-
-
-class TestTemperature:
-    def test_fully_warm_at_zero_off_time(self):
-        assert temperature(HOT_HALF, 0) == pytest.approx(1.0)
-
-    def test_halves_each_period_at_log_two(self):
-        assert temperature(HOT_HALF, 1) == pytest.approx(0.5)
-        assert temperature(HOT_HALF, 3) == pytest.approx(0.125)
-
-
-class TestDiscretizedTemperature:
-    def test_always_online_row_stays_at_one(self):
-        assert discretized_temperature(HOT_HALF, [1, 1, 1, 1]) == \
-            pytest.approx([1.0, 1.0, 1.0, 1.0])
-
-    def test_cooling_from_the_first_period(self):
-        # offline throughout with no pre-horizon downtime: the unit was
-        # running until t=0, so it is still warm at t=1
-        assert discretized_temperature(HOT_HALF, [0, 0, 0]) == \
-            pytest.approx([1.0, 0.5, 0.25])
-
-    def test_warmth_lingers_one_period_after_a_stop(self):
-        assert discretized_temperature(HOT_HALF, [1, 0, 0, 1]) == \
-            pytest.approx([1.0, 1.0, 0.5, 1.0])
-
-    def test_pre_horizon_downtime_sets_the_entry_temperature(self):
-        unit = make_unit(pre_offline=2)
-        row = discretized_temperature(unit, [0, 1])
-        assert row[0] == pytest.approx(0.25)  # e^{-2 ln 2}
-        assert row[1] == pytest.approx(1.0)
 
 
 class TestApproximateSteps:
