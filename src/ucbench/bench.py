@@ -216,7 +216,8 @@ def _fmt(x) -> str:
 
 def gap_rows(config: BenchConfig) -> tuple[list[GapRow], dict[str, int]]:
     """Load, generate and check the config's instances, then measure every
-    (instance, formulation, ktol) combination. An invalid instance raises
+    (instance, formulation, ktol) combination. An invalid instance, or two
+    instances sharing a name (rows and horizons are keyed by it), raises
     ValueError before any row is measured; a failure within one row is
     recorded as a row with status ``error: ...`` and the run continues.
     Returns the rows sorted by (instance, formulation, ktol) and each
@@ -227,8 +228,14 @@ def gap_rows(config: BenchConfig) -> tuple[list[GapRow], dict[str, int]]:
             seed=spec["seed"], n_units=spec["n_units"], T=spec["T"],
             volatility=spec.get("volatility", 0.3),
             with_network=spec.get("with_network", False)))
+    names: set[str] = set()
     for inst in instances:
         check_instance(inst)
+        if inst.name in names:
+            raise ValueError(f"duplicate instance name {inst.name!r}: rows "
+                             "are keyed by name, so give each instance its "
+                             "own")
+        names.add(inst.name)
     rows: list[GapRow] = []
     for inst in instances:
         for formulation in config.formulations:

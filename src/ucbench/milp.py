@@ -126,8 +126,14 @@ class Model:
             raise ModelError(f"duplicate constraint name {name!r}")
         if sense not in SENSES:
             raise ModelError(f"unknown sense {sense!r}; expected one of {SENSES}")
-        items = sorted(terms.items() if isinstance(terms, dict) else terms,
-                       key=itemgetter(0))
+        items = []
+        for i, c in (terms.items() if isinstance(terms, dict) else terms):
+            try:
+                items.append((index(i), c))
+            except TypeError:
+                raise ModelError(f"constraint {name!r}: variable id {i!r} "
+                                 "is not an integer") from None
+        items.sort(key=itemgetter(0))
         if items:
             if items[0][0] < 0 or items[-1][0] >= len(self.variables):
                 raise ModelError(
@@ -139,11 +145,6 @@ class Model:
                         "coefficients before adding")
         ids, coeffs = [], []
         for i, c in items:
-            try:
-                i = index(i)
-            except TypeError:
-                raise ModelError(f"constraint {name!r}: variable id {i!r} "
-                                 "is not an integer") from None
             c = float(c)
             if c != 0.0:
                 ids.append(i)

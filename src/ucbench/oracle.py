@@ -9,6 +9,18 @@ periods, start/stop speed caps as variable bounds, line limits) rather
 than built through :mod:`ucbench.formulations`, so agreement between
 ``brute_force_optimum`` and the MILP optima is a genuine cross-check of
 two code paths and not a tautology.
+
+Almost every enumerated schedule fails on capacity alone: in some
+period the load lies outside [sum of lo, sum of hi] of the online units'
+``_period_bounds``. Those bounds are the dispatch variables' bounds and
+the demand row sums exactly those variables, so ``solve_lp``'s row
+check (``solver._unreachable_row``) rejects such a dispatch LP before
+any simplex work. That rejection is sound: it fires only when the load
+is farther outside the window than twice the row residual the simplex
+accepts, 1e-6 * (1 + max|rhs|) over the model's own right-hand sides
+(loads, ramp limits, line rows), so the simplex could not have called
+the LP optimal either. The merit-order fill checks the same window
+itself, at 1e-9.
 """
 
 from __future__ import annotations
@@ -263,8 +275,12 @@ def brute_force_optimum(instance: Instance, base: str = "basic",
     Ties go to the lexicographically first schedule. Dispatch costing
     uses the closed-form merit-order fill whenever no ramp can bind
     between consecutive online periods (and no line limits apply); the
-    dispatch LP covers the rest. Raises ValueError when no schedule is
-    feasible or the size guard trips.
+    dispatch LP covers the rest. Every schedule gets one dispatch; one
+    whose load leaves the online capacity window in some period is
+    rejected by the LP's row check without a simplex run (see the module
+    docstring), so it costs only the model build. ``n_feasible`` counts
+    the schedules whose dispatch succeeded. Raises ValueError when no
+    schedule is feasible or the size guard trips.
     """
     separable = _ramps_never_bind(instance, base)
     units = instance.units

@@ -6,18 +6,24 @@ variables it minimizes the total bound violation of the current basic
 solution, which lets branch-and-bound warm-start every child node from
 its parent's basis. No presolve, no scaling, no cuts — formulation
 comparisons need the raw constraint systems, so the solver must not
-tighten anything behind the model's back.
+tighten anything behind the model's back. ``solve_lp`` only checks,
+before any simplex work, that each row can be met within the variable
+bounds (``_unreachable_row``); a row that cannot makes the LP
+infeasible at once. The check changes no row and no bound, and it
+reports infeasible only where the simplex could not have reported
+optimal.
 
 MIP solving is best-first branch-and-bound on binary variables, fully
 deterministic: node selection by (bound, creation index), branching on
 the most fractional binary with ties to the lowest variable index. The
 root node is solved whatever the time budget, cold, on the model's own
-bounds, i.e. exactly as ``solve_lp`` solves it; its objective is kept
-as ``Solution.root_bound`` (NaN unless that LP is optimal), so a caller
-that wants both z_LP and z_MIP needs one run. ``Solution.iterations``
-of a MIP is the LP iteration count summed over all nodes. One DEBUG
-line per ``solve_mip`` reports status, nodes, iterations, root and best
-bound, and seconds.
+bounds, i.e. exactly as ``solve_lp`` solves a model that passes its
+row check (a model that fails it has no optimal root either); its
+objective is kept as ``Solution.root_bound`` (NaN unless that LP is
+optimal), so a caller that wants both z_LP and z_MIP needs one run.
+``Solution.iterations`` of a MIP is the LP iteration count summed over
+all nodes. One DEBUG line per ``solve_mip`` reports status, nodes,
+iterations, root and best bound, and seconds.
 
 ``solve_external`` ships a model to any command-line solver via MPS and
 reads the solution back from a file (two-column text or an XML-like
@@ -44,6 +50,7 @@ from .milp import INF, Model, write_mps
 log = logging.getLogger(__name__)
 
 FEAS_TOL = 1e-9
+RESID_TOL = 1e-6  # row residual accepted at the end, relative to 1 + max|b|
 OPT_TOL = 1e-9
 PIVOT_TOL = 1e-10
 INT_TOL = 1e-6
@@ -428,7 +435,7 @@ def _finish(A, b, c, lo, up, basis, vstat, xB, iters) -> _LpResult:
                          f"solution violates bounds by {drift:g}")
     np.clip(x, lo, up, out=x)
     resid = float(np.max(np.abs(A @ x - b), initial=0.0))
-    if resid > 1e-6 * (1.0 + float(np.max(np.abs(b), initial=0.0))):
+    if resid > RESID_TOL * (1.0 + float(np.max(np.abs(b), initial=0.0))):
         return _LpResult("error", math.nan, None, basis, vstat, iters,
                          f"row residual {resid:g} after solve")
     ns = n - m
@@ -451,8 +458,54 @@ def _to_solution(core: LpCore, res: _LpResult) -> Solution:
                     message=res.message)
 
 
+def _unreachable_row(model: Model) -> str | None:
+    """Name of the first row whose right-hand side lies farther outside
+    the range its activity spans within the variable bounds than the
+    simplex could close, or None.
+
+    Sound: ``_finish`` calls an LP optimal only after clipping x into its
+    bounds and finding every row residual at most RESID_TOL * (1 +
+    max|b|). Within the bounds a row's activity lies in [lo, hi] below,
+    so a rhs beyond that interval by more than the margin leaves a
+    residual ``_finish`` refuses at any point the simplex could end on.
+    The margin is twice that residual bound, plus 1e-15 per term times
+    the row's largest |a * bound| sum, which covers the rounding of both
+    the sums here and the product in ``_finish``. A row with an infinite
+    bound among its terms gets an infinite margin and always passes.
+    """
+    tol = 2.0 * RESID_TOL * (1.0 + max(map(abs, model.rhs), default=0.0))
+    lbs = [v.lb for v in model.variables]
+    ubs = [v.ub for v in model.variables]
+    ids, coeffs, starts = model.ids, model.coeffs, model.starts
+    for i, (sense, b) in enumerate(zip(model.senses, model.rhs)):
+        lo = hi = size = 0.0
+        for k in range(starts[i], starts[i + 1]):
+            a, v = coeffs[k], ids[k]
+            e1, e2 = a * lbs[v], a * ubs[v]
+            if e1 > e2:
+                e1, e2 = e2, e1
+            lo += e1
+            hi += e2
+            size += max(-e1, e2)
+        margin = tol + 1e-15 * (starts[i + 1] - starts[i] + 2) * size
+        if (sense != ">=" and lo > b + margin) \
+                or (sense != "<=" and hi < b - margin):
+            return model.row_names[i]
+    return None
+
+
 def solve_lp(model: Model) -> Solution:
-    """Solve the LP relaxation (integrality ignored; bounds kept)."""
+    """Solve the LP relaxation (integrality ignored; bounds kept).
+
+    A model with a row no point within the bounds can meet (see
+    ``_unreachable_row``) is infeasible without a simplex run: zero
+    iterations, and the message names the row.
+    """
+    row = _unreachable_row(model.freeze())
+    if row is not None:
+        return Solution(status="infeasible",
+                        message=f"row {row!r} cannot be met within the "
+                                "variable bounds")
     core = LpCore(model)
     res = core.solve()
     sol = _to_solution(core, res)

@@ -2,7 +2,6 @@
 measurement semantics, and the CSV/JSON report contract."""
 
 import json
-import math
 import sys
 
 import pytest

@@ -215,6 +215,28 @@ class TestBench:
         assert cli(["bench", str(cfg), "--out-dir", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_two_nameless_instances_exit_two_naming_the_duplicate(
+            self, tmp_path, capsys):
+        """Both files fall back to the default name; their rows would
+        merge, so the run stops before measuring anything."""
+        paths = []
+        for k, load in enumerate(([15.0, 15.0], [12.0, 18.0])):
+            doc = make_instance(load).to_dict()
+            del doc["name"]
+            path = tmp_path / f"nameless{k}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            paths.append(str(path))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "instances": paths, "formulations": ["temp"], "ktols": [0.0],
+        }), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert cli(["bench", str(cfg), "--out-dir", str(out_dir)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: duplicate instance name 'instance'")
+        assert not out_dir.exists()
+
 
 class TestApprox:
     def test_prints_step_tables(self, tmp_path, capsys):

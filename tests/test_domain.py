@@ -1,10 +1,9 @@
 import json
-import math
 
 import pytest
 
 from ucbench import (Instance, InstanceFormatError, Line, Network, Schedule,
-                     Unit, load_instance, offline_runs, save_instance,
+                     load_instance, offline_runs, save_instance,
                      validate_instance)
 
 from conftest import make_instance, make_unit

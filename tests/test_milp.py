@@ -84,6 +84,20 @@ class TestModelConstruction:
             m.add_constraint("d", {0.5: 1.0}, "<=", 1.0)
         assert (rows(m), m.starts) == before
 
+    @pytest.mark.parametrize("terms", [{"a": 1.0}, {0: 1.0, "a": 2.0},
+                                       [("a", 1.0), (None, 2.0)]])
+    def test_constraint_with_a_non_numeric_id_rejected(self, terms):
+        """Ids are checked before they are sorted, so a string id is a
+        ModelError rather than a TypeError from comparing it."""
+        m = Model("m")
+        x = m.add_variable("x", 0, 1, "binary")
+        m.add_constraint("c", {x: 1.0}, "<=", 1.0)
+        before = rows(m), list(m.starts)
+        with pytest.raises(ModelError, match="'a' is not an integer"):
+            m.add_constraint("d", terms, "<=", 1)
+        assert (rows(m), m.starts) == before
+        assert m.n_constraints == 1
+
     def test_empty_equality_row_is_vacuous_but_accepted(self):
         m = Model("m")
         cid = m.add_constraint("nothing", {}, "=", 0.0)

@@ -6,7 +6,7 @@ MILP formulations against, so these tests pin its behavior on instances
 small enough to check by hand.
 """
 
-import math
+import dataclasses
 
 import pytest
 
@@ -20,6 +20,7 @@ from ucbench import (
     optimal_dispatch,
     startup_cost,
 )
+from ucbench import oracle, solver
 
 from conftest import make_instance, make_unit
 
@@ -226,3 +227,136 @@ class TestCertifyEquivalence:
         # the formulation solves themselves still ran
         for entry in report["formulations"].values():
             assert entry["status"] == "optimal"
+
+
+def ramped(inst, factor, **first_unit):
+    """The instance with every unit's ramp limits set to ``factor`` times
+    its output range, and the first unit's other fields overridden."""
+    units = [dataclasses.replace(u, ramp_up=factor * (u.p_max - u.p_min),
+                                 ramp_down=factor * (u.p_max - u.p_min))
+             for u in inst.units]
+    units[0] = dataclasses.replace(units[0], **first_unit)
+    return dataclasses.replace(inst, units=units)
+
+
+def record_solves(monkeypatch):
+    """Route the oracle's dispatch LPs through a recorder; returns the
+    list of (model, solution) pairs it fills."""
+    calls = []
+
+    def spy(model):
+        sol = solver.solve_lp(model)
+        calls.append((model, sol))
+        return sol
+    monkeypatch.setattr(oracle, "solve_lp", spy)
+    return calls
+
+
+def by_row_check(sol):
+    """Whether solve_lp's row check, not the simplex, rejected the LP."""
+    return "cannot be met" in sol.message
+
+
+def margin(load):
+    """The row check's margin on a dispatch model whose largest
+    right-hand side is ``load``, less its tiny rounding term."""
+    return 2 * solver.RESID_TOL * (1.0 + load)
+
+
+class TestDispatchRowCheck:
+    """Most schedules cannot meet some period's load; solve_lp's row
+    check rejects their dispatch LPs without a simplex run. It may reject
+    only LPs the simplex rejects too, so the oracle's results must not
+    change."""
+
+    CASES = [
+        # binding ramps, both bases
+        (ramped(generate_instance(4, 2, 4), 0.6), "basic"),
+        (ramped(generate_instance(4, 2, 4), 0.6), "extended"),
+        # binding ramps and line limits
+        (ramped(generate_instance(5, 2, 4, with_network=True), 0.4),
+         "extended"),
+        # a unit entering the horizon offline, with residual downtime
+        (ramped(generate_instance(9, 2, 4), 0.5, pre_offline=1, min_down=2),
+         "extended"),
+        (ramped(generate_instance(5, 2, 4), 0.5, pre_offline=2), "basic"),
+    ]
+
+    @pytest.mark.parametrize("inst, base", CASES)
+    def test_every_rejected_schedule_is_one_the_simplex_rejects(
+            self, monkeypatch, inst, base):
+        calls = record_solves(monkeypatch)
+        rejected = []
+        for sched in enumerate_schedules(inst, base):
+            try:
+                optimal_dispatch(inst, sched, base)
+            except ValueError:
+                pass
+            if by_row_check(calls[-1][1]):
+                rejected.append(sched)
+        assert rejected
+        monkeypatch.setattr(solver, "_unreachable_row", lambda model: None)
+        for sched in rejected:
+            with pytest.raises(ValueError, match="infeasible schedule"):
+                optimal_dispatch(inst, sched, base)
+            assert not by_row_check(calls[-1][1])
+
+    @pytest.mark.parametrize("inst, base", CASES)
+    def test_optimum_is_the_one_found_without_the_check(self, monkeypatch,
+                                                        inst, base):
+        checked = brute_force_optimum(inst, base)
+        monkeypatch.setattr(solver, "_unreachable_row", lambda model: None)
+        assert brute_force_optimum(inst, base) == checked
+
+    def test_n_feasible_pinned_on_a_ramp_instance(self, monkeypatch):
+        """Seeded 2x4 with ramps at 0.6 of the range: each of the 256
+        schedules gets one dispatch LP, 8 can be dispatched, and only 10
+        LPs reach the simplex."""
+        inst = ramped(generate_instance(4, 2, 4), 0.6)
+        calls = record_solves(monkeypatch)
+        assert brute_force_optimum(inst).n_feasible == 8
+        assert len(calls) == 256
+        assert sum(not by_row_check(sol) for _, sol in calls) == 10
+
+    # two units of 10-20 whose ramps of 5 bind, so the dispatch LP runs
+    PAIR = [make_unit("g1", ramp_up=5.0, ramp_down=5.0),
+            make_unit("g2", ramp_up=5.0, ramp_down=5.0)]
+    ALL_ON = Schedule([[1, 1], [1, 1]])
+
+    def test_load_at_capacity_passes_and_is_served(self, monkeypatch):
+        inst = make_instance([40.0, 30.0], units=self.PAIR)
+        calls = record_solves(monkeypatch)
+        result = brute_force_optimum(inst)
+        assert result.schedule == self.ALL_ON
+        assert result.dispatch == [[20.0, 15.0], [20.0, 15.0]]
+        assert result.n_feasible == 1
+        assert [by_row_check(sol) for _, sol in calls].count(False) == 1
+
+    def test_margin_decides_what_reaches_the_simplex(self, monkeypatch):
+        """Half the margin above capacity is the simplex's to judge;
+        twice the margin is rejected by the check, and the simplex
+        agrees."""
+        calls = record_solves(monkeypatch)
+        near = make_instance([40.0 + margin(40.0) / 2, 30.0],
+                             units=self.PAIR)
+        try:
+            optimal_dispatch(near, self.ALL_ON)
+        except ValueError:
+            pass  # the simplex's own tolerances decide this one
+        assert not by_row_check(calls[-1][1])
+        far = make_instance([40.0 + 2 * margin(40.0), 30.0],
+                            units=self.PAIR)
+        with pytest.raises(ValueError):
+            optimal_dispatch(far, self.ALL_ON)
+        assert by_row_check(calls[-1][1])
+        assert "'demand_1'" in calls[-1][1].message
+        assert solver.LpCore(calls[-1][0]).solve().status == "infeasible"
+
+    def test_floor_side_is_checked_too(self, monkeypatch):
+        """A load below the online units' summed minimum output cannot
+        be met either: only the schedules with one unit on are served."""
+        inst = make_instance([12.0], units=self.PAIR)
+        calls = record_solves(monkeypatch)
+        assert brute_force_optimum(inst).n_feasible == 2
+        assert [by_row_check(sol) for _, sol in calls] \
+            == [True, False, False, True]  # off-off, then on-on

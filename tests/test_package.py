@@ -1,7 +1,57 @@
-"""The package's export list."""
+"""The package's export list, and no import without a use."""
+
+import ast
+from pathlib import Path
 
 import ucbench
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_exported_name_resolves():
     assert [n for n in ucbench.__all__ if not hasattr(ucbench, n)] == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads. ``from __future__``
+    imports are directives, not names; a name listed in ``__all__``
+    counts as read."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_unused_imports_are_found():
+    src = "import os\nimport a.b\nfrom x import y as z\nos.sep\n"
+    assert unused_imports(src) == ["a (line 2)", "z (line 3)"]
+    assert unused_imports("from __future__ import annotations\n") == []
+    assert unused_imports("from m import f\n__all__ = ['f']\n") == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Package ``__init__.py`` files re-export what they import, so they
+    are exempt."""
+    found = {}
+    for path in sorted((ROOT / "src").rglob("*.py")) \
+            + sorted((ROOT / "tests").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        names = unused_imports(path.read_text(encoding="utf-8"))
+        if names:
+            found[str(path.relative_to(ROOT))] = names
+    assert found == {}

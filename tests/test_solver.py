@@ -8,6 +8,7 @@ import pytest
 
 from ucbench import (Model, SolveConfig, solve_external, solve_lp, solve_mip,
                      build_model, FormulationChoice)
+from ucbench import solver
 from ucbench.solver import SolutionParseError, parse_solution_file
 
 from conftest import make_instance, make_unit
@@ -179,6 +180,87 @@ class TestSolveMip:
         assert len(lines) == 1
         assert lines[0].startswith(f"mip: optimal after {res.nodes} nodes, "
                                    f"{res.iterations} LP iterations")
+
+
+def pair_demand(load, sense="="):
+    """Two outputs in [10, 20] serving one demand row."""
+    m = Model("pair")
+    p = [m.add_variable(f"p{i}", 10.0, 20.0) for i in (1, 2)]
+    m.add_constraint("demand", {p[0]: 1.0, p[1]: 1.0}, sense, load)
+    m.set_objective({p[0]: 1.0, p[1]: 2.0})
+    return m
+
+
+class TestRowCheck:
+    """solve_lp reports a model infeasible without a simplex run when a
+    row cannot be met within the variable bounds by more than twice the
+    residual the simplex accepts; it must never reject an LP the simplex
+    would solve."""
+
+    def margin(self, load):
+        return 2 * solver.RESID_TOL * (1.0 + load)
+
+    def simplex(self, model):
+        return solver.LpCore(model).solve()
+
+    def test_load_at_capacity_passes_and_is_served(self):
+        m = pair_demand(40.0)
+        assert solver._unreachable_row(m) is None
+        res = solve_lp(m)
+        assert res.status == "optimal"
+        assert res.values == {"p1": 20.0, "p2": 20.0}
+
+    def test_half_the_margin_over_capacity_is_left_to_the_simplex(self):
+        load = 40.0 + self.margin(40.0) / 2
+        m = pair_demand(load)
+        assert solver._unreachable_row(m) is None
+        assert "cannot be met" not in solve_lp(m).message
+
+    @pytest.mark.parametrize("load, sense", [
+        (40.0, "above"), (20.0, "below"), (41.0, ">="), (19.0, "<=")])
+    def test_row_beyond_the_margin_is_rejected_and_the_simplex_agrees(
+            self, load, sense):
+        if sense == "above":
+            load += 2 * self.margin(load)
+        elif sense == "below":
+            load -= 2 * self.margin(load)
+        m = pair_demand(load, "=" if sense in ("above", "below") else sense)
+        assert solver._unreachable_row(m) == "demand"
+        res = solve_lp(m)
+        assert (res.status, res.iterations) == ("infeasible", 0)
+        assert "'demand'" in res.message
+        assert self.simplex(m).status == "infeasible"
+        assert m.frozen
+
+    @pytest.mark.parametrize("load, sense", [(19.0, ">="), (41.0, "<=")])
+    def test_one_sided_rows_check_only_their_side(self, load, sense):
+        assert solver._unreachable_row(pair_demand(load, sense)) is None
+        assert solve_lp(pair_demand(load, sense)).status == "optimal"
+
+    def test_empty_row_with_nonzero_rhs_is_rejected(self):
+        # a period with every unit offline leaves its demand row empty
+        m = Model("empty")
+        m.add_variable("p", 0.0, 1.0)
+        m.add_constraint("demand_1", {}, "=", 5.0)
+        assert solver._unreachable_row(m) == "demand_1"
+
+    def test_row_with_an_infinite_bound_is_left_to_the_simplex(self):
+        m = Model("open")
+        x = m.add_variable("x", 5.0, INF)
+        m.add_constraint("cap", {x: 1.0}, "<=", 1.0)
+        assert solver._unreachable_row(m) is None
+        res = solve_lp(m)
+        assert res.status == "infeasible"
+        assert "cannot be met" not in res.message
+
+    def test_infeasibility_no_single_row_shows_is_left_to_the_simplex(self):
+        m = Model("pinch")
+        x = m.add_variable("x", 0.0, 10.0)
+        y = m.add_variable("y", 0.0, 10.0)
+        m.add_constraint("floor", {x: 1.0, y: 1.0}, ">=", 3.0)
+        m.add_constraint("ceiling", {x: 1.0, y: 1.0}, "<=", 1.0)
+        assert solver._unreachable_row(m) is None
+        assert solve_lp(m).status == "infeasible"
 
 
 class TestVertexOracleAgreement:

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from ucbench import approximate_steps, minimal_steps_oracle, startup_cost
