@@ -73,13 +73,13 @@ def enumerate_schedules(instance: Instance, base: str = "basic",
     if n * T > guard:
         raise ValueError(f"enumeration guard exceeded: units x horizon = "
                          f"{n * T} > {guard}")
-    rows = list(product((0, 1), repeat=T))
     if base == "basic":
-        for combo in product(rows, repeat=n):
-            yield Schedule([list(r) for r in combo])
+        # the flattened matrices in lexicographic order, one at a time
+        for flat in product((0, 1), repeat=n * T):
+            yield Schedule([list(flat[i:i + T]) for i in range(0, n * T, T)])
         return
-    ok_rows = [[r for r in rows if _commitment_ok(r, u.min_up, u.min_down,
-                                                  u.pre_offline)]
+    ok_rows = [[r for r in product((0, 1), repeat=T)
+                if _commitment_ok(r, u.min_up, u.min_down, u.pre_offline)]
                for u in instance.units]
     for combo in product(*ok_rows):
         yield Schedule([list(r) for r in combo])

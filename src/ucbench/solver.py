@@ -1,17 +1,38 @@
 """Bundled exact LP/MIP solver and the external-solver bridge.
 
-The LP engine is a bounded-variable revised primal simplex over a dense
-basis inverse. Phase I is the composite method: instead of artificial
-variables it minimizes the total bound violation of the current basic
-solution, which lets branch-and-bound warm-start every child node from
-its parent's basis. No presolve, no scaling, no cuts — formulation
-comparisons need the raw constraint systems, so the solver must not
-tighten anything behind the model's back. ``solve_lp`` only checks,
-before any simplex work, that each row can be met within the variable
-bounds (``_unreachable_row``); a row that cannot makes the LP
-infeasible at once. The check changes no row and no bound, and it
-reports infeasible only where the simplex could not have reported
-optimal.
+The LP engine is a bounded-variable revised simplex over a dense basis
+inverse, with a primal and a dual loop that share the pivot (a rank-1
+update of the inverse) and the refactorization every REFACTOR_EVERY
+pivots. No presolve, no scaling, no cuts — formulation comparisons need
+the raw constraint systems, so the solver must not tighten anything
+behind the model's back. ``solve_lp`` only checks, before any simplex
+work, that each row can be met within the variable bounds
+(``_unreachable_row``); a row that cannot makes the LP infeasible at
+once. The check changes no row and no bound, and it reports infeasible
+only where the simplex could not have reported optimal.
+
+A cold start (every ``solve_lp`` and every branch-and-bound root) runs
+the primal loop from the slack basis. Its Phase I is the composite
+method: instead of artificial variables it minimizes the total bound
+violation of the current basic solution, so it can start from any
+basis. A warm start (every other branch-and-bound node, from its
+parent's optimal basis) runs the dual simplex first. Fixing a binary
+leaves that basis dual feasible, so the dual re-optimizes it in a few
+pivots: the leaving row is the basic variable farthest outside its
+bounds; the entering column minimizes |reduced cost| / |pivot-row entry|
+over the columns that push it back, ties going to the largest entry and
+then to the lowest index. The dual reports infeasible only when a fresh
+refactorization still shows a violated row no column can repair, and
+optimal only through a fresh refactorization, a dual-feasibility
+recheck and the same bound and residual checks (``_finish``) as the
+primal. It hands the LP to the primal loop when the basis is not dual
+feasible, when a refactorization is singular, when the only pivots left
+are below DUAL_PIVOT_TOL, or when the dual objective has not risen for
+10·(m+n) iterations (degenerate cycling). The primal then restarts from
+the warm basis itself, so such a node is solved exactly as a
+primal-only solver solves it; the dual's iterations still count. The
+cold path is the primal alone, so root objectives and iteration counts
+do not depend on the dual.
 
 MIP solving is best-first branch-and-bound on binary variables, fully
 deterministic: node selection by (bound, creation index), branching on
@@ -23,7 +44,8 @@ objective is kept as ``Solution.root_bound`` (NaN unless that LP is
 optimal), so a caller that wants both z_LP and z_MIP needs one run.
 ``Solution.iterations`` of a MIP is the LP iteration count summed over
 all nodes. One DEBUG line per ``solve_mip`` reports status, nodes,
-iterations, root and best bound, and seconds.
+iterations, how many child nodes the dual finished and how many it
+handed to the primal (by reason), root and best bound, and seconds.
 
 ``solve_external`` ships a model to any command-line solver via MPS and
 reads the solution back from a file (two-column text or an XML-like
@@ -40,6 +62,7 @@ import subprocess
 import tempfile
 import time
 import xml.etree.ElementTree as ET
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,6 +76,7 @@ FEAS_TOL = 1e-9
 RESID_TOL = 1e-6  # row residual accepted at the end, relative to 1 + max|b|
 OPT_TOL = 1e-9
 PIVOT_TOL = 1e-10
+DUAL_PIVOT_TOL = 1e-7  # smallest pivot the dual ratio test takes
 INT_TOL = 1e-6
 REFACTOR_EVERY = 64
 
@@ -110,6 +134,8 @@ class _LpResult:
     vstat: np.ndarray | None
     iterations: int
     message: str = ""
+    warm_end: str = ""            # warm starts: "done" if the dual simplex
+                                  # ended the solve, else why it handed over
 
 
 class LpCore:
@@ -188,8 +214,11 @@ def _nonbasic_values(vstat, lo, up):
 
 
 def _simplex(A, b, c, lo, up, warm=None) -> _LpResult:
-    """Bounded-variable primal simplex with composite (violation-driven)
-    Phase I, Dantzig pricing, and a Bland fallback against cycling."""
+    """Bounded-variable simplex over a dense basis inverse.
+
+    A warm basis goes to the dual simplex, which hands it to the primal
+    loop unless it ends the solve itself; a cold start goes to the primal
+    loop directly (see ``_Simplex``)."""
     m, n = A.shape
     if np.any(lo > up):
         return _LpResult("infeasible", math.nan, None, None, None, 0,
@@ -211,157 +240,110 @@ def _simplex(A, b, c, lo, up, warm=None) -> _LpResult:
         if (len(basis) != m or len(np.unique(basis)) != m
                 or basis.min() < 0 or basis.max() >= n):
             basis, vstat = None, None
+    warm_end = "" if basis is None else "done"
     if basis is None:
         basis, vstat = _cold_start(A, lo, up)
 
     Binv = _factorize(A, basis)
     if Binv is None:  # degenerate warm basis; restart cold
+        warm_end = "singular" if warm_end else ""
         basis, vstat = _cold_start(A, lo, up)
         Binv = _factorize(A, basis)
         if Binv is None:
             return _LpResult("error", math.nan, None, None, None, 0,
                              "singular slack basis")
 
-    xN = _nonbasic_values(vstat, lo, up)
-    xB = Binv @ (b - A @ xN)
+    run = _Simplex(A, b, c, lo, up, basis, vstat, Binv)
+    if warm_end == "done":  # a warm basis that inverted: dual first
+        res = run.dual()
+        if isinstance(res, str):
+            # the primal restarts from the warm basis, not from the
+            # dual's last one, which can be far worse conditioned
+            warm_end = res
+            basis, vstat = warm[0].copy(), warm[1].copy()
+            run = _Simplex(A, b, c, lo, up, basis, vstat,
+                           _factorize(A, basis), iters=run.iters)
+            res = run.primal()
+    else:
+        res = run.primal()
+    res.warm_end = warm_end
+    return res
 
-    max_iter = 10000 + 200 * (m + n)
-    stall_limit = 10 * (m + n)
-    bland = False
-    stalled = 0
-    last_obj = math.inf
-    since_refactor = 0
-    fresh = True  # Binv/xB just recomputed from scratch
-    iters = 0
-    movable = (up - lo) > 0  # fixed columns never enter
-    ckpt = (basis.copy(), vstat.copy())  # last verified-invertible basis
-    restores = 0
 
-    def refreshed():
-        """Refactorize the current basis. A drifted Binv can accept a
+class _Simplex:
+    """The state of one simplex solve, shared by its two loops.
+
+    ``primal`` has a composite (violation-driven) Phase I, Dantzig
+    pricing, and a Bland fallback against cycling. ``dual`` is the
+    bounded dual simplex. Both change the basis only through ``pivot``
+    (a rank-1 update of Binv, refactorized every REFACTOR_EVERY pivots)
+    and ``refresh``. The state lives on an object rather than in nested
+    closures: under CPython 3.11, closures over 20 variables made per
+    solve raised a process's peak RSS by about 0.3 MB (their freed
+    closure tuples piled up until a full garbage collection)."""
+
+    def __init__(self, A, b, c, lo, up, basis, vstat, Binv, iters=0):
+        self.A, self.b, self.c, self.lo, self.up = A, b, c, lo, up
+        m, n = A.shape
+        self.basis, self.vstat, self.Binv = basis, vstat, Binv
+        self.xN = _nonbasic_values(vstat, lo, up)
+        self.xB = Binv @ (b - A @ self.xN)
+        self.max_iter = 10000 + 200 * (m + n)
+        self.stall_limit = 10 * (m + n)
+        self.bland = False
+        self.since_refactor = 0
+        self.fresh = True  # Binv/xB just recomputed from scratch
+        self.iters = iters
+        self.movable = (up - lo) > 0  # fixed columns never enter
+        self.ckpt = (basis.copy(), vstat.copy())  # last invertible basis
+        self.restores = 0
+
+    def error(self, message):
+        return _LpResult("error", math.nan, None, None, None, self.iters,
+                         message)
+
+    def refresh(self):
+        """Refactorize the current basis and recompute xB from scratch;
+        False if no invertible basis is left. A drifted Binv can accept a
         pivot that is zero in exact arithmetic, leaving an exactly
         singular basis behind; in that case restore the last good
         checkpoint and force Bland's rule so the replayed trajectory
         diverges from the poisoned one."""
-        nonlocal basis, vstat, restores, bland, ckpt
-        B = _factorize(A, basis)
+        A = self.A
+        B = _factorize(A, self.basis)
         if B is None:
-            if restores >= 5:
-                return None
-            restores += 1
-            bland = True
-            basis = ckpt[0].copy()
-            vstat = ckpt[1].copy()
-            B = _factorize(A, basis)  # checkpoint inverted fine before
+            if self.restores >= 5:
+                return False
+            self.restores += 1
+            self.bland = True
+            self.basis = self.ckpt[0].copy()
+            self.vstat = self.ckpt[1].copy()
+            B = _factorize(A, self.basis)  # checkpoint inverted fine before
             if B is None:  # pragma: no cover - inversion is deterministic
-                return None
-        ckpt = (basis.copy(), vstat.copy())
-        return B
+                return False
+        self.ckpt = (self.basis.copy(), self.vstat.copy())
+        self.Binv = B
+        self.xN = _nonbasic_values(self.vstat, self.lo, self.up)
+        self.xB = B @ (self.b - A @ self.xN)
+        self.since_refactor = 0
+        self.fresh = True
+        return True
 
-    while True:
-        if iters >= max_iter:
-            return _LpResult("error", math.nan, None, None, None, iters,
-                             "iteration limit exceeded")
-        lb_B, ub_B = lo[basis], up[basis]
-        below = xB < lb_B - FEAS_TOL
-        above = xB > ub_B + FEAS_TOL
-        phase1 = bool(below.any() or above.any())
-
-        if phase1:
-            d = np.zeros(m)
-            d[below] = -1.0
-            d[above] = 1.0
-            y = d @ Binv
-            rc = -(y @ A)
-            obj_now = float((lb_B[below] - xB[below]).sum()
-                            + (xB[above] - ub_B[above]).sum())
-        else:
-            y = c[basis] @ Binv
-            rc = c - y @ A
-            obj_now = float(c[basis] @ xB + c @ xN)
-
-        # entering candidates: improving, movable, nonbasic
-        improving = ((_CAN_INC[vstat] & (rc < -OPT_TOL))
-                     | (_CAN_DEC[vstat] & (rc > OPT_TOL))) & movable
-        scores = np.where(improving, np.abs(rc), -1.0)
-        q = int(np.argmax(scores))  # first max -> lowest index on ties
-
-        if scores[q] < 0.0:  # nothing improves
-            if not fresh:
-                # refresh the factorization and double-check before exiting
-                Binv = refreshed()
-                if Binv is None:
-                    return _LpResult("error", math.nan, None, None, None,
-                                     iters, "basis became singular")
-                xN = _nonbasic_values(vstat, lo, up)
-                xB = Binv @ (b - A @ xN)
-                since_refactor = 0
-                fresh = True
-                continue
-            if phase1:
-                return _LpResult("infeasible", math.nan, None, basis, vstat,
-                                 iters)
-            return _finish(A, b, c, lo, up, basis, vstat, xB, iters)
-
-        if bland:
-            q = int(np.flatnonzero(improving)[0])
-        sigma = 1.0 if rc[q] < 0 else -1.0
-
-        w = Binv @ A[:, q]
-        rate = -sigma * w  # d x_B / d step
-
-        # ratio test: first breakpoint among basic bounds and the entering
-        # variable's own opposite bound. A rising basic variable runs into
-        # its upper bound, or its lower one while still below it; a falling
-        # one its lower bound, or its upper one while still above it; one
-        # moving away from a bound it violates meets none.
-        pos = rate > PIVOT_TOL
-        neg = rate < -PIVOT_TOL
-        target = np.where(np.where(pos, ~below, above), ub_B, lb_B)
-        hits = ((pos & ~above) | (neg & ~below)) & (np.abs(target) < INF)
-        limits = np.full(m, INF)
-        np.divide(target - xB, rate, out=limits, where=hits)
-        np.maximum(limits, 0.0, out=limits)
-
-        own = up[q] - lo[q] if (lo[q] > -INF and up[q] < INF) else INF
-        r = int(np.argmin(limits))
-        step = float(limits[r])
-        if own < step:
-            # bound flip: the entering variable crosses to its other bound
-            xB -= sigma * own * w
-            vstat[q] = _AT_UPPER if vstat[q] == _AT_LOWER else _AT_LOWER
-            xN[q] = up[q] if vstat[q] == _AT_UPPER else lo[q]
-            iters += 1
-            fresh = False
-            stalled, last_obj, bland = _stall(obj_now, last_obj, stalled,
-                                              stall_limit, bland)
-            continue
-        if not np.isfinite(step):
-            if phase1:
-                return _LpResult("error", math.nan, None, None, None, iters,
-                                 "no breakpoint in phase-one direction")
-            return _LpResult("unbounded", -INF, None, basis, vstat, iters)
-
-        # tie-break among rows reaching the minimum: largest pivot for
-        # stability (Bland mode: lowest variable index for termination)
-        ties = np.flatnonzero(limits <= step + 1e-12)
-        if len(ties) > 1:  # a lone tie is the argmin row itself
-            if bland:
-                r = int(ties[np.argmin(basis[ties])])
-            else:
-                r = int(ties[np.argmax(np.abs(w[ties]))])
-
+    def pivot(self, r, q, w, delta, leave_upper):
+        """Move nonbasic column q by delta (w = Binv A_q) into row r, whose
+        variable leaves for its upper bound if leave_upper, else for its
+        lower one; count the iteration and refactorize when due. Returns
+        an error message if no invertible basis is left."""
+        basis, vstat, xN, xB = self.basis, self.vstat, self.xN, self.xB
         leave = int(basis[r])
-        # which bound the leaving variable lands on
-        if below[r] or (not above[r] and rate[r] < 0):
-            vstat[leave] = _AT_LOWER
-            xN[leave] = lo[leave]
-        else:
+        if leave_upper:
             vstat[leave] = _AT_UPPER
-            xN[leave] = up[leave]
-
-        enter_val = (xN[q] if vstat[q] != _AT_FREE else 0.0) + sigma * step
-        xB -= sigma * step * w
+            xN[leave] = self.up[leave]
+        else:
+            vstat[leave] = _AT_LOWER
+            xN[leave] = self.lo[leave]
+        enter_val = (xN[q] if vstat[q] != _AT_FREE else 0.0) + delta
+        xB -= delta * w
         xB[r] = enter_val
         vstat[q] = _BASIC
         xN[q] = 0.0
@@ -369,31 +351,203 @@ def _simplex(A, b, c, lo, up, warm=None) -> _LpResult:
 
         piv = w[r]
         if abs(piv) < PIVOT_TOL:
-            Binv = refreshed()
-            if Binv is None:
-                return _LpResult("error", math.nan, None, None, None, iters,
-                                 "singular basis after pivot")
-            xN = _nonbasic_values(vstat, lo, up)
-            xB = Binv @ (b - A @ xN)
-            since_refactor = 0
+            if not self.refresh():
+                return "singular basis after pivot"
         else:
+            Binv = self.Binv
             row = Binv[r] / piv
             Binv -= w[:, None] * row
             Binv[r] = row
-            since_refactor += 1
+            self.since_refactor += 1
+        self.iters += 1
+        self.fresh = False
+        if self.since_refactor >= REFACTOR_EVERY and not self.refresh():
+            return "basis became singular"
+        return None
 
-        iters += 1
-        fresh = False
-        if since_refactor >= REFACTOR_EVERY:
-            Binv = refreshed()
-            if Binv is None:
-                return _LpResult("error", math.nan, None, None, None, iters,
-                                 "basis became singular")
-            xN = _nonbasic_values(vstat, lo, up)
-            xB = Binv @ (b - A @ xN)
-            since_refactor = 0
-        stalled, last_obj, bland = _stall(obj_now, last_obj, stalled,
-                                          stall_limit, bland)
+    def dual(self):
+        """Bounded dual simplex. Ends the solve (an _LpResult), or returns
+        why the primal should solve it instead: "not dual feasible",
+        "stall", "singular" or "small pivot"."""
+        A, b, c, lo, up = self.A, self.b, self.c, self.lo, self.up
+        movable = self.movable
+        n = A.shape[1]
+        best = -INF
+        stalled = 0
+        while True:
+            if self.restores:
+                return "singular"
+            if self.iters >= self.max_iter:
+                return self.error("iteration limit exceeded")
+            basis, vstat, Binv = self.basis, self.vstat, self.Binv
+            xB, xN = self.xB, self.xN
+            rc = c - (c[basis] @ Binv) @ A
+            if (((_CAN_INC[vstat] & (rc < -OPT_TOL))
+                 | (_CAN_DEC[vstat] & (rc > OPT_TOL))) & movable).any():
+                if self.fresh:
+                    return "not dual feasible"
+                if not self.refresh():
+                    return self.error("basis became singular")
+                continue
+
+            # leaving row: the basic variable farthest outside its bounds
+            short = lo[basis] - xB
+            over = xB - up[basis]
+            viol = np.maximum(short, over)
+            r = int(np.argmax(viol))  # first max -> lowest row on ties
+            if viol[r] <= FEAS_TOL:
+                if self.fresh:
+                    return _finish(A, b, c, lo, up, basis, vstat, xB,
+                                   self.iters)
+                if not self.refresh():
+                    return self.error("basis became singular")
+                continue
+
+            # the dual objective is the current point's cost; it must rise
+            obj_now = float(c[basis] @ xB + c @ xN)
+            if obj_now > best + 1e-12 * (1.0 + abs(obj_now)):
+                best, stalled = obj_now, 0
+            else:
+                stalled += 1
+                if stalled > self.stall_limit:
+                    return "stall"
+
+            # entering column: one whose move pushes x_B[r] toward the
+            # violated bound; the smallest |rc| / |alpha| keeps every
+            # reduced cost sign-correct
+            rising = bool(short[r] > over[r])
+            alpha = Binv[r] @ A
+            # x_B[r]'s move toward its bound per unit rise of each column
+            toward = -alpha if rising else alpha
+            eligible = ((_CAN_INC[vstat] & (toward > PIVOT_TOL))
+                        | (_CAN_DEC[vstat] & (toward < -PIVOT_TOL))) & movable
+            if not eligible.any():
+                if self.fresh:
+                    return _LpResult("infeasible", math.nan, None, basis,
+                                     vstat, self.iters)
+                if not self.refresh():
+                    return self.error("basis became singular")
+                continue
+            mag = np.abs(alpha)
+            eligible &= mag >= DUAL_PIVOT_TOL
+            if not eligible.any():  # a pivot this small wrecks the basis
+                return "small pivot"
+            ratios = np.full(n, INF)
+            np.divide(np.abs(rc), mag, out=ratios, where=eligible)
+            ties = np.flatnonzero(ratios <= ratios.min() + 1e-12)
+            q = int(ties[np.argmax(mag[ties])])  # largest |alpha|, lowest j
+
+            target = lo[basis[r]] if rising else up[basis[r]]
+            msg = self.pivot(r, q, Binv @ A[:, q],
+                             (xB[r] - target) / alpha[q], not rising)
+            if msg is not None:
+                return self.error(msg)
+
+    def primal(self):
+        A, b, c, lo, up = self.A, self.b, self.c, self.lo, self.up
+        movable = self.movable
+        m = A.shape[0]
+        stalled = 0
+        last_obj = math.inf
+        while True:
+            if self.iters >= self.max_iter:
+                return self.error("iteration limit exceeded")
+            basis, vstat, Binv = self.basis, self.vstat, self.Binv
+            xB, xN = self.xB, self.xN
+            lb_B, ub_B = lo[basis], up[basis]
+            below = xB < lb_B - FEAS_TOL
+            above = xB > ub_B + FEAS_TOL
+            phase1 = bool(below.any() or above.any())
+
+            if phase1:
+                d = np.zeros(m)
+                d[below] = -1.0
+                d[above] = 1.0
+                y = d @ Binv
+                rc = -(y @ A)
+                obj_now = float((lb_B[below] - xB[below]).sum()
+                                + (xB[above] - ub_B[above]).sum())
+            else:
+                y = c[basis] @ Binv
+                rc = c - y @ A
+                obj_now = float(c[basis] @ xB + c @ xN)
+
+            # entering candidates: improving, movable, nonbasic
+            improving = ((_CAN_INC[vstat] & (rc < -OPT_TOL))
+                         | (_CAN_DEC[vstat] & (rc > OPT_TOL))) & movable
+            scores = np.where(improving, np.abs(rc), -1.0)
+            q = int(np.argmax(scores))  # first max -> lowest index on ties
+
+            if scores[q] < 0.0:  # nothing improves
+                if not self.fresh:
+                    # refresh the factorization and double-check before
+                    # exiting
+                    if not self.refresh():
+                        return self.error("basis became singular")
+                    continue
+                if phase1:
+                    return _LpResult("infeasible", math.nan, None, basis,
+                                     vstat, self.iters)
+                return _finish(A, b, c, lo, up, basis, vstat, xB, self.iters)
+
+            if self.bland:
+                q = int(np.flatnonzero(improving)[0])
+            sigma = 1.0 if rc[q] < 0 else -1.0
+
+            w = Binv @ A[:, q]
+            rate = -sigma * w  # d x_B / d step
+
+            # ratio test: first breakpoint among basic bounds and the
+            # entering variable's own opposite bound. A rising basic
+            # variable runs into its upper bound, or its lower one while
+            # still below it; a falling one its lower bound, or its upper
+            # one while still above it; one moving away from a bound it
+            # violates meets none.
+            pos = rate > PIVOT_TOL
+            neg = rate < -PIVOT_TOL
+            target = np.where(np.where(pos, ~below, above), ub_B, lb_B)
+            hits = ((pos & ~above) | (neg & ~below)) & (np.abs(target) < INF)
+            limits = np.full(m, INF)
+            np.divide(target - xB, rate, out=limits, where=hits)
+            np.maximum(limits, 0.0, out=limits)
+
+            own = up[q] - lo[q] if (lo[q] > -INF and up[q] < INF) else INF
+            r = int(np.argmin(limits))
+            step = float(limits[r])
+            if own < step:
+                # bound flip: the entering variable crosses to its other
+                # bound
+                xB -= sigma * own * w
+                vstat[q] = _AT_UPPER if vstat[q] == _AT_LOWER else _AT_LOWER
+                xN[q] = up[q] if vstat[q] == _AT_UPPER else lo[q]
+                self.iters += 1
+                self.fresh = False
+                stalled, last_obj, self.bland = _stall(
+                    obj_now, last_obj, stalled, self.stall_limit, self.bland)
+                continue
+            if not np.isfinite(step):
+                if phase1:
+                    return self.error("no breakpoint in phase-one direction")
+                return _LpResult("unbounded", -INF, None, basis, vstat,
+                                 self.iters)
+
+            # tie-break among rows reaching the minimum: largest pivot for
+            # stability (Bland mode: lowest variable index for termination)
+            ties = np.flatnonzero(limits <= step + 1e-12)
+            if len(ties) > 1:  # a lone tie is the argmin row itself
+                if self.bland:
+                    r = int(ties[np.argmin(basis[ties])])
+                else:
+                    r = int(ties[np.argmax(np.abs(w[ties]))])
+
+            # the leaving variable lands on the bound it violates, else on
+            # the one it runs into
+            msg = self.pivot(r, q, w, sigma * step,
+                             not (below[r] or (not above[r] and rate[r] < 0)))
+            if msg is not None:
+                return self.error(msg)
+            stalled, last_obj, self.bland = _stall(
+                obj_now, last_obj, stalled, self.stall_limit, self.bland)
 
 
 def _stall(obj_now, last_obj, stalled, stall_limit, bland):
@@ -519,24 +673,37 @@ def solve_mip(model: Model, config: SolveConfig | None = None) -> Solution:
 
     Deterministic: nodes are keyed by (LP bound of the parent, creation
     index); the branch variable is the most fractional binary, ties going
-    to the lowest variable id. Child LPs warm-start from the parent basis.
-    The root LP is solved whatever the time budget, so ``root_bound`` is
-    always the relaxation ``solve_lp`` would report.
+    to the lowest variable id. The root LP is solved cold, whatever the
+    time budget, so ``root_bound`` is always, bit for bit, the relaxation
+    ``solve_lp`` would report. Each child LP starts from its parent's
+    optimal basis with the dual simplex, which hands the node to the
+    primal loop, restarted from that basis, if the basis is not dual
+    feasible, turns singular, is left with only tiny pivots or stalls
+    (see the module docstring). Among degenerate optima the dual may end
+    a child on another optimal basis than the primal would, so node
+    counts, and the incumbent a gap stop returns, can differ from a
+    primal-only tree; a proven optimum does not.
     """
     config = config or SolveConfig()
     core = LpCore(model)
     t0 = time.monotonic()
-    sol = _branch_and_bound(core, config, t0)
+    warm_ends = Counter()
+    sol = _branch_and_bound(core, config, t0, warm_ends)
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("mip: %s after %d nodes, %d LP iterations; root bound %r, "
-                  "best bound %r; %.3f s", sol.status, sol.nodes,
-                  sol.iterations, sol.root_bound, sol.best_bound,
-                  time.monotonic() - t0)
+        log.debug("mip: %s after %d nodes, %d LP iterations; dual simplex "
+                  "finished %d child nodes, handed %d to the primal (not "
+                  "dual feasible %d, stall %d, singular %d, small pivot %d); "
+                  "root bound %r, best bound %r; %.3f s", sol.status,
+                  sol.nodes, sol.iterations, warm_ends["done"],
+                  sum(warm_ends.values()) - warm_ends["done"],
+                  warm_ends["not dual feasible"], warm_ends["stall"],
+                  warm_ends["singular"], warm_ends["small pivot"],
+                  sol.root_bound, sol.best_bound, time.monotonic() - t0)
     return sol
 
 
-def _branch_and_bound(core: LpCore, config: SolveConfig,
-                      t0: float) -> Solution:
+def _branch_and_bound(core: LpCore, config: SolveConfig, t0: float,
+                      warm_ends: Counter) -> Solution:
     lo0, up0 = core.struct_bounds()
     bin_ids = core.binary_ids
     incumbent = math.inf
@@ -571,6 +738,8 @@ def _branch_and_bound(core: LpCore, config: SolveConfig,
             break
 
         res = core.solve(lo, up, warm)
+        if warm is not None:  # every node but the root
+            warm_ends[res.warm_end] += 1
         nodes_solved += 1
         iterations += res.iterations
         if nodes_solved == 1 and res.status == "optimal":

@@ -7,6 +7,8 @@ small enough to check by hand.
 """
 
 import dataclasses
+import itertools
+import tracemalloc
 
 import pytest
 
@@ -61,6 +63,47 @@ class TestEnumerateSchedules:
     def test_unknown_base_rejected(self):
         with pytest.raises(ValueError, match="unknown base"):
             next(enumerate_schedules(make_instance([15.0, 15.0]), "fancy"))
+
+    @staticmethod
+    def listed_rows(inst, base):
+        """The enumeration as a product over a materialized row list."""
+        rows = list(itertools.product((0, 1), repeat=inst.horizon))
+        if base == "basic":
+            per_unit = [rows] * len(inst.units)
+        else:
+            per_unit = [[r for r in rows if oracle._commitment_ok(
+                r, u.min_up, u.min_down, u.pre_offline)] for u in inst.units]
+        return [[list(r) for r in combo]
+                for combo in itertools.product(*per_unit)]
+
+    @pytest.mark.parametrize("base", ["basic", "extended"])
+    @pytest.mark.parametrize("inst", [
+        make_instance([15.0] * 4, units=[
+            make_unit("g1", min_up=2, min_down=3, pre_offline=1),
+            make_unit("g2", min_up=3, min_down=2)]),
+        make_instance([15.0] * 3, units=[
+            make_unit("g1"), make_unit("g2", min_up=2, min_down=2),
+            make_unit("g3", min_down=3, pre_offline=2)]),
+        generate_instance(5, 2, 5),
+    ], ids=["2x4", "3x3", "seeded-2x5"])
+    def test_order_equals_the_product_over_a_row_list(self, inst, base):
+        got = [s.on_off for s in enumerate_schedules(inst, base, guard=10)]
+        assert got == self.listed_rows(inst, base)
+
+    def test_basic_rows_are_not_materialized(self):
+        # 2^18 rows as tuples take about 51 MB; the enumeration needs the
+        # current matrix only
+        inst = make_instance([15.0] * 18)
+        tracemalloc.start()
+        try:
+            first = list(itertools.islice(
+                enumerate_schedules(inst, "basic"), 1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert first[0].on_off == [[0] * 18]
+        assert first[-1].on_off == [[0] * 8 + [1, 1, 1, 1, 1, 0, 0, 1, 1, 1]]
 
 
 class TestOptimalDispatch:

@@ -1,13 +1,16 @@
 import logging
 import math
+import re
 import sys
 import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ucbench import (Model, SolveConfig, solve_external, solve_lp, solve_mip,
-                     build_model, FormulationChoice)
+from ucbench import (BASES, STARTUPS, Model, SolveConfig, solve_external,
+                     solve_lp, solve_mip, build_model, FormulationChoice,
+                     generate_instance)
 from ucbench import solver
 from ucbench.solver import SolutionParseError, parse_solution_file
 
@@ -179,7 +182,15 @@ class TestSolveMip:
                  if r.name == "ucbench.solver"]
         assert len(lines) == 1
         assert lines[0].startswith(f"mip: optimal after {res.nodes} nodes, "
-                                   f"{res.iterations} LP iterations")
+                                   f"{res.iterations} LP iterations; ")
+        counts = re.search(
+            r"dual simplex finished (\d+) child nodes, handed (\d+) to the "
+            r"primal \(not dual feasible (\d+), stall (\d+), singular "
+            r"(\d+), small pivot (\d+)\)", lines[0])
+        done, handed, *why = map(int, counts.groups())
+        assert done + handed == res.nodes - 1  # every node but the root
+        assert handed == sum(why)
+        assert done > 0
 
 
 def pair_demand(load, sense="="):
@@ -334,6 +345,127 @@ class TestVertexOracleAgreement:
             assert res.status == "optimal"
             assert ref is not None
             assert res.objective == pytest.approx(ref, abs=1e-6)
+
+
+def child_bounds(core, j, lo_j, up_j):
+    lo, up = core.struct_bounds()
+    lo[j], up[j] = lo_j, up_j
+    return lo, up
+
+
+def assert_same_outcome(warm, cold):
+    assert warm.status == cold.status
+    if cold.status == "optimal":
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9,
+                                               abs=1e-9)
+
+
+class TestWarmStart:
+    """A child LP re-optimised from its parent's optimal basis (the dual
+    simplex, or the primal it hands over to) must end as a cold solve
+    does: same status, objective within 1e-9 relative."""
+
+    @pytest.mark.parametrize("seed, n, T", [(1, 2, 3), (2, 2, 4)])
+    def test_both_children_of_each_fractional_binary(self, seed, n, T):
+        inst = generate_instance(seed, n, T)
+        ends = set()
+        for base in BASES:
+            for module in STARTUPS:
+                model, _ = build_model(
+                    inst, FormulationChoice(base, module, 0.0))
+                core = solver.LpCore(model)
+                root = core.solve()
+                assert root.status == "optimal"
+                xb = root.x[core.binary_ids]
+                for j in core.binary_ids[np.abs(xb - np.round(xb)) > 1e-6]:
+                    for val in (0.0, 1.0):
+                        lo, up = child_bounds(core, j, val, val)
+                        warm = core.solve(lo, up, (root.basis, root.vstat))
+                        cold = core.solve(lo, up)
+                        assert_same_outcome(warm, cold)
+                        assert warm.warm_end == "done"
+                        assert cold.warm_end == ""
+                        ends.add(cold.status)
+        assert ends == {"optimal", "infeasible"}
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 5), m=st.integers(1, 4))
+    def test_random_boxed_lps(self, data, n, m):
+        ints = st.integers(-6, 6)
+        model = Model("box")
+        x0 = []  # an integer point every row admits, so the root is optimal
+        for j in range(n):
+            lo = data.draw(st.integers(-5, 3))
+            up = lo + data.draw(st.integers(1, 6))
+            model.add_variable(f"x{j}", lo, up)
+            x0.append(data.draw(st.integers(lo, up)))
+        for i in range(m):
+            coeffs = [data.draw(ints) for _ in range(n)]
+            sense = data.draw(st.sampled_from(["<=", ">=", "="]))
+            slack = 0 if sense == "=" else data.draw(st.integers(0, 3))
+            rhs = float(np.dot(coeffs, x0))
+            model.add_constraint(f"r{i}", dict(enumerate(coeffs)), sense,
+                                 rhs + (slack if sense == "<=" else -slack))
+        model.set_objective({j: data.draw(ints) for j in range(n)})
+        core = solver.LpCore(model)
+        root = core.solve()
+        assert root.status == "optimal"
+        # fix, cap or floor one variable inside its old range
+        j = data.draw(st.integers(0, n - 1))
+        lo_j, up_j = core.lo[j], core.up[j]
+        cut = lo_j + data.draw(st.integers(0, 4)) / 4 * (up_j - lo_j)
+        lo_j, up_j = data.draw(st.sampled_from(
+            [(cut, cut), (lo_j, cut), (cut, up_j)]))
+        lo, up = child_bounds(core, j, lo_j, up_j)
+        warm = core.solve(lo, up, (root.basis, root.vstat))
+        assert warm.warm_end != ""
+        assert_same_outcome(warm, core.solve(lo, up))
+
+    def test_a_basis_that_is_not_dual_feasible_goes_to_the_primal(self):
+        m = Model("up")
+        x = m.add_variable("x", 0.0, 10.0)
+        m.add_constraint("cap", {x: 1.0}, "<=", 5.0)
+        m.set_objective({x: -1.0})  # x at its lower bound prices negative
+        core = solver.LpCore(m)
+        res = core.solve(warm=solver._cold_start(core.A, core.lo, core.up))
+        assert (res.status, res.objective) == ("optimal", -5.0)
+        assert res.warm_end == "not dual feasible"
+
+    @pytest.mark.parametrize("seed, n, T, module, optimum", [
+        # a child once took a 1.4e-10 dual pivot, and the wrecked basis
+        # ended the solve with "basis became singular"
+        (1, 3, 4, "one_bin", 6825.224555897937),
+        # the dual's pivots raised the basis condition number from 6e6 to
+        # 2e12 before it gave up, and the primal failed from there
+        (100061, 2, 3, "one_bin_star", 3113.413932024525),
+    ])
+    def test_tiny_pivots_go_to_the_primal(self, caplog, seed, n, T, module,
+                                          optimum):
+        inst = generate_instance(seed, n, T)
+        model, _ = build_model(
+            inst, FormulationChoice("extended", module, 0.0))
+        with caplog.at_level(logging.DEBUG, logger="ucbench.solver"):
+            res = solve_mip(model, SolveConfig(gap=0.0))
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(optimum, rel=1e-9)
+        line = caplog.records[-1].getMessage()
+        assert int(re.search(r"small pivot (\d+)", line).group(1)) > 0
+
+    def test_stalled_dual_hands_over_to_the_primal(self):
+        # from its slack basis the dual simplex cycles on this LP (134k
+        # iterations with no stall guard); the guard hands it to the primal
+        # after 10 (m + n) iterations without a rise of the dual objective
+        inst = generate_instance(8, 3, 6, with_network=True)
+        model, _ = build_model(
+            inst, FormulationChoice("extended", "temp", 0.0))
+        core = solver.LpCore(model)
+        cold = core.solve()
+        res = core.solve(warm=solver._cold_start(core.A, core.lo, core.up))
+        assert res.warm_end == "stall"
+        assert (res.status, cold.status) == ("optimal", "optimal")
+        assert res.objective == pytest.approx(cold.objective, rel=1e-9)
+        assert res.iterations <= 10 * (core.m + len(core.c)) \
+            + 4 * cold.iterations
 
 
 class TestExternalBridge:
