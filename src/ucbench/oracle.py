@@ -78,11 +78,22 @@ def enumerate_schedules(instance: Instance, base: str = "basic",
         for flat in product((0, 1), repeat=n * T):
             yield Schedule([list(flat[i:i + T]) for i in range(0, n * T, T)])
         return
-    ok_rows = [[r for r in product((0, 1), repeat=T)
-                if _commitment_ok(r, u.min_up, u.min_down, u.pre_offline)]
-               for u in instance.units]
-    for combo in product(*ok_rows):
-        yield Schedule([list(r) for r in combo])
+
+    def admissible(u):
+        return (r for r in product((0, 1), repeat=T)
+                if _commitment_ok(r, u.min_up, u.min_down, u.pre_offline))
+
+    if not instance.units:
+        yield Schedule([])
+        return
+    first, *others = instance.units
+    # the first unit's rows stream (product would hold them all); each
+    # later unit's rows repeat, so they are listed: n >= 2 units keep
+    # T <= guard / 2, i.e. at most 2^12 rows each under the default guard
+    later = [list(admissible(u)) for u in others]
+    for head in admissible(first):
+        for tail in product(*later):
+            yield Schedule([list(head)] + [list(r) for r in tail])
 
 
 def _commitment_ok(row, min_up: int, min_down: int, pre_offline: int) -> bool:

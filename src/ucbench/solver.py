@@ -11,28 +11,38 @@ work, that each row can be met within the variable bounds
 once. The check changes no row and no bound, and it reports infeasible
 only where the simplex could not have reported optimal.
 
-A cold start (every ``solve_lp`` and every branch-and-bound root) runs
-the primal loop from the slack basis. Its Phase I is the composite
+Every LP takes one path. It starts from a warm basis when one is given
+(every branch-and-bound node but the root, from its parent's optimal
+basis) and from the slack basis otherwise (every ``solve_lp``, every
+root), and it always runs the dual simplex first. Both bases are dual
+feasible on every unit-commitment model: fixing a binary keeps the
+parent's reduced costs sign-correct, and the slack basis rests each
+structural at its lower bound when finite (0 on these models), where a
+cost >= 0 prices correctly. The leaving row is chosen by dual steepest edge
+(Forrest & Goldfarb, Math. Prog. 57, 1992): the largest viol^2 /
+||Binv[r]||^2 among the rows outside their bounds by more than FEAS_TOL,
+ties going to the lowest row. The weights are exact, computed from the
+dense inverse each iteration at the O(m^2) cost of the rank-1 update,
+so no reference framework and no update formulas are needed. The
+entering column minimizes |reduced cost| / |pivot-row entry| over the
+columns that push the leaving variable back, ties going to the largest
+entry and then to the lowest index. The dual reports infeasible only
+when a fresh refactorization still shows a violated row no column can
+repair, and optimal only through a fresh refactorization, a
+dual-feasibility recheck and the same bound and residual checks
+(``_finish``) as the primal.
+
+The dual hands the LP to the primal loop when its start basis is not
+dual feasible (a negative cost at a lower bound, say), when a
+refactorization is singular, when the only pivots left are below
+DUAL_PIVOT_TOL, or when the dual objective has not risen for 10·(m+n)
+iterations (degenerate cycling). The primal then restarts from the
+start basis itself, not from the dual's last one, so such an LP is
+solved exactly as a primal-only solver solves it from that basis; the
+dual's iterations still count. The primal's Phase I is the composite
 method: instead of artificial variables it minimizes the total bound
 violation of the current basic solution, so it can start from any
-basis. A warm start (every other branch-and-bound node, from its
-parent's optimal basis) runs the dual simplex first. Fixing a binary
-leaves that basis dual feasible, so the dual re-optimizes it in a few
-pivots: the leaving row is the basic variable farthest outside its
-bounds; the entering column minimizes |reduced cost| / |pivot-row entry|
-over the columns that push it back, ties going to the largest entry and
-then to the lowest index. The dual reports infeasible only when a fresh
-refactorization still shows a violated row no column can repair, and
-optimal only through a fresh refactorization, a dual-feasibility
-recheck and the same bound and residual checks (``_finish``) as the
-primal. It hands the LP to the primal loop when the basis is not dual
-feasible, when a refactorization is singular, when the only pivots left
-are below DUAL_PIVOT_TOL, or when the dual objective has not risen for
-10·(m+n) iterations (degenerate cycling). The primal then restarts from
-the warm basis itself, so such a node is solved exactly as a
-primal-only solver solves it; the dual's iterations still count. The
-cold path is the primal alone, so root objectives and iteration counts
-do not depend on the dual.
+basis; Phase II prices by Dantzig's rule with a Bland fallback.
 
 MIP solving is best-first branch-and-bound on binary variables, fully
 deterministic: node selection by (bound, creation index), branching on
@@ -44,8 +54,8 @@ objective is kept as ``Solution.root_bound`` (NaN unless that LP is
 optimal), so a caller that wants both z_LP and z_MIP needs one run.
 ``Solution.iterations`` of a MIP is the LP iteration count summed over
 all nodes. One DEBUG line per ``solve_mip`` reports status, nodes,
-iterations, how many child nodes the dual finished and how many it
-handed to the primal (by reason), root and best bound, and seconds.
+iterations, how many nodes the dual finished and how many it handed to
+the primal (by reason), root and best bound, and seconds.
 
 ``solve_external`` ships a model to any command-line solver via MPS and
 reads the solution back from a file (two-column text or an XML-like
@@ -134,8 +144,8 @@ class _LpResult:
     vstat: np.ndarray | None
     iterations: int
     message: str = ""
-    warm_end: str = ""            # warm starts: "done" if the dual simplex
-                                  # ended the solve, else why it handed over
+    dual_end: str = ""            # "done" if the dual simplex ended the
+                                  # solve, else why it handed it over
 
 
 class LpCore:
@@ -188,7 +198,8 @@ class LpCore:
 
 
 def _cold_start(A, lo, up):
-    """Slack basis; structural variables rest at their bound nearest zero."""
+    """Slack basis; each structural rests at its lower bound when finite,
+    else at its upper bound when finite, else free at 0."""
     m, n = A.shape
     ns = n - m
     basis = np.arange(ns, n, dtype=np.int64)
@@ -216,9 +227,10 @@ def _nonbasic_values(vstat, lo, up):
 def _simplex(A, b, c, lo, up, warm=None) -> _LpResult:
     """Bounded-variable simplex over a dense basis inverse.
 
-    A warm basis goes to the dual simplex, which hands it to the primal
-    loop unless it ends the solve itself; a cold start goes to the primal
-    loop directly (see ``_Simplex``)."""
+    The dual simplex runs first from the warm basis, if one is given and
+    inverts, else from the slack basis; the primal loop restarts from
+    that same basis when the dual hands the LP over (see the module
+    docstring)."""
     m, n = A.shape
     if np.any(lo > up):
         return _LpResult("infeasible", math.nan, None, None, None, 0,
@@ -240,33 +252,28 @@ def _simplex(A, b, c, lo, up, warm=None) -> _LpResult:
         if (len(basis) != m or len(np.unique(basis)) != m
                 or basis.min() < 0 or basis.max() >= n):
             basis, vstat = None, None
-    warm_end = "" if basis is None else "done"
+    if basis is not None:
+        Binv = _factorize(A, basis)
+        if Binv is None:  # degenerate warm basis; start cold
+            basis = None
     if basis is None:
-        basis, vstat = _cold_start(A, lo, up)
-
-    Binv = _factorize(A, basis)
-    if Binv is None:  # degenerate warm basis; restart cold
-        warm_end = "singular" if warm_end else ""
         basis, vstat = _cold_start(A, lo, up)
         Binv = _factorize(A, basis)
         if Binv is None:
             return _LpResult("error", math.nan, None, None, None, 0,
                              "singular slack basis")
 
-    run = _Simplex(A, b, c, lo, up, basis, vstat, Binv)
-    if warm_end == "done":  # a warm basis that inverted: dual first
-        res = run.dual()
-        if isinstance(res, str):
-            # the primal restarts from the warm basis, not from the
-            # dual's last one, which can be far worse conditioned
-            warm_end = res
-            basis, vstat = warm[0].copy(), warm[1].copy()
-            run = _Simplex(A, b, c, lo, up, basis, vstat,
-                           _factorize(A, basis), iters=run.iters)
-            res = run.primal()
-    else:
+    run = _Simplex(A, b, c, lo, up, basis.copy(), vstat.copy(), Binv)
+    res = run.dual()
+    dual_end = "done"
+    if isinstance(res, str):
+        # the primal restarts from the start basis, not from the dual's
+        # last one, which can be far worse conditioned
+        dual_end = res
+        run = _Simplex(A, b, c, lo, up, basis, vstat, _factorize(A, basis),
+                       iters=run.iters)
         res = run.primal()
-    res.warm_end = warm_end
+    res.dual_end = dual_end
     return res
 
 
@@ -275,12 +282,13 @@ class _Simplex:
 
     ``primal`` has a composite (violation-driven) Phase I, Dantzig
     pricing, and a Bland fallback against cycling. ``dual`` is the
-    bounded dual simplex. Both change the basis only through ``pivot``
-    (a rank-1 update of Binv, refactorized every REFACTOR_EVERY pivots)
-    and ``refresh``. The state lives on an object rather than in nested
-    closures: under CPython 3.11, closures over 20 variables made per
-    solve raised a process's peak RSS by about 0.3 MB (their freed
-    closure tuples piled up until a full garbage collection)."""
+    bounded dual simplex with dual steepest-edge pricing. Both change the
+    basis only through ``pivot`` (a rank-1 update of Binv, refactorized
+    every REFACTOR_EVERY pivots) and ``refresh``. The state lives on an
+    object rather than in nested closures: under CPython 3.11, closures
+    over 20 variables made per solve raised a process's peak RSS by about
+    0.3 MB (their freed closure tuples piled up until a full garbage
+    collection)."""
 
     def __init__(self, A, b, c, lo, up, basis, vstat, Binv, iters=0):
         self.A, self.b, self.c, self.lo, self.up = A, b, c, lo, up
@@ -390,18 +398,22 @@ class _Simplex:
                     return self.error("basis became singular")
                 continue
 
-            # leaving row: the basic variable farthest outside its bounds
+            # leaving row by dual steepest edge: the largest viol^2 /
+            # ||Binv[r]||^2, with exact weights from the dense inverse
             short = lo[basis] - xB
             over = xB - up[basis]
             viol = np.maximum(short, over)
-            r = int(np.argmax(viol))  # first max -> lowest row on ties
-            if viol[r] <= FEAS_TOL:
+            out = viol > FEAS_TOL
+            if not out.any():
                 if self.fresh:
                     return _finish(A, b, c, lo, up, basis, vstat, xB,
                                    self.iters)
                 if not self.refresh():
                     return self.error("basis became singular")
                 continue
+            score = np.where(out, viol * viol, 0.0)
+            score /= np.einsum("ij,ij->i", Binv, Binv)
+            r = int(np.argmax(score))  # first max -> lowest row on ties
 
             # the dual objective is the current point's cost; it must rise
             obj_now = float(c[basis] @ xB + c @ xN)
@@ -673,37 +685,38 @@ def solve_mip(model: Model, config: SolveConfig | None = None) -> Solution:
 
     Deterministic: nodes are keyed by (LP bound of the parent, creation
     index); the branch variable is the most fractional binary, ties going
-    to the lowest variable id. The root LP is solved cold, whatever the
-    time budget, so ``root_bound`` is always, bit for bit, the relaxation
-    ``solve_lp`` would report. Each child LP starts from its parent's
-    optimal basis with the dual simplex, which hands the node to the
-    primal loop, restarted from that basis, if the basis is not dual
-    feasible, turns singular, is left with only tiny pivots or stalls
-    (see the module docstring). Among degenerate optima the dual may end
-    a child on another optimal basis than the primal would, so node
-    counts, and the incumbent a gap stop returns, can differ from a
-    primal-only tree; a proven optimum does not.
+    to the lowest variable id. The root LP is solved from the slack basis,
+    whatever the time budget, so ``root_bound`` is always, bit for bit,
+    the relaxation ``solve_lp`` would report. Each child LP starts from
+    its parent's optimal basis. Every node runs the dual simplex first,
+    which hands the node to the primal loop, restarted from the node's
+    start basis, if that basis is not dual feasible, turns singular, is
+    left with only tiny pivots or stalls (see the module docstring).
+    Among degenerate optima the dual may end a node on another optimal
+    basis than the primal would, so node counts, and the incumbent a gap
+    stop returns, can differ from a primal-only tree; a proven optimum
+    does not.
     """
     config = config or SolveConfig()
     core = LpCore(model)
     t0 = time.monotonic()
-    warm_ends = Counter()
-    sol = _branch_and_bound(core, config, t0, warm_ends)
+    dual_ends = Counter()
+    sol = _branch_and_bound(core, config, t0, dual_ends)
     if log.isEnabledFor(logging.DEBUG):
+        why = [dual_ends[k] for k in ("not dual feasible", "stall",
+                                      "singular", "small pivot")]
         log.debug("mip: %s after %d nodes, %d LP iterations; dual simplex "
-                  "finished %d child nodes, handed %d to the primal (not "
+                  "finished %d of %d nodes, handed %d to the primal (not "
                   "dual feasible %d, stall %d, singular %d, small pivot %d); "
                   "root bound %r, best bound %r; %.3f s", sol.status,
-                  sol.nodes, sol.iterations, warm_ends["done"],
-                  sum(warm_ends.values()) - warm_ends["done"],
-                  warm_ends["not dual feasible"], warm_ends["stall"],
-                  warm_ends["singular"], warm_ends["small pivot"],
-                  sol.root_bound, sol.best_bound, time.monotonic() - t0)
+                  sol.nodes, sol.iterations, dual_ends["done"], sol.nodes,
+                  sum(why), *why, sol.root_bound, sol.best_bound,
+                  time.monotonic() - t0)
     return sol
 
 
 def _branch_and_bound(core: LpCore, config: SolveConfig, t0: float,
-                      warm_ends: Counter) -> Solution:
+                      dual_ends: Counter) -> Solution:
     lo0, up0 = core.struct_bounds()
     bin_ids = core.binary_ids
     incumbent = math.inf
@@ -738,8 +751,7 @@ def _branch_and_bound(core: LpCore, config: SolveConfig, t0: float,
             break
 
         res = core.solve(lo, up, warm)
-        if warm is not None:  # every node but the root
-            warm_ends[res.warm_end] += 1
+        dual_ends[res.dual_end] += 1
         nodes_solved += 1
         iterations += res.iterations
         if nodes_solved == 1 and res.status == "optimal":

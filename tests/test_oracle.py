@@ -90,14 +90,16 @@ class TestEnumerateSchedules:
         got = [s.on_off for s in enumerate_schedules(inst, base, guard=10)]
         assert got == self.listed_rows(inst, base)
 
-    def test_basic_rows_are_not_materialized(self):
-        # 2^18 rows as tuples take about 51 MB; the enumeration needs the
-        # current matrix only
+    @pytest.mark.parametrize("base", ["basic", "extended"])
+    def test_one_units_rows_are_not_materialized(self, base):
+        # 2^18 rows as tuples take about 51 MB; with min_up = min_down = 1
+        # the extended base admits every one of them, and the enumeration
+        # needs the current matrix only
         inst = make_instance([15.0] * 18)
         tracemalloc.start()
         try:
             first = list(itertools.islice(
-                enumerate_schedules(inst, "basic"), 1000))
+                enumerate_schedules(inst, base), 1000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,8 +1,11 @@
 import logging
 import math
+import os
 import re
+import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +70,39 @@ class TestSolveLp:
             return r.objective, tuple(sorted(r.values.items()))
 
         assert run() == run()
+
+    def test_lp_that_once_ended_on_a_singular_basis(self):
+        # the primal from the slack basis took a 3.4e-10 pivot here and,
+        # five checkpoint restores later, gave up after 567 iterations
+        model, _ = build_model(generate_instance(200237, 2, 4),
+                               FormulationChoice("extended", "one_bin_star",
+                                                 0.0))
+        res = solve_lp(model)
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(4856.107098031237, rel=1e-9)
+
+    def test_two_blas_threads(self):
+        # under two BLAS threads the primal from the slack basis once ended
+        # "basis became singular" after 14744 iterations on this LP
+        script = textwrap.dedent("""
+            from ucbench import (FormulationChoice, build_model,
+                                 generate_instance, solve_lp)
+            model, _ = build_model(generate_instance(1, 3, 12),
+                                   FormulationChoice("extended", "one_bin",
+                                                     0.0))
+            res = solve_lp(model)
+            print(res.status, repr(res.objective))
+        """)
+        src = Path(solver.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            env[var] = "2"
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=300,
+                             check=True).stdout.split()
+        assert out[0] == "optimal"
+        assert float(out[1]) == pytest.approx(32614.45999937468, rel=1e-9)
 
 
 class TestSolveMip:
@@ -184,11 +220,12 @@ class TestSolveMip:
         assert lines[0].startswith(f"mip: optimal after {res.nodes} nodes, "
                                    f"{res.iterations} LP iterations; ")
         counts = re.search(
-            r"dual simplex finished (\d+) child nodes, handed (\d+) to the "
-            r"primal \(not dual feasible (\d+), stall (\d+), singular "
+            r"dual simplex finished (\d+) of (\d+) nodes, handed (\d+) to "
+            r"the primal \(not dual feasible (\d+), stall (\d+), singular "
             r"(\d+), small pivot (\d+)\)", lines[0])
-        done, handed, *why = map(int, counts.groups())
-        assert done + handed == res.nodes - 1  # every node but the root
+        done, nodes, handed, *why = map(int, counts.groups())
+        assert nodes == res.nodes
+        assert done + handed == res.nodes  # the root included
         assert handed == sum(why)
         assert done > 0
 
@@ -353,6 +390,28 @@ def child_bounds(core, j, lo_j, up_j):
     return lo, up
 
 
+def primal_only(core, lo, up):
+    """The primal loop alone from the slack basis, as a reference."""
+    basis, vstat = solver._cold_start(core.A, lo, up)
+    return solver._Simplex(core.A, core.b, core.c, lo, up, basis, vstat,
+                           solver._factorize(core.A, basis)).primal()
+
+
+def solve_counting_cold_starts(core, *args):
+    """``core.solve(*args)`` and how many times it built the slack basis;
+    a warm basis that is used builds none."""
+    real, calls = solver._cold_start, []
+
+    def counting(*a):
+        calls.append(a)
+        return real(*a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_cold_start", counting)
+        res = core.solve(*args)
+    return res, len(calls)
+
+
 def assert_same_outcome(warm, cold):
     assert warm.status == cold.status
     if cold.status == "optimal":
@@ -361,9 +420,11 @@ def assert_same_outcome(warm, cold):
 
 
 class TestWarmStart:
-    """A child LP re-optimised from its parent's optimal basis (the dual
-    simplex, or the primal it hands over to) must end as a cold solve
-    does: same status, objective within 1e-9 relative."""
+    """Every LP runs the dual simplex first, from a warm basis when one is
+    given and from the slack basis otherwise, and hands over to the primal
+    loop restarted from that same basis. A child LP re-optimised from its
+    parent's optimal basis must end as a cold solve and as the primal
+    loop alone do: same status, objective within 1e-9 relative."""
 
     @pytest.mark.parametrize("seed, n, T", [(1, 2, 3), (2, 2, 4)])
     def test_both_children_of_each_fractional_binary(self, seed, n, T):
@@ -376,16 +437,21 @@ class TestWarmStart:
                 core = solver.LpCore(model)
                 root = core.solve()
                 assert root.status == "optimal"
+                assert root.dual_end == "done"
                 xb = root.x[core.binary_ids]
                 for j in core.binary_ids[np.abs(xb - np.round(xb)) > 1e-6]:
                     for val in (0.0, 1.0):
                         lo, up = child_bounds(core, j, val, val)
-                        warm = core.solve(lo, up, (root.basis, root.vstat))
-                        cold = core.solve(lo, up)
-                        assert_same_outcome(warm, cold)
-                        assert warm.warm_end == "done"
-                        assert cold.warm_end == ""
-                        ends.add(cold.status)
+                        warm, warm_cold_starts = solve_counting_cold_starts(
+                            core, lo, up, (root.basis, root.vstat))
+                        cold, cold_cold_starts = solve_counting_cold_starts(
+                            core, lo, up)
+                        primal = primal_only(core, lo, up)
+                        assert_same_outcome(warm, primal)
+                        assert_same_outcome(cold, primal)
+                        assert (warm_cold_starts, cold_cold_starts) == (0, 1)
+                        assert warm.dual_end == cold.dual_end == "done"
+                        ends.add(primal.status)
         assert ends == {"optimal", "infeasible"}
 
     @settings(derandomize=True, max_examples=150, deadline=None)
@@ -417,9 +483,34 @@ class TestWarmStart:
         lo_j, up_j = data.draw(st.sampled_from(
             [(cut, cut), (lo_j, cut), (cut, up_j)]))
         lo, up = child_bounds(core, j, lo_j, up_j)
-        warm = core.solve(lo, up, (root.basis, root.vstat))
-        assert warm.warm_end != ""
-        assert_same_outcome(warm, core.solve(lo, up))
+        warm, cold_starts = solve_counting_cold_starts(
+            core, lo, up, (root.basis, root.vstat))
+        assert cold_starts == 0
+        assert_same_outcome(warm, primal_only(core, lo, up))
+
+    def test_leaving_row_by_dual_steepest_edge(self):
+        # from basis (x, s_r1): x = 15 is 5 over its bound with
+        # ||Binv[0]||^2 = 100, s_r1 = 1 is 1 over with ||Binv[1]||^2 = 1;
+        # so row 1 leaves (score 1 against 0.25), not the larger violation
+        m = Model("dse")
+        x = m.add_variable("x", 0.0, 10.0)
+        y = m.add_variable("y", 0.0, 10.0)
+        m.add_constraint("r0", {x: 0.1, y: 1.0}, "=", 1.5)
+        m.add_constraint("r1", {y: 1.0}, ">=", 1.0)
+        m.set_objective({y: 1.0})
+        core = solver.LpCore(m)
+        basis = np.array([0, 3])
+        vstat = np.array([solver._BASIC, solver._AT_LOWER, solver._AT_LOWER,
+                          solver._BASIC], dtype=np.int8)
+        run = solver._Simplex(core.A, core.b, core.c, core.lo, core.up,
+                              basis.copy(), vstat.copy(),
+                              solver._factorize(core.A, basis))
+        run.max_iter = 1
+        assert run.dual().message == "iteration limit exceeded"
+        assert run.basis.tolist() == [0, 1]  # y replaced s_r1
+        res = core.solve(warm=(basis, vstat))
+        assert (res.status, res.objective, res.dual_end) == ("optimal", 1.0,
+                                                             "done")
 
     def test_a_basis_that_is_not_dual_feasible_goes_to_the_primal(self):
         m = Model("up")
@@ -427,9 +518,23 @@ class TestWarmStart:
         m.add_constraint("cap", {x: 1.0}, "<=", 5.0)
         m.set_objective({x: -1.0})  # x at its lower bound prices negative
         core = solver.LpCore(m)
-        res = core.solve(warm=solver._cold_start(core.A, core.lo, core.up))
-        assert (res.status, res.objective) == ("optimal", -5.0)
-        assert res.warm_end == "not dual feasible"
+        for warm in (None, solver._cold_start(core.A, core.lo, core.up)):
+            res = core.solve(warm=warm)
+            assert (res.status, res.objective) == ("optimal", -5.0)
+            assert res.dual_end == "not dual feasible"
+
+    def test_tiny_pivots_go_to_the_primal(self):
+        # the only column that can repair the violated row enters with a
+        # pivot of 1e-8, below DUAL_PIVOT_TOL but above the primal's
+        m = Model("tiny")
+        x = m.add_variable("x", 0.0, 10.0)
+        m.add_constraint("floor", {x: 1e-8}, ">=", 1e-8)
+        m.set_objective({x: 1.0})
+        core = solver.LpCore(m)
+        res = core.solve()
+        assert res.dual_end == "small pivot"
+        assert (res.status, res.objective) == ("optimal", 1.0)
+        assert res.iterations == 1  # the primal's pivot; the dual took none
 
     @pytest.mark.parametrize("seed, n, T, module, optimum", [
         # a child once took a 1.4e-10 dual pivot, and the wrecked basis
@@ -439,33 +544,43 @@ class TestWarmStart:
         # 2e12 before it gave up, and the primal failed from there
         (100061, 2, 3, "one_bin_star", 3113.413932024525),
     ])
-    def test_tiny_pivots_go_to_the_primal(self, caplog, seed, n, T, module,
-                                          optimum):
+    def test_mips_that_once_met_tiny_dual_pivots(self, seed, n, T, module,
+                                                 optimum):
         inst = generate_instance(seed, n, T)
         model, _ = build_model(
             inst, FormulationChoice("extended", module, 0.0))
-        with caplog.at_level(logging.DEBUG, logger="ucbench.solver"):
-            res = solve_mip(model, SolveConfig(gap=0.0))
+        res = solve_mip(model, SolveConfig(gap=0.0))
         assert res.status == "optimal"
         assert res.objective == pytest.approx(optimum, rel=1e-9)
-        line = caplog.records[-1].getMessage()
-        assert int(re.search(r"small pivot (\d+)", line).group(1)) > 0
 
-    def test_stalled_dual_hands_over_to_the_primal(self):
-        # from its slack basis the dual simplex cycles on this LP (134k
-        # iterations with no stall guard); the guard hands it to the primal
-        # after 10 (m + n) iterations without a rise of the dual objective
+    def test_stalled_dual_hands_over_to_the_primal(self, monkeypatch):
+        # the dual simplex solves this LP from its slack basis, but not
+        # without runs of pivots that leave the dual objective where it
+        # was; with the stall guard lowered to 5 such pivots it hands the
+        # LP to the primal, which restarts from the slack basis
         inst = generate_instance(8, 3, 6, with_network=True)
         model, _ = build_model(
             inst, FormulationChoice("extended", "temp", 0.0))
         core = solver.LpCore(model)
         cold = core.solve()
-        res = core.solve(warm=solver._cold_start(core.A, core.lo, core.up))
-        assert res.warm_end == "stall"
-        assert (res.status, cold.status) == ("optimal", "optimal")
-        assert res.objective == pytest.approx(cold.objective, rel=1e-9)
-        assert res.iterations <= 10 * (core.m + len(core.c)) \
-            + 4 * cold.iterations
+        primal = primal_only(core, core.lo, core.up)
+        assert (cold.status, cold.dual_end) == ("optimal", "done")
+        assert primal.status == "optimal"
+        assert cold.objective == pytest.approx(primal.objective, rel=1e-9)
+
+        dual = solver._Simplex.dual
+
+        def impatient_dual(run):
+            run.stall_limit = 5
+            return dual(run)
+
+        monkeypatch.setattr(solver._Simplex, "dual", impatient_dual)
+        res = core.solve()
+        assert (res.status, res.dual_end) == ("optimal", "stall")
+        # the primal ran as it runs alone; the dual's iterations still count
+        assert res.objective == primal.objective
+        assert np.array_equal(res.x, primal.x)
+        assert res.iterations > primal.iterations + 5
 
 
 class TestExternalBridge:
