@@ -17,20 +17,17 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from random import Random
 
 from .domain import (Instance, Line, Network, Unit, check_instance,
                      load_instance)
-from .formulations import STARTUPS, FormulationChoice, build_model
+from .formulations import BASES, STARTUPS, FormulationChoice, build_model
 from .solver import SolveConfig, solve_external, solve_lp, solve_mip
 
 __all__ = ["BenchConfig", "GapRow", "generate_instance", "measure_gap",
            "run_benchmark"]
-
-CSV_HEADER = ("instance,formulation,ktol,z_mip,z_lp,gap_abs,gap_rel,"
-              "wall_ms,nodes,status,backend")
 
 
 def generate_instance(seed: int, n_units: int, T: int,
@@ -108,7 +105,8 @@ def generate_instance(seed: int, n_units: int, T: int,
 
 @dataclass
 class GapRow:
-    """One benchmark measurement; column order mirrors CSV_HEADER."""
+    """One benchmark measurement; its fields, in order, are the CSV
+    columns."""
 
     instance: str
     formulation: str
@@ -121,11 +119,6 @@ class GapRow:
     nodes: int
     status: str
     backend: str
-
-    def to_list(self) -> list:
-        return [self.instance, self.formulation, self.ktol, self.z_mip,
-                self.z_lp, self.gap_abs, self.gap_rel, self.wall_ms,
-                self.nodes, self.status, self.backend]
 
 
 @dataclass
@@ -156,11 +149,14 @@ class BenchConfig:
             if f not in STARTUPS:
                 raise ValueError(f"unknown formulation {f!r}; expected "
                                  f"subset of {STARTUPS}")
-        if self.base not in ("basic", "extended"):
-            raise ValueError(f"unknown base {self.base!r}")
+        if self.base not in BASES:
+            raise ValueError(f"unknown base {self.base!r}; expected one of "
+                             f"{BASES}")
         for k in self.ktols:
-            if k < 0:
+            if not k >= 0:  # also rejects nan
                 raise ValueError(f"ktol must be >= 0, got {k}")
+        # a bad gap or time limit fails here, before any row is measured
+        SolveConfig(self.gap, self.time_limit, self.backend)
 
     @classmethod
     def from_json(cls, path) -> "BenchConfig":
@@ -255,12 +251,14 @@ def gap_rows(config: BenchConfig) -> tuple[list[GapRow], dict[str, int]]:
 
 
 def write_csv(rows: list[GapRow], fh) -> None:
-    """Write CSV_HEADER and one line per row to the text stream ``fh``;
-    floats are written with repr, so they read back exactly."""
+    """Write a header of GapRow's field names and one line per row to the
+    text stream ``fh``; floats are written with repr, so they read back
+    exactly."""
+    names = [f.name for f in fields(GapRow)]
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
+    writer.writerow(names)
     for r in rows:
-        writer.writerow([_fmt(x) for x in r.to_list()])
+        writer.writerow([_fmt(getattr(r, n)) for n in names])
 
 
 def run_benchmark(config: BenchConfig, out_dir: str = ".") -> dict:

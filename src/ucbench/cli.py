@@ -1,9 +1,15 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
-invalid instance/model/config), 3 solve failure (solver reported an
+Exit codes: 0 success, 1 usage error (argparse rejects the command line),
+2 data error (an unreadable or invalid instance, model or config, or an
+output path that cannot be written), 3 solve failure (solver reported an
 error, or no result was produced within the budget). A model that is
 proven infeasible or unbounded is an *answer*, not a failure.
+
+Commands raise on bad data; :func:`cli` alone turns those exceptions
+into exit code 2. A command returns 2 or 3 itself only for outcomes that
+are not exceptions: ``validate``'s violations, ``solve``'s failed solve
+and ``oracle``'s inconclusive report.
 """
 
 from __future__ import annotations
@@ -13,25 +19,16 @@ import json
 import sys
 
 from .bench import BenchConfig, gap_rows, run_benchmark, write_csv
-from .domain import (InstanceFormatError, check_instance, load_instance,
-                     validate_instance)
-from .formulations import BASES, STARTUPS, FormulationChoice, build_model
-from .milp import MpsParseError, read_mps, write_mps
+from .domain import check_instance, load_instance, validate_instance
+from .formulations import (BASES, STARTUPS, FormulationChoice, _window,
+                           build_model)
+from .milp import read_mps, write_mps
 from .oracle import certify_equivalence
 from .solver import SolveConfig, solve_external, solve_mip
 from .startup import approximate_steps
 
-_DATA_ERRORS = (FileNotFoundError, IsADirectoryError, PermissionError,
-                json.JSONDecodeError, InstanceFormatError, MpsParseError,
-                ValueError, KeyError, TypeError)
-
-
-def _load(path: str):
-    try:
-        return load_instance(path), None
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, 2
+# InstanceFormatError, MpsParseError and JSONDecodeError are ValueErrors
+_DATA_ERRORS = (OSError, ValueError, KeyError, TypeError)
 
 
 def _choice(args) -> FormulationChoice:
@@ -40,10 +37,7 @@ def _choice(args) -> FormulationChoice:
 
 
 def _cmd_validate(args) -> int:
-    inst, err = _load(args.instance)
-    if inst is None:
-        return err
-    problems = validate_instance(inst)
+    problems = validate_instance(load_instance(args.instance))
     if problems:
         for p in problems:
             print(p)
@@ -53,41 +47,23 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    inst, err = _load(args.instance)
-    if inst is None:
-        return err
-    try:
-        model, _ = build_model(inst, _choice(args))
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(write_mps(model))
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    model, _ = build_model(load_instance(args.instance), _choice(args))
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(write_mps(model))
     print(f"wrote {args.out}: {model.n_variables} variables, "
           f"{model.n_constraints} constraints")
     return 0
 
 
-def _solve_config(args) -> SolveConfig:
-    return SolveConfig(gap=args.gap, time_limit=args.time_limit,
-                       backend=args.backend)
-
-
 def _cmd_solve(args) -> int:
     path = args.input
-    try:
-        if path.lower().endswith(".mps"):
-            with open(path, encoding="utf-8") as fh:
-                model = read_mps(fh.read())
-        else:
-            inst, err = _load(path)
-            if inst is None:
-                return err
-            model, _ = build_model(inst, _choice(args))
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    config = _solve_config(args)
+    if path.lower().endswith(".mps"):
+        with open(path, encoding="utf-8") as fh:
+            model = read_mps(fh.read())
+    else:
+        model, _ = build_model(load_instance(path), _choice(args))
+    config = SolveConfig(gap=args.gap, time_limit=args.time_limit,
+                         backend=args.backend)
     if config.backend == "reference":
         res = solve_mip(model, config)
     else:
@@ -112,77 +88,54 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gap(args) -> int:
-    try:
-        config = BenchConfig(
-            instances=[args.instance],
-            formulations=[f.strip() for f in args.formulations.split(",")
-                          if f.strip()],
-            base=args.base, ktols=[args.ktol], gap=args.gap,
-            time_limit=args.time_limit, backend=args.backend)
-        rows, _ = gap_rows(config)
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = BenchConfig(
+        instances=[args.instance],
+        formulations=[f.strip() for f in args.formulations.split(",")
+                      if f.strip()],
+        base=args.base, ktols=[args.ktol], gap=args.gap,
+        time_limit=args.time_limit, backend=args.backend)
+    rows, _ = gap_rows(config)
     write_csv(rows, sys.stdout)
     return 0
 
 
 def _cmd_bench(args) -> int:
-    try:
-        config = BenchConfig.from_json(args.config)
-        paths = run_benchmark(config, out_dir=args.out_dir)
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    paths = run_benchmark(BenchConfig.from_json(args.config),
+                          out_dir=args.out_dir)
     for kind, p in paths.items():
         print(f"{kind}: {p}")
     return 0
 
 
 def _cmd_approx(args) -> int:
-    inst, err = _load(args.instance)
-    if inst is None:
-        return err
-    try:
-        check_instance(inst)
-        for u in inst.units:
-            # same pricing window the model builders use: horizon plus the
-            # unit's recorded pre-horizon outage
-            sf = approximate_steps(u, inst.horizon + u.pre_offline,
-                                   args.ktol)
-            print(f"{u.id}: {sf.n_steps} steps (ktol={args.ktol!r})")
-            for s in sf.steps:
-                rng = f"[{s.lo}, {s.hi}]" if s.lo != s.hi else f"[{s.lo}]"
-                print(f"  off-time {rng}: {s.value!r}")
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    inst = load_instance(args.instance)
+    check_instance(inst)
+    for u in inst.units:
+        sf = approximate_steps(u, _window(inst, u), args.ktol)
+        print(f"{u.id}: {sf.n_steps} steps (ktol={args.ktol!r})")
+        for s in sf.steps:
+            rng = f"[{s.lo}, {s.hi}]" if s.lo != s.hi else f"[{s.lo}]"
+            print(f"  off-time {rng}: {s.value!r}")
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    inst, err = _load(args.instance)
-    if inst is None:
-        return err
-    try:
-        report = certify_equivalence(inst, base=args.base, guard=args.guard)
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = certify_equivalence(load_instance(args.instance),
+                                 base=args.base, guard=args.guard)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if report["conclusive"] else 3
 
 
 def _nonneg(text: str) -> float:
     val = float(text)
-    if val < 0:
+    if not val >= 0:  # also rejects nan
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return val
 
 
 def _positive(text: str) -> float:
     val = float(text)
-    if val <= 0:
+    if not val > 0:  # also rejects nan
         raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
     return val
 
@@ -260,11 +213,9 @@ def cli(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except ValueError as exc:
-        # flag values argparse cannot vet (negative gaps, zero budgets)
-        # surface here; they are usage errors, not data errors
+    except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 def main() -> None:

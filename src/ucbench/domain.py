@@ -8,7 +8,6 @@ step — there are no calendar semantics anywhere.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -198,20 +197,13 @@ class Instance:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False) + "\n"
 
     @classmethod
-    def from_dict(cls, d: dict, base_dir: Path | None = None) -> "Instance":
+    def from_dict(cls, d: dict) -> "Instance":
         horizon = _int(d, "horizon")
-        if "load" in d:
-            load_raw = d["load"]
-            if not isinstance(load_raw, list):
-                raise InstanceFormatError("load: expected an array of numbers")
-            load = [float(x) for x in load_raw]
-        elif "load_csv" in d:
-            path = Path(d["load_csv"])
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            load = _read_load_csv(path)
-        else:
-            raise InstanceFormatError("missing field: load (or load_csv)")
+        if "load" not in d:
+            raise InstanceFormatError("missing field: load")
+        if not isinstance(d["load"], list):
+            raise InstanceFormatError("load: expected an array of numbers")
+        load = [float(x) for x in d["load"]]
         units_raw = _expect(d, "units", list, "instance")
         units = [Unit.from_dict(u) for u in units_raw]
         network = None
@@ -222,7 +214,8 @@ class Instance:
 
 
 def load_instance(path: str | Path) -> Instance:
-    """Read an instance from a JSON file (see the README for the schema)."""
+    """Read an instance from a JSON file (the schema is in
+    docs/instance-format.md)."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -232,7 +225,7 @@ def load_instance(path: str | Path) -> Instance:
         ) from e
     if not isinstance(doc, dict):
         raise InstanceFormatError(f"{path}: top level must be an object")
-    return Instance.from_dict(doc, base_dir=path.parent)
+    return Instance.from_dict(doc)
 
 
 def save_instance(instance: Instance, path: str | Path) -> None:
@@ -387,16 +380,3 @@ def _int(d: dict, key: str, default: int | None = None) -> int:
         raise InstanceFormatError(f"field {key}: expected an integer, got {v!r}")
     return v
 
-
-def _read_load_csv(path: Path) -> list[float]:
-    out = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or not row[0].strip():
-                continue
-            try:
-                out.append(float(row[0]))
-            except ValueError as e:
-                raise InstanceFormatError(
-                    f"{path}:{lineno}: not a number: {row[0]!r}") from e
-    return out

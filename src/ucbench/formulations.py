@@ -68,7 +68,7 @@ class FormulationChoice:
         if self.startup not in STARTUPS:
             raise ValueError(f"unknown startup module {self.startup!r}; "
                              f"expected one of {STARTUPS}")
-        if self.ktol < 0:
+        if not self.ktol >= 0:  # also rejects nan
             raise ValueError(f"ktol must be >= 0, got {self.ktol}")
 
 

@@ -30,6 +30,7 @@ from itertools import product
 
 from .domain import (CostBreakdown, Instance, Schedule, check_instance,
                      offline_runs)
+from .formulations import BASES, STARTUPS, FormulationChoice
 from .milp import Model
 from .solver import SolveConfig, solve_lp, solve_mip
 from .startup import startup_cost
@@ -67,8 +68,8 @@ def enumerate_schedules(instance: Instance, base: str = "basic",
     consciously.
     """
     check_instance(instance)
-    if base not in ("basic", "extended"):
-        raise ValueError(f"unknown base {base!r}")
+    if base not in BASES:
+        raise ValueError(f"unknown base {base!r}; expected one of {BASES}")
     n, T = len(instance.units), instance.horizon
     if n * T > guard:
         raise ValueError(f"enumeration guard exceeded: units x horizon = "
@@ -327,7 +328,9 @@ def certify_equivalence(instance: Instance, base: str = "basic",
     """Solve all four formulations at exact costs (Ktol = 0) and compare
     against the enumeration optimum. Returns a JSON-ready report; any
     non-optimal solve marks it inconclusive instead of raising."""
-    from .formulations import FormulationChoice, build_model
+    # imported at call time, so that a wrapped formulations.build_model
+    # (perfbench's tracing wraps it) is the one called
+    from .formulations import build_model
 
     report: dict = {"instance": instance.name, "base": base,
                     "formulations": {}, "conclusive": True}
@@ -345,7 +348,7 @@ def certify_equivalence(instance: Instance, base: str = "basic",
         ref = None
 
     objectives = []
-    for startup in ("one_bin", "one_bin_star", "three_bin", "temp"):
+    for startup in STARTUPS:
         model, _ = build_model(instance,
                                FormulationChoice(base, startup, 0.0))
         res = solve_mip(model, SolveConfig(gap=0.0, time_limit=time_limit))
@@ -357,7 +360,7 @@ def certify_equivalence(instance: Instance, base: str = "basic",
             report["conclusive"] = False
         report["formulations"][startup] = entry
 
-    if ref is not None and len(objectives) == 4:
+    if ref is not None and len(objectives) == len(STARTUPS):
         scale = max(1.0, abs(ref))
         devs = [abs(z - ref) / scale for z in objectives]
         devs.append((max(objectives) - min(objectives)) / scale)

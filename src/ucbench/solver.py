@@ -100,9 +100,9 @@ class SolveConfig:
     backend: str = "reference"   # "reference" or an external command template
 
     def __post_init__(self):
-        if self.gap < 0:
+        if not self.gap >= 0:  # also rejects nan
             raise ValueError(f"gap must be >= 0, got {self.gap}")
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:  # also rejects nan
             raise ValueError(f"time limit must be > 0, got {self.time_limit}")
 
 

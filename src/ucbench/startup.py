@@ -86,7 +86,7 @@ def approximate_steps(unit: Unit, horizon: int, ktol: float) -> StepFunction:
     band at both ends, makes the sequence strictly increasing, and
     reproduces the exact costs when ``ktol`` is 0.
     """
-    if ktol < 0:
+    if not ktol >= 0:  # also rejects nan
         raise ValueError(f"ktol must be >= 0, got {ktol}")
     if horizon < 2:
         raise ValueError(f"horizon must be >= 2, got {horizon}")
@@ -113,7 +113,7 @@ def minimal_steps_oracle(unit: Unit, horizon: int, ktol: float) -> int:
     without sharing its reasoning. The tests use it as the reference
     step count for ``approximate_steps``.
     """
-    if ktol < 0:
+    if not ktol >= 0:  # also rejects nan
         raise ValueError(f"ktol must be >= 0, got {ktol}")
     if horizon < 2:
         raise ValueError(f"horizon must be >= 2, got {horizon}")

@@ -162,6 +162,14 @@ class TestBenchConfig:
             BenchConfig(base="fancy")
         with pytest.raises(ValueError, match="ktol"):
             BenchConfig(ktols=[-0.05])
+        with pytest.raises(ValueError, match="ktol"):
+            BenchConfig(ktols=[float("nan")])
+        with pytest.raises(ValueError, match="gap must be >= 0"):
+            BenchConfig(gap=-1.0)
+        with pytest.raises(ValueError, match="gap must be >= 0"):
+            BenchConfig(gap=float("nan"))
+        with pytest.raises(ValueError, match="time limit must be > 0"):
+            BenchConfig(time_limit=0.0)
 
     def test_from_json_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -215,13 +223,19 @@ class TestRunBenchmark:
             b = open(second[key], "rb").read()
             assert a == b, key
 
-    def test_row_failures_are_recorded_not_raised(self, tmp_path):
-        # a negative budget gap passes BenchConfig but fails per solve
-        cfg = self.config(formulations=["one_bin"], ktols=[0.0], gap=-1.0)
+    def test_row_failures_are_recorded_not_raised(self, tmp_path,
+                                                  monkeypatch):
+        import ucbench.bench as bench
+
+        def failing_build(instance, choice):
+            raise ValueError("build failed")
+
+        monkeypatch.setattr(bench, "build_model", failing_build)
+        cfg = self.config(formulations=["one_bin"], ktols=[0.0])
         paths = run_benchmark(cfg, out_dir=tmp_path)
         payload = json.loads(open(paths["json"], encoding="utf-8").read())
         (r,) = payload["rows"]
-        assert r["status"].startswith("error")
+        assert r["status"] == "error: build failed"
         assert r["z_mip"] is None  # NaN serialized as null
         summary = open(paths["summary"], encoding="utf-8").read().splitlines()
         assert summary[1] == "6,1,0"

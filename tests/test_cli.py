@@ -50,6 +50,11 @@ class TestUsage:
         assert cli(["solve", inst_file, "--gap", "-0.1"]) == 1
         assert cli(["solve", inst_file, "--time-limit", "0"]) == 1
         assert cli(["approx", inst_file, "--ktol", "-1"]) == 1
+        assert cli(["approx", inst_file, "--ktol", "nan"]) == 1
+        assert cli(["build", inst_file, "--formulation", "one_bin",
+                    "--ktol", "nan", "--out", "x.mps"]) == 1
+        assert cli(["solve", inst_file, "--gap", "nan"]) == 1
+        assert cli(["solve", inst_file, "--time-limit", "nan"]) == 1
 
 
 class TestValidate:
@@ -86,6 +91,13 @@ class TestBuild:
                     "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_out_under_a_file(self, inst_file, capsys):
+        out = inst_file + "/x.mps"
+        assert cli(["build", inst_file, "--formulation", "one_bin",
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSolve:
     def test_instance_to_optimum(self, inst_file, capsys):
@@ -117,6 +129,13 @@ class TestSolve:
         save_instance(make_instance([100.0, 100.0], name="heavy"), path)
         assert cli(["solve", str(path)]) == 0
         assert "status     infeasible" in capsys.readouterr().out
+
+    def test_out_in_a_missing_directory(self, inst_file, tmp_path, capsys):
+        out = tmp_path / "nodir" / "x.sol"
+        assert cli(["solve", inst_file, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.parent.exists()
 
     def test_backend_failure_exits_three(self, inst_file, capsys):
         assert cli(["solve", inst_file, "--backend", "false"]) == 3

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -119,8 +121,23 @@ class TestJsonRoundTrip:
         payload = make_instance([10.0]).to_dict()
         del payload["units"][0]["p_max"]
         p.write_text(json.dumps(payload))
-        with pytest.raises(InstanceFormatError):
+        with pytest.raises(InstanceFormatError, match="missing field: p_max"):
             load_instance(p)
+        payload = make_instance([10.0]).to_dict()
+        del payload["load"]
+        p.write_text(json.dumps(payload))
+        with pytest.raises(InstanceFormatError, match="missing field: load$"):
+            load_instance(p)
+
+    def test_documented_example_is_valid(self, tmp_path):
+        doc = (Path(__file__).resolve().parent.parent / "docs"
+               / "instance-format.md").read_text(encoding="utf-8")
+        example = re.search(r"```json\n(.*?)```", doc, re.S).group(1)
+        p = tmp_path / "example.json"
+        p.write_text(example)
+        inst = load_instance(p)
+        assert (inst.name, inst.horizon, len(inst.units)) == ("pair", 3, 2)
+        assert validate_instance(inst) == []
 
     def test_non_json_file_raises(self, tmp_path):
         p = tmp_path / "junk.json"

@@ -55,10 +55,27 @@ class TestSolveLp:
         assert solve_lp(m).status == "infeasible"
 
     def test_unbounded_direction_detected(self):
+        # no rows: the pure box shortcut
         m = Model("down")
         x = m.add_variable("x", 0.0, INF)
         m.set_objective({x: -1.0})
         assert solve_lp(m).status == "unbounded"
+        # a row: the primal simplex finds the ray x = y -> inf
+        m = Model("ray")
+        x = m.add_variable("x", 0.0, INF)
+        y = m.add_variable("y", 0.0, INF)
+        m.add_constraint("tie", {x: 1.0, y: -1.0}, "=", 0.0)
+        m.set_objective({x: -1.0})
+        res = solve_lp(m)
+        assert (res.status, res.best_bound) == ("unbounded", -INF)
+        # a binary: branch-and-bound reports the unbounded root
+        m = Model("ray_mip")
+        x = m.add_variable("x", 0.0, INF)
+        b = m.add_variable("b", 0, 1, "binary")
+        m.add_constraint("cover", {x: 1.0, b: -1.0}, ">=", 0.0)
+        m.set_objective({x: -1.0, b: 1.0})
+        res = solve_mip(m)
+        assert (res.status, res.best_bound) == ("unbounded", -INF)
 
     def test_degenerate_ties_are_deterministic(self):
         def run():
