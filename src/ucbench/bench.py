@@ -22,9 +22,10 @@ from pathlib import Path
 from random import Random
 
 from .domain import (Instance, Line, Network, Unit, check_instance,
-                     load_instance)
+                     load_instance, read_field, read_json_object)
 from .formulations import BASES, STARTUPS, FormulationChoice, build_model
 from .solver import SolveConfig, solve_external, solve_lp, solve_mip
+from .startup import check_ktol
 
 __all__ = ["BenchConfig", "GapRow", "generate_instance", "measure_gap",
            "run_benchmark"]
@@ -126,16 +127,16 @@ class BenchConfig:
     """What to run: instances (file paths and/or generator specs),
     formulations, step tolerances, and solve budget.
 
-    ``generate`` entries are dicts with keys seed, n_units, T and
-    optional volatility, with_network. ``record_timing`` keeps wall_ms
-    at 0 when off so reports are byte-deterministic across runs.
+    ``generate`` entries are keyword arguments of generate_instance: seed,
+    n_units, T and optional volatility, with_network. ``record_timing``
+    keeps wall_ms at 0 when off so reports are byte-deterministic.
     """
 
-    instances: list = field(default_factory=list)
-    generate: list = field(default_factory=list)
-    formulations: list = field(default_factory=lambda: list(STARTUPS))
+    instances: list[str] = field(default_factory=list)
+    generate: list[dict] = field(default_factory=list)
+    formulations: list[str] = field(default_factory=lambda: list(STARTUPS))
     base: str = "basic"
-    ktols: list = field(default_factory=lambda: [0.0, 0.05, 0.20])
+    ktols: list[float] = field(default_factory=lambda: [0.0, 0.05, 0.20])
     gap: float = 0.01
     time_limit: float = 60.0
     backend: str = "reference"
@@ -153,19 +154,19 @@ class BenchConfig:
             raise ValueError(f"unknown base {self.base!r}; expected one of "
                              f"{BASES}")
         for k in self.ktols:
-            if not k >= 0:  # also rejects nan
-                raise ValueError(f"ktol must be >= 0, got {k}")
+            check_ktol(k)
         # a bad gap or time limit fails here, before any row is measured
         SolveConfig(self.gap, self.time_limit, self.backend)
 
     @classmethod
     def from_json(cls, path) -> "BenchConfig":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        raw = read_json_object(path)
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(raw) - set(types)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key in raw:
+            read_field(raw, key, types[key])  # checked; 0 stays 0, not 0.0
         return cls(**raw)
 
 
@@ -219,11 +220,7 @@ def gap_rows(config: BenchConfig) -> tuple[list[GapRow], dict[str, int]]:
     Returns the rows sorted by (instance, formulation, ktol) and each
     instance's horizon by name."""
     instances: list[Instance] = [load_instance(p) for p in config.instances]
-    for spec in config.generate:
-        instances.append(generate_instance(
-            seed=spec["seed"], n_units=spec["n_units"], T=spec["T"],
-            volatility=spec.get("volatility", 0.3),
-            with_network=spec.get("with_network", False)))
+    instances += [generate_instance(**spec) for spec in config.generate]
     names: set[str] = set()
     for inst in instances:
         check_instance(inst)

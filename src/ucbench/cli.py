@@ -25,7 +25,7 @@ from .formulations import (BASES, STARTUPS, FormulationChoice, _window,
 from .milp import read_mps, write_mps
 from .oracle import certify_equivalence
 from .solver import SolveConfig, solve_external, solve_mip
-from .startup import approximate_steps
+from .startup import approximate_steps, check_ktol
 
 # InstanceFormatError, MpsParseError and JSONDecodeError are ValueErrors
 _DATA_ERRORS = (OSError, ValueError, KeyError, TypeError)
@@ -133,6 +133,15 @@ def _nonneg(text: str) -> float:
     return val
 
 
+def _ktol(text: str) -> float:
+    val = float(text)
+    try:
+        check_ktol(val)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return val
+
+
 def _positive(text: str) -> float:
     val = float(text)
     if not val > 0:  # also rejects nan
@@ -150,7 +159,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--formulation", required=required, default="one_bin",
                        choices=STARTUPS)
         p.add_argument("--base", default="basic", choices=BASES)
-        p.add_argument("--ktol", type=_nonneg, default=0.0)
+        p.add_argument("--ktol", type=_ktol, default=0.0)
 
     def add_solve_flags(p):
         p.add_argument("--gap", type=_nonneg, default=1e-6,
@@ -183,7 +192,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--formulations", required=True,
                    help="comma-separated subset of " + ",".join(STARTUPS))
     p.add_argument("--base", default="basic", choices=BASES)
-    p.add_argument("--ktol", type=_nonneg, default=0.0)
+    p.add_argument("--ktol", type=_ktol, default=0.0)
     add_solve_flags(p)
     p.set_defaults(func=_cmd_gap)
 
@@ -194,7 +203,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("approx", help="print per-unit step functions")
     p.add_argument("instance")
-    p.add_argument("--ktol", type=_nonneg, default=0.0)
+    p.add_argument("--ktol", type=_ktol, default=0.0)
     p.set_defaults(func=_cmd_approx)
 
     p = sub.add_parser("oracle", help="certify formulation equivalence")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 
@@ -73,39 +73,11 @@ class Unit:
         return out
 
     def to_dict(self) -> dict:
-        d = {
-            "id": self.id, "p_min": self.p_min, "p_max": self.p_max,
-            "ramp_up": self.ramp_up, "ramp_down": self.ramp_down,
-            "startup_ramp": self.startup_ramp,
-            "shutdown_ramp": self.shutdown_ramp,
-            "min_up": self.min_up, "min_down": self.min_down,
-            "cost_fixed_on": self.cost_fixed_on,
-            "cost_variable": self.cost_variable,
-            "startup_var_cost": self.startup_var_cost,
-            "startup_fixed_cost": self.startup_fixed_cost,
-            "heat_loss": self.heat_loss, "pre_offline": self.pre_offline,
-        }
-        if self.node is not None:
-            d["node"] = self.node
-        return d
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Unit":
-        return cls(
-            id=_expect(d, "id", str, "unit"),
-            p_min=_num(d, "p_min"), p_max=_num(d, "p_max"),
-            ramp_up=_num(d, "ramp_up"), ramp_down=_num(d, "ramp_down"),
-            startup_ramp=_num(d, "startup_ramp"),
-            shutdown_ramp=_num(d, "shutdown_ramp"),
-            min_up=_int(d, "min_up"), min_down=_int(d, "min_down"),
-            cost_fixed_on=_num(d, "cost_fixed_on"),
-            cost_variable=_num(d, "cost_variable"),
-            startup_var_cost=_num(d, "startup_var_cost"),
-            startup_fixed_cost=_num(d, "startup_fixed_cost"),
-            heat_loss=_num(d, "heat_loss"),
-            pre_offline=_int(d, "pre_offline", default=0),
-            node=d.get("node"),
-        )
+        return _from_fields(cls, d, "unit")
 
 
 @dataclass
@@ -147,28 +119,18 @@ class Network:
     def to_dict(self) -> dict:
         return {
             "nodes": [{"id": n, "gamma": g} for n, g in self.nodes.items()],
-            "lines": [{"id": l.id, "capacity": l.capacity, "alpha": dict(l.alpha)}
-                      for l in self.lines],
+            "lines": [asdict(line) for line in self.lines],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Network":
-        nodes_raw = _expect(d, "nodes", list, "network")
         nodes: dict[str, float] = {}
-        for i, nd in enumerate(nodes_raw):
-            if not isinstance(nd, dict):
-                raise InstanceFormatError(f"network.nodes[{i}]: expected object")
-            nodes[_expect(nd, "id", str, f"network.nodes[{i}]")] = _num(nd, "gamma")
-        lines = []
-        for i, ld in enumerate(_expect(d, "lines", list, "network")):
-            if not isinstance(ld, dict):
-                raise InstanceFormatError(f"network.lines[{i}]: expected object")
-            alpha = _expect(ld, "alpha", dict, f"network.lines[{i}]")
-            lines.append(Line(
-                id=_expect(ld, "id", str, f"network.lines[{i}]"),
-                capacity=_num(ld, "capacity"),
-                alpha={str(k): float(v) for k, v in alpha.items()},
-            ))
+        for i, nd in enumerate(read_field(d, "nodes", "list[dict]", "network")):
+            where = f"network.nodes[{i}]"
+            nodes[read_field(nd, "id", "str", where)] = \
+                read_field(nd, "gamma", "float", where)
+        lines = [_from_fields(Line, ld, f"network.lines[{i}]") for i, ld
+                 in enumerate(read_field(d, "lines", "list[dict]", "network"))]
         return cls(nodes=nodes, lines=lines)
 
 
@@ -198,34 +160,21 @@ class Instance:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Instance":
-        horizon = _int(d, "horizon")
-        if "load" not in d:
-            raise InstanceFormatError("missing field: load")
-        if not isinstance(d["load"], list):
-            raise InstanceFormatError("load: expected an array of numbers")
-        load = [float(x) for x in d["load"]]
-        units_raw = _expect(d, "units", list, "instance")
-        units = [Unit.from_dict(u) for u in units_raw]
-        network = None
-        if d.get("network") is not None:
-            network = Network.from_dict(d["network"])
+        horizon = read_field(d, "horizon", "int")
+        load = read_field(d, "load", "list[float]")
+        units = [_from_fields(Unit, u, f"units[{i}]")
+                 for i, u in enumerate(read_field(d, "units", "list[dict]"))]
+        network = read_field(d, "network", "dict | None", default=None)
+        if network is not None:
+            network = Network.from_dict(network)
         return cls(units=units, horizon=horizon, load=load, network=network,
-                   name=str(d.get("name", "instance")))
+                   name=read_field(d, "name", "str", default="instance"))
 
 
 def load_instance(path: str | Path) -> Instance:
     """Read an instance from a JSON file (the schema is in
     docs/instance-format.md)."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise InstanceFormatError(
-            f"{path}: malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from e
-    if not isinstance(doc, dict):
-        raise InstanceFormatError(f"{path}: top level must be an object")
-    return Instance.from_dict(doc)
+    return Instance.from_dict(read_json_object(path))
 
 
 def save_instance(instance: Instance, path: str | Path) -> None:
@@ -274,7 +223,7 @@ class CostBreakdown:
 
 
 class InstanceFormatError(ValueError):
-    """Raised when an instance document cannot be interpreted."""
+    """Raised when an instance or bench config cannot be interpreted."""
 
 
 def validate_instance(instance: Instance) -> list[str]:
@@ -284,7 +233,17 @@ def validate_instance(instance: Instance) -> list[str]:
     not exceptions: each entry names the offending entity and the broken
     rule so a CLI can print them verbatim.
     """
-    out: list[str] = []
+    named = [(f"unit {u.id}", vars(u)) for u in instance.units]
+    net = instance.network
+    if net is not None:
+        named += [(f"node {n}", {"gamma": g}) for n, g in net.nodes.items()]
+        for line in net.lines:
+            alpha = {f"alpha[{n}]": a for n, a in line.alpha.items()}
+            named.append((f"line {line.id}",
+                          {"capacity": line.capacity, **alpha}))
+    out = [f"{what}: {k} must be finite, got {v}" for what, values in named
+           for k, v in values.items()
+           if isinstance(v, float) and not math.isfinite(v)]
     for u in instance.units:
         out.extend(u.violations())
     seen: set[str] = set()
@@ -349,34 +308,64 @@ def offline_runs(schedule: Schedule, i: int, pre_offline: int
     return runs
 
 
-# --- small parsing helpers -------------------------------------------------
+# --- reading JSON documents ------------------------------------------------
 
-def _expect(d: dict, key: str, typ, where: str):
-    if key not in d:
-        raise InstanceFormatError(f"{where}: missing field {key!r}")
-    v = d[key]
-    if not isinstance(v, typ):
+def read_json_object(path: str | Path) -> dict:
+    """Parse the JSON file at ``path``, whose top level must be an object."""
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
         raise InstanceFormatError(
-            f"{where}.{key}: expected {typ.__name__}, got {type(v).__name__}")
-    return v
+            f"{path}: malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}"
+        ) from e
+    if not isinstance(doc, dict):
+        raise InstanceFormatError(f"{path}: top level must be an object")
+    return doc
 
 
-def _num(d: dict, key: str) -> float:
-    if key not in d:
-        raise InstanceFormatError(f"missing field: {key}")
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise InstanceFormatError(f"field {key}: expected a number, got {v!r}")
-    return float(v)
+# annotation -> (Python types of the JSON value, what a message expects)
+_KINDS = {"float": ((int, float), "a number"), "int": (int, "an integer"),
+          "bool": (bool, "a boolean"), "str": (str, "a string"),
+          "list": (list, "an array"), "dict": (dict, "an object")}
 
 
-def _int(d: dict, key: str, default: int | None = None) -> int:
-    if key not in d:
-        if default is not None:
-            return default
-        raise InstanceFormatError(f"missing field: {key}")
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise InstanceFormatError(f"field {key}: expected an integer, got {v!r}")
-    return v
+def read_field(d: dict, key: str, typ: str, where: str = "",
+               default=MISSING):
+    """Return ``d[key]`` checked against the annotation string ``typ``:
+    ``float`` (a number, never a boolean; returned as a float), ``int``,
+    ``bool``, ``str``, ``dict``, ``list[X]``, ``dict[str, X]`` or
+    ``X | None``. An absent key yields ``default`` when one is given.
+    ``where`` is the path of ``d`` in its document ("" at the top level),
+    so errors read ``units[0].p_min: expected a number, got True`` or
+    ``units[0]: missing field: p_max``."""
+    if key in d:
+        return _typed(d[key], typ, f"{where}.{key}" if where else key)
+    if default is MISSING:
+        raise InstanceFormatError(
+            f"{where}: missing field: {key}" if where else f"missing field: {key}")
+    return default
 
+
+def _typed(v, typ: str, path: str):
+    if typ.endswith(" | None"):
+        if v is None:
+            return None
+        typ = typ[:-len(" | None")]
+    kind, _, item = typ.partition("[")  # "list[float]": "list", "float]"
+    types, what = _KINDS[kind]
+    # Python's bool is an int; JSON's true is neither a number nor an integer
+    if not isinstance(v, types) or isinstance(v, bool) != (kind == "bool"):
+        raise InstanceFormatError(f"{path}: expected {what}, got {v!r:.40}")
+    if kind == "list" and item:
+        return [_typed(x, item[:-1], f"{path}[{i}]") for i, x in enumerate(v)]
+    if kind == "dict" and item:  # "str, X]": JSON keys are strings
+        return {k: _typed(x, item[5:-1], f"{path}.{k}") for k, x in v.items()}
+    return float(v) if kind == "float" else v
+
+
+def _from_fields(cls, d: dict, where: str):
+    """Build the dataclass ``cls`` from ``d``, reading each field by its
+    annotation; a field with a default may be absent."""
+    return cls(**{f.name: read_field(d, f.name, f.type, where, f.default)
+                  for f in fields(cls)})

@@ -41,7 +41,7 @@ import numpy as np
 
 from .domain import Instance, check_instance
 from .milp import INF, Model
-from .startup import StepFunction, approximate_steps
+from .startup import StepFunction, approximate_steps, check_ktol
 
 log = logging.getLogger(__name__)
 
@@ -68,8 +68,7 @@ class FormulationChoice:
         if self.startup not in STARTUPS:
             raise ValueError(f"unknown startup module {self.startup!r}; "
                              f"expected one of {STARTUPS}")
-        if not self.ktol >= 0:  # also rejects nan
-            raise ValueError(f"ktol must be >= 0, got {self.ktol}")
+        check_ktol(self.ktol)
 
 
 @dataclass

@@ -323,8 +323,7 @@ def brute_force_optimum(instance: Instance, base: str = "basic",
 
 
 def certify_equivalence(instance: Instance, base: str = "basic",
-                        guard: int = 24,
-                        time_limit: float = 3600.0) -> dict:
+                        guard: int = 24) -> dict:
     """Solve all four formulations at exact costs (Ktol = 0) and compare
     against the enumeration optimum. Returns a JSON-ready report; any
     non-optimal solve marks it inconclusive instead of raising."""
@@ -351,7 +350,7 @@ def certify_equivalence(instance: Instance, base: str = "basic",
     for startup in STARTUPS:
         model, _ = build_model(instance,
                                FormulationChoice(base, startup, 0.0))
-        res = solve_mip(model, SolveConfig(gap=0.0, time_limit=time_limit))
+        res = solve_mip(model, SolveConfig(gap=0.0))
         entry = {"status": res.status, "objective": res.objective,
                  "nodes": res.nodes}
         if res.status == "optimal":

@@ -66,6 +66,13 @@ class StepFunction:
         return len(self.steps)
 
 
+def check_ktol(ktol: float) -> None:
+    """Raise ValueError unless the step tolerance is finite and >= 0; an
+    infinite one would price every step at nan."""
+    if not 0 <= ktol < math.inf:  # also rejects nan
+        raise ValueError(f"ktol must be finite and >= 0, got {ktol}")
+
+
 def _band_feasible(k_lo: float, k_hi: float, ktol: float) -> bool:
     """Whether one constant can cover costs k_lo..k_hi within the band.
 
@@ -86,8 +93,7 @@ def approximate_steps(unit: Unit, horizon: int, ktol: float) -> StepFunction:
     band at both ends, makes the sequence strictly increasing, and
     reproduces the exact costs when ``ktol`` is 0.
     """
-    if not ktol >= 0:  # also rejects nan
-        raise ValueError(f"ktol must be >= 0, got {ktol}")
+    check_ktol(ktol)
     if horizon < 2:
         raise ValueError(f"horizon must be >= 2, got {horizon}")
     end = horizon - 1
@@ -113,8 +119,7 @@ def minimal_steps_oracle(unit: Unit, horizon: int, ktol: float) -> int:
     without sharing its reasoning. The tests use it as the reference
     step count for ``approximate_steps``.
     """
-    if not ktol >= 0:  # also rejects nan
-        raise ValueError(f"ktol must be >= 0, got {ktol}")
+    check_ktol(ktol)
     if horizon < 2:
         raise ValueError(f"horizon must be >= 2, got {horizon}")
     end = horizon - 1

@@ -2,7 +2,9 @@
 measurement semantics, and the CSV/JSON report contract."""
 
 import json
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +166,8 @@ class TestBenchConfig:
             BenchConfig(ktols=[-0.05])
         with pytest.raises(ValueError, match="ktol"):
             BenchConfig(ktols=[float("nan")])
+        with pytest.raises(ValueError, match="ktol must be finite"):
+            BenchConfig(ktols=[float("inf")])
         with pytest.raises(ValueError, match="gap must be >= 0"):
             BenchConfig(gap=-1.0)
         with pytest.raises(ValueError, match="gap must be >= 0"):
@@ -181,6 +185,17 @@ class TestBenchConfig:
         assert cfg.formulations == ["temp"]
         assert cfg.generate == [{"seed": 1, "n_units": 2, "T": 6}]
         assert cfg.gap == 0.0
+
+    def test_documented_example_is_valid(self, tmp_path):
+        doc = (Path(__file__).resolve().parent.parent / "docs"
+               / "bench-config.md").read_text(encoding="utf-8")
+        path = tmp_path / "cfg.json"
+        path.write_text(re.search(r"```json\n(.*?)```", doc, re.S).group(1),
+                        encoding="utf-8")
+        cfg = BenchConfig.from_json(path)
+        assert (cfg.base, cfg.ktols, cfg.gap) == ("extended", [0.0, 0.05], 0.0)
+        assert [generate_instance(**spec).name for spec in cfg.generate] == [
+            "gen-s1-u2-t6", "gen-s2-u3-t24-net"]
 
     def test_from_json_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "cfg.json"

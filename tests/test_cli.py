@@ -5,10 +5,11 @@ answer), 1 usage error, 2 data error, 3 solve failure.
 """
 
 import json
+import math
 
 import pytest
 
-from ucbench import save_instance
+from ucbench import Line, Network, save_instance
 from ucbench.cli import cli
 
 from conftest import make_instance
@@ -55,6 +56,11 @@ class TestUsage:
                     "--ktol", "nan", "--out", "x.mps"]) == 1
         assert cli(["solve", inst_file, "--gap", "nan"]) == 1
         assert cli(["solve", inst_file, "--time-limit", "nan"]) == 1
+        assert cli(["approx", inst_file, "--ktol", "inf"]) == 1
+        assert cli(["build", inst_file, "--formulation", "one_bin",
+                    "--ktol", "inf", "--out", "x.mps"]) == 1
+        assert cli(["gap", inst_file, "--formulations", "one_bin",
+                    "--ktol", "inf"]) == 1
 
 
 class TestValidate:
@@ -204,6 +210,65 @@ class TestInvalidInstance:
             assert err == f"error: invalid instance: {violation}\n"
         assert not (tmp_path / "m.mps").exists()
         assert not (tmp_path / "out").exists()
+
+
+# case -> (command, change to a valid input document, part of the message)
+BAD_INPUTS = {
+    "load_entries": ("solve", lambda d: d.update(load=[True, "15.0"]),
+                     "load[0]: expected a number, got True"),
+    "null_name": ("solve", lambda d: d.update(name=None),
+                  "name: expected a string, got None"),
+    "numeric_node": ("solve", lambda d: d["units"][0].update(node=5),
+                     "units[0].node: expected a string, got 5"),
+    "string_alpha": ("solve", lambda d: d["network"]["lines"][0].update(
+        alpha={"n1": "1.0"}),
+        "network.lines[0].alpha.n1: expected a number, got '1.0'"),
+    "boolean_gamma": ("solve",
+                      lambda d: d["network"]["nodes"][0].update(gamma=True),
+                      "network.nodes[0].gamma: expected a number, got True"),
+    "unit_not_object": ("solve", lambda d: d.update(units=[5]),
+                        "units[0]: expected an object, got 5"),
+    "nan_cost": ("solve",
+                 lambda d: d["units"][0].update(cost_variable=math.nan),
+                 "invalid instance: unit u1: cost_variable must be finite, "
+                 "got nan"),
+    "instances_string": ("bench", lambda c: c.update(instances="a.json"),
+                         "instances: expected an array, got 'a.json'"),
+    "ktols_number": ("bench", lambda c: c.update(ktols=0.05),
+                     "ktols: expected an array, got 0.05"),
+    "generate_key": ("bench", lambda c: c["generate"][0].update(n_unit=2),
+                     "unexpected keyword argument 'n_unit'"),
+}
+
+
+class TestBadInput:
+    """A malformed instance or config exits 2, and its message names the
+    field at fault."""
+
+    @pytest.mark.parametrize("case", BAD_INPUTS)
+    def test_exits_two_naming_the_field(self, case, tmp_path, capsys):
+        command, spoil, message = BAD_INPUTS[case]
+        if command == "solve":
+            net = Network(nodes={"n1": 1.0},
+                          lines=[Line(id="l1", capacity=40.0,
+                                      alpha={"n1": 1.0})])
+            doc = make_instance([15.0, 15.0], network=net,
+                                node="n1").to_dict()
+        else:
+            doc = {"generate": [{"seed": 1, "n_units": 2, "T": 6}],
+                   "formulations": ["temp"], "ktols": [0.0]}
+        spoil(doc)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        argv = [command, str(path)]
+        if command == "bench":
+            argv += ["--out-dir", str(out_dir)]
+        assert cli(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert not out_dir.exists()
 
 
 class TestBench:

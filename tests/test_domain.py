@@ -1,12 +1,14 @@
+import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
 import pytest
 
 from ucbench import (Instance, InstanceFormatError, Line, Network, Schedule,
-                     load_instance, offline_runs, save_instance,
-                     validate_instance)
+                     Unit, generate_instance, load_instance, offline_runs,
+                     save_instance, validate_instance)
 
 from conftest import make_instance, make_unit
 
@@ -115,6 +117,7 @@ class TestJsonRoundTrip:
         back = load_instance(p)
         assert back.network is not None
         assert back.to_dict() == inst.to_dict()
+        assert [Unit.from_dict(u.to_dict()) for u in inst.units] == [u1, u2]
 
     def test_missing_required_key_raises_format_error(self, tmp_path):
         p = tmp_path / "broken.json"
@@ -138,6 +141,26 @@ class TestJsonRoundTrip:
         inst = load_instance(p)
         assert (inst.name, inst.horizon, len(inst.units)) == ("pair", 3, 2)
         assert validate_instance(inst) == []
+
+    @pytest.mark.parametrize("args, digest", [
+        ((1, 2, 6, False),
+         "f9d37e1944cc24b2be8d1ad91af60fea773da2638dac2cdb5241acc679fb807e"),
+        ((2, 3, 5, True),
+         "60b6d707087e31696977a5df84a04f6cc64e3894d5340b3e80bc80497f36cae6"),
+        ((7, 1, 24, False),
+         "72dccc6789bc13d1a042d0a31378fe39d9913c2e39d5152d8dbd7cb0d4f8d62a"),
+        ((11, 4, 8, True),
+         "7139a19525b3f4beaea9aa7e7f63f17a73a0a71ea6726b46fe086d23d5ecd8e3"),
+    ])
+    def test_saved_bytes_are_pinned(self, tmp_path, args, digest):
+        """save_instance writes the keys in a fixed order; a reordered or
+        renamed key changes the hash, and the file reads back equal."""
+        seed, n_units, T, with_network = args
+        inst = generate_instance(seed, n_units, T, with_network=with_network)
+        p = tmp_path / "inst.json"
+        save_instance(inst, p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
+        assert load_instance(p) == inst
 
     def test_non_json_file_raises(self, tmp_path):
         p = tmp_path / "junk.json"
@@ -163,6 +186,22 @@ class TestViolationReports:
         inst = Instance(name="x", horizon=3, load=[1.0, 2.0],
                         units=[make_unit()])
         assert any("horizon" in p for p in validate_instance(inst))
+
+    def test_non_finite_numbers_reported(self):
+        """Every nan or infinite number in a unit or the network is named,
+        including those that no other rule catches (nan <= 0 is False)."""
+        net = Network(nodes={"n1": math.nan, "n2": 1.0},
+                      lines=[Line(id="l1", capacity=math.nan,
+                                  alpha={"n1": math.inf})])
+        inst = make_instance([12.0], network=net,
+                             units=[make_unit(cost_variable=math.nan,
+                                              node="n1")])
+        assert validate_instance(inst)[:4] == [
+            "unit u1: cost_variable must be finite, got nan",
+            "node n1: gamma must be finite, got nan",
+            "line l1: capacity must be finite, got nan",
+            "line l1: alpha[n1] must be finite, got inf",
+        ]
 
     def test_duplicate_unit_ids_reported(self):
         inst = make_instance([12.0], units=[make_unit("a"), make_unit("a")])

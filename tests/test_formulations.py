@@ -128,6 +128,8 @@ class TestBaseShape:
             FormulationChoice("basic", "two_bin")
         with pytest.raises(ValueError, match="ktol"):
             FormulationChoice("basic", "one_bin", ktol=-0.1)
+        with pytest.raises(ValueError, match="ktol must be finite"):
+            FormulationChoice("basic", "one_bin", ktol=math.inf)
 
 
 class TestBasicRampRows:

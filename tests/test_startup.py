@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from ucbench import approximate_steps, minimal_steps_oracle, startup_cost
@@ -78,6 +80,14 @@ class TestApproximateSteps:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
             approximate_steps(HOT_HALF, horizon=8, ktol=-0.1)
+
+    @pytest.mark.parametrize("steps", [approximate_steps,
+                                       minimal_steps_oracle])
+    @pytest.mark.parametrize("ktol", [math.inf, math.nan])
+    def test_non_finite_tolerance_rejected(self, steps, ktol):
+        """An infinite tolerance would price every step at nan."""
+        with pytest.raises(ValueError, match="ktol must be finite"):
+            steps(HOT_HALF, horizon=8, ktol=ktol)
 
 
 class TestMinimalStepsOracle:
