@@ -13,6 +13,7 @@ bundled simplex solves the relaxation on its own.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 import math
@@ -155,6 +156,13 @@ class BenchConfig:
                              f"{BASES}")
         for k in self.ktols:
             check_ktol(k)
+        # a spec's values are checked by generate_instance's annotations;
+        # an unknown or missing key is left to the call, which names it
+        params = inspect.signature(generate_instance).parameters
+        for i, spec in enumerate(self.generate):
+            for key, param in params.items():
+                if key in spec:
+                    read_field(spec, key, param.annotation, f"generate[{i}]")
         # a bad gap or time limit fails here, before any row is measured
         SolveConfig(self.gap, self.time_limit, self.backend)
 

@@ -173,8 +173,12 @@ class Instance:
 
 def load_instance(path: str | Path) -> Instance:
     """Read an instance from a JSON file (the schema is in
-    docs/instance-format.md)."""
-    return Instance.from_dict(read_json_object(path))
+    docs/instance-format.md); a field error names the file first."""
+    doc = read_json_object(path)
+    try:
+        return Instance.from_dict(doc)
+    except InstanceFormatError as e:
+        raise InstanceFormatError(f"{path}: {e}") from e
 
 
 def save_instance(instance: Instance, path: str | Path) -> None:

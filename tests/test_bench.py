@@ -214,14 +214,14 @@ class TestRunBenchmark:
 
     def test_report_files_and_shapes(self, tmp_path):
         paths = run_benchmark(self.config(), out_dir=tmp_path)
-        csv_lines = open(paths["csv"], encoding="utf-8").read().splitlines()
+        csv_lines = Path(paths["csv"]).read_text(encoding="utf-8").splitlines()
         assert csv_lines[0] == ("instance,formulation,ktol,z_mip,z_lp,"
                                 "gap_abs,gap_rel,wall_ms,nodes,status,"
                                 "backend")
         assert len(csv_lines) == 1 + 4  # 2 formulations x 2 ktols
-        summary = open(paths["summary"], encoding="utf-8").read().splitlines()
+        summary = Path(paths["summary"]).read_text(encoding="utf-8").splitlines()
         assert summary == ["horizon,n_rows,n_solved", "6,4,4"]
-        payload = json.loads(open(paths["json"], encoding="utf-8").read())
+        payload = json.loads(Path(paths["json"]).read_text(encoding="utf-8"))
         assert len(payload["rows"]) == 4
         assert payload["summary"] == [{"horizon": 6, "n_rows": 4,
                                        "n_solved": 4}]
@@ -234,8 +234,8 @@ class TestRunBenchmark:
         first = run_benchmark(self.config(), out_dir=tmp_path / "a")
         second = run_benchmark(self.config(), out_dir=tmp_path / "b")
         for key in ("csv", "summary", "json"):
-            a = open(first[key], "rb").read()
-            b = open(second[key], "rb").read()
+            a = Path(first[key]).read_bytes()
+            b = Path(second[key]).read_bytes()
             assert a == b, key
 
     def test_row_failures_are_recorded_not_raised(self, tmp_path,
@@ -248,9 +248,9 @@ class TestRunBenchmark:
         monkeypatch.setattr(bench, "build_model", failing_build)
         cfg = self.config(formulations=["one_bin"], ktols=[0.0])
         paths = run_benchmark(cfg, out_dir=tmp_path)
-        payload = json.loads(open(paths["json"], encoding="utf-8").read())
+        payload = json.loads(Path(paths["json"]).read_text(encoding="utf-8"))
         (r,) = payload["rows"]
         assert r["status"] == "error: build failed"
         assert r["z_mip"] is None  # NaN serialized as null
-        summary = open(paths["summary"], encoding="utf-8").read().splitlines()
+        summary = Path(paths["summary"]).read_text(encoding="utf-8").splitlines()
         assert summary[1] == "6,1,0"

@@ -238,6 +238,17 @@ BAD_INPUTS = {
                      "ktols: expected an array, got 0.05"),
     "generate_key": ("bench", lambda c: c["generate"][0].update(n_unit=2),
                      "unexpected keyword argument 'n_unit'"),
+    "generate_string": ("bench",
+                        lambda c: c["generate"][0].update(n_units="2"),
+                        "generate[0].n_units: expected an integer, got '2'"),
+    "generate_flag": ("bench",
+                      lambda c: c["generate"][0].update(with_network="no"),
+                      "generate[0].with_network: expected a boolean, "
+                      "got 'no'"),
+    "generate_volatility": ("bench",
+                            lambda c: c["generate"][0].update(volatility=True),
+                            "generate[0].volatility: expected a number, "
+                            "got True"),
 }
 
 
@@ -272,6 +283,23 @@ class TestBadInput:
 
 
 class TestBench:
+    def test_field_error_names_the_instance_file(self, tmp_path, capsys):
+        doc = make_instance([15.0, 15.0]).to_dict()
+        (tmp_path / "i1.json").write_text(json.dumps(doc), encoding="utf-8")
+        doc["load"][0] = True
+        bad = tmp_path / "i2.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "instances": [str(tmp_path / "i1.json"), str(bad)],
+            "formulations": ["temp"], "ktols": [0.0],
+        }), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert cli(["bench", str(cfg), "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: load[0]: expected a number, got True\n")
+        assert not out_dir.exists()
+
     def test_runs_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
