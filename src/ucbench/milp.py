@@ -100,8 +100,9 @@ class Model:
     :meth:`add_constraint` (or a block of rows at once with
     :meth:`add_rows`) / :meth:`set_objective`, then freeze (any
     write/solve freezes implicitly) and share freely — frozen models are
-    immutable. Coefficients must be finite; bounds and right-hand sides
-    may be infinite but not NaN.
+    immutable. Coefficients and right-hand sides must be finite. A bound
+    may be infinite in its own direction (a lower bound of -inf, an
+    upper bound of +inf) but not NaN.
     """
 
     def __init__(self, name: str = "model"):
@@ -140,6 +141,10 @@ class Model:
         if lb != lb or ub != ub:
             raise ModelError(f"variable {name!r}: bound is NaN, got "
                              f"[{lb}, {ub}]")
+        if lb == INF or ub == -INF:
+            raise ModelError(f"variable {name!r}: a lower bound of +inf or "
+                             f"an upper bound of -inf admits no value, got "
+                             f"[{lb}, {ub}]")
         if lb > ub:
             raise ModelError(f"variable {name!r}: inverted bounds "
                              f"[{lb}, {ub}]")
@@ -151,7 +156,7 @@ class Model:
     def add_constraint(self, name: str, terms, sense: str, rhs: float) -> int:
         """Append a row. ``terms`` is a dict {var id: coeff} or a sequence
         of (var id, coeff) pairs referencing distinct, declared variables,
-        with finite coefficients; ``rhs`` may be infinite but not NaN.
+        with finite coefficients; ``rhs`` must be finite.
         Terms are stored sorted by variable id with zero coefficients
         dropped (the canonical order the MPS round trip preserves)."""
         if self.frozen:
@@ -206,6 +211,9 @@ class Model:
         rhs = float(rhs)
         if rhs != rhs:
             raise ModelError(f"constraint {name!r}: right-hand side is NaN")
+        if not isfinite(rhs):
+            raise ModelError(f"constraint {name!r}: right-hand side must be "
+                             f"finite, got {rhs}")
         return ids, coeffs, rhs
 
     def add_rows(self, names, senses, rhs, starts, ids, coeffs) -> range:
@@ -269,7 +277,7 @@ class Model:
                   _first_row((id_arr < 0) | (id_arr >= nvar)
                              | ~np.isfinite(c_arr), row_of, n),
                   _first_row(np.diff(key) == 0, row_of[1:], n),
-                  _first_row(np.isnan(rhs_arr), np.arange(n), n))
+                  _first_row(~np.isfinite(rhs_arr), np.arange(n), n))
         if bad < n:
             self._check_rows(names, senses, rhs, starts, ids, coeffs, bad)
             raise AssertionError("add_rows: a block check failed that no "
@@ -687,6 +695,8 @@ def read_mps(text: str) -> Model:
                 if r in rhs:
                     err(lineno, f"duplicate RHS entry for row {row!r}")
                 rhs[r] = parse_value(tok, lineno, "right-hand side")
+                if not isfinite(rhs[r]):
+                    err(lineno, f"right-hand side must be finite, got {tok!r}")
         elif section == "BOUNDS":
             if len(tokens) < 3:
                 err(lineno, f"malformed bound line {raw.strip()!r}")

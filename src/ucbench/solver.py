@@ -1,61 +1,72 @@
 """Bundled exact LP/MIP solver and the external-solver bridge.
 
-The LP engine is a bounded-variable revised simplex over a dense basis
-inverse, with a primal and a dual loop that share the pivot (a rank-1
-update of the inverse) and the refactorization every REFACTOR_EVERY
-pivots. No presolve, no scaling, no cuts — formulation comparisons need
-the raw constraint systems, so the solver must not tighten anything
-behind the model's back. ``solve_lp`` only checks, before any simplex
-work, that each row can be met within the variable bounds
-(``_unreachable_row``); a row that cannot makes the LP infeasible at
-once. The check changes no row and no bound, and it reports infeasible
-only where the simplex could not have reported optimal.
+The LP engine is a bounded dual simplex over a dense basis inverse,
+updated by a rank-1 pivot and refactorized every REFACTOR_EVERY pivots.
+No presolve, no scaling, no cuts — formulation comparisons need the raw
+constraint systems, so the solver must not tighten anything behind the
+model's back. ``solve_lp`` only checks, before any simplex work, that
+each row can be met within the variable bounds (``_unreachable_row``); a
+row that cannot makes the LP infeasible at once. The check changes no
+row and no bound, and it reports infeasible only where the simplex could
+not have reported optimal.
 
 Every LP takes one path. It starts from a warm basis when one is given
 (every branch-and-bound node but the root, from its parent's optimal
 basis) and from the slack basis otherwise (every ``solve_lp``, every
-root), and it always runs the dual simplex first. Both bases are dual
-feasible on every unit-commitment model: fixing a binary keeps the
-parent's reduced costs sign-correct, and the slack basis rests each
-structural at its lower bound when finite (0 on these models), where a
-cost >= 0 prices correctly. The leaving row is chosen by dual steepest edge
-(Forrest & Goldfarb, Math. Prog. 57, 1992): the largest viol^2 /
-||Binv[r]||^2 among the rows outside their bounds by more than FEAS_TOL,
-ties going to the lowest row. The weights are exact, computed from the
-dense inverse each iteration at the O(m^2) cost of the rank-1 update,
-so no reference framework and no update formulas are needed. The
-entering column minimizes |reduced cost| / |pivot-row entry| over the
-columns that push the leaving variable back, ties going to the largest
-entry and then to the lowest index. The dual reports infeasible only
-when a fresh refactorization still shows a violated row no column can
-repair, and optimal only through a fresh refactorization, a
-dual-feasibility recheck and the same bound and residual checks
-(``_finish``) as the primal.
+root). The slack basis rests each structural at its lower bound when
+finite, else at its upper bound when finite, else free at 0; a column
+with both bounds finite and a negative cost rests at its upper bound.
+Both bases are dual feasible on every unit-commitment model: fixing a
+binary keeps the parent's reduced costs sign-correct, and every cost is
+>= 0. The leaving row is chosen by dual steepest edge (Forrest &
+Goldfarb, Math. Prog. 57, 1992): the largest viol^2 / ||Binv[r]||^2
+among the rows outside their bounds by more than FEAS_TOL, ties going to
+the lowest row. The weights are exact, computed from the dense inverse
+each iteration at the O(m^2) cost of the rank-1 update, so no reference
+framework and no update formulas are needed. The entering column
+minimizes |reduced cost| / |pivot-row entry| over the columns that push
+the leaving variable back, ties going to the largest entry and then to
+the lowest index. The dual reports infeasible only when a fresh
+refactorization still shows a violated row no column can repair, and
+optimal only through a fresh refactorization, a dual-feasibility recheck
+and the bound and residual checks of ``_finish``.
 
-The dual hands the LP to the primal loop when its start basis is not
-dual feasible (a negative cost at a lower bound, say), when a
-refactorization is singular, when the only pivots left are below
-DUAL_PIVOT_TOL, or when the dual objective has not risen for 10·(m+n)
-iterations (degenerate cycling). The primal then restarts from the
-start basis itself, not from the dual's last one, so such an LP is
-solved exactly as a primal-only solver solves it from that basis; the
-dual's iterations still count. The primal's Phase I is the composite
-method: instead of artificial variables it minimizes the total bound
-violation of the current basic solution, so it can start from any
-basis; Phase II prices by Dantzig's rule with a Bland fallback.
+A start basis that is not dual feasible is repaired first. A column
+with both bounds finite moves to the bound its reduced cost prefers. If
+a column with an infinite bound prices wrong, a dual phase one solves
+the auxiliary problem min c'x, A x + s = 0, over the box [-1, 1] for
+free columns, [0, 1] for columns bounded only below, [-1, 0] for those
+bounded only above and [0, 0] for the rest, with the same loop from the
+same basis (Koberstein, The dual simplex method, PhD thesis, Paderborn
+2005). Its optimum is 0 exactly when the LP's dual is feasible, and then
+its final basis, each column resting at the bound its reduced cost
+prefers, starts phase two. Otherwise the LP is infeasible or unbounded,
+and one more run with a zero cost tells which.
 
-MIP solving is best-first branch-and-bound on binary variables, fully
-deterministic: node selection by (bound, creation index), branching on
-the most fractional binary with ties to the lowest variable index. The
-root node is solved whatever the time budget, cold, on the model's own
-bounds, i.e. exactly as ``solve_lp`` solves a model that passes its
-row check (a model that fails it has no optimal root either); its
-objective is kept as ``Solution.root_bound`` (NaN unless that LP is
-optimal), so a caller that wants both z_LP and z_MIP needs one run.
-``Solution.iterations`` of a MIP is the LP iteration count summed over
-all nodes. One DEBUG line per ``solve_mip`` reports status, nodes,
-iterations, how many nodes the dual finished and how many it handed to
-the primal (by reason), root and best bound, and seconds.
+Three guards keep the loop going where a textbook dual would fail. A
+pivot-row entry below DUAL_PIVOT_TOL is taken only when a fresh
+refactorization leaves no larger one, and the basis is refactorized
+right after it. When the dual objective has not risen for 10·(m+n)
+iterations, or a refactorization finds the basis singular and the last
+invertible one is restored, the loop switches to Bland's rule (Bland,
+Math. Oper. Res. 2, 1977): the leaving row is the violated one whose
+basic column has the lowest index, and ratio ties go to the lowest
+column index.
+
+MIP solving is best-first branch-and-bound on binary variables:
+node selection by (bound, creation index), branching on the most
+fractional binary with ties to the lowest variable index. Node and
+iteration counts are deterministic for a fixed BLAS thread count; a
+multithreaded product can round differently and lead to another pivot
+(the seeded 3×12 extended/one_bin root takes 199 iterations under one
+thread and 196 under two). The root node is solved whatever the time
+budget, cold, on the model's own bounds, i.e. exactly as ``solve_lp``
+solves a model that passes its row check (a model that fails it has no
+optimal root either); its objective is kept as ``Solution.root_bound``
+(NaN unless that LP is optimal), so a caller that wants both z_LP and
+z_MIP needs one run. ``Solution.iterations`` of a MIP is the LP
+iteration count summed over all nodes. One DEBUG line per ``solve_mip``
+reports status, nodes, iterations, root and best bound, and seconds.
 
 ``solve_external`` ships a model to any command-line solver via MPS and
 reads the solution back from a file (two-column text or an XML-like
@@ -72,7 +83,6 @@ import subprocess
 import tempfile
 import time
 import xml.etree.ElementTree as ET
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -85,8 +95,8 @@ log = logging.getLogger(__name__)
 FEAS_TOL = 1e-9
 RESID_TOL = 1e-6  # row residual accepted at the end, relative to 1 + max|b|
 OPT_TOL = 1e-9
-PIVOT_TOL = 1e-10
-DUAL_PIVOT_TOL = 1e-7  # smallest pivot the dual ratio test takes
+PIVOT_TOL = 1e-10  # smallest pivot-row entry that can repair a row
+DUAL_PIVOT_TOL = 1e-7  # smaller entries are taken only on a fresh basis
 INT_TOL = 1e-6
 REFACTOR_EVERY = 64
 
@@ -144,8 +154,6 @@ class _LpResult:
     vstat: np.ndarray | None
     iterations: int
     message: str = ""
-    dual_end: str = ""            # "done" if the dual simplex ended the
-                                  # solve, else why it handed it over
 
 
 class LpCore:
@@ -197,22 +205,22 @@ class LpCore:
         return self.lo.copy(), self.up.copy()
 
 
-def _cold_start(A, lo, up):
-    """Slack basis; each structural rests at its lower bound when finite,
-    else at its upper bound when finite, else free at 0."""
+def _resting(lo, up, d, basis):
+    """Status of each column for this basis: basic, or resting at the
+    bound its reduced cost d prefers when both bounds are finite, else at
+    its finite bound, else free at 0."""
+    vstat = np.where((lo > -INF) & ~((d < 0) & (up < INF)), _AT_LOWER,
+                     np.where(up < INF, _AT_UPPER, _AT_FREE)).astype(np.int8)
+    vstat[basis] = _BASIC
+    return vstat
+
+
+def _cold_start(A, lo, up, c):
+    """Slack basis, each structural resting where ``_resting`` puts it
+    for the reduced costs c."""
     m, n = A.shape
-    ns = n - m
-    basis = np.arange(ns, n, dtype=np.int64)
-    vstat = np.empty(n, dtype=np.int8)
-    for j in range(ns):
-        if lo[j] > -INF:
-            vstat[j] = _AT_LOWER
-        elif up[j] < INF:
-            vstat[j] = _AT_UPPER
-        else:
-            vstat[j] = _AT_FREE
-    vstat[ns:] = _BASIC
-    return basis, vstat
+    basis = np.arange(n - m, n, dtype=np.int64)
+    return basis, _resting(lo, up, c, basis)
 
 
 def _nonbasic_values(vstat, lo, up):
@@ -224,71 +232,42 @@ def _nonbasic_values(vstat, lo, up):
     return x
 
 
-def _simplex(A, b, c, lo, up, warm=None) -> _LpResult:
-    """Bounded-variable simplex over a dense basis inverse.
+def _priced_wrong(vstat, rc, movable):
+    """Nonbasic columns whose reduced cost rc would pay them to leave the
+    bound they rest at: the dual infeasibilities."""
+    return ((_CAN_INC[vstat] & (rc < -OPT_TOL))
+            | (_CAN_DEC[vstat] & (rc > OPT_TOL))) & movable
 
-    The dual simplex runs first from the warm basis, if one is given and
-    inverts, else from the slack basis; the primal loop restarts from
-    that same basis when the dual hands the LP over (see the module
-    docstring)."""
+
+def _simplex(A, b, c, lo, up, warm=None) -> _LpResult:
+    """Bounded dual simplex over a dense basis inverse, from the warm
+    basis if one is given and inverts, else from the slack basis (see the
+    module docstring)."""
     m, n = A.shape
     if np.any(lo > up):
         return _LpResult("infeasible", math.nan, None, None, None, 0,
                          "empty variable domain")
-    if m == 0:
-        # pure box problem: each variable sits at its cheapest bound
-        x = np.where(c > 0, lo, np.where(c < 0, up, _nearest_finite(lo, up)))
-        if np.any((c > 0) & (lo == -INF)) or np.any((c < 0) & (up == INF)):
-            return _LpResult("unbounded", -INF, None, None, None, 0)
-        basis = np.zeros(0, dtype=np.int64)
-        vstat = np.where(np.isfinite(lo) & (x == lo), _AT_LOWER,
-                         np.where(np.isfinite(up) & (x == up), _AT_UPPER,
-                                  _AT_FREE)).astype(np.int8)
-        return _LpResult("optimal", float(c @ x), x, basis, vstat, 0)
-
-    basis, vstat = None, None
+    basis, vstat, Binv = None, None, None
     if warm is not None:
         basis, vstat = warm[0].copy(), warm[1].copy()
-        if (len(basis) != m or len(np.unique(basis)) != m
-                or basis.min() < 0 or basis.max() >= n):
-            basis, vstat = None, None
-    if basis is not None:
-        Binv = _factorize(A, basis)
-        if Binv is None:  # degenerate warm basis; start cold
-            basis = None
-    if basis is None:
-        basis, vstat = _cold_start(A, lo, up)
-        Binv = _factorize(A, basis)
-        if Binv is None:
-            return _LpResult("error", math.nan, None, None, None, 0,
-                             "singular slack basis")
-
-    run = _Simplex(A, b, c, lo, up, basis.copy(), vstat.copy(), Binv)
-    res = run.dual()
-    dual_end = "done"
-    if isinstance(res, str):
-        # the primal restarts from the start basis, not from the dual's
-        # last one, which can be far worse conditioned
-        dual_end = res
-        run = _Simplex(A, b, c, lo, up, basis, vstat, _factorize(A, basis),
-                       iters=run.iters)
-        res = run.primal()
-    res.dual_end = dual_end
-    return res
+        if (len(basis) == m and len(np.unique(basis)) == m
+                and ((basis >= 0) & (basis < n)).all()):
+            Binv = _factorize(A, basis)  # None for a degenerate warm basis
+    if Binv is None:
+        basis, vstat = _cold_start(A, lo, up, c)
+        Binv = _factorize(A, basis)  # the identity
+    return _Simplex(A, b, c, lo, up, basis, vstat, Binv).dual()
 
 
 class _Simplex:
-    """The state of one simplex solve, shared by its two loops.
+    """The state of one bounded dual simplex solve.
 
-    ``primal`` has a composite (violation-driven) Phase I, Dantzig
-    pricing, and a Bland fallback against cycling. ``dual`` is the
-    bounded dual simplex with dual steepest-edge pricing. Both change the
-    basis only through ``pivot`` (a rank-1 update of Binv, refactorized
-    every REFACTOR_EVERY pivots) and ``refresh``. The state lives on an
-    object rather than in nested closures: under CPython 3.11, closures
-    over 20 variables made per solve raised a process's peak RSS by about
-    0.3 MB (their freed closure tuples piled up until a full garbage
-    collection)."""
+    The basis changes only through ``pivot`` (a rank-1 update of Binv,
+    refactorized every REFACTOR_EVERY pivots) and ``refresh``. The state
+    lives on an object rather than in nested closures: under CPython
+    3.11, closures over 20 variables made per solve raised a process's
+    peak RSS by about 0.3 MB (their freed closure tuples piled up until a
+    full garbage collection)."""
 
     def __init__(self, A, b, c, lo, up, basis, vstat, Binv, iters=0):
         self.A, self.b, self.c, self.lo, self.up = A, b, c, lo, up
@@ -310,12 +289,15 @@ class _Simplex:
         return _LpResult("error", math.nan, None, None, None, self.iters,
                          message)
 
+    def reduced_costs(self):
+        return self.c - (self.c[self.basis] @ self.Binv) @ self.A
+
     def refresh(self):
         """Refactorize the current basis and recompute xB from scratch;
         False if no invertible basis is left. A drifted Binv can accept a
         pivot that is zero in exact arithmetic, leaving an exactly
         singular basis behind; in that case restore the last good
-        checkpoint and force Bland's rule so the replayed trajectory
+        checkpoint and switch to Bland's rule so the replayed trajectory
         diverges from the poisoned one."""
         A = self.A
         B = _factorize(A, self.basis)
@@ -337,11 +319,12 @@ class _Simplex:
         self.fresh = True
         return True
 
-    def pivot(self, r, q, w, delta, leave_upper):
+    def pivot(self, r, q, w, delta, leave_upper, refactor):
         """Move nonbasic column q by delta (w = Binv A_q) into row r, whose
         variable leaves for its upper bound if leave_upper, else for its
-        lower one; count the iteration and refactorize when due. Returns
-        an error message if no invertible basis is left."""
+        lower one; count the iteration and refactorize when due, or at
+        once if refactor. Returns an error message if no invertible basis
+        is left."""
         basis, vstat, xN, xB = self.basis, self.vstat, self.xN, self.xB
         leave = int(basis[r])
         if leave_upper:
@@ -357,49 +340,42 @@ class _Simplex:
         xN[q] = 0.0
         basis[r] = q
 
-        piv = w[r]
-        if abs(piv) < PIVOT_TOL:
-            if not self.refresh():
-                return "singular basis after pivot"
-        else:
+        if not refactor:
             Binv = self.Binv
-            row = Binv[r] / piv
+            row = Binv[r] / w[r]
             Binv -= w[:, None] * row
             Binv[r] = row
             self.since_refactor += 1
         self.iters += 1
         self.fresh = False
-        if self.since_refactor >= REFACTOR_EVERY and not self.refresh():
+        if (refactor or self.since_refactor >= REFACTOR_EVERY) \
+                and not self.refresh():
             return "basis became singular"
         return None
 
-    def dual(self):
-        """Bounded dual simplex. Ends the solve (an _LpResult), or returns
-        why the primal should solve it instead: "not dual feasible",
-        "stall", "singular" or "small pivot"."""
+    def dual(self) -> _LpResult:
+        """Run the bounded dual simplex to the end of the solve."""
         A, b, c, lo, up = self.A, self.b, self.c, self.lo, self.up
         movable = self.movable
         n = A.shape[1]
         best = -INF
         stalled = 0
         while True:
-            if self.restores:
-                return "singular"
             if self.iters >= self.max_iter:
                 return self.error("iteration limit exceeded")
+            rc = self.reduced_costs()
+            if _priced_wrong(self.vstat, rc, movable).any():
+                if not self.fresh:
+                    if not self.refresh():
+                        return self.error("basis became singular")
+                    continue
+                res = self.make_dual_feasible(rc)
+                if res is not None:
+                    return res
+                continue
             basis, vstat, Binv = self.basis, self.vstat, self.Binv
             xB, xN = self.xB, self.xN
-            rc = c - (c[basis] @ Binv) @ A
-            if (((_CAN_INC[vstat] & (rc < -OPT_TOL))
-                 | (_CAN_DEC[vstat] & (rc > OPT_TOL))) & movable).any():
-                if self.fresh:
-                    return "not dual feasible"
-                if not self.refresh():
-                    return self.error("basis became singular")
-                continue
 
-            # leaving row by dual steepest edge: the largest viol^2 /
-            # ||Binv[r]||^2, with exact weights from the dense inverse
             short = lo[basis] - xB
             over = xB - up[basis]
             viol = np.maximum(short, over)
@@ -411,18 +387,28 @@ class _Simplex:
                 if not self.refresh():
                     return self.error("basis became singular")
                 continue
-            score = np.where(out, viol * viol, 0.0)
-            score /= np.einsum("ij,ij->i", Binv, Binv)
-            r = int(np.argmax(score))  # first max -> lowest row on ties
 
             # the dual objective is the current point's cost; it must rise
-            obj_now = float(c[basis] @ xB + c @ xN)
-            if obj_now > best + 1e-12 * (1.0 + abs(obj_now)):
-                best, stalled = obj_now, 0
+            if not self.bland:
+                obj_now = float(c[basis] @ xB + c @ xN)
+                if obj_now > best + 1e-12 * (1.0 + abs(obj_now)):
+                    best, stalled = obj_now, 0
+                else:
+                    stalled += 1
+                    if stalled > self.stall_limit:
+                        log.debug("dual simplex: switching to Bland's rule "
+                                  "after %d stalled iterations", stalled)
+                        self.bland = True
+
+            if self.bland:
+                rows = np.flatnonzero(out)
+                r = int(rows[np.argmin(basis[rows])])
             else:
-                stalled += 1
-                if stalled > self.stall_limit:
-                    return "stall"
+                # dual steepest edge: the largest viol^2 / ||Binv[r]||^2,
+                # with exact weights from the dense inverse
+                score = np.where(out, viol * viol, 0.0)
+                score /= np.einsum("ij,ij->i", Binv, Binv)
+                r = int(np.argmax(score))  # first max -> lowest row on ties
 
             # entering column: one whose move pushes x_B[r] toward the
             # violated bound; the smallest |rc| / |alpha| keeps every
@@ -441,136 +427,68 @@ class _Simplex:
                     return self.error("basis became singular")
                 continue
             mag = np.abs(alpha)
-            eligible &= mag >= DUAL_PIVOT_TOL
-            if not eligible.any():  # a pivot this small wrecks the basis
-                return "small pivot"
+            large = eligible & (mag >= DUAL_PIVOT_TOL)
+            small = not large.any()
+            if not small:
+                eligible = large
+            elif not self.fresh:
+                # tiny entries may be drift; look again on a fresh basis
+                if not self.refresh():
+                    return self.error("basis became singular")
+                continue
             ratios = np.full(n, INF)
             np.divide(np.abs(rc), mag, out=ratios, where=eligible)
             ties = np.flatnonzero(ratios <= ratios.min() + 1e-12)
-            q = int(ties[np.argmax(mag[ties])])  # largest |alpha|, lowest j
+            if self.bland:
+                q = int(ties[0])
+            else:
+                # largest |alpha|, then the lowest j
+                q = int(ties[np.argmax(mag[ties])])
 
             target = lo[basis[r]] if rising else up[basis[r]]
             msg = self.pivot(r, q, Binv @ A[:, q],
-                             (xB[r] - target) / alpha[q], not rising)
+                             (xB[r] - target) / alpha[q], not rising, small)
             if msg is not None:
                 return self.error(msg)
 
-    def primal(self):
-        A, b, c, lo, up = self.A, self.b, self.c, self.lo, self.up
-        movable = self.movable
-        m = A.shape[0]
-        stalled = 0
-        last_obj = math.inf
-        while True:
-            if self.iters >= self.max_iter:
-                return self.error("iteration limit exceeded")
-            basis, vstat, Binv = self.basis, self.vstat, self.Binv
-            xB, xN = self.xB, self.xN
-            lb_B, ub_B = lo[basis], up[basis]
-            below = xB < lb_B - FEAS_TOL
-            above = xB > ub_B + FEAS_TOL
-            phase1 = bool(below.any() or above.any())
+    def make_dual_feasible(self, rc):
+        """Repair a fresh basis on which the reduced costs rc price some
+        column wrong. Returns None once the basis is dual feasible, else
+        the end of the solve: unbounded, infeasible or an error.
 
-            if phase1:
-                d = np.zeros(m)
-                d[below] = -1.0
-                d[above] = 1.0
-                y = d @ Binv
-                rc = -(y @ A)
-                obj_now = float((lb_B[below] - xB[below]).sum()
-                                + (xB[above] - ub_B[above]).sum())
-            else:
-                y = c[basis] @ Binv
-                rc = c - y @ A
-                obj_now = float(c[basis] @ xB + c @ xN)
-
-            # entering candidates: improving, movable, nonbasic
-            improving = ((_CAN_INC[vstat] & (rc < -OPT_TOL))
-                         | (_CAN_DEC[vstat] & (rc > OPT_TOL))) & movable
-            scores = np.where(improving, np.abs(rc), -1.0)
-            q = int(np.argmax(scores))  # first max -> lowest index on ties
-
-            if scores[q] < 0.0:  # nothing improves
-                if not self.fresh:
-                    # refresh the factorization and double-check before
-                    # exiting
-                    if not self.refresh():
-                        return self.error("basis became singular")
-                    continue
-                if phase1:
-                    return _LpResult("infeasible", math.nan, None, basis,
-                                     vstat, self.iters)
-                return _finish(A, b, c, lo, up, basis, vstat, xB, self.iters)
-
-            if self.bland:
-                q = int(np.flatnonzero(improving)[0])
-            sigma = 1.0 if rc[q] < 0 else -1.0
-
-            w = Binv @ A[:, q]
-            rate = -sigma * w  # d x_B / d step
-
-            # ratio test: first breakpoint among basic bounds and the
-            # entering variable's own opposite bound. A rising basic
-            # variable runs into its upper bound, or its lower one while
-            # still below it; a falling one its lower bound, or its upper
-            # one while still above it; one moving away from a bound it
-            # violates meets none.
-            pos = rate > PIVOT_TOL
-            neg = rate < -PIVOT_TOL
-            target = np.where(np.where(pos, ~below, above), ub_B, lb_B)
-            hits = ((pos & ~above) | (neg & ~below)) & (np.abs(target) < INF)
-            limits = np.full(m, INF)
-            np.divide(target - xB, rate, out=limits, where=hits)
-            np.maximum(limits, 0.0, out=limits)
-
-            own = up[q] - lo[q] if (lo[q] > -INF and up[q] < INF) else INF
-            r = int(np.argmin(limits))
-            step = float(limits[r])
-            if own < step:
-                # bound flip: the entering variable crosses to its other
-                # bound
-                xB -= sigma * own * w
-                vstat[q] = _AT_UPPER if vstat[q] == _AT_LOWER else _AT_LOWER
-                xN[q] = up[q] if vstat[q] == _AT_UPPER else lo[q]
-                self.iters += 1
-                self.fresh = False
-                stalled, last_obj, self.bland = _stall(
-                    obj_now, last_obj, stalled, self.stall_limit, self.bland)
-                continue
-            if not np.isfinite(step):
-                if phase1:
-                    return self.error("no breakpoint in phase-one direction")
-                return _LpResult("unbounded", -INF, None, basis, vstat,
-                                 self.iters)
-
-            # tie-break among rows reaching the minimum: largest pivot for
-            # stability (Bland mode: lowest variable index for termination)
-            ties = np.flatnonzero(limits <= step + 1e-12)
-            if len(ties) > 1:  # a lone tie is the argmin row itself
-                if self.bland:
-                    r = int(ties[np.argmin(basis[ties])])
-                else:
-                    r = int(ties[np.argmax(np.abs(w[ties]))])
-
-            # the leaving variable lands on the bound it violates, else on
-            # the one it runs into
-            msg = self.pivot(r, q, w, sigma * step,
-                             not (below[r] or (not above[r] and rate[r] < 0)))
-            if msg is not None:
-                return self.error(msg)
-            stalled, last_obj, self.bland = _stall(
-                obj_now, last_obj, stalled, self.stall_limit, self.bland)
-
-
-def _stall(obj_now, last_obj, stalled, stall_limit, bland):
-    if obj_now < last_obj - 1e-12 * (1.0 + abs(last_obj)):
-        return 0, obj_now, bland
-    stalled += 1
-    if stalled > stall_limit and not bland:
-        log.debug("simplex: switching to Bland's rule after %d stalled "
-                  "iterations", stalled)
-        return 0, obj_now, True
-    return stalled, min(obj_now, last_obj), bland
+        Only a column with an infinite bound needs the dual phase one of
+        the module docstring; the others just rest where ``_resting``
+        puts them."""
+        A, c, lo, up = self.A, self.c, self.lo, self.up
+        boxed = (lo > -INF) & (up < INF)
+        if (_priced_wrong(self.vstat, rc, self.movable) & ~boxed).any():
+            aux_lo = np.where(lo > -INF, 0.0, -1.0)
+            aux_up = np.where(up < INF, 0.0, 1.0)
+            aux = _Simplex(A, np.zeros(len(self.b)), c, aux_lo, aux_up,
+                           self.basis, _resting(aux_lo, aux_up, rc,
+                                                self.basis),
+                           self.Binv, self.iters)
+            res = aux.dual()
+            self.iters = aux.iters
+            if res.status != "optimal":
+                return self.error(
+                    f"dual phase one: {res.message or res.status}")
+            self.basis, self.Binv = aux.basis, aux.Binv
+            rc = self.reduced_costs()
+        self.vstat = _resting(lo, up, rc, self.basis)
+        if not self.refresh():
+            return self.error("basis became singular")
+        if not _priced_wrong(self.vstat, self.reduced_costs(),
+                             self.movable).any():
+            return None
+        # the LP's dual is infeasible, so the LP is unbounded if it has a
+        # feasible point at all, and infeasible if not
+        res = _Simplex(A, self.b, np.zeros(len(c)), lo, up, self.basis,
+                       self.vstat, self.Binv, self.iters).dual()
+        if res.status == "optimal":
+            return _LpResult("unbounded", -INF, None, res.basis, res.vstat,
+                             res.iterations)
+        return res
 
 
 def _factorize(A, basis):
@@ -578,17 +496,6 @@ def _factorize(A, basis):
         return np.linalg.inv(A[:, basis])
     except np.linalg.LinAlgError:
         return None
-
-
-def _nearest_finite(lo, up):
-    out = np.zeros(len(lo))
-    only_up = (lo == -INF) & (up < INF)
-    out[only_up] = np.minimum(up[only_up], 0.0)
-    only_lo = lo > -INF
-    out[only_lo] = np.maximum(lo[only_lo], 0.0)
-    both = (lo > -INF) & (up < INF)
-    out[both] = np.clip(0.0, lo[both], up[both])
-    return out
 
 
 def _finish(A, b, c, lo, up, basis, vstat, xB, iters) -> _LpResult:
@@ -683,40 +590,28 @@ def solve_lp(model: Model) -> Solution:
 def solve_mip(model: Model, config: SolveConfig | None = None) -> Solution:
     """Best-first branch-and-bound over the model's binary variables.
 
-    Deterministic: nodes are keyed by (LP bound of the parent, creation
-    index); the branch variable is the most fractional binary, ties going
-    to the lowest variable id. The root LP is solved from the slack basis,
-    whatever the time budget, so ``root_bound`` is always, bit for bit,
-    the relaxation ``solve_lp`` would report. Each child LP starts from
-    its parent's optimal basis. Every node runs the dual simplex first,
-    which hands the node to the primal loop, restarted from the node's
-    start basis, if that basis is not dual feasible, turns singular, is
-    left with only tiny pivots or stalls (see the module docstring).
-    Among degenerate optima the dual may end a node on another optimal
-    basis than the primal would, so node counts, and the incumbent a gap
-    stop returns, can differ from a primal-only tree; a proven optimum
-    does not.
+    Nodes are keyed by (LP bound of the parent, creation index); the
+    branch variable is the most fractional binary, ties going to the
+    lowest variable id. Node and iteration counts are deterministic for a
+    fixed BLAS thread count (see the module docstring). The root LP is
+    solved from the slack basis, whatever the time budget, so
+    ``root_bound`` is always, bit for bit, the relaxation ``solve_lp``
+    would report. Each child LP starts from its parent's optimal basis.
     """
     config = config or SolveConfig()
     core = LpCore(model)
     t0 = time.monotonic()
-    dual_ends = Counter()
-    sol = _branch_and_bound(core, config, t0, dual_ends)
+    sol = _branch_and_bound(core, config, t0)
     if log.isEnabledFor(logging.DEBUG):
-        why = [dual_ends[k] for k in ("not dual feasible", "stall",
-                                      "singular", "small pivot")]
-        log.debug("mip: %s after %d nodes, %d LP iterations; dual simplex "
-                  "finished %d of %d nodes, handed %d to the primal (not "
-                  "dual feasible %d, stall %d, singular %d, small pivot %d); "
-                  "root bound %r, best bound %r; %.3f s", sol.status,
-                  sol.nodes, sol.iterations, dual_ends["done"], sol.nodes,
-                  sum(why), *why, sol.root_bound, sol.best_bound,
+        log.debug("mip: %s after %d nodes, %d LP iterations; root bound %r, "
+                  "best bound %r; %.3f s", sol.status, sol.nodes,
+                  sol.iterations, sol.root_bound, sol.best_bound,
                   time.monotonic() - t0)
     return sol
 
 
-def _branch_and_bound(core: LpCore, config: SolveConfig, t0: float,
-                      dual_ends: Counter) -> Solution:
+def _branch_and_bound(core: LpCore, config: SolveConfig,
+                      t0: float) -> Solution:
     lo0, up0 = core.struct_bounds()
     bin_ids = core.binary_ids
     incumbent = math.inf
@@ -751,7 +646,6 @@ def _branch_and_bound(core: LpCore, config: SolveConfig, t0: float,
             break
 
         res = core.solve(lo, up, warm)
-        dual_ends[res.dual_end] += 1
         nodes_solved += 1
         iterations += res.iterations
         if nodes_solved == 1 and res.status == "optimal":

@@ -345,14 +345,15 @@ def models(draw):
             lb, ub = draw(st.sampled_from([(0, 1), (0, 0), (1, 1)]))
             m.add_variable(f"b{j}", lb, ub, "binary")
         else:
-            lb, ub = sorted([draw(BOUND), draw(BOUND)])
+            lb, ub = draw(st.tuples(BOUND, BOUND).map(sorted).filter(
+                lambda b: b[0] < INF and b[1] > -INF))
             m.add_variable(f"x{j}", lb, ub)
     var_ids = st.integers(0, n - 1) if n else st.nothing()
     for r in range(draw(st.integers(0, 5))):
         ids = draw(st.lists(var_ids, unique=True, max_size=n))
         m.add_constraint(f"c{r}", [(i, draw(COEFFS)) for i in ids],
                          draw(st.sampled_from(["<=", "=", ">="])),
-                         draw(COEFFS | st.sampled_from([INF, -INF])))
+                         draw(COEFFS))
     m.set_objective({i: draw(COEFFS)
                      for i in draw(st.lists(var_ids, unique=True))})
     return m
@@ -475,6 +476,10 @@ MPS_ERRORS = {
     "rhs_value": (_mps(rhs="    RHS c1 x"), "line 8: not a number: 'x'"),
     "rhs_nan": (_mps(rhs="    RHS c1 nan"),
                 "line 8: right-hand side must be a number, got 'nan'"),
+    "rhs_inf": (_mps(rhs="    RHS c1 inf"),
+                "line 8: right-hand side must be finite, got 'inf'"),
+    "rhs_minus_inf": (_mps(rows=" L c1\n G c2", rhs="    RHS c1 1 c2 -inf"),
+                      "line 9: right-hand side must be finite, got '-inf'"),
     "bound_shape": (_mps(bounds=" UP BND"), "line 10: malformed bound line 'UP BND'"),
     "bound_column": (_mps(bounds=" UP BND y 1"),
                      "line 10: bound for undeclared column 'y'"),
@@ -504,6 +509,13 @@ MPS_ERRORS = {
                       "or be fixed at 0 or 1, got [0.0, 2.0]"),
     "inverted_bounds": (_mps(bounds=" LO BND x 3\n UP BND x 2"),
                         "line 6: variable 'x': inverted bounds [3.0, 2.0]"),
+    "lower_bound_inf": (_mps(bounds=" LO BND x inf"),
+                        "line 6: variable 'x': a lower bound of +inf or an "
+                        "upper bound of -inf admits no value, got [inf, inf]"),
+    "upper_bound_minus_inf": (_mps(bounds=" UP BND x -inf"),
+                              "line 6: variable 'x': a lower bound of +inf or "
+                              "an upper bound of -inf admits no value, got "
+                              "[0.0, -inf]"),
     "row_name": (_mps(rows=" L c1\n G 2c"),
                  "line 5: invalid constraint name '2c': must match "
                  "[A-Za-z][A-Za-z0-9_]* and be at most 255 characters"),
@@ -528,10 +540,8 @@ class TestMpsErrors:
         m = read_mps(_mps(columns="    x c1 0\n    x c1 2"))
         assert rows(m) == [("c1", [0], [2.0], "<=", 0.0)]
 
-    def test_infinite_bounds_and_rhs_are_accepted(self):
-        m = read_mps(_mps(rhs="    RHS c1 inf",
-                          bounds=" LO BND x -inf\n UP BND x inf"))
-        assert m.rhs == [INF]
+    def test_infinite_bounds_are_accepted(self):
+        m = read_mps(_mps(bounds=" LO BND x -inf\n UP BND x inf"))
         assert (m.variables[0].lb, m.variables[0].ub) == (-INF, INF)
 
     def test_grammar_errors_come_in_line_order_before_model_errors(self):
@@ -590,11 +600,18 @@ class TestNonFiniteNumbers:
         assert (str(bulk.value), bulk.value.row) == (message, 0)
         assert m.n_constraints == 0 and m.ids == []
 
-    def test_infinite_rhs_is_accepted(self):
+    def test_infinite_rhs_is_rejected(self):
         m = self.model()
-        m.add_constraint("c", {0: 1.0}, "<=", INF)
-        m.add_rows(["d"], [">="], [-INF], [0, 1], [1], [2.0])
-        assert m.rhs == [INF, -INF]
+        with pytest.raises(ModelError) as info:
+            m.add_constraint("c", {0: 1.0}, "<=", INF)
+        assert str(info.value) == ("constraint 'c': right-hand side must be "
+                                   "finite, got inf")
+        with pytest.raises(ModelError) as bulk:
+            m.add_rows(["c", "d"], ["<=", ">="], [1.0, -INF], [0, 1, 2],
+                       [0, 1], [1.0, 2.0])
+        assert (str(bulk.value), bulk.value.row) == (
+            "constraint 'd': right-hand side must be finite, got -inf", 1)
+        assert m.n_constraints == 0 and m.ids == []
 
     def test_variable_rejects_nan_bounds_only(self):
         m = self.model()
@@ -604,6 +621,16 @@ class TestNonFiniteNumbers:
             m.add_variable("z", 0.0, math.nan)
         m.add_variable("z", -INF, INF)
         assert m.n_variables == 3
+
+    @pytest.mark.parametrize("lb, ub", [(INF, INF), (-INF, -INF), (0.0, -INF)])
+    def test_variable_rejects_bounds_that_admit_no_value(self, lb, ub):
+        m = self.model()
+        with pytest.raises(ModelError) as info:
+            m.add_variable("z", lb, ub)
+        assert str(info.value) == (
+            "variable 'z': a lower bound of +inf or an upper bound of -inf "
+            f"admits no value, got [{lb}, {ub}]")
+        assert m.n_variables == 2
 
     @pytest.mark.parametrize("value", [math.nan, INF, -INF])
     def test_objective_rejects_non_finite_coefficients(self, value):

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 import os
@@ -55,12 +56,13 @@ class TestSolveLp:
         assert solve_lp(m).status == "infeasible"
 
     def test_unbounded_direction_detected(self):
-        # no rows: the pure box shortcut
+        # no rows
         m = Model("down")
         x = m.add_variable("x", 0.0, INF)
         m.set_objective({x: -1.0})
         assert solve_lp(m).status == "unbounded"
-        # a row: the primal simplex finds the ray x = y -> inf
+        # a row: the ray x = y -> inf; the dual phase one finds no dual
+        # feasible basis, and a zero-cost run finds a feasible point
         m = Model("ray")
         x = m.add_variable("x", 0.0, INF)
         y = m.add_variable("y", 0.0, INF)
@@ -89,8 +91,9 @@ class TestSolveLp:
         assert run() == run()
 
     def test_lp_that_once_ended_on_a_singular_basis(self):
-        # the primal from the slack basis took a 3.4e-10 pivot here and,
-        # five checkpoint restores later, gave up after 567 iterations
+        # the primal simplex this solver once ran took a 3.4e-10 pivot
+        # here and, five checkpoint restores later, gave up after 567
+        # iterations
         model, _ = build_model(generate_instance(200237, 2, 4),
                                FormulationChoice("extended", "one_bin_star",
                                                  0.0))
@@ -99,8 +102,8 @@ class TestSolveLp:
         assert res.objective == pytest.approx(4856.107098031237, rel=1e-9)
 
     def test_two_blas_threads(self):
-        # under two BLAS threads the primal from the slack basis once ended
-        # "basis became singular" after 14744 iterations on this LP
+        # under two BLAS threads the primal simplex this solver once ran
+        # ended "basis became singular" after 14744 iterations on this LP
         script = textwrap.dedent("""
             from ucbench import (FormulationChoice, build_model,
                                  generate_instance, solve_lp)
@@ -234,17 +237,11 @@ class TestSolveMip:
         lines = [r.getMessage() for r in caplog.records
                  if r.name == "ucbench.solver"]
         assert len(lines) == 1
-        assert lines[0].startswith(f"mip: optimal after {res.nodes} nodes, "
-                                   f"{res.iterations} LP iterations; ")
-        counts = re.search(
-            r"dual simplex finished (\d+) of (\d+) nodes, handed (\d+) to "
-            r"the primal \(not dual feasible (\d+), stall (\d+), singular "
-            r"(\d+), small pivot (\d+)\)", lines[0])
-        done, nodes, handed, *why = map(int, counts.groups())
-        assert nodes == res.nodes
-        assert done + handed == res.nodes  # the root included
-        assert handed == sum(why)
-        assert done > 0
+        assert re.fullmatch(
+            re.escape(f"mip: optimal after {res.nodes} nodes, "
+                      f"{res.iterations} LP iterations; root bound "
+                      f"{res.root_bound!r}, best bound {res.best_bound!r}; ")
+            + r"\d+\.\d{3} s", lines[0])
 
 
 def pair_demand(load, sense="="):
@@ -328,44 +325,45 @@ class TestRowCheck:
         assert solve_lp(m).status == "infeasible"
 
 
+def best_vertex(bounds, rows, senses, rhs, cost):
+    """The least cost over the vertices of {x : bounds, rows}, or None if
+    none is feasible: each choice of n active constraints is solved and
+    kept if it satisfies them all."""
+    n = len(bounds)
+    cands = []
+    for j, (lo, hi) in enumerate(bounds):
+        e = np.zeros(n)
+        e[j] = 1.0
+        cands.append((e, lo))
+        cands.append((e, hi))
+    for a, b in zip(rows, rhs):
+        cands.append((np.asarray(a, float), b))
+    best = None
+    for combo in itertools.combinations(range(len(cands)), n):
+        A = np.array([cands[k][0] for k in combo])
+        b = np.array([cands[k][1] for k in combo])
+        try:
+            x = np.linalg.solve(A, b)
+        except np.linalg.LinAlgError:
+            continue
+        ok = all(bounds[j][0] - 1e-9 <= x[j] <= bounds[j][1] + 1e-9
+                 for j in range(n))
+        for a, s, r in zip(rows, senses, rhs):
+            v = float(np.dot(a, x))
+            if s != ">=" and v > r + 1e-9:
+                ok = False
+            elif s != "<=" and v < r - 1e-9:
+                ok = False
+        if ok:
+            val = float(np.dot(cost, x))
+            if best is None or val < best:
+                best = val
+    return best
+
+
 class TestVertexOracleAgreement:
     """Small random boxed LPs: the simplex optimum must match the best
     feasible vertex (an intersection of n active constraints)."""
-
-    @staticmethod
-    def best_vertex(bounds, rows, senses, rhs, cost):
-        import itertools
-
-        n = len(bounds)
-        cands = []
-        for j, (lo, hi) in enumerate(bounds):
-            e = np.zeros(n)
-            e[j] = 1.0
-            cands.append((e, lo))
-            cands.append((e, hi))
-        for a, b in zip(rows, rhs):
-            cands.append((np.asarray(a, float), b))
-        best = None
-        for combo in itertools.combinations(range(len(cands)), n):
-            A = np.array([cands[k][0] for k in combo])
-            b = np.array([cands[k][1] for k in combo])
-            try:
-                x = np.linalg.solve(A, b)
-            except np.linalg.LinAlgError:
-                continue
-            ok = all(bounds[j][0] - 1e-9 <= x[j] <= bounds[j][1] + 1e-9
-                     for j in range(n))
-            for a, s, r in zip(rows, senses, rhs):
-                v = float(np.dot(a, x))
-                if s == "<=" and v > r + 1e-9:
-                    ok = False
-                elif s == ">=" and v < r - 1e-9:
-                    ok = False
-            if ok:
-                val = float(np.dot(cost, x))
-                if best is None or val < best:
-                    best = val
-        return best
 
     def test_forty_random_lps(self):
         rng = np.random.default_rng(20240817)
@@ -395,7 +393,7 @@ class TestVertexOracleAgreement:
                                      {j: a[j] for j in range(n)}, s, r)
             model.set_objective({j: cost[j] for j in range(n)})
             res = solve_lp(model)
-            ref = self.best_vertex(bounds, rows, senses, rhs, cost)
+            ref = best_vertex(bounds, rows, senses, rhs, cost)
             assert res.status == "optimal"
             assert ref is not None
             assert res.objective == pytest.approx(ref, abs=1e-6)
@@ -405,13 +403,6 @@ def child_bounds(core, j, lo_j, up_j):
     lo, up = core.struct_bounds()
     lo[j], up[j] = lo_j, up_j
     return lo, up
-
-
-def primal_only(core, lo, up):
-    """The primal loop alone from the slack basis, as a reference."""
-    basis, vstat = solver._cold_start(core.A, lo, up)
-    return solver._Simplex(core.A, core.b, core.c, lo, up, basis, vstat,
-                           solver._factorize(core.A, basis)).primal()
 
 
 def solve_counting_cold_starts(core, *args):
@@ -437,11 +428,10 @@ def assert_same_outcome(warm, cold):
 
 
 class TestWarmStart:
-    """Every LP runs the dual simplex first, from a warm basis when one is
-    given and from the slack basis otherwise, and hands over to the primal
-    loop restarted from that same basis. A child LP re-optimised from its
-    parent's optimal basis must end as a cold solve and as the primal
-    loop alone do: same status, objective within 1e-9 relative."""
+    """Every LP runs the dual simplex, from a warm basis when one is given
+    and from the slack basis otherwise. A child LP re-optimised from its
+    parent's optimal basis must end as a cold solve does: same status,
+    objective within 1e-9 relative."""
 
     @pytest.mark.parametrize("seed, n, T", [(1, 2, 3), (2, 2, 4)])
     def test_both_children_of_each_fractional_binary(self, seed, n, T):
@@ -454,7 +444,6 @@ class TestWarmStart:
                 core = solver.LpCore(model)
                 root = core.solve()
                 assert root.status == "optimal"
-                assert root.dual_end == "done"
                 xb = root.x[core.binary_ids]
                 for j in core.binary_ids[np.abs(xb - np.round(xb)) > 1e-6]:
                     for val in (0.0, 1.0):
@@ -463,12 +452,9 @@ class TestWarmStart:
                             core, lo, up, (root.basis, root.vstat))
                         cold, cold_cold_starts = solve_counting_cold_starts(
                             core, lo, up)
-                        primal = primal_only(core, lo, up)
-                        assert_same_outcome(warm, primal)
-                        assert_same_outcome(cold, primal)
+                        assert_same_outcome(warm, cold)
                         assert (warm_cold_starts, cold_cold_starts) == (0, 1)
-                        assert warm.dual_end == cold.dual_end == "done"
-                        ends.add(primal.status)
+                        ends.add(cold.status)
         assert ends == {"optimal", "infeasible"}
 
     @settings(derandomize=True, max_examples=150, deadline=None)
@@ -482,14 +468,19 @@ class TestWarmStart:
             up = lo + data.draw(st.integers(1, 6))
             model.add_variable(f"x{j}", lo, up)
             x0.append(data.draw(st.integers(lo, up)))
+        rows, senses, rhs = [], [], []
         for i in range(m):
             coeffs = [data.draw(ints) for _ in range(n)]
             sense = data.draw(st.sampled_from(["<=", ">=", "="]))
             slack = 0 if sense == "=" else data.draw(st.integers(0, 3))
-            rhs = float(np.dot(coeffs, x0))
-            model.add_constraint(f"r{i}", dict(enumerate(coeffs)), sense,
-                                 rhs + (slack if sense == "<=" else -slack))
-        model.set_objective({j: data.draw(ints) for j in range(n)})
+            b = float(np.dot(coeffs, x0))
+            b += slack if sense == "<=" else -slack
+            model.add_constraint(f"r{i}", dict(enumerate(coeffs)), sense, b)
+            rows.append(coeffs)
+            senses.append(sense)
+            rhs.append(b)
+        cost = [data.draw(ints) for j in range(n)]
+        model.set_objective(dict(enumerate(cost)))
         core = solver.LpCore(model)
         root = core.solve()
         assert root.status == "optimal"
@@ -503,7 +494,11 @@ class TestWarmStart:
         warm, cold_starts = solve_counting_cold_starts(
             core, lo, up, (root.basis, root.vstat))
         assert cold_starts == 0
-        assert_same_outcome(warm, primal_only(core, lo, up))
+        assert_same_outcome(warm, core.solve(lo, up))
+        ref = best_vertex(list(zip(lo[:n], up[:n])), rows, senses, rhs, cost)
+        assert warm.status == ("infeasible" if ref is None else "optimal")
+        if ref is not None:
+            assert warm.objective == pytest.approx(ref, abs=1e-6)
 
     def test_leaving_row_by_dual_steepest_edge(self):
         # from basis (x, s_r1): x = 15 is 5 over its bound with
@@ -526,78 +521,175 @@ class TestWarmStart:
         assert run.dual().message == "iteration limit exceeded"
         assert run.basis.tolist() == [0, 1]  # y replaced s_r1
         res = core.solve(warm=(basis, vstat))
-        assert (res.status, res.objective, res.dual_end) == ("optimal", 1.0,
-                                                             "done")
+        assert (res.status, res.objective) == ("optimal", 1.0)
 
-    def test_a_basis_that_is_not_dual_feasible_goes_to_the_primal(self):
+    def test_a_basis_that_is_not_dual_feasible_is_repaired(self):
         m = Model("up")
         x = m.add_variable("x", 0.0, 10.0)
         m.add_constraint("cap", {x: 1.0}, "<=", 5.0)
-        m.set_objective({x: -1.0})  # x at its lower bound prices negative
+        m.set_objective({x: -1.0})
         core = solver.LpCore(m)
-        for warm in (None, solver._cold_start(core.A, core.lo, core.up)):
+        # cold, x rests at the upper bound its negative cost prefers; the
+        # warm basis puts it at its lower bound, where it prices wrong
+        at_lower = (np.array([1]), np.array([solver._AT_LOWER, solver._BASIC],
+                                            dtype=np.int8))
+        for warm in (None, at_lower):
             res = core.solve(warm=warm)
             assert (res.status, res.objective) == ("optimal", -5.0)
-            assert res.dual_end == "not dual feasible"
+            assert res.iterations == 1
 
-    def test_tiny_pivots_go_to_the_primal(self):
+    def test_a_tiny_pivot_is_taken_on_a_fresh_basis(self):
         # the only column that can repair the violated row enters with a
-        # pivot of 1e-8, below DUAL_PIVOT_TOL but above the primal's
+        # pivot of 1e-8, below DUAL_PIVOT_TOL
         m = Model("tiny")
         x = m.add_variable("x", 0.0, 10.0)
         m.add_constraint("floor", {x: 1e-8}, ">=", 1e-8)
         m.set_objective({x: 1.0})
-        core = solver.LpCore(m)
-        res = core.solve()
-        assert res.dual_end == "small pivot"
+        res = solver.LpCore(m).solve()
         assert (res.status, res.objective) == ("optimal", 1.0)
-        assert res.iterations == 1  # the primal's pivot; the dual took none
+        assert res.iterations == 1
 
-    @pytest.mark.parametrize("seed, n, T, module, optimum", [
+    @pytest.mark.parametrize("seed, n, T, module, ktol, optimum", [
         # a child once took a 1.4e-10 dual pivot, and the wrecked basis
         # ended the solve with "basis became singular"
-        (1, 3, 4, "one_bin", 6825.224555897937),
+        pytest.param(1, 3, 4, "one_bin", 0.0, 6825.224555897937,
+                     id="1-3-4-one_bin-6825.224555897937"),
         # the dual's pivots raised the basis condition number from 6e6 to
-        # 2e12 before it gave up, and the primal failed from there
-        (100061, 2, 3, "one_bin_star", 3113.413932024525),
+        # 2e12 before it gave up, and the primal simplex it then handed
+        # the LP to failed from there
+        pytest.param(100061, 2, 3, "one_bin_star", 0.0, 3113.413932024525,
+                     id="100061-2-3-one_bin_star-3113.413932024525"),
+        # children whose only pivots left were 1.1e-10 to 1.4e-10 entries
+        # of a drifted inverse; a fresh one proves them infeasible
+        (500121, 2, 4, "one_bin", 0.0, None),
+        (500127, 2, 4, "one_bin", 0.2, 15434.885944833673),
+        (500127, 2, 4, "one_bin_star", 0.2, 15434.885944833673),
     ])
     def test_mips_that_once_met_tiny_dual_pivots(self, seed, n, T, module,
-                                                 optimum):
+                                                 ktol, optimum):
         inst = generate_instance(seed, n, T)
         model, _ = build_model(
-            inst, FormulationChoice("extended", module, 0.0))
+            inst, FormulationChoice("extended", module, ktol))
         res = solve_mip(model, SolveConfig(gap=0.0))
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(optimum, rel=1e-9)
+        if optimum is None:
+            assert res.status == "infeasible"
+        else:
+            assert res.status == "optimal"
+            assert res.objective == pytest.approx(optimum, rel=1e-9)
 
-    def test_stalled_dual_hands_over_to_the_primal(self, monkeypatch):
+    def test_stalled_dual_switches_to_blands_rule(self, monkeypatch):
         # the dual simplex solves this LP from its slack basis, but not
         # without runs of pivots that leave the dual objective where it
-        # was; with the stall guard lowered to 5 such pivots it hands the
-        # LP to the primal, which restarts from the slack basis
+        # was; with the stall guard lowered to 5 such pivots it switches
+        # to Bland's rule and still ends at the optimum
         inst = generate_instance(8, 3, 6, with_network=True)
         model, _ = build_model(
             inst, FormulationChoice("extended", "temp", 0.0))
         core = solver.LpCore(model)
         cold = core.solve()
-        primal = primal_only(core, core.lo, core.up)
-        assert (cold.status, cold.dual_end) == ("optimal", "done")
-        assert primal.status == "optimal"
-        assert cold.objective == pytest.approx(primal.objective, rel=1e-9)
+        assert cold.status == "optimal"
 
-        dual = solver._Simplex.dual
+        dual, runs = solver._Simplex.dual, []
 
         def impatient_dual(run):
             run.stall_limit = 5
+            runs.append(run)
             return dual(run)
 
         monkeypatch.setattr(solver._Simplex, "dual", impatient_dual)
         res = core.solve()
-        assert (res.status, res.dual_end) == ("optimal", "stall")
-        # the primal ran as it runs alone; the dual's iterations still count
-        assert res.objective == primal.objective
-        assert np.array_equal(res.x, primal.x)
-        assert res.iterations > primal.iterations + 5
+        assert [run.bland for run in runs] == [True]
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(cold.objective, rel=1e-9)
+
+
+class TestDualPhaseOne:
+    """A column with an infinite bound whose cost prices it wrong at the
+    slack basis sends the LP through the dual phase one; hand-computed
+    optima."""
+
+    def test_free_column(self):
+        # x >= 1 - y >= -9
+        m = Model("free")
+        x = m.add_variable("x", -INF, INF)
+        y = m.add_variable("y", 0.0, 10.0)
+        m.add_constraint("floor", {x: 1.0, y: 1.0}, ">=", 1.0)
+        m.set_objective({x: 1.0})
+        res = solve_lp(m)
+        assert (res.status, res.objective) == ("optimal", -9.0)
+        assert res.values == {"x": -9.0, "y": 10.0}
+
+    def test_column_bounded_only_above_with_a_positive_cost(self):
+        # x rests at its upper bound 5, where a cost of 1 prices it wrong;
+        # x >= 2 - y >= -1
+        m = Model("upper")
+        x = m.add_variable("x", -INF, 5.0)
+        y = m.add_variable("y", 0.0, 3.0)
+        m.add_constraint("floor", {x: 1.0, y: 1.0}, ">=", 2.0)
+        m.set_objective({x: 1.0})
+        res = solve_lp(m)
+        assert (res.status, res.objective) == ("optimal", -1.0)
+        assert res.values == {"x": -1.0, "y": 3.0}
+
+    def test_ray_that_a_second_row_makes_infeasible(self):
+        # min -x over x = y would run down the ray x = y -> inf, but
+        # y <= -1 and x >= 0 leave no point at all
+        m = Model("no_ray")
+        x = m.add_variable("x", 0.0, INF)
+        y = m.add_variable("y", -INF, INF)
+        m.add_constraint("tie", {x: 1.0, y: -1.0}, "=", 0.0)
+        m.add_constraint("cap", {y: 1.0}, "<=", -1.0)
+        m.set_objective({x: -1.0})
+        assert solver._unreachable_row(m) is None
+        assert solve_lp(m).status == "infeasible"
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4), m=st.integers(0, 3))
+    def test_agrees_with_highs(self, linprog, data, n, m):
+        ints = st.integers(-4, 4)
+        model = Model("diff")
+        bounds = []
+        for j in range(n):
+            kind = data.draw(st.sampled_from(
+                ["free", "lower", "upper", "boxed", "fixed"]))
+            lo = data.draw(ints)
+            up = lo + data.draw(st.integers(1, 5))
+            lo, up = {"free": (-INF, INF), "lower": (lo, INF),
+                      "upper": (-INF, up), "boxed": (lo, up),
+                      "fixed": (lo, lo)}[kind]
+            model.add_variable(f"x{j}", lo, up)
+            bounds.append((None if lo == -INF else lo,
+                           None if up == INF else up))
+        A_ub, b_ub, A_eq, b_eq = [], [], [], []
+        for i in range(m):
+            coeffs = [data.draw(ints) for _ in range(n)]
+            sense = data.draw(st.sampled_from(["<=", ">=", "="]))
+            b = data.draw(st.integers(-6, 6))
+            model.add_constraint(f"r{i}", dict(enumerate(coeffs)), sense, b)
+            if sense == "=":
+                A_eq.append(coeffs)
+                b_eq.append(b)
+            else:
+                sign = 1 if sense == "<=" else -1
+                A_ub.append([sign * a for a in coeffs])
+                b_ub.append(sign * b)
+        cost = [data.draw(ints) for _ in range(n)]
+        model.set_objective(dict(enumerate(cost)))
+        ref = linprog(cost, A_ub=A_ub or None, b_ub=b_ub or None,
+                      A_eq=A_eq or None, b_eq=b_eq or None, bounds=bounds,
+                      method="highs")
+        assert ref.status in (0, 2, 3), ref.message
+        res = solve_lp(model)
+        assert res.status == {0: "optimal", 2: "infeasible",
+                              3: "unbounded"}[ref.status]
+        if ref.status == 0:
+            assert res.objective == pytest.approx(ref.fun, rel=1e-9,
+                                                  abs=1e-9)
+
+
+@pytest.fixture(scope="module")
+def linprog():
+    return pytest.importorskip("scipy.optimize").linprog
 
 
 class TestExternalBridge:
