@@ -131,7 +131,7 @@ class BenchConfig:
     ``generate`` entries are keyword arguments of generate_instance: seed,
     n_units, T and optional volatility, with_network. ``record_timing``
     keeps wall_ms at 0 when off so reports are byte-deterministic for a
-    fixed BLAS thread count.
+    fixed BLAS library, kernel set and thread count.
     """
 
     instances: list[str] = field(default_factory=list)

@@ -11,11 +11,19 @@ row and no bound, and it reports infeasible only where the simplex could
 not have reported optimal.
 
 Every LP takes one path. It starts from a warm basis when one is given
-(every branch-and-bound node but the root, from its parent's optimal
-basis) and from the slack basis otherwise (every ``solve_lp``, every
-root). The slack basis rests each structural at its lower bound when
-finite, else at its upper bound when finite, else free at 0; a column
-with both bounds finite and a negative cost rests at its upper bound.
+(every branch-and-bound node but the root) and from the slack basis
+otherwise (every ``solve_lp``, every root). A child node starts from its
+parent's optimal basis and from the parent's inverse of it, not from a
+refactorization: an LP ends optimal only on a fresh inverse, so that
+inverse is bit for bit the one a refactorization would compute. The
+tree therefore holds one m×m inverse per open parent, shared by its two
+children. A warm basis given without its inverse is refactorized, and
+one that is singular, or whose condition number reaches 1/eps, is
+dropped for the slack basis. The slack basis starts from the identity,
+bit for bit its computed inverse. It rests each structural at its lower
+bound when finite, else at its upper bound when finite, else free at 0;
+a column with both bounds finite and a negative cost rests at its upper
+bound.
 Both bases are dual feasible on every unit-commitment model: fixing a
 binary keeps the parent's reduced costs sign-correct, and every cost is
 >= 0. The leaving row is chosen by dual steepest edge (Forrest &
@@ -56,17 +64,22 @@ column index.
 MIP solving is best-first branch-and-bound on binary variables:
 node selection by (bound, creation index), branching on the most
 fractional binary with ties to the lowest variable index. Node and
-iteration counts are deterministic for a fixed BLAS thread count; a
-multithreaded product can round differently and lead to another pivot
-(the seeded 3×12 extended/one_bin root takes 199 iterations under one
-thread and 196 under two). The root node is solved whatever the time
-budget, cold, on the model's own bounds, i.e. exactly as ``solve_lp``
-solves a model that passes its row check (a model that fails it has no
-optimal root either); its objective is kept as ``Solution.root_bound``
+iteration counts are deterministic for a fixed BLAS library, kernel set
+and thread count; a product can round differently under another and
+lead to another pivot (the seeded 3×12 extended/one_bin root takes 199
+iterations under one thread and 196 under two, and the gap-0 tree of
+extended/one_bin on ``generate_instance(1004, 2, 3)`` takes 40 LP
+iterations under OpenBLAS's SkylakeX kernels and 37 under its Haswell
+ones). The root node is solved whatever the time budget, cold, on the
+model's own bounds, i.e. exactly as ``solve_lp`` solves a model that
+passes its row check (a model that fails it has no optimal root
+either); its objective is kept as ``Solution.root_bound``
 (NaN unless that LP is optimal), so a caller that wants both z_LP and
 z_MIP needs one run. ``Solution.iterations`` of a MIP is the LP
 iteration count summed over all nodes. One DEBUG line per ``solve_mip``
-reports status, nodes, iterations, root and best bound, and seconds.
+reports status, nodes, iterations, root and best bound, and seconds, and
+one INFO line per new incumbent reports it with the nodes solved so far,
+the best bound of the open nodes and the relative gap.
 
 ``solve_external`` ships a model to any command-line solver via MPS and
 reads the solution back from a file (two-column text or an XML-like
@@ -136,7 +149,8 @@ class Solution:
 # ---------------------------------------------------------------------------
 
 _BASIC, _AT_LOWER, _AT_UPPER, _AT_FREE = 0, 1, 2, 3
-# which way a column may move from its status, indexed by vstat
+# which way a column may move from its status, indexed by vstat (an intp
+# array: numpy indexes with an int8 one about four times slower)
 _CAN_INC = np.array([False, True, False, True])
 _CAN_DEC = np.array([False, False, True, True])
 
@@ -154,6 +168,10 @@ class _LpResult:
     vstat: np.ndarray | None
     iterations: int
     message: str = ""
+    # inv(A[:, basis]) of an optimal end, fresh from a refactorization (or
+    # the start's own inverse), so a child that starts from this basis
+    # need not invert it again; None for every other status
+    Binv: np.ndarray | None = None
 
 
 class LpCore:
@@ -195,7 +213,7 @@ class LpCore:
             dtype=np.int64)
 
     def solve(self, lo: np.ndarray | None = None, up: np.ndarray | None = None,
-              warm: tuple[np.ndarray, np.ndarray] | None = None) -> _LpResult:
+              warm: tuple[np.ndarray, ...] | None = None) -> _LpResult:
         l = self.lo if lo is None else lo
         u = self.up if up is None else up
         return _simplex(self.A, self.b, self.c, l, u, warm)
@@ -210,17 +228,18 @@ def _resting(lo, up, d, basis):
     bound its reduced cost d prefers when both bounds are finite, else at
     its finite bound, else free at 0."""
     vstat = np.where((lo > -INF) & ~((d < 0) & (up < INF)), _AT_LOWER,
-                     np.where(up < INF, _AT_UPPER, _AT_FREE)).astype(np.int8)
+                     np.where(up < INF, _AT_UPPER, _AT_FREE)).astype(np.intp)
     vstat[basis] = _BASIC
     return vstat
 
 
 def _cold_start(A, lo, up, c):
     """Slack basis, each structural resting where ``_resting`` puts it
-    for the reduced costs c."""
+    for the reduced costs c, and its inverse: the identity, bit for bit
+    what inverting the slack columns would give."""
     m, n = A.shape
     basis = np.arange(n - m, n, dtype=np.int64)
-    return basis, _resting(lo, up, c, basis)
+    return basis, _resting(lo, up, c, basis), np.eye(m)
 
 
 def _nonbasic_values(vstat, lo, up):
@@ -232,30 +251,39 @@ def _nonbasic_values(vstat, lo, up):
     return x
 
 
-def _priced_wrong(vstat, rc, movable):
-    """Nonbasic columns whose reduced cost rc would pay them to leave the
-    bound they rest at: the dual infeasibilities."""
-    return ((_CAN_INC[vstat] & (rc < -OPT_TOL))
-            | (_CAN_DEC[vstat] & (rc > OPT_TOL))) & movable
+def _directions(vstat, movable):
+    """Masks of the columns that may rise and of those that may fall
+    from where they rest; basic and fixed columns do neither."""
+    return _CAN_INC[vstat] & movable, _CAN_DEC[vstat] & movable
+
+
+def _priced_wrong(inc, dec, rc):
+    """Which nonbasic columns the reduced costs rc would pay to leave the
+    bound they rest at (the dual infeasibilities), given the
+    ``_directions`` masks inc and dec."""
+    return (inc & (rc < -OPT_TOL)) | (dec & (rc > OPT_TOL))
 
 
 def _simplex(A, b, c, lo, up, warm=None) -> _LpResult:
-    """Bounded dual simplex over a dense basis inverse, from the warm
-    basis if one is given and inverts, else from the slack basis (see the
-    module docstring)."""
+    """Bounded dual simplex over a dense basis inverse (see the module
+    docstring). It starts from the warm basis if one is given: with the
+    inverse that comes as its third item (a parent's ``_LpResult.Binv``),
+    else with a refactorization, unless ``_factorize`` finds the basis
+    singular. It starts from the slack basis otherwise."""
     m, n = A.shape
     if np.any(lo > up):
         return _LpResult("infeasible", math.nan, None, None, None, 0,
                          "empty variable domain")
-    basis, vstat, Binv = None, None, None
+    Binv = None
     if warm is not None:
-        basis, vstat = warm[0].copy(), warm[1].copy()
-        if (len(basis) == m and len(np.unique(basis)) == m
+        basis, vstat = warm[0].copy(), warm[1].astype(np.intp)
+        if len(warm) > 2:
+            Binv = warm[2].copy()  # pivot updates it in place
+        elif (len(basis) == m and len(np.unique(basis)) == m
                 and ((basis >= 0) & (basis < n)).all()):
-            Binv = _factorize(A, basis)  # None for a degenerate warm basis
+            Binv = _factorize(A, basis)  # None for a singular warm basis
     if Binv is None:
-        basis, vstat = _cold_start(A, lo, up, c)
-        Binv = _factorize(A, basis)  # the identity
+        basis, vstat, Binv = _cold_start(A, lo, up, c)
     return _Simplex(A, b, c, lo, up, basis, vstat, Binv).dual()
 
 
@@ -295,10 +323,10 @@ class _Simplex:
     def refresh(self):
         """Refactorize the current basis and recompute xB from scratch;
         False if no invertible basis is left. A drifted Binv can accept a
-        pivot that is zero in exact arithmetic, leaving an exactly
-        singular basis behind; in that case restore the last good
-        checkpoint and switch to Bland's rule so the replayed trajectory
-        diverges from the poisoned one."""
+        pivot that is zero in exact arithmetic, leaving a basis behind
+        that ``_factorize`` finds singular; in that case restore the last
+        good checkpoint and switch to Bland's rule so the replayed
+        trajectory diverges from the poisoned one."""
         A = self.A
         B = _factorize(A, self.basis)
         if B is None:
@@ -358,13 +386,16 @@ class _Simplex:
         A, b, c, lo, up = self.A, self.b, self.c, self.lo, self.up
         movable = self.movable
         n = A.shape[1]
+        # per-column buffers, reused every pass
+        mag, abs_rc, ratios = np.empty(n), np.empty(n), np.empty(n)
         best = -INF
         stalled = 0
         while True:
             if self.iters >= self.max_iter:
                 return self.error("iteration limit exceeded")
             rc = self.reduced_costs()
-            if _priced_wrong(self.vstat, rc, movable).any():
+            inc, dec = _directions(self.vstat, movable)
+            if np.count_nonzero(_priced_wrong(inc, dec, rc)):
                 if not self.fresh:
                     if not self.refresh():
                         return self.error("basis became singular")
@@ -380,9 +411,9 @@ class _Simplex:
             over = xB - up[basis]
             viol = np.maximum(short, over)
             out = viol > FEAS_TOL
-            if not out.any():
+            if not np.count_nonzero(out):
                 if self.fresh:
-                    return _finish(A, b, c, lo, up, basis, vstat, xB,
+                    return _finish(A, b, c, lo, up, basis, vstat, Binv, xB,
                                    self.iters)
                 if not self.refresh():
                     return self.error("basis became singular")
@@ -401,34 +432,36 @@ class _Simplex:
                         self.bland = True
 
             if self.bland:
-                rows = np.flatnonzero(out)
-                r = int(rows[np.argmin(basis[rows])])
+                rows = out.nonzero()[0]
+                r = int(rows[basis[rows].argmin()])
             else:
                 # dual steepest edge: the largest viol^2 / ||Binv[r]||^2,
                 # with exact weights from the dense inverse
                 score = np.where(out, viol * viol, 0.0)
                 score /= np.einsum("ij,ij->i", Binv, Binv)
-                r = int(np.argmax(score))  # first max -> lowest row on ties
+                r = int(score.argmax())  # first max -> lowest row on ties
 
             # entering column: one whose move pushes x_B[r] toward the
             # violated bound; the smallest |rc| / |alpha| keeps every
             # reduced cost sign-correct
             rising = bool(short[r] > over[r])
             alpha = Binv[r] @ A
-            # x_B[r]'s move toward its bound per unit rise of each column
-            toward = -alpha if rising else alpha
-            eligible = ((_CAN_INC[vstat] & (toward > PIVOT_TOL))
-                        | (_CAN_DEC[vstat] & (toward < -PIVOT_TOL))) & movable
-            if not eligible.any():
+            # x_B[r] falls as a column with alpha > 0 rises, so a rising
+            # x_B[r] needs columns with alpha < 0 to rise or alpha > 0 to
+            # fall, and a falling one the reverse
+            up_ok, down_ok = (dec, inc) if rising else (inc, dec)
+            eligible = ((up_ok & (alpha > PIVOT_TOL))
+                        | (down_ok & (alpha < -PIVOT_TOL)))
+            if not np.count_nonzero(eligible):
                 if self.fresh:
                     return _LpResult("infeasible", math.nan, None, basis,
                                      vstat, self.iters)
                 if not self.refresh():
                     return self.error("basis became singular")
                 continue
-            mag = np.abs(alpha)
+            np.abs(alpha, out=mag)
             large = eligible & (mag >= DUAL_PIVOT_TOL)
-            small = not large.any()
+            small = not np.count_nonzero(large)
             if not small:
                 eligible = large
             elif not self.fresh:
@@ -436,14 +469,14 @@ class _Simplex:
                 if not self.refresh():
                     return self.error("basis became singular")
                 continue
-            ratios = np.full(n, INF)
-            np.divide(np.abs(rc), mag, out=ratios, where=eligible)
-            ties = np.flatnonzero(ratios <= ratios.min() + 1e-12)
+            ratios.fill(INF)
+            np.divide(np.abs(rc, out=abs_rc), mag, out=ratios, where=eligible)
+            ties = (ratios <= np.minimum.reduce(ratios) + 1e-12).nonzero()[0]
             if self.bland:
                 q = int(ties[0])
             else:
                 # largest |alpha|, then the lowest j
-                q = int(ties[np.argmax(mag[ties])])
+                q = int(ties[mag[ties].argmax()])
 
             target = lo[basis[r]] if rising else up[basis[r]]
             msg = self.pivot(r, q, Binv @ A[:, q],
@@ -461,7 +494,8 @@ class _Simplex:
         puts them."""
         A, c, lo, up = self.A, self.c, self.lo, self.up
         boxed = (lo > -INF) & (up < INF)
-        if (_priced_wrong(self.vstat, rc, self.movable) & ~boxed).any():
+        wrong = _priced_wrong(*_directions(self.vstat, self.movable), rc)
+        if np.count_nonzero(wrong & ~boxed):
             aux_lo = np.where(lo > -INF, 0.0, -1.0)
             aux_up = np.where(up < INF, 0.0, 1.0)
             aux = _Simplex(A, np.zeros(len(self.b)), c, aux_lo, aux_up,
@@ -478,8 +512,8 @@ class _Simplex:
         self.vstat = _resting(lo, up, rc, self.basis)
         if not self.refresh():
             return self.error("basis became singular")
-        if not _priced_wrong(self.vstat, self.reduced_costs(),
-                             self.movable).any():
+        if not np.count_nonzero(_priced_wrong(
+                *_directions(self.vstat, self.movable), self.reduced_costs())):
             return None
         # the LP's dual is infeasible, so the LP is unbounded if it has a
         # feasible point at all, and infeasible if not
@@ -492,27 +526,40 @@ class _Simplex:
 
 
 def _factorize(A, basis):
+    """inv(A[:, basis]), or None if the basis is singular. A basis whose
+    condition number in the infinity norm, ||B|| * ||inv(B)||, reaches
+    1/eps counts as singular too: ``np.linalg.inv`` raises only on an
+    exact zero pivot, and the inverse of such a basis is rounding noise."""
+    B = A[:, basis]
+    norm = np.abs(B).sum(axis=1).max(initial=0.0)
     try:
-        return np.linalg.inv(A[:, basis])
+        Binv = np.linalg.inv(B)
     except np.linalg.LinAlgError:
         return None
+    del B  # so that the m×m temporary below does not raise the peak memory
+    cond = norm * np.abs(Binv).sum(axis=1).max(initial=0.0)
+    if not cond < 1.0 / np.finfo(np.float64).eps:  # also a nan or inf
+        return None
+    return Binv
 
 
-def _finish(A, b, c, lo, up, basis, vstat, xB, iters) -> _LpResult:
+def _finish(A, b, c, lo, up, basis, vstat, Binv, xB, iters) -> _LpResult:
     m, n = A.shape
     x = _nonbasic_values(vstat, lo, up)
     x[basis] = xB
-    drift = float(np.max(np.abs(x - np.clip(x, lo, up)), initial=0.0))
+    clipped = np.clip(x, lo, up)
+    drift = float(np.max(np.abs(x - clipped), initial=0.0))
     if drift > 1e-7:
         return _LpResult("error", math.nan, None, basis, vstat, iters,
                          f"solution violates bounds by {drift:g}")
-    np.clip(x, lo, up, out=x)
+    x = clipped
     resid = float(np.max(np.abs(A @ x - b), initial=0.0))
     if resid > RESID_TOL * (1.0 + float(np.max(np.abs(b), initial=0.0))):
         return _LpResult("error", math.nan, None, basis, vstat, iters,
                          f"row residual {resid:g} after solve")
     ns = n - m
-    return _LpResult("optimal", float(c @ x), x[:ns], basis, vstat, iters)
+    return _LpResult("optimal", float(c @ x), x[:ns], basis, vstat, iters,
+                     Binv=Binv)
 
 
 # ---------------------------------------------------------------------------
@@ -593,10 +640,12 @@ def solve_mip(model: Model, config: SolveConfig | None = None) -> Solution:
     Nodes are keyed by (LP bound of the parent, creation index); the
     branch variable is the most fractional binary, ties going to the
     lowest variable id. Node and iteration counts are deterministic for a
-    fixed BLAS thread count (see the module docstring). The root LP is
+    fixed BLAS library, kernel set and thread count (see the module
+    docstring). The root LP is
     solved from the slack basis, whatever the time budget, so
     ``root_bound`` is always, bit for bit, the relaxation ``solve_lp``
-    would report. Each child LP starts from its parent's optimal basis.
+    would report. Each child LP starts from its parent's optimal basis
+    and its inverse. Each new incumbent is logged at INFO.
     """
     config = config or SolveConfig()
     core = LpCore(model)
@@ -620,9 +669,10 @@ def _branch_and_bound(core: LpCore, config: SolveConfig,
     iterations = 0
     root_bound = math.nan
     counter = 0
-    # heap entries: (parent LP bound, creation index, lo, up, warm basis);
+    # heap entries: (parent LP bound, creation index, lo, up, warm start);
     # the counter breaks bound ties deterministically and keeps heapq from
-    # ever comparing the array payloads
+    # ever comparing the array payloads. The warm start is the parent's
+    # (basis, vstat, Binv), one tuple shared by both siblings.
     heap: list = [(-INF, counter, lo0, up0, None)]
     stop: str | None = None   # why the loop broke, if early
     best_open = math.inf      # bound of the best node left unexplored
@@ -665,15 +715,20 @@ def _branch_and_bound(core: LpCore, config: SolveConfig,
         if not len(frac) or frac.max() <= INT_TOL:
             incumbent = res.objective
             incumbent_x = res.x
+            if log.isEnabledFor(logging.INFO):
+                # this node is closed; the open ones are bounded by heap[0]
+                open_bound = min(heap[0][0], incumbent) if heap else incumbent
+                log.info("mip: incumbent %r after %d nodes; best bound %r, "
+                         "gap %.3g", incumbent, nodes_solved, open_bound,
+                         (incumbent - open_bound) / max(abs(incumbent), 1e-9))
             continue
         j = int(bin_ids[np.argmax(frac)])  # argmax: lowest index wins ties
+        warm = (res.basis, res.vstat, res.Binv)
         for val in (0.0, 1.0):
             lo2, up2 = lo.copy(), up.copy()
             lo2[j] = up2[j] = val
             counter += 1
-            heapq.heappush(
-                heap, (res.objective, counter, lo2, up2,
-                       (res.basis, res.vstat)))
+            heapq.heappush(heap, (res.objective, counter, lo2, up2, warm))
 
     if incumbent < math.inf:
         values = dict(zip((v.name for v in core.model.variables),

@@ -1,13 +1,17 @@
 """Shared factories for small hand-built instances, and a row reader."""
+import ctypes
+import dataclasses
 import math
 import os
 from collections import namedtuple
+from pathlib import Path
 
 # The bundled solver multiplies tiny dense matrices; a multithreaded BLAS
 # only adds contention there, so pin one thread before numpy is loaded.
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import numpy as np
 import pytest
 
 from ucbench import Instance, Unit
@@ -38,6 +42,32 @@ def make_instance(load, units=None, name="tiny", network=None, **unit_over):
     units = units if units is not None else [make_unit(**unit_over)]
     return Instance(name=name, horizon=len(load), load=list(load),
                     units=units, network=network)
+
+
+def ramped(inst, factor, **first_unit):
+    """The instance with every unit's ramp limits set to ``factor`` times
+    its output range, and the first unit's other fields overridden."""
+    units = [dataclasses.replace(u, ramp_up=factor * (u.p_max - u.p_min),
+                                 ramp_down=factor * (u.p_max - u.p_min))
+             for u in inst.units]
+    units[0] = dataclasses.replace(units[0], **first_unit)
+    return dataclasses.replace(inst, units=units)
+
+
+def openblas_corename():
+    """Name of the kernel set (SkylakeX, Haswell, ...) that the OpenBLAS
+    bundled with numpy runs on this CPU, or None without one. Kernel sets
+    round dot products differently, and that alone can change pivots."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("*openblas*")):
+        cdll = ctypes.CDLL(str(lib))
+        for sym in ("scipy_openblas_get_corename64_",
+                    "openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(cdll, sym, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return None
 
 
 @pytest.fixture

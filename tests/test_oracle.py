@@ -6,7 +6,6 @@ MILP formulations against, so these tests pin its behavior on instances
 small enough to check by hand.
 """
 
-import dataclasses
 import itertools
 import tracemalloc
 
@@ -24,7 +23,7 @@ from ucbench import (
 )
 from ucbench import oracle, solver
 
-from conftest import make_instance, make_unit
+from conftest import make_instance, make_unit, ramped
 
 
 def bit_rows(schedules):
@@ -272,16 +271,6 @@ class TestCertifyEquivalence:
         # the formulation solves themselves still ran
         for entry in report["formulations"].values():
             assert entry["status"] == "optimal"
-
-
-def ramped(inst, factor, **first_unit):
-    """The instance with every unit's ramp limits set to ``factor`` times
-    its output range, and the first unit's other fields overridden."""
-    units = [dataclasses.replace(u, ramp_up=factor * (u.p_max - u.p_min),
-                                 ramp_down=factor * (u.p_max - u.p_min))
-             for u in inst.units]
-    units[0] = dataclasses.replace(units[0], **first_unit)
-    return dataclasses.replace(inst, units=units)
 
 
 def record_solves(monkeypatch):

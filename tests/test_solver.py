@@ -1,4 +1,5 @@
 import itertools
+import json
 import logging
 import math
 import os
@@ -6,6 +7,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -235,13 +237,103 @@ class TestSolveMip:
         with caplog.at_level(logging.DEBUG, logger="ucbench.solver"):
             res = solve_mip(model, SolveConfig(gap=0.0))
         lines = [r.getMessage() for r in caplog.records
-                 if r.name == "ucbench.solver"]
+                 if r.name == "ucbench.solver" and r.levelno == logging.DEBUG]
         assert len(lines) == 1
         assert re.fullmatch(
             re.escape(f"mip: optimal after {res.nodes} nodes, "
                       f"{res.iterations} LP iterations; root bound "
                       f"{res.root_bound!r}, best bound {res.best_bound!r}; ")
             + r"\d+\.\d{3} s", lines[0])
+
+    @pytest.mark.parametrize(
+        "instance, base, module, objective, nodes, iterations", [
+        ("2x3", "basic", "one_bin", "5027.866084736637", 9, 25),
+        ("2x3", "basic", "one_bin_star", "5027.866084736637", 9, 25),
+        ("2x3", "basic", "three_bin", "5027.866084736636", 11, 37),
+        ("2x3", "basic", "temp", "5027.866084736637", 9, 34),
+        ("2x3", "extended", "one_bin", "5027.866084736637", 11, 37),
+        ("2x3", "extended", "one_bin_star", "5027.866084736637", 11, 37),
+        ("2x3", "extended", "three_bin", "5027.866084736637", 9, 31),
+        ("2x3", "extended", "temp", "5027.866084736637", 11, 49),
+        ("2x4-ramps", "basic", "one_bin", "5685.033102533476", 21, 62),
+        ("2x4-ramps", "basic", "one_bin_star", "5685.033102533476", 19, 72),
+        ("2x4-ramps", "basic", "three_bin", "5685.033102533476", 15, 70),
+        ("2x4-ramps", "basic", "temp", "5685.033102533476", 29, 127),
+    ])
+    def test_pinned_trees(self, pinned_trees, instance, base, module,
+                          objective, nodes, iterations):
+        assert pinned_trees[f"{instance}/{base}/{module}"] \
+            == ["optimal", objective, nodes, iterations]
+
+    def test_progress_log_of_each_new_incumbent(self, caplog):
+        # best-first search meets an incumbent of 5690.41 at node 6, then
+        # the optimum at node 8
+        model, _ = build_model(generate_instance(1004, 2, 3),
+                               FormulationChoice("extended", "three_bin", 0.0))
+        with caplog.at_level(logging.INFO, logger="ucbench.solver"):
+            res = solve_mip(model, SolveConfig(gap=0.0))
+        progress = [re.fullmatch(
+            r"mip: incumbent (\S+) after (\d+) nodes; best bound (\S+), "
+            r"gap (\S+)", r.getMessage())
+            for r in caplog.records
+            if r.name == "ucbench.solver" and r.levelno == logging.INFO]
+        assert len(progress) == 2 and all(progress)
+        incumbents = [float(p[1]) for p in progress]
+        assert incumbents[0] > incumbents[1] == res.objective
+        nodes = [int(p[2]) for p in progress]
+        assert nodes[0] < nodes[1] <= res.nodes
+        for p, incumbent in zip(progress, incumbents):
+            bound, gap = float(p[3]), float(p[4])
+            assert res.root_bound <= bound <= incumbent
+            # the gap is printed to 3 significant digits
+            assert gap == pytest.approx((incumbent - bound) / incumbent,
+                                        rel=5e-3)
+
+
+@pytest.fixture(scope="module")
+def pinned_trees():
+    """Status, objective repr, nodes and iterations of every model of one
+    seeded 2x3 instance and of the basic ones of a 2x4 instance whose
+    ramps (0.6 of each unit's output range) bind, gap 0; a change of any
+    pivot shows as other counts or last digits. They are solved in a
+    child process on one thread of OpenBLAS's Haswell kernels, which any
+    x86-64 CPU with AVX2 runs. Other kernels end these trees otherwise:
+    under SkylakeX, 7 of the 12 take other iteration counts and one more
+    ends on another last digit."""
+    script = textwrap.dedent("""
+        import json
+        from conftest import openblas_corename, ramped
+        from ucbench import (BASES, STARTUPS, FormulationChoice, SolveConfig,
+                             build_model, generate_instance, solve_mip)
+        trees = {"2x3": (generate_instance(1004, 2, 3), BASES),
+                 "2x4-ramps": (ramped(generate_instance(5, 2, 4), 0.6),
+                               ["basic"])}
+        out = {"core": openblas_corename(), "solves": {}}
+        for key, (inst, bases) in trees.items():
+            for base in bases:
+                for module in STARTUPS:
+                    model, _ = build_model(
+                        inst, FormulationChoice(base, module, 0.0))
+                    res = solve_mip(model, SolveConfig(gap=0.0))
+                    out["solves"][f"{key}/{base}/{module}"] = [
+                        res.status, repr(res.objective), res.nodes,
+                        res.iterations]
+        print(json.dumps(out))
+    """)
+    src = Path(solver.__file__).parents[1]
+    tests = Path(__file__).parent
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS"):
+        env[var] = "1"
+    out = json.loads(subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, timeout=300, check=True).stdout.splitlines()[-1])
+    if out["core"] != "Haswell":
+        pytest.skip(f"pinned on OpenBLAS's Haswell kernels; this numpy "
+                    f"runs {out['core']}")
+    return out["solves"]
 
 
 def pair_demand(load, sense="="):
@@ -405,17 +497,18 @@ def child_bounds(core, j, lo_j, up_j):
     return lo, up
 
 
-def solve_counting_cold_starts(core, *args):
-    """``core.solve(*args)`` and how many times it built the slack basis;
-    a warm basis that is used builds none."""
-    real, calls = solver._cold_start, []
+def solve_counting(name, core, *args):
+    """``core.solve(*args)`` and how many times it called the solver
+    function ``name``: ``_cold_start`` builds the slack basis (a warm
+    basis that is used builds none), ``_factorize`` inverts a basis."""
+    real, calls = getattr(solver, name), []
 
     def counting(*a):
         calls.append(a)
         return real(*a)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_cold_start", counting)
+        mp.setattr(solver, name, counting)
         res = core.solve(*args)
     return res, len(calls)
 
@@ -425,6 +518,18 @@ def assert_same_outcome(warm, cold):
     if cold.status == "optimal":
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9,
                                                abs=1e-9)
+
+
+def assert_identical(res, ref):
+    """Two LP results alike bit for bit: status, objective, x, basis,
+    iterations and the inverse handed on to children."""
+    assert (res.status, repr(res.objective), res.iterations) \
+        == (ref.status, repr(ref.objective), ref.iterations)
+    for name in ("x", "basis", "vstat", "Binv"):
+        a, b = getattr(res, name), getattr(ref, name)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.tobytes() == b.tobytes()
 
 
 class TestWarmStart:
@@ -448,14 +553,89 @@ class TestWarmStart:
                 for j in core.binary_ids[np.abs(xb - np.round(xb)) > 1e-6]:
                     for val in (0.0, 1.0):
                         lo, up = child_bounds(core, j, val, val)
-                        warm, warm_cold_starts = solve_counting_cold_starts(
-                            core, lo, up, (root.basis, root.vstat))
-                        cold, cold_cold_starts = solve_counting_cold_starts(
-                            core, lo, up)
+                        warm, warm_cold_starts = solve_counting(
+                            "_cold_start", core, lo, up,
+                            (root.basis, root.vstat))
+                        cold, cold_cold_starts = solve_counting(
+                            "_cold_start", core, lo, up)
                         assert_same_outcome(warm, cold)
                         assert (warm_cold_starts, cold_cold_starts) == (0, 1)
                         ends.add(cold.status)
         assert ends == {"optimal", "infeasible"}
+
+    @pytest.mark.parametrize("seed, n, T", [(1, 2, 3), (2, 2, 4)])
+    def test_a_child_from_its_parents_inverse_is_the_refactorized_child(
+            self, seed, n, T):
+        # branch-and-bound hands each child (basis, vstat, Binv); Binv is
+        # fresh at an optimal end, so starting from it must be bit for bit
+        # the start a refactorization gives, and the child must not write
+        # into the array its sibling starts from next
+        inst = generate_instance(seed, n, T)
+        for base in BASES:
+            for module in STARTUPS:
+                model, _ = build_model(
+                    inst, FormulationChoice(base, module, 0.0))
+                core = solver.LpCore(model)
+                root = core.solve()
+                assert root.status == "optimal"
+                shared = root.Binv.tobytes()
+                assert shared == solver._factorize(core.A,
+                                                   root.basis).tobytes()
+                xb = root.x[core.binary_ids]
+                for j in core.binary_ids[np.abs(xb - np.round(xb)) > 1e-6]:
+                    for val in (0.0, 1.0):
+                        lo, up = child_bounds(core, j, val, val)
+                        inherited, inherited_inversions = solve_counting(
+                            "_factorize", core, lo, up,
+                            (root.basis, root.vstat, root.Binv))
+                        assert root.Binv.tobytes() == shared
+                        refactorized, inversions = solve_counting(
+                            "_factorize", core, lo, up,
+                            (root.basis, root.vstat))
+                        assert inherited_inversions == inversions - 1
+                        assert_identical(inherited, refactorized)
+
+    def test_the_slack_basis_starts_from_the_identity(self):
+        for base in BASES:
+            for module in STARTUPS:
+                model, _ = build_model(generate_instance(3, 2, 3),
+                                       FormulationChoice(base, module, 0.0))
+                core = solver.LpCore(model)
+                basis, _, Binv = solver._cold_start(core.A, core.lo, core.up,
+                                                    core.c)
+                assert Binv.tobytes() == solver._factorize(
+                    core.A, basis).tobytes()
+
+    def test_a_nearly_singular_warm_basis_is_not_used(self):
+        # x2's column is x0/3 + 2 x1/7 in floating point, so the basis of
+        # x0, x1, x2 and the last three slacks is singular up to rounding
+        # (condition number about 1e17), and np.linalg.inv, which raises
+        # only on an exact zero pivot, inverts it. Solved from that
+        # inverse, the LP once ended "infeasible", though
+        # x = (3, 1, x2, 2, 3) meets every row.
+        short_rows = [(-1, 4, -2, -4), (1, 2, 2, 2), (5, 5, 4, 2),
+                      (5, -5, 3, -1), (3, 0, -5, 2), (-5, -4, -2, 5)]
+        senses = [">=", "=", "=", "<=", "=", "="]
+        m = Model("dependent")
+        xs = [m.add_variable(f"x{j}", 0.0, 10.0) for j in range(5)]
+        for i, (a0, a1, a3, a4) in enumerate(short_rows):
+            coeffs = np.array([a0, a1, a0 / 3 + a1 * (2 / 7), a3, a4])
+            m.add_constraint(f"r{i}", dict(zip(xs, coeffs)), senses[i],
+                             float(coeffs @ np.array([3, 1, 2, 2, 3])))
+        m.set_objective(dict(zip(xs, [1.0, 2.0, 3.0, 4.0, 4.0])))
+        core = solver.LpCore(m)
+        basis = np.array([0, 1, 2, 8, 9, 10])
+        assert np.linalg.cond(core.A[:, basis], np.inf) > 1e16
+        assert solver._factorize(core.A, basis) is None
+        vstat = np.where(core.lo > -INF, solver._AT_LOWER,
+                         solver._AT_UPPER).astype(np.int8)
+        vstat[basis] = solver._BASIC
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warm = core.solve(warm=(basis, vstat))
+            cold = core.solve()
+        assert cold.status == "optimal"
+        assert_identical(warm, cold)
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(data=st.data(), n=st.integers(2, 5), m=st.integers(1, 4))
@@ -491,8 +671,8 @@ class TestWarmStart:
         lo_j, up_j = data.draw(st.sampled_from(
             [(cut, cut), (lo_j, cut), (cut, up_j)]))
         lo, up = child_bounds(core, j, lo_j, up_j)
-        warm, cold_starts = solve_counting_cold_starts(
-            core, lo, up, (root.basis, root.vstat))
+        warm, cold_starts = solve_counting(
+            "_cold_start", core, lo, up, (root.basis, root.vstat))
         assert cold_starts == 0
         assert_same_outcome(warm, core.solve(lo, up))
         ref = best_vertex(list(zip(lo[:n], up[:n])), rows, senses, rhs, cost)
