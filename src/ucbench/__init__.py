@@ -35,7 +35,6 @@ from .startup import (
 from .solver import (
     SolveConfig,
     Solution,
-    solve_external,
     solve_lp,
     solve_mip,
 )
@@ -76,7 +75,7 @@ __all__ = [
     "Variable", "fix_variables", "model_stats", "read_mps", "write_mps",
     "Step", "StepFunction", "approximate_steps", "minimal_steps_oracle",
     "startup_cost",
-    "SolveConfig", "Solution", "solve_external", "solve_lp", "solve_mip",
+    "SolveConfig", "Solution", "solve_lp", "solve_mip",
     "BASES", "STARTUPS", "FormulationChoice", "VarIndex",
     "add_startup_1bin", "add_startup_3bin", "add_startup_temp",
     "build_base", "build_model",

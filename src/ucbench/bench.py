@@ -24,8 +24,8 @@ from random import Random
 
 from .domain import (Instance, Line, Network, Unit, check_instance,
                      load_instance, read_field, read_json_object)
-from .formulations import BASES, STARTUPS, FormulationChoice, build_model
-from .solver import SolveConfig, solve_external, solve_lp, solve_mip
+from .formulations import STARTUPS, FormulationChoice, build_model, check_base
+from .solver import SolveConfig, solve_lp, solve_mip
 from .startup import check_ktol
 
 __all__ = ["BenchConfig", "GapRow", "generate_instance", "measure_gap",
@@ -152,9 +152,7 @@ class BenchConfig:
             if f not in STARTUPS:
                 raise ValueError(f"unknown formulation {f!r}; expected "
                                  f"subset of {STARTUPS}")
-        if self.base not in BASES:
-            raise ValueError(f"unknown base {self.base!r}; expected one of "
-                             f"{BASES}")
+        check_base(self.base)
         for k in self.ktols:
             check_ktol(k)
         # a spec's values are checked by generate_instance's annotations;
@@ -183,20 +181,18 @@ def measure_gap(instance: Instance, choice: FormulationChoice,
                 config: BenchConfig) -> GapRow:
     """Build one model, solve its root relaxation and the MIP, and emit
     a report row. The LP bound always comes from the bundled simplex:
-    in the reference path it is the branch-and-bound root node, which
-    ``solve_mip`` solves whatever the time budget; when an external
-    backend solves the MIP, ``solve_lp`` solves the relaxation."""
+    with the reference backend it is the branch-and-bound root node,
+    which ``solve_mip`` solves whatever the time budget; with a command
+    template ``solve_lp`` solves the relaxation."""
     t0 = time.perf_counter()
     model, _ = build_model(instance, choice)
-    cfg = SolveConfig(gap=config.gap, time_limit=config.time_limit,
-                      backend=config.backend)
+    mip = solve_mip(model, SolveConfig(config.gap, config.time_limit,
+                                       config.backend))
     if config.backend == "reference":
-        mip = solve_mip(model, cfg)
         z_lp = mip.root_bound
     else:
         lp = solve_lp(model)
         z_lp = lp.objective if lp.status == "optimal" else math.nan
-        mip = solve_external(model, cfg)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     z_mip = mip.objective
     gap_abs = z_mip - z_lp

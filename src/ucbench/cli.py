@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error (argparse rejects the command line),
-2 data error (an unreadable or invalid instance, model or config, or an
-output path that cannot be written), 3 solve failure (solver reported an
-error, or no result was produced within the budget). A model that is
-proven infeasible or unbounded is an *answer*, not a failure.
+2 data error (an unreadable or invalid instance, model, config or backend,
+or an output path that cannot be written), 3 solve failure (the solver, or
+a backend that runs, reported an error, or no result came within the
+budget). A proven infeasible or unbounded model is an *answer*, not a failure.
 
 Commands raise on bad data; :func:`cli` alone turns those exceptions
 into exit code 2. A command returns 2 or 3 itself only for outcomes that
@@ -20,12 +20,12 @@ import sys
 
 from .bench import BenchConfig, gap_rows, run_benchmark, write_csv
 from .domain import check_instance, load_instance, validate_instance
-from .formulations import (BASES, STARTUPS, FormulationChoice, _window,
-                           build_model)
+from .formulations import (BASES, STARTUPS, FormulationChoice, build_model,
+                           step_functions)
 from .milp import read_mps, write_mps
 from .oracle import certify_equivalence
-from .solver import SolveConfig, solve_external, solve_mip
-from .startup import approximate_steps, check_ktol
+from .solver import SolveConfig, solve_mip
+from .startup import check_ktol
 
 # InstanceFormatError, MpsParseError and JSONDecodeError are ValueErrors
 _DATA_ERRORS = (OSError, ValueError, KeyError, TypeError)
@@ -62,12 +62,8 @@ def _cmd_solve(args) -> int:
             model = read_mps(fh.read())
     else:
         model, _ = build_model(load_instance(path), _choice(args))
-    config = SolveConfig(gap=args.gap, time_limit=args.time_limit,
-                         backend=args.backend)
-    if config.backend == "reference":
-        res = solve_mip(model, config)
-    else:
-        res = solve_external(model, config)
+    res = solve_mip(model, SolveConfig(args.gap, args.time_limit,
+                                       args.backend))
     print(f"status     {res.status}")
     print(f"objective  {res.objective!r}")
     print(f"bound      {res.best_bound!r}")
@@ -110,9 +106,8 @@ def _cmd_bench(args) -> int:
 def _cmd_approx(args) -> int:
     inst = load_instance(args.instance)
     check_instance(inst)
-    for u in inst.units:
-        sf = approximate_steps(u, _window(inst, u), args.ktol)
-        print(f"{u.id}: {sf.n_steps} steps (ktol={args.ktol!r})")
+    for uid, sf in step_functions(inst, args.ktol).items():
+        print(f"{uid}: {sf.n_steps} steps (ktol={args.ktol!r})")
         for s in sf.steps:
             rng = f"[{s.lo}, {s.hi}]" if s.lo != s.hi else f"[{s.lo}]"
             print(f"  off-time {rng}: {s.value!r}")
@@ -126,27 +121,20 @@ def _cmd_oracle(args) -> int:
     return 0 if report["conclusive"] else 3
 
 
-def _nonneg(text: str) -> float:
-    val = float(text)
-    if not val >= 0:  # also rejects nan
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return val
+def _checked(check):
+    """An argparse type: a float that ``check`` accepts; its ValueError
+    becomes the usage error."""
+    def number(text: str) -> float:
+        val = float(text)
+        try:
+            check(val)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return val
+    return number
 
 
-def _ktol(text: str) -> float:
-    val = float(text)
-    try:
-        check_ktol(val)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return val
-
-
-def _positive(text: str) -> float:
-    val = float(text)
-    if not val > 0:  # also rejects nan
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return val
+_ktol = _checked(check_ktol)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -162,9 +150,10 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--ktol", type=_ktol, default=0.0)
 
     def add_solve_flags(p):
-        p.add_argument("--gap", type=_nonneg, default=1e-6,
-                       help="relative optimality gap target")
-        p.add_argument("--time-limit", type=_positive, default=3600.0)
+        p.add_argument("--gap", type=_checked(lambda v: SolveConfig(gap=v)),
+                       default=1e-6, help="relative optimality gap target")
+        p.add_argument("--time-limit", default=3600.0,
+                       type=_checked(lambda v: SolveConfig(time_limit=v)))
         p.add_argument("--backend", default="reference",
                        help="'reference' or an external command template "
                             "with {input} and {output} placeholders")

@@ -49,6 +49,12 @@ BASES = ("basic", "extended")
 STARTUPS = ("one_bin", "one_bin_star", "three_bin", "temp")
 
 
+def check_base(base: str) -> None:
+    """Raise ValueError unless ``base`` is one of BASES."""
+    if base not in BASES:
+        raise ValueError(f"unknown base {base!r}; expected one of {BASES}")
+
+
 @dataclass
 class FormulationChoice:
     """Which base and start-up module to build, and at what step tolerance.
@@ -62,9 +68,7 @@ class FormulationChoice:
     ktol: float = 0.0
 
     def __post_init__(self):
-        if self.base not in BASES:
-            raise ValueError(f"unknown base {self.base!r}; expected one of "
-                             f"{BASES}")
+        check_base(self.base)
         if self.startup not in STARTUPS:
             raise ValueError(f"unknown startup module {self.startup!r}; "
                              f"expected one of {STARTUPS}")
@@ -110,8 +114,7 @@ def build_base(instance: Instance, base: str = "basic") -> tuple[Model, VarIndex
     ``add_startup_*`` modules (or use :func:`build_model`).
     """
     check_instance(instance)
-    if base not in BASES:
-        raise ValueError(f"unknown base {base!r}; expected one of {BASES}")
+    check_base(base)
     T = instance.horizon
     units = instance.units
     model = Model(_model_name(instance.name, base))
@@ -386,6 +389,12 @@ def _window(instance: Instance, u) -> int:
     return instance.horizon + u.pre_offline
 
 
+def step_functions(instance: Instance, ktol: float) -> dict:
+    """Each unit's StepFunction over its pricing window, by unit id."""
+    return {u.id: approximate_steps(u, _window(instance, u), ktol)
+            for u in instance.units}
+
+
 def _step_table(sf: StepFunction, window: int) -> np.ndarray:
     """Array K[0..window-1] of approximated costs with K[0] = 0; off-times
     past the step domain are priced at the final step."""
@@ -573,8 +582,7 @@ def build_model(instance: Instance,
     if choice.startup == "temp":
         add_startup_temp(model, vix, instance)
     else:
-        steps = {u.id: approximate_steps(u, _window(instance, u), choice.ktol)
-                 for u in instance.units}
+        steps = step_functions(instance, choice.ktol)
         if choice.startup == "three_bin":
             add_startup_3bin(model, vix, instance, steps)
         else:

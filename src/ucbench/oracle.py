@@ -30,7 +30,7 @@ from itertools import product
 
 from .domain import (CostBreakdown, Instance, Schedule, check_instance,
                      offline_runs)
-from .formulations import BASES, STARTUPS, FormulationChoice
+from .formulations import STARTUPS, FormulationChoice, check_base
 from .milp import Model
 from .solver import SolveConfig, solve_lp, solve_mip
 from .startup import startup_cost
@@ -68,21 +68,15 @@ def enumerate_schedules(instance: Instance, base: str = "basic",
     consciously.
     """
     check_instance(instance)
-    if base not in BASES:
-        raise ValueError(f"unknown base {base!r}; expected one of {BASES}")
+    check_base(base)
     n, T = len(instance.units), instance.horizon
     if n * T > guard:
         raise ValueError(f"enumeration guard exceeded: units x horizon = "
                          f"{n * T} > {guard}")
-    if base == "basic":
-        # the flattened matrices in lexicographic order, one at a time
-        for flat in product((0, 1), repeat=n * T):
-            yield Schedule([list(flat[i:i + T]) for i in range(0, n * T, T)])
-        return
 
-    def admissible(u):
-        return (r for r in product((0, 1), repeat=T)
-                if _commitment_ok(r, u.min_up, u.min_down, u.pre_offline))
+    def admissible(u):  # the basic base admits every row
+        return (r for r in product((0, 1), repeat=T) if base == "basic"
+                or _commitment_ok(r, u.min_up, u.min_down, u.pre_offline))
 
     if not instance.units:
         yield Schedule([])

@@ -81,9 +81,9 @@ reports status, nodes, iterations, root and best bound, and seconds, and
 one INFO line per new incumbent reports it with the nodes solved so far,
 the best bound of the open nodes and the relative gap.
 
-``solve_external`` ships a model to any command-line solver via MPS and
-reads the solution back from a file (two-column text or an XML-like
-format, auto-detected).
+``solve_mip`` with a command template as its backend ships the model to
+that command-line solver via MPS and reads the solution back from a file
+(two-column text or an XML-like format, auto-detected).
 """
 
 from __future__ import annotations
@@ -112,21 +112,36 @@ PIVOT_TOL = 1e-10  # smallest pivot-row entry that can repair a row
 DUAL_PIVOT_TOL = 1e-7  # smaller entries are taken only on a fresh basis
 INT_TOL = 1e-6
 REFACTOR_EVERY = 64
+BACKENDS = ("reference",)  # run in the process; any other is a template
 
 
 @dataclass
 class SolveConfig:
-    """Knobs shared by the LP, MIP, and external entry points."""
+    """Knobs of a MIP solve. ``backend`` is one of BACKENDS or a command
+    template that carries both ``{input}`` and ``{output}``, splits as a
+    shell would and formats with those two keys alone; anything else
+    raises ValueError naming it."""
 
     gap: float = 1e-6            # relative MIP gap target (0 = prove optimal)
     time_limit: float = 3600.0   # seconds
-    backend: str = "reference"   # "reference" or an external command template
+    backend: str = "reference"
 
     def __post_init__(self):
         if not self.gap >= 0:  # also rejects nan
             raise ValueError(f"gap must be >= 0, got {self.gap}")
         if not self.time_limit > 0:  # also rejects nan
             raise ValueError(f"time limit must be > 0, got {self.time_limit}")
+        if self.backend in BACKENDS:
+            return
+        try:  # the command must carry both stand-in paths
+            argv = " ".join(_command(self.backend, "\0", "\1"))
+            why = "" if "\0" in argv and "\1" in argv else "one is missing"
+        except (ValueError, LookupError, AttributeError) as exc:
+            why = f"{type(exc).__name__}: {exc}"
+        if why:
+            raise ValueError(f"backend {self.backend!r} is neither one of "
+                             f"{BACKENDS} nor a command template with "
+                             f"{{input}} and {{output}}: {why}")
 
 
 @dataclass
@@ -635,7 +650,8 @@ def solve_lp(model: Model) -> Solution:
 
 
 def solve_mip(model: Model, config: SolveConfig | None = None) -> Solution:
-    """Best-first branch-and-bound over the model's binary variables.
+    """Best-first branch-and-bound over the model's binary variables for
+    the ``reference`` backend; any other runs ``_solve_external``.
 
     Nodes are keyed by (LP bound of the parent, creation index); the
     branch variable is the most fractional binary, ties going to the
@@ -648,6 +664,8 @@ def solve_mip(model: Model, config: SolveConfig | None = None) -> Solution:
     and its inverse. Each new incumbent is logged at INFO.
     """
     config = config or SolveConfig()
+    if config.backend != "reference":
+        return _solve_external(model, config)
     core = LpCore(model)
     t0 = time.monotonic()
     sol = _branch_and_bound(core, config, t0)
@@ -750,28 +768,28 @@ def _branch_and_bound(core: LpCore, config: SolveConfig,
 # external solver bridge
 # ---------------------------------------------------------------------------
 
-def solve_external(model: Model, config: SolveConfig) -> Solution:
+def _command(template: str, input: str, output: str) -> list[str]:
+    """The argv of a command template, split as a shell would, with the
+    paths put in for ``{input}`` and ``{output}``."""
+    return [part.format(input=input, output=output)
+            for part in shlex.split(template)]
+
+
+def _solve_external(model: Model, config: SolveConfig) -> Solution:
     """Write MPS, run the configured command, read the solution file back.
 
-    The backend is a command template with ``{input}`` and ``{output}``
-    placeholders, e.g. ``mysolver {input} --write {output}``. The command
-    must exit 0 and leave a solution file at ``{output}`` in either
-    supported dialect (see docs/solution-formats.md). The objective is
-    recomputed from the model — the file's own claim is not trusted.
+    The backend is a command template, e.g. ``mysolver {input} --write
+    {output}``. The command must exit 0 and leave a solution file at
+    ``{output}`` in either supported dialect (see
+    docs/solution-formats.md). The objective is recomputed from the model
+    — the file's own claim is not trusted.
     """
-    template = config.backend
-    if template == "reference" or "{input}" not in template \
-            or "{output}" not in template:
-        return Solution(status="error",
-                        message="external backend needs a command template "
-                                "with {input} and {output} placeholders")
     model.freeze()
     with tempfile.TemporaryDirectory(prefix="ucbench-") as tmp:
         in_path = Path(tmp) / "model.mps"
         out_path = Path(tmp) / "solution.out"
         in_path.write_text(write_mps(model))
-        cmd = [part.format(input=str(in_path), output=str(out_path))
-               for part in shlex.split(template)]
+        cmd = _command(config.backend, str(in_path), str(out_path))
         try:
             proc = subprocess.run(cmd, capture_output=True, text=True,
                                   timeout=config.time_limit)
@@ -792,27 +810,23 @@ def solve_external(model: Model, config: SolveConfig) -> Solution:
             return Solution(status="error",
                             message=f"unparseable solution file: {e}")
 
-    known = {v.name: v for v in model.variables}
-    values: dict[str, float] = {}
-    for name, val in parsed.items():
+    known = {v.name for v in model.variables}
+    for name in parsed:
         if name not in known:
             log.warning("solution file names unknown variable %r; ignored",
                         name)
-            continue
-        values[name] = val
-    missing = [n for n in known if n not in values]
-    for name in missing:
-        values[name] = 0.0
+    missing = [v.name for v in model.variables if v.name not in parsed]
     if missing:
         log.warning("solution file missing %d variable(s) (e.g. %r); "
                     "defaulting to 0", len(missing), missing[0])
+    values = {v.name: parsed.get(v.name, 0.0) for v in model.variables}
 
-    for name, val in values.items():
-        var = known[name]
+    for var in model.variables:
+        val = values[var.name]
         if val < var.lb - 1e-7 or val > var.ub + 1e-7:
             return Solution(
                 status="error", values=values,
-                message=f"value {val} for {name} violates bounds "
+                message=f"value {val} for {var.name} violates bounds "
                         f"[{var.lb}, {var.ub}]")
     obj = model.objective_value(values)
     return Solution(status="optimal", objective=obj, best_bound=obj,
@@ -839,8 +853,7 @@ def parse_solution_file(text: str) -> dict[str, float]:
         except ET.ParseError as e:
             raise SolutionParseError(f"bad XML: {e}") from e
         out = {}
-        nodes = [root] + list(root.iter())
-        for el in nodes:
+        for el in root.iter():  # the root included
             name = el.get("name")
             val = el.get("value")
             if name is None or val is None:

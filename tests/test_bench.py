@@ -131,6 +131,7 @@ class TestRootBoundSource:
 
     def test_external_backend_takes_z_lp_from_solve_lp(self, monkeypatch):
         import ucbench.bench as bench
+        import ucbench.solver as solver
 
         calls = []
 
@@ -138,11 +139,11 @@ class TestRootBoundSource:
             calls.append(model)
             return solve_lp(model)
 
-        def no_mip(*a, **kw):
-            raise AssertionError("reference MIP run on an external row")
+        def no_tree(*a, **kw):
+            raise AssertionError("branch-and-bound run on an external row")
 
         monkeypatch.setattr(bench, "solve_lp", spy)
-        monkeypatch.setattr(bench, "solve_mip", no_mip)
+        monkeypatch.setattr(solver, "_branch_and_bound", no_tree)
         inst = generate_instance(1, 2, 3)
         choice = FormulationChoice("basic", "temp", 0.0)
         backend = (f"{sys.executable} -c 'import sys; sys.exit(3)' "
@@ -174,6 +175,15 @@ class TestBenchConfig:
             BenchConfig(gap=float("nan"))
         with pytest.raises(ValueError, match="time limit must be > 0"):
             BenchConfig(time_limit=0.0)
+
+    @pytest.mark.parametrize("backend", [
+        "cplx", "x {input}", "'x {input} {output}",
+        "x {input} {output} {foo}"])
+    def test_rejects_a_malformed_backend_before_any_row(self, backend):
+        # the config itself raises, so no row is measured or recorded
+        with pytest.raises(ValueError, match=re.escape(repr(backend))):
+            BenchConfig(generate=[{"seed": 1, "n_units": 2, "T": 3}],
+                        backend=backend)
 
     def test_from_json_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"

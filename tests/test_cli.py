@@ -144,8 +144,15 @@ class TestSolve:
         assert not out.parent.exists()
 
     def test_backend_failure_exits_three(self, inst_file, capsys):
-        assert cli(["solve", inst_file, "--backend", "false"]) == 3
+        assert cli(["solve", inst_file, "--backend",
+                    "false {input} {output}"]) == 3
         assert "status     error" in capsys.readouterr().out
+
+    def test_malformed_backend_exits_two(self, inst_file, capsys):
+        assert cli(["solve", inst_file, "--backend", "false"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: backend 'false' is neither")
 
 
 class TestGap:
@@ -162,6 +169,14 @@ class TestGap:
     def test_unknown_formulation(self, inst_file, capsys):
         assert cli(["gap", inst_file, "--formulations", "two_bin"]) == 2
         assert "unknown formulation" in capsys.readouterr().err
+
+    def test_malformed_backend_exits_two_before_any_row(self, inst_file,
+                                                       capsys):
+        assert cli(["gap", inst_file, "--formulations", "temp",
+                    "--backend", "cplx"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "backend 'cplx'" in captured.err
 
     def test_rows_equal_the_bench_csv(self, inst_file, tmp_path, capsys):
         """gap is a one-instance bench: same rows, order and bytes."""
@@ -358,6 +373,23 @@ class TestApprox:
         out = capsys.readouterr().out
         assert out.startswith("u1:")
         assert "off-time [1]" in out
+
+    def test_prints_the_tables_the_builder_prices(self, tmp_path, capsys):
+        from ucbench import FormulationChoice, build_model, load_instance
+
+        path = tmp_path / "steps.json"
+        save_instance(make_instance([15.0] * 6, name="steps",
+                                    pre_offline=3), path)
+        assert cli(["approx", str(path), "--ktol", "0.05"]) == 0
+        out = capsys.readouterr().out
+        _, vix = build_model(load_instance(path),
+                             FormulationChoice("basic", "one_bin", 0.05))
+        (sf,) = vix.steps.values()
+        assert out.startswith(f"u1: {sf.n_steps} steps")
+        last = sf.steps[-1]
+        assert out.endswith(f"  off-time [{last.lo}, {last.hi}]: "
+                            f"{last.value!r}\n")
+        assert last.hi == 6 - 1 + 3  # the window covers the outage
 
 
 class TestOracle:

@@ -1,4 +1,5 @@
-"""The package's export list, and no import without a use."""
+"""The package's export list, no import without a use, and no import of
+another module's private name."""
 
 import ast
 from pathlib import Path
@@ -52,6 +53,35 @@ def test_no_module_imports_a_name_it_never_uses():
         if path.name == "__init__.py":
             continue
         names = unused_imports(path.read_text(encoding="utf-8"))
+        if names:
+            found[str(path.relative_to(ROOT))] = names
+    assert found == {}
+
+
+def private_imports(source: str) -> list[str]:
+    """Names a module imports from another module although their leading
+    underscore marks them private to it; dunder names are not private."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"{alias.name} (line {node.lineno})"
+                      for alias in node.names if alias.name.startswith("_")
+                      and not alias.name.endswith("__")]
+    return sorted(found)
+
+
+def test_private_imports_are_found():
+    src = ("from .formulations import BASES, _window\n"
+           "def f():\n    from .solver import _command as c\n")
+    assert private_imports(src) == ["_command (line 3)", "_window (line 1)"]
+    assert private_imports("from __future__ import annotations\n") == []
+    assert private_imports("from . import __version__\n") == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    found = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        names = private_imports(path.read_text(encoding="utf-8"))
         if names:
             found[str(path.relative_to(ROOT))] = names
     assert found == {}

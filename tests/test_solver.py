@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ucbench import (BASES, STARTUPS, Model, SolveConfig, solve_external,
-                     solve_lp, solve_mip, build_model, FormulationChoice,
-                     generate_instance)
+from ucbench import (BASES, STARTUPS, Model, SolveConfig, solve_lp,
+                     solve_mip, build_model, FormulationChoice,
+                     generate_instance, write_mps)
 from ucbench import solver
 from ucbench.solver import SolutionParseError, parse_solution_file
 
@@ -892,8 +892,8 @@ class TestExternalBridge:
             with open(sys.argv[2], "w") as fh:
                 fh.write("v_1_1 0\\np_1_1 0\\n")
         """)
-        res = solve_external(self.make_model(),
-                             SolveConfig(backend=cmd, time_limit=60))
+        res = solve_mip(self.make_model(),
+                        SolveConfig(backend=cmd, time_limit=60))
         assert res.status == "optimal"
         assert res.values == {"v_1_1": 0.0, "p_1_1": 0.0}
         assert res.objective == pytest.approx(0.0)
@@ -904,8 +904,8 @@ class TestExternalBridge:
             with open(sys.argv[2], "w") as fh:
                 fh.write("v_1_1 1\\n")  # p_1_1 omitted
         """)
-        res = solve_external(self.make_model(),
-                             SolveConfig(backend=cmd, time_limit=60))
+        res = solve_mip(self.make_model(),
+                        SolveConfig(backend=cmd, time_limit=60))
         assert res.status == "optimal"
         assert res.values["p_1_1"] == 0.0
         assert res.objective == pytest.approx(5.0)
@@ -916,8 +916,8 @@ class TestExternalBridge:
             with open(sys.argv[2], "w") as fh:
                 fh.write("v_1_1 not_a_number\\n")
         """)
-        res = solve_external(self.make_model(),
-                             SolveConfig(backend=cmd, time_limit=60))
+        res = solve_mip(self.make_model(),
+                        SolveConfig(backend=cmd, time_limit=60))
         assert res.status == "error"
         assert "unparseable" in res.message
 
@@ -926,8 +926,8 @@ class TestExternalBridge:
             import sys
             sys.exit(3)
         """)
-        res = solve_external(self.make_model(),
-                             SolveConfig(backend=cmd, time_limit=60))
+        res = solve_mip(self.make_model(),
+                        SolveConfig(backend=cmd, time_limit=60))
         assert res.status == "error"
         assert "exited 3" in res.message
 
@@ -937,14 +937,56 @@ class TestExternalBridge:
             with open(sys.argv[2], "w") as fh:
                 fh.write("v_1_1 2\\np_1_1 0\\n")
         """)
-        res = solve_external(self.make_model(),
-                             SolveConfig(backend=cmd, time_limit=60))
+        res = solve_mip(self.make_model(),
+                        SolveConfig(backend=cmd, time_limit=60))
         assert res.status == "error"
         assert "violates bounds" in res.message
 
-    def test_reference_keyword_is_not_a_template(self):
-        res = solve_external(self.make_model(), SolveConfig())
-        assert res.status == "error"
+    def test_reference_keyword_is_not_a_template(self, monkeypatch):
+        def no_command(*a, **kw):
+            raise AssertionError("the reference backend ran a command")
+
+        monkeypatch.setattr(solver.subprocess, "run", no_command)
+        res = solve_mip(self.make_model(), SolveConfig())
+        assert res.status == "optimal" and res.nodes >= 1
+
+    def test_solve_mip_runs_the_template(self, tmp_path):
+        cmd = self.backend(tmp_path, f"""
+            import pathlib, sys
+            mps = pathlib.Path(sys.argv[1]).read_text()
+            pathlib.Path({str(tmp_path / "seen.mps")!r}).write_text(mps)
+            with open(sys.argv[2], "w") as fh:
+                fh.write("v_1_1 1\\np_1_1 400\\n")
+        """)
+        model = self.make_model()
+        res = solve_mip(model, SolveConfig(backend=cmd, time_limit=60))
+        assert (tmp_path / "seen.mps").read_text() == write_mps(model)
+        assert res.status == "optimal" and res.nodes == 0
+        assert res.values == {"v_1_1": 1.0, "p_1_1": 400.0}
+        assert res.objective == pytest.approx(205.0)
+
+
+class TestBackendCheck:
+    @pytest.mark.parametrize("backend", [
+        "reference", "solver {input} {output}",
+        "solver --in={input} '--out {output}'"])
+    def test_accepted(self, backend):
+        assert SolveConfig(backend=backend).backend == backend
+
+    @pytest.mark.parametrize("backend, why", [
+        ("cplx", ": one is missing$"),
+        ("x {input}", ": one is missing$"),
+        ("x {{input}} {{output}}", ": one is missing$"),
+        ("'x {input} {output}", ": ValueError: No closing quotation$"),
+        ("x {input} {output} {foo}", ": KeyError: 'foo'$"),
+        ("x {} {input} {output}", ": IndexError: "),
+        ("x { {input} {output}", ": ValueError: Single '{'"),
+    ])
+    def test_rejected_naming_the_backend(self, backend, why):
+        with pytest.raises(ValueError) as info:
+            SolveConfig(backend=backend)
+        assert str(info.value).startswith(f"backend {backend!r} ")
+        assert re.search(why, str(info.value))
 
 
 class TestSolutionFileParsing:
@@ -961,6 +1003,10 @@ class TestSolutionFileParsing:
                 "<variable name='p_1_1' value='455.0'/>"
                 "</variables></solution>")
         assert parse_solution_file(text) == {"v_1_1": 1.0, "p_1_1": 455.0}
+
+    def test_xml_root_element_is_read(self):
+        text = "<variable name='v_1_1' value='1'/>"
+        assert parse_solution_file(text) == {"v_1_1": 1.0}
 
     def test_single_token_line_rejected(self):
         with pytest.raises(SolutionParseError, match="line 1"):
