@@ -24,7 +24,8 @@ from random import Random
 
 from .domain import (Instance, Line, Network, Unit, check_instance,
                      load_instance, read_field, read_json_object)
-from .formulations import STARTUPS, FormulationChoice, build_model, check_base
+from .formulations import (STARTUPS, FormulationChoice, build_model,
+                           check_base, check_startup)
 from .solver import SolveConfig, solve_lp, solve_mip
 from .startup import check_ktol
 
@@ -149,9 +150,7 @@ class BenchConfig:
         if not self.formulations:
             raise ValueError("formulation list must not be empty")
         for f in self.formulations:
-            if f not in STARTUPS:
-                raise ValueError(f"unknown formulation {f!r}; expected "
-                                 f"subset of {STARTUPS}")
+            check_startup(f)
         check_base(self.base)
         for k in self.ktols:
             check_ktol(k)

@@ -9,7 +9,9 @@ budget). A proven infeasible or unbounded model is an *answer*, not a failure.
 Commands raise on bad data; :func:`cli` alone turns those exceptions
 into exit code 2. A command returns 2 or 3 itself only for outcomes that
 are not exceptions: ``validate``'s violations, ``solve``'s failed solve
-and ``oracle``'s inconclusive report.
+and ``oracle``'s inconclusive report: a size-guard trip, or a formulation
+that does not end as the enumeration does (optimal if some schedule is
+feasible, infeasible if none is).
 """
 
 from __future__ import annotations

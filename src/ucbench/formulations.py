@@ -55,6 +55,13 @@ def check_base(base: str) -> None:
         raise ValueError(f"unknown base {base!r}; expected one of {BASES}")
 
 
+def check_startup(startup: str) -> None:
+    """Raise ValueError unless ``startup`` is one of STARTUPS."""
+    if startup not in STARTUPS:
+        raise ValueError(f"unknown formulation {startup!r}; expected one of "
+                         f"{STARTUPS}")
+
+
 @dataclass
 class FormulationChoice:
     """Which base and start-up module to build, and at what step tolerance.
@@ -69,9 +76,7 @@ class FormulationChoice:
 
     def __post_init__(self):
         check_base(self.base)
-        if self.startup not in STARTUPS:
-            raise ValueError(f"unknown startup module {self.startup!r}; "
-                             f"expected one of {STARTUPS}")
+        check_startup(self.startup)
         check_ktol(self.ktol)
 
 

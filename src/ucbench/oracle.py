@@ -39,6 +39,10 @@ __all__ = ["OracleResult", "brute_force_optimum", "certify_equivalence",
            "enumerate_schedules", "exact_total_cost", "optimal_dispatch"]
 
 
+class _NoFeasibleSchedule(ValueError):
+    """The enumeration found no schedule whose dispatch meets demand."""
+
+
 @dataclass
 class OracleResult:
     """Best schedule found by enumeration, its dispatch and cost split,
@@ -308,8 +312,8 @@ def brute_force_optimum(instance: Instance, base: str = "basic",
         if best is None or total < best[0] - 1e-12:
             best = (total, sched, p, production)
     if best is None:
-        raise ValueError("no feasible schedule: every commitment pattern "
-                         "fails to meet demand")
+        raise _NoFeasibleSchedule("no feasible schedule: every commitment "
+                                  "pattern fails to meet demand")
     _, sched, p, production = best
     return OracleResult(schedule=sched, dispatch=p,
                         breakdown=_breakdown(instance, sched, production),
@@ -319,8 +323,10 @@ def brute_force_optimum(instance: Instance, base: str = "basic",
 def certify_equivalence(instance: Instance, base: str = "basic",
                         guard: int = 24) -> dict:
     """Solve all four formulations at exact costs (Ktol = 0) and compare
-    against the enumeration optimum. Returns a JSON-ready report; any
-    non-optimal solve marks it inconclusive instead of raising."""
+    against the enumeration: a JSON-ready report, conclusive when all four
+    end as it does (optimal if some schedule is feasible, infeasible if
+    none is). A size-guard trip or any other status marks it inconclusive
+    instead of raising."""
     # imported at call time, so that a wrapped formulations.build_model
     # (perfbench's tracing wraps it) is the one called
     from .formulations import build_model
@@ -334,11 +340,12 @@ def certify_equivalence(instance: Instance, base: str = "basic",
             "schedule": [list(r) for r in oracle.schedule.on_off],
             "n_feasible": oracle.n_feasible,
         }
-        ref = oracle.breakdown.total
-    except ValueError as exc:
+        ref, expect = oracle.breakdown.total, "optimal"
+    except ValueError as exc:  # a guard trip leaves no status to expect
         report["oracle"] = {"error": str(exc)}
-        report["conclusive"] = False
         ref = None
+        expect = "infeasible" if isinstance(exc, _NoFeasibleSchedule) else ""
+        report["conclusive"] = bool(expect)
 
     objectives = []
     for startup in STARTUPS:
@@ -349,7 +356,7 @@ def certify_equivalence(instance: Instance, base: str = "basic",
                  "nodes": res.nodes}
         if res.status == "optimal":
             objectives.append(res.objective)
-        else:
+        if res.status != expect:
             report["conclusive"] = False
         report["formulations"][startup] = entry
 

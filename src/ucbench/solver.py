@@ -10,20 +10,18 @@ row that cannot makes the LP infeasible at once. The check changes no
 row and no bound, and it reports infeasible only where the simplex could
 not have reported optimal.
 
-Every LP takes one path. It starts from a warm basis when one is given
-(every branch-and-bound node but the root) and from the slack basis
-otherwise (every ``solve_lp``, every root). A child node starts from its
-parent's optimal basis and from the parent's inverse of it, not from a
-refactorization: an LP ends optimal only on a fresh inverse, so that
+Every LP enters the dual loop through ``LpCore.solve``. Without a
+parent it starts from the slack basis (every ``solve_lp``, every root).
+A branch-and-bound child's warm start is its parent's optimal
+``_LpResult``: copies of the parent's basis, statuses and inverse, not
+a refactorization. An LP ends optimal only on a fresh inverse, so that
 inverse is bit for bit the one a refactorization would compute. The
-tree therefore holds one m×m inverse per open parent, shared by its two
-children. A warm basis given without its inverse is refactorized, and
-one that is singular, or whose condition number reaches 1/eps, is
-dropped for the slack basis. The slack basis starts from the identity,
-bit for bit its computed inverse. It rests each structural at its lower
-bound when finite, else at its upper bound when finite, else free at 0;
-a column with both bounds finite and a negative cost rests at its upper
-bound.
+tree therefore holds one result, its x and its m×m inverse, per open
+parent, shared by its two children. The slack basis starts from the
+identity, bit for bit its computed inverse. It rests each structural at
+its lower bound when finite, else at its upper bound when finite, else
+free at 0; a column with both bounds finite and a negative cost rests at
+its upper bound.
 Both bases are dual feasible on every unit-commitment model: fixing a
 binary keeps the parent's reduced costs sign-correct, and every cost is
 >= 0. The leaving row is chosen by dual steepest edge (Forrest &
@@ -59,7 +57,9 @@ iterations, or a refactorization finds the basis singular and the last
 invertible one is restored, the loop switches to Bland's rule (Bland,
 Math. Oper. Res. 2, 1977): the leaving row is the violated one whose
 basic column has the lowest index, and ratio ties go to the lowest
-column index.
+column index. After five restores a singular basis ends the solve in
+one place: ``refresh`` raises ``_Singular``, and ``_Simplex.dual``
+returns it as the solve's error.
 
 MIP solving is best-first branch-and-bound on binary variables:
 node selection by (bound, creation index), branching on the most
@@ -184,9 +184,13 @@ class _LpResult:
     iterations: int
     message: str = ""
     # inv(A[:, basis]) of an optimal end, fresh from a refactorization (or
-    # the start's own inverse), so a child that starts from this basis
-    # need not invert it again; None for every other status
+    # the start's own inverse), so a child that starts from this result
+    # need not invert its basis again; None for every other status
     Binv: np.ndarray | None = None
+
+
+class _Singular(Exception):
+    """No invertible basis is left; ``_Simplex.dual`` ends the solve."""
 
 
 class LpCore:
@@ -228,14 +232,18 @@ class LpCore:
             dtype=np.int64)
 
     def solve(self, lo: np.ndarray | None = None, up: np.ndarray | None = None,
-              warm: tuple[np.ndarray, ...] | None = None) -> _LpResult:
-        l = self.lo if lo is None else lo
-        u = self.up if up is None else up
-        return _simplex(self.A, self.b, self.c, l, u, warm)
-
-    def struct_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Fresh copies of the full bound vectors, for per-node overrides."""
-        return self.lo.copy(), self.up.copy()
+              parent: _LpResult | None = None) -> _LpResult:
+        """The dual simplex within bounds lo, up (the core's by default),
+        from the slack basis or from copies of an optimal parent's basis,
+        statuses and inverse, which ``pivot`` updates in place."""
+        lo = self.lo if lo is None else lo
+        up = self.up if up is None else up
+        if parent is None:
+            start = _cold_start(self.A, lo, up, self.c)
+        else:
+            start = (parent.basis.copy(), parent.vstat.copy(),
+                     parent.Binv.copy())
+        return _Simplex(self.A, self.b, self.c, lo, up, *start).dual()
 
 
 def _resting(lo, up, d, basis):
@@ -279,29 +287,6 @@ def _priced_wrong(inc, dec, rc):
     return (inc & (rc < -OPT_TOL)) | (dec & (rc > OPT_TOL))
 
 
-def _simplex(A, b, c, lo, up, warm=None) -> _LpResult:
-    """Bounded dual simplex over a dense basis inverse (see the module
-    docstring). It starts from the warm basis if one is given: with the
-    inverse that comes as its third item (a parent's ``_LpResult.Binv``),
-    else with a refactorization, unless ``_factorize`` finds the basis
-    singular. It starts from the slack basis otherwise."""
-    m, n = A.shape
-    if np.any(lo > up):
-        return _LpResult("infeasible", math.nan, None, None, None, 0,
-                         "empty variable domain")
-    Binv = None
-    if warm is not None:
-        basis, vstat = warm[0].copy(), warm[1].astype(np.intp)
-        if len(warm) > 2:
-            Binv = warm[2].copy()  # pivot updates it in place
-        elif (len(basis) == m and len(np.unique(basis)) == m
-                and ((basis >= 0) & (basis < n)).all()):
-            Binv = _factorize(A, basis)  # None for a singular warm basis
-    if Binv is None:
-        basis, vstat, Binv = _cold_start(A, lo, up, c)
-    return _Simplex(A, b, c, lo, up, basis, vstat, Binv).dual()
-
-
 class _Simplex:
     """The state of one bounded dual simplex solve.
 
@@ -336,38 +321,36 @@ class _Simplex:
         return self.c - (self.c[self.basis] @ self.Binv) @ self.A
 
     def refresh(self):
-        """Refactorize the current basis and recompute xB from scratch;
-        False if no invertible basis is left. A drifted Binv can accept a
-        pivot that is zero in exact arithmetic, leaving a basis behind
-        that ``_factorize`` finds singular; in that case restore the last
-        good checkpoint and switch to Bland's rule so the replayed
-        trajectory diverges from the poisoned one."""
+        """Refactorize the current basis and recompute xB from scratch. A
+        drifted Binv can accept a pivot that is zero in exact arithmetic,
+        leaving a basis behind that ``_factorize`` finds singular; in that
+        case restore the last good checkpoint and switch to Bland's rule
+        so the replayed trajectory diverges from the poisoned one. Raises
+        _Singular if no invertible basis is left."""
         A = self.A
         B = _factorize(A, self.basis)
         if B is None:
             if self.restores >= 5:
-                return False
+                raise _Singular
             self.restores += 1
             self.bland = True
             self.basis = self.ckpt[0].copy()
             self.vstat = self.ckpt[1].copy()
             B = _factorize(A, self.basis)  # checkpoint inverted fine before
             if B is None:  # pragma: no cover - inversion is deterministic
-                return False
+                raise _Singular
         self.ckpt = (self.basis.copy(), self.vstat.copy())
         self.Binv = B
         self.xN = _nonbasic_values(self.vstat, self.lo, self.up)
         self.xB = B @ (self.b - A @ self.xN)
         self.since_refactor = 0
         self.fresh = True
-        return True
 
     def pivot(self, r, q, w, delta, leave_upper, refactor):
         """Move nonbasic column q by delta (w = Binv A_q) into row r, whose
         variable leaves for its upper bound if leave_upper, else for its
         lower one; count the iteration and refactorize when due, or at
-        once if refactor. Returns an error message if no invertible basis
-        is left."""
+        once if refactor."""
         basis, vstat, xN, xB = self.basis, self.vstat, self.xN, self.xB
         leave = int(basis[r])
         if leave_upper:
@@ -391,13 +374,18 @@ class _Simplex:
             self.since_refactor += 1
         self.iters += 1
         self.fresh = False
-        if (refactor or self.since_refactor >= REFACTOR_EVERY) \
-                and not self.refresh():
-            return "basis became singular"
-        return None
+        if refactor or self.since_refactor >= REFACTOR_EVERY:
+            self.refresh()
 
     def dual(self) -> _LpResult:
         """Run the bounded dual simplex to the end of the solve."""
+        try:
+            return self.iterate()
+        except _Singular:
+            return self.error("basis became singular")
+
+    def iterate(self) -> _LpResult:
+        """The dual loop, which ``_Singular`` ends early."""
         A, b, c, lo, up = self.A, self.b, self.c, self.lo, self.up
         movable = self.movable
         n = A.shape[1]
@@ -412,8 +400,7 @@ class _Simplex:
             inc, dec = _directions(self.vstat, movable)
             if np.count_nonzero(_priced_wrong(inc, dec, rc)):
                 if not self.fresh:
-                    if not self.refresh():
-                        return self.error("basis became singular")
+                    self.refresh()
                     continue
                 res = self.make_dual_feasible(rc)
                 if res is not None:
@@ -430,8 +417,7 @@ class _Simplex:
                 if self.fresh:
                     return _finish(A, b, c, lo, up, basis, vstat, Binv, xB,
                                    self.iters)
-                if not self.refresh():
-                    return self.error("basis became singular")
+                self.refresh()
                 continue
 
             # the dual objective is the current point's cost; it must rise
@@ -471,8 +457,7 @@ class _Simplex:
                 if self.fresh:
                     return _LpResult("infeasible", math.nan, None, basis,
                                      vstat, self.iters)
-                if not self.refresh():
-                    return self.error("basis became singular")
+                self.refresh()
                 continue
             np.abs(alpha, out=mag)
             large = eligible & (mag >= DUAL_PIVOT_TOL)
@@ -481,8 +466,7 @@ class _Simplex:
                 eligible = large
             elif not self.fresh:
                 # tiny entries may be drift; look again on a fresh basis
-                if not self.refresh():
-                    return self.error("basis became singular")
+                self.refresh()
                 continue
             ratios.fill(INF)
             np.divide(np.abs(rc, out=abs_rc), mag, out=ratios, where=eligible)
@@ -494,10 +478,8 @@ class _Simplex:
                 q = int(ties[mag[ties].argmax()])
 
             target = lo[basis[r]] if rising else up[basis[r]]
-            msg = self.pivot(r, q, Binv @ A[:, q],
-                             (xB[r] - target) / alpha[q], not rising, small)
-            if msg is not None:
-                return self.error(msg)
+            self.pivot(r, q, Binv @ A[:, q], (xB[r] - target) / alpha[q],
+                       not rising, small)
 
     def make_dual_feasible(self, rc):
         """Repair a fresh basis on which the reduced costs rc price some
@@ -525,8 +507,7 @@ class _Simplex:
             self.basis, self.Binv = aux.basis, aux.Binv
             rc = self.reduced_costs()
         self.vstat = _resting(lo, up, rc, self.basis)
-        if not self.refresh():
-            return self.error("basis became singular")
+        self.refresh()
         if not np.count_nonzero(_priced_wrong(
                 *_directions(self.vstat, self.movable), self.reduced_costs())):
             return None
@@ -581,18 +562,6 @@ def _finish(A, b, c, lo, up, basis, vstat, Binv, xB, iters) -> _LpResult:
 # public LP / MIP entry points
 # ---------------------------------------------------------------------------
 
-def _to_solution(core: LpCore, res: _LpResult) -> Solution:
-    values = {}
-    if res.x is not None:
-        names = [v.name for v in core.model.variables]
-        values = dict(zip(names, res.x.tolist()))
-    obj = res.objective if res.status == "optimal" else math.nan
-    return Solution(status=res.status, objective=obj,
-                    best_bound=obj if res.status == "optimal" else math.nan,
-                    values=values, nodes=0, iterations=res.iterations,
-                    message=res.message)
-
-
 def _unreachable_row(model: Model) -> str | None:
     """Name of the first row whose right-hand side lies farther outside
     the range its activity spans within the variable bounds than the
@@ -641,10 +610,14 @@ def solve_lp(model: Model) -> Solution:
         return Solution(status="infeasible",
                         message=f"row {row!r} cannot be met within the "
                                 "variable bounds")
-    core = LpCore(model)
-    res = core.solve()
-    sol = _to_solution(core, res)
-    if res.status == "unbounded":
+    res = LpCore(model).solve()
+    sol = Solution(status=res.status, iterations=res.iterations,
+                   message=res.message)
+    if res.status == "optimal":
+        sol.objective = sol.best_bound = res.objective
+        sol.values = dict(zip((v.name for v in model.variables),
+                              res.x.tolist()))
+    elif res.status == "unbounded":
         sol.best_bound = -INF
     return sol
 
@@ -660,8 +633,8 @@ def solve_mip(model: Model, config: SolveConfig | None = None) -> Solution:
     docstring). The root LP is
     solved from the slack basis, whatever the time budget, so
     ``root_bound`` is always, bit for bit, the relaxation ``solve_lp``
-    would report. Each child LP starts from its parent's optimal basis
-    and its inverse. Each new incumbent is logged at INFO.
+    would report. Each child LP starts from its parent's optimal
+    ``_LpResult``. Each new incumbent is logged at INFO.
     """
     config = config or SolveConfig()
     if config.backend != "reference":
@@ -679,7 +652,6 @@ def solve_mip(model: Model, config: SolveConfig | None = None) -> Solution:
 
 def _branch_and_bound(core: LpCore, config: SolveConfig,
                       t0: float) -> Solution:
-    lo0, up0 = core.struct_bounds()
     bin_ids = core.binary_ids
     incumbent = math.inf
     incumbent_x: np.ndarray | None = None
@@ -687,11 +659,11 @@ def _branch_and_bound(core: LpCore, config: SolveConfig,
     iterations = 0
     root_bound = math.nan
     counter = 0
-    # heap entries: (parent LP bound, creation index, lo, up, warm start);
+    # heap entries: (parent LP bound, creation index, lo, up, parent LP);
     # the counter breaks bound ties deterministically and keeps heapq from
-    # ever comparing the array payloads. The warm start is the parent's
-    # (basis, vstat, Binv), one tuple shared by both siblings.
-    heap: list = [(-INF, counter, lo0, up0, None)]
+    # ever comparing the payloads. The root has no parent and the core's
+    # own bounds, which each child copies before it fixes a binary.
+    heap: list = [(-INF, counter, core.lo, core.up, None)]
     stop: str | None = None   # why the loop broke, if early
     best_open = math.inf      # bound of the best node left unexplored
 
@@ -700,7 +672,7 @@ def _branch_and_bound(core: LpCore, config: SolveConfig,
                         iterations=iterations, root_bound=root_bound, **kw)
 
     while heap:
-        bound, _, lo, up, warm = heapq.heappop(heap)
+        bound, _, lo, up, parent = heapq.heappop(heap)
         if bound >= incumbent - 1e-9 * max(1.0, abs(incumbent)):
             continue  # cannot improve the incumbent; neither can the rest,
                       # but draining the heap here is cheap and simple
@@ -713,7 +685,7 @@ def _branch_and_bound(core: LpCore, config: SolveConfig,
             stop, best_open = "time_limit", bound
             break
 
-        res = core.solve(lo, up, warm)
+        res = core.solve(lo, up, parent)
         nodes_solved += 1
         iterations += res.iterations
         if nodes_solved == 1 and res.status == "optimal":
@@ -741,12 +713,11 @@ def _branch_and_bound(core: LpCore, config: SolveConfig,
                          (incumbent - open_bound) / max(abs(incumbent), 1e-9))
             continue
         j = int(bin_ids[np.argmax(frac)])  # argmax: lowest index wins ties
-        warm = (res.basis, res.vstat, res.Binv)
         for val in (0.0, 1.0):
             lo2, up2 = lo.copy(), up.copy()
             lo2[j] = up2[j] = val
             counter += 1
-            heapq.heappush(heap, (res.objective, counter, lo2, up2, warm))
+            heapq.heappush(heap, (res.objective, counter, lo2, up2, res))
 
     if incumbent < math.inf:
         values = dict(zip((v.name for v in core.model.variables),
@@ -781,8 +752,10 @@ def _solve_external(model: Model, config: SolveConfig) -> Solution:
     The backend is a command template, e.g. ``mysolver {input} --write
     {output}``. The command must exit 0 and leave a solution file at
     ``{output}`` in either supported dialect (see
-    docs/solution-formats.md). The objective is recomputed from the model
-    — the file's own claim is not trusted.
+    docs/solution-formats.md). Every value must lie within its bounds and
+    every row must hold within ``_finish``'s residual tolerance; the
+    objective is recomputed from the model — the file's own claim is not
+    trusted.
     """
     model.freeze()
     with tempfile.TemporaryDirectory(prefix="ucbench-") as tmp:
@@ -828,6 +801,16 @@ def _solve_external(model: Model, config: SolveConfig) -> Solution:
                 status="error", values=values,
                 message=f"value {val} for {var.name} violates bounds "
                         f"[{var.lb}, {var.ub}]")
+    x, starts = [values[v.name] for v in model.variables], model.starts
+    tol = RESID_TOL * (1.0 + max(map(abs, model.rhs), default=0.0))
+    for i, (sense, b) in enumerate(zip(model.senses, model.rhs)):
+        s = slice(starts[i], starts[i + 1])
+        act = sum(a * x[j] for a, j in zip(model.coeffs[s], model.ids[s]))
+        miss = {"<=": act - b, ">=": b - act, "=": abs(act - b)}[sense]
+        if miss > tol:
+            return Solution(status="error", values=values, message=f"row "
+                            f"{model.row_names[i]!r} ({sense} {b!r}) is "
+                            f"violated by {miss:g}")
     obj = model.objective_value(values)
     return Solution(status="optimal", objective=obj, best_bound=obj,
                     values=values,

@@ -9,10 +9,10 @@ import math
 
 import pytest
 
-from ucbench import Line, Network, save_instance
+from ucbench import Line, Network, generate_instance, save_instance
 from ucbench.cli import cli
 
-from conftest import make_instance
+from conftest import make_instance, ramped
 
 
 @pytest.fixture
@@ -401,6 +401,16 @@ class TestOracle:
         report = json.loads(capsys.readouterr().out)
         assert report["conclusive"] is True
         assert report["oracle"]["objective"] == pytest.approx(110.0)
+
+    def test_agreed_infeasibility_exits_zero(self, tmp_path, capsys):
+        # no schedule meets the load under these ramps, and every MILP
+        # proves the model infeasible
+        path = tmp_path / "ramp.json"
+        save_instance(ramped(generate_instance(105, 2, 4), 0.6), path)
+        assert cli(["oracle", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["conclusive"] is True
+        assert report["max_rel_deviation"] is None
 
     def test_inconclusive_exits_three(self, inst_file, capsys):
         assert cli(["oracle", inst_file, "--guard", "1"]) == 3

@@ -124,7 +124,7 @@ class TestBaseShape:
     def test_choice_validation(self):
         with pytest.raises(ValueError, match="unknown base"):
             FormulationChoice("fancy", "one_bin")
-        with pytest.raises(ValueError, match="unknown startup"):
+        with pytest.raises(ValueError, match="unknown formulation"):
             FormulationChoice("basic", "two_bin")
         with pytest.raises(ValueError, match="ktol"):
             FormulationChoice("basic", "one_bin", ktol=-0.1)

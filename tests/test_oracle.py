@@ -12,6 +12,7 @@ import tracemalloc
 import pytest
 
 from ucbench import (
+    STARTUPS,
     Schedule,
     brute_force_optimum,
     certify_equivalence,
@@ -271,6 +272,43 @@ class TestCertifyEquivalence:
         # the formulation solves themselves still ran
         for entry in report["formulations"].values():
             assert entry["status"] == "optimal"
+
+    @pytest.mark.parametrize("seed", [102, 105])
+    def test_agreed_infeasibility_is_conclusive(self, seed):
+        # ramps of 0.6 of the output range leave no schedule that meets
+        # the load, and all four MILPs prove it
+        report = certify_equivalence(ramped(generate_instance(seed, 2, 4),
+                                            0.6))
+        assert report["oracle"]["error"].startswith("no feasible schedule")
+        assert {entry["status"] for entry
+                in report["formulations"].values()} == {"infeasible"}
+        assert report["conclusive"] is True
+        assert report["max_rel_deviation"] is None
+
+    def test_infeasibility_behind_a_tripped_guard_is_inconclusive(self):
+        report = certify_equivalence(ramped(generate_instance(102, 2, 4),
+                                            0.6), guard=7)
+        assert report["oracle"]["error"].startswith("enumeration guard")
+        assert {entry["status"] for entry
+                in report["formulations"].values()} == {"infeasible"}
+        assert report["conclusive"] is False
+
+    def test_infeasibility_one_module_does_not_prove_is_inconclusive(
+            self, monkeypatch):
+        # the last module's MIP runs out of time
+        solve, calls = oracle.solve_mip, []
+
+        def short_on_temp(model, config):
+            calls.append(model)
+            if len(calls) == STARTUPS.index("temp") + 1:
+                return solver.Solution(status="time_limit")
+            return solve(model, config)
+
+        monkeypatch.setattr(oracle, "solve_mip", short_on_temp)
+        report = certify_equivalence(ramped(generate_instance(102, 2, 4),
+                                            0.6))
+        assert report["formulations"]["temp"]["status"] == "time_limit"
+        assert report["conclusive"] is False
 
 
 def record_solves(monkeypatch):

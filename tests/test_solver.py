@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import logging
@@ -7,7 +8,6 @@ import re
 import subprocess
 import sys
 import textwrap
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -492,15 +492,15 @@ class TestVertexOracleAgreement:
 
 
 def child_bounds(core, j, lo_j, up_j):
-    lo, up = core.struct_bounds()
+    lo, up = core.lo.copy(), core.up.copy()
     lo[j], up[j] = lo_j, up_j
     return lo, up
 
 
 def solve_counting(name, core, *args):
     """``core.solve(*args)`` and how many times it called the solver
-    function ``name``: ``_cold_start`` builds the slack basis (a warm
-    basis that is used builds none), ``_factorize`` inverts a basis."""
+    function ``name``: ``_cold_start`` builds the slack basis (a child
+    that starts from its parent builds none)."""
     real, calls = getattr(solver, name), []
 
     def counting(*a):
@@ -511,6 +511,14 @@ def solve_counting(name, core, *args):
         mp.setattr(solver, name, counting)
         res = core.solve(*args)
     return res, len(calls)
+
+
+def start_from(core, basis, vstat):
+    """A dual simplex run on the core's own bounds from a hand-built
+    basis, inverted by ``_factorize``."""
+    return solver._Simplex(core.A, core.b, core.c, core.lo, core.up,
+                           basis.copy(), vstat.copy(),
+                           solver._factorize(core.A, basis))
 
 
 def assert_same_outcome(warm, cold):
@@ -533,10 +541,10 @@ def assert_identical(res, ref):
 
 
 class TestWarmStart:
-    """Every LP runs the dual simplex, from a warm basis when one is given
-    and from the slack basis otherwise. A child LP re-optimised from its
-    parent's optimal basis must end as a cold solve does: same status,
-    objective within 1e-9 relative."""
+    """Every LP runs the dual simplex, from its parent's optimal result
+    when one is given and from the slack basis otherwise. A child LP
+    re-optimised from its parent must end as a cold solve does: same
+    status, objective within 1e-9 relative."""
 
     @pytest.mark.parametrize("seed, n, T", [(1, 2, 3), (2, 2, 4)])
     def test_both_children_of_each_fractional_binary(self, seed, n, T):
@@ -554,8 +562,7 @@ class TestWarmStart:
                     for val in (0.0, 1.0):
                         lo, up = child_bounds(core, j, val, val)
                         warm, warm_cold_starts = solve_counting(
-                            "_cold_start", core, lo, up,
-                            (root.basis, root.vstat))
+                            "_cold_start", core, lo, up, root)
                         cold, cold_cold_starts = solve_counting(
                             "_cold_start", core, lo, up)
                         assert_same_outcome(warm, cold)
@@ -566,10 +573,10 @@ class TestWarmStart:
     @pytest.mark.parametrize("seed, n, T", [(1, 2, 3), (2, 2, 4)])
     def test_a_child_from_its_parents_inverse_is_the_refactorized_child(
             self, seed, n, T):
-        # branch-and-bound hands each child (basis, vstat, Binv); Binv is
-        # fresh at an optimal end, so starting from it must be bit for bit
-        # the start a refactorization gives, and the child must not write
-        # into the array its sibling starts from next
+        # branch-and-bound hands each child its parent's result; its Binv
+        # is fresh at an optimal end, so starting from it must be bit for
+        # bit the start a refactorization gives, and the child must not
+        # write into the array its sibling starts from next
         inst = generate_instance(seed, n, T)
         for base in BASES:
             for module in STARTUPS:
@@ -579,21 +586,17 @@ class TestWarmStart:
                 root = core.solve()
                 assert root.status == "optimal"
                 shared = root.Binv.tobytes()
-                assert shared == solver._factorize(core.A,
-                                                   root.basis).tobytes()
+                refactored = dataclasses.replace(
+                    root, Binv=solver._factorize(core.A, root.basis))
+                assert shared == refactored.Binv.tobytes()
                 xb = root.x[core.binary_ids]
                 for j in core.binary_ids[np.abs(xb - np.round(xb)) > 1e-6]:
                     for val in (0.0, 1.0):
                         lo, up = child_bounds(core, j, val, val)
-                        inherited, inherited_inversions = solve_counting(
-                            "_factorize", core, lo, up,
-                            (root.basis, root.vstat, root.Binv))
+                        inherited = core.solve(lo, up, root)
                         assert root.Binv.tobytes() == shared
-                        refactorized, inversions = solve_counting(
-                            "_factorize", core, lo, up,
-                            (root.basis, root.vstat))
-                        assert inherited_inversions == inversions - 1
-                        assert_identical(inherited, refactorized)
+                        assert_identical(inherited,
+                                         core.solve(lo, up, refactored))
 
     def test_the_slack_basis_starts_from_the_identity(self):
         for base in BASES:
@@ -612,7 +615,8 @@ class TestWarmStart:
         # (condition number about 1e17), and np.linalg.inv, which raises
         # only on an exact zero pivot, inverts it. Solved from that
         # inverse, the LP once ended "infeasible", though
-        # x = (3, 1, x2, 2, 3) meets every row.
+        # x = (3, 1, x2, 2, 3) meets every row; _factorize calls it
+        # singular, so a refactorization never hands it to the loop.
         short_rows = [(-1, 4, -2, -4), (1, 2, 2, 2), (5, 5, 4, 2),
                       (5, -5, 3, -1), (3, 0, -5, 2), (-5, -4, -2, 5)]
         senses = [">=", "=", "=", "<=", "=", "="]
@@ -627,15 +631,6 @@ class TestWarmStart:
         basis = np.array([0, 1, 2, 8, 9, 10])
         assert np.linalg.cond(core.A[:, basis], np.inf) > 1e16
         assert solver._factorize(core.A, basis) is None
-        vstat = np.where(core.lo > -INF, solver._AT_LOWER,
-                         solver._AT_UPPER).astype(np.int8)
-        vstat[basis] = solver._BASIC
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            warm = core.solve(warm=(basis, vstat))
-            cold = core.solve()
-        assert cold.status == "optimal"
-        assert_identical(warm, cold)
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(data=st.data(), n=st.integers(2, 5), m=st.integers(1, 4))
@@ -671,8 +666,7 @@ class TestWarmStart:
         lo_j, up_j = data.draw(st.sampled_from(
             [(cut, cut), (lo_j, cut), (cut, up_j)]))
         lo, up = child_bounds(core, j, lo_j, up_j)
-        warm, cold_starts = solve_counting(
-            "_cold_start", core, lo, up, (root.basis, root.vstat))
+        warm, cold_starts = solve_counting("_cold_start", core, lo, up, root)
         assert cold_starts == 0
         assert_same_outcome(warm, core.solve(lo, up))
         ref = best_vertex(list(zip(lo[:n], up[:n])), rows, senses, rhs, cost)
@@ -694,13 +688,11 @@ class TestWarmStart:
         basis = np.array([0, 3])
         vstat = np.array([solver._BASIC, solver._AT_LOWER, solver._AT_LOWER,
                           solver._BASIC], dtype=np.int8)
-        run = solver._Simplex(core.A, core.b, core.c, core.lo, core.up,
-                              basis.copy(), vstat.copy(),
-                              solver._factorize(core.A, basis))
+        run = start_from(core, basis, vstat)
         run.max_iter = 1
         assert run.dual().message == "iteration limit exceeded"
         assert run.basis.tolist() == [0, 1]  # y replaced s_r1
-        res = core.solve(warm=(basis, vstat))
+        res = start_from(core, basis, vstat).dual()
         assert (res.status, res.objective) == ("optimal", 1.0)
 
     def test_a_basis_that_is_not_dual_feasible_is_repaired(self):
@@ -711,10 +703,9 @@ class TestWarmStart:
         core = solver.LpCore(m)
         # cold, x rests at the upper bound its negative cost prefers; the
         # warm basis puts it at its lower bound, where it prices wrong
-        at_lower = (np.array([1]), np.array([solver._AT_LOWER, solver._BASIC],
-                                            dtype=np.int8))
-        for warm in (None, at_lower):
-            res = core.solve(warm=warm)
+        at_lower = start_from(core, np.array([1]), np.array(
+            [solver._AT_LOWER, solver._BASIC], dtype=np.int8))
+        for res in (core.solve(), at_lower.dual()):
             assert (res.status, res.objective) == ("optimal", -5.0)
             assert res.iterations == 1
 
@@ -781,6 +772,41 @@ class TestWarmStart:
         assert [run.bland for run in runs] == [True]
         assert res.status == "optimal"
         assert res.objective == pytest.approx(cold.objective, rel=1e-9)
+
+    @pytest.mark.parametrize("singular_calls, status, objective, restores", [
+        # one refactorization finds the basis singular: the checkpoint is
+        # restored, Bland's rule takes over and the LP still ends optimal
+        (lambda k: k == 1, "optimal", 1091.3874494624429, 1),
+        # every other one does: after 5 restores the solve gives up
+        (lambda k: k % 2 == 1, "error", None, 5),
+    ])
+    def test_a_singular_refactorization_restores_the_checkpoint(
+            self, monkeypatch, singular_calls, status, objective, restores):
+        model, _ = build_model(generate_instance(1, 2, 3),
+                               FormulationChoice("extended", "one_bin", 0.0))
+        core = solver.LpCore(model)
+        factorize, calls = solver._factorize, []
+
+        def flaky_factorize(A, basis):
+            calls.append(basis)
+            return None if singular_calls(len(calls)) else factorize(A, basis)
+
+        dual, runs = solver._Simplex.dual, []
+
+        def recorded_dual(run):
+            runs.append(run)
+            return dual(run)
+
+        monkeypatch.setattr(solver, "_factorize", flaky_factorize)
+        monkeypatch.setattr(solver._Simplex, "dual", recorded_dual)
+        res = core.solve()
+        assert [(run.bland, run.restores) for run in runs] \
+            == [(True, restores)]
+        assert res.status == status
+        if objective is None:
+            assert res.message == "basis became singular"
+        else:
+            assert res.objective == objective
 
 
 class TestDualPhaseOne:
@@ -941,6 +967,34 @@ class TestExternalBridge:
                         SolveConfig(backend=cmd, time_limit=60))
         assert res.status == "error"
         assert "violates bounds" in res.message
+
+    def test_row_violating_values_report_error(self, tmp_path):
+        # p_1_1 = 400 needs v_1_1 = 1 under lim: p_1_1 <= 500 v_1_1
+        cmd = self.backend(tmp_path, """
+            import sys
+            with open(sys.argv[2], "w") as fh:
+                fh.write("v_1_1 0\\np_1_1 400\\n")
+        """)
+        res = solve_mip(self.make_model(),
+                        SolveConfig(backend=cmd, time_limit=60))
+        assert res.status == "error"
+        assert res.message.startswith("row 'lim' ")
+
+    def test_all_zero_schedule_of_a_seeded_model_reports_error(self,
+                                                              tmp_path):
+        # every value within its bounds, but no unit meets the load
+        model, _ = build_model(generate_instance(1, 2, 3),
+                               FormulationChoice("extended", "one_bin", 0.0))
+        zeros = "".join(f"{v.name} 0\n" for v in model.variables)
+        cmd = self.backend(tmp_path, f"""
+            import sys
+            with open(sys.argv[2], "w") as fh:
+                fh.write({zeros!r})
+        """)
+        res = solve_mip(model, SolveConfig(backend=cmd, time_limit=60))
+        assert res.status == "error"
+        assert re.match(r"row '\w+' \([<>=]+ [-\d.e+]+\) is violated by ",
+                        res.message)
 
     def test_reference_keyword_is_not_a_template(self, monkeypatch):
         def no_command(*a, **kw):
