@@ -28,6 +28,12 @@ are 1-based. The step-based modules build each unit's step table over
 every off-time observable in the horizon — up to T-1 for interior gaps
 plus the unit's recorded pre-horizon outage — so at ktol 0 all four
 modules charge identical start-up costs on every feasible schedule.
+
+:func:`build_base` and each ``add_startup_*`` module add their variables
+through :meth:`~ucbench.milp.Model.add_variables` and gather their rows
+family by family, in model order, for one
+:meth:`~ucbench.milp.Model.add_rows` call. The step-based modules check
+every unit's step table before they touch the model.
 """
 
 from __future__ import annotations
@@ -35,7 +41,11 @@ from __future__ import annotations
 import logging
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import accumulate, chain, product, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,6 +121,141 @@ def _model_name(*parts: str) -> str:
     return name
 
 
+class _Rows:
+    """The rows of one builder, gathered family by family in model order
+    and added by one :meth:`Model.add_rows` call.
+
+    :meth:`add` takes a family as a run of cells, one per unit and period
+    (say), each holding one row of every kind the family interleaves:
+    ``lim_lo`` then ``lim_hi``, or a single kind. A kind is
+    ``(sense, rhs, terms)``; a term is a sequence of variable ids, one per
+    cell, and one coefficient for every cell. A right-hand side is one
+    number for every cell or a sequence of one per cell. :meth:`add_flat`
+    takes rows of any width.
+
+    The builders list each row's terms in id order, which is the order
+    they create the variables in (v, p, y, z, then the module's own), so
+    that add_rows finds the block already sorted."""
+
+    def __init__(self):
+        self.names: list[str] = []
+        self.senses: list[str] = []
+        self.rhs: list[float] = []
+        self.lengths: list[int] = []
+        self.ids: list[int] = []
+        self.coeffs: list[float] = []
+
+    def add(self, names: list[str], *kinds) -> None:
+        if not names:
+            return
+        if len(kinds) == 1:  # the common case, with nothing to interleave
+            (sense, rhs, terms), = kinds
+            n = len(names)
+            self.names += names
+            self.senses += [sense] * n
+            self.rhs += [rhs] * n if isinstance(rhs, (float, int)) else rhs
+            self.lengths += [len(terms)] * n
+            if terms:
+                ids, coeffs = zip(*terms)
+                self.ids += chain.from_iterable(zip(*ids, strict=True))
+                self.coeffs += coeffs * n
+            return
+        n = len(names) // len(kinds)
+        senses, rhs, terms = zip(*kinds)
+        self.names += names
+        self.senses += senses * n
+        if all(map(isinstance, rhs, repeat((float, int)))):
+            self.rhs += rhs * n
+        else:
+            self.rhs += chain.from_iterable(zip(
+                *(repeat(r, n) if isinstance(r, (float, int)) else r
+                  for r in rhs), strict=True))
+        self.lengths += tuple(map(len, terms)) * n
+        terms = list(chain.from_iterable(terms))
+        if terms:
+            ids, coeffs = zip(*terms)
+            self.ids += chain.from_iterable(zip(*ids, strict=True))
+            self.coeffs += coeffs * n
+
+    def add_flat(self, names: list[str], sense: str, rhs: float, lengths,
+                 ids, coeffs) -> None:
+        """Rows of any width with one sense and right-hand side: row r has
+        ``lengths[r]`` terms, taken in turn from the iterables ``ids`` and
+        ``coeffs``."""
+        self.names += names
+        self.senses += [sense] * len(names)
+        self.rhs += [rhs] * len(names)
+        self.lengths += lengths
+        self.ids += ids
+        self.coeffs += coeffs
+
+    def add_to(self, model: Model) -> None:
+        model.add_rows(self.names, self.senses, self.rhs,
+                       list(accumulate(self.lengths, initial=0)), self.ids,
+                       self.coeffs)
+
+
+class _Span(NamedTuple):
+    """The periods t = first..last of a family (``ts``), and the slices
+    that pick period t (``now``), t - 1 (``prev``), t - 2 (``prev2``) and
+    t + 1 (``after``) for each of them out of a list indexed by period."""
+
+    ts: range
+    now: slice
+    prev: slice
+    prev2: slice
+    after: slice
+
+    def lag(self, k: int) -> slice:
+        """The slice that picks period t + k."""
+        return slice(self.now.start + k, self.now.stop + k) if self.ts \
+            else self.now
+
+
+@lru_cache(maxsize=1024)
+def _span(first: int, last: int) -> _Span:
+    if last < first:
+        return _Span(range(0), *[slice(0, 0)] * 4)
+    return _Span(range(first, last + 1), slice(first, last + 1),
+                 slice(first - 1, last), slice(first - 2, last - 1),
+                 slice(first + 1, last + 2))
+
+
+def _by_period(ids: dict, n_units: int, first: int, last: int) -> list:
+    """``ids[i, t]`` as one list per unit, indexed by period t, for t in
+    first..last; the entries below ``first`` are None."""
+    pad, periods = [None] * first, range(first, last + 1)
+    return [pad + list(map(ids.__getitem__, zip(repeat(i), periods)))
+            for i in range(1, n_units + 1)]
+
+
+def _family(ids: dict, name: str, keys: list, ub,
+            kind: str = "continuous") -> tuple:
+    """A variable family for :func:`_add_vars`: one variable per (unit,
+    period) key, named ``name_i_t``."""
+    return ids, keys, [f"{name}_{i}_{t}" for i, t in keys], ub, kind
+
+
+def _add_vars(model: Model, *families) -> None:
+    """Add the variables of several families, in order, through one
+    :meth:`Model.add_variables` call. A family is ``(ids, keys, names, ub,
+    kind)``: one variable per key, with lower bound 0 and upper bound
+    ``ub`` (one number for all, or a list); each id is recorded in the
+    dict ``ids`` under its key."""
+    names, ubs, kinds = [], [], []
+    for _, keys, family_names, ub, kind in families:
+        names += family_names
+        ubs += ub if isinstance(ub, list) else [ub] * len(keys)
+        kinds += [kind] * len(keys)
+    new = iter(model.add_variables(names, [0.0] * len(names), ubs, kinds))
+    for ids, keys, *_ in families:
+        ids.update(zip(keys, new))  # zip stops at the family's last key
+
+
+def _unit_periods(n_units: int, first: int, last: int) -> list[tuple]:
+    return list(product(range(1, n_units + 1), range(first, last + 1)))
+
+
 def build_base(instance: Instance, base: str = "basic") -> tuple[Model, VarIndex]:
     """Create the model skeleton: v/p variables, production costs in the
     objective, demand balance, limits, and the base's ramping machinery.
@@ -122,15 +267,16 @@ def build_base(instance: Instance, base: str = "basic") -> tuple[Model, VarIndex
     check_base(base)
     T = instance.horizon
     units = instance.units
+    n = len(units)
     model = Model(_model_name(instance.name, base))
-    vix = VarIndex(n_units=len(units), horizon=T)
+    vix = VarIndex(n_units=n, horizon=T)
 
-    for i in range(1, len(units) + 1):
-        for t in range(1, T + 1):
-            vix.v[i, t] = model.add_variable(f"v_{i}_{t}", 0, 1, kind="binary")
-    for i in range(1, len(units) + 1):
-        for t in range(1, T + 1):
-            vix.p[i, t] = model.add_variable(f"p_{i}_{t}", 0, INF)
+    keys = _unit_periods(n, 1, T)
+    families = [_family(vix.v, "v", keys, 1.0, "binary"),
+                _family(vix.p, "p", keys, INF)]
+    if base == "extended":
+        families += _indicator_families(vix, keys, with_z=True)
+    _add_vars(model, *families)
 
     obj = {}
     for i, u in enumerate(units, 1):
@@ -139,27 +285,25 @@ def build_base(instance: Instance, base: str = "basic") -> tuple[Model, VarIndex
             obj[vix.p[i, t]] = u.cost_variable
     model.set_objective(model.objective | obj)
 
-    for t in range(1, T + 1):
-        model.add_constraint(f"demand_{t}",
-                             {vix.p[i, t]: 1.0
-                              for i in range(1, len(units) + 1)},
-                             "=", instance.load[t - 1])
-    for i, u in enumerate(units, 1):
-        for t in range(1, T + 1):
-            model.add_constraint(f"lim_lo_{i}_{t}",
-                                 {vix.p[i, t]: 1.0, vix.v[i, t]: -u.p_min},
-                                 ">=", 0.0)
-            model.add_constraint(f"lim_hi_{i}_{t}",
-                                 {vix.p[i, t]: 1.0, vix.v[i, t]: -u.p_max},
-                                 "<=", 0.0)
+    rows = _Rows()
+    periods = range(1, T + 1)
+    V, P = _by_period(vix.v, n, 1, T), _by_period(vix.p, n, 1, T)
+    rows.add([f"demand_{t}" for t in periods],
+             ("=", instance.load, [(p[1:], 1.0) for p in P]))
+    for i, (u, v, p) in enumerate(zip(units, V, P), 1):
+        rows.add([f"lim_{k}_{i}_{t}" for t in periods for k in ("lo", "hi")],
+                 (">=", 0.0, [(v[1:], -u.p_min), (p[1:], 1.0)]),
+                 ("<=", 0.0, [(v[1:], -u.p_max), (p[1:], 1.0)]))
 
     if base == "basic":
-        _add_basic_ramping(model, vix, instance)
+        _add_basic_ramping(rows, instance, V, P)
     else:
-        _add_indicators(model, vix, instance, with_z=True)
-        _add_indicator_ramping(model, vix, instance)
-        _add_min_up_down(model, vix, instance)
-        _add_line_limits(model, vix, instance)
+        Y, Z = _by_period(vix.y, n, 1, T), _by_period(vix.z, n, 1, T)
+        _add_indicators(rows, instance, V, Y, Z)
+        _add_indicator_ramping(rows, instance, V, P, Y, Z)
+        _add_min_up_down(rows, instance, V, Y, Z)
+        _add_line_limits(rows, instance, P)
+    rows.add_to(model)
     return model, vix
 
 
@@ -171,88 +315,74 @@ def _start_stop_speeds(u) -> tuple[float, float]:
     return min(u.startup_ramp, u.p_max), min(u.shutdown_ramp, u.p_max)
 
 
-def _add_basic_ramping(model: Model, vix: VarIndex, instance: Instance):
+def _add_basic_ramping(rows: _Rows, instance: Instance, V: list, P: list):
     """Ramping on (v, p) alone: up/down rows coupling consecutive periods
     (start-up and shutdown speeds enter via v-differences, with a p_max
     big-M deactivating the row across off periods) and the pre-shutdown
     cap bounding production in the last period before a shutdown."""
     T = instance.horizon
-    for i, u in enumerate(instance.units, 1):
+    ramp, shut = _span(2, T), _span(1, T - 1)
+    for i, (u, v, p) in enumerate(zip(instance.units, V, P), 1):
         ru, rd = u.ramp_up, u.ramp_down
         pmax = u.p_max
         su, sd = _start_stop_speeds(u)
-        for t in range(2, T + 1):
+        s = ramp
+        rows.add(
+            [f"ramp_{k}_{i}_{t}" for t in s.ts for k in ("up", "down")],
             # p_t - p_{t-1} <= RU v_{t-1} + SU (v_t - v_{t-1}) + Pmax (1 - v_t)
-            model.add_constraint(
-                f"ramp_up_{i}_{t}",
-                {vix.p[i, t]: 1.0, vix.p[i, t - 1]: -1.0,
-                 vix.v[i, t - 1]: su - ru, vix.v[i, t]: pmax - su},
-                "<=", pmax)
+            ("<=", pmax, [(v[s.prev], su - ru), (v[s.now], pmax - su),
+                          (p[s.prev], -1.0), (p[s.now], 1.0)]),
             # p_t >= p_{t-1} - RD v_t - SD (v_{t-1} - v_t) - Pmax (1 - v_{t-1})
-            model.add_constraint(
-                f"ramp_down_{i}_{t}",
-                {vix.p[i, t]: 1.0, vix.p[i, t - 1]: -1.0,
-                 vix.v[i, t]: rd - sd, vix.v[i, t - 1]: sd - pmax},
-                ">=", -pmax)
-        for t in range(1, T):
-            # p_t <= Pmax v_{t+1} + SD (v_t - v_{t+1})
-            model.add_constraint(
-                f"shut_ramp_{i}_{t}",
-                {vix.p[i, t]: 1.0, vix.v[i, t]: -sd,
-                 vix.v[i, t + 1]: sd - pmax},
-                "<=", 0.0)
+            (">=", -pmax, [(v[s.prev], sd - pmax), (v[s.now], rd - sd),
+                           (p[s.prev], -1.0), (p[s.now], 1.0)]))
+        s = shut
+        # p_t <= Pmax v_{t+1} + SD (v_t - v_{t+1})
+        rows.add([f"shut_ramp_{i}_{t}" for t in s.ts],
+                 ("<=", 0.0, [(v[s.now], -sd), (v[s.after], sd - pmax),
+                              (p[s.now], 1.0)]))
 
 
-def _add_indicators(model: Model, vix: VarIndex, instance: Instance,
-                    with_z: bool):
-    """Create start-up indicators y (and shutdown indicators z when
-    ``with_z``), tied to v.
+def _indicator_families(vix: VarIndex, keys: list, with_z: bool) -> list:
+    """The start-up indicators y, and the shutdown indicators z when
+    ``with_z``, as variable families."""
+    return [_family(vix.y, "y", keys, 1.0, "binary")] + (
+        [_family(vix.z, "z", keys, 1.0, "binary")] if with_z else [])
+
+
+def _add_indicators(rows: _Rows, instance: Instance, V: list, Y: list,
+                    Z: list | None):
+    """Tie the start-up indicators y (and the shutdown indicators z, when
+    given) to v.
 
     With z the tie is the exact logic equality y_t - z_t = v_t - v_{t-1}
     (the first period compares against the pre-horizon state derived from
     pre_offline). Without z only the one-sided rows y_t >= v_t - v_{t-1}
     are emitted; cost minimization then pins y to the start indicator.
     """
-    T = instance.horizon
-    n = len(instance.units)
-    for i in range(1, n + 1):
-        for t in range(1, T + 1):
-            vix.y[i, t] = model.add_variable(f"y_{i}_{t}", 0, 1, kind="binary")
-    if with_z:
-        for i in range(1, n + 1):
-            for t in range(1, T + 1):
-                vix.z[i, t] = model.add_variable(f"z_{i}_{t}", 0, 1,
-                                                 kind="binary")
-        for i, u in enumerate(instance.units, 1):
+    s = _span(2, instance.horizon)
+    if Z is not None:
+        for i, (u, v, y, z) in enumerate(zip(instance.units, V, Y, Z), 1):
             # pre-horizon state: offline (0) if pre_offline > 0, else online
-            rhs1 = 0.0 if u.pre_offline > 0 else -1.0
-            model.add_constraint(
-                f"logic_{i}_1",
-                {vix.y[i, 1]: 1.0, vix.z[i, 1]: -1.0, vix.v[i, 1]: -1.0},
-                "=", rhs1)
-            for t in range(2, T + 1):
-                model.add_constraint(
-                    f"logic_{i}_{t}",
-                    {vix.y[i, t]: 1.0, vix.z[i, t]: -1.0,
-                     vix.v[i, t]: -1.0, vix.v[i, t - 1]: 1.0},
-                    "=", 0.0)
+            rows.add_flat([f"logic_{i}_1"], "=",
+                          0.0 if u.pre_offline > 0 else -1.0, [3],
+                          [v[1], y[1], z[1]], [-1.0, 1.0, -1.0])
+            rows.add([f"logic_{i}_{t}" for t in s.ts],
+                     ("=", 0.0, [(v[s.prev], 1.0), (v[s.now], -1.0),
+                                 (y[s.now], 1.0), (z[s.now], -1.0)]))
     else:
-        for i, u in enumerate(instance.units, 1):
+        for i, (u, v, y) in enumerate(zip(instance.units, V, Y), 1):
             if u.pre_offline > 0:
-                model.add_constraint(f"ystart_{i}_1",
-                                     {vix.y[i, 1]: 1.0, vix.v[i, 1]: -1.0},
-                                     ">=", 0.0)
+                rows.add_flat([f"ystart_{i}_1"], ">=", 0.0, [2], [v[1], y[1]],
+                              [-1.0, 1.0])
             # pre-horizon online: v_1 = 1 is not a start; the row would be
             # y_1 >= v_1 - 1, vacuous, so it is skipped
-            for t in range(2, T + 1):
-                model.add_constraint(
-                    f"ystart_{i}_{t}",
-                    {vix.y[i, t]: 1.0, vix.v[i, t]: -1.0,
-                     vix.v[i, t - 1]: 1.0},
-                    ">=", 0.0)
+            rows.add([f"ystart_{i}_{t}" for t in s.ts],
+                     (">=", 0.0, [(v[s.prev], 1.0), (v[s.now], -1.0),
+                                  (y[s.now], 1.0)]))
 
 
-def _add_indicator_ramping(model: Model, vix: VarIndex, instance: Instance):
+def _add_indicator_ramping(rows: _Rows, instance: Instance, V: list,
+                           P: list, Y: list, Z: list):
     """Indicator-based ramping. The two main rows hold for every unit; the
     remaining families are valid only under parameter conditions (checked
     per unit) and are skipped otherwise:
@@ -266,93 +396,87 @@ def _add_indicator_ramping(model: Model, vix: VarIndex, instance: Instance):
     - the two-period down-ramping row is emitted for all units.
     """
     T = instance.horizon
-    for i, u in enumerate(instance.units, 1):
+    from_2, from_3 = _span(2, T), _span(3, T)
+    from_2_before_last, from_3_before_last = _span(2, T - 1), _span(3, T - 1)
+    for i, (u, v, p, y, z) in enumerate(zip(instance.units, V, P, Y, Z), 1):
         ru, rd, pmin = u.ramp_up, u.ramp_down, u.p_min
         su, sd = _start_stop_speeds(u)
-        v, p, y, z = vix.v, vix.p, vix.y, vix.z
-        for t in range(2, T + 1):
-            # p_t - p_{t-1} <= RU v_{t-1} + SU y_t
-            model.add_constraint(
-                f"ramp_up_{i}_{t}",
-                {p[i, t]: 1.0, p[i, t - 1]: -1.0,
-                 v[i, t - 1]: -ru, y[i, t]: -su},
-                "<=", 0.0)
-            # p_{t-1} - p_t <= RD v_t + SD z_t
-            model.add_constraint(
-                f"ramp_down_{i}_{t}",
-                {p[i, t - 1]: 1.0, p[i, t]: -1.0,
-                 v[i, t]: -rd, z[i, t]: -sd},
-                "<=", 0.0)
+        s = from_2
+        rows.add([f"ramp_{k}_{i}_{t}" for t in s.ts for k in ("up", "down")],
+                 # p_t - p_{t-1} <= RU v_{t-1} + SU y_t
+                 ("<=", 0.0, [(v[s.prev], -ru), (p[s.prev], -1.0),
+                              (p[s.now], 1.0), (y[s.now], -su)]),
+                 # p_{t-1} - p_t <= RD v_t + SD z_t
+                 ("<=", 0.0, [(v[s.now], -rd), (p[s.prev], 1.0),
+                              (p[s.now], -1.0), (z[s.now], -sd)]))
         gate_down = rd > su - pmin
         gate_up = ru > sd - pmin
         if gate_down and u.min_up >= 2:
-            for t in range(2, T + 1):
-                model.add_constraint(
-                    f"rampdn_start_{i}_{t}",
-                    {p[i, t - 1]: 1.0, p[i, t]: -1.0, v[i, t]: -rd,
-                     z[i, t]: -sd, y[i, t - 1]: rd - su + pmin,
-                     y[i, t]: rd + pmin},
-                    "<=", 0.0)
+            rows.add([f"rampdn_start_{i}_{t}" for t in s.ts],
+                     ("<=", 0.0, [(v[s.now], -rd), (p[s.prev], 1.0),
+                                  (p[s.now], -1.0),
+                                  (y[s.prev], rd - su + pmin),
+                                  (y[s.now], rd + pmin), (z[s.now], -sd)]))
         if gate_down and u.min_up >= 3 and u.min_down >= 2:
-            for t in range(2, T):
-                model.add_constraint(
-                    f"rampdn_close_{i}_{t}",
-                    {p[i, t - 1]: 1.0, p[i, t]: -1.0, v[i, t + 1]: -rd,
-                     y[i, t - 1]: rd - su + pmin, y[i, t]: rd + pmin,
-                     y[i, t + 1]: rd, z[i, t]: -sd, z[i, t + 1]: -rd},
-                    "<=", 0.0)
-        for t in range(3, T + 1):
-            # two-period down-ramping with start/stop corrections
-            model.add_constraint(
-                f"rampdn_two_{i}_{t}",
-                {p[i, t - 2]: 1.0, p[i, t]: -1.0, v[i, t]: -2 * rd,
-                 z[i, t - 1]: -sd, z[i, t]: -(sd + rd),
-                 y[i, t - 2]: 2 * rd, y[i, t - 1]: 2 * rd + pmin,
-                 y[i, t]: 2 * rd + pmin},
-                "<=", 0.0)
+            s = from_2_before_last
+            rows.add([f"rampdn_close_{i}_{t}" for t in s.ts],
+                     ("<=", 0.0, [(v[s.after], -rd), (p[s.prev], 1.0),
+                                  (p[s.now], -1.0),
+                                  (y[s.prev], rd - su + pmin),
+                                  (y[s.now], rd + pmin), (y[s.after], rd),
+                                  (z[s.now], -sd), (z[s.after], -rd)]))
+        s = from_3
+        # two-period down-ramping with start/stop corrections
+        rows.add([f"rampdn_two_{i}_{t}" for t in s.ts],
+                 ("<=", 0.0, [(v[s.now], -2 * rd), (p[s.prev2], 1.0),
+                              (p[s.now], -1.0), (y[s.prev2], 2 * rd),
+                              (y[s.prev], 2 * rd + pmin),
+                              (y[s.now], 2 * rd + pmin), (z[s.prev], -sd),
+                              (z[s.now], -(sd + rd))]))
         if gate_up and u.min_up >= 2:
-            for t in range(2, T):
-                model.add_constraint(
-                    f"rampup_stop_{i}_{t}",
-                    {p[i, t]: 1.0, p[i, t - 1]: -1.0, v[i, t]: -ru,
-                     y[i, t]: ru - su, z[i, t]: pmin,
-                     z[i, t + 1]: ru - sd + pmin},
-                    "<=", 0.0)
+            s = from_2_before_last
+            rows.add([f"rampup_stop_{i}_{t}" for t in s.ts],
+                     ("<=", 0.0, [(v[s.now], -ru), (p[s.prev], -1.0),
+                                  (p[s.now], 1.0), (y[s.now], ru - su),
+                                  (z[s.now], pmin),
+                                  (z[s.after], ru - sd + pmin)]))
         if gate_up and u.min_down >= 2:
-            for t in range(3, T):
-                model.add_constraint(
-                    f"rampup_two_{i}_{t}",
-                    {p[i, t]: 1.0, p[i, t - 2]: -1.0, v[i, t]: -2 * ru,
-                     z[i, t - 1]: pmin, z[i, t]: pmin,
-                     y[i, t - 1]: ru - su, y[i, t]: 2 * ru - su},
-                    "<=", 0.0)
+            s = from_3_before_last
+            rows.add([f"rampup_two_{i}_{t}" for t in s.ts],
+                     ("<=", 0.0, [(v[s.now], -2 * ru), (p[s.prev2], -1.0),
+                                  (p[s.now], 1.0), (y[s.prev], ru - su),
+                                  (y[s.now], 2 * ru - su), (z[s.prev], pmin),
+                                  (z[s.now], pmin)]))
 
 
-def _add_min_up_down(model: Model, vix: VarIndex, instance: Instance):
+def _add_min_up_down(rows: _Rows, instance: Instance, V: list, Y: list,
+                     Z: list):
     """Window rows over the indicators: every start in the trailing
     min-up window forces v on; every shutdown in the trailing min-down
     window forces v off. Units offline for 0 < PD < min_down periods
     before the horizon also get residual rows keeping them off until the
     min-down time has fully elapsed."""
     T = instance.horizon
-    for i, u in enumerate(instance.units, 1):
+    for i, (u, v, y, z) in enumerate(zip(instance.units, V, Y, Z), 1):
         ut, dt = u.min_up, u.min_down
-        for t in range(ut, T + 1):
-            terms = {vix.y[i, k]: 1.0 for k in range(t - ut + 1, t + 1)}
-            terms[vix.v[i, t]] = -1.0
-            model.add_constraint(f"minup_{i}_{t}", terms, "<=", 0.0)
-        for t in range(dt, T + 1):
-            terms = {vix.z[i, k]: 1.0 for k in range(t - dt + 1, t + 1)}
-            terms[vix.v[i, t]] = 1.0
-            model.add_constraint(f"mindown_{i}_{t}", terms, "<=", 1.0)
+        # the window t-ut+1..t, as lags 1-ut..0
+        s = _span(ut, T)
+        rows.add([f"minup_{i}_{t}" for t in s.ts],
+                 ("<=", 0.0, [(v[s.now], -1.0)]
+                  + [(y[s.lag(k)], 1.0) for k in range(1 - ut, 1)]))
+        s = _span(dt, T)
+        rows.add([f"mindown_{i}_{t}" for t in s.ts],
+                 ("<=", 1.0, [(v[s.now], 1.0)]
+                  + [(z[s.lag(k)], 1.0) for k in range(1 - dt, 1)]))
         if 0 < u.pre_offline < dt:
-            for t in range(1, min(T, dt - u.pre_offline) + 1):
-                terms = {vix.z[i, k]: 1.0 for k in range(1, t + 1)}
-                terms[vix.v[i, t]] = 1.0
-                model.add_constraint(f"predown_{i}_{t}", terms, "<=", 0.0)
+            ts = range(1, min(T, dt - u.pre_offline) + 1)
+            rows.add_flat([f"predown_{i}_{t}" for t in ts], "<=", 0.0,
+                          [t + 1 for t in ts],
+                          chain.from_iterable([v[t]] + z[1:t + 1] for t in ts),
+                          [1.0] * sum(t + 1 for t in ts))
 
 
-def _add_line_limits(model: Model, vix: VarIndex, instance: Instance):
+def _add_line_limits(rows: _Rows, instance: Instance, P: list):
     """Two rows per line and period capping the PTDF-weighted net
     injection; the load side folds into the right-hand side."""
     net = instance.network
@@ -360,31 +484,33 @@ def _add_line_limits(model: Model, vix: VarIndex, instance: Instance):
         log.debug("extended base built without a network; "
                   "line limit family is empty")
         return
-    T = instance.horizon
+    periods = range(1, instance.horizon + 1)
     for m, line in enumerate(net.lines, 1):
         shift = sum(line.alpha.get(n, 0.0) * g for n, g in net.nodes.items())
-        weights = [(i, line.alpha.get(u.node, 0.0))
-                   for i, u in enumerate(instance.units, 1)]
-        for t in range(1, T + 1):
-            terms = {vix.p[i, t]: w for i, w in weights if w != 0.0}
-            rhs = shift * instance.load[t - 1]
-            model.add_constraint(f"flow_hi_{m}_{t}", dict(terms), "<=",
-                                 line.capacity + rhs)
-            model.add_constraint(f"flow_lo_{m}_{t}", dict(terms), ">=",
-                                 -line.capacity + rhs)
+        terms = [(p[1:], w) for p, u in zip(P, instance.units)
+                 if (w := line.alpha.get(u.node, 0.0)) != 0.0]
+        rhs = [shift * load for load in instance.load]
+        rows.add([f"flow_{k}_{m}_{t}" for t in periods for k in ("hi", "lo")],
+                 ("<=", [line.capacity + r for r in rhs], terms),
+                 (">=", [-line.capacity + r for r in rhs], terms))
 
 
 # ---------------------------------------------------------------------------
 # start-up cost modules
 # ---------------------------------------------------------------------------
 
-def _add_cu(model: Model, vix: VarIndex, with_cost: bool) -> None:
-    for i in range(1, vix.n_units + 1):
-        for t in range(1, vix.horizon + 1):
-            vix.cu[i, t] = model.add_variable(f"cu_{i}_{t}", 0, INF)
-    if with_cost:
-        model.set_objective(model.objective
-                            | {vid: 1.0 for vid in vix.cu.values()})
+def _charge_cu(model: Model, vix: VarIndex) -> None:
+    """Put every start-up cost variable cu in the objective."""
+    model.set_objective(model.objective
+                        | {vid: 1.0 for vid in vix.cu.values()})
+
+
+def _check_steps(instance: Instance, steps: dict) -> None:
+    """Raise ValueError unless every unit has a step function; the
+    step-based modules call it before they touch the model."""
+    for u in instance.units:
+        if u.id not in steps:
+            raise ValueError(f"no step function for unit {u.id!r}")
 
 
 def _window(instance: Instance, u) -> int:
@@ -429,27 +555,34 @@ def add_startup_1bin(model: Model, vix: VarIndex, instance: Instance,
     off-time a unit can be charged for, up to t-1+PD); once the lookback
     leaves the recorded outage the row is vacuously satisfied and skipped.
     """
-    T = instance.horizon
-    _add_cu(model, vix, with_cost=True)
+    _check_steps(instance, steps)
+    T, n = instance.horizon, vix.n_units
+    _add_vars(model, _family(vix.cu, "cu", _unit_periods(n, 1, T), INF))
+    _charge_cu(model, vix)
     vix.steps = dict(steps)
+    V, CU = _by_period(vix.v, n, 1, T), _by_period(vix.cu, n, 1, T)
+    rows = _Rows()
     for i, u in enumerate(instance.units, 1):
-        try:
-            sf = steps[u.id]
-        except KeyError:
-            raise ValueError(f"no step function for unit {u.id!r}") from None
+        v, cu = V[i - 1], CU[i - 1]
         window = _window(instance, u)
-        ktab = _step_table(sf, window).tolist()
+        ktab = _step_table(steps[u.id], window).tolist()
         rising = [l for l in range(1, window) if ktab[l] > ktab[l - 1]]
-        for t in range(1, T + 1):
-            cap = t - 1 + u.pre_offline
-            for l in rising:
-                if l > cap:
-                    break
-                kl = ktab[l]
-                terms = [(vix.v[i, t - n], kl - ktab[n - 1] if tightened
-                          else kl) for n in range(min(l, t - 1), 0, -1)]
-                terms += [(vix.v[i, t], -kl), (vix.cu[i, t], 1.0)]
-                model.add_constraint(f"su1_{i}_{t}_{l}", terms, ">=", 0.0)
+        # the coefficients of v_{t-n} for n = l..1, then of v_t and cu_t;
+        # a row that looks back m < l periods takes the last m + 2
+        coeffs = {l: ([ktab[l] - ktab[n - 1] for n in range(l, 0, -1)]
+                      if tightened else [ktab[l]] * l) + [-ktab[l], 1.0]
+                  for l in rising}
+        # (t, l, m): a row for each off-time l up to t - 1 + PD, looking
+        # back m periods
+        cells = [(t, l, min(l, t - 1)) for t in range(1, T + 1)
+                 for l in rising[:bisect_right(rising, t - 1 + u.pre_offline)]]
+        rows.add_flat([f"su1_{i}_{t}_{l}" for t, l, _ in cells], ">=", 0.0,
+                      [m + 2 for _, _, m in cells],
+                      chain.from_iterable(v[t - m:t + 1] + [cu[t]]
+                                          for t, _, m in cells),
+                      chain.from_iterable(coeffs[l][l - m:]
+                                          for _, l, m in cells))
+    rows.add_to(model)
 
 
 def add_startup_3bin(model: Model, vix: VarIndex, instance: Instance,
@@ -473,59 +606,68 @@ def add_startup_3bin(model: Model, vix: VarIndex, instance: Instance,
     cu is tied to the selector cost by an equality so per-period start-up
     costs stay reportable; the objective carries the d terms.
     """
-    T = instance.horizon
-    if not vix.y:
-        _add_indicators(model, vix, instance, with_z=True)
-    if not vix.z:
+    _check_steps(instance, steps)
+    if vix.y and not vix.z:
         raise ValueError("start-type rows need shutdown indicators; "
                          "build the base with them or use a fresh model")
-    _add_cu(model, vix, with_cost=False)
+    T, n = instance.horizon, vix.n_units
+    keys = _unit_periods(n, 1, T)
+    indicators = [] if vix.y else _indicator_families(vix, keys, with_z=True)
+    tables = [steps[u.id] for u in instance.units]
+    d_keys = [(i, t, s) for i, sf in enumerate(tables, 1)
+              for t in range(1, T + 1) for s in range(1, sf.n_steps + 1)]
+    _add_vars(model, *indicators, _family(vix.cu, "cu", keys, INF),
+              (vix.d, d_keys, [f"d_{i}_{t}_{s}" for i, t, s in d_keys], 1.0,
+               "continuous"))
     vix.steps = dict(steps)
-    obj = {}
-    for i, u in enumerate(instance.units, 1):
-        try:
-            sf = steps[u.id]
-        except KeyError:
-            raise ValueError(f"no step function for unit {u.id!r}") from None
-        for t in range(1, T + 1):
-            for s in range(1, sf.n_steps + 1):
-                vid = model.add_variable(f"d_{i}_{t}_{s}", 0, 1)
-                vix.d[i, t, s] = vid
-                obj[vid] = sf.steps[s - 1].value
-    model.set_objective(model.objective | obj)
+    model.set_objective(model.objective
+                        | {vix.d[i, t, s]: tables[i - 1].steps[s - 1].value
+                           for i, t, s in d_keys})
 
-    for i, u in enumerate(instance.units, 1):
-        sf = steps[u.id]
+    rows = _Rows()
+    periods = range(1, T + 1)
+    Y, Z, CU = (_by_period(ids, n, 1, T) for ids in (vix.y, vix.z, vix.cu))
+    if indicators:
+        _add_indicators(rows, instance, _by_period(vix.v, n, 1, T), Y, Z)
+    for i, (u, sf, y, z, cu) in enumerate(zip(instance.units, tables, Y, Z,
+                                              CU), 1):
         S = sf.n_steps
-        for t in range(1, T + 1):
-            d = [vix.d[i, t, s] for s in range(1, S + 1)]
-            if S:  # an empty step table (no off-times) has no selectors
-                model.add_constraint(
-                    f"ssum_{i}_{t}",
-                    [(vix.y[i, t], -1.0)] + [(vid, 1.0) for vid in d],
-                    "=", 0.0)
-            # zero-cost steps drop out of the tie
-            model.add_constraint(
-                f"sdef_{i}_{t}",
-                [(vix.cu[i, t], 1.0)]
-                + [(vid, -st.value) for vid, st in zip(d, sf.steps)],
-                "=", 0.0)
+        d = [[None] + [vix.d[i, t, s] for t in periods]
+             for s in range(1, S + 1)]
+        # zero-cost steps drop out of the tie
+        sdef = ("=", 0.0, [(cu[1:], 1.0)]
+                + [(ds[1:], -st.value) for ds, st in zip(d, sf.steps)])
+        if S:  # an empty step table (no off-times) has no selectors
+            rows.add([f"{k}_{i}_{t}" for t in periods
+                      for k in ("ssum", "sdef")],
+                     ("=", 0.0, [(y[1:], -1.0)] + [(ds[1:], 1.0) for ds in d]),
+                     sdef)
+        else:
+            rows.add([f"sdef_{i}_{t}" for t in periods], sdef)
         for s in range(1, S):  # the final type is never capped
             lo, hi = sf.steps[s - 1].lo, sf.steps[s - 1].hi
-            for t in range(hi + 1, T + 1):
-                terms = [(vix.z[i, k], -1.0) for k in range(t - hi, t - lo + 1)]
-                terms.append((vix.d[i, t, s], 1.0))
-                model.add_constraint(f"stype_{i}_{t}_{s}", terms, "<=", 0.0)
+            span = _span(hi + 1, T)
+            # z_k for k in t-hi..t-lo
+            rows.add([f"stype_{i}_{t}_{s}" for t in span.ts],
+                     ("<=", 0.0, [(z[span.lag(-k)], -1.0)
+                                  for k in range(hi, lo - 1, -1)]
+                      + [(d[s - 1][span.now], 1.0)]))
             if u.pre_offline <= 0:
                 continue  # entered online: no pre-horizon shutdown visible
+            # the recorded outage itself covers the type where it began
+            # inside the window
             outage_start = 1 - u.pre_offline
-            for t in range(1, min(hi, T) + 1):
-                if t - hi <= outage_start <= t - lo:
-                    continue  # the recorded outage itself covers the type
-                terms = [(vix.z[i, k], -1.0)
-                         for k in range(max(1, t - hi), t - lo + 1)]
-                terms.append((vix.d[i, t, s], 1.0))
-                model.add_constraint(f"stype_{i}_{t}_{s}", terms, "<=", 0.0)
+            ts = [t for t in range(1, min(hi, T) + 1)
+                  if not t - hi <= outage_start <= t - lo]
+            caps = [[z[k] for k in range(max(1, t - hi), t - lo + 1)]
+                    for t in ts]
+            rows.add_flat([f"stype_{i}_{t}_{s}" for t in ts], "<=", 0.0,
+                          [len(c) + 1 for c in caps],
+                          chain.from_iterable(c + [d[s - 1][t]]
+                                              for c, t in zip(caps, ts)),
+                          chain.from_iterable([-1.0] * len(c) + [1.0]
+                                              for c in caps))
+    rows.add_to(model)
 
 
 def add_startup_temp(model: Model, vix: VarIndex, instance: Instance
@@ -536,47 +678,48 @@ def add_startup_temp(model: Model, vix: VarIndex, instance: Instance
     lost while offline, so cu = V·h(t-1) + F·y(t) reproduces the
     exponential start-up cost curve without any step approximation.
     """
-    T = instance.horizon
-    if not vix.y:
-        _add_indicators(model, vix, instance, with_z=False)
-    _add_cu(model, vix, with_cost=True)
-    for i in range(1, vix.n_units + 1):
-        for t in range(1, T + 1):
-            vix.tmp[i, t] = model.add_variable(f"tmp_{i}_{t}", 0, INF)
-    for i, u in enumerate(instance.units, 1):
-        # h_i_0 can reheat a pre-horizon outage; with none it is pinned 0
-        ub0 = INF if u.pre_offline > 0 else 0.0
-        vix.h[i, 0] = model.add_variable(f"h_{i}_0", 0, ub0)
-        for t in range(1, T):
-            vix.h[i, t] = model.add_variable(f"h_{i}_{t}", 0, INF)
+    T, n = instance.horizon, vix.n_units
+    keys = _unit_periods(n, 1, T)
+    indicators = [] if vix.y else _indicator_families(vix, keys, with_z=False)
+    # h_i_0 can reheat a pre-horizon outage; with none it is pinned 0
+    h_keys = _unit_periods(n, 0, T - 1)
+    ub0 = [INF if u.pre_offline > 0 else 0.0 for u in instance.units]
+    _add_vars(model, *indicators, _family(vix.cu, "cu", keys, INF),
+              _family(vix.tmp, "tmp", keys, INF),
+              _family(vix.h, "h", h_keys,
+                      [ub0[i - 1] if t == 0 else INF for i, t in h_keys]))
+    _charge_cu(model, vix)
 
-    for i, u in enumerate(instance.units, 1):
+    rows = _Rows()
+    every, later = _span(1, T), _span(2, T)
+    V, Y, CU, TMP = (_by_period(ids, n, 1, T)
+                     for ids in (vix.v, vix.y, vix.cu, vix.tmp))
+    H = _by_period(vix.h, n, 0, T - 1)
+    if indicators:
+        _add_indicators(rows, instance, V, Y, None)
+    for i, (u, v, y, cu, tmp, h) in enumerate(zip(instance.units, V, Y, CU,
+                                                  TMP, H), 1):
         lam = u.heat_loss
         decay = math.exp(-lam)
-        for t in range(1, T + 1):
-            model.add_constraint(
-                f"tnorm_{i}_{t}",
-                {vix.tmp[i, t]: 1.0, vix.v[i, t]: -1.0}, ">=", 0.0)
+        s = every
+        rows.add([f"tnorm_{i}_{t}" for t in s.ts],
+                 (">=", 0.0, [(v[s.now], -1.0), (tmp[s.now], 1.0)]))
         if u.pre_offline > 0:
-            model.add_constraint(
-                f"trec_{i}_1",
-                {vix.tmp[i, 1]: 1.0, vix.h[i, 0]: -1.0},
-                "=", math.exp(-lam * u.pre_offline))
+            rows.add_flat([f"trec_{i}_1"], "=", math.exp(-lam * u.pre_offline),
+                          [2], [tmp[1], h[0]], [1.0, -1.0])
         else:
-            model.add_constraint(
-                f"trec_{i}_1", {vix.tmp[i, 1]: 1.0}, "=", 1.0)
-        for t in range(2, T + 1):
-            model.add_constraint(
-                f"trec_{i}_{t}",
-                {vix.tmp[i, t]: 1.0, vix.tmp[i, t - 1]: -decay,
-                 vix.v[i, t - 1]: -(1.0 - decay), vix.h[i, t - 1]: -1.0},
-                "=", 0.0)
-        for t in range(1, T + 1):
-            model.add_constraint(
-                f"tcost_{i}_{t}",
-                {vix.cu[i, t]: 1.0, vix.h[i, t - 1]: -u.startup_var_cost,
-                 vix.y[i, t]: -u.startup_fixed_cost},
-                "=", 0.0)
+            rows.add_flat([f"trec_{i}_1"], "=", 1.0, [1], [tmp[1]], [1.0])
+        s = later
+        rows.add([f"trec_{i}_{t}" for t in s.ts],
+                 ("=", 0.0, [(v[s.prev], -(1.0 - decay)),
+                             (tmp[s.prev], -decay), (tmp[s.now], 1.0),
+                             (h[s.prev], -1.0)]))
+        s = every
+        rows.add([f"tcost_{i}_{t}" for t in s.ts],
+                 ("=", 0.0, [(y[s.now], -u.startup_fixed_cost),
+                             (cu[s.now], 1.0),
+                             (h[s.prev], -u.startup_var_cost)]))
+    rows.add_to(model)
 
 
 def build_model(instance: Instance,

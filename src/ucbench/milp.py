@@ -4,7 +4,11 @@ A :class:`Model` is an ordered collection of bounded variables, linear
 constraints held as one compressed-sparse-row block, and a minimization
 objective. It knows nothing about unit commitment; the formulation
 builders produce models, the bundled solver and the MPS writer consume
-them.
+them. Variables enter one at a time (:meth:`Model.add_variable`) or as a
+block (:meth:`Model.add_variables`), and rows likewise
+(:meth:`Model.add_constraint`, :meth:`Model.add_rows`); a block runs the
+single form's checks on all its items at once and, if one fails, raises
+that item's error and leaves the model unchanged.
 
 Determinism is a design requirement: models store their terms in a
 canonical order (sorted by variable id within each row, zero coefficients
@@ -20,9 +24,10 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
-from itertools import chain
+from bisect import bisect_left
+from itertools import chain, compress, repeat
 from math import isfinite
-from operator import add, index, itemgetter
+from operator import add, eq, floordiv, index, itemgetter, le, lt, sub
 
 import numpy as np
 
@@ -33,16 +38,23 @@ _NAME_RE = re.compile(_NAME + r"\Z")
 _NAMES_RE = re.compile(rf"(?:{_NAME}\n)*{_NAME}")  # names joined by "\n"
 
 SENSES = ("<=", "=", ">=")
+KINDS = ("continuous", "binary")
+_BINARY_BOUNDS = ((0, 1), (0, 0), (1, 1))
 _SENSE_TO_ROW = {"<=": "L", "=": "E", ">=": "G"}
 _ROW_TO_SENSE = {v: k for k, v in _SENSE_TO_ROW.items()}
+# add_rows checks a block of fewer rows with builtins, which is cheaper
+# than numpy's fixed set-up there
+_BLOCK_MIN = 64
 
 
 class ModelError(ValueError):
     """Raised for malformed model construction (names, bounds, references).
     :meth:`Model.add_rows` sets ``row`` to the failing row's index in its
-    block."""
+    block, and :meth:`Model.add_variables` sets ``column`` to the failing
+    variable's index in its block."""
 
     row: int | None = None
+    column: int | None = None
 
 
 class MpsParseError(ValueError):
@@ -57,9 +69,9 @@ def _check_name(name: str, what: str) -> str:
     return name
 
 
-def _names_ok(names, taken: set, objective_name: str) -> bool:
-    """Whether ``names`` are valid, distinct, and name neither the
-    objective nor a row in ``taken``."""
+def _names_ok(names, taken, reserved: str | None = None) -> bool:
+    """Whether ``names`` are valid and distinct, and none is ``reserved``
+    or in ``taken`` (a set, or a dict's keys)."""
     try:
         joined = "\n".join(names)
     except TypeError:  # a name that is not a string
@@ -67,7 +79,7 @@ def _names_ok(names, taken: set, objective_name: str) -> bool:
     unique = set(names)
     return (joined.count("\n") == len(names) - 1
             and _NAMES_RE.fullmatch(joined) is not None
-            and len(unique) == len(names) and objective_name not in unique
+            and len(unique) == len(names) and reserved not in unique
             and taken.isdisjoint(unique))
 
 
@@ -97,12 +109,12 @@ class Model:
     """Ordered variables + constraints + minimization objective.
 
     Single-writer: build it up with :meth:`add_variable` /
-    :meth:`add_constraint` (or a block of rows at once with
-    :meth:`add_rows`) / :meth:`set_objective`, then freeze (any
-    write/solve freezes implicitly) and share freely — frozen models are
-    immutable. Coefficients and right-hand sides must be finite. A bound
-    may be infinite in its own direction (a lower bound of -inf, an
-    upper bound of +inf) but not NaN.
+    :meth:`add_constraint` (or a block of variables or rows at once with
+    :meth:`add_variables` / :meth:`add_rows`) / :meth:`set_objective`,
+    then freeze (any write/solve freezes implicitly) and share freely —
+    frozen models are immutable. Coefficients and right-hand sides must
+    be finite. A bound may be infinite in its own direction (a lower
+    bound of -inf, an upper bound of +inf) but not NaN.
     """
 
     def __init__(self, name: str = "model"):
@@ -129,12 +141,22 @@ class Model:
                      kind: str = "continuous") -> int:
         if self.frozen:
             raise ModelError("model is frozen")
+        var = self._check_variable(name, lb, ub, kind)
+        vid = len(self.variables)
+        self.variables.append(var)
+        self._var_ids[name] = vid
+        return vid
+
+    def _check_variable(self, name, lb, ub, kind, taken=frozenset()):
+        """Run every check of one variable, in :meth:`add_variable`'s
+        order, and return it; ``taken`` holds the names of variables that
+        precede it but are not yet in the model."""
         _check_name(name, "variable")
-        if name in self._var_ids:
+        if name in self._var_ids or name in taken:
             raise ModelError(f"duplicate variable name {name!r}")
-        if kind not in ("continuous", "binary"):
+        if kind not in KINDS:
             raise ModelError(f"unknown variable kind {kind!r}")
-        if kind == "binary" and (lb, ub) not in ((0, 1), (0, 0), (1, 1)):
+        if kind == "binary" and (lb, ub) not in _BINARY_BOUNDS:
             raise ModelError(
                 f"binary variable {name!r} must have bounds [0, 1] or be "
                 f"fixed at 0 or 1, got [{lb}, {ub}]")
@@ -148,10 +170,55 @@ class Model:
         if lb > ub:
             raise ModelError(f"variable {name!r}: inverted bounds "
                              f"[{lb}, {ub}]")
-        vid = len(self.variables)
-        self.variables.append(Variable(name, float(lb), float(ub), kind))
-        self._var_ids[name] = vid
-        return vid
+        return Variable(name, float(lb), float(ub), kind)
+
+    def add_variables(self, names, lbs, ubs, kinds) -> range:
+        """Append a block of variables: variable ``j`` is named
+        ``names[j]`` with bounds ``lbs[j]``, ``ubs[j]`` and kind
+        ``kinds[j]``. All four are sequences of the same length (lists or
+        numpy arrays). Each variable passes every check of
+        :meth:`add_variable` and is stored the same way, but the checks
+        run on the whole block at once. If a variable fails, the first
+        failing one in block order raises the :class:`ModelError` that
+        :meth:`add_variable` would raise for it, with its index in the
+        block as ``column``, and the model is left unchanged. Returns the
+        new variables' ids."""
+        if self.frozen:
+            raise ModelError("model is frozen")
+        n = len(names)
+        if len(lbs) != n or len(ubs) != n or len(kinds) != n:
+            raise ModelError(f"add_variables: {n} names need {n} lower "
+                             f"bounds, {n} upper bounds and {n} kinds")
+        # builtins check the whole block; where they find a fault, the
+        # variable checks run one by one and raise at the first failing
+        # variable (a binary must sit on [0, 1], [0, 0] or [1, 1], and a
+        # NaN bound fails lb <= ub)
+        try:
+            valid = (_names_ok(names, self._var_ids.keys())
+                     and all(map(KINDS.__contains__, kinds))
+                     and all(map(_BINARY_BOUNDS.__contains__, compress(
+                         zip(lbs, ubs), map(eq, kinds, repeat("binary")))))
+                     and all(map(le, lbs, ubs))
+                     and INF not in lbs and -INF not in ubs)
+        except (TypeError, ValueError):  # a bound that does not compare
+            valid = False
+        if valid:
+            checked = list(map(Variable, names, map(float, lbs),
+                               map(float, ubs), kinds))
+        else:
+            checked, taken = [], set()
+            for j in range(n):
+                try:
+                    checked.append(self._check_variable(
+                        names[j], lbs[j], ubs[j], kinds[j], taken))
+                except ModelError as e:
+                    e.column = j
+                    raise
+                taken.add(names[j])
+        first = len(self.variables)
+        self.variables += checked
+        self._var_ids.update(zip(names, range(first, first + n)))
+        return range(first, first + n)
 
     def add_constraint(self, name: str, terms, sense: str, rhs: float) -> int:
         """Append a row. ``terms`` is a dict {var id: coeff} or a sequence
@@ -234,37 +301,45 @@ class Model:
             raise ModelError("model is frozen")
         n, nvar = len(names), len(self.variables)
         starts = np.asarray(starts, dtype=np.int64)
-        lengths = np.diff(starts)
-        if (len(senses) != n or len(rhs) != n or starts.shape != (n + 1,)
-                or starts[0] != 0 or starts[-1] != len(ids)
-                or len(coeffs) != len(ids) or (lengths < 0).any()):
+        bounds = starts.tolist()
+        if (len(senses) != n or len(rhs) != n or len(bounds) != n + 1
+                or bounds[0] != 0 or bounds[-1] != len(ids)
+                or len(coeffs) != len(ids)
+                or not all(map(le, bounds, bounds[1:]))):
             raise ModelError(
                 f"add_rows: {n} names need {n} senses, {n} right-hand sides "
                 "and n + 1 non-decreasing starts from 0 to the number of "
                 "terms, with one coefficient per id")
-        try:
-            id_arr = np.asarray(ids)
-            c_arr = np.asarray(coeffs, dtype=np.float64)
-            rhs_arr = np.asarray(rhs, dtype=np.float64)
-            numeric = id_arr.ndim == 1 and id_arr.dtype.kind in "biu"
-        except (TypeError, ValueError, OverflowError):
-            numeric = False
+        numeric = False
+        if n >= _BLOCK_MIN:
+            try:
+                id_arr = np.asarray(ids)
+                c_arr = np.asarray(coeffs, dtype=np.float64)
+                rhs_arr = np.asarray(rhs, dtype=np.float64)
+                numeric = id_arr.ndim == 1 and id_arr.dtype.kind in "biu"
+            except (TypeError, ValueError, OverflowError):
+                pass
         if not numeric:
-            # an id that is not an integer, or a value numpy cannot convert:
-            # the row checks raise at the first failing row; if none fails,
-            # convert as add_constraint does
-            self._check_rows(names, senses, rhs, starts, ids, coeffs, 0)
-            id_arr = np.fromiter(map(index, ids), np.int64, len(ids))
-            c_arr = np.fromiter(map(float, coeffs), np.float64, len(ids))
-            rhs_arr = np.fromiter(map(float, rhs), np.float64, n)
+            # a block too small to repay numpy's set-up, an id that is not
+            # an integer, or a value numpy cannot convert: builtins check a
+            # small block whole, and where they find a fault (or the block
+            # is large) the row checks raise at the first failing row;
+            # every row is stored as add_constraint stores it
+            block = (self._valid_rows(names, senses, rhs, bounds, ids, coeffs)
+                     if n < _BLOCK_MIN else None)
+            return self._append_rows(names, senses, *(
+                block or self._check_rows(names, senses, rhs, bounds, ids,
+                                          coeffs, 0)))
         id_arr = id_arr.astype(np.int64, copy=False)
-        row_of = np.repeat(np.arange(n), lengths)
+        row_of = np.repeat(np.arange(n), np.diff(starts))
         # the key orders the terms by row, then by id; an id out of range
         # is clipped, which keeps the keys of different rows apart, so
         # equal neighbours are a repeated variable (or a row that fails
         # its range check anyway)
-        key = row_of * (nvar + 1) + (np.clip(id_arr, -1, nvar - 1) + 1)
-        order = None
+        key = np.clip(id_arr, -1, nvar - 1)
+        key += 1
+        key += row_of * (nvar + 1)
+        order = None  # None while the terms come in key order
         if (np.diff(key) <= 0).any():
             order = np.argsort(key, kind="stable")
             key = key[order]
@@ -276,44 +351,114 @@ class Model:
                   next((r for r, s in enumerate(senses) if s not in SENSES), n),
                   _first_row((id_arr < 0) | (id_arr >= nvar)
                              | ~np.isfinite(c_arr), row_of, n),
-                  _first_row(np.diff(key) == 0, row_of[1:], n),
+                  n if order is None
+                  else _first_row(np.diff(key) == 0, row_of[1:], n),
                   _first_row(~np.isfinite(rhs_arr), np.arange(n), n))
+        del key
         if bad < n:
-            self._check_rows(names, senses, rhs, starts, ids, coeffs, bad)
+            self._check_rows(names, senses, rhs, bounds, ids, coeffs, bad)
             raise AssertionError("add_rows: a block check failed that no "
                                  "row check fails")
+        picks = order  # the input terms stored, in order; None: all as given
         if order is not None:
             id_arr, c_arr = id_arr[order], c_arr[order]
         keep = c_arr != 0.0
         if not keep.all():
+            picks = np.flatnonzero(keep) if picks is None else picks[keep]
             id_arr, c_arr = id_arr[keep], c_arr[keep]
-            lengths = np.bincount(row_of[keep], minlength=n)
-        first = len(self.row_names)
-        self.starts += (len(self.ids) + np.cumsum(lengths)).tolist()
-        # one int object per variable, not per term, as rows built one by
-        # one share their callers' ids
-        self.ids += np.arange(nvar, dtype=object)[id_arr].tolist()
-        self.coeffs += c_arr.tolist()
-        self.row_names += names
-        self.senses += senses
-        self.rhs += rhs_arr.tolist()
-        self._con_names.update(names)
-        return range(first, first + n)
+            bounds = [0] + np.cumsum(
+                np.bincount(row_of[keep], minlength=n)).tolist()
+        del row_of
+        # store the caller's own ids and coefficients where it gave lists
+        # (int and float return an int or a float itself), as
+        # add_constraint does, else one int object per variable: rows built
+        # one by one share their callers' objects
+        if picks is not None:
+            picks = picks.tolist()
+        if isinstance(ids, list):
+            ids = map(int, ids if picks is None
+                      else map(ids.__getitem__, picks))
+        else:
+            ids = np.arange(nvar, dtype=object)[id_arr].tolist()
+        if isinstance(coeffs, list):
+            coeffs = map(float, coeffs if picks is None
+                         else map(coeffs.__getitem__, picks))
+        else:
+            coeffs = c_arr.tolist()
+        return self._append_rows(names, senses, rhs_arr.tolist(), bounds,
+                                 ids, coeffs)
 
     def _check_rows(self, names, senses, rhs, starts, ids, coeffs, first):
         """Check the block's rows from ``first`` on one by one, as
         add_constraint would after adding the rows before; the first
-        failing row raises, with its index as ``row``."""
+        failing row raises, with its index as ``row``. Returns the checked
+        rows' (rhs, starts, ids, coeffs) in canonical form."""
         taken = set(names[:first])
+        out_rhs, out_starts, out_ids, out_coeffs = [], [0], [], []
         for r in range(first, len(names)):
-            a, b = starts[r], starts[r + 1]
+            name, a, b = names[r], starts[r], starts[r + 1]
             try:
-                self._check_row(names[r], zip(ids[a:b], coeffs[a:b]),
-                                senses[r], rhs[r], taken)
+                row_ids, row_coeffs, row_rhs = self._check_row(
+                    name, zip(ids[a:b], coeffs[a:b]), senses[r], rhs[r],
+                    taken)
             except ModelError as e:
                 e.row = r
                 raise
-            taken.add(names[r])
+            taken.add(name)
+            out_ids += row_ids
+            out_coeffs += row_coeffs
+            out_starts.append(len(out_ids))
+            out_rhs.append(row_rhs)
+        return out_rhs, out_starts, out_ids, out_coeffs
+
+    def _valid_rows(self, names, senses, rhs, starts, ids, coeffs):
+        """The block's (rhs, starts, ids, coeffs) in canonical form, as the
+        row checks return them, if every row passes every check,
+        else None. The checks run with builtins over the whole block,
+        which costs less than row by row on a small block, but they do not
+        name the failing row."""
+        try:
+            coeffs = list(map(float, coeffs))
+            rhs = list(map(float, rhs))
+        except (TypeError, ValueError, OverflowError):
+            return None
+        m = len(self.variables) + 1
+        if not (_names_ok(names, self._con_names, self.objective_name)
+                and all(map(SENSES.__contains__, senses))
+                and set(map(type, ids)) <= {int}
+                and (len(ids) == 0 or 0 <= min(ids) and max(ids) < m - 1)
+                and all(map(isfinite, coeffs)) and all(map(isfinite, rhs))):
+            return None
+        # order the terms by row, then by id, as add_rows does with numpy
+        row_keys = chain.from_iterable(map(repeat, range(0, len(names) * m, m),
+                                           map(sub, starts[1:], starts)))
+        keys = list(map(add, row_keys, ids))
+        if not all(map(lt, keys, keys[1:])):
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            keys = list(map(keys.__getitem__, order))
+            if any(map(eq, keys, keys[1:])):
+                return None  # a repeated variable
+            ids = list(map(ids.__getitem__, order))
+            coeffs = list(map(coeffs.__getitem__, order))
+        if 0.0 in coeffs:
+            keep = list(map(bool, coeffs))
+            ids = list(compress(ids, keep))
+            coeffs = list(compress(coeffs, keep))
+            rows = list(compress(map(floordiv, keys, repeat(m)), keep))
+            starts = [bisect_left(rows, r) for r in range(len(names) + 1)]
+        return rhs, starts, ids, coeffs
+
+    def _append_rows(self, names, senses, rhs, starts, ids, coeffs) -> range:
+        """Append rows that passed their checks, in canonical form."""
+        first, offset = len(self.row_names), len(self.ids)
+        self.ids.extend(ids)
+        self.coeffs.extend(coeffs)
+        self.starts.extend(map(add, starts[1:], repeat(offset)))
+        self.rhs.extend(rhs)
+        self.row_names.extend(names)
+        self.senses.extend(senses)
+        self._con_names.update(names)
+        return range(first, first + len(names))
 
     def set_objective(self, coeffs) -> None:
         """Replace the (minimization) objective. Zero terms are dropped and
@@ -556,7 +701,8 @@ def read_mps(text: str) -> Model:
 
     One pass over the lines collects the columns, and each constraint
     entry as its row index and value under the current column's id; the
-    entries then enter the model as one block through
+    columns then enter the model as one block through
+    :meth:`Model.add_variables`, and the entries as one block through
     :meth:`Model.add_rows`."""
     section = None
     model_name, name_line = "model", 0
@@ -751,9 +897,13 @@ def read_mps(text: str) -> Model:
     model = build(name_line, Model, model_name)
     model.objective_name = build(objective_line, _check_name, objective_name,
                                  "objective")
-    for cname, cid in col_index.items():
-        lb, ub = bounds.get(cid, (0.0, INF))
-        build(col_lines[cid], model.add_variable, cname, lb, ub, col_kinds[cid])
+    lbs, ubs = [0.0] * len(col_lines), [INF] * len(col_lines)
+    for cid, (lb, ub) in bounds.items():
+        lbs[cid], ubs[cid] = lb, ub
+    try:
+        model.add_variables(list(col_index), lbs, ubs, col_kinds)
+    except ModelError as e:
+        raise MpsParseError(f"line {col_lines[e.column]}: {e}") from e
     # group the entries by row, keeping each row's entries in file order
     rows = np.frombuffer(ent_rows, dtype=np.int64)
     cols = np.repeat(np.frombuffer(run_cols, dtype=np.int64),

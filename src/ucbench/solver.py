@@ -179,13 +179,15 @@ class _LpResult:
     status: str
     objective: float
     x: np.ndarray | None          # structural variable values
-    basis: np.ndarray | None      # for warm starts
+    # the final basis and nonbasic statuses, which a child starts from;
+    # set when optimal, None for every other status
+    basis: np.ndarray | None
     vstat: np.ndarray | None
     iterations: int
     message: str = ""
     # inv(A[:, basis]) of an optimal end, fresh from a refactorization (or
     # the start's own inverse), so a child that starts from this result
-    # need not invert its basis again; None for every other status
+    # need not invert its basis again; set when optimal, like basis
     Binv: np.ndarray | None = None
 
 
@@ -455,8 +457,8 @@ class _Simplex:
                         | (down_ok & (alpha < -PIVOT_TOL)))
             if not np.count_nonzero(eligible):
                 if self.fresh:
-                    return _LpResult("infeasible", math.nan, None, basis,
-                                     vstat, self.iters)
+                    return _LpResult("infeasible", math.nan, None, None,
+                                     None, self.iters)
                 self.refresh()
                 continue
             np.abs(alpha, out=mag)
@@ -516,7 +518,7 @@ class _Simplex:
         res = _Simplex(A, self.b, np.zeros(len(c)), lo, up, self.basis,
                        self.vstat, self.Binv, self.iters).dual()
         if res.status == "optimal":
-            return _LpResult("unbounded", -INF, None, res.basis, res.vstat,
+            return _LpResult("unbounded", -INF, None, None, None,
                              res.iterations)
         return res
 
@@ -546,12 +548,12 @@ def _finish(A, b, c, lo, up, basis, vstat, Binv, xB, iters) -> _LpResult:
     clipped = np.clip(x, lo, up)
     drift = float(np.max(np.abs(x - clipped), initial=0.0))
     if drift > 1e-7:
-        return _LpResult("error", math.nan, None, basis, vstat, iters,
+        return _LpResult("error", math.nan, None, None, None, iters,
                          f"solution violates bounds by {drift:g}")
     x = clipped
     resid = float(np.max(np.abs(A @ x - b), initial=0.0))
     if resid > RESID_TOL * (1.0 + float(np.max(np.abs(b), initial=0.0))):
-        return _LpResult("error", math.nan, None, basis, vstat, iters,
+        return _LpResult("error", math.nan, None, None, None, iters,
                          f"row residual {resid:g} after solve")
     ns = n - m
     return _LpResult("optimal", float(c @ x), x[:ns], basis, vstat, iters,

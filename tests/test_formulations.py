@@ -7,6 +7,7 @@ commitment pattern of a one-unit instance through all module choices and
 checks the minimized cost against the closed-form start-up curve.
 """
 
+import copy
 import itertools
 import logging
 import math
@@ -14,10 +15,13 @@ import math
 import pytest
 
 from ucbench import (
+    BASES,
     FormulationChoice,
     Line,
     Network,
     Schedule,
+    add_startup_1bin,
+    add_startup_3bin,
     build_base,
     build_model,
     enumerate_schedules,
@@ -26,6 +30,7 @@ from ucbench import (
     solve_lp,
     startup_cost,
 )
+from ucbench.formulations import step_functions
 
 from conftest import make_instance, make_unit, rows
 
@@ -455,6 +460,27 @@ class TestNetworkRows:
         model, _ = build_model(self.grid(),
                                FormulationChoice("basic", "one_bin"))
         assert row_names(model, "flow_") == []
+
+
+class TestMissingStepFunction:
+    """A step module checks every unit's step table before it touches the
+    model, so a missing one leaves the model and its index as they were,
+    even when earlier units' rows could have been built."""
+
+    @pytest.mark.parametrize("base", BASES)
+    @pytest.mark.parametrize("add", [add_startup_1bin, add_startup_3bin])
+    def test_model_is_unchanged(self, base, add, two_unit_instance):
+        inst = two_unit_instance
+        model, vix = build_base(inst, base)
+        steps = step_functions(inst, 0.0)
+        del steps["u2"]
+        before, vix_before = copy.deepcopy(model), copy.deepcopy(vix)
+        with pytest.raises(ValueError,
+                           match="no step function for unit 'u2'"):
+            add(model, vix, inst, steps)
+        assert model == before
+        assert vix == vix_before
+        assert model._var_ids == before._var_ids
 
 
 class TestModelNaming:

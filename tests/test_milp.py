@@ -1,5 +1,6 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from ucbench import (STARTUPS, FormulationChoice, Model, ModelError,
                      MpsParseError, build_model, fix_variables,
                      generate_instance, model_stats, read_mps, write_mps)
+
+from ucbench import milp
 
 from conftest import rows
 
@@ -244,6 +247,16 @@ class TestMpsRoundTrip:
                 "    9x COST 2\n    9x c1 1\nRHS\nBOUNDS\nENDATA\n")
         with pytest.raises(MpsParseError,
                            match=r"^line 7: invalid variable name '9x'"):
+            read_mps(text)
+
+    def test_bad_column_after_others_names_its_first_columns_line(self):
+        # columns are declared in one block; the failing one still blames
+        # the line where it first appears, not the block's first column
+        text = ("NAME d\nROWS\n N COST\n L c1\nCOLUMNS\n    x c1 1\n"
+                "    y c1 1\n    x COST 1\n    9z c1 1\n    y COST 1\n"
+                "RHS\nBOUNDS\nENDATA\n")
+        with pytest.raises(MpsParseError,
+                           match=r"^line 9: invalid variable name '9z'"):
             read_mps(text)
 
     def test_non_binary_integer_column_names_its_line(self):
@@ -703,6 +716,18 @@ class TestAddRows:
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(block=blocks(), as_arrays=st.booleans())
     def test_matches_add_constraint_row_by_row(self, block, as_arrays):
+        self.check_against_add_constraint(block, as_arrays)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(block=blocks(), as_arrays=st.booleans())
+    def test_numpy_path_matches_add_constraint_row_by_row(self, block,
+                                                          as_arrays):
+        # blocks this small take the builtin checks; with the size from
+        # which add_rows checks with numpy lowered to 0, they take numpy's
+        with mock.patch.object(milp, "_BLOCK_MIN", 0):
+            self.check_against_add_constraint(block, as_arrays)
+
+    def check_against_add_constraint(self, block, as_arrays):
         one, failure = self.add_one_by_one(block)
         bulk, bulk_failure = self.add_block(block, as_arrays)
         assert bulk_failure == failure
@@ -749,3 +774,102 @@ class TestAddRows:
         m = _base_model().freeze()
         with pytest.raises(ModelError, match="frozen"):
             m.add_rows([], [], [], [0], [], [])
+
+
+@st.composite
+def variable_blocks(draw):
+    """Variable blocks that may break any check of add_variable."""
+    bounds = st.sampled_from([0, 1, 0.0, 1.0, -2.5, 3, -INF, INF, math.nan])
+    return [(draw(st.sampled_from([f"v{j}", f"v{j}", "v0", "x0", "COST",
+                                   "1bad"])),
+             draw(bounds), draw(bounds),
+             draw(st.sampled_from(["continuous", "continuous", "binary",
+                                   "binary", "integer"])))
+            for j in range(draw(st.integers(0, 6)))]
+
+
+def _var_snapshot(m: Model):
+    return (list(m.variables), dict(m._var_ids))
+
+
+class TestAddVariables:
+    def add_one_by_one(self, block):
+        """add_variable on each item; the first failure as (index,
+        message)."""
+        m = _base_model()
+        for j, (name, lb, ub, kind) in enumerate(block):
+            try:
+                m.add_variable(name, lb, ub, kind)
+            except ModelError as e:
+                return m, (j, str(e))
+        return m, None
+
+    def add_block(self, block, as_arrays=False):
+        m = _base_model()
+        names, lbs, ubs, kinds = (list(col) for col in zip(*block)) \
+            if block else ([], [], [], [])
+        if as_arrays:
+            lbs, ubs = np.array(lbs, dtype=float), np.array(ubs, dtype=float)
+        try:
+            out = m.add_variables(names, lbs, ubs, kinds)
+        except ModelError as e:
+            return m, (e.column, str(e))
+        assert out == range(4, 4 + len(block))
+        return m, None
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(block=variable_blocks(), as_arrays=st.booleans())
+    def test_matches_add_variable_one_by_one(self, block, as_arrays):
+        if as_arrays:  # the bounds numpy holds, for both paths
+            block = [(n, float(lb), float(ub), k) for n, lb, ub, k in block]
+        one, failure = self.add_one_by_one(block)
+        bulk, bulk_failure = self.add_block(block, as_arrays)
+        assert bulk_failure == failure
+        if failure is None:
+            assert bulk == one
+            assert bulk._var_ids == one._var_ids
+            assert all(type(v.lb) is float and type(v.ub) is float
+                       for v in bulk.variables)
+        else:  # nothing of the block entered the model
+            assert _var_snapshot(bulk) == _var_snapshot(_base_model())
+
+    @pytest.mark.parametrize("item, message", [
+        (("9z", 0.0, 1.0, "continuous"), "invalid variable name '9z'"),
+        (("x1", 0.0, 1.0, "continuous"), "duplicate variable name 'x1'"),
+        (("a", 0.0, 1.0, "continuous"), "duplicate variable name 'a'"),
+        (("z", math.nan, 1.0, "continuous"), "variable 'z': bound is NaN"),
+        (("z", 2.0, 1.0, "continuous"),
+         "variable 'z': inverted bounds [2.0, 1.0]"),
+        (("z", 0.0, 2.0, "binary"),
+         "binary variable 'z' must have bounds [0, 1]"),
+        (("z", 0.0, 1.0, "integer"), "unknown variable kind 'integer'"),
+    ])
+    def test_first_failing_variable_raises_with_its_index(self, item,
+                                                          message):
+        m = _base_model()
+        before = _var_snapshot(m)
+        block = [("a", 0.0, 1.0, "binary"), ("b", -INF, INF, "continuous"),
+                 item, ("c", 0.0, math.nan, "continuous")]
+        with pytest.raises(ModelError) as info:
+            m.add_variables(*(list(col) for col in zip(*block)))
+        assert str(info.value).startswith(message)
+        assert (info.value.column, str(info.value)) == \
+            self.add_one_by_one(block)[1]
+        assert _var_snapshot(m) == before
+
+    def test_a_bound_numpy_cannot_read_fails_as_in_add_variable(self):
+        m = _base_model()
+        with pytest.raises(TypeError):
+            m.add_variable("z", "0", 1.0)
+        with pytest.raises(TypeError):
+            m.add_variables(["y", "z"], [0.0, "0"], [1.0, 1.0],
+                            ["continuous"] * 2)
+        assert _var_snapshot(m) == _var_snapshot(_base_model())
+
+    def test_malformed_block_and_frozen_model_rejected(self):
+        m = _base_model()
+        with pytest.raises(ModelError, match="add_variables: 2 names need"):
+            m.add_variables(["a", "b"], [0.0], [1.0, 1.0], ["binary"] * 2)
+        with pytest.raises(ModelError, match="frozen"):
+            m.freeze().add_variables([], [], [], [])
+        assert m.n_variables == 4

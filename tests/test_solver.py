@@ -92,6 +92,38 @@ class TestSolveLp:
 
         assert run() == run()
 
+    def test_only_an_optimal_result_carries_a_basis(self):
+        # a child starts only from an optimal parent, so every other end
+        # leaves basis, vstat and Binv unset
+        pinch = Model("pinch")
+        x = pinch.add_variable("x", 0.0, 10.0)
+        y = pinch.add_variable("y", 0.0, 10.0)
+        pinch.add_constraint("floor", {x: 1.0, y: 1.0}, ">=", 3.0)
+        pinch.add_constraint("ceiling", {x: 1.0, y: 1.0}, "<=", 1.0)
+        ray = Model("ray")
+        x = ray.add_variable("x", 0.0, INF)
+        y = ray.add_variable("y", 0.0, INF)
+        ray.add_constraint("tie", {x: 1.0, y: -1.0}, "=", 0.0)
+        ray.set_objective({x: -1.0})
+        ends = {"optimal": solver.LpCore(pair_demand(30.0)).solve(),
+                "infeasible": solver.LpCore(pinch).solve(),
+                "unbounded": solver.LpCore(ray).solve()}
+        # an end whose x breaks a bound: the basic x sits at 11 > 10
+        core = solver.LpCore(pinch)
+        vstat = np.array([solver._BASIC, solver._AT_LOWER, solver._BASIC,
+                          solver._AT_LOWER], dtype=np.int8)
+        basis = np.array([0, 2])
+        ends["error"] = solver._finish(
+            core.A, core.b, core.c, core.lo, core.up, basis, vstat,
+            solver._factorize(core.A, basis), np.array([11.0, 0.0]), 0)
+        for status, res in ends.items():
+            assert res.status == status
+            fields = (res.basis, res.vstat, res.Binv)
+            if status == "optimal":
+                assert all(f is not None for f in fields)
+            else:
+                assert fields == (None, None, None)
+
     def test_lp_that_once_ended_on_a_singular_basis(self):
         # the primal simplex this solver once ran took a 3.4e-10 pivot
         # here and, five checkpoint restores later, gave up after 567
