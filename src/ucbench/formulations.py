@@ -32,8 +32,9 @@ modules charge identical start-up costs on every feasible schedule.
 :func:`build_base` and each ``add_startup_*`` module add their variables
 through :meth:`~ucbench.milp.Model.add_variables` and gather their rows
 family by family, in model order, for one
-:meth:`~ucbench.milp.Model.add_rows` call. The step-based modules check
-every unit's step table before they touch the model.
+:meth:`~ucbench.milp.Model.add_rows` call (one per ``_FLUSH_TERMS``
+terms on a large model). The step-based modules check every unit's step
+table before they touch the model.
 """
 
 from __future__ import annotations
@@ -43,9 +44,7 @@ import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import accumulate, chain, product, repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -121,9 +120,15 @@ def _model_name(*parts: str) -> str:
     return name
 
 
+# a builder hands its rows to Model.add_rows each time it holds this many
+# terms, which bounds the arrays add_rows makes to check one block
+_FLUSH_TERMS = 1 << 20
+
+
 class _Rows:
     """The rows of one builder, gathered family by family in model order
-    and added by one :meth:`Model.add_rows` call.
+    and added to ``model`` by :meth:`Model.add_rows`: all in one call at
+    :meth:`flush` unless they pass ``_FLUSH_TERMS`` terms before it.
 
     :meth:`add` takes a family as a run of cells, one per unit and period
     (say), each holding one row of every kind the family interleaves:
@@ -137,7 +142,11 @@ class _Rows:
     they create the variables in (v, p, y, z, then the module's own), so
     that add_rows finds the block already sorted."""
 
-    def __init__(self):
+    def __init__(self, model: Model):
+        self.model = model
+        self._clear()
+
+    def _clear(self) -> None:
         self.names: list[str] = []
         self.senses: list[str] = []
         self.rhs: list[float] = []
@@ -146,21 +155,9 @@ class _Rows:
         self.coeffs: list[float] = []
 
     def add(self, names: list[str], *kinds) -> None:
-        if not names:
-            return
-        if len(kinds) == 1:  # the common case, with nothing to interleave
-            (sense, rhs, terms), = kinds
-            n = len(names)
-            self.names += names
-            self.senses += [sense] * n
-            self.rhs += [rhs] * n if isinstance(rhs, (float, int)) else rhs
-            self.lengths += [len(terms)] * n
-            if terms:
-                ids, coeffs = zip(*terms)
-                self.ids += chain.from_iterable(zip(*ids, strict=True))
-                self.coeffs += coeffs * n
-            return
         n = len(names) // len(kinds)
+        if not n:
+            return
         senses, rhs, terms = zip(*kinds)
         self.names += names
         self.senses += senses * n
@@ -176,6 +173,8 @@ class _Rows:
             ids, coeffs = zip(*terms)
             self.ids += chain.from_iterable(zip(*ids, strict=True))
             self.coeffs += coeffs * n
+        if len(self.ids) >= _FLUSH_TERMS:
+            self.flush()
 
     def add_flat(self, names: list[str], sense: str, rhs: float, lengths,
                  ids, coeffs) -> None:
@@ -188,42 +187,25 @@ class _Rows:
         self.lengths += lengths
         self.ids += ids
         self.coeffs += coeffs
+        if len(self.ids) >= _FLUSH_TERMS:
+            self.flush()
 
-    def add_to(self, model: Model) -> None:
-        model.add_rows(self.names, self.senses, self.rhs,
-                       list(accumulate(self.lengths, initial=0)), self.ids,
-                       self.coeffs)
-
-
-class _Span(NamedTuple):
-    """The periods t = first..last of a family (``ts``), and the slices
-    that pick period t (``now``), t - 1 (``prev``), t - 2 (``prev2``) and
-    t + 1 (``after``) for each of them out of a list indexed by period."""
-
-    ts: range
-    now: slice
-    prev: slice
-    prev2: slice
-    after: slice
-
-    def lag(self, k: int) -> slice:
-        """The slice that picks period t + k."""
-        return slice(self.now.start + k, self.now.stop + k) if self.ts \
-            else self.now
-
-
-@lru_cache(maxsize=1024)
-def _span(first: int, last: int) -> _Span:
-    if last < first:
-        return _Span(range(0), *[slice(0, 0)] * 4)
-    return _Span(range(first, last + 1), slice(first, last + 1),
-                 slice(first - 1, last), slice(first - 2, last - 1),
-                 slice(first + 1, last + 2))
+    def flush(self) -> None:
+        """Add the rows gathered so far to the model."""
+        if self.names:
+            self.model.add_rows(self.names, self.senses, self.rhs,
+                                list(accumulate(self.lengths, initial=0)),
+                                self.ids, self.coeffs)
+            self._clear()
 
 
 def _by_period(ids: dict, n_units: int, first: int, last: int) -> list:
     """``ids[i, t]`` as one list per unit, indexed by period t, for t in
-    first..last; the entries below ``first`` are None."""
+    first..last; the entries below ``first`` are None.
+
+    A family's term over periods t = a..b is a slice of such a list: with
+    horizon T, ``v[2:]`` holds v_t for t = 2..T and ``v[1:T]`` holds
+    v_{t-1} for the same t."""
     pad, periods = [None] * first, range(first, last + 1)
     return [pad + list(map(ids.__getitem__, zip(repeat(i), periods)))
             for i in range(1, n_units + 1)]
@@ -285,7 +267,7 @@ def build_base(instance: Instance, base: str = "basic") -> tuple[Model, VarIndex
             obj[vix.p[i, t]] = u.cost_variable
     model.set_objective(model.objective | obj)
 
-    rows = _Rows()
+    rows = _Rows(model)
     periods = range(1, T + 1)
     V, P = _by_period(vix.v, n, 1, T), _by_period(vix.p, n, 1, T)
     rows.add([f"demand_{t}" for t in periods],
@@ -303,7 +285,7 @@ def build_base(instance: Instance, base: str = "basic") -> tuple[Model, VarIndex
         _add_indicator_ramping(rows, instance, V, P, Y, Z)
         _add_min_up_down(rows, instance, V, Y, Z)
         _add_line_limits(rows, instance, P)
-    rows.add_to(model)
+    rows.flush()
     return model, vix
 
 
@@ -321,25 +303,24 @@ def _add_basic_ramping(rows: _Rows, instance: Instance, V: list, P: list):
     big-M deactivating the row across off periods) and the pre-shutdown
     cap bounding production in the last period before a shutdown."""
     T = instance.horizon
-    ramp, shut = _span(2, T), _span(1, T - 1)
     for i, (u, v, p) in enumerate(zip(instance.units, V, P), 1):
         ru, rd = u.ramp_up, u.ramp_down
         pmax = u.p_max
         su, sd = _start_stop_speeds(u)
-        s = ramp
+        # t = 2..T
         rows.add(
-            [f"ramp_{k}_{i}_{t}" for t in s.ts for k in ("up", "down")],
+            [f"ramp_{k}_{i}_{t}" for t in range(2, T + 1)
+             for k in ("up", "down")],
             # p_t - p_{t-1} <= RU v_{t-1} + SU (v_t - v_{t-1}) + Pmax (1 - v_t)
-            ("<=", pmax, [(v[s.prev], su - ru), (v[s.now], pmax - su),
-                          (p[s.prev], -1.0), (p[s.now], 1.0)]),
+            ("<=", pmax, [(v[1:T], su - ru), (v[2:], pmax - su),
+                          (p[1:T], -1.0), (p[2:], 1.0)]),
             # p_t >= p_{t-1} - RD v_t - SD (v_{t-1} - v_t) - Pmax (1 - v_{t-1})
-            (">=", -pmax, [(v[s.prev], sd - pmax), (v[s.now], rd - sd),
-                           (p[s.prev], -1.0), (p[s.now], 1.0)]))
-        s = shut
-        # p_t <= Pmax v_{t+1} + SD (v_t - v_{t+1})
-        rows.add([f"shut_ramp_{i}_{t}" for t in s.ts],
-                 ("<=", 0.0, [(v[s.now], -sd), (v[s.after], sd - pmax),
-                              (p[s.now], 1.0)]))
+            (">=", -pmax, [(v[1:T], sd - pmax), (v[2:], rd - sd),
+                           (p[1:T], -1.0), (p[2:], 1.0)]))
+        # t = 1..T-1: p_t <= Pmax v_{t+1} + SD (v_t - v_{t+1})
+        rows.add([f"shut_ramp_{i}_{t}" for t in range(1, T)],
+                 ("<=", 0.0, [(v[1:T], -sd), (v[2:], sd - pmax),
+                              (p[1:T], 1.0)]))
 
 
 def _indicator_families(vix: VarIndex, keys: list, with_z: bool) -> list:
@@ -359,16 +340,16 @@ def _add_indicators(rows: _Rows, instance: Instance, V: list, Y: list,
     pre_offline). Without z only the one-sided rows y_t >= v_t - v_{t-1}
     are emitted; cost minimization then pins y to the start indicator.
     """
-    s = _span(2, instance.horizon)
+    T = instance.horizon
     if Z is not None:
         for i, (u, v, y, z) in enumerate(zip(instance.units, V, Y, Z), 1):
             # pre-horizon state: offline (0) if pre_offline > 0, else online
             rows.add_flat([f"logic_{i}_1"], "=",
                           0.0 if u.pre_offline > 0 else -1.0, [3],
                           [v[1], y[1], z[1]], [-1.0, 1.0, -1.0])
-            rows.add([f"logic_{i}_{t}" for t in s.ts],
-                     ("=", 0.0, [(v[s.prev], 1.0), (v[s.now], -1.0),
-                                 (y[s.now], 1.0), (z[s.now], -1.0)]))
+            rows.add([f"logic_{i}_{t}" for t in range(2, T + 1)],
+                     ("=", 0.0, [(v[1:T], 1.0), (v[2:], -1.0),
+                                 (y[2:], 1.0), (z[2:], -1.0)]))
     else:
         for i, (u, v, y) in enumerate(zip(instance.units, V, Y), 1):
             if u.pre_offline > 0:
@@ -376,9 +357,9 @@ def _add_indicators(rows: _Rows, instance: Instance, V: list, Y: list,
                               [-1.0, 1.0])
             # pre-horizon online: v_1 = 1 is not a start; the row would be
             # y_1 >= v_1 - 1, vacuous, so it is skipped
-            rows.add([f"ystart_{i}_{t}" for t in s.ts],
-                     (">=", 0.0, [(v[s.prev], 1.0), (v[s.now], -1.0),
-                                  (y[s.now], 1.0)]))
+            rows.add([f"ystart_{i}_{t}" for t in range(2, T + 1)],
+                     (">=", 0.0, [(v[1:T], 1.0), (v[2:], -1.0),
+                                  (y[2:], 1.0)]))
 
 
 def _add_indicator_ramping(rows: _Rows, instance: Instance, V: list,
@@ -396,57 +377,52 @@ def _add_indicator_ramping(rows: _Rows, instance: Instance, V: list,
     - the two-period down-ramping row is emitted for all units.
     """
     T = instance.horizon
-    from_2, from_3 = _span(2, T), _span(3, T)
-    from_2_before_last, from_3_before_last = _span(2, T - 1), _span(3, T - 1)
     for i, (u, v, p, y, z) in enumerate(zip(instance.units, V, P, Y, Z), 1):
         ru, rd, pmin = u.ramp_up, u.ramp_down, u.p_min
         su, sd = _start_stop_speeds(u)
-        s = from_2
-        rows.add([f"ramp_{k}_{i}_{t}" for t in s.ts for k in ("up", "down")],
+        # t = 2..T
+        rows.add([f"ramp_{k}_{i}_{t}" for t in range(2, T + 1)
+                  for k in ("up", "down")],
                  # p_t - p_{t-1} <= RU v_{t-1} + SU y_t
-                 ("<=", 0.0, [(v[s.prev], -ru), (p[s.prev], -1.0),
-                              (p[s.now], 1.0), (y[s.now], -su)]),
+                 ("<=", 0.0, [(v[1:T], -ru), (p[1:T], -1.0),
+                              (p[2:], 1.0), (y[2:], -su)]),
                  # p_{t-1} - p_t <= RD v_t + SD z_t
-                 ("<=", 0.0, [(v[s.now], -rd), (p[s.prev], 1.0),
-                              (p[s.now], -1.0), (z[s.now], -sd)]))
+                 ("<=", 0.0, [(v[2:], -rd), (p[1:T], 1.0),
+                              (p[2:], -1.0), (z[2:], -sd)]))
         gate_down = rd > su - pmin
         gate_up = ru > sd - pmin
-        if gate_down and u.min_up >= 2:
-            rows.add([f"rampdn_start_{i}_{t}" for t in s.ts],
-                     ("<=", 0.0, [(v[s.now], -rd), (p[s.prev], 1.0),
-                                  (p[s.now], -1.0),
-                                  (y[s.prev], rd - su + pmin),
-                                  (y[s.now], rd + pmin), (z[s.now], -sd)]))
-        if gate_down and u.min_up >= 3 and u.min_down >= 2:
-            s = from_2_before_last
-            rows.add([f"rampdn_close_{i}_{t}" for t in s.ts],
-                     ("<=", 0.0, [(v[s.after], -rd), (p[s.prev], 1.0),
-                                  (p[s.now], -1.0),
-                                  (y[s.prev], rd - su + pmin),
-                                  (y[s.now], rd + pmin), (y[s.after], rd),
-                                  (z[s.now], -sd), (z[s.after], -rd)]))
-        s = from_3
-        # two-period down-ramping with start/stop corrections
-        rows.add([f"rampdn_two_{i}_{t}" for t in s.ts],
-                 ("<=", 0.0, [(v[s.now], -2 * rd), (p[s.prev2], 1.0),
-                              (p[s.now], -1.0), (y[s.prev2], 2 * rd),
-                              (y[s.prev], 2 * rd + pmin),
-                              (y[s.now], 2 * rd + pmin), (z[s.prev], -sd),
-                              (z[s.now], -(sd + rd))]))
-        if gate_up and u.min_up >= 2:
-            s = from_2_before_last
-            rows.add([f"rampup_stop_{i}_{t}" for t in s.ts],
-                     ("<=", 0.0, [(v[s.now], -ru), (p[s.prev], -1.0),
-                                  (p[s.now], 1.0), (y[s.now], ru - su),
-                                  (z[s.now], pmin),
-                                  (z[s.after], ru - sd + pmin)]))
-        if gate_up and u.min_down >= 2:
-            s = from_3_before_last
-            rows.add([f"rampup_two_{i}_{t}" for t in s.ts],
-                     ("<=", 0.0, [(v[s.now], -2 * ru), (p[s.prev2], -1.0),
-                                  (p[s.now], 1.0), (y[s.prev], ru - su),
-                                  (y[s.now], 2 * ru - su), (z[s.prev], pmin),
-                                  (z[s.now], pmin)]))
+        if gate_down and u.min_up >= 2:  # t = 2..T
+            rows.add([f"rampdn_start_{i}_{t}" for t in range(2, T + 1)],
+                     ("<=", 0.0, [(v[2:], -rd), (p[1:T], 1.0),
+                                  (p[2:], -1.0),
+                                  (y[1:T], rd - su + pmin),
+                                  (y[2:], rd + pmin), (z[2:], -sd)]))
+        if gate_down and u.min_up >= 3 and u.min_down >= 2:  # t = 2..T-1
+            rows.add([f"rampdn_close_{i}_{t}" for t in range(2, T)],
+                     ("<=", 0.0, [(v[3:], -rd), (p[1:T - 1], 1.0),
+                                  (p[2:T], -1.0),
+                                  (y[1:T - 1], rd - su + pmin),
+                                  (y[2:T], rd + pmin), (y[3:], rd),
+                                  (z[2:T], -sd), (z[3:], -rd)]))
+        # t = 3..T: two-period down-ramping with start/stop corrections
+        rows.add([f"rampdn_two_{i}_{t}" for t in range(3, T + 1)],
+                 ("<=", 0.0, [(v[3:], -2 * rd), (p[1:T - 1], 1.0),
+                              (p[3:], -1.0), (y[1:T - 1], 2 * rd),
+                              (y[2:T], 2 * rd + pmin),
+                              (y[3:], 2 * rd + pmin), (z[2:T], -sd),
+                              (z[3:], -(sd + rd))]))
+        if gate_up and u.min_up >= 2:  # t = 2..T-1
+            rows.add([f"rampup_stop_{i}_{t}" for t in range(2, T)],
+                     ("<=", 0.0, [(v[2:T], -ru), (p[1:T - 1], -1.0),
+                                  (p[2:T], 1.0), (y[2:T], ru - su),
+                                  (z[2:T], pmin),
+                                  (z[3:], ru - sd + pmin)]))
+        if gate_up and u.min_down >= 2:  # t = 3..T-1
+            rows.add([f"rampup_two_{i}_{t}" for t in range(3, T)],
+                     ("<=", 0.0, [(v[3:T], -2 * ru), (p[1:T - 2], -1.0),
+                                  (p[3:T], 1.0), (y[2:T - 1], ru - su),
+                                  (y[3:T], 2 * ru - su), (z[2:T - 1], pmin),
+                                  (z[3:T], pmin)]))
 
 
 def _add_min_up_down(rows: _Rows, instance: Instance, V: list, Y: list,
@@ -459,15 +435,13 @@ def _add_min_up_down(rows: _Rows, instance: Instance, V: list, Y: list,
     T = instance.horizon
     for i, (u, v, y, z) in enumerate(zip(instance.units, V, Y, Z), 1):
         ut, dt = u.min_up, u.min_down
-        # the window t-ut+1..t, as lags 1-ut..0
-        s = _span(ut, T)
-        rows.add([f"minup_{i}_{t}" for t in s.ts],
-                 ("<=", 0.0, [(v[s.now], -1.0)]
-                  + [(y[s.lag(k)], 1.0) for k in range(1 - ut, 1)]))
-        s = _span(dt, T)
-        rows.add([f"mindown_{i}_{t}" for t in s.ts],
-                 ("<=", 1.0, [(v[s.now], 1.0)]
-                  + [(z[s.lag(k)], 1.0) for k in range(1 - dt, 1)]))
+        # t = ut..T, with y_{t+k} over the window k = 1-ut..0
+        rows.add([f"minup_{i}_{t}" for t in range(ut, T + 1)],
+                 ("<=", 0.0, [(v[ut:], -1.0)]
+                  + [(y[ut + k:T + 1 + k], 1.0) for k in range(1 - ut, 1)]))
+        rows.add([f"mindown_{i}_{t}" for t in range(dt, T + 1)],
+                 ("<=", 1.0, [(v[dt:], 1.0)]
+                  + [(z[dt + k:T + 1 + k], 1.0) for k in range(1 - dt, 1)]))
         if 0 < u.pre_offline < dt:
             ts = range(1, min(T, dt - u.pre_offline) + 1)
             rows.add_flat([f"predown_{i}_{t}" for t in ts], "<=", 0.0,
@@ -561,7 +535,7 @@ def add_startup_1bin(model: Model, vix: VarIndex, instance: Instance,
     _charge_cu(model, vix)
     vix.steps = dict(steps)
     V, CU = _by_period(vix.v, n, 1, T), _by_period(vix.cu, n, 1, T)
-    rows = _Rows()
+    rows = _Rows(model)
     for i, u in enumerate(instance.units, 1):
         v, cu = V[i - 1], CU[i - 1]
         window = _window(instance, u)
@@ -582,7 +556,7 @@ def add_startup_1bin(model: Model, vix: VarIndex, instance: Instance,
                                           for t, _, m in cells),
                       chain.from_iterable(coeffs[l][l - m:]
                                           for _, l, m in cells))
-    rows.add_to(model)
+    rows.flush()
 
 
 def add_startup_3bin(model: Model, vix: VarIndex, instance: Instance,
@@ -624,7 +598,7 @@ def add_startup_3bin(model: Model, vix: VarIndex, instance: Instance,
                         | {vix.d[i, t, s]: tables[i - 1].steps[s - 1].value
                            for i, t, s in d_keys})
 
-    rows = _Rows()
+    rows = _Rows(model)
     periods = range(1, T + 1)
     Y, Z, CU = (_by_period(ids, n, 1, T) for ids in (vix.y, vix.z, vix.cu))
     if indicators:
@@ -646,12 +620,11 @@ def add_startup_3bin(model: Model, vix: VarIndex, instance: Instance,
             rows.add([f"sdef_{i}_{t}" for t in periods], sdef)
         for s in range(1, S):  # the final type is never capped
             lo, hi = sf.steps[s - 1].lo, sf.steps[s - 1].hi
-            span = _span(hi + 1, T)
-            # z_k for k in t-hi..t-lo
-            rows.add([f"stype_{i}_{t}_{s}" for t in span.ts],
-                     ("<=", 0.0, [(z[span.lag(-k)], -1.0)
+            # t = hi+1..T, with z_{t-k} for k = hi..lo
+            rows.add([f"stype_{i}_{t}_{s}" for t in range(hi + 1, T + 1)],
+                     ("<=", 0.0, [(z[hi + 1 - k:T + 1 - k], -1.0)
                                   for k in range(hi, lo - 1, -1)]
-                      + [(d[s - 1][span.now], 1.0)]))
+                      + [(d[s - 1][hi + 1:], 1.0)]))
             if u.pre_offline <= 0:
                 continue  # entered online: no pre-horizon shutdown visible
             # the recorded outage itself covers the type where it began
@@ -667,7 +640,7 @@ def add_startup_3bin(model: Model, vix: VarIndex, instance: Instance,
                                               for c, t in zip(caps, ts)),
                           chain.from_iterable([-1.0] * len(c) + [1.0]
                                               for c in caps))
-    rows.add_to(model)
+    rows.flush()
 
 
 def add_startup_temp(model: Model, vix: VarIndex, instance: Instance
@@ -690,8 +663,7 @@ def add_startup_temp(model: Model, vix: VarIndex, instance: Instance
                       [ub0[i - 1] if t == 0 else INF for i, t in h_keys]))
     _charge_cu(model, vix)
 
-    rows = _Rows()
-    every, later = _span(1, T), _span(2, T)
+    rows = _Rows(model)
     V, Y, CU, TMP = (_by_period(ids, n, 1, T)
                      for ids in (vix.v, vix.y, vix.cu, vix.tmp))
     H = _by_period(vix.h, n, 0, T - 1)
@@ -701,25 +673,23 @@ def add_startup_temp(model: Model, vix: VarIndex, instance: Instance
                                                   TMP, H), 1):
         lam = u.heat_loss
         decay = math.exp(-lam)
-        s = every
-        rows.add([f"tnorm_{i}_{t}" for t in s.ts],
-                 (">=", 0.0, [(v[s.now], -1.0), (tmp[s.now], 1.0)]))
+        rows.add([f"tnorm_{i}_{t}" for t in range(1, T + 1)],
+                 (">=", 0.0, [(v[1:], -1.0), (tmp[1:], 1.0)]))
         if u.pre_offline > 0:
             rows.add_flat([f"trec_{i}_1"], "=", math.exp(-lam * u.pre_offline),
                           [2], [tmp[1], h[0]], [1.0, -1.0])
         else:
             rows.add_flat([f"trec_{i}_1"], "=", 1.0, [1], [tmp[1]], [1.0])
-        s = later
-        rows.add([f"trec_{i}_{t}" for t in s.ts],
-                 ("=", 0.0, [(v[s.prev], -(1.0 - decay)),
-                             (tmp[s.prev], -decay), (tmp[s.now], 1.0),
-                             (h[s.prev], -1.0)]))
-        s = every
-        rows.add([f"tcost_{i}_{t}" for t in s.ts],
-                 ("=", 0.0, [(y[s.now], -u.startup_fixed_cost),
-                             (cu[s.now], 1.0),
-                             (h[s.prev], -u.startup_var_cost)]))
-    rows.add_to(model)
+        # t = 2..T; h is indexed from period 0
+        rows.add([f"trec_{i}_{t}" for t in range(2, T + 1)],
+                 ("=", 0.0, [(v[1:T], -(1.0 - decay)),
+                             (tmp[1:T], -decay), (tmp[2:], 1.0),
+                             (h[1:], -1.0)]))
+        rows.add([f"tcost_{i}_{t}" for t in range(1, T + 1)],
+                 ("=", 0.0, [(y[1:], -u.startup_fixed_cost),
+                             (cu[1:], 1.0),
+                             (h, -u.startup_var_cost)]))
+    rows.flush()
 
 
 def build_model(instance: Instance,

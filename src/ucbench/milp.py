@@ -24,10 +24,9 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
-from bisect import bisect_left
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import isfinite
-from operator import add, eq, floordiv, index, itemgetter, le, lt, sub
+from operator import add, eq, index, itemgetter, le, lt
 
 import numpy as np
 
@@ -38,6 +37,7 @@ _NAME_RE = re.compile(_NAME + r"\Z")
 _NAMES_RE = re.compile(rf"(?:{_NAME}\n)*{_NAME}")  # names joined by "\n"
 
 SENSES = ("<=", "=", ">=")
+_SENSE_SET = frozenset(SENSES)
 KINDS = ("continuous", "binary")
 _BINARY_BOUNDS = ((0, 1), (0, 0), (1, 1))
 _SENSE_TO_ROW = {"<=": "L", "=": "E", ">=": "G"}
@@ -413,39 +413,38 @@ class Model:
 
     def _valid_rows(self, names, senses, rhs, starts, ids, coeffs):
         """The block's (rhs, starts, ids, coeffs) in canonical form, as the
-        row checks return them, if every row passes every check,
-        else None. The checks run with builtins over the whole block,
-        which costs less than row by row on a small block, but they do not
-        name the failing row."""
+        row checks return them, if every row passes every check and lists
+        its terms in increasing id order, else None. The checks run with
+        builtins over the whole block, which costs less than row by row on
+        a small block, but they do not name the failing row."""
         try:
             coeffs = list(map(float, coeffs))
             rhs = list(map(float, rhs))
+            valid = (_names_ok(names, self._con_names, self.objective_name)
+                     and _SENSE_SET.issuperset(senses)
+                     and set(map(type, ids)) <= {int}
+                     and (not ids or 0 <= min(ids)
+                          and max(ids) < len(self.variables))
+                     and all(map(isfinite, chain(coeffs, rhs))))
         except (TypeError, ValueError, OverflowError):
             return None
-        m = len(self.variables) + 1
-        if not (_names_ok(names, self._con_names, self.objective_name)
-                and all(map(SENSES.__contains__, senses))
-                and set(map(type, ids)) <= {int}
-                and (len(ids) == 0 or 0 <= min(ids) and max(ids) < m - 1)
-                and all(map(isfinite, coeffs)) and all(map(isfinite, rhs))):
+        if not valid:
             return None
-        # order the terms by row, then by id, as add_rows does with numpy
-        row_keys = chain.from_iterable(map(repeat, range(0, len(names) * m, m),
-                                           map(sub, starts[1:], starts)))
-        keys = list(map(add, row_keys, ids))
-        if not all(map(lt, keys, keys[1:])):
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            keys = list(map(keys.__getitem__, order))
-            if any(map(eq, keys, keys[1:])):
-                return None  # a repeated variable
-            ids = list(map(ids.__getitem__, order))
-            coeffs = list(map(coeffs.__getitem__, order))
+        # each id must exceed the one before it in its row; a row that
+        # does not (out of order, or a repeated variable) is left to the
+        # row checks
+        rising = list(map(lt, ids, ids[1:]))
+        for s in starts[1:-1]:
+            if 0 < s < len(ids):
+                rising[s - 1] = True  # the pair straddles two rows
+        if not all(rising):
+            return None
         if 0.0 in coeffs:
             keep = list(map(bool, coeffs))
+            kept = list(accumulate(keep, initial=0))
+            starts = list(map(kept.__getitem__, starts))
             ids = list(compress(ids, keep))
             coeffs = list(compress(coeffs, keep))
-            rows = list(compress(map(floordiv, keys, repeat(m)), keep))
-            starts = [bisect_left(rows, r) for r in range(len(names) + 1)]
         return rhs, starts, ids, coeffs
 
     def _append_rows(self, names, senses, rhs, starts, ids, coeffs) -> range:

@@ -10,10 +10,13 @@ horizon (and online), which reaches the pre-horizon rows.
 
 import dataclasses
 import hashlib
+import itertools
 import re
+from unittest import mock
 
 from ucbench import (BASES, STARTUPS, FormulationChoice, build_model,
                      generate_instance, write_mps)
+from ucbench import formulations
 
 SEEDS = range(1, 13)
 SHAPES = ((2, 5, False), (3, 6, True))  # units, periods, with a network
@@ -72,3 +75,17 @@ def test_sweep_digest_and_family_coverage():
     assert seen == FAMILIES
     assert pre_horizon_stype > 0
     assert digest.hexdigest() == SWEEP_SHA256
+
+
+def test_rows_handed_over_in_pieces_build_the_same_models():
+    """A builder passes its rows to add_rows each time it holds
+    ``_FLUSH_TERMS`` terms; with that lowered to a few terms, every model
+    is the one built in a single block."""
+    for inst in itertools.islice(sweep_instances(), 0, None, 9):
+        for base in BASES:
+            for startup in STARTUPS:
+                choice = FormulationChoice(base, startup, 0.0)
+                whole, _ = build_model(inst, choice)
+                with mock.patch.object(formulations, "_FLUSH_TERMS", 5):
+                    pieces, _ = build_model(inst, choice)
+                assert pieces == whole
