@@ -121,7 +121,8 @@ def _model_name(*parts: str) -> str:
 
 
 # a builder hands its rows to Model.add_rows each time it holds this many
-# terms, which bounds the arrays add_rows makes to check one block
+# terms, which bounds the builder's lists and the copies of them that
+# add_rows's builtin check makes
 _FLUSH_TERMS = 1 << 20
 
 
@@ -140,7 +141,7 @@ class _Rows:
 
     The builders list each row's terms in id order, which is the order
     they create the variables in (v, p, y, z, then the module's own), so
-    that add_rows finds the block already sorted."""
+    that add_rows checks the block whole rather than row by row."""
 
     def __init__(self, model: Model):
         self.model = model

@@ -8,7 +8,11 @@ them. Variables enter one at a time (:meth:`Model.add_variable`) or as a
 block (:meth:`Model.add_variables`), and rows likewise
 (:meth:`Model.add_constraint`, :meth:`Model.add_rows`); a block runs the
 single form's checks on all its items at once and, if one fails, raises
-that item's error and leaves the model unchanged.
+that item's error and leaves the model unchanged. :meth:`Model.add_rows`
+checks a block with numpy when its ids come as a numpy array, as
+:func:`read_mps` gives them, and with builtins when they come as a list,
+as the formulation builders give them: converting a list to arrays costs
+as much as checking it with builtins, and takes more memory.
 
 Determinism is a design requirement: models store their terms in a
 canonical order (sorted by variable id within each row, zero coefficients
@@ -42,9 +46,6 @@ KINDS = ("continuous", "binary")
 _BINARY_BOUNDS = ((0, 1), (0, 0), (1, 1))
 _SENSE_TO_ROW = {"<=": "L", "=": "E", ">=": "G"}
 _ROW_TO_SENSE = {v: k for k, v in _SENSE_TO_ROW.items()}
-# add_rows checks a block of fewer rows with builtins, which is cheaper
-# than numpy's fixed set-up there
-_BLOCK_MIN = 64
 
 
 class ModelError(ValueError):
@@ -81,12 +82,6 @@ def _names_ok(names, taken, reserved: str | None = None) -> bool:
             and _NAMES_RE.fullmatch(joined) is not None
             and len(unique) == len(names) and reserved not in unique
             and taken.isdisjoint(unique))
-
-
-def _first_row(mask: np.ndarray, rows: np.ndarray, n: int) -> int:
-    """``rows`` at the first true entry of ``mask``, or ``n`` if none."""
-    hits = np.flatnonzero(mask)
-    return int(rows[hits[0]]) if hits.size else n
 
 
 @dataclass
@@ -289,114 +284,48 @@ class Model:
         Row ``r`` is named ``names[r]``, has sense ``senses[r]`` and
         right-hand side ``rhs[r]``, and holds the terms ``ids[k]``,
         ``coeffs[k]`` for ``k`` in ``range(starts[r], starts[r + 1])``, in
-        any order; ``starts[0]`` is 0. All six are sequences (lists or
-        numpy arrays). Each row passes every check of
-        :meth:`add_constraint` and is stored the same way, but the checks
-        run on the whole block at once. If a row fails, the first failing
-        row in row order raises the :class:`ModelError` that
-        :meth:`add_constraint` would raise for it, with the row's index in
-        the block as ``row``, and the model is left unchanged. Returns the
-        new rows' indices."""
+        any order; ``starts`` are integers, the first of them 0. All six
+        are sequences; ``ids`` and ``coeffs`` may be numpy arrays. Each row
+        passes every check of :meth:`add_constraint` and is stored the
+        same way, but the checks run on the whole block at once: with
+        numpy when ``ids`` is an array (:func:`read_mps` holds its entries
+        in arrays), with builtins otherwise (the formulation builders
+        gather lists, which builtins check as fast as numpy would convert
+        them). A block that fails those checks, or lists some row's ids
+        out of order, is checked row by row: the first failing row raises
+        the :class:`ModelError` that :meth:`add_constraint` would raise
+        for it, with the row's index in the block as ``row``, and the model
+        is left unchanged. Returns the new rows' indices."""
         if self.frozen:
             raise ModelError("model is frozen")
-        n, nvar = len(names), len(self.variables)
-        starts = np.asarray(starts, dtype=np.int64)
-        bounds = starts.tolist()
-        if (len(senses) != n or len(rhs) != n or len(bounds) != n + 1
-                or bounds[0] != 0 or bounds[-1] != len(ids)
-                or len(coeffs) != len(ids)
-                or not all(map(le, bounds, bounds[1:]))):
+        n = len(names)
+        try:
+            starts = list(map(index, starts))
+        except TypeError:
+            starts = None
+        if (starts is None or len(senses) != n or len(rhs) != n
+                or len(starts) != n + 1 or starts[0] != 0
+                or starts[-1] != len(ids) or len(coeffs) != len(ids)
+                or not all(map(le, starts, starts[1:]))):
             raise ModelError(
                 f"add_rows: {n} names need {n} senses, {n} right-hand sides "
-                "and n + 1 non-decreasing starts from 0 to the number of "
-                "terms, with one coefficient per id")
-        numeric = False
-        if n >= _BLOCK_MIN:
-            try:
-                id_arr = np.asarray(ids)
-                c_arr = np.asarray(coeffs, dtype=np.float64)
-                rhs_arr = np.asarray(rhs, dtype=np.float64)
-                numeric = id_arr.ndim == 1 and id_arr.dtype.kind in "biu"
-            except (TypeError, ValueError, OverflowError):
-                pass
-        if not numeric:
-            # a block too small to repay numpy's set-up, an id that is not
-            # an integer, or a value numpy cannot convert: builtins check a
-            # small block whole, and where they find a fault (or the block
-            # is large) the row checks raise at the first failing row;
-            # every row is stored as add_constraint stores it
-            block = (self._valid_rows(names, senses, rhs, bounds, ids, coeffs)
-                     if n < _BLOCK_MIN else None)
-            return self._append_rows(names, senses, *(
-                block or self._check_rows(names, senses, rhs, bounds, ids,
-                                          coeffs, 0)))
-        id_arr = id_arr.astype(np.int64, copy=False)
-        row_of = np.repeat(np.arange(n), np.diff(starts))
-        # the key orders the terms by row, then by id; an id out of range
-        # is clipped, which keeps the keys of different rows apart, so
-        # equal neighbours are a repeated variable (or a row that fails
-        # its range check anyway)
-        key = np.clip(id_arr, -1, nvar - 1)
-        key += 1
-        key += row_of * (nvar + 1)
-        order = None  # None while the terms come in key order
-        if (np.diff(key) <= 0).any():
-            order = np.argsort(key, kind="stable")
-            key = key[order]
-        # the first row each check fails, or 0 when some name fails (the
-        # row checks then look for it from the start); sorting by key
-        # keeps the rows in order, so row_of gives each sorted term's row
-        bad = min(n if _names_ok(names, self._con_names, self.objective_name)
-                  else 0,
-                  next((r for r, s in enumerate(senses) if s not in SENSES), n),
-                  _first_row((id_arr < 0) | (id_arr >= nvar)
-                             | ~np.isfinite(c_arr), row_of, n),
-                  n if order is None
-                  else _first_row(np.diff(key) == 0, row_of[1:], n),
-                  _first_row(~np.isfinite(rhs_arr), np.arange(n), n))
-        del key
-        if bad < n:
-            self._check_rows(names, senses, rhs, bounds, ids, coeffs, bad)
-            raise AssertionError("add_rows: a block check failed that no "
-                                 "row check fails")
-        picks = order  # the input terms stored, in order; None: all as given
-        if order is not None:
-            id_arr, c_arr = id_arr[order], c_arr[order]
-        keep = c_arr != 0.0
-        if not keep.all():
-            picks = np.flatnonzero(keep) if picks is None else picks[keep]
-            id_arr, c_arr = id_arr[keep], c_arr[keep]
-            bounds = [0] + np.cumsum(
-                np.bincount(row_of[keep], minlength=n)).tolist()
-        del row_of
-        # store the caller's own ids and coefficients where it gave lists
-        # (int and float return an int or a float itself), as
-        # add_constraint does, else one int object per variable: rows built
-        # one by one share their callers' objects
-        if picks is not None:
-            picks = picks.tolist()
-        if isinstance(ids, list):
-            ids = map(int, ids if picks is None
-                      else map(ids.__getitem__, picks))
-        else:
-            ids = np.arange(nvar, dtype=object)[id_arr].tolist()
-        if isinstance(coeffs, list):
-            coeffs = map(float, coeffs if picks is None
-                         else map(coeffs.__getitem__, picks))
-        else:
-            coeffs = c_arr.tolist()
-        return self._append_rows(names, senses, rhs_arr.tolist(), bounds,
-                                 ids, coeffs)
+                "and n + 1 non-decreasing integer starts from 0 to the "
+                "number of terms, with one coefficient per id")
+        valid = (self._valid_arrays if isinstance(ids, np.ndarray)
+                 else self._valid_rows)
+        return self._append_rows(names, senses, *(
+            valid(names, senses, rhs, starts, ids, coeffs)
+            or self._check_rows(names, senses, rhs, starts, ids, coeffs)))
 
-    def _check_rows(self, names, senses, rhs, starts, ids, coeffs, first):
-        """Check the block's rows from ``first`` on one by one, as
-        add_constraint would after adding the rows before; the first
-        failing row raises, with its index as ``row``. Returns the checked
-        rows' (rhs, starts, ids, coeffs) in canonical form."""
-        taken = set(names[:first])
+    def _check_rows(self, names, senses, rhs, starts, ids, coeffs):
+        """Check the block's rows one by one, as add_constraint would after
+        adding the rows before; the first failing row raises, with its
+        index as ``row``. Returns the rows' (rhs, starts, ids, coeffs) in
+        canonical form."""
+        taken = set()
         out_rhs, out_starts, out_ids, out_coeffs = [], [0], [], []
-        for r in range(first, len(names)):
-            name, a, b = names[r], starts[r], starts[r + 1]
+        for r, name in enumerate(names):
+            a, b = starts[r], starts[r + 1]
             try:
                 row_ids, row_coeffs, row_rhs = self._check_row(
                     name, zip(ids[a:b], coeffs[a:b]), senses[r], rhs[r],
@@ -411,21 +340,35 @@ class Model:
             out_rhs.append(row_rhs)
         return out_rhs, out_starts, out_ids, out_coeffs
 
-    def _valid_rows(self, names, senses, rhs, starts, ids, coeffs):
-        """The block's (rhs, starts, ids, coeffs) in canonical form, as the
-        row checks return them, if every row passes every check and lists
-        its terms in increasing id order, else None. The checks run with
-        builtins over the whole block, which costs less than row by row on
-        a small block, but they do not name the failing row."""
+    def _valid_heads(self, names, senses, rhs):
+        """The block's right-hand sides as floats if every row's name,
+        sense and right-hand side passes its checks, else None."""
         try:
-            coeffs = list(map(float, coeffs))
             rhs = list(map(float, rhs))
             valid = (_names_ok(names, self._con_names, self.objective_name)
                      and _SENSE_SET.issuperset(senses)
-                     and set(map(type, ids)) <= {int}
+                     and all(map(isfinite, rhs)))
+        except (TypeError, ValueError, OverflowError):
+            return None
+        return rhs if valid else None
+
+    def _valid_rows(self, names, senses, rhs, starts, ids, coeffs):
+        """The block's (rhs, starts, ids, coeffs) in canonical form, as the
+        row checks return them, if every row passes every check and lists
+        its ids in increasing order, else None. The checks run with
+        builtins over the whole block and do not name the failing row.
+        They take the blocks that come as lists (the builders' and
+        :func:`fix_variables`'), whose ids are stored as the caller's own
+        int objects, as :meth:`add_constraint` stores them."""
+        rhs = self._valid_heads(names, senses, rhs)
+        if rhs is None:
+            return None
+        try:
+            coeffs = list(map(float, coeffs))
+            valid = (set(map(type, ids)) <= {int}
                      and (not ids or 0 <= min(ids)
                           and max(ids) < len(self.variables))
-                     and all(map(isfinite, chain(coeffs, rhs))))
+                     and all(map(isfinite, coeffs)))
         except (TypeError, ValueError, OverflowError):
             return None
         if not valid:
@@ -447,6 +390,32 @@ class Model:
             coeffs = list(compress(coeffs, keep))
         return rhs, starts, ids, coeffs
 
+    def _valid_arrays(self, names, senses, rhs, starts, ids, coeffs):
+        """:meth:`_valid_rows` for ids given as a numpy array, with numpy
+        checking the terms; ids that are not integers, or coefficients
+        that are not a float array, are left to the row checks. Each id
+        is stored as one int object per variable."""
+        rhs = self._valid_heads(names, senses, rhs)
+        nvar = len(self.variables)
+        if (rhs is None or ids.ndim != 1 or ids.dtype.kind not in "iu"
+                or not isinstance(coeffs, np.ndarray)
+                or coeffs.dtype.kind != "f" or coeffs.ndim != 1
+                or ids.size and not (0 <= ids.min() and ids.max() < nvar)
+                or not np.isfinite(coeffs).all()):
+            return None
+        # as in _valid_rows, with the pairs that straddle two rows let by
+        rising = ids[1:] > ids[:-1]
+        inner = np.array(starts[1:-1], dtype=np.int64)
+        rising[inner[(inner > 0) & (inner < ids.size)] - 1] = True
+        if not rising.all():
+            return None
+        keep = coeffs != 0.0
+        if not keep.all():
+            starts = np.concatenate(([0], np.cumsum(keep)))[starts].tolist()
+            ids, coeffs = ids[keep], coeffs[keep]
+        return (rhs, starts, np.arange(nvar, dtype=object)[ids].tolist(),
+                coeffs.tolist())
+
     def _append_rows(self, names, senses, rhs, starts, ids, coeffs) -> range:
         """Append rows that passed their checks, in canonical form."""
         first, offset = len(self.row_names), len(self.ids)
@@ -460,19 +429,27 @@ class Model:
         return range(first, first + len(names))
 
     def set_objective(self, coeffs) -> None:
-        """Replace the (minimization) objective. Zero terms are dropped and
-        the mapping is stored in variable-id order; a coefficient must be
-        finite."""
+        """Replace the (minimization) objective, a dict {var id: coeff} or
+        a sequence of (var id, coeff) pairs. Zero terms are dropped and the
+        mapping is stored in variable-id order; an id must be an integer
+        of a declared variable, and a coefficient must be finite."""
         if self.frozen:
             raise ModelError("model is frozen")
         if not isinstance(coeffs, dict):
             coeffs = dict(coeffs)
-        for vid in coeffs:
-            if not (0 <= vid < len(self.variables)):
+        checked = {}
+        for vid, c in coeffs.items():
+            try:
+                i = index(vid)
+            except TypeError:
+                raise ModelError(f"objective: variable id {vid!r} is not an "
+                                 "integer") from None
+            if not (0 <= i < len(self.variables)):
                 raise ModelError(f"objective references undeclared variable "
                                  f"id {vid}")
-        objective = {vid: float(c) for vid in sorted(coeffs)
-                     if (c := coeffs[vid]) != 0.0}
+            checked[i] = c
+        objective = {vid: float(c) for vid in sorted(checked)
+                     if (c := checked[vid]) != 0.0}
         for vid, c in objective.items():
             if not isfinite(c):
                 raise ModelError(f"objective coefficient of variable id "
@@ -530,7 +507,14 @@ def fix_variables(model: Model, assignments: dict) -> Model:
     formulations' start-up costs."""
     resolved: dict[int, float] = {}
     for key, val in assignments.items():
-        vid = model.var_id(key) if isinstance(key, str) else int(key)
+        if isinstance(key, str):
+            vid = model.var_id(key)
+        else:
+            try:
+                vid = index(key)
+            except TypeError:
+                raise ModelError(f"variable key {key!r} is neither a name "
+                                 "nor an integer id") from None
         if not (0 <= vid < model.n_variables):
             raise ModelError(f"unknown variable id {vid}")
         var = model.variables[vid]
@@ -545,12 +529,13 @@ def fix_variables(model: Model, assignments: dict) -> Model:
         resolved[vid] = val
     out = Model(model.name)
     out.objective_name = model.objective_name
-    for vid, var in enumerate(model.variables):
-        if vid in resolved:
-            lb = ub = resolved[vid]
-        else:
-            lb, ub = var.lb, var.ub
-        out.add_variable(var.name, lb, ub, var.kind)
+    variables = model.variables
+    out.add_variables([var.name for var in variables],
+                      [resolved.get(vid, var.lb)
+                       for vid, var in enumerate(variables)],
+                      [resolved.get(vid, var.ub)
+                       for vid, var in enumerate(variables)],
+                      [var.kind for var in variables])
     out.add_rows(model.row_names, model.senses, model.rhs, model.starts,
                  model.ids, model.coeffs)
     out.set_objective(model.objective)
@@ -903,13 +888,14 @@ def read_mps(text: str) -> Model:
         model.add_variables(list(col_index), lbs, ubs, col_kinds)
     except ModelError as e:
         raise MpsParseError(f"line {col_lines[e.column]}: {e}") from e
-    # group the entries by row, keeping each row's entries in file order
+    # order the entries by row, and each row's entries by column, so that
+    # add_rows finds every row's ids rising unless a column repeats in it
     rows = np.frombuffer(ent_rows, dtype=np.int64)
     cols = np.repeat(np.frombuffer(run_cols, dtype=np.int64),
                      np.diff(np.append(run_starts, len(rows))))
-    order = np.argsort(rows, kind="stable")
-    starts = np.zeros(len(row_names) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=len(row_names)), out=starts[1:])
+    order = np.lexsort((cols, rows))
+    starts = [0] + np.cumsum(
+        np.bincount(rows, minlength=len(row_names))).tolist()
     try:
         model.add_rows(row_names, row_senses,
                        [rhs.get(r, 0.0) for r in range(len(row_names))],

@@ -10,8 +10,6 @@ from ucbench import (STARTUPS, FormulationChoice, Model, ModelError,
                      MpsParseError, build_model, fix_variables,
                      generate_instance, model_stats, read_mps, write_mps)
 
-from ucbench import milp
-
 from conftest import rows
 
 INF = float("inf")
@@ -319,6 +317,14 @@ class TestFixVariables:
         with pytest.raises(ModelError):
             fix_variables(small_model(), {"p_1_1": 600.0})
 
+    def test_fix_by_a_non_integer_id_rejected(self):
+        m = small_model()
+        with pytest.raises(ModelError, match=r"^variable key 1\.7 is neither "
+                                             "a name nor an integer id"):
+            fix_variables(m, {1.7: 130.0})
+        out = fix_variables(m, {np.int64(1): 130.0})
+        assert (out.variables[1].lb, out.variables[1].ub) == (130.0, 130.0)
+
     def test_fix_nothing_is_identity(self):
         m = small_model()
         assert models_equal(fix_variables(m, {}), m)
@@ -406,12 +412,21 @@ class TestMpsReaderProperties:
         # blank and comment lines inside COLUMNS
         "\n    x COST 2\n* a comment\n    x c0 1\n   \n    x c1 -1\n"
         "  * indented comment\n    y c0 3\n    y c1 4\n",
-    ], ids=["five_tokens", "non_contiguous", "row_order", "blank_comment"])
+        # a column in two runs, so that row c0 lists y before x
+        "    x COST 2\n    x c1 -1\n    y c0 3\n    y c1 4\n    x c0 1\n",
+    ], ids=["five_tokens", "non_contiguous", "row_order", "blank_comment",
+            "split_run"])
     def test_foreign_columns_parse_to_the_canonical_model(self, columns):
+        """read_mps orders each row's entries by column, so a valid block
+        passes add_rows's array check and the row checks never run."""
         head, rest = self.CANONICAL.split("COLUMNS\n")
         tail = rest[rest.index("RHS\n"):]
-        assert read_mps(head + "COLUMNS\n" + columns + tail) == \
-            read_mps(self.CANONICAL)
+        with mock.patch.object(Model, "_check_rows", autospec=True,
+                               side_effect=Model._check_rows) as spy:
+            back = read_mps(head + "COLUMNS\n" + columns + tail)
+        spy.assert_not_called()
+        assert write_mps(back) == self.CANONICAL
+        assert back == read_mps(self.CANONICAL)
 
     def test_sections_may_repeat(self):
         text = ("NAME r\nROWS\n N COST\n L c0\nCOLUMNS\n    x c0 1\n"
@@ -645,6 +660,19 @@ class TestNonFiniteNumbers:
             f"admits no value, got [{lb}, {ub}]")
         assert m.n_variables == 2
 
+    @pytest.mark.parametrize("key", [0.5, "1", None])
+    def test_objective_rejects_a_non_integer_id(self, key):
+        m = self.model()
+        m.set_objective({0: 1.0})
+        with pytest.raises(ModelError) as info:
+            m.set_objective({key: 1.0, 1: 2.0})
+        assert str(info.value) == (f"objective: variable id {key!r} is not "
+                                   "an integer")
+        assert m.objective == {0: 1.0}
+        m.set_objective([(np.int64(1), 3.0), (True, 2.0)])
+        assert m.objective == {1: 2.0}
+        assert [type(vid) for vid in m.objective] == [int]
+
     @pytest.mark.parametrize("value", [math.nan, INF, -INF])
     def test_objective_rejects_non_finite_coefficients(self, value):
         m = self.model()
@@ -716,16 +744,27 @@ class TestAddRows:
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(block=blocks(), as_arrays=st.booleans())
     def test_matches_add_constraint_row_by_row(self, block, as_arrays):
+        # a block of lists takes the builtin checks, one of arrays numpy's
         self.check_against_add_constraint(block, as_arrays)
 
-    @settings(derandomize=True, max_examples=400, deadline=None)
-    @given(block=blocks(), as_arrays=st.booleans())
-    def test_numpy_path_matches_add_constraint_row_by_row(self, block,
-                                                          as_arrays):
-        # blocks this small take the builtin checks; with the size from
-        # which add_rows checks with numpy lowered to 0, they take numpy's
-        with mock.patch.object(milp, "_BLOCK_MIN", 0):
-            self.check_against_add_constraint(block, as_arrays)
+    @pytest.mark.parametrize("as_arrays", [False, True],
+                             ids=["lists", "arrays"])
+    @pytest.mark.parametrize("ids, coeffs", [
+        ([0, 2], [1.0, 0.0]), ([], []), ([2, 0], [1.0, 2.0]),
+        ([-1, 2], [1.0, 1.0]), ([0, 4], [1.0, 1.0]), ([1, 1], [1.0, 2.0]),
+        ([0, 2], [1.0, math.nan]), ([0, 2], [-INF, 1.0]),
+    ], ids=["zero", "empty", "unsorted", "below", "above", "repeat", "nan",
+            "inf"])
+    def test_each_check_of_the_terms_matches_add_constraint(self, ids,
+                                                            coeffs,
+                                                            as_arrays):
+        """Most drawn blocks fail a name, a sense or a right-hand side
+        before the block checks reach the terms; here only the middle
+        row's terms may fail."""
+        self.check_against_add_constraint(
+            [("r0", [0, 1], [1.0, 2.0], "<=", 1.0),
+             ("r1", ids, coeffs, ">=", 0.0),
+             ("r2", [2, 3], [0.0, 1.0], "=", 0.0)], as_arrays)
 
     def check_against_add_constraint(self, block, as_arrays):
         one, failure = self.add_one_by_one(block)
@@ -764,10 +803,11 @@ class TestAddRows:
 
     def test_malformed_block_rejected(self):
         m = _base_model()
-        for starts in ([0, 2], [1, 1], [0, 2, 1]):
+        for starts in ([0, 2], [1, 1], [0, 2, 1], [0, 1.5, 3], ["0", "1", "3"],
+                       [0, 2 ** 70, 3]):
             with pytest.raises(ModelError, match="add_rows: 2 names need"):
                 m.add_rows(["a", "b"], ["<=", "<="], [0.0, 0.0], starts,
-                           [0], [1.0])
+                           [0, 1, 2], [1.0, 1.0, 1.0])
         assert m.n_constraints == 1
 
     def test_frozen_model_rejects_rows(self):

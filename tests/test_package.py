@@ -85,3 +85,54 @@ def test_no_module_imports_another_modules_private_name():
         if names:
             found[str(path.relative_to(ROOT))] = names
     assert found == {}
+
+
+def private_definitions(source: str) -> dict[str, int]:
+    """The private functions, classes and constants a module defines at
+    its top level, with their lines; dunder names are not private."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found.update((name, node.lineno) for name in names
+                     if name.startswith("_") and not name.endswith("__"))
+    return found
+
+
+def unread_privates(sources: dict[str, str]) -> list[str]:
+    """The private top-level names of the modules in ``sources`` (path:
+    text) that no module reads."""
+    read = {node.id for text in sources.values()
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{path}: {name} (line {line})"
+                  for path, text in sources.items()
+                  for name, line in private_definitions(text).items()
+                  if name not in read)
+
+
+def test_unread_privates_are_found():
+    src = ("_LIMIT = 1\n_SIZE: int = 2\n__all__ = []\n"
+           "def _helper():\n    return _LIMIT\n"
+           "def _dead():\n    pass\nclass _Box:\n    _field = 3\n"
+           "def public():\n    return _helper()\n")
+    assert unread_privates({"m.py": src}) == [
+        "m.py: _Box (line 8)", "m.py: _SIZE (line 2)",
+        "m.py: _dead (line 6)"]
+    assert unread_privates({"a.py": "_X = 1\n", "b.py": "print(_X)\n"}) \
+        == []
+
+
+def test_no_private_helper_goes_unread():
+    """A private top-level name that nothing in ``src`` reads is a
+    leftover of deleted code."""
+    paths = sorted((ROOT / "src").rglob("*.py"))
+    assert unread_privates({str(p.relative_to(ROOT)): p.read_text(
+        encoding="utf-8") for p in paths}) == []
