@@ -17,6 +17,7 @@ feasible, infeasible if none is).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -139,7 +140,11 @@ def _checked(check):
 _ktol = _checked(check_ktol)
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused: each
+    ``parse_args`` fills a new namespace from the defaults, so no call
+    sees another's values."""
     ap = argparse.ArgumentParser(
         prog="ucbench",
         description="Unit commitment MILP builder and benchmark harness")

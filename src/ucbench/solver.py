@@ -14,14 +14,15 @@ Every LP enters the dual loop through ``LpCore.solve``. Without a
 parent it starts from the slack basis (every ``solve_lp``, every root).
 A branch-and-bound child's warm start is its parent's optimal
 ``_LpResult``: copies of the parent's basis, statuses and inverse, not
-a refactorization. An LP ends optimal only on a fresh inverse, so that
-inverse is bit for bit the one a refactorization would compute. The
-tree therefore holds one result, its x and its m×m inverse, per open
-parent, shared by its two children. The slack basis starts from the
-identity, bit for bit its computed inverse. It rests each structural at
-its lower bound when finite, else at its upper bound when finite, else
-free at 0; a column with both bounds finite and a negative cost rests at
-its upper bound.
+a refactorization. An LP ends optimal only on a checked inverse (see
+below), so the inverse a child starts from is within CHECK_TOL of an
+exact one, and the check at the child's own verdict bounds the drift
+that the child adds. The tree therefore holds one result, its x and its
+m×m inverse, per open parent, shared by its two children. The slack
+basis starts from the identity, bit for bit its computed inverse. It
+rests each structural at its lower bound when finite, else at its upper
+bound when finite, else free at 0; a column with both bounds finite and
+a negative cost rests at its upper bound.
 Both bases are dual feasible on every unit-commitment model: fixing a
 binary keeps the parent's reduced costs sign-correct, and every cost is
 >= 0. The leaving row is chosen by dual steepest edge (Forrest &
@@ -32,46 +33,59 @@ each iteration at the O(m^2) cost of the rank-1 update, so no reference
 framework and no update formulas are needed. The entering column
 minimizes |reduced cost| / |pivot-row entry| over the columns that push
 the leaving variable back, ties going to the largest entry and then to
-the lowest index. The dual reports infeasible only when a fresh
-refactorization still shows a violated row no column can repair, and
-optimal only through a fresh refactorization, a dual-feasibility recheck
-and the bound and residual checks of ``_finish``.
+the lowest index. The reduced costs d follow the pivot row
+alpha = Binv[r] A that this ratio test already holds:
+d -= (d_q / alpha_q) alpha, with d_q = 0, in O(n) per pivot. They are
+recomputed from scratch, as c - (c_B Binv) A, on every refactorized or
+checked basis, and dual feasibility is tested on those fresh values only.
 
-A start basis that is not dual feasible is repaired first. A column
-with both bounds finite moves to the bound its reduced cost prefers. If
-a column with an infinite bound prices wrong, a dual phase one solves
-the auxiliary problem min c'x, A x + s = 0, over the box [-1, 1] for
-free columns, [0, 1] for columns bounded only below, [-1, 0] for those
+A verdict rests on a checked inverse, not on a second factorization
+(Koberstein, The dual simplex method, PhD thesis, Paderborn 2005). The
+dual reports optimal when no row is out of its bounds, and infeasible
+when a violated row has no column that can repair it. Before either, the
+rank-1-updated inverse is checked (``_verified``): the residual
+||A[:, basis] Binv - I|| in the infinity norm must be at most CHECK_TOL,
+and the condition number that ``_factorize`` refuses at 1/eps must stay
+below it. If the check fails, the basis is refactorized. Either way xB
+and the reduced costs are recomputed from that inverse and the loop
+decides again. An optimal end also passes the dual-feasibility test and
+the bound and residual checks of ``_finish``.
+
+A start basis that is not dual feasible is repaired first. A column with
+both bounds finite moves to the bound its reduced cost prefers. If a
+column with an infinite bound prices wrong, a dual phase one solves the
+auxiliary problem min c'x, A x + s = 0, over the box [-1, 1] for free
+columns, [0, 1] for columns bounded only below, [-1, 0] for those
 bounded only above and [0, 0] for the rest, with the same loop from the
-same basis (Koberstein, The dual simplex method, PhD thesis, Paderborn
-2005). Its optimum is 0 exactly when the LP's dual is feasible, and then
-its final basis, each column resting at the bound its reduced cost
-prefers, starts phase two. Otherwise the LP is infeasible or unbounded,
-and one more run with a zero cost tells which.
+same basis (Koberstein 2005). Its optimum is 0 exactly when the LP's
+dual is feasible, and then its final basis, each column resting at the
+bound its reduced cost prefers, starts phase two. Otherwise the LP is
+infeasible or unbounded, and one more run with a zero cost tells which.
 
 Three guards keep the loop going where a textbook dual would fail. A
-pivot-row entry below DUAL_PIVOT_TOL is taken only when a fresh
-refactorization leaves no larger one, and the basis is refactorized
-right after it. When the dual objective has not risen for 10·(m+n)
-iterations, or a refactorization finds the basis singular and the last
-invertible one is restored, the loop switches to Bland's rule (Bland,
-Math. Oper. Res. 2, 1977): the leaving row is the violated one whose
-basic column has the lowest index, and ratio ties go to the lowest
-column index. After five restores a singular basis ends the solve in
-one place: ``refresh`` raises ``_Singular``, and ``_Simplex.dual``
-returns it as the solve's error.
+pivot-row entry below DUAL_PIVOT_TOL is taken only when a
+refactorization (not a checked inverse) leaves no larger one, and the
+basis is refactorized right after it. When the dual objective has not
+risen for 10·(m+n) iterations, or a refactorization finds the basis
+singular and the last invertible one is restored, the loop switches to
+Bland's rule (Bland, Math. Oper. Res. 2, 1977): the leaving row is the
+violated one whose basic column has the lowest index, and ratio ties go
+to the lowest column index. After five restores a singular basis ends
+the solve in one place: ``refresh`` raises ``_Singular``, and
+``_Simplex.dual`` returns it as the solve's error.
 
 MIP solving is best-first branch-and-bound on binary variables:
 node selection by (bound, creation index), branching on the most
 fractional binary with ties to the lowest variable index. Node and
 iteration counts are deterministic for a fixed BLAS library, kernel set
 and thread count; a product can round differently under another and
-lead to another pivot (the seeded 3×12 extended/one_bin root takes 199
-iterations under one thread and 196 under two, and the gap-0 tree of
-extended/one_bin on ``generate_instance(1004, 2, 3)`` takes 40 LP
-iterations under OpenBLAS's SkylakeX kernels and 37 under its Haswell
-ones). The root node is solved whatever the time budget, cold, on the
-model's own bounds, i.e. exactly as ``solve_lp`` solves a model that
+lead to another pivot, or flip a check of the inverse. The seeded 3×12
+extended/one_bin root takes 199 iterations under one thread and 196
+under two. The gap-0 tree of extended/temp on
+``generate_instance(5021, 2, 3)`` takes 79 LP iterations over 11 nodes
+under OpenBLAS's SkylakeX kernels and 89 over 15 under its Haswell ones.
+The root node is solved whatever the time budget, cold, on the model's
+own bounds, i.e. exactly as ``solve_lp`` solves a model that
 passes its row check (a model that fails it has no optimal root
 either); its objective is kept as ``Solution.root_bound``
 (NaN unless that LP is optimal), so a caller that wants both z_LP and
@@ -109,9 +123,10 @@ FEAS_TOL = 1e-9
 RESID_TOL = 1e-6  # row residual accepted at the end, relative to 1 + max|b|
 OPT_TOL = 1e-9
 PIVOT_TOL = 1e-10  # smallest pivot-row entry that can repair a row
-DUAL_PIVOT_TOL = 1e-7  # smaller entries are taken only on a fresh basis
+DUAL_PIVOT_TOL = 1e-7  # smaller entries are taken only when refactorized
 INT_TOL = 1e-6
 REFACTOR_EVERY = 64
+CHECK_TOL = 1e-11  # residual ||B Binv - I|| an updated inverse may carry
 BACKENDS = ("reference",)  # run in the process; any other is a template
 
 
@@ -185,9 +200,10 @@ class _LpResult:
     vstat: np.ndarray | None
     iterations: int
     message: str = ""
-    # inv(A[:, basis]) of an optimal end, fresh from a refactorization (or
-    # the start's own inverse), so a child that starts from this result
-    # need not invert its basis again; set when optimal, like basis
+    # the inverse of A[:, basis] that the optimal verdict rested on: a
+    # refactorization's, or a rank-1-updated one that ``_verified``
+    # accepted, so a child that starts from this result need not invert
+    # its basis again; set when optimal, like basis
     Binv: np.ndarray | None = None
 
 
@@ -237,7 +253,9 @@ class LpCore:
               parent: _LpResult | None = None) -> _LpResult:
         """The dual simplex within bounds lo, up (the core's by default),
         from the slack basis or from copies of an optimal parent's basis,
-        statuses and inverse, which ``pivot`` updates in place."""
+        statuses and checked inverse, which ``pivot`` updates in place.
+        The inherited inverse counts as checked, not as refactorized: a
+        tiny pivot needs a refactorization first."""
         lo = self.lo if lo is None else lo
         up = self.up if up is None else up
         if parent is None:
@@ -245,7 +263,8 @@ class LpCore:
         else:
             start = (parent.basis.copy(), parent.vstat.copy(),
                      parent.Binv.copy())
-        return _Simplex(self.A, self.b, self.c, lo, up, *start).dual()
+        return _Simplex(self.A, self.b, self.c, lo, up, *start,
+                        factored=parent is None).dual()
 
 
 def _resting(lo, up, d, basis):
@@ -292,38 +311,56 @@ def _priced_wrong(inc, dec, rc):
 class _Simplex:
     """The state of one bounded dual simplex solve.
 
-    The basis changes only through ``pivot`` (a rank-1 update of Binv,
-    refactorized every REFACTOR_EVERY pivots) and ``refresh``. The state
+    The basis changes only through ``pivot`` (a rank-1 update of Binv
+    and of the reduced costs rc, refactorized every REFACTOR_EVERY
+    pivots) and ``refresh``. ``fresh`` says that xB and rc were just
+    recomputed on a checked or refactorized inverse, so that a verdict
+    may rest on them; ``factored``, that Binv is a refactorization's
+    (or the slack basis's identity) with no update since. The state
     lives on an object rather than in nested closures: under CPython
     3.11, closures over 20 variables made per solve raised a process's
     peak RSS by about 0.3 MB (their freed closure tuples piled up until a
     full garbage collection)."""
 
-    def __init__(self, A, b, c, lo, up, basis, vstat, Binv, iters=0):
+    def __init__(self, A, b, c, lo, up, basis, vstat, Binv, iters=0,
+                 factored=True):
         self.A, self.b, self.c, self.lo, self.up = A, b, c, lo, up
         m, n = A.shape
         self.basis, self.vstat, self.Binv = basis, vstat, Binv
-        self.xN = _nonbasic_values(vstat, lo, up)
-        self.xB = Binv @ (b - A @ self.xN)
         self.max_iter = 10000 + 200 * (m + n)
         self.stall_limit = 10 * (m + n)
         self.bland = False
         self.since_refactor = 0
-        self.fresh = True  # Binv/xB just recomputed from scratch
+        self.factored = factored  # Binv is a refactorization's, not updated
         self.iters = iters
         self.movable = (up - lo) > 0  # fixed columns never enter
         self.ckpt = (basis.copy(), vstat.copy())  # last invertible basis
         self.restores = 0
+        self.settle()
 
     def error(self, message):
         return _LpResult("error", math.nan, None, None, None, self.iters,
                          message)
 
-    def reduced_costs(self):
-        return self.c - (self.c[self.basis] @ self.Binv) @ self.A
+    def settle(self):
+        """Recompute xB and the reduced costs rc from scratch from Binv,
+        which a verdict may now rest on."""
+        A = self.A
+        self.xN = _nonbasic_values(self.vstat, self.lo, self.up)
+        self.xB = self.Binv @ (self.b - A @ self.xN)
+        self.rc = self.c - (self.c[self.basis] @ self.Binv) @ A
+        self.fresh = True
+
+    def verify(self):
+        """Settle on the updated Binv if ``_verified`` accepts it for the
+        current basis, else refactorize."""
+        if _verified(self.A, self.basis, self.Binv):
+            self.settle()
+        else:
+            self.refresh()
 
     def refresh(self):
-        """Refactorize the current basis and recompute xB from scratch. A
+        """Refactorize the current basis and ``settle`` on it. A
         drifted Binv can accept a pivot that is zero in exact arithmetic,
         leaving a basis behind that ``_factorize`` finds singular; in that
         case restore the last good checkpoint and switch to Bland's rule
@@ -338,22 +375,24 @@ class _Simplex:
             self.bland = True
             self.basis = self.ckpt[0].copy()
             self.vstat = self.ckpt[1].copy()
-            B = _factorize(A, self.basis)  # checkpoint inverted fine before
-            if B is None:  # pragma: no cover - inversion is deterministic
+            # the checkpoint inverted fine before, or is a child's start,
+            # whose inverse passed the check at its parent's verdict
+            B = _factorize(A, self.basis)
+            if B is None:  # pragma: no cover
                 raise _Singular
         self.ckpt = (self.basis.copy(), self.vstat.copy())
         self.Binv = B
-        self.xN = _nonbasic_values(self.vstat, self.lo, self.up)
-        self.xB = B @ (self.b - A @ self.xN)
         self.since_refactor = 0
-        self.fresh = True
+        self.factored = True
+        self.settle()
 
-    def pivot(self, r, q, w, delta, leave_upper, refactor):
-        """Move nonbasic column q by delta (w = Binv A_q) into row r, whose
-        variable leaves for its upper bound if leave_upper, else for its
-        lower one; count the iteration and refactorize when due, or at
-        once if refactor."""
+    def pivot(self, r, q, alpha, delta, leave_upper, refactor):
+        """Move nonbasic column q by delta into row r, whose pivot row is
+        alpha = Binv[r] A and whose variable leaves for its upper bound if
+        leave_upper, else for its lower one; count the iteration and
+        refactorize when due, or at once if refactor."""
         basis, vstat, xN, xB = self.basis, self.vstat, self.xN, self.xB
+        w = self.Binv @ self.A[:, q]
         leave = int(basis[r])
         if leave_upper:
             vstat[leave] = _AT_UPPER
@@ -368,16 +407,20 @@ class _Simplex:
         xN[q] = 0.0
         basis[r] = q
 
-        if not refactor:
-            Binv = self.Binv
-            row = Binv[r] / w[r]
-            Binv -= w[:, None] * row
-            Binv[r] = row
-            self.since_refactor += 1
         self.iters += 1
-        self.fresh = False
+        self.since_refactor += 1
+        self.fresh = self.factored = False
         if refactor or self.since_refactor >= REFACTOR_EVERY:
             self.refresh()
+            return
+        Binv = self.Binv
+        row = Binv[r] / w[r]
+        Binv -= w[:, None] * row
+        Binv[r] = row
+        # the dual step that prices q at zero, along the pivot row
+        rc = self.rc
+        rc -= (rc[q] / alpha[q]) * alpha
+        rc[q] = 0.0
 
     def dual(self) -> _LpResult:
         """Run the bounded dual simplex to the end of the solve."""
@@ -398,12 +441,9 @@ class _Simplex:
         while True:
             if self.iters >= self.max_iter:
                 return self.error("iteration limit exceeded")
-            rc = self.reduced_costs()
+            rc = self.rc
             inc, dec = _directions(self.vstat, movable)
-            if np.count_nonzero(_priced_wrong(inc, dec, rc)):
-                if not self.fresh:
-                    self.refresh()
-                    continue
+            if self.fresh and np.count_nonzero(_priced_wrong(inc, dec, rc)):
                 res = self.make_dual_feasible(rc)
                 if res is not None:
                     return res
@@ -419,7 +459,7 @@ class _Simplex:
                 if self.fresh:
                     return _finish(A, b, c, lo, up, basis, vstat, Binv, xB,
                                    self.iters)
-                self.refresh()
+                self.verify()
                 continue
 
             # the dual objective is the current point's cost; it must rise
@@ -459,15 +499,15 @@ class _Simplex:
                 if self.fresh:
                     return _LpResult("infeasible", math.nan, None, None,
                                      None, self.iters)
-                self.refresh()
+                self.verify()
                 continue
             np.abs(alpha, out=mag)
             large = eligible & (mag >= DUAL_PIVOT_TOL)
             small = not np.count_nonzero(large)
             if not small:
                 eligible = large
-            elif not self.fresh:
-                # tiny entries may be drift; look again on a fresh basis
+            elif not self.factored:
+                # tiny entries may be drift; look again on a refactorization
                 self.refresh()
                 continue
             ratios.fill(INF)
@@ -480,8 +520,8 @@ class _Simplex:
                 q = int(ties[mag[ties].argmax()])
 
             target = lo[basis[r]] if rising else up[basis[r]]
-            self.pivot(r, q, Binv @ A[:, q], (xB[r] - target) / alpha[q],
-                       not rising, small)
+            self.pivot(r, q, alpha, (xB[r] - target) / alpha[q], not rising,
+                       small)
 
     def make_dual_feasible(self, rc):
         """Repair a fresh basis on which the reduced costs rc price some
@@ -500,18 +540,18 @@ class _Simplex:
             aux = _Simplex(A, np.zeros(len(self.b)), c, aux_lo, aux_up,
                            self.basis, _resting(aux_lo, aux_up, rc,
                                                 self.basis),
-                           self.Binv, self.iters)
+                           self.Binv, self.iters, self.factored)
             res = aux.dual()
             self.iters = aux.iters
             if res.status != "optimal":
                 return self.error(
                     f"dual phase one: {res.message or res.status}")
             self.basis, self.Binv = aux.basis, aux.Binv
-            rc = self.reduced_costs()
+            rc = aux.rc  # the costs are c in both problems
         self.vstat = _resting(lo, up, rc, self.basis)
         self.refresh()
         if not np.count_nonzero(_priced_wrong(
-                *_directions(self.vstat, self.movable), self.reduced_costs())):
+                *_directions(self.vstat, self.movable), self.rc)):
             return None
         # the LP's dual is infeasible, so the LP is unbounded if it has a
         # feasible point at all, and infeasible if not
@@ -529,16 +569,36 @@ def _factorize(A, basis):
     1/eps counts as singular too: ``np.linalg.inv`` raises only on an
     exact zero pivot, and the inverse of such a basis is rounding noise."""
     B = A[:, basis]
-    norm = np.abs(B).sum(axis=1).max(initial=0.0)
+    norm = _norm(B)
     try:
         Binv = np.linalg.inv(B)
     except np.linalg.LinAlgError:
         return None
     del B  # so that the m×m temporary below does not raise the peak memory
-    cond = norm * np.abs(Binv).sum(axis=1).max(initial=0.0)
-    if not cond < 1.0 / np.finfo(np.float64).eps:  # also a nan or inf
+    if not norm * _norm(Binv) < 1.0 / np.finfo(np.float64).eps:  # or nan
         return None
     return Binv
+
+
+def _verified(A, basis, Binv) -> bool:
+    """Whether a verdict may rest on Binv, an inverse of A[:, basis] that
+    rank-1 updates have drifted from a refactorization: the residual
+    ||A[:, basis] Binv - I|| in the infinity norm is at most CHECK_TOL,
+    and the condition number that ``_factorize`` refuses at 1/eps stays
+    below it."""
+    B = A[:, basis]
+    norm = _norm(B)
+    resid = B @ Binv
+    del B
+    resid[np.diag_indices_from(resid)] -= 1.0
+    if not _norm(resid, out=resid) <= CHECK_TOL:  # also a nan
+        return False
+    return norm * _norm(Binv) < 1.0 / np.finfo(np.float64).eps
+
+
+def _norm(M, out=None):
+    """||M|| in the infinity norm (0 for an empty M); |M| goes to out."""
+    return np.abs(M, out=out).sum(axis=1).max(initial=0.0)
 
 
 def _finish(A, b, c, lo, up, basis, vstat, Binv, xB, iters) -> _LpResult:
@@ -636,7 +696,10 @@ def solve_mip(model: Model, config: SolveConfig | None = None) -> Solution:
     solved from the slack basis, whatever the time budget, so
     ``root_bound`` is always, bit for bit, the relaxation ``solve_lp``
     would report. Each child LP starts from its parent's optimal
-    ``_LpResult``. Each new incumbent is logged at INFO.
+    ``_LpResult``, with the inverse that the parent's verdict rested
+    on, and needs no refactorization to reach its own verdict when its
+    updated inverse passes the check. Each new incumbent is logged at
+    INFO.
     """
     config = config or SolveConfig()
     if config.backend != "reference":

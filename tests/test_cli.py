@@ -10,6 +10,7 @@ import math
 import pytest
 
 from ucbench import Line, Network, generate_instance, save_instance
+from ucbench import cli as cli_module
 from ucbench.cli import cli
 
 from conftest import make_instance, ramped
@@ -153,6 +154,37 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: backend 'false' is neither")
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_fresh_parsers(self, inst_file,
+                                                      tmp_path, capsys,
+                                                      monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"instances": [inst_file],
+                                   "formulations": ["temp"]}),
+                       encoding="utf-8")
+        gap = ["gap", inst_file, "--formulations", "one_bin"]
+        calls = [gap, ["bench", str(cfg), "--out-dir", str(tmp_path)],
+                 gap + ["--ktol", "0.2"], gap + ["--ktol", "-1"], gap]
+
+        def run_all():
+            ends = []
+            for argv in calls:
+                code = cli(argv)
+                out, err = capsys.readouterr()
+                ends.append((code, out, err))
+            return ends
+
+        reused = run_all()
+        assert cli_module._parser() is cli_module._parser()
+        monkeypatch.setattr(cli_module, "_parser",
+                            cli_module._parser.__wrapped__)
+        assert run_all() == reused
+        assert [code for code, _, _ in reused] == [0, 0, 0, 1, 0]
+        ktols = [out.splitlines()[1].split(",")[2]
+                 for _, out, _ in (reused[0], reused[2], reused[4])]
+        assert ktols == ["0.0", "0.2", "0.0"]
 
 
 class TestGap:
