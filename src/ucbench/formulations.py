@@ -33,8 +33,8 @@ modules charge identical start-up costs on every feasible schedule.
 through :meth:`~ucbench.milp.Model.add_variables` and gather their rows
 family by family, in model order, for one
 :meth:`~ucbench.milp.Model.add_rows` call (one per ``_FLUSH_TERMS``
-terms on a large model). The step-based modules check every unit's step
-table before they touch the model.
+terms on a large model). The step-based modules derive each unit's step
+table from ktol before they touch the model.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, product, repeat
-
-import numpy as np
 
 from .domain import Instance, check_instance
 from .milp import INF, Model
@@ -95,8 +93,7 @@ class VarIndex:
 
     ``h`` is keyed from period 0 (the pre-horizon heating slot) and ``d``
     by (unit, period, start type). Families a formulation does not use
-    stay empty. ``steps`` holds the per-unit step functions used by the
-    step-based start-up modules, keyed by unit id.
+    stay empty.
     """
 
     n_units: int
@@ -109,7 +106,6 @@ class VarIndex:
     tmp: dict = field(default_factory=dict)
     h: dict = field(default_factory=dict)
     d: dict = field(default_factory=dict)
-    steps: dict = field(default_factory=dict)
 
 
 def _model_name(*parts: str) -> str:
@@ -480,14 +476,6 @@ def _charge_cu(model: Model, vix: VarIndex) -> None:
                         | {vid: 1.0 for vid in vix.cu.values()})
 
 
-def _check_steps(instance: Instance, steps: dict) -> None:
-    """Raise ValueError unless every unit has a step function; the
-    step-based modules call it before they touch the model."""
-    for u in instance.units:
-        if u.id not in steps:
-            raise ValueError(f"no step function for unit {u.id!r}")
-
-
 def _window(instance: Instance, u) -> int:
     """Pricing window of one unit: the horizon plus its recorded outage,
     so that a start in period t can be charged for up to t-1+PD offline
@@ -496,26 +484,23 @@ def _window(instance: Instance, u) -> int:
 
 
 def step_functions(instance: Instance, ktol: float) -> dict:
-    """Each unit's StepFunction over its pricing window, by unit id."""
+    """Each unit's StepFunction over its pricing window, by unit id.
+    Raises ValueError if a window is under 2 periods."""
     return {u.id: approximate_steps(u, _window(instance, u), ktol)
             for u in instance.units}
 
 
-def _step_table(sf: StepFunction, window: int) -> np.ndarray:
-    """Array K[0..window-1] of approximated costs with K[0] = 0; off-times
-    past the step domain are priced at the final step."""
-    ktab = np.zeros(window, dtype=np.float64)
+def _step_table(sf: StepFunction) -> list[float]:
+    """The approximated costs K[0..window-1] of each off-time, with
+    K[0] = 0."""
+    ktab = [0.0]
     for step in sf.steps:
-        if step.lo <= window - 1:
-            ktab[step.lo:min(step.hi, window - 1) + 1] = step.value
-    if sf.domain_end + 1 < window:
-        ktab[sf.domain_end + 1:] = ktab[sf.domain_end]
+        ktab += [step.value] * (step.hi - step.lo + 1)
     return ktab
 
 
 def add_startup_1bin(model: Model, vix: VarIndex, instance: Instance,
-                     steps: dict[str, StepFunction],
-                     tightened: bool = False) -> None:
+                     ktol: float = 0.0, tightened: bool = False) -> None:
     """Lookback rows bounding cu below on the on/off binaries alone.
 
     For each period t and off-time l at which the step table strictly
@@ -523,25 +508,24 @@ def add_startup_1bin(model: Model, vix: VarIndex, instance: Instance,
     l-period start unless some lookback period was online. The plain form
     puts the full cost coefficient on every lookback binary; the
     tightened form lowers the coefficient of v_{t-n} to (K(l) - K(n-1)),
-    which dominates the plain rows point-wise on [0,1] relaxations.
+    which dominates the plain rows point-wise on [0,1] relaxations. A
+    unit's step table is its :func:`step_functions` entry at ``ktol``.
 
     Lookback reaching before the horizon is resolved from pre_offline:
     offline periods contribute zero terms (extending the effective
     off-time a unit can be charged for, up to t-1+PD); once the lookback
     leaves the recorded outage the row is vacuously satisfied and skipped.
     """
-    _check_steps(instance, steps)
+    steps = step_functions(instance, ktol)
     T, n = instance.horizon, vix.n_units
     _add_vars(model, _family(vix.cu, "cu", _unit_periods(n, 1, T), INF))
     _charge_cu(model, vix)
-    vix.steps = dict(steps)
     V, CU = _by_period(vix.v, n, 1, T), _by_period(vix.cu, n, 1, T)
     rows = _Rows(model)
     for i, u in enumerate(instance.units, 1):
         v, cu = V[i - 1], CU[i - 1]
-        window = _window(instance, u)
-        ktab = _step_table(steps[u.id], window).tolist()
-        rising = [l for l in range(1, window) if ktab[l] > ktab[l - 1]]
+        ktab = _step_table(steps[u.id])
+        rising = [l for l in range(1, len(ktab)) if ktab[l] > ktab[l - 1]]
         # the coefficients of v_{t-n} for n = l..1, then of v_t and cu_t;
         # a row that looks back m < l periods takes the last m + 2
         coeffs = {l: ([ktab[l] - ktab[n - 1] for n in range(l, 0, -1)]
@@ -561,13 +545,14 @@ def add_startup_1bin(model: Model, vix: VarIndex, instance: Instance,
 
 
 def add_startup_3bin(model: Model, vix: VarIndex, instance: Instance,
-                     steps: dict[str, StepFunction]) -> None:
+                     ktol: float = 0.0) -> None:
     """Start-type selectors: one continuous d(i,t,s) in [0,1] per start
     type (one type per step of the unit's cost table), charged that
     step's cost in the objective. The selectors of each (unit, period)
     sum to the start indicator; each non-final type is additionally
     capped by the shutdown indicators of the off-times it covers, so a
     cheap type is claimable only when a real shutdown makes it plausible.
+    A unit's cost table is its :func:`step_functions` entry at ``ktol``.
 
     Early periods whose cap window reaches before the horizon resolve the
     missing shutdown indicators from the unit's recorded outage: if the
@@ -581,7 +566,7 @@ def add_startup_3bin(model: Model, vix: VarIndex, instance: Instance,
     cu is tied to the selector cost by an equality so per-period start-up
     costs stay reportable; the objective carries the d terms.
     """
-    _check_steps(instance, steps)
+    steps = step_functions(instance, ktol)
     if vix.y and not vix.z:
         raise ValueError("start-type rows need shutdown indicators; "
                          "build the base with them or use a fresh model")
@@ -594,7 +579,6 @@ def add_startup_3bin(model: Model, vix: VarIndex, instance: Instance,
     _add_vars(model, *indicators, _family(vix.cu, "cu", keys, INF),
               (vix.d, d_keys, [f"d_{i}_{t}_{s}" for i, t, s in d_keys], 1.0,
                "continuous"))
-    vix.steps = dict(steps)
     model.set_objective(model.objective
                         | {vix.d[i, t, s]: tables[i - 1].steps[s - 1].value
                            for i, t, s in d_keys})
@@ -609,16 +593,11 @@ def add_startup_3bin(model: Model, vix: VarIndex, instance: Instance,
         S = sf.n_steps
         d = [[None] + [vix.d[i, t, s] for t in periods]
              for s in range(1, S + 1)]
-        # zero-cost steps drop out of the tie
-        sdef = ("=", 0.0, [(cu[1:], 1.0)]
-                + [(ds[1:], -st.value) for ds, st in zip(d, sf.steps)])
-        if S:  # an empty step table (no off-times) has no selectors
-            rows.add([f"{k}_{i}_{t}" for t in periods
-                      for k in ("ssum", "sdef")],
-                     ("=", 0.0, [(y[1:], -1.0)] + [(ds[1:], 1.0) for ds in d]),
-                     sdef)
-        else:
-            rows.add([f"sdef_{i}_{t}" for t in periods], sdef)
+        rows.add([f"{k}_{i}_{t}" for t in periods for k in ("ssum", "sdef")],
+                 ("=", 0.0, [(y[1:], -1.0)] + [(ds[1:], 1.0) for ds in d]),
+                 # zero-cost steps drop out of the tie
+                 ("=", 0.0, [(cu[1:], 1.0)]
+                  + [(ds[1:], -st.value) for ds, st in zip(d, sf.steps)]))
         for s in range(1, S):  # the final type is never capped
             lo, hi = sf.steps[s - 1].lo, sf.steps[s - 1].hi
             # t = hi+1..T, with z_{t-k} for k = hi..lo
@@ -700,11 +679,9 @@ def build_model(instance: Instance,
     model.name = _model_name(instance.name, choice.base, choice.startup)
     if choice.startup == "temp":
         add_startup_temp(model, vix, instance)
+    elif choice.startup == "three_bin":
+        add_startup_3bin(model, vix, instance, choice.ktol)
     else:
-        steps = step_functions(instance, choice.ktol)
-        if choice.startup == "three_bin":
-            add_startup_3bin(model, vix, instance, steps)
-        else:
-            add_startup_1bin(model, vix, instance, steps,
-                             tightened=choice.startup == "one_bin_star")
+        add_startup_1bin(model, vix, instance, choice.ktol,
+                         tightened=choice.startup == "one_bin_star")
     return model, vix

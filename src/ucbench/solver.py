@@ -765,7 +765,7 @@ def _branch_and_bound(core: LpCore, config: SolveConfig,
         if res.objective >= incumbent - 1e-9 * max(1.0, abs(incumbent)):
             continue
 
-        xb = res.x[bin_ids] if len(bin_ids) else np.zeros(0)
+        xb = res.x[bin_ids]
         frac = np.minimum(xb - np.floor(xb), np.ceil(xb) - xb)
         if not len(frac) or frac.max() <= INT_TOL:
             incumbent = res.objective

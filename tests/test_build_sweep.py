@@ -17,6 +17,7 @@ from unittest import mock
 from ucbench import (BASES, STARTUPS, FormulationChoice, build_model,
                      generate_instance, write_mps)
 from ucbench import formulations
+from ucbench.formulations import step_functions
 
 SEEDS = range(1, 13)
 SHAPES = ((2, 5, False), (3, 6, True))  # units, periods, with a network
@@ -51,27 +52,29 @@ def sweep_models():
         for base in BASES:
             for startup in STARTUPS:
                 for ktol in KTOLS[:1] if startup == "temp" else KTOLS:
-                    model, vix = build_model(
+                    model, _ = build_model(
                         inst, FormulationChoice(base, startup, ktol))
-                    yield inst, model, vix
+                    yield inst, ktol, model
 
 
-def is_pre_horizon_stype(inst, vix, name):
+def is_pre_horizon_stype(inst, steps, name):
     """Whether ``stype_i_t_s`` caps a type whose window reaches before the
-    horizon (t <= the type's longest off-time)."""
+    horizon (t <= the type's longest off-time); ``steps`` are the step
+    functions the model was built from."""
     i, t, s = map(int, name.split("_")[1:])
-    return t <= vix.steps[inst.units[i - 1].id].steps[s - 1].hi
+    return t <= steps[inst.units[i - 1].id].steps[s - 1].hi
 
 
 def test_sweep_digest_and_family_coverage():
     digest = hashlib.sha256()
     seen, pre_horizon_stype = set(), 0
-    for inst, model, vix in sweep_models():
+    for inst, ktol, model in sweep_models():
         digest.update(write_mps(model).encode())
+        steps = step_functions(inst, ktol)
         for name in model.row_names:
             seen.add(re.sub(r"(_\d+)+$", "", name))
             if name.startswith("stype_"):
-                pre_horizon_stype += is_pre_horizon_stype(inst, vix, name)
+                pre_horizon_stype += is_pre_horizon_stype(inst, steps, name)
     assert seen == FAMILIES
     assert pre_horizon_stype > 0
     assert digest.hexdigest() == SWEEP_SHA256

@@ -408,20 +408,25 @@ class TestApprox:
 
     def test_prints_the_tables_the_builder_prices(self, tmp_path, capsys):
         from ucbench import FormulationChoice, build_model, load_instance
+        from ucbench.formulations import step_functions
 
         path = tmp_path / "steps.json"
         save_instance(make_instance([15.0] * 6, name="steps",
                                     pre_offline=3), path)
         assert cli(["approx", str(path), "--ktol", "0.05"]) == 0
         out = capsys.readouterr().out
-        _, vix = build_model(load_instance(path),
-                             FormulationChoice("basic", "one_bin", 0.05))
-        (sf,) = vix.steps.values()
+        inst = load_instance(path)
+        (sf,) = step_functions(inst, 0.05).values()
         assert out.startswith(f"u1: {sf.n_steps} steps")
         last = sf.steps[-1]
         assert out.endswith(f"  off-time [{last.lo}, {last.hi}]: "
                             f"{last.value!r}\n")
         assert last.hi == 6 - 1 + 3  # the window covers the outage
+        # three_bin charges the last start type that same value
+        model, vix = build_model(inst, FormulationChoice("basic", "three_bin",
+                                                         0.05))
+        assert (1, 1, sf.n_steps + 1) not in vix.d
+        assert model.objective[vix.d[1, 1, sf.n_steps]] == last.value
 
 
 class TestOracle:

@@ -92,9 +92,9 @@ class TestBaseShape:
         assert model.n_variables == 6 * n * t
         # three_bin: 5 core families plus one selector per period and step;
         # both units see 2 off-times over this horizon, one step each
-        model, vix = build_model(inst, FormulationChoice("extended",
-                                                         "three_bin"))
-        n_steps = sum(sf.n_steps for sf in vix.steps.values())
+        model, _ = build_model(inst, FormulationChoice("extended",
+                                                       "three_bin"))
+        n_steps = sum(sf.n_steps for sf in step_functions(inst, 0.0).values())
         assert n_steps == 2 * 2
         assert model.n_variables == 5 * n * t + t * n_steps
 
@@ -243,9 +243,10 @@ class TestStartTypeRows:
     """The selector module: one weighted start type per step and period."""
 
     def test_single_step_table_needs_no_caps(self):
-        model, vix = build_model(make_instance([15.0, 15.0]),
-                                 FormulationChoice("extended", "three_bin"))
-        assert vix.steps["u1"].n_steps == 1
+        inst = make_instance([15.0, 15.0])
+        model, _ = build_model(inst, FormulationChoice("extended",
+                                                       "three_bin"))
+        assert step_functions(inst, 0.0)["u1"].n_steps == 1
         assert row_names(model, "stype_") == []
         assert row_names(model, "ssum_") == ["ssum_1_1", "ssum_1_2"]
         assert row_names(model, "sdef_") == ["sdef_1_1", "sdef_1_2"]
@@ -267,9 +268,10 @@ class TestStartTypeRows:
         its selector drops out of the cost tie, pinning cu to zero."""
         inst = make_instance([15.0] * 3, startup_var_cost=0.0,
                              startup_fixed_cost=0.0)
-        model, vix = build_model(inst, FormulationChoice("extended",
-                                                         "three_bin"))
-        assert [st.value for st in vix.steps["u1"].steps] == [0.0]
+        model, _ = build_model(inst, FormulationChoice("extended",
+                                                       "three_bin"))
+        assert [st.value for st in step_functions(inst, 0.0)["u1"].steps] \
+            == [0.0]
         assert row_names(model, "sdef_") == ["sdef_1_1", "sdef_1_2",
                                              "sdef_1_3"]
         for t in (1, 2, 3):
@@ -283,9 +285,9 @@ class TestStartTypeRows:
         either covering a type (no row) or ruling it out (selector
         pinned to zero)."""
         inst = make_instance([15.0] * 3, pre_offline=2)
-        model, vix = build_model(inst, FormulationChoice("extended",
-                                                         "three_bin"))
-        assert vix.steps["u1"].n_steps == 4
+        model, _ = build_model(inst, FormulationChoice("extended",
+                                                       "three_bin"))
+        assert step_functions(inst, 0.0)["u1"].n_steps == 4
         assert row_names(model, "stype_") == [
             "stype_1_1_1", "stype_1_1_3", "stype_1_2_1", "stype_1_2_2",
             "stype_1_3_1", "stype_1_3_2", "stype_1_3_3",
@@ -462,25 +464,47 @@ class TestNetworkRows:
         assert row_names(model, "flow_") == []
 
 
-class TestMissingStepFunction:
-    """A step module checks every unit's step table before it touches the
-    model, so a missing one leaves the model and its index as they were,
-    even when earlier units' rows could have been built."""
+class TestStepModules:
+    """A step module derives every unit's step table from ktol before it
+    touches the model, and builds what build_model builds."""
 
     @pytest.mark.parametrize("base", BASES)
     @pytest.mark.parametrize("add", [add_startup_1bin, add_startup_3bin])
-    def test_model_is_unchanged(self, base, add, two_unit_instance):
-        inst = two_unit_instance
+    def test_too_short_window_leaves_the_model_unchanged(self, base, add):
+        """The second unit's pricing window is one period (T = 1, no
+        recorded outage), too short for a step table; the first unit's
+        rows could have been built, yet nothing is added."""
+        inst = make_instance([15.0], units=[make_unit("u1", pre_offline=2),
+                                            make_unit("u2")])
         model, vix = build_base(inst, base)
-        steps = step_functions(inst, 0.0)
-        del steps["u2"]
         before, vix_before = copy.deepcopy(model), copy.deepcopy(vix)
-        with pytest.raises(ValueError,
-                           match="no step function for unit 'u2'"):
-            add(model, vix, inst, steps)
+        with pytest.raises(ValueError, match="horizon must be >= 2, got 1"):
+            add(model, vix, inst, 0.2)
         assert model == before
         assert vix == vix_before
         assert model._var_ids == before._var_ids
+
+    @pytest.mark.parametrize("ktol", [0.0, 0.2])
+    @pytest.mark.parametrize("base", BASES)
+    @pytest.mark.parametrize("startup, add, kwargs", [
+        ("one_bin", add_startup_1bin, {"tightened": False}),
+        ("one_bin_star", add_startup_1bin, {"tightened": True}),
+        ("three_bin", add_startup_3bin, {}),
+    ], ids=["one_bin", "one_bin_star", "three_bin"])
+    def test_module_on_a_base_is_build_model(self, startup, add, kwargs,
+                                             base, ktol):
+        inst = make_instance(
+            [15.0, 35.0, 20.0, 12.0, 30.0],
+            units=[make_unit("u1", pre_offline=2),
+                   make_unit("u2", p_min=5.0, p_max=30.0, heat_loss=0.3,
+                             pre_offline=1)])
+        model, vix = build_base(inst, base)
+        add(model, vix, inst, ktol, **kwargs)
+        built, built_vix = build_model(inst,
+                                       FormulationChoice(base, startup, ktol))
+        model.name = built.name
+        assert model == built
+        assert vix == built_vix
 
 
 class TestModelNaming:
