@@ -464,16 +464,17 @@ class TestNetworkRows:
         assert row_names(model, "flow_") == []
 
 
-class TestStepModules:
+class TestMissingStepFunction:
     """A step module derives every unit's step table from ktol before it
-    touches the model, and builds what build_model builds."""
+    touches the model, so a unit that gets none leaves the model and its
+    index as they were, even when earlier units' rows could have been
+    built."""
 
     @pytest.mark.parametrize("base", BASES)
     @pytest.mark.parametrize("add", [add_startup_1bin, add_startup_3bin])
-    def test_too_short_window_leaves_the_model_unchanged(self, base, add):
+    def test_model_is_unchanged(self, base, add):
         """The second unit's pricing window is one period (T = 1, no
-        recorded outage), too short for a step table; the first unit's
-        rows could have been built, yet nothing is added."""
+        recorded outage), too short for a step table."""
         inst = make_instance([15.0], units=[make_unit("u1", pre_offline=2),
                                             make_unit("u2")])
         model, vix = build_base(inst, base)
@@ -483,6 +484,10 @@ class TestStepModules:
         assert model == before
         assert vix == vix_before
         assert model._var_ids == before._var_ids
+
+
+class TestStepModules:
+    """A step module builds what build_model builds."""
 
     @pytest.mark.parametrize("ktol", [0.0, 0.2])
     @pytest.mark.parametrize("base", BASES)
