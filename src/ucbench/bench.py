@@ -152,6 +152,8 @@ class BenchConfig:
         for f in self.formulations:
             check_startup(f)
         check_base(self.base)
+        if not self.ktols:
+            raise ValueError("ktol list must not be empty")
         for k in self.ktols:
             check_ktol(k)
         # a spec's values are checked by generate_instance's annotations;

@@ -255,6 +255,8 @@ def validate_instance(instance: Instance) -> list[str]:
         if u.id in seen:
             out.append(f"unit id {u.id!r} is not unique")
         seen.add(u.id)
+    if instance.horizon < 1:
+        out.append(f"horizon must be >= 1, got {instance.horizon}")
     if len(instance.load) != instance.horizon:
         out.append(f"load length {len(instance.load)} != horizon {instance.horizon}")
     for t, val in enumerate(instance.load, start=1):

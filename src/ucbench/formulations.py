@@ -117,8 +117,8 @@ def _model_name(*parts: str) -> str:
 
 
 # a builder hands its rows to Model.add_rows each time it holds this many
-# terms, which bounds the builder's lists and the copies of them that
-# add_rows's builtin check makes
+# terms, which bounds the builder's lists and the arrays add_rows converts
+# them to before it checks and stores them
 _FLUSH_TERMS = 1 << 20
 
 
@@ -135,9 +135,11 @@ class _Rows:
     number for every cell or a sequence of one per cell. :meth:`add_flat`
     takes rows of any width.
 
-    The builders list each row's terms in id order, which is the order
-    they create the variables in (v, p, y, z, then the module's own), so
-    that add_rows checks the block whole rather than row by row."""
+    The rows gather in lists, which add_rows converts to arrays once,
+    checks with numpy and stores. The builders list each row's terms in
+    id order, which is the order they create the variables in (v, p, y,
+    z, then the module's own), so that add_rows checks the block whole
+    rather than row by row."""
 
     def __init__(self, model: Model):
         self.model = model

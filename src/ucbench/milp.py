@@ -8,11 +8,13 @@ them. Variables enter one at a time (:meth:`Model.add_variable`) or as a
 block (:meth:`Model.add_variables`), and rows likewise
 (:meth:`Model.add_constraint`, :meth:`Model.add_rows`); a block runs the
 single form's checks on all its items at once and, if one fails, raises
-that item's error and leaves the model unchanged. :meth:`Model.add_rows`
-checks a block with numpy when its ids come as a numpy array, as
-:func:`read_mps` gives them, and with builtins when they come as a list,
-as the formulation builders give them: converting a list to arrays costs
-as much as checking it with builtins, and takes more memory.
+that item's error and leaves the model unchanged. The row block is stored
+in typed arrays (``array('q')`` for row starts and variable ids,
+``array('d')`` for coefficients), which both ways of adding rows extend
+and which :func:`write_mps` and the solver view with numpy without a
+copy. :meth:`Model.add_rows` checks a block one way, with numpy, whatever
+sequences hold it: numpy views :func:`read_mps`'s arrays and a model's own
+typed arrays, and converts the formulation builders' lists once.
 
 Determinism is a design requirement: models store their terms in a
 canonical order (sorted by variable id within each row, zero coefficients
@@ -28,9 +30,9 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, repeat
+from itertools import chain, compress, repeat
 from math import isfinite
-from operator import add, eq, index, itemgetter, le, lt
+from operator import add, eq, index, itemgetter, le
 
 import numpy as np
 
@@ -119,13 +121,14 @@ class Model:
         self.objective: dict[int, float] = {}
         # The rows, as one compressed-sparse-row block: row r is named
         # row_names[r] and holds the terms ids[k], coeffs[k] for k in
-        # range(starts[r], starts[r + 1]), sorted by variable id.
+        # range(starts[r], starts[r + 1]), sorted by variable id. The
+        # terms live in typed arrays, which numpy views without a copy.
         self.row_names: list[str] = []
         self.senses: list[str] = []
         self.rhs: list[float] = []
-        self.starts: list[int] = [0]
-        self.ids: list[int] = []
-        self.coeffs: list[float] = []
+        self.starts = array("q", [0])
+        self.ids = array("q")
+        self.coeffs = array("d")
         self.frozen = False
         self._var_ids: dict[str, int] = {}
         self._con_names: set[str] = set()
@@ -151,6 +154,11 @@ class Model:
             raise ModelError(f"duplicate variable name {name!r}")
         if kind not in KINDS:
             raise ModelError(f"unknown variable kind {kind!r}")
+        try:  # numeric strings convert, as float converts them
+            lb, ub = float(lb), float(ub)
+        except (TypeError, ValueError, OverflowError):
+            raise ModelError(f"variable {name!r}: bounds must be numbers, "
+                             f"got [{lb!r}, {ub!r}]") from None
         if kind == "binary" and (lb, ub) not in _BINARY_BOUNDS:
             raise ModelError(
                 f"binary variable {name!r} must have bounds [0, 1] or be "
@@ -165,7 +173,7 @@ class Model:
         if lb > ub:
             raise ModelError(f"variable {name!r}: inverted bounds "
                              f"[{lb}, {ub}]")
-        return Variable(name, float(lb), float(ub), kind)
+        return Variable(name, lb, ub, kind)
 
     def add_variables(self, names, lbs, ubs, kinds) -> range:
         """Append a block of variables: variable ``j`` is named
@@ -189,17 +197,17 @@ class Model:
         # variable (a binary must sit on [0, 1], [0, 0] or [1, 1], and a
         # NaN bound fails lb <= ub)
         try:
+            lbs, ubs = list(map(float, lbs)), list(map(float, ubs))
             valid = (_names_ok(names, self._var_ids.keys())
                      and all(map(KINDS.__contains__, kinds))
                      and all(map(_BINARY_BOUNDS.__contains__, compress(
                          zip(lbs, ubs), map(eq, kinds, repeat("binary")))))
                      and all(map(le, lbs, ubs))
                      and INF not in lbs and -INF not in ubs)
-        except (TypeError, ValueError):  # a bound that does not compare
+        except (TypeError, ValueError, OverflowError):  # a bound is no number
             valid = False
         if valid:
-            checked = list(map(Variable, names, map(float, lbs),
-                               map(float, ubs), kinds))
+            checked = list(map(Variable, names, lbs, ubs, kinds))
         else:
             checked, taken = [], set()
             for j in range(n):
@@ -225,8 +233,8 @@ class Model:
             raise ModelError("model is frozen")
         ids, coeffs, rhs = self._check_row(name, terms, sense, rhs)
         # every check has passed: only now does the row enter the block
-        self.ids += ids
-        self.coeffs += coeffs
+        self.ids.fromlist(ids)
+        self.coeffs.fromlist(coeffs)
         self.starts.append(len(self.ids))
         self.row_names.append(name)
         self.senses.append(sense)
@@ -263,14 +271,23 @@ class Model:
                         "coefficients before adding")
         ids, coeffs = [], []
         for i, c in items:
-            c = float(c)
+            try:
+                c = float(c)
+            except (TypeError, ValueError, OverflowError):
+                raise ModelError(f"constraint {name!r}: coefficient of "
+                                 f"variable id {i} must be a number, got "
+                                 f"{c!r}") from None
             if c != 0.0:
                 if not isfinite(c):
                     raise ModelError(f"constraint {name!r}: coefficient of "
                                      f"variable id {i} must be finite, got {c}")
                 ids.append(i)
                 coeffs.append(c)
-        rhs = float(rhs)
+        try:
+            rhs = float(rhs)
+        except (TypeError, ValueError, OverflowError):
+            raise ModelError(f"constraint {name!r}: right-hand side must be "
+                             f"a number, got {rhs!r}") from None
         if rhs != rhs:
             raise ModelError(f"constraint {name!r}: right-hand side is NaN")
         if not isfinite(rhs):
@@ -285,13 +302,11 @@ class Model:
         right-hand side ``rhs[r]``, and holds the terms ``ids[k]``,
         ``coeffs[k]`` for ``k`` in ``range(starts[r], starts[r + 1])``, in
         any order; ``starts`` are integers, the first of them 0. All six
-        are sequences; ``ids`` and ``coeffs`` may be numpy arrays. Each row
-        passes every check of :meth:`add_constraint` and is stored the
-        same way, but the checks run on the whole block at once: with
-        numpy when ``ids`` is an array (:func:`read_mps` holds its entries
-        in arrays), with builtins otherwise (the formulation builders
-        gather lists, which builtins check as fast as numpy would convert
-        them). A block that fails those checks, or lists some row's ids
+        are sequences: lists, numpy arrays or typed arrays. Each row passes
+        every check of :meth:`add_constraint` and is stored the same way,
+        but one check runs on the whole block at once, with numpy on the
+        ids and coefficients as arrays (a view of an array, a conversion
+        of a list). A block that fails that check, or lists some row's ids
         out of order, is checked row by row: the first failing row raises
         the :class:`ModelError` that :meth:`add_constraint` would raise
         for it, with the row's index in the block as ``row``, and the model
@@ -311,10 +326,8 @@ class Model:
                 f"add_rows: {n} names need {n} senses, {n} right-hand sides "
                 "and n + 1 non-decreasing integer starts from 0 to the "
                 "number of terms, with one coefficient per id")
-        valid = (self._valid_arrays if isinstance(ids, np.ndarray)
-                 else self._valid_rows)
         return self._append_rows(names, senses, *(
-            valid(names, senses, rhs, starts, ids, coeffs)
+            self._valid_block(names, senses, rhs, starts, ids, coeffs)
             or self._check_rows(names, senses, rhs, starts, ids, coeffs)))
 
     def _check_rows(self, names, senses, rhs, starts, ids, coeffs):
@@ -340,88 +353,53 @@ class Model:
             out_rhs.append(row_rhs)
         return out_rhs, out_starts, out_ids, out_coeffs
 
-    def _valid_heads(self, names, senses, rhs):
-        """The block's right-hand sides as floats if every row's name,
-        sense and right-hand side passes its checks, else None."""
-        try:
-            rhs = list(map(float, rhs))
-            valid = (_names_ok(names, self._con_names, self.objective_name)
-                     and _SENSE_SET.issuperset(senses)
-                     and all(map(isfinite, rhs)))
-        except (TypeError, ValueError, OverflowError):
-            return None
-        return rhs if valid else None
-
-    def _valid_rows(self, names, senses, rhs, starts, ids, coeffs):
+    def _valid_block(self, names, senses, rhs, starts, ids, coeffs):
         """The block's (rhs, starts, ids, coeffs) in canonical form, as the
         row checks return them, if every row passes every check and lists
-        its ids in increasing order, else None. The checks run with
-        builtins over the whole block and do not name the failing row.
-        They take the blocks that come as lists (the builders' and
-        :func:`fix_variables`'), whose ids are stored as the caller's own
-        int objects, as :meth:`add_constraint` stores them."""
-        rhs = self._valid_heads(names, senses, rhs)
-        if rhs is None:
-            return None
+        its ids in increasing order, else None. The checks run over the
+        whole block, with numpy on the terms, and do not name the failing
+        row; ids that numpy does not hold as integers, or coefficients it
+        does not hold as numbers, are left to the row checks."""
         try:
-            coeffs = list(map(float, coeffs))
-            valid = (set(map(type, ids)) <= {int}
-                     and (not ids or 0 <= min(ids)
-                          and max(ids) < len(self.variables))
-                     and all(map(isfinite, coeffs)))
+            rhs = list(map(float, rhs))
+            if not (_names_ok(names, self._con_names, self.objective_name)
+                    and _SENSE_SET.issuperset(senses)
+                    and all(map(isfinite, rhs))):
+                return None
+            ids, coeffs = np.asarray(ids), np.asarray(coeffs)
         except (TypeError, ValueError, OverflowError):
             return None
-        if not valid:
+        if (ids.ndim != 1 or coeffs.ndim != 1
+                or ids.size and (ids.dtype.kind not in "iu"
+                                 or coeffs.dtype.kind not in "iuf")):
             return None
-        # each id must exceed the one before it in its row; a row that
-        # does not (out of order, or a repeated variable) is left to the
-        # row checks
-        rising = list(map(lt, ids, ids[1:]))
-        for s in starts[1:-1]:
-            if 0 < s < len(ids):
-                rising[s - 1] = True  # the pair straddles two rows
-        if not all(rising):
-            return None
-        if 0.0 in coeffs:
-            keep = list(map(bool, coeffs))
-            kept = list(accumulate(keep, initial=0))
-            starts = list(map(kept.__getitem__, starts))
-            ids = list(compress(ids, keep))
-            coeffs = list(compress(coeffs, keep))
-        return rhs, starts, ids, coeffs
-
-    def _valid_arrays(self, names, senses, rhs, starts, ids, coeffs):
-        """:meth:`_valid_rows` for ids given as a numpy array, with numpy
-        checking the terms; ids that are not integers, or coefficients
-        that are not a float array, are left to the row checks. Each id
-        is stored as one int object per variable."""
-        rhs = self._valid_heads(names, senses, rhs)
-        nvar = len(self.variables)
-        if (rhs is None or ids.ndim != 1 or ids.dtype.kind not in "iu"
-                or not isinstance(coeffs, np.ndarray)
-                or coeffs.dtype.kind != "f" or coeffs.ndim != 1
-                or ids.size and not (0 <= ids.min() and ids.max() < nvar)
+        coeffs = coeffs.astype(np.float64, copy=False)
+        if (ids.size and not (0 <= ids.min()
+                              and ids.max() < len(self.variables))
                 or not np.isfinite(coeffs).all()):
             return None
-        # as in _valid_rows, with the pairs that straddle two rows let by
+        # each id must exceed the one before it in its row, the pairs that
+        # straddle two rows let by; a row that does not (out of order, or
+        # a repeated variable) is left to the row checks
+        starts = np.array(starts, dtype=np.int64)
         rising = ids[1:] > ids[:-1]
-        inner = np.array(starts[1:-1], dtype=np.int64)
+        inner = starts[1:-1]
         rising[inner[(inner > 0) & (inner < ids.size)] - 1] = True
         if not rising.all():
             return None
         keep = coeffs != 0.0
         if not keep.all():
-            starts = np.concatenate(([0], np.cumsum(keep)))[starts].tolist()
+            starts = np.concatenate(([0], np.cumsum(keep)))[starts]
             ids, coeffs = ids[keep], coeffs[keep]
-        return (rhs, starts, np.arange(nvar, dtype=object)[ids].tolist(),
-                coeffs.tolist())
+        return rhs, starts, ids, coeffs
 
     def _append_rows(self, names, senses, rhs, starts, ids, coeffs) -> range:
         """Append rows that passed their checks, in canonical form."""
         first, offset = len(self.row_names), len(self.ids)
-        self.ids.extend(ids)
-        self.coeffs.extend(coeffs)
-        self.starts.extend(map(add, starts[1:], repeat(offset)))
+        self.ids.frombytes(np.asarray(ids, dtype=np.int64).tobytes())
+        self.coeffs.frombytes(np.asarray(coeffs, dtype=np.float64).tobytes())
+        self.starts.frombytes(
+            (np.asarray(starts[1:], dtype=np.int64) + offset).tobytes())
         self.rhs.extend(rhs)
         self.row_names.extend(names)
         self.senses.extend(senses)
@@ -447,8 +425,12 @@ class Model:
             if not (0 <= i < len(self.variables)):
                 raise ModelError(f"objective references undeclared variable "
                                  f"id {vid}")
-            checked[i] = c
-        objective = {vid: float(c) for vid in sorted(checked)
+            try:
+                checked[i] = float(c)
+            except (TypeError, ValueError, OverflowError):
+                raise ModelError(f"objective coefficient of variable id {i} "
+                                 f"must be a number, got {c!r}") from None
+        objective = {vid: c for vid in sorted(checked)
                      if (c := checked[vid]) != 0.0}
         for vid, c in objective.items():
             if not isfinite(c):
@@ -588,11 +570,11 @@ def write_mps(model: Model) -> str:
     # each column's "    name " prefix, each row's "name " and each
     # distinct coefficient are formatted once
     lines.append("COLUMNS")
-    cols = np.array(model.ids, dtype=np.int64)
+    cols = np.asarray(model.ids)
     order = np.argsort(cols, kind="stable")
     cols = cols[order]
     rows = np.repeat(np.arange(len(con_names)), np.diff(model.starts))[order]
-    values = np.array(model.coeffs, dtype=np.float64)[order].tolist()
+    values = np.asarray(model.coeffs)[order].tolist()
     text = {v: _fmt(v) for v in dict.fromkeys(values)}
     prefixes = [f"    {var.name} " for var in model.variables]
     row_parts = [f"{name} " for name in con_names]

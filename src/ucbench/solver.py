@@ -229,7 +229,8 @@ class LpCore:
         self.m = m
         A = np.zeros((m, ns + m))
         rows = np.arange(m)
-        A[np.repeat(rows, np.diff(model.starts)), model.ids] = model.coeffs
+        A[np.repeat(rows, np.diff(model.starts)),
+          np.asarray(model.ids)] = np.asarray(model.coeffs)
         A[rows, ns + rows] = 1.0
         self.A = A
         self.b = np.array(model.rhs, dtype=np.float64)

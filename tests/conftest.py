@@ -21,10 +21,12 @@ Row = namedtuple("Row", "name ids coeffs sense rhs")
 
 
 def rows(model):
-    """The model's rows as Row tuples, sliced out of its CSR block."""
+    """The model's rows as Row tuples, sliced out of its CSR block, with
+    each row's ids and coefficients as lists."""
     s = model.starts
-    return [Row(name, model.ids[s[r]:s[r + 1]], model.coeffs[s[r]:s[r + 1]],
-                model.senses[r], model.rhs[r])
+    return [Row(name, list(model.ids[s[r]:s[r + 1]]),
+                list(model.coeffs[s[r]:s[r + 1]]), model.senses[r],
+                model.rhs[r])
             for r, name in enumerate(model.row_names)]
 
 

@@ -176,6 +176,14 @@ class TestBenchConfig:
         with pytest.raises(ValueError, match="time limit must be > 0"):
             BenchConfig(time_limit=0.0)
 
+    def test_rejects_an_empty_ktol_list_as_it_does_formulations(self):
+        # no ktol would measure no row, as no formulation would
+        with pytest.raises(ValueError, match="^ktol list must not be empty$"):
+            BenchConfig(ktols=[])
+        with pytest.raises(ValueError, match="^formulation list must not be "
+                                             "empty$"):
+            BenchConfig(formulations=[], ktols=[])
+
     @pytest.mark.parametrize("backend", [
         "cplx", "x {input}", "'x {input} {output}",
         "x {input} {output} {foo}"])

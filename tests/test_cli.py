@@ -82,6 +82,17 @@ class TestValidate:
         path.write_text("{not json", encoding="utf-8")
         assert cli(["validate", str(path)]) == 2
 
+    def test_zero_horizon_is_a_data_error(self, tmp_path, capsys):
+        doc = make_instance([15.0, 15.0]).to_dict()
+        doc.update(horizon=0, load=[])
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli(["validate", str(path)]) == 2
+        assert capsys.readouterr().out == "horizon must be >= 1, got 0\n"
+        assert cli(["solve", str(path), "--formulation", "temp"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: invalid instance: horizon must be >= 1, got 0\n")
+
 
 class TestBuild:
     def test_writes_mps(self, inst_file, tmp_path, capsys):

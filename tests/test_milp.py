@@ -1,5 +1,6 @@
 import math
 import re
+from array import array
 from unittest import mock
 
 import numpy as np
@@ -75,7 +76,7 @@ class TestModelConstruction:
         with pytest.raises(ModelError, match="repeats a variable"):
             m.add_constraint("c", [(x, 1.0), (y, 2.0), (x, 3.0)], "<=", 1.0)
         assert m.n_constraints == 0
-        assert (m.ids, m.coeffs, m.starts) == ([], [], [0])
+        assert (list(m.ids), list(m.coeffs), list(m.starts)) == ([], [], [0])
         assert (m.row_names, m.senses, m.rhs) == ([], [], [])
         # the rejected name is still free
         m.add_constraint("c", {x: 1.0}, "<=", 1.0)
@@ -89,7 +90,7 @@ class TestModelConstruction:
         before = rows(m), list(m.starts)
         with pytest.raises(ModelError, match="0.5 is not an integer"):
             m.add_constraint("d", {0.5: 1.0}, "<=", 1.0)
-        assert (rows(m), m.starts) == before
+        assert (rows(m), list(m.starts)) == before
 
     @pytest.mark.parametrize("terms", [{"a": 1.0}, {0: 1.0, "a": 2.0},
                                        [("a", 1.0), (None, 2.0)]])
@@ -102,7 +103,7 @@ class TestModelConstruction:
         before = rows(m), list(m.starts)
         with pytest.raises(ModelError, match="'a' is not an integer"):
             m.add_constraint("d", terms, "<=", 1)
-        assert (rows(m), m.starts) == before
+        assert (rows(m), list(m.starts)) == before
         assert m.n_constraints == 1
 
     def test_empty_equality_row_is_vacuous_but_accepted(self):
@@ -384,8 +385,9 @@ class TestMpsReaderProperties:
     def test_round_trip_on_random_models(self, m):
         back = read_mps(write_mps(m))
         assert back == m
-        assert all(type(i) is int for i in back.ids + back.starts)
-        assert all(type(x) is float for x in back.coeffs + back.rhs)
+        assert (back.ids.typecode, back.starts.typecode,
+                back.coeffs.typecode) == ("q", "q", "d")
+        assert all(type(x) is float for x in back.rhs)
         assert all(type(x) is float for x in back.objective.values())
         assert all(type(v.lb) is float and type(v.ub) is float
                    for v in back.variables)
@@ -450,7 +452,7 @@ class TestMpsReaderProperties:
                            match=rf"^line {lineno}: not a number: 'oops'$"):
             read_mps(text)
         m = read_mps(text.replace("    x c0 oops\r\n", ""))
-        assert m.n_constraints == 40000 and m.coeffs == [1.0] * 40000
+        assert m.n_constraints == 40000 and list(m.coeffs) == [1.0] * 40000
 
 
 def _mps(rows=" L c1", columns="    x c1 1", rhs="", bounds="",
@@ -626,7 +628,7 @@ class TestNonFiniteNumbers:
             m.add_rows(["c"], ["<="], [rhs], [0, len(terms)], list(terms),
                        list(terms.values()))
         assert (str(bulk.value), bulk.value.row) == (message, 0)
-        assert m.n_constraints == 0 and m.ids == []
+        assert m.n_constraints == 0 and list(m.ids) == []
 
     def test_infinite_rhs_is_rejected(self):
         m = self.model()
@@ -639,7 +641,7 @@ class TestNonFiniteNumbers:
                        [0, 1], [1.0, 2.0])
         assert (str(bulk.value), bulk.value.row) == (
             "constraint 'd': right-hand side must be finite, got -inf", 1)
-        assert m.n_constraints == 0 and m.ids == []
+        assert m.n_constraints == 0 and list(m.ids) == []
 
     def test_variable_rejects_nan_bounds_only(self):
         m = self.model()
@@ -672,6 +674,32 @@ class TestNonFiniteNumbers:
         m.set_objective([(np.int64(1), 3.0), (True, 2.0)])
         assert m.objective == {1: 2.0}
         assert [type(vid) for vid in m.objective] == [int]
+
+    @pytest.mark.parametrize("value", [None, "abc", [1.0]])
+    def test_a_value_that_is_not_a_number_names_its_row_or_variable(self,
+                                                                    value):
+        m = self.model()
+        m.add_constraint("c", {0: "1.5"}, "<=", "2")  # numeric strings
+        m.set_objective({0: 1.0})
+        before = rows(m), list(m.starts)
+        with pytest.raises(ModelError) as info:
+            m.add_constraint("d", {0: 1.0}, ">=", value)
+        assert str(info.value) == ("constraint 'd': right-hand side must be "
+                                   f"a number, got {value!r}")
+        with pytest.raises(ModelError) as bulk:
+            m.add_rows(["d", "e"], [">=", ">="], [0.0, value], [0, 1, 2],
+                       [0, 1], [1.0, 1.0])
+        assert (str(bulk.value), bulk.value.row) == (
+            str(info.value).replace("'d'", "'e'"), 1)
+        with pytest.raises(ModelError) as info:
+            m.set_objective({0: 2.0, 1: value})
+        assert str(info.value) == ("objective coefficient of variable id 1 "
+                                   f"must be a number, got {value!r}")
+        assert (rows(m), list(m.starts)) == before
+        assert rows(m) == [("c", [0], [1.5], "<=", 2.0)]
+        assert m.objective == {0: 1.0}
+        m.set_objective({0: "0", 1: "2.5"})
+        assert m.objective == {1: 2.5}
 
     @pytest.mark.parametrize("value", [math.nan, INF, -INF])
     def test_objective_rejects_non_finite_coefficients(self, value):
@@ -723,7 +751,7 @@ class TestAddRows:
                 return m, (r, str(e))
         return m, None
 
-    def add_block(self, block, as_arrays=False):
+    def add_block(self, block, form="lists"):
         m = _base_model()
         names = [b[0] for b in block]
         starts = [0]
@@ -731,8 +759,13 @@ class TestAddRows:
             starts.append(starts[-1] + len(b[1]))
         ids = [i for b in block for i in b[1]]
         coeffs = [c for b in block for c in b[2]]
-        if as_arrays:
-            ids, coeffs = np.array(ids, dtype=np.int64), np.array(coeffs)
+        if form == "arrays":  # a value that is not a float as an object
+            ids = np.array(ids, dtype=np.int64)
+            coeffs = np.array(coeffs, dtype=float if all(
+                type(c) is float for c in coeffs) else object)
+        elif form == "typed":  # as a model stores them
+            starts, ids, coeffs = (array("q", starts), array("q", ids),
+                                   array("d", coeffs))
         try:
             out = m.add_rows(names, [b[3] for b in block],
                              [b[4] for b in block], starts, ids, coeffs)
@@ -742,38 +775,39 @@ class TestAddRows:
         return m, None
 
     @settings(derandomize=True, max_examples=400, deadline=None)
-    @given(block=blocks(), as_arrays=st.booleans())
-    def test_matches_add_constraint_row_by_row(self, block, as_arrays):
-        # a block of lists takes the builtin checks, one of arrays numpy's
-        self.check_against_add_constraint(block, as_arrays)
+    @given(block=blocks(), form=st.sampled_from(["lists", "arrays", "typed"]))
+    def test_matches_add_constraint_row_by_row(self, block, form):
+        # every form takes the same check: the builders pass lists,
+        # read_mps numpy arrays and fix_variables a model's typed arrays
+        self.check_against_add_constraint(block, form)
 
-    @pytest.mark.parametrize("as_arrays", [False, True],
-                             ids=["lists", "arrays"])
+    @pytest.mark.parametrize("form", ["lists", "arrays"])
     @pytest.mark.parametrize("ids, coeffs", [
         ([0, 2], [1.0, 0.0]), ([], []), ([2, 0], [1.0, 2.0]),
         ([-1, 2], [1.0, 1.0]), ([0, 4], [1.0, 1.0]), ([1, 1], [1.0, 2.0]),
         ([0, 2], [1.0, math.nan]), ([0, 2], [-INF, 1.0]),
+        ([0, 2], [1.0, None]), ([0, 2], ["abc", 1.0]),
     ], ids=["zero", "empty", "unsorted", "below", "above", "repeat", "nan",
-            "inf"])
+            "inf", "none", "text"])
     def test_each_check_of_the_terms_matches_add_constraint(self, ids,
-                                                            coeffs,
-                                                            as_arrays):
+                                                            coeffs, form):
         """Most drawn blocks fail a name, a sense or a right-hand side
         before the block checks reach the terms; here only the middle
         row's terms may fail."""
         self.check_against_add_constraint(
             [("r0", [0, 1], [1.0, 2.0], "<=", 1.0),
              ("r1", ids, coeffs, ">=", 0.0),
-             ("r2", [2, 3], [0.0, 1.0], "=", 0.0)], as_arrays)
+             ("r2", [2, 3], [0.0, 1.0], "=", 0.0)], form)
 
-    def check_against_add_constraint(self, block, as_arrays):
+    def check_against_add_constraint(self, block, form):
         one, failure = self.add_one_by_one(block)
-        bulk, bulk_failure = self.add_block(block, as_arrays)
+        bulk, bulk_failure = self.add_block(block, form)
         assert bulk_failure == failure
         if failure is None:
             assert bulk == one
-            assert all(type(i) is int for i in bulk.ids + bulk.starts)
-            assert all(type(x) is float for x in bulk.coeffs + bulk.rhs)
+            assert (bulk.ids.typecode, bulk.starts.typecode,
+                    bulk.coeffs.typecode) == ("q", "q", "d")
+            assert all(type(x) is float for x in bulk.rhs)
         else:  # nothing of the block entered the model
             assert _snapshot(bulk) == _snapshot(_base_model())
 
@@ -883,6 +917,10 @@ class TestAddVariables:
         (("z", 0.0, 2.0, "binary"),
          "binary variable 'z' must have bounds [0, 1]"),
         (("z", 0.0, 1.0, "integer"), "unknown variable kind 'integer'"),
+        (("z", "a", 1.0, "continuous"),
+         "variable 'z': bounds must be numbers, got ['a', 1.0]"),
+        (("z", 0.0, None, "binary"),
+         "variable 'z': bounds must be numbers, got [0.0, None]"),
     ])
     def test_first_failing_variable_raises_with_its_index(self, item,
                                                           message):
@@ -899,12 +937,24 @@ class TestAddVariables:
 
     def test_a_bound_numpy_cannot_read_fails_as_in_add_variable(self):
         m = _base_model()
-        with pytest.raises(TypeError):
-            m.add_variable("z", "0", 1.0)
-        with pytest.raises(TypeError):
-            m.add_variables(["y", "z"], [0.0, "0"], [1.0, 1.0],
+        with pytest.raises(ModelError) as one:
+            m.add_variable("z", "a", 1.0)
+        assert str(one.value) == ("variable 'z': bounds must be numbers, "
+                                  "got ['a', 1.0]")
+        with pytest.raises(ModelError) as bulk:
+            m.add_variables(["y", "z"], [0.0, "a"], [1.0, 1.0],
                             ["continuous"] * 2)
+        assert (str(bulk.value), bulk.value.column) == (str(one.value), 1)
         assert _var_snapshot(m) == _var_snapshot(_base_model())
+        # numeric strings convert as float converts them, and compare as
+        # numbers: "10" is above "5"
+        m.add_variable("z", "0", 1.0)
+        m.add_variables(["y", "w"], ["5", 0.0], ["10", "1"],
+                        ["continuous", "binary"])
+        assert [(v.lb, v.ub) for v in m.variables[4:]] == [
+            (0.0, 1.0), (5.0, 10.0), (0.0, 1.0)]
+        with pytest.raises(ModelError, match=r"inverted bounds \[10.0, 5.0\]"):
+            m.add_variables(["u"], ["10"], ["5"], ["continuous"])
 
     def test_malformed_block_and_frozen_model_rejected(self):
         m = _base_model()
