@@ -17,8 +17,14 @@ A branch-and-bound child's warm start is its parent's optimal
 a refactorization. An LP ends optimal only on a checked inverse (see
 below), so the inverse a child starts from is within CHECK_TOL of an
 exact one, and the check at the child's own verdict bounds the drift
-that the child adds. The tree therefore holds one result, its x and its
-m×m inverse, per open parent, shared by its two children. The slack
+that the child adds. The result also keeps the nonbasic values xN, the
+basic values xB and the reduced costs that the verdict rested on (its
+``state``). A child whose nonbasic values are xN takes copies of xB and
+the reduced costs instead of recomputing them, which gives the same
+bits. A branching child always qualifies: the binary it fixes was
+fractional, hence basic, so no nonbasic value moves. The tree
+therefore holds one result, its x, its state and its m×m inverse, per
+open parent, shared by its two children. The slack
 basis starts from the identity, bit for bit its computed inverse. It
 rests each structural at its lower bound when finite, else at its upper
 bound when finite, else free at 0; a column with both bounds finite and
@@ -89,11 +95,19 @@ own bounds, i.e. exactly as ``solve_lp`` solves a model that
 passes its row check (a model that fails it has no optimal root
 either); its objective is kept as ``Solution.root_bound``
 (NaN unless that LP is optimal), so a caller that wants both z_LP and
-z_MIP needs one run. ``Solution.iterations`` of a MIP is the LP
-iteration count summed over all nodes. One DEBUG line per ``solve_mip``
-reports status, nodes, iterations, root and best bound, and seconds, and
-one INFO line per new incumbent reports it with the nodes solved so far,
-the best bound of the open nodes and the relative gap.
+z_MIP needs one run. With a positive gap target, an optimal root that
+is fractional is followed by one more LP: the root's binaries fixed at
+their nearest integers, solved from the root's result. If it is
+optimal, it is the first incumbent, and the gap test may end the search
+at the next node popped. At gap 0 it is skipped: best-first search pops
+every node whose bound is below the optimum whatever the incumbent, so
+it would only cost an LP. ``Solution.nodes`` counts tree nodes, not the
+rounding LP; ``Solution.iterations`` of a MIP is the LP iteration count
+summed over all nodes and the rounding LP. One DEBUG line per
+``solve_mip`` reports status, nodes, iterations, root and best bound,
+and seconds, and one INFO line per new incumbent reports it with the
+nodes solved so far, the best bound of the open nodes and the relative
+gap.
 
 ``solve_mip`` with a command template as its backend ships the model to
 that command-line solver via MPS and reads the solution back from a file
@@ -127,6 +141,7 @@ DUAL_PIVOT_TOL = 1e-7  # smaller entries are taken only when refactorized
 INT_TOL = 1e-6
 REFACTOR_EVERY = 64
 CHECK_TOL = 1e-11  # residual ||B Binv - I|| an updated inverse may carry
+_COND_LIMIT = 1.0 / np.finfo(np.float64).eps  # κ∞ at which a basis is singular
 BACKENDS = ("reference",)  # run in the process; any other is a template
 
 
@@ -137,7 +152,9 @@ class SolveConfig:
     shell would and formats with those two keys alone; anything else
     raises ValueError naming it."""
 
-    gap: float = 1e-6            # relative MIP gap target (0 = prove optimal)
+    # relative MIP gap target (0 = prove optimal); above 0 it also buys
+    # one LP on the rounded root (see ``solve_mip``)
+    gap: float = 1e-6
     time_limit: float = 3600.0   # seconds
     backend: str = "reference"
 
@@ -169,7 +186,7 @@ class Solution:
     best_bound: float = math.nan
     values: dict[str, float] = field(default_factory=dict)
     nodes: int = 0
-    iterations: int = 0              # LP iterations, summed over all nodes
+    iterations: int = 0              # LP iterations, summed over all LPs
     message: str = ""
     root_bound: float = math.nan     # root relaxation objective (MIP only)
 
@@ -205,6 +222,10 @@ class _LpResult:
     # accepted, so a child that starts from this result need not invert
     # its basis again; set when optimal, like basis
     Binv: np.ndarray | None = None
+    # the fresh (xN, xB, rc) that verdict rested on, which a child whose
+    # nonbasic values are xN takes instead of recomputing them; set when
+    # optimal, like basis
+    state: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 class _Singular(Exception):
@@ -256,7 +277,8 @@ class LpCore:
         from the slack basis or from copies of an optimal parent's basis,
         statuses and checked inverse, which ``pivot`` updates in place.
         The inherited inverse counts as checked, not as refactorized: a
-        tiny pivot needs a refactorization first."""
+        tiny pivot needs a refactorization first. A child whose nonbasic
+        values are its parent's starts from the parent's ``state``."""
         lo = self.lo if lo is None else lo
         up = self.up if up is None else up
         if parent is None:
@@ -265,7 +287,8 @@ class LpCore:
             start = (parent.basis.copy(), parent.vstat.copy(),
                      parent.Binv.copy())
         return _Simplex(self.A, self.b, self.c, lo, up, *start,
-                        factored=parent is None).dual()
+                        factored=parent is None,
+                        state=None if parent is None else parent.state).dual()
 
 
 def _resting(lo, up, d, basis):
@@ -317,14 +340,17 @@ class _Simplex:
     pivots) and ``refresh``. ``fresh`` says that xB and rc were just
     recomputed on a checked or refactorized inverse, so that a verdict
     may rest on them; ``factored``, that Binv is a refactorization's
-    (or the slack basis's identity) with no update since. The state
+    (or the slack basis's identity) with no update since. A start
+    ``state`` is a parent's fresh (xN, xB, rc) for this basis and Binv:
+    where xN is also this LP's, xB and rc are copied, bit for bit what
+    ``settle`` would compute, and otherwise ``settle`` runs. The state
     lives on an object rather than in nested closures: under CPython
     3.11, closures over 20 variables made per solve raised a process's
     peak RSS by about 0.3 MB (their freed closure tuples piled up until a
     full garbage collection)."""
 
     def __init__(self, A, b, c, lo, up, basis, vstat, Binv, iters=0,
-                 factored=True):
+                 factored=True, state=None):
         self.A, self.b, self.c, self.lo, self.up = A, b, c, lo, up
         m, n = A.shape
         self.basis, self.vstat, self.Binv = basis, vstat, Binv
@@ -337,7 +363,12 @@ class _Simplex:
         self.movable = (up - lo) > 0  # fixed columns never enter
         self.ckpt = (basis.copy(), vstat.copy())  # last invertible basis
         self.restores = 0
-        self.settle()
+        xN = None if state is None else _nonbasic_values(vstat, lo, up)
+        if xN is not None and np.array_equal(xN, state[0]):
+            self.xN, self.xB, self.rc = xN, state[1].copy(), state[2].copy()
+            self.fresh = True
+        else:
+            self.settle()
 
     def error(self, message):
         return _LpResult("error", math.nan, None, None, None, self.iters,
@@ -459,7 +490,7 @@ class _Simplex:
             if not np.count_nonzero(out):
                 if self.fresh:
                     return _finish(A, b, c, lo, up, basis, vstat, Binv, xB,
-                                   self.iters)
+                                   self.iters, xN, rc)
                 self.verify()
                 continue
 
@@ -576,7 +607,7 @@ def _factorize(A, basis):
     except np.linalg.LinAlgError:
         return None
     del B  # so that the m×m temporary below does not raise the peak memory
-    if not norm * _norm(Binv) < 1.0 / np.finfo(np.float64).eps:  # or nan
+    if not norm * _norm(Binv) < _COND_LIMIT:  # or nan
         return None
     return Binv
 
@@ -591,10 +622,10 @@ def _verified(A, basis, Binv) -> bool:
     norm = _norm(B)
     resid = B @ Binv
     del B
-    resid[np.diag_indices_from(resid)] -= 1.0
+    resid.ravel()[::len(basis) + 1] -= 1.0  # the diagonal of a fresh array
     if not _norm(resid, out=resid) <= CHECK_TOL:  # also a nan
         return False
-    return norm * _norm(Binv) < 1.0 / np.finfo(np.float64).eps
+    return norm * _norm(Binv) < _COND_LIMIT
 
 
 def _norm(M, out=None):
@@ -602,9 +633,14 @@ def _norm(M, out=None):
     return np.abs(M, out=out).sum(axis=1).max(initial=0.0)
 
 
-def _finish(A, b, c, lo, up, basis, vstat, Binv, xB, iters) -> _LpResult:
+def _finish(A, b, c, lo, up, basis, vstat, Binv, xB, iters, xN=None,
+            rc=None) -> _LpResult:
+    """The end of a solve on a fresh basis with no row out of bounds:
+    optimal, unless x breaks its bounds or a row by more than the
+    tolerances. Given the fresh nonbasic values xN and reduced costs rc,
+    an optimal result keeps (xN, xB, rc) as its ``state``."""
     m, n = A.shape
-    x = _nonbasic_values(vstat, lo, up)
+    x = _nonbasic_values(vstat, lo, up) if xN is None else xN.copy()
     x[basis] = xB
     clipped = np.clip(x, lo, up)
     drift = float(np.max(np.abs(x - clipped), initial=0.0))
@@ -618,7 +654,7 @@ def _finish(A, b, c, lo, up, basis, vstat, Binv, xB, iters) -> _LpResult:
                          f"row residual {resid:g} after solve")
     ns = n - m
     return _LpResult("optimal", float(c @ x), x[:ns], basis, vstat, iters,
-                     Binv=Binv)
+                     Binv=Binv, state=None if rc is None else (xN, xB, rc))
 
 
 # ---------------------------------------------------------------------------
@@ -697,10 +733,15 @@ def solve_mip(model: Model, config: SolveConfig | None = None) -> Solution:
     solved from the slack basis, whatever the time budget, so
     ``root_bound`` is always, bit for bit, the relaxation ``solve_lp``
     would report. Each child LP starts from its parent's optimal
-    ``_LpResult``, with the inverse that the parent's verdict rested
-    on, and needs no refactorization to reach its own verdict when its
-    updated inverse passes the check. Each new incumbent is logged at
-    INFO.
+    ``_LpResult``, with the inverse, basic values and reduced costs that
+    the parent's verdict rested on, and needs no refactorization to reach
+    its own verdict when its updated inverse passes the check.
+
+    With ``config.gap > 0``, a fractional optimal root is rounded: one LP
+    with every binary fixed at ``round(x)``, from the root's result. An
+    optimal rounding LP is the first incumbent; a failed one changes
+    nothing. It is not a node, but its iterations count. Each new
+    incumbent is logged at INFO.
     """
     config = config or SolveConfig()
     if config.backend != "reference":
@@ -737,6 +778,19 @@ def _branch_and_bound(core: LpCore, config: SolveConfig,
         return Solution(status=status, nodes=nodes_solved,
                         iterations=iterations, root_bound=root_bound, **kw)
 
+    def take(res: _LpResult) -> None:
+        """Make an integral LP result the incumbent and log it."""
+        nonlocal incumbent, incumbent_x
+        incumbent = res.objective
+        incumbent_x = res.x
+        if log.isEnabledFor(logging.INFO):
+            # res's node is closed or branched; the open ones are
+            # bounded by heap[0]
+            open_bound = min(heap[0][0], incumbent) if heap else incumbent
+            log.info("mip: incumbent %r after %d nodes; best bound %r, "
+                     "gap %.3g", incumbent, nodes_solved, open_bound,
+                     (incumbent - open_bound) / max(abs(incumbent), 1e-9))
+
     while heap:
         bound, _, lo, up, parent = heapq.heappop(heap)
         if bound >= incumbent - 1e-9 * max(1.0, abs(incumbent)):
@@ -769,14 +823,7 @@ def _branch_and_bound(core: LpCore, config: SolveConfig,
         xb = res.x[bin_ids]
         frac = np.minimum(xb - np.floor(xb), np.ceil(xb) - xb)
         if not len(frac) or frac.max() <= INT_TOL:
-            incumbent = res.objective
-            incumbent_x = res.x
-            if log.isEnabledFor(logging.INFO):
-                # this node is closed; the open ones are bounded by heap[0]
-                open_bound = min(heap[0][0], incumbent) if heap else incumbent
-                log.info("mip: incumbent %r after %d nodes; best bound %r, "
-                         "gap %.3g", incumbent, nodes_solved, open_bound,
-                         (incumbent - open_bound) / max(abs(incumbent), 1e-9))
+            take(res)
             continue
         j = int(bin_ids[np.argmax(frac)])  # argmax: lowest index wins ties
         for val in (0.0, 1.0):
@@ -784,6 +831,15 @@ def _branch_and_bound(core: LpCore, config: SolveConfig,
             lo2[j] = up2[j] = val
             counter += 1
             heapq.heappush(heap, (res.objective, counter, lo2, up2, res))
+        if nodes_solved == 1 and config.gap > 0:
+            # the root rounded: one LP with every binary fixed at its
+            # nearest integer, from the root's result; not a node
+            lo2, up2 = lo.copy(), up.copy()
+            lo2[bin_ids] = up2[bin_ids] = np.round(xb)
+            rounded = core.solve(lo2, up2, res)
+            iterations += rounded.iterations
+            if rounded.status == "optimal":
+                take(rounded)
 
     if incumbent < math.inf:
         values = dict(zip((v.name for v in core.model.variables),

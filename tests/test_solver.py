@@ -94,7 +94,7 @@ class TestSolveLp:
 
     def test_only_an_optimal_result_carries_a_basis(self):
         # a child starts only from an optimal parent, so every other end
-        # leaves basis, vstat and Binv unset
+        # leaves basis, vstat, Binv and state unset
         pinch = Model("pinch")
         x = pinch.add_variable("x", 0.0, 10.0)
         y = pinch.add_variable("y", 0.0, 10.0)
@@ -118,11 +118,11 @@ class TestSolveLp:
             solver._factorize(core.A, basis), np.array([11.0, 0.0]), 0)
         for status, res in ends.items():
             assert res.status == status
-            fields = (res.basis, res.vstat, res.Binv)
+            fields = (res.basis, res.vstat, res.Binv, res.state)
             if status == "optimal":
                 assert all(f is not None for f in fields)
             else:
-                assert fields == (None, None, None)
+                assert fields == (None, None, None, None)
 
     def test_lp_that_once_ended_on_a_singular_basis(self):
         # the primal simplex this solver once ran took a 3.4e-10 pivot
@@ -277,6 +277,79 @@ class TestSolveMip:
                       f"{res.root_bound!r}, best bound {res.best_bound!r}; ")
             + r"\d+\.\d{3} s", lines[0])
 
+    def test_a_rounded_root_incumbent_ends_the_search(self, monkeypatch):
+        # the root rounded is this model's optimum, 0.073% above the root
+        # bound, so the first node popped meets the 1% gap
+        model, _ = build_model(generate_instance(1, 2, 3),
+                               FormulationChoice("basic", "one_bin", 0.0))
+        solves = lp_solves(monkeypatch)
+        res = solve_mip(model, SolveConfig(gap=0.01))
+        root, rounded = solves
+        assert rounded.status == "optimal"
+        assert res.status == "gap_reached"
+        assert res.nodes == 1
+        assert res.iterations == root.iterations + rounded.iterations
+        assert res.objective == rounded.objective
+        assert res.best_bound == res.root_bound == root.objective
+        assert (res.objective - res.best_bound) / res.objective <= 0.01
+        ids = solver.LpCore(model).binary_ids
+        assert all(res.values[model.variables[j].name]
+                   == round(root.x[j]) for j in ids)
+        proof = solve_mip(model, SolveConfig(gap=0.0))
+        assert proof.objective == res.objective
+        assert proof.nodes > 1
+
+    def test_a_failed_rounding_changes_nothing(self, monkeypatch):
+        # the root rounded has no feasible dispatch; the 1% search then
+        # runs as the proof does, plus the rounding LP's iterations
+        model, _ = build_model(generate_instance(1, 2, 4),
+                               FormulationChoice("basic", "one_bin", 0.0))
+        proof = solve_mip(model, SolveConfig(gap=0.0))
+        solves = lp_solves(monkeypatch)
+        res = solve_mip(model, SolveConfig(gap=0.01))
+        rounded = solves[1]
+        assert rounded.status == "infeasible"
+        assert len(solves) == res.nodes + 1
+        assert (res.status, res.objective, res.best_bound, res.nodes,
+                res.values) == (proof.status, proof.objective,
+                                proof.best_bound, proof.nodes, proof.values)
+        assert res.iterations == proof.iterations + rounded.iterations
+
+    @pytest.mark.parametrize("seed, n, T", [(1, 2, 3), (1004, 2, 3),
+                                            (1, 2, 4)])
+    def test_gap_zero_solves_one_lp_per_node(self, monkeypatch, seed, n, T):
+        # at gap 0 no rounding LP runs: an incumbent cannot close a node
+        # whose bound is below the optimum, so it would only cost an LP
+        solves = lp_solves(monkeypatch)
+        for base in BASES:
+            for module in STARTUPS:
+                model, _ = build_model(generate_instance(seed, n, T),
+                                       FormulationChoice(base, module, 0.0))
+                solves.clear()
+                res = solve_mip(model, SolveConfig(gap=0.0))
+                assert res.status == "optimal"
+                assert res.nodes > 1
+                assert len(solves) == res.nodes
+
+    def test_progress_log_of_the_rounded_incumbent(self, caplog):
+        model, _ = build_model(generate_instance(1, 2, 3),
+                               FormulationChoice("basic", "one_bin", 0.0))
+        with caplog.at_level(logging.INFO, logger="ucbench.solver"):
+            res = solve_mip(model, SolveConfig(gap=0.01))
+        progress = [re.fullmatch(
+            r"mip: incumbent (\S+) after (\d+) nodes; best bound (\S+), "
+            r"gap (\S+)", r.getMessage())
+            for r in caplog.records
+            if r.name == "ucbench.solver" and r.levelno == logging.INFO]
+        assert len(progress) == 1 and progress[0]
+        incumbent, nodes, bound, gap = progress[0].groups()
+        # the root is solved and open in its two children
+        assert (float(incumbent), int(nodes), float(bound)) \
+            == (res.objective, 1, res.root_bound)
+        assert gap == "0.000734"
+        assert float(gap) == pytest.approx(
+            (res.objective - res.root_bound) / res.objective, rel=5e-3)
+
     @pytest.mark.parametrize(
         "instance, base, module, objective, nodes, iterations", [
         ("2x3", "basic", "one_bin", "5027.866084736637", 9, 25),
@@ -374,6 +447,21 @@ def pinned_trees():
         pytest.skip(f"pinned on OpenBLAS's Haswell kernels; this numpy "
                     f"runs {out['core']}")
     return out["solves"]
+
+
+def lp_solves(monkeypatch):
+    """The list that every ``LpCore.solve`` result is appended to, from
+    now until the test ends."""
+    solves = []
+    real = solver.LpCore.solve
+
+    def recording(core, *args):
+        res = real(core, *args)
+        solves.append(res)
+        return res
+
+    monkeypatch.setattr(solver.LpCore, "solve", recording)
+    return solves
 
 
 def pair_demand(load, sense="="):
@@ -615,8 +703,10 @@ class TestWarmStart:
                 root = core.solve()
                 assert root.status == "optimal"
                 shared = root.Binv.tobytes()
+                # without the state, which rests on the parent's own Binv
                 refactored = dataclasses.replace(
-                    root, Binv=solver._factorize(core.A, root.basis))
+                    root, Binv=solver._factorize(core.A, root.basis),
+                    state=None)
                 xb = root.x[core.binary_ids]
                 for j in core.binary_ids[np.abs(xb - np.round(xb)) > 1e-6]:
                     for val in (0.0, 1.0):
@@ -625,6 +715,51 @@ class TestWarmStart:
                         assert root.Binv.tobytes() == shared
                         assert_same_outcome(
                             inherited, core.solve(lo, up, refactored))
+
+    def test_a_child_from_its_parents_state_is_the_settled_child(
+            self, monkeypatch):
+        # a fractional binary is basic, so fixing it moves no nonbasic
+        # value: the parent's xB and rc are what settle would compute for
+        # the child, bit for bit, and the child skips that settle
+        settles = []
+        real = solver._Simplex.settle
+
+        def counting(simplex):
+            settles.append(simplex)
+            return real(simplex)
+
+        monkeypatch.setattr(solver._Simplex, "settle", counting)
+        inst = generate_instance(1004, 2, 3)  # the pinned trees' 2x3
+        children = 0
+        for base in BASES:
+            for module in STARTUPS:
+                model, _ = build_model(
+                    inst, FormulationChoice(base, module, 0.0))
+                core = solver.LpCore(model)
+                root = core.solve()
+                assert root.status == "optimal"
+                stateless = dataclasses.replace(root, state=None)
+                xb = root.x[core.binary_ids]
+                for j in core.binary_ids[np.abs(xb - np.round(xb)) > 1e-6]:
+                    for val in (0.0, 1.0):
+                        lo, up = child_bounds(core, j, val, val)
+                        settles.clear()
+                        kept = core.solve(lo, up, root)
+                        kept_settles = len(settles)
+                        settles.clear()
+                        settled = core.solve(lo, up, stateless)
+                        assert kept_settles == len(settles) - 1
+                        assert kept.status == settled.status
+                        assert kept.iterations == settled.iterations
+                        if settled.status == "optimal":
+                            assert kept.objective.hex() \
+                                == settled.objective.hex()
+                            assert kept.basis.tobytes() \
+                                == settled.basis.tobytes()
+                            assert kept.vstat.tobytes() \
+                                == settled.vstat.tobytes()
+                        children += 1
+        assert children >= 40
 
     @pytest.mark.parametrize("seed, n, T", [(1, 2, 3), (2, 2, 4)])
     def test_every_optimal_inverse_meets_the_residual_bound(self, seed, n, T):
