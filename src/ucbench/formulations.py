@@ -30,7 +30,8 @@ plus the unit's recorded pre-horizon outage — so at ktol 0 all four
 modules charge identical start-up costs on every feasible schedule.
 
 :func:`build_base` and each ``add_startup_*`` module add their variables
-through :meth:`~ucbench.milp.Model.add_variables` and gather their rows
+through :meth:`~ucbench.milp.Model.add_variables`, put their costs in the
+objective as arrays of ids and coefficients, and gather their rows
 family by family, in model order, for one
 :meth:`~ucbench.milp.Model.add_rows` call (one per ``_FLUSH_TERMS``
 terms on a large model). The step-based modules derive each unit's step
@@ -45,6 +46,8 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, product, repeat
+
+import numpy as np
 
 from .domain import Instance, check_instance
 from .milp import INF, Model
@@ -233,6 +236,14 @@ def _add_vars(model: Model, *families) -> None:
         ids.update(zip(keys, new))  # zip stops at the family's last key
 
 
+def _charge(model: Model, ids, costs) -> None:
+    """Put the variables ``ids`` in the objective at ``costs``; the terms
+    already there stay."""
+    objective = np.array(model.objective)
+    objective[ids] = costs
+    model.set_objective(range(len(objective)), objective)
+
+
 def _unit_periods(n_units: int, first: int, last: int) -> list[tuple]:
     return list(product(range(1, n_units + 1), range(first, last + 1)))
 
@@ -259,12 +270,9 @@ def build_base(instance: Instance, base: str = "basic") -> tuple[Model, VarIndex
         families += _indicator_families(vix, keys, with_z=True)
     _add_vars(model, *families)
 
-    obj = {}
-    for i, u in enumerate(units, 1):
-        for t in range(1, T + 1):
-            obj[vix.v[i, t]] = u.cost_fixed_on
-            obj[vix.p[i, t]] = u.cost_variable
-    model.set_objective(model.objective | obj)
+    _charge(model, [*vix.v.values(), *vix.p.values()],
+            [u.cost_fixed_on for u in units for _ in range(T)]
+            + [u.cost_variable for u in units for _ in range(T)])
 
     rows = _Rows(model)
     periods = range(1, T + 1)
@@ -474,8 +482,7 @@ def _add_line_limits(rows: _Rows, instance: Instance, P: list):
 
 def _charge_cu(model: Model, vix: VarIndex) -> None:
     """Put every start-up cost variable cu in the objective."""
-    model.set_objective(model.objective
-                        | {vid: 1.0 for vid in vix.cu.values()})
+    _charge(model, list(vix.cu.values()), 1.0)
 
 
 def _window(instance: Instance, u) -> int:
@@ -581,9 +588,8 @@ def add_startup_3bin(model: Model, vix: VarIndex, instance: Instance,
     _add_vars(model, *indicators, _family(vix.cu, "cu", keys, INF),
               (vix.d, d_keys, [f"d_{i}_{t}_{s}" for i, t, s in d_keys], 1.0,
                "continuous"))
-    model.set_objective(model.objective
-                        | {vix.d[i, t, s]: tables[i - 1].steps[s - 1].value
-                           for i, t, s in d_keys})
+    _charge(model, list(vix.d.values()),
+            [tables[i - 1].steps[s - 1].value for i, _, s in d_keys])
 
     rows = _Rows(model)
     periods = range(1, T + 1)

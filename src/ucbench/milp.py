@@ -8,13 +8,18 @@ them. Variables enter one at a time (:meth:`Model.add_variable`) or as a
 block (:meth:`Model.add_variables`), and rows likewise
 (:meth:`Model.add_constraint`, :meth:`Model.add_rows`); a block runs the
 single form's checks on all its items at once and, if one fails, raises
-that item's error and leaves the model unchanged. The row block is stored
-in typed arrays (``array('q')`` for row starts and variable ids,
-``array('d')`` for coefficients), which both ways of adding rows extend
-and which :func:`write_mps` and the solver view with numpy without a
-copy. :meth:`Model.add_rows` checks a block one way, with numpy, whatever
-sequences hold it: numpy views :func:`read_mps`'s arrays and a model's own
-typed arrays, and converts the formulation builders' lists once.
+that item's error and leaves the model unchanged.
+
+Columns and rows both live in typed arrays, which :func:`write_mps` and
+the solver view with numpy without a copy. A column is its name in one
+list, its bounds in ``array('d')``s, its kind as one byte and its
+objective coefficient in a dense ``array('d')``; the row block is
+``array('q')`` row starts and variable ids and ``array('d')``
+coefficients. A block of either is checked one way, with numpy, whatever
+sequences hold it: numpy views :func:`read_mps`'s arrays and a model's
+own typed arrays, and converts the formulation builders' lists once. A
+block that fails that check is checked item by item, so that the first
+failing item raises the single form's error.
 
 Determinism is a design requirement: models store their terms in a
 canonical order (sorted by variable id within each row, zero coefficients
@@ -30,9 +35,9 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from math import isfinite
-from operator import add, eq, index, itemgetter, le
+from operator import add, index, itemgetter, le
 
 import numpy as np
 
@@ -44,8 +49,11 @@ _NAMES_RE = re.compile(rf"(?:{_NAME}\n)*{_NAME}")  # names joined by "\n"
 
 SENSES = ("<=", "=", ">=")
 _SENSE_SET = frozenset(SENSES)
-KINDS = ("continuous", "binary")
+KINDS = ("continuous", "binary")  # a column's kind byte indexes this
+_KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
+_BINARY = _KIND_CODES["binary"]
 _BINARY_BOUNDS = ((0, 1), (0, 0), (1, 1))
+_BINARY_ENDS = frozenset((0.0, 1.0))  # either bound of a binary
 _SENSE_TO_ROW = {"<=": "L", "=": "E", ">=": "G"}
 _ROW_TO_SENSE = {v: k for k, v in _SENSE_TO_ROW.items()}
 
@@ -74,7 +82,9 @@ def _check_name(name: str, what: str) -> str:
 
 def _names_ok(names, taken, reserved: str | None = None) -> bool:
     """Whether ``names`` are valid and distinct, and none is ``reserved``
-    or in ``taken`` (a set, or a dict's keys)."""
+    or in ``taken`` (any iterable of names)."""
+    if len(names) == 0:
+        return True
     try:
         joined = "\n".join(names)
     except TypeError:  # a name that is not a string
@@ -83,11 +93,13 @@ def _names_ok(names, taken, reserved: str | None = None) -> bool:
     return (joined.count("\n") == len(names) - 1
             and _NAMES_RE.fullmatch(joined) is not None
             and len(unique) == len(names) and reserved not in unique
-            and taken.isdisjoint(unique))
+            and unique.isdisjoint(taken))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Variable:
+    """One column of a model, as :meth:`Model.variable` reads it."""
+
     name: str
     lb: float
     ub: float
@@ -117,8 +129,15 @@ class Model:
     def __init__(self, name: str = "model"):
         self.name = _check_name(name, "model")
         self.objective_name = "COST"
-        self.variables: list[Variable] = []
-        self.objective: dict[int, float] = {}
+        # The columns: variable j is named var_names[j], lies in [lb[j],
+        # ub[j]], is of kind KINDS[kinds[j]] and costs objective[j] (0.0
+        # when it is not in the objective). The numbers live in typed
+        # arrays, which numpy views without a copy.
+        self.var_names: list[str] = []
+        self.lb = array("d")
+        self.ub = array("d")
+        self.kinds = bytearray()
+        self.objective = array("d")
         # The rows, as one compressed-sparse-row block: row r is named
         # row_names[r] and holds the terms ids[k], coeffs[k] for k in
         # range(starts[r], starts[r + 1]), sorted by variable id. The
@@ -130,7 +149,7 @@ class Model:
         self.ids = array("q")
         self.coeffs = array("d")
         self.frozen = False
-        self._var_ids: dict[str, int] = {}
+        self._var_ids: dict[str, int] | None = None  # see _name_index
         self._con_names: set[str] = set()
 
     # -- construction -------------------------------------------------
@@ -139,18 +158,32 @@ class Model:
                      kind: str = "continuous") -> int:
         if self.frozen:
             raise ModelError("model is frozen")
-        var = self._check_variable(name, lb, ub, kind)
-        vid = len(self.variables)
-        self.variables.append(var)
-        self._var_ids[name] = vid
+        lb, ub, code = self._check_variable(name, lb, ub, kind)
+        vid = len(self.var_names)
+        self.var_names.append(name)
+        self.lb.append(lb)
+        self.ub.append(ub)
+        self.kinds.append(code)
+        self.objective.append(0.0)
+        self._name_index()[name] = vid
         return vid
+
+    def _name_index(self) -> dict[str, int]:
+        """The variable ids by name. Only name lookups and one-by-one
+        checks need them, so they are built on first use and kept up to
+        date from then on."""
+        if self._var_ids is None:
+            self._var_ids = dict(zip(self.var_names,
+                                     range(len(self.var_names))))
+        return self._var_ids
 
     def _check_variable(self, name, lb, ub, kind, taken=frozenset()):
         """Run every check of one variable, in :meth:`add_variable`'s
-        order, and return it; ``taken`` holds the names of variables that
-        precede it but are not yet in the model."""
+        order, and return its (lb, ub, kind byte); ``taken`` holds the
+        names of variables that precede it but are not yet in the
+        model."""
         _check_name(name, "variable")
-        if name in self._var_ids or name in taken:
+        if name in self._name_index() or name in taken:
             raise ModelError(f"duplicate variable name {name!r}")
         if kind not in KINDS:
             raise ModelError(f"unknown variable kind {kind!r}")
@@ -173,55 +206,82 @@ class Model:
         if lb > ub:
             raise ModelError(f"variable {name!r}: inverted bounds "
                              f"[{lb}, {ub}]")
-        return Variable(name, lb, ub, kind)
+        return lb, ub, _KIND_CODES[kind]
 
     def add_variables(self, names, lbs, ubs, kinds) -> range:
         """Append a block of variables: variable ``j`` is named
         ``names[j]`` with bounds ``lbs[j]``, ``ubs[j]`` and kind
-        ``kinds[j]``. All four are sequences of the same length (lists or
-        numpy arrays). Each variable passes every check of
-        :meth:`add_variable` and is stored the same way, but the checks
-        run on the whole block at once. If a variable fails, the first
-        failing one in block order raises the :class:`ModelError` that
-        :meth:`add_variable` would raise for it, with its index in the
-        block as ``column``, and the model is left unchanged. Returns the
-        new variables' ids."""
+        ``kinds[j]``. All four are sequences of the same length (lists,
+        numpy arrays or typed arrays). Each variable passes every check of
+        :meth:`add_variable` and is stored the same way, but one check
+        runs on the whole block at once, with numpy on the bounds. A block
+        that fails it is checked variable by variable: the first failing
+        variable raises the :class:`ModelError` that :meth:`add_variable`
+        would raise for it, with its index in the block as ``column``, and
+        the model is left unchanged. Returns the new variables' ids."""
         if self.frozen:
             raise ModelError("model is frozen")
         n = len(names)
         if len(lbs) != n or len(ubs) != n or len(kinds) != n:
             raise ModelError(f"add_variables: {n} names need {n} lower "
                              f"bounds, {n} upper bounds and {n} kinds")
-        # builtins check the whole block; where they find a fault, the
-        # variable checks run one by one and raise at the first failing
-        # variable (a binary must sit on [0, 1], [0, 0] or [1, 1], and a
-        # NaN bound fails lb <= ub)
-        try:
-            lbs, ubs = list(map(float, lbs)), list(map(float, ubs))
-            valid = (_names_ok(names, self._var_ids.keys())
-                     and all(map(KINDS.__contains__, kinds))
-                     and all(map(_BINARY_BOUNDS.__contains__, compress(
-                         zip(lbs, ubs), map(eq, kinds, repeat("binary")))))
-                     and all(map(le, lbs, ubs))
-                     and INF not in lbs and -INF not in ubs)
-        except (TypeError, ValueError, OverflowError):  # a bound is no number
-            valid = False
-        if valid:
-            checked = list(map(Variable, names, lbs, ubs, kinds))
-        else:
-            checked, taken = [], set()
-            for j in range(n):
-                try:
-                    checked.append(self._check_variable(
-                        names[j], lbs[j], ubs[j], kinds[j], taken))
-                except ModelError as e:
-                    e.column = j
-                    raise
-                taken.add(names[j])
-        first = len(self.variables)
-        self.variables += checked
-        self._var_ids.update(zip(names, range(first, first + n)))
+        lbs, ubs, codes = (self._valid_columns(names, lbs, ubs, kinds)
+                           or self._check_columns(names, lbs, ubs, kinds))
+        first = len(self.var_names)
+        self.var_names.extend(names)
+        self.lb.frombytes(lbs.tobytes())
+        self.ub.frombytes(ubs.tobytes())
+        self.kinds += codes
+        self.objective.frombytes(bytes(8 * n))  # n zeros
+        if self._var_ids is not None:
+            self._var_ids.update(zip(names, range(first, first + n)))
         return range(first, first + n)
+
+    def _valid_columns(self, names, lbs, ubs, kinds):
+        """The block's bounds as float64 arrays and its kind bytes, if
+        every variable passes every check, else None. The checks run over
+        the whole block, with numpy on the bounds, and do not name the
+        failing variable; bounds that numpy does not hold as numbers are
+        left to the variable checks (a binary must sit on [0, 1], [0, 0]
+        or [1, 1], and a NaN bound fails lb <= ub)."""
+        try:
+            codes = bytes(map(_KIND_CODES.__getitem__, kinds))
+            lbs, ubs = np.asarray(lbs), np.asarray(ubs)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            return None
+        if not (lbs.ndim == ubs.ndim == 1 and lbs.dtype.kind in "iuf"
+                and ubs.dtype.kind in "iuf"
+                and _names_ok(names, self.var_names)):
+            return None
+        lbs = lbs.astype(np.float64, copy=False)
+        ubs = ubs.astype(np.float64, copy=False)
+        if lbs.size and not ((lbs <= ubs).all() and lbs.max() < INF
+                             and ubs.min() > -INF):
+            return None
+        if _BINARY in codes:
+            binary = np.frombuffer(codes, dtype=np.bool_)  # its byte is 1
+            if not _BINARY_ENDS.issuperset(lbs[binary].tolist()) \
+                    or not _BINARY_ENDS.issuperset(ubs[binary].tolist()):
+                return None
+        return lbs, ubs, codes
+
+    def _check_columns(self, names, lbs, ubs, kinds):
+        """Check the block's variables one by one, as add_variable would
+        after adding the variables before; the first failing variable
+        raises, with its index as ``column``. Returns the block's bounds
+        as float64 arrays and its kind bytes."""
+        checked, taken = [], set()
+        for j, name in enumerate(names):
+            try:
+                checked.append(self._check_variable(
+                    name, lbs[j], ubs[j], kinds[j], taken))
+            except ModelError as e:
+                e.column = j
+                raise
+            taken.add(name)
+        lbs, ubs, codes = zip(*checked) if checked else ((), (), ())
+        return (np.array(lbs, dtype=np.float64),
+                np.array(ubs, dtype=np.float64), bytes(codes))
 
     def add_constraint(self, name: str, terms, sense: str, rhs: float) -> int:
         """Append a row. ``terms`` is a dict {var id: coeff} or a sequence
@@ -261,7 +321,7 @@ class Model:
                                  "is not an integer") from None
         items.sort(key=itemgetter(0))
         if items:
-            if items[0][0] < 0 or items[-1][0] >= len(self.variables):
+            if items[0][0] < 0 or items[-1][0] >= len(self.var_names):
                 raise ModelError(
                     f"constraint {name!r} references an undeclared variable")
             for (a, _), (b, _) in zip(items, items[1:]):
@@ -375,7 +435,7 @@ class Model:
             return None
         coeffs = coeffs.astype(np.float64, copy=False)
         if (ids.size and not (0 <= ids.min()
-                              and ids.max() < len(self.variables))
+                              and ids.max() < len(self.var_names))
                 or not np.isfinite(coeffs).all()):
             return None
         # each id must exceed the one before it in its row, the pairs that
@@ -406,37 +466,81 @@ class Model:
         self._con_names.update(names)
         return range(first, first + len(names))
 
-    def set_objective(self, coeffs) -> None:
-        """Replace the (minimization) objective, a dict {var id: coeff} or
-        a sequence of (var id, coeff) pairs. Zero terms are dropped and the
-        mapping is stored in variable-id order; an id must be an integer
-        of a declared variable, and a coefficient must be finite."""
+    def set_objective(self, terms, coeffs=None) -> None:
+        """Replace the (minimization) objective. ``terms`` is a dict {var
+        id: coeff} or a sequence of (var id, coeff) pairs; or, with
+        ``coeffs`` given, a sequence of var ids and ``coeffs`` one
+        coefficient for each (lists, numpy arrays or typed arrays). An id
+        must be an integer of a declared variable, and a coefficient must
+        be finite; a repeated id keeps its last coefficient, and every
+        variable not listed costs 0. Pairs are checked one by one; ids and
+        coefficients are checked with numpy first, and one by one only if
+        that check fails, so that both forms fail with the same error."""
         if self.frozen:
             raise ModelError("model is frozen")
-        if not isinstance(coeffs, dict):
-            coeffs = dict(coeffs)
-        checked = {}
-        for vid, c in coeffs.items():
+        if coeffs is None:
+            objective = self._check_objective(
+                terms if isinstance(terms, dict) else dict(terms))
+        else:
+            if len(terms) != len(coeffs):
+                raise ModelError(f"set_objective: {len(terms)} ids need "
+                                 f"{len(terms)} coefficients")
+            objective = self._valid_objective(terms, coeffs)
+            if objective is None:
+                objective = self._check_objective(dict(zip(terms, coeffs)))
+        self.objective = objective
+
+    def _valid_objective(self, ids, coeffs):
+        """The dense objective as an ``array('d')`` if the ids are
+        distinct integers of declared variables and the coefficients
+        finite numbers, as numpy holds them, else None."""
+        n = len(self.var_names)
+        if not len(ids):
+            return array("d", bytes(8 * n))
+        try:
+            ids, coeffs = np.asarray(ids), np.asarray(coeffs)
+            # how often each variable is listed; a negative id raises
+            counts = np.bincount(ids, minlength=n)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        if (ids.ndim != 1 or coeffs.ndim != 1 or ids.dtype.kind not in "iu"
+                or coeffs.dtype.kind not in "iuf"
+                or len(counts) > n or counts.max() > 1
+                # a NaN or infinite coefficient makes the sum so (an
+                # overflow of finite ones only sends the block to the
+                # one-by-one checks)
+                or not isfinite(coeffs.sum())):
+            return None
+        dense = np.zeros(n)
+        dense[ids] = coeffs
+        dense += 0.0  # -0.0 is stored as 0.0
+        return array("d", dense.tobytes())
+
+    def _check_objective(self, terms: dict):
+        """Check the objective's terms one by one and return the dense
+        objective; the first failing term raises, its id and value checked
+        in ``terms``' order, its finiteness in id order."""
+        dense = [0.0] * len(self.var_names)
+        for vid, c in terms.items():
             try:
                 i = index(vid)
             except TypeError:
                 raise ModelError(f"objective: variable id {vid!r} is not an "
                                  "integer") from None
-            if not (0 <= i < len(self.variables)):
+            if not (0 <= i < len(dense)):
                 raise ModelError(f"objective references undeclared variable "
                                  f"id {vid}")
             try:
-                checked[i] = float(c)
+                dense[i] = float(c) + 0.0  # -0.0 is stored as 0.0
             except (TypeError, ValueError, OverflowError):
                 raise ModelError(f"objective coefficient of variable id {i} "
                                  f"must be a number, got {c!r}") from None
-        objective = {vid: c for vid in sorted(checked)
-                     if (c := checked[vid]) != 0.0}
-        for vid, c in objective.items():
-            if not isfinite(c):
-                raise ModelError(f"objective coefficient of variable id "
-                                 f"{vid} must be finite, got {c}")
-        self.objective = objective
+        if not all(map(isfinite, dense)):
+            vid, c = next((i, c) for i, c in enumerate(dense)
+                          if not isfinite(c))
+            raise ModelError(f"objective coefficient of variable id "
+                             f"{vid} must be finite, got {c}")
+        return array("d", dense)
 
     def freeze(self) -> "Model":
         self.frozen = True
@@ -446,13 +550,18 @@ class Model:
 
     def var_id(self, name: str) -> int:
         try:
-            return self._var_ids[name]
+            return self._name_index()[name]
         except KeyError:
             raise ModelError(f"unknown variable {name!r}") from None
 
+    def variable(self, j: int) -> Variable:
+        """Variable ``j``'s name, bounds and kind."""
+        return Variable(self.var_names[j], self.lb[j], self.ub[j],
+                        KINDS[self.kinds[j]])
+
     @property
     def n_variables(self) -> int:
-        return len(self.variables)
+        return len(self.var_names)
 
     @property
     def n_constraints(self) -> int:
@@ -460,14 +569,18 @@ class Model:
 
     def objective_value(self, values: dict[str, float]) -> float:
         """Evaluate the objective on a {variable name: value} mapping."""
-        return sum(c * values.get(self.variables[vid].name, 0.0)
-                   for vid, c in self.objective.items())
+        names, objective = self.var_names, self.objective
+        return sum(objective[vid] * values.get(names[vid], 0.0)
+                   for vid in np.flatnonzero(objective).tolist())
 
     def __eq__(self, other):
         return (isinstance(other, Model)
                 and self.name == other.name
                 and self.objective_name == other.objective_name
-                and self.variables == other.variables
+                and self.var_names == other.var_names
+                and self.lb == other.lb
+                and self.ub == other.ub
+                and self.kinds == other.kinds
                 and self.row_names == other.row_names
                 and self.senses == other.senses
                 and self.rhs == other.rhs
@@ -483,10 +596,12 @@ class Model:
 
 def fix_variables(model: Model, assignments: dict) -> Model:
     """Copy ``model`` with both bounds of each assigned variable set to its
-    value. Keys may be variable names or ids; binaries only accept 0/1,
-    and any value must lie inside the variable's current bounds. The
-    tests use it to price fixed schedules as a reference for the
-    formulations' start-up costs."""
+    value. Keys may be variable names or ids, and two keys of one variable
+    must give it one value; binaries only accept 0/1, and any value must
+    lie inside the variable's current bounds. The tests use it to price
+    fixed schedules as a reference for the formulations' start-up
+    costs."""
+    lb, ub = array("d", model.lb), array("d", model.ub)
     resolved: dict[int, float] = {}
     for key, val in assignments.items():
         if isinstance(key, str):
@@ -499,28 +614,26 @@ def fix_variables(model: Model, assignments: dict) -> Model:
                                  "nor an integer id") from None
         if not (0 <= vid < model.n_variables):
             raise ModelError(f"unknown variable id {vid}")
-        var = model.variables[vid]
+        name = model.var_names[vid]
         val = float(val)
-        if var.kind == "binary" and val not in (0.0, 1.0):
+        if model.kinds[vid] == _BINARY and val not in (0.0, 1.0):
             raise ModelError(
-                f"cannot fix binary {var.name!r} to non-0/1 value {val}")
-        if val < var.lb or val > var.ub:
+                f"cannot fix binary {name!r} to non-0/1 value {val}")
+        if val < model.lb[vid] or val > model.ub[vid]:
             raise ModelError(
-                f"value {val} for {var.name!r} outside bounds "
-                f"[{var.lb}, {var.ub}]")
-        resolved[vid] = val
+                f"value {val} for {name!r} outside bounds "
+                f"[{model.lb[vid]}, {model.ub[vid]}]")
+        if vid in resolved and resolved[vid] != val:
+            raise ModelError(f"conflicting values for {name!r}: "
+                             f"{resolved[vid]} and {val}")
+        resolved[vid] = lb[vid] = ub[vid] = val
     out = Model(model.name)
     out.objective_name = model.objective_name
-    variables = model.variables
-    out.add_variables([var.name for var in variables],
-                      [resolved.get(vid, var.lb)
-                       for vid, var in enumerate(variables)],
-                      [resolved.get(vid, var.ub)
-                       for vid, var in enumerate(variables)],
-                      [var.kind for var in variables])
+    out.add_variables(model.var_names, lb, ub,
+                      [KINDS[code] for code in model.kinds])
     out.add_rows(model.row_names, model.senses, model.rhs, model.starts,
                  model.ids, model.coeffs)
-    out.set_objective(model.objective)
+    out.set_objective(range(model.n_variables), model.objective)
     return out
 
 
@@ -529,7 +642,7 @@ def model_stats(model: Model) -> ModelStats:
     return ModelStats(
         n_variables=model.n_variables,
         n_constraints=model.n_constraints,
-        n_binary=sum(1 for v in model.variables if v.kind == "binary"),
+        n_binary=model.kinds.count(_BINARY),
         n_nonzeros=len(model.ids),
     )
 
@@ -565,72 +678,101 @@ def write_mps(model: Model) -> str:
     lines += [f" {_SENSE_TO_ROW[sense]} {name}"
               for sense, name in zip(model.senses, con_names)]
 
-    # every entry's line, in column-major order: the block is row-major,
-    # so a stable sort by column keeps each column's rows in model order;
-    # each column's "    name " prefix, each row's "name " and each
-    # distinct coefficient are formatted once
     lines.append("COLUMNS")
-    cols = np.asarray(model.ids)
-    order = np.argsort(cols, kind="stable")
-    cols = cols[order]
-    rows = np.repeat(np.arange(len(con_names)), np.diff(model.starts))[order]
-    values = np.asarray(model.coeffs)[order].tolist()
-    text = {v: _fmt(v) for v in dict.fromkeys(values)}
-    prefixes = [f"    {var.name} " for var in model.variables]
-    row_parts = [f"{name} " for name in con_names]
-    entries = list(map(add,
-                       map(add, map(prefixes.__getitem__, cols.tolist()),
-                           map(row_parts.__getitem__, rows.tolist())),
-                       map(text.__getitem__, values)))
-    col_starts = np.searchsorted(cols, np.arange(len(prefixes) + 1)).tolist()
-
-    integer_mode = False
-    for vid, var in enumerate(model.variables):
-        is_bin = var.kind == "binary"
-        if is_bin and not integer_mode:
-            lines.append("    MARKER 'MARKER' 'INTORG'")
-            integer_mode = True
-        elif not is_bin and integer_mode:
-            lines.append("    MARKER 'MARKER' 'INTEND'")
-            integer_mode = False
-        a, b = col_starts[vid], col_starts[vid + 1]
-        obj = model.objective.get(vid)
-        if obj is not None:
-            lines.append(f"{prefixes[vid]}{obj_name} {_fmt(obj)}")
-        elif a == b:
-            # empty column: keep the variable alive with a zero entry
-            lines.append(f"{prefixes[vid]}{obj_name} 0")
-        lines += entries[a:b]
-    if integer_mode:
-        lines.append("    MARKER 'MARKER' 'INTEND'")
+    _append_columns(model, lines)
 
     lines.append("RHS")
     lines += [f"    RHS {name} {_fmt(rhs)}"
               for name, rhs in zip(con_names, model.rhs) if rhs != 0.0]
 
     lines.append("BOUNDS")
-    for var in model.variables:
-        lines.extend(_bound_lines(var))
+    lines += _bound_lines(model)
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
 
 
-def _bound_lines(var: Variable) -> list[str]:
-    lb, ub, name = var.lb, var.ub, var.name
-    if var.kind == "binary" and lb == 0.0 and ub == 1.0:
-        return [f" BV BND {name}"]
-    if lb == ub:
-        return [f" FX BND {name} {_fmt(lb)}"]
-    out = []
-    if lb == -INF and ub == INF:
-        return [f" FR BND {name}"]
-    if lb == -INF:
-        out.append(f" MI BND {name}")
-    elif lb != 0.0:
-        out.append(f" LO BND {name} {_fmt(lb)}")
-    if ub != INF:
-        out.append(f" UP BND {name} {_fmt(ub)}")
-    return out
+def _append_columns(model: Model, lines: list[str]) -> None:
+    """Append the COLUMNS section's lines, markers and entries, to
+    ``lines``. Its lists and arrays are freed when it returns, before
+    the writer joins the lines."""
+    # every entry's line, in column-major order: the block is row-major,
+    # so a stable sort by column keeps each column's rows in model order;
+    # each column's "    name " prefix, each row's "name " and each
+    # distinct coefficient are formatted once
+    cols = np.asarray(model.ids)
+    order = np.argsort(cols, kind="stable")
+    cols = cols[order]
+    rows = np.repeat(np.arange(model.n_constraints),
+                     np.diff(model.starts))[order]
+    values = np.asarray(model.coeffs)[order].tolist()
+    text = {v: _fmt(v) for v in dict.fromkeys(values)}
+    prefixes = [f"    {name} " for name in model.var_names]
+    row_parts = [f"{name} " for name in model.row_names]
+    entries = list(map(add,
+                       map(add, map(prefixes.__getitem__, cols.tolist()),
+                           map(row_parts.__getitem__, rows.tolist())),
+                       map(text.__getitem__, values)))
+    # before its entries, a column has a marker if a run of one kind
+    # starts there (INTORG before a binary run, INTEND after it: the run
+    # of continuous columns after the last binary run may be empty), then
+    # its objective entry if it has one; an empty column gets an objective
+    # entry of 0 to keep it alive
+    col_starts = np.searchsorted(cols, np.arange(model.n_variables + 1))
+    objective = np.asarray(model.objective)
+    obj_cols = np.flatnonzero((objective != 0.0)
+                              | (col_starts[1:] == col_starts[:-1]))
+    obj_values = objective[obj_cols].tolist()
+    text.update((v, _fmt(v)) for v in obj_values if v not in text)
+    switches = np.flatnonzero(np.diff(np.asarray(model.kinds), prepend=0,
+                                      append=0))
+    heads = (["    MARKER 'MARKER' 'INTORG'",
+              "    MARKER 'MARKER' 'INTEND'"] * (len(switches) // 2)
+             + list(map(add, map(prefixes.__getitem__, obj_cols.tolist()),
+                        map(f"{model.objective_name} ".__add__,
+                            map(text.__getitem__, obj_values)))))
+    # the heads in column order, and the entry each one goes before; the
+    # entries run in slices between them
+    by_column = np.argsort(np.concatenate((switches * 2, obj_cols * 2 + 1)))
+    at = col_starts[np.concatenate((switches, obj_cols))[by_column]].tolist()
+    slices = map(entries.__getitem__, map(slice, [0] + at, at))
+    lines += chain.from_iterable(chain.from_iterable(
+        zip(slices, zip(map(heads.__getitem__, by_column.tolist())))))
+    lines += entries[at[-1] if at else 0:]
+
+
+def _bound_lines(model: Model) -> list[str]:
+    """The BOUNDS lines of every variable, in variable order: BV for a
+    [0, 1] binary, FX for a fixed variable, FR for a free one, else MI or
+    LO for a lower bound other than 0 and UP for a finite upper bound."""
+    lb, ub = np.asarray(model.lb), np.asarray(model.ub)
+    bv = (np.asarray(model.kinds) == _BINARY) & (lb == 0.0) & (ub == 1.0)
+    fx = ~bv & (lb == ub)
+    ranged = ~bv & ~fx
+    fr = ranged & (lb == -INF) & (ub == INF)
+    mi = ranged & ~fr & (lb == -INF)
+    lo = ranged & (lb != -INF) & (lb != 0.0)
+    up = ranged & ~fr & (ub != INF)
+    names = model.var_names
+    text = {v: _fmt(v) for v in dict.fromkeys(chain(
+        lb[fx | lo].tolist(), ub[up].tolist()))}
+
+    def lines(kind, mask, bounds=None):
+        """One line of this kind for each variable in ``mask``, keyed by
+        its place among the variable's lines (the UP line comes last)."""
+        at = np.flatnonzero(mask)
+        heads = map(add, repeat(f" {kind} BND "),
+                    map(names.__getitem__, at.tolist()))
+        if bounds is not None:
+            heads = map(add, map(add, heads, repeat(" ")),
+                        map(text.__getitem__, bounds[at].tolist()))
+        return list(heads), at * 2 + (kind == "UP")
+
+    parts = [lines("BV", bv), lines("FX", fx, lb), lines("FR", fr),
+             lines("MI", mi), lines("LO", lo, lb), lines("UP", up, ub)]
+    merged = list(chain.from_iterable(part for part, _ in parts))
+    keys = np.concatenate([at for _, at in parts])
+    return list(map(merged.__getitem__,
+                    np.argsort(keys, kind="stable").tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +781,8 @@ def _bound_lines(var: Variable) -> list[str]:
 
 _SECTIONS = {"NAME", "ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA",
              "RANGES", "OBJSENSE", "SOS"}
+_BOUND_BITS = {"LO": 1, "UP": 2, "FX": 4, "MI": 8, "PL": 16, "FR": 32,
+               "BV": 64}  # one bit per bound type a column may set once
 _CHUNK = 1 << 18  # characters of text split into lines at a time
 # distinct coefficient tokens read_mps remembers; a model has few (the
 # paper-size models have under 800), and the bound caps the memory
@@ -665,11 +809,12 @@ def read_mps(text: str) -> Model:
     general (non-binary) integers, multiple objective rows — raise
     :class:`MpsParseError` with the offending line number.
 
-    One pass over the lines collects the columns, and each constraint
-    entry as its row index and value under the current column's id; the
-    columns then enter the model as one block through
-    :meth:`Model.add_variables`, and the entries as one block through
-    :meth:`Model.add_rows`."""
+    One pass over the lines collects the columns, their bounds in typed
+    arrays, and each constraint entry as its row index and value under the
+    current column's id; the columns then enter the model as one block
+    through :meth:`Model.add_variables`, the entries as one block through
+    :meth:`Model.add_rows`, and the objective as (ids, coefficients)
+    through :meth:`Model.set_objective`."""
     section = None
     model_name, name_line = "model", 0
     objective_name, objective_line = None, 0
@@ -684,8 +829,10 @@ def read_mps(text: str) -> Model:
     col_index: dict[str, int] = {}
     col_lines: list[int] = []
     col_kinds: list[str] = []
-    bounds: dict[int, list[float]] = {}
-    bounds_seen: dict[int, set[str]] = {}
+    # each column's bounds, [0, inf) unless a BOUNDS line sets them, and
+    # the bit of each bound type set for it so far (a BOUNDS line first
+    # pads the three to the columns declared so far)
+    lbs, ubs, bounds_seen = array("d"), array("d"), bytearray()
     objective: dict[int, float] = {}
     # the constraint entries' rows and values, in file order; their
     # columns come in runs, the run starting at entry run_starts[k] being
@@ -700,6 +847,12 @@ def read_mps(text: str) -> Model:
 
     def err(lineno: int, msg: str):
         raise MpsParseError(f"line {lineno}: {msg}")
+
+    def pad_bounds():
+        k = len(col_lines) - len(lbs)
+        lbs.frombytes(bytes(8 * k))  # k zeros
+        ubs.extend(array("d", [INF]) * k)
+        bounds_seen.extend(bytes(k))
 
     def parse_value(tok: str, lineno: int, what: str) -> float:
         try:
@@ -812,36 +965,39 @@ def read_mps(text: str) -> Model:
         elif section == "BOUNDS":
             if len(tokens) < 3:
                 err(lineno, f"malformed bound line {raw.strip()!r}")
-            btype, _, cname = tokens[0], tokens[1], tokens[2]
-            if cname not in col_index:
+            btype, cname = tokens[0], tokens[2]
+            j = col_index.get(cname)
+            if j is None:
                 err(lineno, f"bound for undeclared column {cname!r}")
-            j = col_index[cname]
-            b = bounds.setdefault(j, [0.0, INF])
-            seen = bounds_seen.setdefault(j, set())
-            if btype in seen:
+            bit = _BOUND_BITS.get(btype)
+            if bit is None:
+                err(lineno, f"unknown bound type {btype!r}")
+            if j >= len(lbs):
+                pad_bounds()
+            if bounds_seen[j] & bit:
                 err(lineno, f"duplicate {btype} bound for column {cname!r}")
-            seen.add(btype)
+            bounds_seen[j] |= bit
             if btype in ("LO", "UP", "FX"):
                 if len(tokens) != 4:
                     err(lineno, f"{btype} bound requires a value")
-                val = parse_value(tokens[3], lineno, "bound")
-                if btype == "LO":
-                    b[0] = val
-                elif btype == "UP":
-                    b[1] = val
+                val = coefficients.get(tokens[3])  # finite values only
+                if val is None:
+                    val = parse_value(tokens[3], lineno, "bound")
+                if btype == "UP":
+                    ubs[j] = val
                 else:
-                    b[0] = b[1] = val
+                    lbs[j] = val
+                    if btype == "FX":
+                        ubs[j] = val
             elif btype == "MI":
-                b[0] = -INF
+                lbs[j] = -INF
             elif btype == "PL":
-                b[1] = INF
+                ubs[j] = INF
             elif btype == "FR":
-                b[0], b[1] = -INF, INF
-            elif btype == "BV":
-                b[0], b[1] = 0.0, 1.0
+                lbs[j], ubs[j] = -INF, INF
+            else:  # BV
+                lbs[j], ubs[j] = 0.0, 1.0
                 col_kinds[j] = "binary"
-            else:
-                err(lineno, f"unknown bound type {btype!r}")
         elif section is None:
             err(lineno, f"data before any section header: {raw.strip()!r}")
         elif section == "NAME":
@@ -863,9 +1019,7 @@ def read_mps(text: str) -> Model:
     model = build(name_line, Model, model_name)
     model.objective_name = build(objective_line, _check_name, objective_name,
                                  "objective")
-    lbs, ubs = [0.0] * len(col_lines), [INF] * len(col_lines)
-    for cid, (lb, ub) in bounds.items():
-        lbs[cid], ubs[cid] = lb, ub
+    pad_bounds()
     try:
         model.add_variables(list(col_index), lbs, ubs, col_kinds)
     except ModelError as e:
@@ -885,5 +1039,5 @@ def read_mps(text: str) -> Model:
                        np.frombuffer(ent_vals, dtype=np.float64)[order])
     except ModelError as e:
         raise MpsParseError(f"line {row_lines[e.row]}: {e}") from e
-    model.set_objective(objective)
+    model.set_objective(list(objective), list(objective.values()))
     return model

@@ -230,7 +230,7 @@ def _dispatch_lp(instance: Instance, on_off, base: str
         return None
     p = [[0.0] * T for _ in units]
     for (k, t), vid in ids.items():
-        p[k][t - 1] = res.values[model.variables[vid].name]
+        p[k][t - 1] = res.values[model.var_names[vid]]
     return p, fixed_on_cost + res.objective
 
 

@@ -129,7 +129,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .milp import INF, Model, write_mps
+from .milp import INF, KINDS, Model, write_mps
 
 log = logging.getLogger(__name__)
 
@@ -256,20 +256,18 @@ class LpCore:
         self.A = A
         self.b = np.array(model.rhs, dtype=np.float64)
         c = np.zeros(ns + m)
-        for vid, coeff in model.objective.items():
-            c[vid] = coeff
+        c[:ns] = np.asarray(model.objective)
         self.c = c
         lo = np.empty(ns + m)
         up = np.empty(ns + m)
-        lo[:ns] = [var.lb for var in model.variables]
-        up[:ns] = [var.ub for var in model.variables]
+        lo[:ns] = np.asarray(model.lb)
+        up[:ns] = np.asarray(model.ub)
         lo[ns:] = [_SLACK_LO[sense] for sense in model.senses]
         up[ns:] = [_SLACK_UP[sense] for sense in model.senses]
         self.lo = lo
         self.up = up
-        self.binary_ids = np.array(
-            [vid for vid, v in enumerate(model.variables) if v.kind == "binary"],
-            dtype=np.int64)
+        self.binary_ids = np.flatnonzero(
+            np.asarray(model.kinds) == KINDS.index("binary"))
 
     def solve(self, lo: np.ndarray | None = None, up: np.ndarray | None = None,
               parent: _LpResult | None = None) -> _LpResult:
@@ -677,8 +675,7 @@ def _unreachable_row(model: Model) -> str | None:
     bound among its terms gets an infinite margin and always passes.
     """
     tol = 2.0 * RESID_TOL * (1.0 + max(map(abs, model.rhs), default=0.0))
-    lbs = [v.lb for v in model.variables]
-    ubs = [v.ub for v in model.variables]
+    lbs, ubs = model.lb.tolist(), model.ub.tolist()
     ids, coeffs, starts = model.ids, model.coeffs, model.starts
     for i, (sense, b) in enumerate(zip(model.senses, model.rhs)):
         lo = hi = size = 0.0
@@ -714,8 +711,7 @@ def solve_lp(model: Model) -> Solution:
                    message=res.message)
     if res.status == "optimal":
         sol.objective = sol.best_bound = res.objective
-        sol.values = dict(zip((v.name for v in model.variables),
-                              res.x.tolist()))
+        sol.values = dict(zip(model.var_names, res.x.tolist()))
     elif res.status == "unbounded":
         sol.best_bound = -INF
     return sol
@@ -842,11 +838,10 @@ def _branch_and_bound(core: LpCore, config: SolveConfig,
                 take(rounded)
 
     if incumbent < math.inf:
-        values = dict(zip((v.name for v in core.model.variables),
-                          incumbent_x.tolist()))
-        for vid in bin_ids:  # snap near-integral binaries for reporting
-            name = core.model.variables[vid].name
-            values[name] = float(round(values[name]))
+        names = core.model.var_names
+        values = dict(zip(names, incumbent_x.tolist()))
+        for vid in bin_ids.tolist():  # snap near-integral binaries
+            values[names[vid]] = float(round(values[names[vid]]))
         if stop is None:  # tree exhausted: the incumbent is proven optimal
             return done("optimal", objective=incumbent,
                         best_bound=incumbent, values=values)
@@ -905,25 +900,25 @@ def _solve_external(model: Model, config: SolveConfig) -> Solution:
             return Solution(status="error",
                             message=f"unparseable solution file: {e}")
 
-    known = {v.name for v in model.variables}
+    names = model.var_names
+    known = set(names)
     for name in parsed:
         if name not in known:
             log.warning("solution file names unknown variable %r; ignored",
                         name)
-    missing = [v.name for v in model.variables if v.name not in parsed]
+    missing = [name for name in names if name not in parsed]
     if missing:
         log.warning("solution file missing %d variable(s) (e.g. %r); "
                     "defaulting to 0", len(missing), missing[0])
-    values = {v.name: parsed.get(v.name, 0.0) for v in model.variables}
+    values = {name: parsed.get(name, 0.0) for name in names}
 
-    for var in model.variables:
-        val = values[var.name]
-        if val < var.lb - 1e-7 or val > var.ub + 1e-7:
+    x, starts = list(values.values()), model.starts
+    for name, val, lb, ub in zip(names, x, model.lb, model.ub):
+        if val < lb - 1e-7 or val > ub + 1e-7:
             return Solution(
                 status="error", values=values,
-                message=f"value {val} for {var.name} violates bounds "
-                        f"[{var.lb}, {var.ub}]")
-    x, starts = [values[v.name] for v in model.variables], model.starts
+                message=f"value {val} for {name} violates bounds "
+                        f"[{lb}, {ub}]")
     tol = RESID_TOL * (1.0 + max(map(abs, model.rhs), default=0.0))
     for i, (sense, b) in enumerate(zip(model.senses, model.rhs)):
         s = slice(starts[i], starts[i + 1])

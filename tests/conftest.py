@@ -1,4 +1,5 @@
-"""Shared factories for small hand-built instances, and a row reader."""
+"""Shared factories for small hand-built instances, and readers of a
+model's rows and objective."""
 import ctypes
 import dataclasses
 import math
@@ -28,6 +29,11 @@ def rows(model):
                 list(model.coeffs[s[r]:s[r + 1]]), model.senses[r],
                 model.rhs[r])
             for r, name in enumerate(model.row_names)]
+
+
+def objective_terms(model):
+    """The model's nonzero objective coefficients, by variable id."""
+    return {j: c for j, c in enumerate(model.objective) if c != 0.0}
 
 
 def make_unit(uid="u1", **over):

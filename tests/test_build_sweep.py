@@ -1,8 +1,12 @@
-"""One sha256 over ``write_mps`` of a seeded sweep of built models.
+"""One sha256 over ``write_mps`` of a seeded sweep of built models, and
+one over the solver's column arrays of the same models.
 
 The golden hashes in ``test_mps_golden.py`` pin a few models each; this
 digest pins many at once, so that a rewrite of a builder that moves one
 coefficient, name, bound or row anywhere in the sweep changes it. The
+second digest pins the bounds, costs and binary ids that ``LpCore``
+takes from each model, bit for bit, so that a change in how a model
+stores its columns cannot move what the solver sees. The
 seeded instances all enter the horizon online, so each is also built
 with its units alternately offline for 1, 2 or 5 periods before the
 horizon (and online), which reaches the pre-horizon rows.
@@ -18,6 +22,7 @@ from ucbench import (BASES, STARTUPS, FormulationChoice, build_model,
                      generate_instance, write_mps)
 from ucbench import formulations
 from ucbench.formulations import step_functions
+from ucbench.solver import LpCore
 
 SEEDS = range(1, 13)
 SHAPES = ((2, 5, False), (3, 6, True))  # units, periods, with a network
@@ -34,6 +39,8 @@ FAMILIES = {
 
 SWEEP_SHA256 = (
     "eddbeb07f383378aed95773c69932eb0f13ae5e4cfa96867252fc1cd8e7e2fb9")
+LP_CORE_SHA256 = (
+    "beeee1a82553aa2cc455344373c28cad9096172ccaf16837e3b3d292afd8e705")
 
 
 def sweep_instances():
@@ -78,6 +85,18 @@ def test_sweep_digest_and_family_coverage():
     assert seen == FAMILIES
     assert pre_horizon_stype > 0
     assert digest.hexdigest() == SWEEP_SHA256
+
+
+def test_lp_core_column_arrays_digest():
+    """LpCore's lo, up (structurals, then slacks), c and binary ids of
+    every sweep model, each with its dtype and shape."""
+    digest = hashlib.sha256()
+    for _, _, model in sweep_models():
+        core = LpCore(model)
+        for a in (core.lo, core.up, core.c, core.binary_ids):
+            digest.update(f"{a.dtype.str}{a.shape}".encode())
+            digest.update(a.tobytes())
+    assert digest.hexdigest() == LP_CORE_SHA256
 
 
 def test_rows_handed_over_in_pieces_build_the_same_models():

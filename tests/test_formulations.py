@@ -52,11 +52,11 @@ def row_names(model, prefix):
 
 def terms(model, con):
     """A row's coefficients keyed by variable name."""
-    return {model.variables[i].name: c for i, c in zip(con.ids, con.coeffs)}
+    return {model.var_names[i]: c for i, c in zip(con.ids, con.coeffs)}
 
 
 def satisfied(model, con, values, tol=1e-9):
-    lhs = sum(c * values.get(model.variables[i].name, 0.0)
+    lhs = sum(c * values.get(model.var_names[i], 0.0)
               for i, c in zip(con.ids, con.coeffs))
     if con.sense == "<=":
         return lhs <= con.rhs + tol
@@ -102,7 +102,7 @@ class TestBaseShape:
         """v block, p block, then indicator/cost families in adder order."""
         inst = make_instance([15.0, 15.0])
         model, _ = build_model(inst, FormulationChoice("basic", "temp"))
-        assert [v.name for v in model.variables] == [
+        assert model.var_names == [
             "v_1_1", "v_1_2", "p_1_1", "p_1_2", "y_1_1", "y_1_2",
             "cu_1_1", "cu_1_2", "tmp_1_1", "tmp_1_2", "h_1_0", "h_1_1",
         ]
@@ -111,7 +111,7 @@ class TestBaseShape:
         inst = make_instance([25.0, 25.0],
                              units=[make_unit("g1"), make_unit("g2")])
         model, _ = build_model(inst, FormulationChoice("extended", "one_bin"))
-        names = [v.name for v in model.variables]
+        names = model.var_names
         assert names[:4] == ["v_1_1", "v_1_2", "v_2_1", "v_2_2"]
         assert names[4:8] == ["p_1_1", "p_1_2", "p_2_1", "p_2_2"]
         assert names[8:12] == ["y_1_1", "y_1_2", "y_2_1", "y_2_2"]
@@ -354,7 +354,7 @@ class TestTemperatureRows:
     def test_heating_slot_pinned_without_outage(self):
         model, vix = build_model(make_instance([15.0, 15.0]),
                                  FormulationChoice("basic", "temp"))
-        h0 = model.variables[vix.h[1, 0]]
+        h0 = model.variable(vix.h[1, 0])
         assert h0.name == "h_1_0"
         assert (h0.lb, h0.ub) == (0.0, 0.0)
 
@@ -483,7 +483,7 @@ class TestMissingStepFunction:
             add(model, vix, inst, 0.2)
         assert model == before
         assert vix == vix_before
-        assert model._var_ids == before._var_ids
+        assert model._name_index() == before._name_index()
 
 
 class TestStepModules:

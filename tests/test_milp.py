@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ucbench import (STARTUPS, FormulationChoice, Model, ModelError,
-                     MpsParseError, build_model, fix_variables,
+                     MpsParseError, Variable, build_model, fix_variables,
                      generate_instance, model_stats, read_mps, write_mps)
 
-from conftest import rows
+from conftest import objective_terms, rows
 
 INF = float("inf")
 
@@ -19,7 +19,8 @@ INF = float("inf")
 def models_equal(a: Model, b: Model) -> bool:
     return (a.name == b.name
             and a.objective_name == b.objective_name
-            and a.variables == b.variables
+            and [a.variable(j) for j in range(a.n_variables)]
+            == [b.variable(j) for j in range(b.n_variables)]
             and a.objective == b.objective
             and rows(a) == rows(b))
 
@@ -57,7 +58,7 @@ class TestModelConstruction:
         m = Model("m")
         off = m.add_variable("off", 0, 0, "binary")
         on = m.add_variable("on", 1, 1, "binary")
-        assert [(v.lb, v.ub) for v in m.variables] == [(0.0, 0.0), (1.0, 1.0)]
+        assert list(zip(m.lb, m.ub)) == [(0.0, 0.0), (1.0, 1.0)]
         assert (off, on) == (0, 1)
         with pytest.raises(ModelError, match="fixed at 0 or 1"):
             m.add_variable("two", 0, 2, "binary")
@@ -274,7 +275,8 @@ class TestMpsRoundTrip:
         m.add_constraint("c", {0: 1.0, 1: 1.0}, "<=", 1.0)
         back = read_mps(write_mps(m))
         assert models_equal(back, m)
-        assert [v.kind for v in back.variables] == ["binary", "binary"]
+        assert [back.variable(j).kind for j in (0, 1)] == ["binary",
+                                                          "binary"]
 
     def test_missing_endata_rejected(self):
         text = "NAME d\nROWS\n N COST\nCOLUMNS\n"
@@ -295,20 +297,20 @@ class TestMpsRoundTrip:
             " UP BND       x              9.0\n"
             "ENDATA\n")
         m = read_mps(text)
-        assert [v.name for v in m.variables] == ["x"]
-        assert m.objective == {0: 2.0}
+        assert m.var_names == ["x"]
+        assert objective_terms(m) == {0: 2.0}
         assert rows(m)[0].rhs == 4.0
-        assert m.variables[0].ub == 9.0
+        assert m.ub[0] == 9.0
 
 
 class TestFixVariables:
     def test_fix_binary_to_one_pins_both_bounds(self):
         m = small_model()
         out = fix_variables(m, {"v_1_1": 1})
-        v = out.variables[0]
+        v = out.variable(0)
         assert (v.lb, v.ub) == (1.0, 1.0)
         # original untouched
-        assert (m.variables[0].lb, m.variables[0].ub) == (0.0, 1.0)
+        assert (m.lb[0], m.ub[0]) == (0.0, 1.0)
 
     def test_fix_binary_to_half_rejected(self):
         with pytest.raises(ModelError):
@@ -324,7 +326,18 @@ class TestFixVariables:
                                              "a name nor an integer id"):
             fix_variables(m, {1.7: 130.0})
         out = fix_variables(m, {np.int64(1): 130.0})
-        assert (out.variables[1].lb, out.variables[1].ub) == (130.0, 130.0)
+        assert (out.lb[1], out.ub[1]) == (130.0, 130.0)
+
+    def test_two_keys_of_one_variable_must_agree(self):
+        m = small_model()
+        with pytest.raises(ModelError, match=r"^conflicting values for "
+                                             r"'v_1_1': 0\.0 and 1\.0$"):
+            fix_variables(m, {"v_1_1": 0, 0: 1})
+        with pytest.raises(ModelError, match="conflicting values for "
+                                             "'p_1_1'"):
+            fix_variables(m, {np.int64(1): 130.0, "p_1_1": 120.0})
+        out = fix_variables(m, {"v_1_1": 1, 0: 1.0})
+        assert (out.lb[0], out.ub[0]) == (1.0, 1.0)
 
     def test_fix_nothing_is_identity(self):
         m = small_model()
@@ -334,7 +347,7 @@ class TestFixVariables:
         m = small_model()
         def snapshot(model):
             return (rows(model), model.starts[:],
-                    [(v.name, v.lb, v.ub, v.kind) for v in model.variables])
+                    [model.variable(j) for j in range(model.n_variables)])
 
         before = snapshot(m)
         out = fix_variables(m, {"p_1_1": 130.0})
@@ -342,7 +355,7 @@ class TestFixVariables:
         out.add_constraint("extra_row", {0: 1.0, 3: 2.0}, ">=", 1.0)
         assert out.n_constraints == m.n_constraints + 1
         assert snapshot(m) == before
-        assert (out.variables[1].lb, out.variables[1].ub) == (130.0, 130.0)
+        assert (out.lb[1], out.ub[1]) == (130.0, 130.0)
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +401,8 @@ class TestMpsReaderProperties:
         assert (back.ids.typecode, back.starts.typecode,
                 back.coeffs.typecode) == ("q", "q", "d")
         assert all(type(x) is float for x in back.rhs)
-        assert all(type(x) is float for x in back.objective.values())
-        assert all(type(v.lb) is float and type(v.ub) is float
-                   for v in back.variables)
+        assert (back.lb.typecode, back.ub.typecode,
+                back.objective.typecode) == ("d", "d", "d")
 
     def test_paper_size_model_round_trips(self):
         inst = generate_instance(3, 5, 12)
@@ -437,8 +449,7 @@ class TestMpsReaderProperties:
         m = read_mps(text)
         assert rows(m) == [("c0", [0, 1], [1.0, 2.0], "<=", 0.0),
                            ("c1", [0, 1], [5.0, 3.0], ">=", 1.0)]
-        assert [(v.name, v.ub) for v in m.variables] == [("x", 4.0),
-                                                         ("y", INF)]
+        assert list(zip(m.var_names, m.ub)) == [("x", 4.0), ("y", INF)]
 
     def test_crlf_and_long_text_lines_are_numbered_as_splitlines(self):
         # more text than one chunk, with a bad line near the end
@@ -572,7 +583,7 @@ class TestMpsErrors:
 
     def test_infinite_bounds_are_accepted(self):
         m = read_mps(_mps(bounds=" LO BND x -inf\n UP BND x inf"))
-        assert (m.variables[0].lb, m.variables[0].ub) == (-INF, INF)
+        assert (m.lb[0], m.ub[0]) == (-INF, INF)
 
     def test_grammar_errors_come_in_line_order_before_model_errors(self):
         # line 4 declares a bad row name; line 7 holds a bad number
@@ -670,10 +681,11 @@ class TestNonFiniteNumbers:
             m.set_objective({key: 1.0, 1: 2.0})
         assert str(info.value) == (f"objective: variable id {key!r} is not "
                                    "an integer")
-        assert m.objective == {0: 1.0}
+        assert objective_terms(m) == {0: 1.0}
         m.set_objective([(np.int64(1), 3.0), (True, 2.0)])
-        assert m.objective == {1: 2.0}
-        assert [type(vid) for vid in m.objective] == [int]
+        assert objective_terms(m) == {1: 2.0}
+        # one coefficient per variable, wherever the ids came from
+        assert m.objective == array("d", [0.0, 2.0])
 
     @pytest.mark.parametrize("value", [None, "abc", [1.0]])
     def test_a_value_that_is_not_a_number_names_its_row_or_variable(self,
@@ -697,9 +709,9 @@ class TestNonFiniteNumbers:
                                    f"must be a number, got {value!r}")
         assert (rows(m), list(m.starts)) == before
         assert rows(m) == [("c", [0], [1.5], "<=", 2.0)]
-        assert m.objective == {0: 1.0}
+        assert objective_terms(m) == {0: 1.0}
         m.set_objective({0: "0", 1: "2.5"})
-        assert m.objective == {1: 2.5}
+        assert objective_terms(m) == {1: 2.5}
 
     @pytest.mark.parametrize("value", [math.nan, INF, -INF])
     def test_objective_rejects_non_finite_coefficients(self, value):
@@ -708,7 +720,86 @@ class TestNonFiniteNumbers:
         with pytest.raises(ModelError, match="objective coefficient of "
                                              "variable id 1 must be finite"):
             m.set_objective({0: 2.0, 1: value})
-        assert m.objective == {0: 1.0}
+        assert objective_terms(m) == {0: 1.0}
+
+
+class TestColumnStore:
+    def test_columns_live_in_typed_arrays(self):
+        m = small_model()
+        assert m.var_names == ["v_1_1", "p_1_1", "f_1"]
+        assert (m.lb, m.ub) == (array("d", [0.0, 0.0, -INF]),
+                                array("d", [1.0, 500.0, INF]))
+        assert m.kinds == bytearray([1, 0, 0])
+        assert m.objective == array("d", [5.0, 0.5, 0.0])
+        assert m.variable(1) == Variable("p_1_1", 0.0, 500.0, "continuous")
+        assert model_stats(m).n_binary == 1
+
+    def test_names_are_looked_up_after_a_block(self):
+        m = Model("m")
+        m.add_variables(["a", "b"], [0.0, 0.0], [1.0, 1.0],
+                        ["binary", "continuous"])
+        assert m._var_ids is None  # no lookup yet
+        assert m.var_id("b") == 1
+        m.add_variables(["c"], [0.0], [2.0], ["continuous"])
+        assert m.add_variable("d", 0.0, 1.0) == 3
+        assert [m.var_id(name) for name in "abcd"] == [0, 1, 2, 3]
+        for name in "ac":
+            with pytest.raises(ModelError, match="duplicate variable name"):
+                m.add_variable(name, 0.0, 1.0)
+            with pytest.raises(ModelError, match="duplicate variable name"):
+                m.add_variables([name], [0.0], [1.0], ["continuous"])
+        assert m.objective == array("d", [0.0] * 4)
+
+
+class TestObjectiveArrays:
+    """set_objective(ids, coeffs) sets what the pairs form sets, and fails
+    as it fails."""
+
+    def model(self):
+        m = Model("m")
+        m.add_variables(["x", "y", "z"], [0.0] * 3, [1.0] * 3,
+                        ["continuous"] * 3)
+        return m
+
+    @pytest.mark.parametrize("ids, coeffs", [
+        ([], []),
+        ([2, 0], [1.5, -2.0]),
+        (np.array([1, 2]), np.array([3.0, 0.0])),
+        (array("q", [0, 1, 2]), array("d", [1.0, -0.0, 2.0])),
+        ([1, 1], [3.0, 4.0]),  # the last coefficient stays
+        ([True, 2], ["2.5", 1]),  # left to the one-by-one checks
+        ([True, False], [1.0, 2.0]),
+    ])
+    def test_arrays_set_what_the_pairs_set(self, ids, coeffs):
+        by_arrays, by_pairs = self.model(), self.model()
+        by_arrays.set_objective(ids, coeffs)
+        by_pairs.set_objective(list(zip(ids, coeffs)))
+        assert by_arrays.objective == by_pairs.objective
+        assert by_arrays == by_pairs
+        assert all(math.copysign(1.0, c) == 1.0
+                   for c in by_arrays.objective if c == 0.0)
+
+    @pytest.mark.parametrize("ids, coeffs", [
+        ([0, 3], [1.0, 1.0]),
+        ([0, -1], [1.0, 1.0]),
+        ([0, 1.5], [1.0, 1.0]),
+        ([0, 1], [1.0, math.inf]),
+        ([0, 1], [1.0, "a"]),
+        ([0, 1], [1.0, [1.0]]),
+    ])
+    def test_arrays_fail_as_the_pairs_fail(self, ids, coeffs):
+        m = self.model()
+        m.set_objective({0: 1.0})
+        with pytest.raises(ModelError) as by_pairs:
+            m.set_objective(list(zip(ids, coeffs)))
+        with pytest.raises(ModelError) as by_arrays:
+            m.set_objective(ids, coeffs)
+        assert str(by_arrays.value) == str(by_pairs.value)
+        assert objective_terms(m) == {0: 1.0}
+
+    def test_lengths_must_agree(self):
+        with pytest.raises(ModelError, match="2 ids need 2 coefficients"):
+            self.model().set_objective([0, 1], [1.0])
 
 
 def _base_model() -> Model:
@@ -863,7 +954,8 @@ def variable_blocks(draw):
 
 
 def _var_snapshot(m: Model):
-    return (list(m.variables), dict(m._var_ids))
+    return (list(m.var_names), m.lb.tolist(), m.ub.tolist(), bytes(m.kinds),
+            m.objective.tolist(), dict(m._name_index()))
 
 
 class TestAddVariables:
@@ -878,14 +970,18 @@ class TestAddVariables:
                 return m, (j, str(e))
         return m, None
 
-    def add_block(self, block, as_arrays=False):
-        m = _base_model()
+    @staticmethod
+    def columns(block, as_arrays=False):
         names, lbs, ubs, kinds = (list(col) for col in zip(*block)) \
             if block else ([], [], [], [])
         if as_arrays:
             lbs, ubs = np.array(lbs, dtype=float), np.array(ubs, dtype=float)
+        return names, lbs, ubs, kinds
+
+    def add_block(self, block, as_arrays=False):
+        m = _base_model()
         try:
-            out = m.add_variables(names, lbs, ubs, kinds)
+            out = m.add_variables(*self.columns(block, as_arrays))
         except ModelError as e:
             return m, (e.column, str(e))
         assert out == range(4, 4 + len(block))
@@ -894,16 +990,27 @@ class TestAddVariables:
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(block=variable_blocks(), as_arrays=st.booleans())
     def test_matches_add_variable_one_by_one(self, block, as_arrays):
+        """On both paths: the numpy check accepts exactly the blocks whose
+        variables all pass add_variable, and the variable-by-variable
+        checks, run alone, store and reject as the numpy check does."""
         if as_arrays:  # the bounds numpy holds, for both paths
             block = [(n, float(lb), float(ub), k) for n, lb, ub, k in block]
         one, failure = self.add_one_by_one(block)
         bulk, bulk_failure = self.add_block(block, as_arrays)
         assert bulk_failure == failure
+        accepted = _base_model()._valid_columns(
+            *self.columns(block, as_arrays))
+        assert (accepted is not None) == (failure is None)
+        with mock.patch.object(Model, "_valid_columns", return_value=None):
+            fallback, fallback_failure = self.add_block(block, as_arrays)
+        assert fallback_failure == failure
+        assert _var_snapshot(fallback) == _var_snapshot(bulk)
         if failure is None:
-            assert bulk == one
-            assert bulk._var_ids == one._var_ids
-            assert all(type(v.lb) is float and type(v.ub) is float
-                       for v in bulk.variables)
+            assert bulk == one == fallback
+            assert [bulk.var_id(name) for name in bulk.var_names] \
+                == [one.var_id(name) for name in one.var_names] \
+                == list(range(bulk.n_variables))
+            assert (bulk.lb.typecode, bulk.ub.typecode) == ("d", "d")
         else:  # nothing of the block entered the model
             assert _var_snapshot(bulk) == _var_snapshot(_base_model())
 
@@ -921,6 +1028,12 @@ class TestAddVariables:
          "variable 'z': bounds must be numbers, got ['a', 1.0]"),
         (("z", 0.0, None, "binary"),
          "variable 'z': bounds must be numbers, got [0.0, None]"),
+        (("z", INF, INF, "continuous"),
+         "variable 'z': a lower bound of +inf or an upper bound of -inf"),
+        (("z", -INF, -INF, "continuous"),
+         "variable 'z': a lower bound of +inf or an upper bound of -inf"),
+        (("z", 0.0, 0.5, "binary"),
+         "binary variable 'z' must have bounds [0, 1]"),
     ])
     def test_first_failing_variable_raises_with_its_index(self, item,
                                                           message):
@@ -929,10 +1042,19 @@ class TestAddVariables:
         block = [("a", 0.0, 1.0, "binary"), ("b", -INF, INF, "continuous"),
                  item, ("c", 0.0, math.nan, "continuous")]
         with pytest.raises(ModelError) as info:
-            m.add_variables(*(list(col) for col in zip(*block)))
+            m.add_variables(*self.columns(block))
         assert str(info.value).startswith(message)
         assert (info.value.column, str(info.value)) == \
             self.add_one_by_one(block)[1]
+        assert _var_snapshot(m) == before
+        # the numpy check refuses the block up to the failing variable,
+        # and the variable checks alone name the same variable
+        assert m._valid_columns(*self.columns(block[:3])) is None
+        with mock.patch.object(Model, "_valid_columns", return_value=None):
+            with pytest.raises(ModelError) as alone:
+                m.add_variables(*self.columns(block))
+        assert (alone.value.column, str(alone.value)) == \
+            (info.value.column, str(info.value))
         assert _var_snapshot(m) == before
 
     def test_a_bound_numpy_cannot_read_fails_as_in_add_variable(self):
@@ -951,7 +1073,7 @@ class TestAddVariables:
         m.add_variable("z", "0", 1.0)
         m.add_variables(["y", "w"], ["5", 0.0], ["10", "1"],
                         ["continuous", "binary"])
-        assert [(v.lb, v.ub) for v in m.variables[4:]] == [
+        assert list(zip(m.lb, m.ub))[4:] == [
             (0.0, 1.0), (5.0, 10.0), (0.0, 1.0)]
         with pytest.raises(ModelError, match=r"inverted bounds \[10.0, 5.0\]"):
             m.add_variables(["u"], ["10"], ["5"], ["continuous"])

@@ -293,7 +293,7 @@ class TestSolveMip:
         assert res.best_bound == res.root_bound == root.objective
         assert (res.objective - res.best_bound) / res.objective <= 0.01
         ids = solver.LpCore(model).binary_ids
-        assert all(res.values[model.variables[j].name]
+        assert all(res.values[model.var_names[j]]
                    == round(root.x[j]) for j in ids)
         proof = solve_mip(model, SolveConfig(gap=0.0))
         assert proof.objective == res.objective
@@ -1179,7 +1179,7 @@ class TestExternalBridge:
         # every value within its bounds, but no unit meets the load
         model, _ = build_model(generate_instance(1, 2, 3),
                                FormulationChoice("extended", "one_bin", 0.0))
-        zeros = "".join(f"{v.name} 0\n" for v in model.variables)
+        zeros = "".join(f"{name} 0\n" for name in model.var_names)
         cmd = self.backend(tmp_path, f"""
             import sys
             with open(sys.argv[2], "w") as fh:
