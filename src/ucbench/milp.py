@@ -21,6 +21,12 @@ own typed arrays, and converts the formulation builders' lists once. A
 block that fails that check is checked item by item, so that the first
 failing item raises the single form's error.
 
+:func:`write_mps` joins its text once, from one string per section,
+and makes COLUMNS in slices of ``_SLICE`` entries, each joined into one
+string as soon as it is formatted. So it needs about 2.5-3 times the
+text's size: the pieces, the result, arrays over the nonzeros and the
+names, not one string per line.
+
 Determinism is a design requirement: models store their terms in a
 canonical order (sorted by variable id within each row, zero coefficients
 dropped), so :func:`write_mps` is a pure function of the model and
@@ -94,6 +100,30 @@ def _names_ok(names, taken, reserved: str | None = None) -> bool:
             and _NAMES_RE.fullmatch(joined) is not None
             and len(unique) == len(names) and reserved not in unique
             and unique.isdisjoint(taken))
+
+
+def _pairs(terms, row: str | None = None) -> list:
+    """The (variable id, coefficient) pairs of ``terms``, a sequence of
+    pairs. Terms of another shape raise a :class:`ModelError` that names
+    them and constraint ``row``, or the objective if ``row`` is None."""
+    def fault(what):
+        where = "objective" if row is None else f"constraint {row!r}"
+        return ModelError(f"{where}: {what}")
+
+    try:
+        terms = iter(terms)
+    except TypeError:
+        raise fault(f"terms must be a dict or a sequence of (variable id, "
+                    f"coefficient) pairs, got {terms!r}") from None
+    pairs = []
+    for term in terms:
+        try:
+            i, c = term
+        except (TypeError, ValueError):
+            raise fault(f"term {term!r} is not a (variable id, coefficient) "
+                        "pair") from None
+        pairs.append((i, c))
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -313,7 +343,8 @@ class Model:
         if sense not in SENSES:
             raise ModelError(f"unknown sense {sense!r}; expected one of {SENSES}")
         items = []
-        for i, c in (terms.items() if isinstance(terms, dict) else terms):
+        for i, c in (terms.items() if isinstance(terms, dict)
+                     else _pairs(terms, name)):
             try:
                 items.append((index(i), c))
             except TypeError:
@@ -480,7 +511,7 @@ class Model:
             raise ModelError("model is frozen")
         if coeffs is None:
             objective = self._check_objective(
-                terms if isinstance(terms, dict) else dict(terms))
+                terms if isinstance(terms, dict) else dict(_pairs(terms)))
         else:
             if len(terms) != len(coeffs):
                 raise ModelError(f"set_objective: {len(terms)} ids need "
@@ -597,10 +628,10 @@ class Model:
 def fix_variables(model: Model, assignments: dict) -> Model:
     """Copy ``model`` with both bounds of each assigned variable set to its
     value. Keys may be variable names or ids, and two keys of one variable
-    must give it one value; binaries only accept 0/1, and any value must
-    lie inside the variable's current bounds. The tests use it to price
-    fixed schedules as a reference for the formulations' start-up
-    costs."""
+    must give it one value, a number other than NaN; binaries only accept
+    0/1, and any value must lie inside the variable's current bounds. The
+    tests use it to price fixed schedules as a reference for the
+    formulations' start-up costs."""
     lb, ub = array("d", model.lb), array("d", model.ub)
     resolved: dict[int, float] = {}
     for key, val in assignments.items():
@@ -615,7 +646,13 @@ def fix_variables(model: Model, assignments: dict) -> Model:
         if not (0 <= vid < model.n_variables):
             raise ModelError(f"unknown variable id {vid}")
         name = model.var_names[vid]
-        val = float(val)
+        try:
+            val = float(val)
+        except (TypeError, ValueError, OverflowError):
+            raise ModelError(f"cannot fix {name!r} to {val!r}, which is not "
+                             "a number") from None
+        if val != val:
+            raise ModelError(f"cannot fix {name!r} to NaN")
         if model.kinds[vid] == _BINARY and val not in (0.0, 1.0):
             raise ModelError(
                 f"cannot fix binary {name!r} to non-0/1 value {val}")
@@ -661,6 +698,9 @@ def _fmt(x: float) -> str:
 # MPS writer
 # ---------------------------------------------------------------------------
 
+_SLICE = 1 << 13  # COLUMNS entries formatted and joined at a time
+
+
 def write_mps(model: Model) -> str:
     """Emit the model as free-format MPS text (byte-deterministic).
 
@@ -670,77 +710,101 @@ def write_mps(model: Model) -> str:
     [0,1] binaries), ENDATA. A variable that appears in no row and has no
     objective coefficient is kept alive by an explicit zero objective
     entry (the parser drops zero coefficients, so round trips are exact).
+
+    The text is joined once, from one string per section and one per
+    slice of ``_SLICE`` COLUMNS entries (the module docstring gives the
+    memory this takes).
     """
     model.freeze()
     con_names = model.row_names
-    obj_name = model.objective_name
-    lines: list[str] = [f"NAME {model.name}", "ROWS", f" N {obj_name}"]
-    lines += [f" {_SENSE_TO_ROW[sense]} {name}"
-              for sense, name in zip(model.senses, con_names)]
-
-    lines.append("COLUMNS")
-    _append_columns(model, lines)
-
-    lines.append("RHS")
-    lines += [f"    RHS {name} {_fmt(rhs)}"
-              for name, rhs in zip(con_names, model.rhs) if rhs != 0.0]
-
-    lines.append("BOUNDS")
-    lines += _bound_lines(model)
-    lines.append("ENDATA")
-    return "\n".join(lines) + "\n"
+    return "".join((
+        f"NAME {model.name}\nROWS\n N {model.objective_name}\n",
+        "".join([f" {_SENSE_TO_ROW[sense]} {name}\n"
+                 for sense, name in zip(model.senses, con_names)]),
+        "COLUMNS\n",
+        *_columns_text(model),
+        "RHS\n",
+        "".join([f"    RHS {name} {_fmt(rhs)}\n"
+                 for name, rhs in zip(con_names, model.rhs) if rhs != 0.0]),
+        "BOUNDS\n",
+        _bounds_text(model),
+        "ENDATA\n"))
 
 
-def _append_columns(model: Model, lines: list[str]) -> None:
-    """Append the COLUMNS section's lines, markers and entries, to
-    ``lines``. Its lists and arrays are freed when it returns, before
-    the writer joins the lines."""
-    # every entry's line, in column-major order: the block is row-major,
-    # so a stable sort by column keeps each column's rows in model order;
-    # each column's "    name " prefix, each row's "name " and each
-    # distinct coefficient are formatted once
+def _columns_text(model: Model) -> list[str]:
+    """The COLUMNS section's lines, markers and entries, as one string for
+    each slice of ``_SLICE`` entries; a slice also holds the markers and
+    objective entries that go before its entries, and the last slice
+    those after the last entry. So the lists that make a slice hold at
+    most ``_SLICE`` entries."""
+    # each entry's column, row and value in column-major order: the block
+    # is row-major, so a stable sort by column keeps each column's rows in
+    # model order
     cols = np.asarray(model.ids)
     order = np.argsort(cols, kind="stable")
     cols = cols[order]
     rows = np.repeat(np.arange(model.n_constraints),
                      np.diff(model.starts))[order]
-    values = np.asarray(model.coeffs)[order].tolist()
-    text = {v: _fmt(v) for v in dict.fromkeys(values)}
-    prefixes = [f"    {name} " for name in model.var_names]
-    row_parts = [f"{name} " for name in model.row_names]
-    entries = list(map(add,
-                       map(add, map(prefixes.__getitem__, cols.tolist()),
-                           map(row_parts.__getitem__, rows.tolist())),
-                       map(text.__getitem__, values)))
+    values = np.asarray(model.coeffs)[order]
+    del order
     # before its entries, a column has a marker if a run of one kind
     # starts there (INTORG before a binary run, INTEND after it: the run
     # of continuous columns after the last binary run may be empty), then
     # its objective entry if it has one; an empty column gets an objective
-    # entry of 0 to keep it alive
+    # entry of 0 to keep it alive. These heads, in column order: a head
+    # below len(switches) is a marker, the others objective entries
     col_starts = np.searchsorted(cols, np.arange(model.n_variables + 1))
     objective = np.asarray(model.objective)
     obj_cols = np.flatnonzero((objective != 0.0)
                               | (col_starts[1:] == col_starts[:-1]))
-    obj_values = objective[obj_cols].tolist()
-    text.update((v, _fmt(v)) for v in obj_values if v not in text)
     switches = np.flatnonzero(np.diff(np.asarray(model.kinds), prepend=0,
                                       append=0))
-    heads = (["    MARKER 'MARKER' 'INTORG'",
-              "    MARKER 'MARKER' 'INTEND'"] * (len(switches) // 2)
-             + list(map(add, map(prefixes.__getitem__, obj_cols.tolist()),
-                        map(f"{model.objective_name} ".__add__,
-                            map(text.__getitem__, obj_values)))))
-    # the heads in column order, and the entry each one goes before; the
-    # entries run in slices between them
-    by_column = np.argsort(np.concatenate((switches * 2, obj_cols * 2 + 1)))
-    at = col_starts[np.concatenate((switches, obj_cols))[by_column]].tolist()
-    slices = map(entries.__getitem__, map(slice, [0] + at, at))
-    lines += chain.from_iterable(chain.from_iterable(
-        zip(slices, zip(map(heads.__getitem__, by_column.tolist())))))
-    lines += entries[at[-1] if at else 0:]
+    heads = np.argsort(np.concatenate((switches * 2, obj_cols * 2 + 1)))
+    head_cols = np.concatenate((switches, obj_cols))[heads]
+    head_values = np.concatenate((np.zeros(len(switches)),
+                                  objective[obj_cols]))[heads]
+    at = col_starts[head_cols]  # the entry each head goes before
+
+    prefixes = [f"    {name} " for name in model.var_names]
+    row_parts = [f"{name} " for name in model.row_names]
+    obj_part = f"{model.objective_name} "
+    n_switches = len(switches)
+    markers = ("    MARKER 'MARKER' 'INTORG'\n",
+               "    MARKER 'MARKER' 'INTEND'\n")
+    text = {}  # each distinct value's text, its line end included
+    nnz = len(cols)
+    firsts = range(0, nnz or 1, _SLICE)
+    head_ends = np.searchsorted(at, firsts[1:]).tolist() + [len(at)]
+    out, h = [], 0
+    for first, head_end in zip(firsts, head_ends):
+        end = first + _SLICE
+        vals = values[first:end].tolist()
+        obj_vals = head_values[h:head_end].tolist()
+        for v in dict.fromkeys(chain(vals, obj_vals)).keys() - text.keys():
+            text[v] = _fmt(v) + "\n"
+        entries = list(map(add,
+                           map(add, map(prefixes.__getitem__,
+                                        cols[first:end].tolist()),
+                               map(row_parts.__getitem__,
+                                   rows[first:end].tolist())),
+                           map(text.__getitem__, vals)))
+        head_lines = [markers[i & 1] if i < n_switches
+                      else prefixes[c] + obj_part + text[v]
+                      for i, c, v in zip(heads[h:head_end].tolist(),
+                                         head_cols[h:head_end].tolist(),
+                                         obj_vals)]
+        # the entries run in spans between the heads
+        pos = (at[h:head_end] - first).tolist()
+        spans = map(entries.__getitem__, map(slice, [0] + pos, pos))
+        parts = list(chain.from_iterable(chain.from_iterable(
+            zip(spans, zip(head_lines)))))
+        parts += entries[pos[-1] if pos else 0:]
+        out.append("".join(parts))
+        h = head_end
+    return out
 
 
-def _bound_lines(model: Model) -> list[str]:
+def _bounds_text(model: Model) -> str:
     """The BOUNDS lines of every variable, in variable order: BV for a
     [0, 1] binary, FX for a fixed variable, FR for a free one, else MI or
     LO for a lower bound other than 0 and UP for a finite upper bound."""
@@ -753,7 +817,7 @@ def _bound_lines(model: Model) -> list[str]:
     lo = ranged & (lb != -INF) & (lb != 0.0)
     up = ranged & ~fr & (ub != INF)
     names = model.var_names
-    text = {v: _fmt(v) for v in dict.fromkeys(chain(
+    text = {v: f" {_fmt(v)}\n" for v in dict.fromkeys(chain(
         lb[fx | lo].tolist(), ub[up].tolist()))}
 
     def lines(kind, mask, bounds=None):
@@ -762,17 +826,16 @@ def _bound_lines(model: Model) -> list[str]:
         at = np.flatnonzero(mask)
         heads = map(add, repeat(f" {kind} BND "),
                     map(names.__getitem__, at.tolist()))
-        if bounds is not None:
-            heads = map(add, map(add, heads, repeat(" ")),
-                        map(text.__getitem__, bounds[at].tolist()))
-        return list(heads), at * 2 + (kind == "UP")
+        ends = (repeat("\n") if bounds is None
+                else map(text.__getitem__, bounds[at].tolist()))
+        return list(map(add, heads, ends)), at * 2 + (kind == "UP")
 
     parts = [lines("BV", bv), lines("FX", fx, lb), lines("FR", fr),
              lines("MI", mi), lines("LO", lo, lb), lines("UP", up, ub)]
     merged = list(chain.from_iterable(part for part, _ in parts))
     keys = np.concatenate([at for _, at in parts])
-    return list(map(merged.__getitem__,
-                    np.argsort(keys, kind="stable").tolist()))
+    return "".join(map(merged.__getitem__,
+                       np.argsort(keys, kind="stable").tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from array import array
 from unittest import mock
 
@@ -10,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from ucbench import (STARTUPS, FormulationChoice, Model, ModelError,
                      MpsParseError, Variable, build_model, fix_variables,
                      generate_instance, model_stats, read_mps, write_mps)
+
+from ucbench import milp
 
 from conftest import objective_terms, rows
 
@@ -107,6 +110,37 @@ class TestModelConstruction:
         assert (rows(m), list(m.starts)) == before
         assert m.n_constraints == 1
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda m: m.set_objective([1, 2]),
+         "objective: term 1 is not a (variable id, coefficient) pair"),
+        (lambda m: m.set_objective([(0,)]),
+         "objective: term (0,) is not a (variable id, coefficient) pair"),
+        (lambda m: m.set_objective([(0, 1.0, 2.0)]), "objective: term "
+         "(0, 1.0, 2.0) is not a (variable id, coefficient) pair"),
+        (lambda m: m.set_objective(5), "objective: terms must be a dict "
+         "or a sequence of (variable id, coefficient) pairs, got 5"),
+        (lambda m: m.add_constraint("d", [1], "<=", 1),
+         "constraint 'd': term 1 is not a (variable id, coefficient) pair"),
+        (lambda m: m.add_constraint("d", [(0, 1.0), (1,)], "<=", 1),
+         "constraint 'd': term (1,) is not a (variable id, coefficient) "
+         "pair"),
+        (lambda m: m.add_constraint("d", None, "<=", 1),
+         "constraint 'd': terms must be a dict or a sequence of (variable "
+         "id, coefficient) pairs, got None"),
+    ], ids=["objective_ints", "objective_short", "objective_long",
+            "objective_int", "row_ints", "row_short", "row_none"])
+    def test_terms_that_are_not_pairs_rejected(self, call, message):
+        m = Model("m")
+        m.add_variables(["x", "y"], [0.0, 0.0], [1.0, 1.0],
+                        ["continuous"] * 2)
+        m.add_constraint("c", {0: 1.0}, "<=", 1.0)
+        m.set_objective({1: 2.0})
+        before = rows(m), list(m.starts), objective_terms(m)
+        with pytest.raises(ModelError) as info:
+            call(m)
+        assert str(info.value) == message
+        assert (rows(m), list(m.starts), objective_terms(m)) == before
+
     def test_empty_equality_row_is_vacuous_but_accepted(self):
         m = Model("m")
         cid = m.add_constraint("nothing", {}, "=", 0.0)
@@ -159,6 +193,21 @@ class TestMpsWriter:
         text = write_mps(small_model())
         rhs_lines = [l for l in text.splitlines() if l.startswith("    RHS")]
         assert rhs_lines == ["    RHS demand_1 130"]
+
+    def test_memory_stays_within_four_times_the_text(self):
+        """The writer's transient memory is the text twice over, arrays
+        over the nonzeros and the names (3.0 times the text here); a
+        writer that holds one string per line needs 6.0 times."""
+        model, _ = build_model(generate_instance(1, 10, 48),
+                               FormulationChoice("extended", "one_bin", 0.05))
+        tracemalloc.start()
+        try:
+            text = write_mps(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 1_000_000
+        assert peak <= 4 * len(text), f"peak {peak / len(text):.2f} x text"
 
 
 class TestMpsRoundTrip:
@@ -320,6 +369,21 @@ class TestFixVariables:
         with pytest.raises(ModelError):
             fix_variables(small_model(), {"p_1_1": 600.0})
 
+    @pytest.mark.parametrize("key", ["p_1_1", "v_1_1", 2])
+    def test_fix_to_nan_rejected(self, key):
+        m = small_model()
+        name = key if isinstance(key, str) else m.var_names[key]
+        with pytest.raises(ModelError, match=rf"^cannot fix '{name}' to "
+                                             r"NaN$"):
+            fix_variables(m, {key: math.nan})
+
+    @pytest.mark.parametrize("value", [None, "abc", [1.0]])
+    def test_fix_to_a_value_that_is_not_a_number_rejected(self, value):
+        with pytest.raises(ModelError) as info:
+            fix_variables(small_model(), {"p_1_1": value})
+        assert str(info.value) == (f"cannot fix 'p_1_1' to {value!r}, which "
+                                   "is not a number")
+
     def test_fix_by_a_non_integer_id_rejected(self):
         m = small_model()
         with pytest.raises(ModelError, match=r"^variable key 1\.7 is neither "
@@ -464,6 +528,90 @@ class TestMpsReaderProperties:
             read_mps(text)
         m = read_mps(text.replace("    x c0 oops\r\n", ""))
         assert m.n_constraints == 40000 and list(m.coeffs) == [1.0] * 40000
+
+
+class TestColumnSlices:
+    """write_mps formats COLUMNS in slices of ``milp._SLICE`` entries, each
+    with the markers and objective entries that go before its entries;
+    its bytes do not depend on the slice size."""
+
+    SIZES = (1, 2, 3)
+
+    def columns(self, m, size):
+        """The COLUMNS lines written with slices of ``size`` entries (the
+        whole text must match the default's), and the slices."""
+        text = write_mps(m)
+        with mock.patch.object(milp, "_SLICE", size):
+            assert write_mps(m) == text
+            slices = milp._columns_text(m)
+        assert len(slices) == max(1, -(-len(m.ids) // size))
+        lines = text.splitlines()
+        assert "".join(slices).splitlines() == \
+            lines[lines.index("COLUMNS") + 1:lines.index("RHS")]
+        return "".join(slices).splitlines(), slices
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(m=models(), size=st.sampled_from(SIZES))
+    def test_bytes_do_not_depend_on_the_slice_size(self, m, size):
+        self.columns(m, size)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_a_model_without_rows(self, size):
+        m = Model("m")
+        m.add_variables(["a", "b", "x", "c"], [0.0, 0.0, -1.0, 0.0],
+                        [1.0, 1.0, 5.0, 1.0],
+                        ["binary", "binary", "continuous", "binary"])
+        m.set_objective({1: 2.0, 2: -1.5})
+        lines, slices = self.columns(m, size)
+        assert len(slices) == 1
+        assert lines == ["    MARKER 'MARKER' 'INTORG'", "    a COST 0",
+                         "    b COST 2", "    MARKER 'MARKER' 'INTEND'",
+                         "    x COST -1.5", "    MARKER 'MARKER' 'INTORG'",
+                         "    c COST 0", "    MARKER 'MARKER' 'INTEND'"]
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_columns_without_entries(self, size):
+        m = Model("m")
+        m.add_variables([f"x{j}" for j in range(6)], [0.0] * 6, [1.0] * 6,
+                        ["continuous"] * 6)
+        m.add_constraint("r0", {1: 1.0, 4: 2.0}, "<=", 1.0)
+        m.add_constraint("r1", {1: 3.0, 4: 4.0}, ">=", 0.0)
+        m.set_objective({4: 5.0})
+        lines, _ = self.columns(m, size)
+        assert lines == ["    x0 COST 0", "    x1 r0 1", "    x1 r1 3",
+                         "    x2 COST 0", "    x3 COST 0", "    x4 COST 5",
+                         "    x4 r0 2", "    x4 r1 4", "    x5 COST 0"]
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_a_binary_run_that_ends_on_the_last_column(self, size):
+        m = Model("m")
+        m.add_variables(["x", "b0", "b1"], [0.0] * 3, [9.0, 1.0, 1.0],
+                        ["continuous", "binary", "binary"])
+        m.add_constraint("r0", {0: 1.0, 1: 1.0, 2: 1.0}, "<=", 1.0)
+        m.add_constraint("r1", {2: -1.0}, "<=", 0.0)
+        m.set_objective({1: 1.0})
+        lines, slices = self.columns(m, size)
+        assert lines == ["    x r0 1", "    MARKER 'MARKER' 'INTORG'",
+                         "    b0 COST 1", "    b0 r0 1", "    b1 r0 1",
+                         "    b1 r1 -1", "    MARKER 'MARKER' 'INTEND'"]
+        # the closing marker follows the last entry, in the last slice
+        assert slices[-1].endswith("    b1 r1 -1\n"
+                                   "    MARKER 'MARKER' 'INTEND'\n")
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_objective_entries_at_a_slice_first_entry(self, size):
+        # six columns of one entry each: with slices of 1, 2 or 3 entries
+        # some slice after the first opens with a column's objective entry
+        m = Model("m")
+        m.add_variables([f"x{j}" for j in range(6)], [0.0] * 6, [1.0] * 6,
+                        ["continuous"] * 6)
+        m.add_rows(["r"], ["<="], [1.0], [0, 6], range(6), [1.0] * 6)
+        m.set_objective(range(6), [0.5] * 6)
+        lines, slices = self.columns(m, size)
+        assert lines == [line for j in range(6) for line in
+                         (f"    x{j} COST 0.5", f"    x{j} r 1")]
+        assert all(piece.startswith(f"    x{k * size} COST 0.5\n")
+                   for k, piece in enumerate(slices))
 
 
 def _mps(rows=" L c1", columns="    x c1 1", rhs="", bounds="",
