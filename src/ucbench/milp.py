@@ -23,9 +23,17 @@ failing item raises the single form's error.
 
 :func:`write_mps` joins its text once, from one string per section,
 and makes COLUMNS in slices of ``_SLICE`` entries, each joined into one
-string as soon as it is formatted. So it needs about 2.5-3 times the
+string as soon as it is formatted. A ROWS, COLUMNS or RHS line enters
+its join as three pieces that it shares with other lines (for a COLUMNS
+entry: its column's prefix, its row's name and its value's text), never
+as a string of its own. So the writer needs a little over twice the
 text's size: the pieces, the result, arrays over the nonzeros and the
-names, not one string per line.
+names.
+
+:func:`read_mps` reads the text with one loop per section. A section's
+common line, whose every lookup succeeds, is stored without the checks
+that every other line takes, so that a fault gives the same message and
+line number in any shape.
 
 Determinism is a design requirement: models store their terms in a
 canonical order (sorted by variable id within each row, zero coefficients
@@ -41,7 +49,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from math import isfinite
 from operator import add, index, itemgetter, le
 
@@ -100,6 +108,13 @@ def _names_ok(names, taken, reserved: str | None = None) -> bool:
             and _NAMES_RE.fullmatch(joined) is not None
             and len(unique) == len(names) and reserved not in unique
             and unique.isdisjoint(taken))
+
+
+def _raw(a, dtype) -> memoryview:
+    """The bytes of sequence ``a`` as a C-contiguous ``dtype`` array, for
+    a typed array's ``frombytes``: a view, not a copy, of an array that
+    already is one."""
+    return np.ascontiguousarray(a, dtype=dtype).data.cast("B")
 
 
 def _pairs(terms, row: str | None = None) -> list:
@@ -259,8 +274,8 @@ class Model:
                            or self._check_columns(names, lbs, ubs, kinds))
         first = len(self.var_names)
         self.var_names.extend(names)
-        self.lb.frombytes(lbs.tobytes())
-        self.ub.frombytes(ubs.tobytes())
+        self.lb.frombytes(_raw(lbs, np.float64))
+        self.ub.frombytes(_raw(ubs, np.float64))
         self.kinds += codes
         self.objective.frombytes(bytes(8 * n))  # n zeros
         if self._var_ids is not None:
@@ -487,10 +502,10 @@ class Model:
     def _append_rows(self, names, senses, rhs, starts, ids, coeffs) -> range:
         """Append rows that passed their checks, in canonical form."""
         first, offset = len(self.row_names), len(self.ids)
-        self.ids.frombytes(np.asarray(ids, dtype=np.int64).tobytes())
-        self.coeffs.frombytes(np.asarray(coeffs, dtype=np.float64).tobytes())
+        self.ids.frombytes(_raw(ids, np.int64))
+        self.coeffs.frombytes(_raw(coeffs, np.float64))
         self.starts.frombytes(
-            (np.asarray(starts[1:], dtype=np.int64) + offset).tobytes())
+            _raw(np.asarray(starts[1:], dtype=np.int64) + offset, np.int64))
         self.rhs.extend(rhs)
         self.row_names.extend(names)
         self.senses.extend(senses)
@@ -699,6 +714,8 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 _SLICE = 1 << 13  # COLUMNS entries formatted and joined at a time
+_ROW_TYPES = {sense: f" {row} " for sense, row in _SENSE_TO_ROW.items()}
+_MARKERS = ("    MARKER 'MARKER' 'INTORG'\n", "    MARKER 'MARKER' 'INTEND'\n")
 
 
 def write_mps(model: Model) -> str:
@@ -712,23 +729,41 @@ def write_mps(model: Model) -> str:
     entry (the parser drops zero coefficients, so round trips are exact).
 
     The text is joined once, from one string per section and one per
-    slice of ``_SLICE`` COLUMNS entries (the module docstring gives the
-    memory this takes).
+    slice of ``_SLICE`` COLUMNS entries; each ROWS, COLUMNS and RHS line
+    enters its join as the pieces it shares with other lines (the module
+    docstring gives the memory this takes).
     """
     model.freeze()
-    con_names = model.row_names
+    n_rows = model.n_constraints
     return "".join((
         f"NAME {model.name}\nROWS\n N {model.objective_name}\n",
-        "".join([f" {_SENSE_TO_ROW[sense]} {name}\n"
-                 for sense, name in zip(model.senses, con_names)]),
+        _lines(n_rows, map(_ROW_TYPES.__getitem__, model.senses),
+               model.row_names, repeat("\n", n_rows)),
         "COLUMNS\n",
         *_columns_text(model),
         "RHS\n",
-        "".join([f"    RHS {name} {_fmt(rhs)}\n"
-                 for name, rhs in zip(con_names, model.rhs) if rhs != 0.0]),
+        _rhs_text(model),
         "BOUNDS\n",
         _bounds_text(model),
         "ENDATA\n"))
+
+
+def _lines(n: int, firsts, seconds, thirds) -> str:
+    """``n`` lines, each joined from the next item of ``firsts``,
+    ``seconds`` and ``thirds``: one join, with no string per line."""
+    parts = [None] * (3 * n)
+    parts[0::3], parts[1::3], parts[2::3] = firsts, seconds, thirds
+    return "".join(parts)
+
+
+def _rhs_text(model: Model) -> str:
+    """The RHS lines of the rows whose right-hand side is not 0."""
+    nonzero = list(map(bool, model.rhs))
+    values = list(compress(model.rhs, nonzero))
+    text = {v: f" {_fmt(v)}\n" for v in dict.fromkeys(values)}
+    return _lines(len(values), repeat("    RHS ", len(values)),
+                  compress(model.row_names, nonzero),
+                  map(text.__getitem__, values))
 
 
 def _columns_text(model: Model) -> list[str]:
@@ -751,55 +786,50 @@ def _columns_text(model: Model) -> list[str]:
     # starts there (INTORG before a binary run, INTEND after it: the run
     # of continuous columns after the last binary run may be empty), then
     # its objective entry if it has one; an empty column gets an objective
-    # entry of 0 to keep it alive. These heads, in column order: a head
-    # below len(switches) is a marker, the others objective entries
-    col_starts = np.searchsorted(cols, np.arange(model.n_variables + 1))
+    # entry of 0 to keep it alive. These heads, in column order, are
+    # lines of three pieces like the entries: an objective entry is its
+    # column's prefix, the objective's row part and its value; a marker is
+    # its whole line, then "" and "" (the row part after the objective's,
+    # and the text of INF, which no coefficient takes)
+    n_vars, n_rows = model.n_variables, model.n_constraints
+    col_starts = np.searchsorted(cols, np.arange(n_vars + 1))
     objective = np.asarray(model.objective)
     obj_cols = np.flatnonzero((objective != 0.0)
                               | (col_starts[1:] == col_starts[:-1]))
     switches = np.flatnonzero(np.diff(np.asarray(model.kinds), prepend=0,
                                       append=0))
     heads = np.argsort(np.concatenate((switches * 2, obj_cols * 2 + 1)))
-    head_cols = np.concatenate((switches, obj_cols))[heads]
-    head_values = np.concatenate((np.zeros(len(switches)),
-                                  objective[obj_cols]))[heads]
-    at = col_starts[head_cols]  # the entry each head goes before
-
-    prefixes = [f"    {name} " for name in model.var_names]
-    row_parts = [f"{name} " for name in model.row_names]
-    obj_part = f"{model.objective_name} "
+    at = col_starts[np.concatenate((switches, obj_cols))[heads]]
     n_switches = len(switches)
-    markers = ("    MARKER 'MARKER' 'INTORG'\n",
-               "    MARKER 'MARKER' 'INTEND'\n")
-    text = {}  # each distinct value's text, its line end included
-    nnz = len(cols)
-    firsts = range(0, nnz or 1, _SLICE)
-    head_ends = np.searchsorted(at, firsts[1:]).tolist() + [len(at)]
+    head_firsts = np.concatenate((n_vars + np.arange(n_switches) % 2,
+                                  obj_cols))[heads]
+    head_rows = np.repeat((n_rows + 1, n_rows),
+                          (n_switches, len(obj_cols)))[heads]
+    head_values = np.concatenate((np.full(n_switches, INF),
+                                  objective[obj_cols]))[heads]
+
+    firsts = [f"    {name} " for name in model.var_names] + list(_MARKERS)
+    seconds = [f"{name} " for name in model.row_names]
+    seconds += (f"{model.objective_name} ", "")
+    text = {INF: ""}  # each distinct value's text, its line end included
+    starts = range(0, len(cols) or 1, _SLICE)
+    head_ends = np.searchsorted(at, starts[1:]).tolist() + [len(at)]
     out, h = [], 0
-    for first, head_end in zip(firsts, head_ends):
-        end = first + _SLICE
-        vals = values[first:end].tolist()
-        obj_vals = head_values[h:head_end].tolist()
-        for v in dict.fromkeys(chain(vals, obj_vals)).keys() - text.keys():
+    for first, head_end in zip(starts, head_ends):
+        end, pos = first + _SLICE, at[h:head_end] - first
+        lines = [np.insert(entries[first:end], pos, line_heads[h:head_end])
+                 for entries, line_heads in ((cols, head_firsts),
+                                             (rows, head_rows),
+                                             (values, head_values))]
+        # each line's value as an index into the slice's distinct values
+        distinct, lines[2] = np.unique(lines[2], return_inverse=True)
+        distinct = distinct.tolist()
+        for v in set(distinct) - text.keys():
             text[v] = _fmt(v) + "\n"
-        entries = list(map(add,
-                           map(add, map(prefixes.__getitem__,
-                                        cols[first:end].tolist()),
-                               map(row_parts.__getitem__,
-                                   rows[first:end].tolist())),
-                           map(text.__getitem__, vals)))
-        head_lines = [markers[i & 1] if i < n_switches
-                      else prefixes[c] + obj_part + text[v]
-                      for i, c, v in zip(heads[h:head_end].tolist(),
-                                         head_cols[h:head_end].tolist(),
-                                         obj_vals)]
-        # the entries run in spans between the heads
-        pos = (at[h:head_end] - first).tolist()
-        spans = map(entries.__getitem__, map(slice, [0] + pos, pos))
-        parts = list(chain.from_iterable(chain.from_iterable(
-            zip(spans, zip(head_lines)))))
-        parts += entries[pos[-1] if pos else 0:]
-        out.append("".join(parts))
+        out.append(_lines(len(lines[0]), *(
+            map(pieces.__getitem__, ids.tolist()) for pieces, ids in zip(
+                (firsts, seconds, list(map(text.__getitem__, distinct))),
+                lines))))
         h = head_end
     return out
 
@@ -847,8 +877,8 @@ _SECTIONS = {"NAME", "ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA",
 _BOUND_BITS = {"LO": 1, "UP": 2, "FX": 4, "MI": 8, "PL": 16, "FR": 32,
                "BV": 64}  # one bit per bound type a column may set once
 _CHUNK = 1 << 18  # characters of text split into lines at a time
-# distinct coefficient tokens read_mps remembers; a model has few (the
-# paper-size models have under 800), and the bound caps the memory
+# distinct number tokens read_mps remembers; a model has few (the
+# paper-size models have under 1,000), and the bound caps the memory
 _MEMO_SIZE = 1 << 16
 
 
@@ -872,13 +902,18 @@ def read_mps(text: str) -> Model:
     general (non-binary) integers, multiple objective rows — raise
     :class:`MpsParseError` with the offending line number.
 
-    One pass over the lines collects the columns, their bounds in typed
-    arrays, and each constraint entry as its row index and value under the
+    One loop per section reads the section's lines, up to the header line
+    that ends it. A section's common line is stored without its checks
+    when every lookup it needs succeeds: a new constraint row in ROWS; in
+    COLUMNS, an entry of the previous entry's column in a constraint row;
+    in RHS, a first value for a constraint row; in both, a value that is
+    a finite token seen before. Every other line, and every BOUNDS line,
+    takes the checks. The loops collect the columns, their bounds in typed arrays,
+    and each constraint entry as its row index and value under the
     current column's id; the columns then enter the model as one block
     through :meth:`Model.add_variables`, the entries as one block through
     :meth:`Model.add_rows`, and the objective as (ids, coefficients)
     through :meth:`Model.set_objective`."""
-    section = None
     model_name, name_line = "model", 0
     objective_name, objective_line = None, 0
     # constraint rows in ROWS order; row_index maps a constraint row's
@@ -903,10 +938,12 @@ def read_mps(text: str) -> Model:
     ent_rows, ent_vals = array("q"), array("d")
     add_row, add_val = ent_rows.append, ent_vals.append
     run_cols, run_starts = array("q"), array("q")
-    coefficients: dict[str, float] = {}  # parsed value of each token seen
+    # the value of each finite number token seen, so that a common line
+    # need not parse its value
+    numbers: dict[str, float] = {}
     col = cid = None  # the column of the previous entry
-    integer_mode = saw_endata = False
-    lineno = 0
+    integer_mode = False
+    section, lineno = None, 0
 
     def err(lineno: int, msg: str):
         raise MpsParseError(f"line {lineno}: {msg}")
@@ -917,157 +954,214 @@ def read_mps(text: str) -> Model:
         ubs.extend(array("d", [INF]) * k)
         bounds_seen.extend(bytes(k))
 
-    def parse_value(tok: str, lineno: int, what: str) -> float:
-        try:
-            value = float(tok)
-        except ValueError:
-            err(lineno, f"not a number: {tok!r}")
-        if value != value:
-            err(lineno, f"{what} must be a number, got {tok!r}")
+    def value_of(tok: str, lineno: int) -> float:
+        value = numbers.get(tok)
+        if value is None:
+            try:
+                value = float(tok)
+            except ValueError:
+                err(lineno, f"not a number: {tok!r}")
+            if isfinite(value) and len(numbers) < _MEMO_SIZE:
+                numbers[tok] = value
         return value
 
-    for lineno, raw in _numbered_lines(text):
-        tokens = raw.split()
-        if not tokens or tokens[0][0] == "*":
-            continue
-        if not raw[0].isspace():
-            section = tokens[0]
-            if section not in _SECTIONS:
-                err(lineno, f"unknown section {section!r}")
-            if section in ("RANGES", "OBJSENSE", "SOS"):
-                err(lineno, f"unsupported section: {section}")
-            if section == "NAME" and len(tokens) > 1:
-                model_name, name_line = tokens[1], lineno
-            elif section == "ENDATA":
-                saw_endata = True
-                break
-        elif section == "COLUMNS":
-            if objective_name is None:
-                err(lineno, "COLUMNS before an N row was declared")
-            n = len(tokens)
-            if n >= 2 and tokens[1] == "'MARKER'":
-                if "'INTORG'" in tokens:
-                    integer_mode = True
-                elif "'INTEND'" in tokens:
-                    integer_mode = False
-                else:
-                    err(lineno, f"unrecognized marker line {raw.strip()!r}")
-                continue
-            if n != 3 and n != 5:
-                err(lineno, "expected 'column row value' "
-                            "(optionally twice per line)")
-            if tokens[0] != col:
-                col = tokens[0]
-                cid = col_index.get(col)
-                if cid is None:
-                    # a column's kind is set by its first appearance (BV
-                    # bounds may still promote it to binary later)
-                    cid = col_index[col] = len(col_lines)
-                    col_lines.append(lineno)
-                    col_kinds.append("binary" if integer_mode
-                                     else "continuous")
-                run_cols.append(cid)
-                run_starts.append(len(ent_rows))
-            k = 1
-            while k < n:  # one or two (row, value) pairs
-                row, tok = tokens[k], tokens[k + 1]
-                k += 2
-                value = coefficients.get(tok)
-                if value is None:
-                    try:
-                        value = float(tok)
-                    except ValueError:
-                        err(lineno, f"not a number: {tok!r}")
+    lines = _numbered_lines(text)
+    while section != "ENDATA":
+        # one loop per section reads its lines up to the header line that
+        # ends it; the common line of a section skips the checks that all
+        # its other lines take
+        head = None
+        if section == "COLUMNS":
+            for lineno, raw in lines:
+                tokens = raw.split()
+                if len(tokens) == 3:
+                    c, row, tok = tokens
+                    # an entry of the previous entry's column in a
+                    # constraint row, its value a token seen before
+                    if (c == col and raw[0] == " " and row != "'MARKER'"
+                            and (r := row_index.get(row, -1)) >= 0
+                            and (value := numbers.get(tok)) is not None):
+                        if value:
+                            add_row(r)
+                            add_val(value)
+                        continue
+                if not tokens or tokens[0][0] == "*":
+                    continue
+                if not raw[0].isspace():
+                    head = tokens
+                    break
+                if objective_name is None:
+                    err(lineno, "COLUMNS before an N row was declared")
+                n = len(tokens)
+                if n >= 2 and tokens[1] == "'MARKER'":
+                    if "'INTORG'" in tokens:
+                        integer_mode = True
+                    elif "'INTEND'" in tokens:
+                        integer_mode = False
+                    else:
+                        err(lineno,
+                            f"unrecognized marker line {raw.strip()!r}")
+                    continue
+                if n != 3 and n != 5:
+                    err(lineno, "expected 'column row value' "
+                                "(optionally twice per line)")
+                if tokens[0] != col:
+                    col = tokens[0]
+                    cid = col_index.get(col)
+                    if cid is None:
+                        # a column's kind is set by its first appearance
+                        # (BV bounds may still promote it to binary later)
+                        cid = col_index[col] = len(col_lines)
+                        col_lines.append(lineno)
+                        col_kinds.append("binary" if integer_mode
+                                         else "continuous")
+                    run_cols.append(cid)
+                    run_starts.append(len(ent_rows))
+                for row, tok in zip(tokens[1::2], tokens[2::2]):
+                    value = value_of(tok, lineno)
                     if not isfinite(value):
                         err(lineno, f"coefficient must be finite, got {tok!r}")
-                    if len(coefficients) < _MEMO_SIZE:
-                        coefficients[tok] = value
-                r = row_index.get(row)
-                if r is None:
-                    err(lineno, f"unknown row {row!r}")
-                if r < 0:
-                    if cid in objective:
-                        err(lineno, "duplicate objective entry for a column")
-                    objective[cid] = value
-                elif value != 0.0:
-                    add_row(r)
-                    add_val(value)
+                    r = row_index.get(row)
+                    if r is None:
+                        err(lineno, f"unknown row {row!r}")
+                    if r < 0:
+                        if cid in objective:
+                            err(lineno,
+                                "duplicate objective entry for a column")
+                        objective[cid] = value
+                    elif value:
+                        add_row(r)
+                        add_val(value)
         elif section == "ROWS":
-            if len(tokens) != 2:
-                err(lineno, f"expected 'type name', got {raw.strip()!r}")
-            rtype, rname = tokens
-            if rtype == "N":
-                if objective_name is not None:
-                    err(lineno, "multiple objective (N) rows")
-                objective_name, objective_line = rname, lineno
-                row_index[rname] = -1
-            elif rtype in _ROW_TO_SENSE:
-                if rname in row_index:
-                    err(lineno, f"duplicate row name {rname!r}")
+            for lineno, raw in lines:
+                tokens = raw.split()
+                # every line but a new constraint row takes the checks
+                if (len(tokens) != 2 or raw[0] != " "
+                        or tokens[0] not in _ROW_TO_SENSE
+                        or tokens[1] in row_index):
+                    if not tokens or tokens[0][0] == "*":
+                        continue
+                    if not raw[0].isspace():
+                        head = tokens
+                        break
+                    if len(tokens) != 2:
+                        err(lineno, f"expected 'type name', got "
+                                    f"{raw.strip()!r}")
+                    rtype, rname = tokens
+                    if rtype == "N":
+                        if objective_name is not None:
+                            err(lineno, "multiple objective (N) rows")
+                        objective_name, objective_line = rname, lineno
+                        row_index[rname] = -1
+                        continue
+                    if rtype not in _ROW_TO_SENSE:
+                        err(lineno, f"unknown row type {rtype!r}")
+                    if rname in row_index:
+                        err(lineno, f"duplicate row name {rname!r}")
+                rtype, rname = tokens
                 row_index[rname] = len(row_names)
                 row_names.append(rname)
                 row_senses.append(_ROW_TO_SENSE[rtype])
                 row_lines.append(lineno)
-            else:
-                err(lineno, f"unknown row type {rtype!r}")
         elif section == "RHS":
-            if len(tokens) not in (3, 5):
-                err(lineno, "expected 'setname row value' "
-                            "(optionally twice per line)")
-            for row, tok in zip(tokens[1::2], tokens[2::2]):
-                r = row_index.get(row)
-                if r is None:
-                    err(lineno, f"unknown row {row!r}")
-                if r < 0:
-                    err(lineno, "objective constants are not supported")
-                if r in rhs:
-                    err(lineno, f"duplicate RHS entry for row {row!r}")
-                rhs[r] = parse_value(tok, lineno, "right-hand side")
-                if not isfinite(rhs[r]):
-                    err(lineno, f"right-hand side must be finite, got {tok!r}")
+            for lineno, raw in lines:
+                tokens = raw.split()
+                # a new constraint row's value, a finite token seen before
+                if (len(tokens) == 3 and raw[0] == " " and tokens[0][0] != "*"
+                        and (r := row_index.get(tokens[1], -1)) >= 0
+                        and r not in rhs
+                        and (value := numbers.get(tokens[2])) is not None):
+                    rhs[r] = value
+                    continue
+                if not tokens or tokens[0][0] == "*":
+                    continue
+                if not raw[0].isspace():
+                    head = tokens
+                    break
+                if len(tokens) not in (3, 5):
+                    err(lineno, "expected 'setname row value' "
+                                "(optionally twice per line)")
+                for row, tok in zip(tokens[1::2], tokens[2::2]):
+                    r = row_index.get(row)
+                    if r is None:
+                        err(lineno, f"unknown row {row!r}")
+                    if r < 0:
+                        err(lineno, "objective constants are not supported")
+                    if r in rhs:
+                        err(lineno, f"duplicate RHS entry for row {row!r}")
+                    value = rhs[r] = value_of(tok, lineno)
+                    if value != value:
+                        err(lineno, f"right-hand side must be a number, "
+                                    f"got {tok!r}")
+                    if not isfinite(value):
+                        err(lineno,
+                            f"right-hand side must be finite, got {tok!r}")
         elif section == "BOUNDS":
-            if len(tokens) < 3:
-                err(lineno, f"malformed bound line {raw.strip()!r}")
-            btype, cname = tokens[0], tokens[2]
-            j = col_index.get(cname)
-            if j is None:
-                err(lineno, f"bound for undeclared column {cname!r}")
-            bit = _BOUND_BITS.get(btype)
-            if bit is None:
-                err(lineno, f"unknown bound type {btype!r}")
-            if j >= len(lbs):
-                pad_bounds()
-            if bounds_seen[j] & bit:
-                err(lineno, f"duplicate {btype} bound for column {cname!r}")
-            bounds_seen[j] |= bit
-            if btype in ("LO", "UP", "FX"):
-                if len(tokens) != 4:
-                    err(lineno, f"{btype} bound requires a value")
-                val = coefficients.get(tokens[3])  # finite values only
-                if val is None:
-                    val = parse_value(tokens[3], lineno, "bound")
-                if btype == "UP":
-                    ubs[j] = val
-                else:
-                    lbs[j] = val
-                    if btype == "FX":
+            for lineno, raw in lines:
+                tokens = raw.split()
+                if not tokens or tokens[0][0] == "*":
+                    continue
+                if not raw[0].isspace():
+                    head = tokens
+                    break
+                if len(tokens) < 3:
+                    err(lineno, f"malformed bound line {raw.strip()!r}")
+                btype, cname = tokens[0], tokens[2]
+                j = col_index.get(cname)
+                if j is None:
+                    err(lineno, f"bound for undeclared column {cname!r}")
+                bit = _BOUND_BITS.get(btype)
+                if bit is None:
+                    err(lineno, f"unknown bound type {btype!r}")
+                if j >= len(lbs):
+                    pad_bounds()
+                if bounds_seen[j] & bit:
+                    err(lineno,
+                        f"duplicate {btype} bound for column {cname!r}")
+                bounds_seen[j] |= bit
+                if btype in ("LO", "UP", "FX"):
+                    if len(tokens) != 4:
+                        err(lineno, f"{btype} bound requires a value")
+                    val = value_of(tokens[3], lineno)
+                    if val != val:
+                        err(lineno, f"bound must be a number, got "
+                                    f"{tokens[3]!r}")
+                    if btype == "UP":
                         ubs[j] = val
-            elif btype == "MI":
-                lbs[j] = -INF
-            elif btype == "PL":
-                ubs[j] = INF
-            elif btype == "FR":
-                lbs[j], ubs[j] = -INF, INF
-            else:  # BV
-                lbs[j], ubs[j] = 0.0, 1.0
-                col_kinds[j] = "binary"
-        elif section is None:
-            err(lineno, f"data before any section header: {raw.strip()!r}")
-        elif section == "NAME":
-            err(lineno, f"unexpected data in NAME section: {raw.strip()!r}")
+                    else:
+                        lbs[j] = val
+                        if btype == "FX":
+                            ubs[j] = val
+                elif btype == "MI":
+                    lbs[j] = -INF
+                elif btype == "PL":
+                    ubs[j] = INF
+                elif btype == "FR":
+                    lbs[j], ubs[j] = -INF, INF
+                else:  # BV
+                    lbs[j], ubs[j] = 0.0, 1.0
+                    col_kinds[j] = "binary"
+        else:  # before the first header, or in NAME: no data may come
+            for lineno, raw in lines:
+                tokens = raw.split()
+                if not tokens or tokens[0][0] == "*":
+                    continue
+                if not raw[0].isspace():
+                    head = tokens
+                    break
+                where = ("data before any section header" if section is None
+                         else "unexpected data in NAME section")
+                err(lineno, f"{where}: {raw.strip()!r}")
+        if head is None:
+            raise MpsParseError(f"line {lineno}: missing ENDATA")
+        section = head[0]
+        if section not in _SECTIONS:
+            err(lineno, f"unknown section {section!r}")
+        if section in ("RANGES", "OBJSENSE", "SOS"):
+            err(lineno, f"unsupported section: {section}")
+        if section == "NAME" and len(head) > 1:
+            model_name, name_line = head[1], lineno
 
-    if not saw_endata:
-        raise MpsParseError(f"line {lineno}: missing ENDATA")
     if objective_name is None:
         raise MpsParseError("line 0: no objective (N) row")
 

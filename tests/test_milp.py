@@ -529,6 +529,57 @@ class TestMpsReaderProperties:
         m = read_mps(text.replace("    x c0 oops\r\n", ""))
         assert m.n_constraints == 40000 and list(m.coeffs) == [1.0] * 40000
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(m=models())
+    def test_text_off_the_common_line_shapes_reads_alike(self, m):
+        """read_mps reads each section's common line shape without its
+        checks; the same text in other shapes takes them all, and must
+        give the same model."""
+        text = write_mps(m)
+        assert read_mps(reshaped(text)) == read_mps(text) == m
+
+    def test_lines_that_only_look_like_a_common_line(self):
+        # a header at column 0 with the tokens of the previous entry
+        m = read_mps(_mps(columns="    RHS c1 1\nRHS c1 1\n    RHS c1 5"))
+        assert (m.var_names, m.rhs, list(m.coeffs)) == (["RHS"], [5.0], [1.0])
+        # an indented comment with the three tokens of an RHS line
+        assert read_mps(_mps(rhs="    RHS c1 2\n  * c2 2",
+                             rows=" L c1\n L c2")).rhs == [2.0, 0.0]
+        # a marker line whose words name the previous column and a row
+        with pytest.raises(MpsParseError, match=r"^line 8: unrecognized "
+                                                r"marker line"):
+            read_mps(_mps(rows=" L c1\n L 'MARKER'",
+                          columns="    MARKER c1 1\n    MARKER 'MARKER' 1"))
+        # a value seen before only as an infinite bound
+        with pytest.raises(MpsParseError, match=r"^line 11: coefficient must "
+                                                r"be finite, got 'inf'$"):
+            read_mps("NAME d\nROWS\n N COST\n L c1\n L c2\nCOLUMNS\n"
+                     "    x c1 1\nBOUNDS\n UP BND x inf\nCOLUMNS\n"
+                     "    x c2 inf\nENDATA\n")
+
+
+def reshaped(text: str) -> str:
+    """``text`` with its tokens split by tabs and runs of spaces, two
+    (row, value) pairs on a COLUMNS line where two entries of one column
+    follow each other and on an RHS line where two RHS lines do, and a
+    comment line and a blank line after every line."""
+    lines, section = [], None  # (header?, tokens) of each line
+    for line in text.splitlines():
+        tokens = line.split()
+        prev = lines[-1] if lines else (True, [])
+        if not line[0].isspace():
+            section = tokens[0]
+            lines.append((True, tokens))
+        elif (section in ("COLUMNS", "RHS") and not prev[0]
+              and len(prev[1]) == len(tokens) == 3
+              and prev[1][0] == tokens[0]
+              and "'MARKER'" not in (prev[1][1], tokens[1])):
+            prev[1].extend(tokens[1:])
+        else:
+            lines.append((False, tokens))
+    return "".join(("" if header else "\t  ") + " \t  ".join(tokens)
+                   + "\n* a comment\n\n" for header, tokens in lines)
+
 
 class TestColumnSlices:
     """write_mps formats COLUMNS in slices of ``milp._SLICE`` entries, each
@@ -717,6 +768,31 @@ MPS_ERRORS = {
 }
 
 
+# case -> (MPS text, the number of its faulty line, the message's rest);
+# the faulty line has its section's common shape: a column's second entry
+# in a constraint row, its value seen before, or a new constraint row
+SHAPE_ERRORS = {
+    "unknown_row": (_mps(columns="    x c1 1\n    x c2 1"), 7,
+                    "unknown row 'c2'"),
+    "not_a_number": (_mps(columns="    x c1 1\n    x c1 one"), 7,
+                     "not a number: 'one'"),
+    "nan": (_mps(columns="    x c1 1\n    x c1 nan"), 7,
+            "coefficient must be finite, got 'nan'"),
+    "overflow": (_mps(columns="    x c1 1\n    x c1 -1e999"), 7,
+                 "coefficient must be finite, got '-1e999'"),
+    "objective_twice": (_mps(columns="    x COST 1\n    x COST 1"), 7,
+                        "duplicate objective entry for a column"),
+    "columns_before_n": ("NAME d\nROWS\n L c1\nCOLUMNS\n    x c1 1\nENDATA\n",
+                         5, "COLUMNS before an N row was declared"),
+    "duplicate_row": (_mps(rows=" L c1\n G c1"), 5,
+                      "duplicate row name 'c1'"),
+    "row_type": (_mps(rows=" L c1\n X c2"), 5, "unknown row type 'X'"),
+    "rhs_row": (_mps(rhs="    RHS c1 1\n    RHS c2 1"), 9, "unknown row 'c2'"),
+    "rhs_twice": (_mps(rhs="    RHS c1 1\n    RHS c1 1"), 9,
+                  "duplicate RHS entry for row 'c1'"),
+}
+
+
 class TestMpsErrors:
     @pytest.mark.parametrize("case", MPS_ERRORS)
     def test_message_and_line(self, case):
@@ -724,6 +800,20 @@ class TestMpsErrors:
         with pytest.raises(MpsParseError) as info:
             read_mps(text)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("shape", ["common", "general"])
+    @pytest.mark.parametrize("case", SHAPE_ERRORS)
+    def test_a_faulty_line_fails_alike_in_either_shape(self, case, shape):
+        """The general shape of the faulty line is its tokens led and
+        split by tabs, which the common line's path never takes."""
+        text, lineno, message = SHAPE_ERRORS[case]
+        if shape == "general":
+            lines = text.split("\n")
+            lines[lineno - 1] = "\t" + "\t".join(lines[lineno - 1].split())
+            text = "\n".join(lines)
+        with pytest.raises(MpsParseError) as info:
+            read_mps(text)
+        assert str(info.value) == f"line {lineno}: {message}"
 
     def test_zero_entries_do_not_count_as_repeats(self):
         m = read_mps(_mps(columns="    x c1 0\n    x c1 2"))
@@ -1088,6 +1178,23 @@ class TestAddRows:
         with pytest.raises(ModelError, match="frozen"):
             m.add_rows([], [], [], [0], [], [])
 
+    def test_a_strided_block_appends_as_its_lists(self):
+        # numpy views that step over their buffer, so that their bytes
+        # must be gathered before they enter the typed arrays
+        ids, coeffs = np.arange(8)[::2], np.arange(1.0, 17.0)[::4]
+        starts = np.arange(6)[::2]
+        arrays, lists = Model("m"), Model("m")
+        for m, block in ((arrays, (starts, ids, coeffs)),
+                         (lists, (starts.tolist(), ids.tolist(),
+                                  coeffs.tolist()))):
+            m.add_variables([f"x{j}" for j in range(8)], [0.0] * 8,
+                            [1.0] * 8, ["continuous"] * 8)
+            m.add_rows(["a", "b"], ["<=", ">="], [1.0, 2.0], *block)
+        assert arrays == lists
+        assert (arrays.starts, arrays.ids, arrays.coeffs) == (
+            array("q", [0, 2, 4]), array("q", [0, 2, 4, 6]),
+            array("d", [1.0, 5.0, 9.0, 13.0]))
+
 
 @st.composite
 def variable_blocks(draw):
@@ -1225,6 +1332,17 @@ class TestAddVariables:
             (0.0, 1.0), (5.0, 10.0), (0.0, 1.0)]
         with pytest.raises(ModelError, match=r"inverted bounds \[10.0, 5.0\]"):
             m.add_variables(["u"], ["10"], ["5"], ["continuous"])
+
+    def test_a_strided_block_appends_as_its_lists(self):
+        lbs, ubs = np.arange(8.0)[::2], np.arange(4.0, 20.0)[::4]
+        arrays, lists = _base_model(), _base_model()
+        names, kinds = ["a", "b", "c", "d"], ["continuous"] * 4
+        arrays.add_variables(names, lbs, ubs, kinds)
+        lists.add_variables(names, lbs.tolist(), ubs.tolist(), kinds)
+        assert _var_snapshot(arrays) == _var_snapshot(lists)
+        assert (arrays.lb[4:], arrays.ub[4:]) == (
+            array("d", [0.0, 2.0, 4.0, 6.0]),
+            array("d", [4.0, 8.0, 12.0, 16.0]))
 
     def test_malformed_block_and_frozen_model_rejected(self):
         m = _base_model()
