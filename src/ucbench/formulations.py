@@ -29,10 +29,11 @@ every off-time observable in the horizon — up to T-1 for interior gaps
 plus the unit's recorded pre-horizon outage — so at ktol 0 all four
 modules charge identical start-up costs on every feasible schedule.
 
-:func:`build_base` and each ``add_startup_*`` module add their variables
-through :meth:`~ucbench.milp.Model.add_variables`, put their costs in the
-objective as arrays of ids and coefficients, and gather their rows
-family by family, in model order, for one
+:func:`build_base` and each ``add_startup_*`` module add their variables,
+each family with its costs, through one
+:meth:`~ucbench.milp.Model.add_variables` call, keep the ids that call
+returns as the per-unit lists their rows index (:class:`VarIndex`), and
+gather their rows family by family, in model order, for one
 :meth:`~ucbench.milp.Model.add_rows` call (one per ``_FLUSH_TERMS``
 terms on a large model). The step-based modules derive each unit's step
 table from ktol before they touch the model.
@@ -46,8 +47,6 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, product, repeat
-
-import numpy as np
 
 from .domain import Instance, check_instance
 from .milp import INF, Model
@@ -92,23 +91,28 @@ class FormulationChoice:
 
 @dataclass
 class VarIndex:
-    """Variable ids of a built model, keyed by 1-based (unit, period).
+    """Variable ids of a built model, as the lists its rows index: each
+    family holds one list per unit, in unit order, indexed by period.
 
-    ``h`` is keyed from period 0 (the pre-horizon heating slot) and ``d``
-    by (unit, period, start type). Families a formulation does not use
-    stay empty.
+    ``v[k][t]`` is the id of ``v_{k+1}_t`` for periods t = 1..T (index 0
+    is None), and so are ``p``, ``cu``, ``y``, ``z`` and ``tmp``; ``h[k][t]``
+    runs from period 0 (the pre-horizon heating slot) to T-1; ``d[k][s-1][t]``
+    is the selector of start type s, indexed as ``v``. A family's term over
+    periods t = a..b is a slice of such a list: ``v[k][2:]`` holds v_t for
+    t = 2..T and ``v[k][1:T]`` holds v_{t-1} for the same t. Families a
+    formulation does not use stay empty.
     """
 
     n_units: int
     horizon: int
-    v: dict = field(default_factory=dict)
-    p: dict = field(default_factory=dict)
-    cu: dict = field(default_factory=dict)
-    y: dict = field(default_factory=dict)
-    z: dict = field(default_factory=dict)
-    tmp: dict = field(default_factory=dict)
-    h: dict = field(default_factory=dict)
-    d: dict = field(default_factory=dict)
+    v: list = field(default_factory=list)
+    p: list = field(default_factory=list)
+    cu: list = field(default_factory=list)
+    y: list = field(default_factory=list)
+    z: list = field(default_factory=list)
+    tmp: list = field(default_factory=list)
+    h: list = field(default_factory=list)
+    d: list = field(default_factory=list)
 
 
 def _model_name(*parts: str) -> str:
@@ -201,47 +205,36 @@ class _Rows:
             self._clear()
 
 
-def _by_period(ids: dict, n_units: int, first: int, last: int) -> list:
-    """``ids[i, t]`` as one list per unit, indexed by period t, for t in
-    first..last; the entries below ``first`` are None.
-
-    A family's term over periods t = a..b is a slice of such a list: with
-    horizon T, ``v[2:]`` holds v_t for t = 2..T and ``v[1:T]`` holds
-    v_{t-1} for the same t."""
-    pad, periods = [None] * first, range(first, last + 1)
-    return [pad + list(map(ids.__getitem__, zip(repeat(i), periods)))
-            for i in range(1, n_units + 1)]
-
-
-def _family(ids: dict, name: str, keys: list, ub,
-            kind: str = "continuous") -> tuple:
+def _family(name: str, keys: list, ub, kind: str = "continuous",
+            cost=0.0) -> tuple:
     """A variable family for :func:`_add_vars`: one variable per (unit,
     period) key, named ``name_i_t``."""
-    return ids, keys, [f"{name}_{i}_{t}" for i, t in keys], ub, kind
+    return [f"{name}_{i}_{t}" for i, t in keys], ub, kind, cost
 
 
-def _add_vars(model: Model, *families) -> None:
+def _add_vars(model: Model, *families) -> list[range]:
     """Add the variables of several families, in order, through one
-    :meth:`Model.add_variables` call. A family is ``(ids, keys, names, ub,
-    kind)``: one variable per key, with lower bound 0 and upper bound
-    ``ub`` (one number for all, or a list); each id is recorded in the
-    dict ``ids`` under its key."""
-    names, ubs, kinds = [], [], []
-    for _, keys, family_names, ub, kind in families:
+    :meth:`Model.add_variables` call, and return each family's ids. A
+    family is ``(names, ub, kind, cost)``: one variable per name, with
+    lower bound 0, upper bound ``ub`` and objective coefficient ``cost``
+    (each one number for all, or a list)."""
+    names, ubs, kinds, costs = [], [], [], []
+    for family_names, ub, kind, cost in families:
+        k = len(family_names)
         names += family_names
-        ubs += ub if isinstance(ub, list) else [ub] * len(keys)
-        kinds += [kind] * len(keys)
-    new = iter(model.add_variables(names, [0.0] * len(names), ubs, kinds))
-    for ids, keys, *_ in families:
-        ids.update(zip(keys, new))  # zip stops at the family's last key
+        ubs += ub if isinstance(ub, list) else [ub] * k
+        kinds += [kind] * k
+        costs += cost if isinstance(cost, list) else [cost] * k
+    ids = model.add_variables(names, [0.0] * len(names), ubs, kinds, costs)
+    ends = list(accumulate(len(family[0]) for family in families))
+    return [ids[a:b] for a, b in zip([0] + ends, ends)]
 
 
-def _charge(model: Model, ids, costs) -> None:
-    """Put the variables ``ids`` in the objective at ``costs``; the terms
-    already there stay."""
-    objective = np.array(model.objective)
-    objective[ids] = costs
-    model.set_objective(range(len(objective)), objective)
+def _per_unit(ids: range, n_units: int, first: int = 1) -> list[list]:
+    """A family's ids, added unit by unit, as one list per unit indexed
+    by period from ``first``; the entries below it are None."""
+    per, pad = len(ids) // n_units, [None] * first
+    return [pad + list(ids[k * per:(k + 1) * per]) for k in range(n_units)]
 
 
 def _unit_periods(n_units: int, first: int, last: int) -> list[tuple]:
@@ -261,22 +254,20 @@ def build_base(instance: Instance, base: str = "basic") -> tuple[Model, VarIndex
     units = instance.units
     n = len(units)
     model = Model(_model_name(instance.name, base))
-    vix = VarIndex(n_units=n, horizon=T)
 
     keys = _unit_periods(n, 1, T)
-    families = [_family(vix.v, "v", keys, 1.0, "binary"),
-                _family(vix.p, "p", keys, INF)]
+    families = [
+        _family("v", keys, 1.0, "binary",
+                [u.cost_fixed_on for u in units for _ in range(T)]),
+        _family("p", keys, INF, cost=[u.cost_variable for u in units
+                                      for _ in range(T)])]
     if base == "extended":
-        families += _indicator_families(vix, keys, with_z=True)
-    _add_vars(model, *families)
-
-    _charge(model, [*vix.v.values(), *vix.p.values()],
-            [u.cost_fixed_on for u in units for _ in range(T)]
-            + [u.cost_variable for u in units for _ in range(T)])
+        families += _indicator_families(keys, with_z=True)
+    V, P, *YZ = (_per_unit(ids, n) for ids in _add_vars(model, *families))
+    vix = VarIndex(n_units=n, horizon=T, v=V, p=P)
 
     rows = _Rows(model)
     periods = range(1, T + 1)
-    V, P = _by_period(vix.v, n, 1, T), _by_period(vix.p, n, 1, T)
     rows.add([f"demand_{t}" for t in periods],
              ("=", instance.load, [(p[1:], 1.0) for p in P]))
     for i, (u, v, p) in enumerate(zip(units, V, P), 1):
@@ -287,7 +278,7 @@ def build_base(instance: Instance, base: str = "basic") -> tuple[Model, VarIndex
     if base == "basic":
         _add_basic_ramping(rows, instance, V, P)
     else:
-        Y, Z = _by_period(vix.y, n, 1, T), _by_period(vix.z, n, 1, T)
+        vix.y, vix.z = Y, Z = YZ
         _add_indicators(rows, instance, V, Y, Z)
         _add_indicator_ramping(rows, instance, V, P, Y, Z)
         _add_min_up_down(rows, instance, V, Y, Z)
@@ -330,11 +321,11 @@ def _add_basic_ramping(rows: _Rows, instance: Instance, V: list, P: list):
                               (p[1:T], 1.0)]))
 
 
-def _indicator_families(vix: VarIndex, keys: list, with_z: bool) -> list:
+def _indicator_families(keys: list, with_z: bool) -> list:
     """The start-up indicators y, and the shutdown indicators z when
     ``with_z``, as variable families."""
-    return [_family(vix.y, "y", keys, 1.0, "binary")] + (
-        [_family(vix.z, "z", keys, 1.0, "binary")] if with_z else [])
+    return [_family("y", keys, 1.0, "binary")] + (
+        [_family("z", keys, 1.0, "binary")] if with_z else [])
 
 
 def _add_indicators(rows: _Rows, instance: Instance, V: list, Y: list,
@@ -480,11 +471,6 @@ def _add_line_limits(rows: _Rows, instance: Instance, P: list):
 # start-up cost modules
 # ---------------------------------------------------------------------------
 
-def _charge_cu(model: Model, vix: VarIndex) -> None:
-    """Put every start-up cost variable cu in the objective."""
-    _charge(model, list(vix.cu.values()), 1.0)
-
-
 def _window(instance: Instance, u) -> int:
     """Pricing window of one unit: the horizon plus its recorded outage,
     so that a start in period t can be charged for up to t-1+PD offline
@@ -527,12 +513,11 @@ def add_startup_1bin(model: Model, vix: VarIndex, instance: Instance,
     """
     steps = step_functions(instance, ktol)
     T, n = instance.horizon, vix.n_units
-    _add_vars(model, _family(vix.cu, "cu", _unit_periods(n, 1, T), INF))
-    _charge_cu(model, vix)
-    V, CU = _by_period(vix.v, n, 1, T), _by_period(vix.cu, n, 1, T)
+    (cu,) = _add_vars(model, _family("cu", _unit_periods(n, 1, T), INF,
+                                     cost=1.0))
+    vix.cu = _per_unit(cu, n)
     rows = _Rows(model)
-    for i, u in enumerate(instance.units, 1):
-        v, cu = V[i - 1], CU[i - 1]
+    for i, (u, v, cu) in enumerate(zip(instance.units, vix.v, vix.cu), 1):
         ktab = _step_table(steps[u.id])
         rising = [l for l in range(1, len(ktab)) if ktab[l] > ktab[l - 1]]
         # the coefficients of v_{t-n} for n = l..1, then of v_t and cu_t;
@@ -581,26 +566,29 @@ def add_startup_3bin(model: Model, vix: VarIndex, instance: Instance,
                          "build the base with them or use a fresh model")
     T, n = instance.horizon, vix.n_units
     keys = _unit_periods(n, 1, T)
-    indicators = [] if vix.y else _indicator_families(vix, keys, with_z=True)
+    indicators = [] if vix.y else _indicator_families(keys, with_z=True)
     tables = [steps[u.id] for u in instance.units]
     d_keys = [(i, t, s) for i, sf in enumerate(tables, 1)
               for t in range(1, T + 1) for s in range(1, sf.n_steps + 1)]
-    _add_vars(model, *indicators, _family(vix.cu, "cu", keys, INF),
-              (vix.d, d_keys, [f"d_{i}_{t}_{s}" for i, t, s in d_keys], 1.0,
-               "continuous"))
-    _charge(model, list(vix.d.values()),
-            [tables[i - 1].steps[s - 1].value for i, _, s in d_keys])
+    *YZ, cu, d_ids = _add_vars(
+        model, *indicators, _family("cu", keys, INF),
+        ([f"d_{i}_{t}_{s}" for i, t, s in d_keys], 1.0, "continuous",
+         [tables[i - 1].steps[s - 1].value for i, _, s in d_keys]))
+    if YZ:
+        vix.y, vix.z = (_per_unit(ids, n) for ids in YZ)
+    vix.cu = _per_unit(cu, n)
+    # the selectors run by unit, period, then start type
+    ends = list(accumulate(T * sf.n_steps for sf in tables))
+    vix.d = [[[None, *d_ids[a + s:b:sf.n_steps]] for s in range(sf.n_steps)]
+             for sf, a, b in zip(tables, [0] + ends, ends)]
 
     rows = _Rows(model)
     periods = range(1, T + 1)
-    Y, Z, CU = (_by_period(ids, n, 1, T) for ids in (vix.y, vix.z, vix.cu))
     if indicators:
-        _add_indicators(rows, instance, _by_period(vix.v, n, 1, T), Y, Z)
-    for i, (u, sf, y, z, cu) in enumerate(zip(instance.units, tables, Y, Z,
-                                              CU), 1):
+        _add_indicators(rows, instance, vix.v, vix.y, vix.z)
+    for i, (u, sf, y, z, cu, d) in enumerate(zip(
+            instance.units, tables, vix.y, vix.z, vix.cu, vix.d), 1):
         S = sf.n_steps
-        d = [[None] + [vix.d[i, t, s] for t in periods]
-             for s in range(1, S + 1)]
         rows.add([f"{k}_{i}_{t}" for t in periods for k in ("ssum", "sdef")],
                  ("=", 0.0, [(y[1:], -1.0)] + [(ds[1:], 1.0) for ds in d]),
                  # zero-cost steps drop out of the tie
@@ -641,24 +629,25 @@ def add_startup_temp(model: Model, vix: VarIndex, instance: Instance
     """
     T, n = instance.horizon, vix.n_units
     keys = _unit_periods(n, 1, T)
-    indicators = [] if vix.y else _indicator_families(vix, keys, with_z=False)
+    indicators = [] if vix.y else _indicator_families(keys, with_z=False)
     # h_i_0 can reheat a pre-horizon outage; with none it is pinned 0
     h_keys = _unit_periods(n, 0, T - 1)
     ub0 = [INF if u.pre_offline > 0 else 0.0 for u in instance.units]
-    _add_vars(model, *indicators, _family(vix.cu, "cu", keys, INF),
-              _family(vix.tmp, "tmp", keys, INF),
-              _family(vix.h, "h", h_keys,
-                      [ub0[i - 1] if t == 0 else INF for i, t in h_keys]))
-    _charge_cu(model, vix)
+    *Y, cu, tmp, h = _add_vars(
+        model, *indicators, _family("cu", keys, INF, cost=1.0),
+        _family("tmp", keys, INF),
+        _family("h", h_keys, [ub0[i - 1] if t == 0 else INF
+                              for i, t in h_keys]))
+    if Y:
+        vix.y = _per_unit(*Y, n)
+    vix.cu, vix.tmp = _per_unit(cu, n), _per_unit(tmp, n)
+    vix.h = _per_unit(h, n, first=0)
 
     rows = _Rows(model)
-    V, Y, CU, TMP = (_by_period(ids, n, 1, T)
-                     for ids in (vix.v, vix.y, vix.cu, vix.tmp))
-    H = _by_period(vix.h, n, 0, T - 1)
     if indicators:
-        _add_indicators(rows, instance, V, Y, None)
-    for i, (u, v, y, cu, tmp, h) in enumerate(zip(instance.units, V, Y, CU,
-                                                  TMP, H), 1):
+        _add_indicators(rows, instance, vix.v, vix.y, None)
+    for i, (u, v, y, cu, tmp, h) in enumerate(zip(
+            instance.units, vix.v, vix.y, vix.cu, vix.tmp, vix.h), 1):
         lam = u.heat_loss
         decay = math.exp(-lam)
         rows.add([f"tnorm_{i}_{t}" for t in range(1, T + 1)],

@@ -5,10 +5,10 @@ constraints held as one compressed-sparse-row block, and a minimization
 objective. It knows nothing about unit commitment; the formulation
 builders produce models, the bundled solver and the MPS writer consume
 them. Variables enter one at a time (:meth:`Model.add_variable`) or as a
-block (:meth:`Model.add_variables`), and rows likewise
-(:meth:`Model.add_constraint`, :meth:`Model.add_rows`); a block runs the
-single form's checks on all its items at once and, if one fails, raises
-that item's error and leaves the model unchanged.
+block (:meth:`Model.add_variables`), each with its objective coefficient,
+and rows likewise (:meth:`Model.add_constraint`, :meth:`Model.add_rows`);
+a block runs the single form's checks on all its items at once and, if
+one fails, raises that item's error and leaves the model unchanged.
 
 Columns and rows both live in typed arrays, which :func:`write_mps` and
 the solver view with numpy without a copy. A column is its name in one
@@ -164,11 +164,13 @@ class Model:
 
     Single-writer: build it up with :meth:`add_variable` /
     :meth:`add_constraint` (or a block of variables or rows at once with
-    :meth:`add_variables` / :meth:`add_rows`) / :meth:`set_objective`,
-    then freeze (any write/solve freezes implicitly) and share freely —
-    frozen models are immutable. Coefficients and right-hand sides must
-    be finite. A bound may be infinite in its own direction (a lower
-    bound of -inf, an upper bound of +inf) but not NaN.
+    :meth:`add_variables` / :meth:`add_rows`), then freeze (any
+    write/solve freezes implicitly) and share freely — frozen models are
+    immutable. A variable enters with its objective coefficient (its
+    cost); :meth:`set_objective` replaces the whole objective. Costs,
+    coefficients and right-hand sides must be finite. A bound may be
+    infinite in its own direction (a lower bound of -inf, an upper bound
+    of +inf) but not NaN.
     """
 
     def __init__(self, name: str = "model"):
@@ -195,21 +197,23 @@ class Model:
         self.coeffs = array("d")
         self.frozen = False
         self._var_ids: dict[str, int] | None = None  # see _name_index
-        self._con_names: set[str] = set()
+        self._con_names: set[str] | None = None  # see _row_name_set
 
     # -- construction -------------------------------------------------
 
     def add_variable(self, name: str, lb: float, ub: float,
-                     kind: str = "continuous") -> int:
+                     kind: str = "continuous", cost: float = 0.0) -> int:
+        """Append a variable with bounds ``lb``, ``ub``, kind ``kind`` and
+        objective coefficient ``cost``, a finite number; returns its id."""
         if self.frozen:
             raise ModelError("model is frozen")
-        lb, ub, code = self._check_variable(name, lb, ub, kind)
+        lb, ub, code, cost = self._check_variable(name, lb, ub, kind, cost)
         vid = len(self.var_names)
         self.var_names.append(name)
         self.lb.append(lb)
         self.ub.append(ub)
         self.kinds.append(code)
-        self.objective.append(0.0)
+        self.objective.append(cost)
         self._name_index()[name] = vid
         return vid
 
@@ -222,10 +226,10 @@ class Model:
                                      range(len(self.var_names))))
         return self._var_ids
 
-    def _check_variable(self, name, lb, ub, kind, taken=frozenset()):
+    def _check_variable(self, name, lb, ub, kind, cost, taken=frozenset()):
         """Run every check of one variable, in :meth:`add_variable`'s
-        order, and return its (lb, ub, kind byte); ``taken`` holds the
-        names of variables that precede it but are not yet in the
+        order, and return its (lb, ub, kind byte, cost); ``taken`` holds
+        the names of variables that precede it but are not yet in the
         model."""
         _check_name(name, "variable")
         if name in self._name_index() or name in taken:
@@ -251,82 +255,102 @@ class Model:
         if lb > ub:
             raise ModelError(f"variable {name!r}: inverted bounds "
                              f"[{lb}, {ub}]")
-        return lb, ub, _KIND_CODES[kind]
+        try:
+            cost = float(cost) + 0.0  # -0.0 is stored as 0.0
+        except (TypeError, ValueError, OverflowError):
+            raise ModelError(f"variable {name!r}: cost must be a number, "
+                             f"got {cost!r}") from None
+        if not isfinite(cost):
+            raise ModelError(f"variable {name!r}: cost must be finite, "
+                             f"got {cost}")
+        return lb, ub, _KIND_CODES[kind], cost
 
-    def add_variables(self, names, lbs, ubs, kinds) -> range:
+    def add_variables(self, names, lbs, ubs, kinds, costs=None) -> range:
         """Append a block of variables: variable ``j`` is named
-        ``names[j]`` with bounds ``lbs[j]``, ``ubs[j]`` and kind
-        ``kinds[j]``. All four are sequences of the same length (lists,
+        ``names[j]`` with bounds ``lbs[j]``, ``ubs[j]``, kind ``kinds[j]``
+        and objective coefficient ``costs[j]`` (0 for every variable when
+        ``costs`` is None). All are sequences of the same length (lists,
         numpy arrays or typed arrays). Each variable passes every check of
         :meth:`add_variable` and is stored the same way, but one check
-        runs on the whole block at once, with numpy on the bounds. A block
-        that fails it is checked variable by variable: the first failing
-        variable raises the :class:`ModelError` that :meth:`add_variable`
-        would raise for it, with its index in the block as ``column``, and
-        the model is left unchanged. Returns the new variables' ids."""
+        runs on the whole block at once, with numpy on the bounds and
+        costs. A block that fails it is checked variable by variable: the
+        first failing variable raises the :class:`ModelError` that
+        :meth:`add_variable` would raise for it, with its index in the
+        block as ``column``, and the model is left unchanged. Returns the
+        new variables' ids."""
         if self.frozen:
             raise ModelError("model is frozen")
         n = len(names)
-        if len(lbs) != n or len(ubs) != n or len(kinds) != n:
+        if costs is None:
+            costs = np.zeros(n)
+        if (len(lbs) != n or len(ubs) != n or len(kinds) != n
+                or len(costs) != n):
             raise ModelError(f"add_variables: {n} names need {n} lower "
-                             f"bounds, {n} upper bounds and {n} kinds")
-        lbs, ubs, codes = (self._valid_columns(names, lbs, ubs, kinds)
-                           or self._check_columns(names, lbs, ubs, kinds))
+                             f"bounds, {n} upper bounds, {n} kinds and {n} "
+                             "costs")
+        lbs, ubs, codes, costs = (
+            self._valid_columns(names, lbs, ubs, kinds, costs)
+            or self._check_columns(names, lbs, ubs, kinds, costs))
         first = len(self.var_names)
         self.var_names.extend(names)
         self.lb.frombytes(_raw(lbs, np.float64))
         self.ub.frombytes(_raw(ubs, np.float64))
         self.kinds += codes
-        self.objective.frombytes(bytes(8 * n))  # n zeros
+        self.objective.frombytes(_raw(costs, np.float64))
         if self._var_ids is not None:
             self._var_ids.update(zip(names, range(first, first + n)))
         return range(first, first + n)
 
-    def _valid_columns(self, names, lbs, ubs, kinds):
-        """The block's bounds as float64 arrays and its kind bytes, if
-        every variable passes every check, else None. The checks run over
-        the whole block, with numpy on the bounds, and do not name the
-        failing variable; bounds that numpy does not hold as numbers are
-        left to the variable checks (a binary must sit on [0, 1], [0, 0]
-        or [1, 1], and a NaN bound fails lb <= ub)."""
+    def _valid_columns(self, names, lbs, ubs, kinds, costs):
+        """The block's bounds and costs as float64 arrays and its kind
+        bytes, if every variable passes every check, else None. The checks
+        run over the whole block, with numpy on the bounds and costs, and
+        do not name the failing variable; bounds or costs that numpy does
+        not hold as numbers are left to the variable checks (a binary must
+        sit on [0, 1], [0, 0] or [1, 1], and a NaN bound fails lb <= ub)."""
         try:
             codes = bytes(map(_KIND_CODES.__getitem__, kinds))
             lbs, ubs = np.asarray(lbs), np.asarray(ubs)
+            costs = np.asarray(costs)
         except (KeyError, TypeError, ValueError, OverflowError):
             return None
-        if not (lbs.ndim == ubs.ndim == 1 and lbs.dtype.kind in "iuf"
-                and ubs.dtype.kind in "iuf"
+        if not (lbs.ndim == ubs.ndim == costs.ndim == 1
+                and lbs.dtype.kind in "iuf" and ubs.dtype.kind in "iuf"
+                and costs.dtype.kind in "iuf"
                 and _names_ok(names, self.var_names)):
             return None
         lbs = lbs.astype(np.float64, copy=False)
         ubs = ubs.astype(np.float64, copy=False)
         if lbs.size and not ((lbs <= ubs).all() and lbs.max() < INF
-                             and ubs.min() > -INF):
+                             and ubs.min() > -INF
+                             and np.isfinite(costs).all()):
             return None
         if _BINARY in codes:
             binary = np.frombuffer(codes, dtype=np.bool_)  # its byte is 1
             if not _BINARY_ENDS.issuperset(lbs[binary].tolist()) \
                     or not _BINARY_ENDS.issuperset(ubs[binary].tolist()):
                 return None
-        return lbs, ubs, codes
+        return lbs, ubs, codes, costs + 0.0  # -0.0 is stored as 0.0
 
-    def _check_columns(self, names, lbs, ubs, kinds):
+    def _check_columns(self, names, lbs, ubs, kinds, costs):
         """Check the block's variables one by one, as add_variable would
         after adding the variables before; the first failing variable
         raises, with its index as ``column``. Returns the block's bounds
-        as float64 arrays and its kind bytes."""
+        and costs as float64 arrays and its kind bytes."""
         checked, taken = [], set()
         for j, name in enumerate(names):
             try:
                 checked.append(self._check_variable(
-                    name, lbs[j], ubs[j], kinds[j], taken))
+                    name, lbs[j], ubs[j], kinds[j], costs[j], taken))
             except ModelError as e:
                 e.column = j
                 raise
             taken.add(name)
-        lbs, ubs, codes = zip(*checked) if checked else ((), (), ())
+        lbs, ubs, codes, costs = (zip(*checked) if checked
+                                  else ((), (), (), ()))
         return (np.array(lbs, dtype=np.float64),
-                np.array(ubs, dtype=np.float64), bytes(codes))
+                np.array(ubs, dtype=np.float64), bytes(codes),
+                np.array(costs, dtype=np.float64))
 
     def add_constraint(self, name: str, terms, sense: str, rhs: float) -> int:
         """Append a row. ``terms`` is a dict {var id: coeff} or a sequence
@@ -344,15 +368,23 @@ class Model:
         self.row_names.append(name)
         self.senses.append(sense)
         self.rhs.append(rhs)
-        self._con_names.add(name)
+        self._con_names.add(name)  # _check_row built the set
         return len(self.row_names) - 1
+
+    def _row_name_set(self) -> set[str]:
+        """The row names as a set. Only one-by-one row checks need it, so
+        it is built on first use and kept up to date from then on; a block
+        check reads :attr:`row_names` instead."""
+        if self._con_names is None:
+            self._con_names = set(self.row_names)
+        return self._con_names
 
     def _check_row(self, name, terms, sense, rhs, taken=frozenset()):
         """Run every check of one row, in :meth:`add_constraint`'s order,
         and return its canonical (ids, coeffs, rhs); ``taken`` holds the
         names of rows that precede it but are not yet in the model."""
         _check_name(name, "constraint")
-        if (name in self._con_names or name == self.objective_name
+        if (name in self._row_name_set() or name == self.objective_name
                 or name in taken):
             raise ModelError(f"duplicate constraint name {name!r}")
         if sense not in SENSES:
@@ -468,7 +500,7 @@ class Model:
         does not hold as numbers, are left to the row checks."""
         try:
             rhs = list(map(float, rhs))
-            if not (_names_ok(names, self._con_names, self.objective_name)
+            if not (_names_ok(names, self.row_names, self.objective_name)
                     and _SENSE_SET.issuperset(senses)
                     and all(map(isfinite, rhs))):
                 return None
@@ -509,58 +541,20 @@ class Model:
         self.rhs.extend(rhs)
         self.row_names.extend(names)
         self.senses.extend(senses)
-        self._con_names.update(names)
+        if self._con_names is not None:
+            self._con_names.update(names)
         return range(first, first + len(names))
 
-    def set_objective(self, terms, coeffs=None) -> None:
+    def set_objective(self, terms) -> None:
         """Replace the (minimization) objective. ``terms`` is a dict {var
-        id: coeff} or a sequence of (var id, coeff) pairs; or, with
-        ``coeffs`` given, a sequence of var ids and ``coeffs`` one
-        coefficient for each (lists, numpy arrays or typed arrays). An id
-        must be an integer of a declared variable, and a coefficient must
-        be finite; a repeated id keeps its last coefficient, and every
-        variable not listed costs 0. Pairs are checked one by one; ids and
-        coefficients are checked with numpy first, and one by one only if
-        that check fails, so that both forms fail with the same error."""
+        id: coeff} or a sequence of (var id, coeff) pairs. An id must be an
+        integer of a declared variable, and a coefficient must be finite; a
+        repeated id keeps its last coefficient, and every variable not
+        listed costs 0."""
         if self.frozen:
             raise ModelError("model is frozen")
-        if coeffs is None:
-            objective = self._check_objective(
-                terms if isinstance(terms, dict) else dict(_pairs(terms)))
-        else:
-            if len(terms) != len(coeffs):
-                raise ModelError(f"set_objective: {len(terms)} ids need "
-                                 f"{len(terms)} coefficients")
-            objective = self._valid_objective(terms, coeffs)
-            if objective is None:
-                objective = self._check_objective(dict(zip(terms, coeffs)))
-        self.objective = objective
-
-    def _valid_objective(self, ids, coeffs):
-        """The dense objective as an ``array('d')`` if the ids are
-        distinct integers of declared variables and the coefficients
-        finite numbers, as numpy holds them, else None."""
-        n = len(self.var_names)
-        if not len(ids):
-            return array("d", bytes(8 * n))
-        try:
-            ids, coeffs = np.asarray(ids), np.asarray(coeffs)
-            # how often each variable is listed; a negative id raises
-            counts = np.bincount(ids, minlength=n)
-        except (TypeError, ValueError, OverflowError):
-            return None
-        if (ids.ndim != 1 or coeffs.ndim != 1 or ids.dtype.kind not in "iu"
-                or coeffs.dtype.kind not in "iuf"
-                or len(counts) > n or counts.max() > 1
-                # a NaN or infinite coefficient makes the sum so (an
-                # overflow of finite ones only sends the block to the
-                # one-by-one checks)
-                or not isfinite(coeffs.sum())):
-            return None
-        dense = np.zeros(n)
-        dense[ids] = coeffs
-        dense += 0.0  # -0.0 is stored as 0.0
-        return array("d", dense.tobytes())
+        self.objective = self._check_objective(
+            terms if isinstance(terms, dict) else dict(_pairs(terms)))
 
     def _check_objective(self, terms: dict):
         """Check the objective's terms one by one and return the dense
@@ -601,7 +595,10 @@ class Model:
             raise ModelError(f"unknown variable {name!r}") from None
 
     def variable(self, j: int) -> Variable:
-        """Variable ``j``'s name, bounds and kind."""
+        """Variable ``j``'s name, bounds and kind; ``j`` must be the id of
+        a declared variable."""
+        if not 0 <= j < len(self.var_names):
+            raise ModelError(f"unknown variable id {j!r}")
         return Variable(self.var_names[j], self.lb[j], self.ub[j],
                         KINDS[self.kinds[j]])
 
@@ -682,10 +679,9 @@ def fix_variables(model: Model, assignments: dict) -> Model:
     out = Model(model.name)
     out.objective_name = model.objective_name
     out.add_variables(model.var_names, lb, ub,
-                      [KINDS[code] for code in model.kinds])
+                      [KINDS[code] for code in model.kinds], model.objective)
     out.add_rows(model.row_names, model.senses, model.rhs, model.starts,
                  model.ids, model.coeffs)
-    out.set_objective(range(model.n_variables), model.objective)
     return out
 
 
@@ -908,12 +904,12 @@ def read_mps(text: str) -> Model:
     COLUMNS, an entry of the previous entry's column in a constraint row;
     in RHS, a first value for a constraint row; in both, a value that is
     a finite token seen before. Every other line, and every BOUNDS line,
-    takes the checks. The loops collect the columns, their bounds in typed arrays,
-    and each constraint entry as its row index and value under the
-    current column's id; the columns then enter the model as one block
-    through :meth:`Model.add_variables`, the entries as one block through
-    :meth:`Model.add_rows`, and the objective as (ids, coefficients)
-    through :meth:`Model.set_objective`."""
+    takes the checks. The loops collect the columns, their bounds in typed
+    arrays, their objective entries, and each constraint entry as its row
+    index and value under the current column's id; the columns then enter
+    the model as one block, with their costs, through
+    :meth:`Model.add_variables`, and the entries as one block through
+    :meth:`Model.add_rows`."""
     model_name, name_line = "model", 0
     objective_name, objective_line = None, 0
     # constraint rows in ROWS order; row_index maps a constraint row's
@@ -1177,8 +1173,10 @@ def read_mps(text: str) -> Model:
     model.objective_name = build(objective_line, _check_name, objective_name,
                                  "objective")
     pad_bounds()
+    costs = np.zeros(len(col_lines))
+    costs[list(objective)] = list(objective.values())
     try:
-        model.add_variables(list(col_index), lbs, ubs, col_kinds)
+        model.add_variables(list(col_index), lbs, ubs, col_kinds, costs)
     except ModelError as e:
         raise MpsParseError(f"line {col_lines[e.column]}: {e}") from e
     # order the entries by row, and each row's entries by column, so that
@@ -1196,5 +1194,4 @@ def read_mps(text: str) -> Model:
                        np.frombuffer(ent_vals, dtype=np.float64)[order])
     except ModelError as e:
         raise MpsParseError(f"line {row_lines[e.row]}: {e}") from e
-    model.set_objective(list(objective), list(objective.values()))
     return model

@@ -191,10 +191,9 @@ def _dispatch_lp(instance: Instance, on_off, base: str
             if not row[t - 1]:
                 continue
             lo, hi = _period_bounds(u, row, t, T)
-            ids[k, t] = model.add_variable(f"p_{k + 1}_{t}", lo, hi)
+            ids[k, t] = model.add_variable(f"p_{k + 1}_{t}", lo, hi,
+                                           cost=u.cost_variable)
             fixed_on_cost += u.cost_fixed_on
-    model.set_objective({vid: units[k].cost_variable
-                         for (k, t), vid in ids.items()})
     for t in range(1, T + 1):
         model.add_constraint(
             f"demand_{t}",

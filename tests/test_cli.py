@@ -436,8 +436,10 @@ class TestApprox:
         # three_bin charges the last start type that same value
         model, vix = build_model(inst, FormulationChoice("basic", "three_bin",
                                                          0.05))
-        assert (1, 1, sf.n_steps + 1) not in vix.d
-        assert model.objective[vix.d[1, 1, sf.n_steps]] == last.value
+        assert len(vix.d[0]) == sf.n_steps  # unit 1's start types
+        assert model.objective[vix.d[0][sf.n_steps - 1][1]] == last.value
+        assert vix.d[0][sf.n_steps - 1][1] == model.var_id(
+            f"d_1_1_{sf.n_steps}")
 
 
 class TestOracle:

@@ -354,7 +354,7 @@ class TestTemperatureRows:
     def test_heating_slot_pinned_without_outage(self):
         model, vix = build_model(make_instance([15.0, 15.0]),
                                  FormulationChoice("basic", "temp"))
-        h0 = model.variable(vix.h[1, 0])
+        h0 = model.variable(vix.h[0][0])  # unit 1's slot at period 0
         assert h0.name == "h_1_0"
         assert (h0.lb, h0.ub) == (0.0, 0.0)
 

@@ -351,6 +351,14 @@ class TestMpsRoundTrip:
         assert rows(m)[0].rhs == 4.0
         assert m.ub[0] == 9.0
 
+    def test_a_foreign_negative_zero_cost_reads_as_zero(self):
+        text = ("NAME d\nROWS\n N COST\n L c1\nCOLUMNS\n    x COST -0\n"
+                "    x c1 1\n    y COST -0.0\nRHS\nBOUNDS\nENDATA\n")
+        m = read_mps(text)
+        assert m.objective == array("d", [0.0, 0.0])
+        assert [math.copysign(1.0, c) for c in m.objective] == [1.0, 1.0]
+        assert write_mps(m) == write_mps(read_mps(write_mps(m)))
+
 
 class TestFixVariables:
     def test_fix_binary_to_one_pins_both_bounds(self):
@@ -655,9 +663,8 @@ class TestColumnSlices:
         # some slice after the first opens with a column's objective entry
         m = Model("m")
         m.add_variables([f"x{j}" for j in range(6)], [0.0] * 6, [1.0] * 6,
-                        ["continuous"] * 6)
+                        ["continuous"] * 6, [0.5] * 6)
         m.add_rows(["r"], ["<="], [1.0], [0, 6], range(6), [1.0] * 6)
-        m.set_objective(range(6), [0.5] * 6)
         lines, slices = self.columns(m, size)
         assert lines == [line for j in range(6) for line in
                          (f"    x{j} COST 0.5", f"    x{j} r 1")]
@@ -988,15 +995,40 @@ class TestColumnStore:
                 m.add_variables([name], [0.0], [1.0], ["continuous"])
         assert m.objective == array("d", [0.0] * 4)
 
+    @pytest.mark.parametrize("j", [-1, 3, 10])
+    def test_an_id_outside_the_columns_is_unknown(self, j):
+        m = small_model()
+        with pytest.raises(ModelError) as info:
+            m.variable(j)
+        assert str(info.value) == f"unknown variable id {j}"
+        assert m.variable(2).name == "f_1"
+
+    def test_a_cost_enters_with_its_column(self):
+        m = Model("m")
+        assert m.add_variable("x", 0.0, 1.0, cost=-0.0) == 0
+        m.add_variable("y", 0.0, 1.0, "binary", "2.5")  # as float reads it
+        m.add_variables(["z", "w"], [0.0] * 2, [1.0] * 2, ["continuous"] * 2,
+                        np.array([-0.0, 3]))
+        assert m.objective == array("d", [0.0, 2.5, 0.0, 3.0])
+        assert [math.copysign(1.0, c) for c in m.objective] == [1.0] * 4
+        for cost, message in ((math.nan, "must be finite, got nan"),
+                              (-INF, "must be finite, got -inf"),
+                              ("abc", "must be a number, got 'abc'"),
+                              (None, "must be a number, got None")):
+            with pytest.raises(ModelError) as info:
+                m.add_variable("v", 0.0, 1.0, cost=cost)
+            assert str(info.value) == f"variable 'v': cost {message}"
+        assert m.n_variables == 4 and len(m.objective) == 4
+
 
 class TestObjectiveArrays:
-    """set_objective(ids, coeffs) sets what the pairs form sets, and fails
-    as it fails."""
+    """A dense objective given as the costs of a block of columns sets
+    what set_objective's pairs set."""
 
-    def model(self):
+    def model(self, costs=None):
         m = Model("m")
         m.add_variables(["x", "y", "z"], [0.0] * 3, [1.0] * 3,
-                        ["continuous"] * 3)
+                        ["continuous"] * 3, costs)
         return m
 
     @pytest.mark.parametrize("ids, coeffs", [
@@ -1009,35 +1041,26 @@ class TestObjectiveArrays:
         ([True, False], [1.0, 2.0]),
     ])
     def test_arrays_set_what_the_pairs_set(self, ids, coeffs):
-        by_arrays, by_pairs = self.model(), self.model()
-        by_arrays.set_objective(ids, coeffs)
+        dense = [0.0] * 3
+        for i, c in zip(ids, coeffs):
+            dense[i] = c
+        if isinstance(coeffs, np.ndarray):  # in the same container
+            dense = np.array(dense)
+        elif isinstance(coeffs, array):
+            dense = array("d", dense)
+        by_pairs = self.model()
         by_pairs.set_objective(list(zip(ids, coeffs)))
+        by_arrays = self.model(dense)
         assert by_arrays.objective == by_pairs.objective
         assert by_arrays == by_pairs
         assert all(math.copysign(1.0, c) == 1.0
                    for c in by_arrays.objective if c == 0.0)
 
-    @pytest.mark.parametrize("ids, coeffs", [
-        ([0, 3], [1.0, 1.0]),
-        ([0, -1], [1.0, 1.0]),
-        ([0, 1.5], [1.0, 1.0]),
-        ([0, 1], [1.0, math.inf]),
-        ([0, 1], [1.0, "a"]),
-        ([0, 1], [1.0, [1.0]]),
-    ])
-    def test_arrays_fail_as_the_pairs_fail(self, ids, coeffs):
-        m = self.model()
-        m.set_objective({0: 1.0})
-        with pytest.raises(ModelError) as by_pairs:
-            m.set_objective(list(zip(ids, coeffs)))
-        with pytest.raises(ModelError) as by_arrays:
-            m.set_objective(ids, coeffs)
-        assert str(by_arrays.value) == str(by_pairs.value)
-        assert objective_terms(m) == {0: 1.0}
-
     def test_lengths_must_agree(self):
-        with pytest.raises(ModelError, match="2 ids need 2 coefficients"):
-            self.model().set_objective([0, 1], [1.0])
+        with pytest.raises(ModelError, match="3 names need 3 lower bounds, "
+                                             "3 upper bounds, 3 kinds and "
+                                             "3 costs"):
+            self.model([1.0, 2.0])
 
 
 def _base_model() -> Model:
@@ -1049,7 +1072,8 @@ def _base_model() -> Model:
 
 
 def _snapshot(m: Model):
-    return (rows(m), list(m.starts), set(m._con_names))
+    return (rows(m), list(m.starts),
+            None if m._con_names is None else set(m._con_names))
 
 
 @st.composite
@@ -1196,15 +1220,59 @@ class TestAddRows:
             array("d", [1.0, 5.0, 9.0, 13.0]))
 
 
+class TestRowNameIndex:
+    """The row names' set is built only when a row is checked on its own,
+    and duplicate names fail alike with or without it."""
+
+    def test_built_and_read_models_carry_no_row_index(self):
+        model, _ = build_model(generate_instance(1, 2, 3),
+                               FormulationChoice("extended", "three_bin"))
+        back = read_mps(write_mps(model))
+        assert model._con_names is None and back._con_names is None
+        assert fix_variables(model, {})._con_names is None
+
+    @pytest.mark.parametrize("first", ["block", "row"])
+    @pytest.mark.parametrize("second", ["block", "row"])
+    def test_a_duplicate_name_fails_alike(self, first, second):
+        m = Model("m")
+        m.add_variables(["x"], [0.0], [1.0], ["continuous"])
+
+        def add(how, names):
+            if how == "row":
+                for name in names:
+                    m.add_constraint(name, {0: 1.0}, "<=", 1.0)
+            else:
+                m.add_rows(names, ["<="] * len(names), [1.0] * len(names),
+                           range(len(names) + 1), [0] * len(names),
+                           [1.0] * len(names))
+
+        add(first, ["a", "b"])
+        assert (m._con_names is None) == (first == "block")
+        with pytest.raises(ModelError) as info:
+            add(second, ["c", "b"])
+        assert str(info.value) == "duplicate constraint name 'b'"
+        assert info.value.row == (1 if second == "block" else None)
+        assert m.row_names == ["a", "b"] + ["c"] * (second == "row")
+        # once built, the set follows the rows that blocks add
+        add("block", ["d"])
+        with pytest.raises(ModelError, match="duplicate constraint name 'd'"):
+            add("row", ["d"])
+        assert m._con_names == set(m.row_names)
+
+
 @st.composite
 def variable_blocks(draw):
     """Variable blocks that may break any check of add_variable."""
     bounds = st.sampled_from([0, 1, 0.0, 1.0, -2.5, 3, -INF, INF, math.nan])
+    # finite costs, numeric strings, -0.0, then costs no variable may have
+    costs = st.sampled_from([0.0, 1.5, -2.0, 7, 1e300, "2.5", "-0", -0.0,
+                             math.nan, INF, -INF, None, "abc", [1.0]])
     return [(draw(st.sampled_from([f"v{j}", f"v{j}", "v0", "x0", "COST",
                                    "1bad"])),
              draw(bounds), draw(bounds),
              draw(st.sampled_from(["continuous", "continuous", "binary",
-                                   "binary", "integer"])))
+                                   "binary", "integer"])),
+             draw(costs))
             for j in range(draw(st.integers(0, 6)))]
 
 
@@ -1218,20 +1286,22 @@ class TestAddVariables:
         """add_variable on each item; the first failure as (index,
         message)."""
         m = _base_model()
-        for j, (name, lb, ub, kind) in enumerate(block):
+        for j, (name, lb, ub, kind, cost) in enumerate(block):
             try:
-                m.add_variable(name, lb, ub, kind)
+                m.add_variable(name, lb, ub, kind, cost)
             except ModelError as e:
                 return m, (j, str(e))
         return m, None
 
     @staticmethod
     def columns(block, as_arrays=False):
-        names, lbs, ubs, kinds = (list(col) for col in zip(*block)) \
-            if block else ([], [], [], [])
+        names, lbs, ubs, kinds, costs = (list(col) for col in zip(*block)) \
+            if block else ([], [], [], [], [])
         if as_arrays:
             lbs, ubs = np.array(lbs, dtype=float), np.array(ubs, dtype=float)
-        return names, lbs, ubs, kinds
+            if all(isinstance(c, (int, float)) for c in costs):
+                costs = np.array(costs, dtype=float)
+        return names, lbs, ubs, kinds, costs
 
     def add_block(self, block, as_arrays=False):
         m = _base_model()
@@ -1249,7 +1319,8 @@ class TestAddVariables:
         variables all pass add_variable, and the variable-by-variable
         checks, run alone, store and reject as the numpy check does."""
         if as_arrays:  # the bounds numpy holds, for both paths
-            block = [(n, float(lb), float(ub), k) for n, lb, ub, k in block]
+            block = [(n, float(lb), float(ub), k, c)
+                     for n, lb, ub, k, c in block]
         one, failure = self.add_one_by_one(block)
         bulk, bulk_failure = self.add_block(block, as_arrays)
         assert bulk_failure == failure
@@ -1270,32 +1341,44 @@ class TestAddVariables:
             assert _var_snapshot(bulk) == _var_snapshot(_base_model())
 
     @pytest.mark.parametrize("item, message", [
-        (("9z", 0.0, 1.0, "continuous"), "invalid variable name '9z'"),
-        (("x1", 0.0, 1.0, "continuous"), "duplicate variable name 'x1'"),
-        (("a", 0.0, 1.0, "continuous"), "duplicate variable name 'a'"),
-        (("z", math.nan, 1.0, "continuous"), "variable 'z': bound is NaN"),
-        (("z", 2.0, 1.0, "continuous"),
+        (("9z", 0.0, 1.0, "continuous", 0.0), "invalid variable name '9z'"),
+        (("x1", 0.0, 1.0, "continuous", 0.0), "duplicate variable name 'x1'"),
+        (("a", 0.0, 1.0, "continuous", 0.0), "duplicate variable name 'a'"),
+        (("z", math.nan, 1.0, "continuous", 0.0),
+         "variable 'z': bound is NaN"),
+        (("z", 2.0, 1.0, "continuous", 0.0),
          "variable 'z': inverted bounds [2.0, 1.0]"),
-        (("z", 0.0, 2.0, "binary"),
+        (("z", 0.0, 2.0, "binary", 0.0),
          "binary variable 'z' must have bounds [0, 1]"),
-        (("z", 0.0, 1.0, "integer"), "unknown variable kind 'integer'"),
-        (("z", "a", 1.0, "continuous"),
+        (("z", 0.0, 1.0, "integer", 0.0), "unknown variable kind 'integer'"),
+        (("z", "a", 1.0, "continuous", 0.0),
          "variable 'z': bounds must be numbers, got ['a', 1.0]"),
-        (("z", 0.0, None, "binary"),
+        (("z", 0.0, None, "binary", 0.0),
          "variable 'z': bounds must be numbers, got [0.0, None]"),
-        (("z", INF, INF, "continuous"),
+        (("z", INF, INF, "continuous", 0.0),
          "variable 'z': a lower bound of +inf or an upper bound of -inf"),
-        (("z", -INF, -INF, "continuous"),
+        (("z", -INF, -INF, "continuous", 0.0),
          "variable 'z': a lower bound of +inf or an upper bound of -inf"),
-        (("z", 0.0, 0.5, "binary"),
+        (("z", 0.0, 0.5, "binary", 0.0),
          "binary variable 'z' must have bounds [0, 1]"),
+        (("z", 0.0, 1.0, "continuous", math.nan),
+         "variable 'z': cost must be finite, got nan"),
+        (("z", 0.0, 1.0, "binary", INF),
+         "variable 'z': cost must be finite, got inf"),
+        (("z", 0.0, 1.0, "continuous", "abc"),
+         "variable 'z': cost must be a number, got 'abc'"),
+        (("z", 0.0, 1.0, "continuous", [1.0]),
+         "variable 'z': cost must be a number, got [1.0]"),
+        (("z", 2.0, 1.0, "continuous", None),
+         "variable 'z': inverted bounds [2.0, 1.0]"),  # bounds come first
     ])
     def test_first_failing_variable_raises_with_its_index(self, item,
                                                           message):
         m = _base_model()
         before = _var_snapshot(m)
-        block = [("a", 0.0, 1.0, "binary"), ("b", -INF, INF, "continuous"),
-                 item, ("c", 0.0, math.nan, "continuous")]
+        block = [("a", 0.0, 1.0, "binary", 1.0),
+                 ("b", -INF, INF, "continuous", -0.0), item,
+                 ("c", 0.0, math.nan, "continuous", math.nan)]
         with pytest.raises(ModelError) as info:
             m.add_variables(*self.columns(block))
         assert str(info.value).startswith(message)
