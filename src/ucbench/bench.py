@@ -4,10 +4,9 @@ measurement, and CSV/JSON report emission.
 The normalized integrality gap of a model is (z_MIP - z_LP) / z_MIP,
 where z_LP is the untightened root relaxation solved by the bundled
 simplex (no cuts, no presolve), so gaps are comparable across start-up
-modules and not polluted by solver-side tightening. In the reference
-path z_LP is the root node of the branch-and-bound run that yields
-z_MIP, so each row costs one solve; with an external backend the
-bundled simplex solves the relaxation on its own.
+modules and not polluted by solver-side tightening. z_LP is the root
+node of the branch-and-bound run that yields z_MIP, so each row costs
+one solve.
 """
 
 from __future__ import annotations
@@ -29,8 +28,9 @@ from .formulations import (STARTUPS, FormulationChoice, build_model,
 from .solver import SolveConfig, solve_lp, solve_mip
 from .startup import check_ktol
 
+# solve_lp is for perfbench: test_span_self_times_are_within_their_parent
 __all__ = ["BenchConfig", "GapRow", "generate_instance", "measure_gap",
-           "run_benchmark"]
+           "run_benchmark", "solve_lp"]
 
 
 def generate_instance(seed: int, n_units: int, T: int,
@@ -163,7 +163,7 @@ class BenchConfig:
             for key, param in params.items():
                 if key in spec:
                     read_field(spec, key, param.annotation, f"generate[{i}]")
-        # a bad gap or time limit fails here, before any row is measured
+        # a bad gap, time limit or backend fails here, before any row
         SolveConfig(self.gap, self.time_limit, self.backend)
 
     @classmethod
@@ -180,20 +180,14 @@ class BenchConfig:
 
 def measure_gap(instance: Instance, choice: FormulationChoice,
                 config: BenchConfig) -> GapRow:
-    """Build one model, solve its root relaxation and the MIP, and emit
-    a report row. The LP bound always comes from the bundled simplex:
-    with the reference backend it is the branch-and-bound root node,
-    which ``solve_mip`` solves whatever the time budget; with a command
-    template ``solve_lp`` solves the relaxation."""
+    """Build one model, solve the MIP, and emit a report row. The LP
+    bound is the solve's own ``root_bound``, the branch-and-bound root
+    node, which ``solve_mip`` solves whatever the time budget."""
     t0 = time.perf_counter()
     model, _ = build_model(instance, choice)
     mip = solve_mip(model, SolveConfig(config.gap, config.time_limit,
                                        config.backend))
-    if config.backend == "reference":
-        z_lp = mip.root_bound
-    else:
-        lp = solve_lp(model)
-        z_lp = lp.objective if lp.status == "optimal" else math.nan
+    z_lp = mip.root_bound
     wall_ms = (time.perf_counter() - t0) * 1000.0
     z_mip = mip.objective
     gap_abs = z_mip - z_lp

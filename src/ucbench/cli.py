@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error (argparse rejects the command line),
-2 data error (an unreadable or invalid instance, model, config or backend,
-or an output path that cannot be written), 3 solve failure (the solver, or
-a backend that runs, reported an error, or no result came within the
+2 data error (an unreadable or invalid instance, model or config, an
+unknown backend, or an output path that cannot be written), 3 solve
+failure (the solver reported an error, or no result came within the
 budget). A proven infeasible or unbounded model is an *answer*, not a failure.
 
 Commands raise on bad data; :func:`cli` alone turns those exceptions
@@ -162,8 +162,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--time-limit", default=3600.0,
                        type=_checked(lambda v: SolveConfig(time_limit=v)))
         p.add_argument("--backend", default="reference",
-                       help="'reference' or an external command template "
-                            "with {input} and {output} placeholders")
+                       help="the solver, run in the process: 'reference' "
+                            "(the bundled branch-and-bound)")
 
     p = sub.add_parser("validate", help="check an instance file")
     p.add_argument("instance")

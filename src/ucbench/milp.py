@@ -610,12 +610,6 @@ class Model:
     def n_constraints(self) -> int:
         return len(self.row_names)
 
-    def objective_value(self, values: dict[str, float]) -> float:
-        """Evaluate the objective on a {variable name: value} mapping."""
-        names, objective = self.var_names, self.objective
-        return sum(objective[vid] * values.get(names[vid], 0.0)
-                   for vid in np.flatnonzero(objective).tolist())
-
     def __eq__(self, other):
         return (isinstance(other, Model)
                 and self.name == other.name

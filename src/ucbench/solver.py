@@ -1,4 +1,4 @@
-"""Bundled exact LP/MIP solver and the external-solver bridge.
+"""Bundled exact LP/MIP solver.
 
 The LP engine is a bounded dual simplex over a dense basis inverse,
 updated by a rank-1 pivot and refactorized every REFACTOR_EVERY pivots.
@@ -108,10 +108,6 @@ summed over all nodes and the rounding LP. One DEBUG line per
 and seconds, and one INFO line per new incumbent reports it with the
 nodes solved so far, the best bound of the open nodes and the relative
 gap.
-
-``solve_mip`` with a command template as its backend ships the model to
-that command-line solver via MPS and reads the solution back from a file
-(two-column text or an XML-like format, auto-detected).
 """
 
 from __future__ import annotations
@@ -119,17 +115,12 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-import shlex
-import subprocess
-import tempfile
 import time
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .milp import INF, KINDS, Model, write_mps
+from .milp import INF, KINDS, Model
 
 log = logging.getLogger(__name__)
 
@@ -142,15 +133,13 @@ INT_TOL = 1e-6
 REFACTOR_EVERY = 64
 CHECK_TOL = 1e-11  # residual ||B Binv - I|| an updated inverse may carry
 _COND_LIMIT = 1.0 / np.finfo(np.float64).eps  # κ∞ at which a basis is singular
-BACKENDS = ("reference",)  # run in the process; any other is a template
+BACKENDS = ("reference",)  # every backend runs in the process
 
 
 @dataclass
 class SolveConfig:
-    """Knobs of a MIP solve. ``backend`` is one of BACKENDS or a command
-    template that carries both ``{input}`` and ``{output}``, splits as a
-    shell would and formats with those two keys alone; anything else
-    raises ValueError naming it."""
+    """Knobs of a MIP solve. ``backend`` must be one of BACKENDS; any
+    other name raises ValueError naming it."""
 
     # relative MIP gap target (0 = prove optimal); above 0 it also buys
     # one LP on the rounded root (see ``solve_mip``)
@@ -163,17 +152,9 @@ class SolveConfig:
             raise ValueError(f"gap must be >= 0, got {self.gap}")
         if not self.time_limit > 0:  # also rejects nan
             raise ValueError(f"time limit must be > 0, got {self.time_limit}")
-        if self.backend in BACKENDS:
-            return
-        try:  # the command must carry both stand-in paths
-            argv = " ".join(_command(self.backend, "\0", "\1"))
-            why = "" if "\0" in argv and "\1" in argv else "one is missing"
-        except (ValueError, LookupError, AttributeError) as exc:
-            why = f"{type(exc).__name__}: {exc}"
-        if why:
-            raise ValueError(f"backend {self.backend!r} is neither one of "
-                             f"{BACKENDS} nor a command template with "
-                             f"{{input}} and {{output}}: {why}")
+        if self.backend not in BACKENDS:
+            raise ValueError(f"unknown backend {self.backend!r}; expected "
+                             f"one of {BACKENDS}")
 
 
 @dataclass
@@ -718,8 +699,7 @@ def solve_lp(model: Model) -> Solution:
 
 
 def solve_mip(model: Model, config: SolveConfig | None = None) -> Solution:
-    """Best-first branch-and-bound over the model's binary variables for
-    the ``reference`` backend; any other runs ``_solve_external``.
+    """Best-first branch-and-bound over the model's binary variables.
 
     Nodes are keyed by (LP bound of the parent, creation index); the
     branch variable is the most fractional binary, ties going to the
@@ -740,8 +720,6 @@ def solve_mip(model: Model, config: SolveConfig | None = None) -> Solution:
     incumbent is logged at INFO.
     """
     config = config or SolveConfig()
-    if config.backend != "reference":
-        return _solve_external(model, config)
     core = LpCore(model)
     t0 = time.monotonic()
     sol = _branch_and_bound(core, config, t0)
@@ -851,131 +829,3 @@ def _branch_and_bound(core: LpCore, config: SolveConfig,
         return done("time_limit", best_bound=best_open)
     return done("infeasible", message="no feasible binary assignment")
 
-
-# ---------------------------------------------------------------------------
-# external solver bridge
-# ---------------------------------------------------------------------------
-
-def _command(template: str, input: str, output: str) -> list[str]:
-    """The argv of a command template, split as a shell would, with the
-    paths put in for ``{input}`` and ``{output}``."""
-    return [part.format(input=input, output=output)
-            for part in shlex.split(template)]
-
-
-def _solve_external(model: Model, config: SolveConfig) -> Solution:
-    """Write MPS, run the configured command, read the solution file back.
-
-    The backend is a command template, e.g. ``mysolver {input} --write
-    {output}``. The command must exit 0 and leave a solution file at
-    ``{output}`` in either supported dialect (see
-    docs/solution-formats.md). Every value must lie within its bounds and
-    every row must hold within ``_finish``'s residual tolerance; the
-    objective is recomputed from the model — the file's own claim is not
-    trusted.
-    """
-    model.freeze()
-    with tempfile.TemporaryDirectory(prefix="ucbench-") as tmp:
-        in_path = Path(tmp) / "model.mps"
-        out_path = Path(tmp) / "solution.out"
-        in_path.write_text(write_mps(model))
-        cmd = _command(config.backend, str(in_path), str(out_path))
-        try:
-            proc = subprocess.run(cmd, capture_output=True, text=True,
-                                  timeout=config.time_limit)
-        except (OSError, subprocess.TimeoutExpired) as e:
-            return Solution(status="error",
-                            message=f"backend failed to run: {e}")
-        if proc.returncode != 0:
-            return Solution(status="error",
-                            message=f"backend exited {proc.returncode}: "
-                                    f"{proc.stderr.strip()[:500]}")
-        if not out_path.exists():
-            return Solution(status="error",
-                            message=f"backend wrote no solution file "
-                                    f"at {out_path}")
-        try:
-            parsed = parse_solution_file(out_path.read_text())
-        except SolutionParseError as e:
-            return Solution(status="error",
-                            message=f"unparseable solution file: {e}")
-
-    names = model.var_names
-    known = set(names)
-    for name in parsed:
-        if name not in known:
-            log.warning("solution file names unknown variable %r; ignored",
-                        name)
-    missing = [name for name in names if name not in parsed]
-    if missing:
-        log.warning("solution file missing %d variable(s) (e.g. %r); "
-                    "defaulting to 0", len(missing), missing[0])
-    values = {name: parsed.get(name, 0.0) for name in names}
-
-    x, starts = list(values.values()), model.starts
-    for name, val, lb, ub in zip(names, x, model.lb, model.ub):
-        if val < lb - 1e-7 or val > ub + 1e-7:
-            return Solution(
-                status="error", values=values,
-                message=f"value {val} for {name} violates bounds "
-                        f"[{lb}, {ub}]")
-    tol = RESID_TOL * (1.0 + max(map(abs, model.rhs), default=0.0))
-    for i, (sense, b) in enumerate(zip(model.senses, model.rhs)):
-        s = slice(starts[i], starts[i + 1])
-        act = sum(a * x[j] for a, j in zip(model.coeffs[s], model.ids[s]))
-        miss = {"<=": act - b, ">=": b - act, "=": abs(act - b)}[sense]
-        if miss > tol:
-            return Solution(status="error", values=values, message=f"row "
-                            f"{model.row_names[i]!r} ({sense} {b!r}) is "
-                            f"violated by {miss:g}")
-    obj = model.objective_value(values)
-    return Solution(status="optimal", objective=obj, best_bound=obj,
-                    values=values,
-                    message="objective recomputed from model; optimality "
-                            "as claimed by backend")
-
-
-class SolutionParseError(ValueError):
-    pass
-
-
-def parse_solution_file(text: str) -> dict[str, float]:
-    """Parse an external solution file; dialect by first non-space byte.
-
-    ``<`` opens the XML-like dialect (every element carrying both a
-    ``name`` and a ``value`` attribute is taken as a variable). Anything
-    else is two-column text: ``name value`` per line, ``#`` comments.
-    """
-    stripped = text.lstrip()
-    if stripped.startswith("<"):
-        try:
-            root = ET.fromstring(text)
-        except ET.ParseError as e:
-            raise SolutionParseError(f"bad XML: {e}") from e
-        out = {}
-        for el in root.iter():  # the root included
-            name = el.get("name")
-            val = el.get("value")
-            if name is None or val is None:
-                continue
-            try:
-                out[name] = float(val)
-            except ValueError:
-                raise SolutionParseError(
-                    f"element {name!r} has non-numeric value {val!r}")
-        return out
-    out = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) < 2:
-            raise SolutionParseError(
-                f"line {lineno}: expected 'name value', got {line!r}")
-        try:
-            out[tokens[0]] = float(tokens[1])
-        except ValueError:
-            raise SolutionParseError(
-                f"line {lineno}: not a number: {tokens[1]!r}")
-    return out

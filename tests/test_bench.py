@@ -3,7 +3,6 @@ measurement semantics, and the CSV/JSON report contract."""
 
 import json
 import re
-import sys
 from pathlib import Path
 
 import pytest
@@ -113,46 +112,27 @@ class TestMeasureGap:
 
 
 class TestRootBoundSource:
-    """In the reference path z_LP is the branch-and-bound root node; it
-    must be exactly what a stand-alone ``solve_lp`` reports."""
+    """z_LP is the branch-and-bound root node; it must be exactly what a
+    stand-alone ``solve_lp`` reports, and no second LP is solved for it."""
 
     CHOICES = [FormulationChoice(base, m, 0.0)
                for base in ("basic", "extended") for m in STARTUPS]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("time_limit", [60.0, 1e-9])
-    def test_z_lp_matches_solve_lp(self, seed, time_limit):
+    def test_z_lp_matches_solve_lp(self, seed, time_limit, monkeypatch):
+        import ucbench.bench as bench
+
+        def second_lp(model):
+            raise AssertionError("measure_gap solved a second LP")
+
+        monkeypatch.setattr(bench, "solve_lp", second_lp)
         inst = generate_instance(seed, 2, 3)
         cfg = BenchConfig(time_limit=time_limit)
         for choice in self.CHOICES:
             model, _ = build_model(inst, choice)
             row = measure_gap(inst, choice, cfg)
             assert row.z_lp == solve_lp(model).objective, choice
-
-    def test_external_backend_takes_z_lp_from_solve_lp(self, monkeypatch):
-        import ucbench.bench as bench
-        import ucbench.solver as solver
-
-        calls = []
-
-        def spy(model):
-            calls.append(model)
-            return solve_lp(model)
-
-        def no_tree(*a, **kw):
-            raise AssertionError("branch-and-bound run on an external row")
-
-        monkeypatch.setattr(bench, "solve_lp", spy)
-        monkeypatch.setattr(solver, "_branch_and_bound", no_tree)
-        inst = generate_instance(1, 2, 3)
-        choice = FormulationChoice("basic", "temp", 0.0)
-        backend = (f"{sys.executable} -c 'import sys; sys.exit(3)' "
-                   "{input} {output}")
-        row = measure_gap(inst, choice, BenchConfig(backend=backend))
-        assert len(calls) == 1
-        assert row.status == "error"  # the backend exits non-zero
-        model, _ = build_model(inst, choice)
-        assert row.z_lp == solve_lp(model).objective
 
 
 class TestBenchConfig:

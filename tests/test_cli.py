@@ -9,7 +9,8 @@ import math
 
 import pytest
 
-from ucbench import Line, Network, generate_instance, save_instance
+from ucbench import (Line, Network, Solution, generate_instance,
+                     save_instance)
 from ucbench import cli as cli_module
 from ucbench.cli import cli
 
@@ -155,16 +156,33 @@ class TestSolve:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.parent.exists()
 
-    def test_backend_failure_exits_three(self, inst_file, capsys):
-        assert cli(["solve", inst_file, "--backend",
-                    "false {input} {output}"]) == 3
-        assert "status     error" in capsys.readouterr().out
+    def test_time_limit_without_values_exits_three(self, tmp_path, capsys):
+        # the root LP runs whatever the budget; at gap 0 its fractional
+        # optimum gives no incumbent, and the budget stops the next node
+        path = tmp_path / "seeded.json"
+        save_instance(generate_instance(1, 2, 4), path)
+        assert cli(["solve", str(path), "--formulation", "temp", "--gap",
+                    "0", "--time-limit", "1e-9"]) == 3
+        out = capsys.readouterr().out
+        assert "status     time_limit" in out
+        assert "nodes      1" in out
+
+    def test_solver_error_exits_three(self, inst_file, capsys, monkeypatch):
+        monkeypatch.setattr(cli_module, "solve_mip",
+                            lambda model, config: Solution(
+                                status="error", message="node LP failed"))
+        assert cli(["solve", inst_file]) == 3
+        out = capsys.readouterr().out
+        assert "status     error" in out
+        assert "note       node LP failed" in out
 
     def test_malformed_backend_exits_two(self, inst_file, capsys):
-        assert cli(["solve", inst_file, "--backend", "false"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: backend 'false' is neither")
+        for backend in ("false", "solver {input} {output}"):
+            assert cli(["solve", inst_file, "--backend", backend]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: unknown backend {backend!r}; "
+                                    "expected one of ('reference',)\n")
 
 
 class TestParserReuse:
@@ -219,7 +237,7 @@ class TestGap:
                     "--backend", "cplx"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "backend 'cplx'" in captured.err
+        assert "unknown backend 'cplx'" in captured.err
 
     def test_rows_equal_the_bench_csv(self, inst_file, tmp_path, capsys):
         """gap is a one-instance bench: same rows, order and bytes."""

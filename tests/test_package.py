@@ -1,7 +1,10 @@
-"""The package's export list, no import without a use, and no import of
-another module's private name."""
+"""The package's export list, no import without a use, no import of
+another module's private name, and what importing the CLI loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ucbench
@@ -136,3 +139,21 @@ def test_no_private_helper_goes_unread():
     paths = sorted((ROOT / "src").rglob("*.py"))
     assert unread_privates({str(p.relative_to(ROOT)): p.read_text(
         encoding="utf-8") for p in paths}) == []
+
+
+def test_cli_import_loads_no_process_xml_or_scipy_module():
+    """Every command starts with ``import ucbench.cli``. Beyond what
+    numpy loads, it loads no process or XML module, and no scipy: a
+    backend that needs scipy imports it only when selected."""
+    script = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import ucbench.cli\n"
+        "print(sorted(m for m in set(sys.modules) - before if m in\n"
+        "             ('subprocess', 'shlex', 'xml.etree.ElementTree')\n"
+        "             or m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ucbench.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True).stdout
+    assert out == "[]\n"

@@ -16,9 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from ucbench import (BASES, STARTUPS, Model, SolveConfig, solve_lp,
                      solve_mip, build_model, FormulationChoice,
-                     generate_instance, write_mps)
+                     generate_instance)
 from ucbench import solver
-from ucbench.solver import SolutionParseError, parse_solution_file
 
 from conftest import make_instance, make_unit
 
@@ -1092,174 +1091,18 @@ def linprog():
     return pytest.importorskip("scipy.optimize").linprog
 
 
-class TestExternalBridge:
-    def make_model(self):
-        m = Model("bridge")
-        m.add_variable("v_1_1", 0, 1, "binary")
-        m.add_variable("p_1_1", 0.0, 500.0)
-        m.add_constraint("lim", {1: 1.0, 0: -500.0}, "<=", 0.0)
-        m.set_objective({0: 5.0, 1: 0.5})
-        return m
-
-    def backend(self, tmp_path, body) -> str:
-        script = tmp_path / "backend.py"
-        script.write_text(textwrap.dedent(body))
-        return f"{sys.executable} {script} {{input}} {{output}}"
-
-    def test_zero_writing_backend_maps_all_values(self, tmp_path):
-        cmd = self.backend(tmp_path, """
-            import sys
-            with open(sys.argv[2], "w") as fh:
-                fh.write("v_1_1 0\\np_1_1 0\\n")
-        """)
-        res = solve_mip(self.make_model(),
-                        SolveConfig(backend=cmd, time_limit=60))
-        assert res.status == "optimal"
-        assert res.values == {"v_1_1": 0.0, "p_1_1": 0.0}
-        assert res.objective == pytest.approx(0.0)
-
-    def test_missing_names_default_to_zero(self, tmp_path):
-        cmd = self.backend(tmp_path, """
-            import sys
-            with open(sys.argv[2], "w") as fh:
-                fh.write("v_1_1 1\\n")  # p_1_1 omitted
-        """)
-        res = solve_mip(self.make_model(),
-                        SolveConfig(backend=cmd, time_limit=60))
-        assert res.status == "optimal"
-        assert res.values["p_1_1"] == 0.0
-        assert res.objective == pytest.approx(5.0)
-
-    def test_malformed_solution_file_reports_error(self, tmp_path):
-        cmd = self.backend(tmp_path, """
-            import sys
-            with open(sys.argv[2], "w") as fh:
-                fh.write("v_1_1 not_a_number\\n")
-        """)
-        res = solve_mip(self.make_model(),
-                        SolveConfig(backend=cmd, time_limit=60))
-        assert res.status == "error"
-        assert "unparseable" in res.message
-
-    def test_nonzero_exit_reports_error(self, tmp_path):
-        cmd = self.backend(tmp_path, """
-            import sys
-            sys.exit(3)
-        """)
-        res = solve_mip(self.make_model(),
-                        SolveConfig(backend=cmd, time_limit=60))
-        assert res.status == "error"
-        assert "exited 3" in res.message
-
-    def test_bound_violating_value_reports_error(self, tmp_path):
-        cmd = self.backend(tmp_path, """
-            import sys
-            with open(sys.argv[2], "w") as fh:
-                fh.write("v_1_1 2\\np_1_1 0\\n")
-        """)
-        res = solve_mip(self.make_model(),
-                        SolveConfig(backend=cmd, time_limit=60))
-        assert res.status == "error"
-        assert "violates bounds" in res.message
-
-    def test_row_violating_values_report_error(self, tmp_path):
-        # p_1_1 = 400 needs v_1_1 = 1 under lim: p_1_1 <= 500 v_1_1
-        cmd = self.backend(tmp_path, """
-            import sys
-            with open(sys.argv[2], "w") as fh:
-                fh.write("v_1_1 0\\np_1_1 400\\n")
-        """)
-        res = solve_mip(self.make_model(),
-                        SolveConfig(backend=cmd, time_limit=60))
-        assert res.status == "error"
-        assert res.message.startswith("row 'lim' ")
-
-    def test_all_zero_schedule_of_a_seeded_model_reports_error(self,
-                                                              tmp_path):
-        # every value within its bounds, but no unit meets the load
-        model, _ = build_model(generate_instance(1, 2, 3),
-                               FormulationChoice("extended", "one_bin", 0.0))
-        zeros = "".join(f"{name} 0\n" for name in model.var_names)
-        cmd = self.backend(tmp_path, f"""
-            import sys
-            with open(sys.argv[2], "w") as fh:
-                fh.write({zeros!r})
-        """)
-        res = solve_mip(model, SolveConfig(backend=cmd, time_limit=60))
-        assert res.status == "error"
-        assert re.match(r"row '\w+' \([<>=]+ [-\d.e+]+\) is violated by ",
-                        res.message)
-
-    def test_reference_keyword_is_not_a_template(self, monkeypatch):
-        def no_command(*a, **kw):
-            raise AssertionError("the reference backend ran a command")
-
-        monkeypatch.setattr(solver.subprocess, "run", no_command)
-        res = solve_mip(self.make_model(), SolveConfig())
-        assert res.status == "optimal" and res.nodes >= 1
-
-    def test_solve_mip_runs_the_template(self, tmp_path):
-        cmd = self.backend(tmp_path, f"""
-            import pathlib, sys
-            mps = pathlib.Path(sys.argv[1]).read_text()
-            pathlib.Path({str(tmp_path / "seen.mps")!r}).write_text(mps)
-            with open(sys.argv[2], "w") as fh:
-                fh.write("v_1_1 1\\np_1_1 400\\n")
-        """)
-        model = self.make_model()
-        res = solve_mip(model, SolveConfig(backend=cmd, time_limit=60))
-        assert (tmp_path / "seen.mps").read_text() == write_mps(model)
-        assert res.status == "optimal" and res.nodes == 0
-        assert res.values == {"v_1_1": 1.0, "p_1_1": 400.0}
-        assert res.objective == pytest.approx(205.0)
-
-
 class TestBackendCheck:
-    @pytest.mark.parametrize("backend", [
-        "reference", "solver {input} {output}",
-        "solver --in={input} '--out {output}'"])
+    @pytest.mark.parametrize("backend", solver.BACKENDS)
     def test_accepted(self, backend):
         assert SolveConfig(backend=backend).backend == backend
 
-    @pytest.mark.parametrize("backend, why", [
-        ("cplx", ": one is missing$"),
-        ("x {input}", ": one is missing$"),
-        ("x {{input}} {{output}}", ": one is missing$"),
-        ("'x {input} {output}", ": ValueError: No closing quotation$"),
-        ("x {input} {output} {foo}", ": KeyError: 'foo'$"),
-        ("x {} {input} {output}", ": IndexError: "),
-        ("x { {input} {output}", ": ValueError: Single '{'"),
-    ])
-    def test_rejected_naming_the_backend(self, backend, why):
+    @pytest.mark.parametrize("backend", [
+        "cplx", "solver {input} {output}", "x {input}",
+        "x {{input}} {{output}}", "'x {input} {output}",
+        "x {input} {output} {foo}", "x {} {input} {output}",
+        "x { {input} {output}", "Reference", ""])
+    def test_rejected_naming_the_backend(self, backend):
         with pytest.raises(ValueError) as info:
             SolveConfig(backend=backend)
-        assert str(info.value).startswith(f"backend {backend!r} ")
-        assert re.search(why, str(info.value))
-
-
-class TestSolutionFileParsing:
-    def test_two_column_dialect(self):
-        assert parse_solution_file("v_1_1 1.0\n") == {"v_1_1": 1.0}
-
-    def test_comments_and_blanks_skipped(self):
-        text = "# header\n\nv_1_1 1 extra tokens ignored\n p_1_1\t4.5\n"
-        assert parse_solution_file(text) == {"v_1_1": 1.0, "p_1_1": 4.5}
-
-    def test_xml_dialect_reads_name_value_attributes(self):
-        text = ("<solution><variables>"
-                "<variable name='v_1_1' value='1'/>"
-                "<variable name='p_1_1' value='455.0'/>"
-                "</variables></solution>")
-        assert parse_solution_file(text) == {"v_1_1": 1.0, "p_1_1": 455.0}
-
-    def test_xml_root_element_is_read(self):
-        text = "<variable name='v_1_1' value='1'/>"
-        assert parse_solution_file(text) == {"v_1_1": 1.0}
-
-    def test_single_token_line_rejected(self):
-        with pytest.raises(SolutionParseError, match="line 1"):
-            parse_solution_file("just_a_name\n")
-
-    def test_bad_xml_rejected(self):
-        with pytest.raises(SolutionParseError, match="XML"):
-            parse_solution_file("<unclosed")
+        assert str(info.value) == (f"unknown backend {backend!r}; expected "
+                                   f"one of {solver.BACKENDS}")
