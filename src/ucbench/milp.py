@@ -9,6 +9,8 @@ block (:meth:`Model.add_variables`), each with its objective coefficient,
 and rows likewise (:meth:`Model.add_constraint`, :meth:`Model.add_rows`);
 a block runs the single form's checks on all its items at once and, if
 one fails, raises that item's error and leaves the model unchanged.
+:meth:`Model.rebound` copies a model with new bounds and right-hand
+sides, and checks only those.
 
 Columns and rows both live in typed arrays, which :func:`write_mps` and
 the solver view with numpy without a copy. A column is its name in one
@@ -76,7 +78,8 @@ class ModelError(ValueError):
     """Raised for malformed model construction (names, bounds, references).
     :meth:`Model.add_rows` sets ``row`` to the failing row's index in its
     block, and :meth:`Model.add_variables` sets ``column`` to the failing
-    variable's index in its block."""
+    variable's index in its block; :meth:`Model.rebound` sets either to
+    the failing row's or variable's id."""
 
     row: int | None = None
     column: int | None = None
@@ -108,6 +111,47 @@ def _names_ok(names, taken, reserved: str | None = None) -> bool:
             and _NAMES_RE.fullmatch(joined) is not None
             and len(unique) == len(names) and reserved not in unique
             and unique.isdisjoint(taken))
+
+
+def _check_bounds(name: str, lb, ub, kind: str) -> tuple[float, float]:
+    """Check the bounds of variable ``name`` of kind ``kind``, in
+    :meth:`Model.add_variable`'s order, and return them as floats."""
+    try:  # numeric strings convert, as float converts them
+        lb, ub = float(lb), float(ub)
+    except (TypeError, ValueError, OverflowError):
+        raise ModelError(f"variable {name!r}: bounds must be numbers, "
+                         f"got [{lb!r}, {ub!r}]") from None
+    if kind == "binary" and (lb, ub) not in _BINARY_BOUNDS:
+        raise ModelError(
+            f"binary variable {name!r} must have bounds [0, 1] or be "
+            f"fixed at 0 or 1, got [{lb}, {ub}]")
+    if lb != lb or ub != ub:
+        raise ModelError(f"variable {name!r}: bound is NaN, got "
+                         f"[{lb}, {ub}]")
+    if lb == INF or ub == -INF:
+        raise ModelError(f"variable {name!r}: a lower bound of +inf or "
+                         f"an upper bound of -inf admits no value, got "
+                         f"[{lb}, {ub}]")
+    if lb > ub:
+        raise ModelError(f"variable {name!r}: inverted bounds "
+                         f"[{lb}, {ub}]")
+    return lb, ub
+
+
+def _check_rhs(name: str, rhs) -> float:
+    """Check the right-hand side of constraint ``name`` as
+    :meth:`Model.add_constraint` does and return it as a float."""
+    try:
+        rhs = float(rhs)
+    except (TypeError, ValueError, OverflowError):
+        raise ModelError(f"constraint {name!r}: right-hand side must be "
+                         f"a number, got {rhs!r}") from None
+    if rhs != rhs:
+        raise ModelError(f"constraint {name!r}: right-hand side is NaN")
+    if not isfinite(rhs):
+        raise ModelError(f"constraint {name!r}: right-hand side must be "
+                         f"finite, got {rhs}")
+    return rhs
 
 
 def _raw(a, dtype) -> memoryview:
@@ -236,25 +280,7 @@ class Model:
             raise ModelError(f"duplicate variable name {name!r}")
         if kind not in KINDS:
             raise ModelError(f"unknown variable kind {kind!r}")
-        try:  # numeric strings convert, as float converts them
-            lb, ub = float(lb), float(ub)
-        except (TypeError, ValueError, OverflowError):
-            raise ModelError(f"variable {name!r}: bounds must be numbers, "
-                             f"got [{lb!r}, {ub!r}]") from None
-        if kind == "binary" and (lb, ub) not in _BINARY_BOUNDS:
-            raise ModelError(
-                f"binary variable {name!r} must have bounds [0, 1] or be "
-                f"fixed at 0 or 1, got [{lb}, {ub}]")
-        if lb != lb or ub != ub:
-            raise ModelError(f"variable {name!r}: bound is NaN, got "
-                             f"[{lb}, {ub}]")
-        if lb == INF or ub == -INF:
-            raise ModelError(f"variable {name!r}: a lower bound of +inf or "
-                             f"an upper bound of -inf admits no value, got "
-                             f"[{lb}, {ub}]")
-        if lb > ub:
-            raise ModelError(f"variable {name!r}: inverted bounds "
-                             f"[{lb}, {ub}]")
+        lb, ub = _check_bounds(name, lb, ub, kind)
         try:
             cost = float(cost) + 0.0  # -0.0 is stored as 0.0
         except (TypeError, ValueError, OverflowError):
@@ -421,17 +447,7 @@ class Model:
                                      f"variable id {i} must be finite, got {c}")
                 ids.append(i)
                 coeffs.append(c)
-        try:
-            rhs = float(rhs)
-        except (TypeError, ValueError, OverflowError):
-            raise ModelError(f"constraint {name!r}: right-hand side must be "
-                             f"a number, got {rhs!r}") from None
-        if rhs != rhs:
-            raise ModelError(f"constraint {name!r}: right-hand side is NaN")
-        if not isfinite(rhs):
-            raise ModelError(f"constraint {name!r}: right-hand side must be "
-                             f"finite, got {rhs}")
-        return ids, coeffs, rhs
+        return ids, coeffs, _check_rhs(name, rhs)
 
     def add_rows(self, names, senses, rhs, starts, ids, coeffs) -> range:
         """Append a block of rows given in compressed-sparse-row form.
@@ -586,6 +602,85 @@ class Model:
         self.frozen = True
         return self
 
+    def rebound(self, lb, ub, rhs=None) -> "Model":
+        """A copy of the model in which variable ``j`` has bounds
+        ``lb[j]``, ``ub[j]`` and, unless ``rhs`` is None, row ``r`` has
+        right-hand side ``rhs[r]``. Names, kinds, costs, terms and senses
+        are copied as they are, since they passed their checks when they
+        entered this model. The new bounds take :meth:`add_variable`'s
+        bound checks, then the new right-hand sides
+        :meth:`add_constraint`'s; the first that fails raises that
+        check's :class:`ModelError`, with its index as ``column`` or
+        ``row``. The copy is not frozen and shares no container with this
+        model, frozen or not."""
+        n, m = len(self.var_names), len(self.row_names)
+        if len(lb) != n or len(ub) != n or rhs is not None and len(rhs) != m:
+            raise ModelError(f"rebound: {n} variables need {n} lower and "
+                             f"{n} upper bounds, and {m} rows {m} "
+                             "right-hand sides")
+        lb, ub = self._new_bounds(lb, ub)
+        rhs = self.rhs[:] if rhs is None else self._new_rhs(rhs)
+        # __init__ would check the name again and make containers that are
+        # replaced at once; a dispatch model is copied thousands of times
+        out = Model.__new__(Model)
+        out.name, out.objective_name = self.name, self.objective_name
+        out.var_names, out.lb, out.ub = self.var_names[:], lb, ub
+        out.kinds, out.objective = self.kinds[:], self.objective[:]
+        out.row_names, out.senses, out.rhs = (self.row_names[:],
+                                              self.senses[:], rhs)
+        out.starts, out.ids, out.coeffs = (self.starts[:], self.ids[:],
+                                           self.coeffs[:])
+        out.frozen = False
+        out._var_ids = out._con_names = None
+        return out
+
+    def _new_bounds(self, lb, ub) -> tuple[array, array]:
+        """``lb`` and ``ub`` as typed arrays, if every column's pair passes
+        :meth:`add_variable`'s bound checks; else the first failing pair
+        raises, with its index as ``column``."""
+        try:  # converts as float does, but a numeric string fails here
+            lbs, ubs = array("d", lb), array("d", ub)
+        except (TypeError, ValueError, OverflowError):
+            pass  # the checks below convert it, or name the column
+        else:  # a NaN fails le; a binary's kind byte is 1
+            if (all(map(le, lbs, ubs)) and INF not in lbs
+                    and -INF not in ubs
+                    and (_BINARY not in self.kinds
+                         or all((lbs[j], ubs[j]) in _BINARY_BOUNDS for j in
+                                compress(range(len(lbs)), self.kinds)))):
+                return lbs, ubs
+        lbs, ubs = array("d"), array("d")
+        for j, name in enumerate(self.var_names):
+            try:
+                lo, hi = _check_bounds(name, lb[j], ub[j],
+                                       KINDS[self.kinds[j]])
+            except ModelError as e:
+                e.column = j
+                raise
+            lbs.append(lo)
+            ubs.append(hi)
+        return lbs, ubs
+
+    def _new_rhs(self, rhs) -> list[float]:
+        """``rhs`` as a list of floats, if every row's right-hand side
+        passes :meth:`add_constraint`'s checks; else the first failing one
+        raises, with its index as ``row``."""
+        try:
+            out = list(map(float, rhs))
+        except (TypeError, ValueError, OverflowError):
+            pass  # the checks below name the row
+        else:
+            if all(map(isfinite, out)):
+                return out
+        out = []
+        for r, name in enumerate(self.row_names):
+            try:
+                out.append(_check_rhs(name, rhs[r]))
+            except ModelError as e:
+                e.row = r
+                raise
+        return out
+
     # -- queries --------------------------------------------------------
 
     def var_id(self, name: str) -> int:
@@ -670,13 +765,7 @@ def fix_variables(model: Model, assignments: dict) -> Model:
             raise ModelError(f"conflicting values for {name!r}: "
                              f"{resolved[vid]} and {val}")
         resolved[vid] = lb[vid] = ub[vid] = val
-    out = Model(model.name)
-    out.objective_name = model.objective_name
-    out.add_variables(model.var_names, lb, ub,
-                      [KINDS[code] for code in model.kinds], model.objective)
-    out.add_rows(model.row_names, model.senses, model.rhs, model.starts,
-                 model.ids, model.coeffs)
-    return out
+    return model.rebound(lb, ub)
 
 
 def model_stats(model: Model) -> ModelStats:

@@ -10,17 +10,29 @@ than built through :mod:`ucbench.formulations`, so agreement between
 ``brute_force_optimum`` and the MILP optima is a genuine cross-check of
 two code paths and not a tautology.
 
+Each instance has one dispatch model, built once: the LP of the schedule
+that keeps every unit online, with an output variable for every unit
+and period and every demand, ramp and line row. A schedule's dispatch LP
+is a copy of it with new bounds and right-hand sides
+(:meth:`Model.rebound`): an online period gets ``_period_bounds``, an
+offline one [0, 0]. A ramp row caps the change between two online
+periods only; a pair of periods that is not online in both gets that
+row's largest activity within the new bounds as its right-hand side
+(``ub_t - lb_{t-1}`` for ``up``, ``ub_{t-1} - lb_t`` for ``down``), so it
+cannot bind, and the row check below always passes it. A start or a
+stop is capped by its speed bound alone.
+
 Almost every enumerated schedule fails on capacity alone: in some
 period the load lies outside [sum of lo, sum of hi] of the online units'
 ``_period_bounds``. Those bounds are the dispatch variables' bounds and
-the demand row sums exactly those variables, so ``solve_lp``'s row
-check (``solver._unreachable_row``) rejects such a dispatch LP before
-any simplex work. That rejection is sound: it fires only when the load
-is farther outside the window than twice the row residual the simplex
-accepts, 1e-6 * (1 + max|rhs|) over the model's own right-hand sides
-(loads, ramp limits, line rows), so the simplex could not have called
-the LP optimal either. The merit-order fill checks the same window
-itself, at 1e-9.
+the demand row sums exactly those variables (an offline unit's is fixed
+at 0), so ``solve_lp``'s row check (``solver._unreachable_row``) rejects
+such a dispatch LP before any simplex work. That rejection is sound: it
+fires only when the load is farther outside the window than twice the
+row residual the simplex accepts, 1e-6 * (1 + max|rhs|) over the model's
+own right-hand sides (loads, ramp rows, line rows), so the simplex could
+not have called the LP optimal either. The merit-order fill checks the
+same window itself, at 1e-9.
 """
 
 from __future__ import annotations
@@ -177,37 +189,32 @@ def _greedy_dispatch(instance: Instance, on_off) -> tuple[list, float] | None:
     return p, cost
 
 
-def _dispatch_lp(instance: Instance, on_off, base: str
-                 ) -> tuple[list, float] | None:
-    """Dispatch LP with v fixed, built directly from the physical rules."""
+def _dispatch_template(instance: Instance, base: str) -> Model:
+    """The dispatch LP of the schedule that keeps every unit online, built
+    directly from the physical rules: ``p_k_t`` for every unit and period,
+    the demand rows over all units, an ``up``/``down`` ramp pair for every
+    two consecutive periods and, on the extended base, the line rows over
+    every unit with a nonzero factor. ``_dispatch`` re-bounds a copy of
+    it for any schedule."""
     T = instance.horizon
     units = instance.units
     model = Model("dispatch")
-    ids = {}
-    fixed_on_cost = 0.0
     for k, u in enumerate(units):
-        row = on_off[k]
         for t in range(1, T + 1):
-            if not row[t - 1]:
-                continue
-            lo, hi = _period_bounds(u, row, t, T)
-            ids[k, t] = model.add_variable(f"p_{k + 1}_{t}", lo, hi,
-                                           cost=u.cost_variable)
-            fixed_on_cost += u.cost_fixed_on
+            model.add_variable(f"p_{k + 1}_{t}", u.p_min, u.p_max,
+                               cost=u.cost_variable)
+    # p_{k+1}_t is column k * T + t - 1
     for t in range(1, T + 1):
         model.add_constraint(
-            f"demand_{t}",
-            {ids[k, t]: 1.0 for k in range(len(units)) if (k, t) in ids},
+            f"demand_{t}", {k * T + t - 1: 1.0 for k in range(len(units))},
             "=", instance.load[t - 1])
     for k, u in enumerate(units):
         for t in range(2, T + 1):
-            if (k, t) in ids and (k, t - 1) in ids:
-                model.add_constraint(f"up_{k + 1}_{t}",
-                                     {ids[k, t]: 1.0, ids[k, t - 1]: -1.0},
-                                     "<=", u.ramp_up)
-                model.add_constraint(f"down_{k + 1}_{t}",
-                                     {ids[k, t]: -1.0, ids[k, t - 1]: 1.0},
-                                     "<=", u.ramp_down)
+            j = k * T + t - 1
+            model.add_constraint(f"up_{k + 1}_{t}", {j: 1.0, j - 1: -1.0},
+                                 "<=", u.ramp_up)
+            model.add_constraint(f"down_{k + 1}_{t}", {j: -1.0, j - 1: 1.0},
+                                 "<=", u.ramp_down)
     if base == "extended" and instance.network is not None:
         net = instance.network
         for m, line in enumerate(net.lines, 1):
@@ -217,19 +224,51 @@ def _dispatch_lp(instance: Instance, on_off, base: str
                 terms = {}
                 for k, u in enumerate(units):
                     w = line.alpha.get(u.node, 0.0)
-                    if w != 0.0 and (k, t) in ids:
-                        terms[ids[k, t]] = w
+                    if w != 0.0:
+                        terms[k * T + t - 1] = w
                 rhs = shift * instance.load[t - 1]
                 model.add_constraint(f"flow_hi_{m}_{t}", dict(terms), "<=",
                                      line.capacity + rhs)
                 model.add_constraint(f"flow_lo_{m}_{t}", terms, ">=",
                                      -line.capacity + rhs)
-    res = solve_lp(model)
+    return model
+
+
+def _dispatch(template: Model, instance: Instance, on_off
+              ) -> tuple[list, float] | None:
+    """Dispatch LP with v fixed: a copy of ``template`` (see
+    ``_dispatch_template``) with the schedule's bounds, an offline
+    period's output fixed at 0, and on each ramp pair that is not online
+    in both periods a right-hand side equal to the row's largest activity
+    within those bounds, so that it cannot bind."""
+    T = instance.horizon
+    units = instance.units
+    lb = [0.0] * (len(units) * T)
+    ub = lb[:]
+    rhs = template.rhs[:]
+    fixed_on_cost = 0.0
+    for k, u in enumerate(units):
+        row = on_off[k]
+        for t in range(1, T + 1):
+            if row[t - 1]:
+                j = k * T + t - 1
+                lb[j], ub[j] = _period_bounds(u, row, t, T)
+                fixed_on_cost += u.cost_fixed_on
+        r = T + 2 * (T - 1) * k  # the row of up_{k+1}_2; each down follows
+        for t in range(2, T + 1):
+            if not (row[t - 1] and row[t - 2]):
+                j = k * T + t - 1  # p_{k+1}_t; p_{k+1}_{t-1} precedes it
+                rhs[r] = ub[j] - lb[j - 1]
+                rhs[r + 1] = ub[j - 1] - lb[j]
+            r += 2
+    res = solve_lp(template.rebound(lb, ub, rhs))
     if res.status != "optimal":
         return None
     p = [[0.0] * T for _ in units]
-    for (k, t), vid in ids.items():
-        p[k][t - 1] = res.values[model.var_names[vid]]
+    for k, row in enumerate(on_off):
+        for t in range(1, T + 1):
+            if row[t - 1]:
+                p[k][t - 1] = res.values[template.var_names[k * T + t - 1]]
     return p, fixed_on_cost + res.objective
 
 
@@ -240,14 +279,18 @@ def optimal_dispatch(instance: Instance, schedule: Schedule,
     Returns (p matrix, production cost) where the cost includes the
     per-period fixed cost of online units. ``base`` matters only for the
     line limits: the extended base enforces them, the basic base ignores
-    the network entirely (mirroring the MILP builders). Raises ValueError
-    if the schedule cannot meet demand.
+    the network entirely (mirroring the MILP builders). The LP is the
+    instance's one dispatch model re-bounded for the schedule, the path
+    :func:`brute_force_optimum` takes (see the module docstring: a ramp
+    pair that is not online in both periods gets a right-hand side that
+    cannot bind). Raises ValueError if the schedule cannot meet demand.
     """
     check_instance(instance)
     if schedule.n_units != len(instance.units) \
             or schedule.horizon != instance.horizon:
         raise ValueError("schedule dimensions do not match the instance")
-    out = _dispatch_lp(instance, schedule.on_off, base)
+    out = _dispatch(_dispatch_template(instance, base), instance,
+                    schedule.on_off)
     if out is None:
         raise ValueError("infeasible schedule: demand unreachable under "
                          "limits and ramps")
@@ -284,22 +327,28 @@ def brute_force_optimum(instance: Instance, base: str = "basic",
     Ties go to the lexicographically first schedule. Dispatch costing
     uses the closed-form merit-order fill whenever no ramp can bind
     between consecutive online periods (and no line limits apply); the
-    dispatch LP covers the rest. Every schedule gets one dispatch; one
-    whose load leaves the online capacity window in some period is
-    rejected by the LP's row check without a simplex run (see the module
-    docstring), so it costs only the model build. ``n_feasible`` counts
-    the schedules whose dispatch succeeded. Raises ValueError when no
-    schedule is feasible or the size guard trips.
+    dispatch LP covers the rest. There the instance's dispatch model is
+    built once, and every schedule gets one LP, a copy of it re-bounded
+    for the schedule; a ramp pair that is not online in both periods gets
+    a right-hand side that cannot bind, so the copy has the rows of the
+    schedule's own LP and inert ones (see the module docstring). A
+    schedule whose load leaves the online capacity window in some period
+    is rejected by the LP's row check without a simplex run, so it costs
+    only the copy. ``n_feasible`` counts the schedules whose dispatch
+    succeeded. Raises ValueError when no schedule is feasible or the size
+    guard trips.
     """
     separable = _ramps_never_bind(instance, base)
     units = instance.units
     best = None  # (total, schedule, p, production)
     n_feasible = 0
+    template = None  # built once the enumeration has checked the instance
     for sched in enumerate_schedules(instance, base, guard):
         if separable:
             out = _greedy_dispatch(instance, sched.on_off)
         else:
-            out = _dispatch_lp(instance, sched.on_off, base)
+            template = template or _dispatch_template(instance, base)
+            out = _dispatch(template, instance, sched.on_off)
         if out is None:
             continue
         n_feasible += 1

@@ -430,6 +430,96 @@ class TestFixVariables:
         assert (out.lb[1], out.ub[1]) == (130.0, 130.0)
 
 
+def single_form_error(add) -> str:
+    """The message that ``add(model)`` raises on a fresh model."""
+    with pytest.raises(ModelError) as info:
+        add(Model("m"))
+    return str(info.value)
+
+
+class TestRebound:
+    """A copy with new bounds and right-hand sides checks only those, as
+    add_variable and add_constraint check them."""
+
+    def test_same_bounds_give_an_equal_model(self):
+        m = small_model()
+        out = m.rebound(m.lb, m.ub)
+        assert out == m and models_equal(out, m)
+        assert m.rebound(m.lb, m.ub, m.rhs) == m
+        assert vars(out).keys() == vars(m).keys()
+        assert out._con_names is None and out._var_ids is None
+
+    def test_new_bounds_and_right_hand_sides_are_taken(self):
+        m = small_model()
+        out = m.rebound([1, 130.0, -2.0], ["1", 130.0, INF], [0.0, 7.5, 1])
+        assert (out.lb, out.ub) == (array("d", [1.0, 130.0, -2.0]),
+                                    array("d", [1.0, 130.0, INF]))
+        assert out.rhs == [0.0, 7.5, 1.0]
+        assert rows(out) == [r._replace(rhs=b)
+                             for r, b in zip(rows(m), out.rhs)]
+
+    @pytest.mark.parametrize("column, lb, ub", [
+        (1, math.nan, 500.0),  # NaN
+        (1, 0.0, math.nan),
+        (1, 10.0, 5.0),  # inverted
+        (2, INF, INF),  # a lower bound of +inf
+        (2, -INF, -INF),
+        (0, 0.0, 2.0),  # a binary outside {0, 1}
+        (0, 0.5, 1.0),
+        (1, "abc", 5.0),  # not a number
+    ])
+    def test_a_bad_bound_raises_add_variables_message(self, column, lb, ub):
+        m = small_model()
+        lbs, ubs = list(m.lb), list(m.ub)
+        lbs[column], ubs[column] = lb, ub
+        name, kind = m.var_names[column], milp.KINDS[m.kinds[column]]
+        with pytest.raises(ModelError) as info:
+            m.rebound(lbs, ubs, [math.nan] * 3)  # bounds are checked first
+        assert str(info.value) == single_form_error(
+            lambda fresh: fresh.add_variable(name, lb, ub, kind))
+        assert (info.value.column, info.value.row) == (column, None)
+
+    @pytest.mark.parametrize("value", [math.nan, INF, -INF, "x", None])
+    def test_a_bad_right_hand_side_raises_add_constraints_message(
+            self, value):
+        m = small_model()
+        rhs = list(m.rhs)
+        rhs[1] = value
+        with pytest.raises(ModelError) as info:
+            m.rebound(m.lb, m.ub, rhs)
+        assert str(info.value) == single_form_error(
+            lambda fresh: fresh.add_constraint("demand_1", {}, "=", value))
+        assert (info.value.row, info.value.column) == (1, None)
+
+    @pytest.mark.parametrize("lb, ub, rhs", [
+        ([0.0, 0.0], [1.0, 500.0, INF], None),
+        ([0.0, 0.0, -INF], [1.0, 500.0, INF, 1.0], None),
+        ([0.0, 0.0, -INF], [1.0, 500.0, INF], [0.0, 130.0]),
+        ([0.0, 0.0, -INF], [1.0, 500.0, INF], []),
+    ])
+    def test_wrong_lengths_raise(self, lb, ub, rhs):
+        with pytest.raises(ModelError, match=r"^rebound: 3 variables need "):
+            small_model().rebound(lb, ub, rhs)
+
+    def test_the_copy_shares_nothing_with_its_source(self):
+        m = small_model().freeze()
+
+        def snapshot(model):
+            return (rows(model), model.starts[:], model.objective[:],
+                    [model.variable(j) for j in range(model.n_variables)])
+
+        before = snapshot(m)
+        out = m.rebound([1.0, 130.0, 0.0], [1.0, 130.0, 0.0],
+                        [1.0, 2.0, 3.0])
+        assert not out.frozen
+        out.add_variable("extra", 0.0, 5.0, cost=3.0)
+        out.add_constraint("extra_row", {0: 1.0, 3: 2.0}, ">=", 1.0)
+        out.lb[1] = out.ub[1] = 0.0
+        out.rhs[0] = -1.0
+        assert out.n_constraints == m.n_constraints + 1
+        assert snapshot(m) == before and m.frozen
+
+
 # ---------------------------------------------------------------------------
 # the MPS reader on random and foreign input, its error table, and add_rows
 # ---------------------------------------------------------------------------

@@ -138,6 +138,30 @@ class TestOptimalDispatch:
         with pytest.raises(ValueError, match="infeasible schedule"):
             optimal_dispatch(steep, Schedule([[1, 1]]))
 
+    def test_start_period_reaches_a_startup_ramp_above_ramp_up(self):
+        """The pair of periods 1-2 is not online in both, so ramp_up does
+        not apply to it: the start period's cap is the startup ramp."""
+        inst = make_instance([0.0, 18.0, 19.0], ramp_up=2.0, ramp_down=2.0,
+                             startup_ramp=18.0)
+        p, _ = optimal_dispatch(inst, Schedule([[0, 1, 1]]))
+        assert p == [[0.0, 18.0, 19.0]]
+        over = make_instance([0.0, 18.5, 19.0], ramp_up=2.0, ramp_down=2.0,
+                             startup_ramp=18.0)
+        with pytest.raises(ValueError, match="infeasible schedule"):
+            optimal_dispatch(over, Schedule([[0, 1, 1]]))
+
+    def test_last_period_reaches_a_shutdown_ramp_above_ramp_down(self):
+        """Likewise ramp_down does not apply to the pair of periods 2-3:
+        the last online period's cap is the shutdown ramp."""
+        inst = make_instance([19.0, 18.0, 0.0], ramp_up=2.0, ramp_down=2.0,
+                             shutdown_ramp=18.0)
+        p, _ = optimal_dispatch(inst, Schedule([[1, 1, 0]]))
+        assert p == [[19.0, 18.0, 0.0]]
+        over = make_instance([19.0, 18.5, 0.0], ramp_up=2.0, ramp_down=2.0,
+                             shutdown_ramp=18.0)
+        with pytest.raises(ValueError, match="infeasible schedule"):
+            optimal_dispatch(over, Schedule([[1, 1, 0]]))
+
     def test_dimension_mismatch_rejected(self):
         inst = make_instance([15.0, 15.0])
         with pytest.raises(ValueError, match="dimensions"):
@@ -379,6 +403,43 @@ class TestDispatchRowCheck:
         checked = brute_force_optimum(inst, base)
         monkeypatch.setattr(solver, "_unreachable_row", lambda model: None)
         assert brute_force_optimum(inst, base) == checked
+
+    # brute_force_optimum on CASES, as each schedule's own dispatch LP
+    # found it: (schedule, n_feasible, dispatch, total)
+    PINNED = [
+        ([[0, 0, 0, 0], [1, 1, 1, 1]], 8,
+         [[0.0, 0.0, 0.0, 0.0],
+          [389.02831310820767, 370.0627849866886, 351.3325624072384,
+           250.22750790499072]], 4633.740961373364),
+        ([[0, 0, 0, 0], [1, 1, 1, 1]], 8,
+         [[0.0, 0.0, 0.0, 0.0],
+          [389.02831310820767, 370.0627849866886, 351.3325624072384,
+           250.22750790499072]], 4633.740961373364),
+        ([[1, 1, 1, 1], [0, 0, 0, 1]], 1,
+         [[339.08995720661517, 436.8550711573094, 395.74179518742903,
+           448.98728485371015],
+          [0.0, 0.0, 0.0, 81.89966683087681]], 5704.608603531805),
+        ([[0, 1, 1, 1], [1, 1, 1, 1]], 1,
+         [[0.0, 201.8179346820784, 239.31411555457566, 332.2448842054497],
+          [661.8562032592724, 675.2491752597131, 741.7826236044513,
+           741.7826236044513]], 4897.0950323701545),
+        ([[1, 1, 1, 1], [0, 0, 0, 0]], 4,
+         [[339.08995720661517, 436.8550711573094, 395.74179518742903,
+           530.886951684587],
+          [0.0, 0.0, 0.0, 0.0]], 5766.873440133316),
+    ]
+
+    @pytest.mark.parametrize("case, pinned", zip(CASES, PINNED))
+    def test_optimum_is_pinned(self, case, pinned):
+        """One dispatch model per instance, re-bounded per schedule,
+        finds what a model built per schedule found."""
+        inst, base = case
+        schedule, n_feasible, dispatch, total = pinned
+        result = brute_force_optimum(inst, base)
+        assert result.schedule.on_off == schedule
+        assert result.n_feasible == n_feasible
+        assert result.dispatch == dispatch
+        assert result.breakdown.total == pytest.approx(total, rel=1e-12)
 
     def test_n_feasible_pinned_on_a_ramp_instance(self, monkeypatch):
         """Seeded 2x4 with ramps at 0.6 of the range: each of the 256
