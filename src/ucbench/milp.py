@@ -5,12 +5,15 @@ constraints held as one compressed-sparse-row block, and a minimization
 objective. It knows nothing about unit commitment; the formulation
 builders produce models, the bundled solver and the MPS writer consume
 them. Variables enter one at a time (:meth:`Model.add_variable`) or as a
-block (:meth:`Model.add_variables`), each with its objective coefficient,
-and rows likewise (:meth:`Model.add_constraint`, :meth:`Model.add_rows`);
-a block runs the single form's checks on all its items at once and, if
-one fails, raises that item's error and leaves the model unchanged.
-:meth:`Model.rebound` copies a model with new bounds and right-hand
-sides, and checks only those.
+block (:meth:`Model.add_variables`), and rows likewise
+(:meth:`Model.add_constraint`, :meth:`Model.add_rows`); a block runs the
+single form's checks on all its items at once and, if one fails, raises
+that item's error and leaves the model unchanged. A cost enters only
+with its column: there is no other way to write the objective. Each
+store has one writer: both forms of a variable store through one
+append, both forms of a row through another, and :meth:`Model.rebound`
+copies a model with new bounds and right-hand sides, checking only
+those.
 
 Columns and rows both live in typed arrays, which :func:`write_mps` and
 the solver view with numpy without a copy. A column is its name in one
@@ -20,8 +23,9 @@ objective coefficient in a dense ``array('d')``; the row block is
 coefficients. A block of either is checked one way, with numpy, whatever
 sequences hold it: numpy views :func:`read_mps`'s arrays and a model's
 own typed arrays, and converts the formulation builders' lists once. A
-block that fails that check is checked item by item, so that the first
-failing item raises the single form's error.
+block that fails that check is checked item by item, by one loop that
+sets the failing item's index on its error, so that the first failing
+item raises the single form's error.
 
 :func:`write_mps` joins its text once, from one string per section,
 and makes COLUMNS in slices of ``_SLICE`` entries, each joined into one
@@ -51,7 +55,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import isfinite
 from operator import add, index, itemgetter, le
 
@@ -161,13 +165,12 @@ def _raw(a, dtype) -> memoryview:
     return np.ascontiguousarray(a, dtype=dtype).data.cast("B")
 
 
-def _pairs(terms, row: str | None = None) -> list:
+def _pairs(terms, row: str) -> list:
     """The (variable id, coefficient) pairs of ``terms``, a sequence of
     pairs. Terms of another shape raise a :class:`ModelError` that names
-    them and constraint ``row``, or the objective if ``row`` is None."""
+    them and constraint ``row``."""
     def fault(what):
-        where = "objective" if row is None else f"constraint {row!r}"
-        return ModelError(f"{where}: {what}")
+        return ModelError(f"constraint {row!r}: {what}")
 
     try:
         terms = iter(terms)
@@ -183,6 +186,31 @@ def _pairs(terms, row: str | None = None) -> list:
                         "pair") from None
         pairs.append((i, c))
     return pairs
+
+
+def _finite_floats(values) -> list[float] | None:
+    """``values`` as a list of floats if every one converts, as float
+    converts it, and is finite; else None."""
+    try:
+        out = list(map(float, values))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return out if all(map(isfinite, out)) else None
+
+
+def _each(check, where: str, *items) -> list:
+    """``check(*item)`` for each item zipped from ``items``, in order. The
+    first item whose check raises a :class:`ModelError` raises it, with
+    the item's index set as the error's ``where`` (``"row"`` or
+    ``"column"``)."""
+    out = []
+    for i, item in enumerate(zip(*items)):
+        try:
+            out.append(check(*item))
+        except ModelError as e:
+            setattr(e, where, i)
+            raise
+    return out
 
 
 @dataclass(frozen=True)
@@ -211,10 +239,12 @@ class Model:
     :meth:`add_variables` / :meth:`add_rows`), then freeze (any
     write/solve freezes implicitly) and share freely — frozen models are
     immutable. A variable enters with its objective coefficient (its
-    cost); :meth:`set_objective` replaces the whole objective. Costs,
-    coefficients and right-hand sides must be finite. A bound may be
-    infinite in its own direction (a lower bound of -inf, an upper bound
-    of +inf) but not NaN.
+    cost), and only so. The columns are written only by
+    :meth:`_append_columns`, the rows only by :meth:`_append_rows`, and
+    a copy's stores only by :meth:`rebound`. Costs, coefficients and
+    right-hand sides must be finite. A bound may be infinite in its own
+    direction (a lower bound of -inf, an upper bound of +inf) but not
+    NaN.
     """
 
     def __init__(self, name: str = "model"):
@@ -252,14 +282,8 @@ class Model:
         if self.frozen:
             raise ModelError("model is frozen")
         lb, ub, code, cost = self._check_variable(name, lb, ub, kind, cost)
-        vid = len(self.var_names)
-        self.var_names.append(name)
-        self.lb.append(lb)
-        self.ub.append(ub)
-        self.kinds.append(code)
-        self.objective.append(cost)
-        self._name_index()[name] = vid
-        return vid
+        return self._append_columns([name], [lb], [ub], bytes((code,)),
+                                    [cost])[0]
 
     def _name_index(self) -> dict[str, int]:
         """The variable ids by name. Only name lookups and one-by-one
@@ -314,18 +338,9 @@ class Model:
             raise ModelError(f"add_variables: {n} names need {n} lower "
                              f"bounds, {n} upper bounds, {n} kinds and {n} "
                              "costs")
-        lbs, ubs, codes, costs = (
+        return self._append_columns(names, *(
             self._valid_columns(names, lbs, ubs, kinds, costs)
-            or self._check_columns(names, lbs, ubs, kinds, costs))
-        first = len(self.var_names)
-        self.var_names.extend(names)
-        self.lb.frombytes(_raw(lbs, np.float64))
-        self.ub.frombytes(_raw(ubs, np.float64))
-        self.kinds += codes
-        self.objective.frombytes(_raw(costs, np.float64))
-        if self._var_ids is not None:
-            self._var_ids.update(zip(names, range(first, first + n)))
-        return range(first, first + n)
+            or self._check_columns(names, lbs, ubs, kinds, costs)))
 
     def _valid_columns(self, names, lbs, ubs, kinds, costs):
         """The block's bounds and costs as float64 arrays and its kind
@@ -361,22 +376,31 @@ class Model:
     def _check_columns(self, names, lbs, ubs, kinds, costs):
         """Check the block's variables one by one, as add_variable would
         after adding the variables before; the first failing variable
-        raises, with its index as ``column``. Returns the block's bounds
-        and costs as float64 arrays and its kind bytes."""
-        checked, taken = [], set()
-        for j, name in enumerate(names):
-            try:
-                checked.append(self._check_variable(
-                    name, lbs[j], ubs[j], kinds[j], costs[j], taken))
-            except ModelError as e:
-                e.column = j
-                raise
+        raises, with its index as ``column``. Returns the block's bounds,
+        kind bytes and costs."""
+        taken = set()
+
+        def check(name, *column):
+            checked = self._check_variable(name, *column, taken)
             taken.add(name)
-        lbs, ubs, codes, costs = (zip(*checked) if checked
-                                  else ((), (), (), ()))
-        return (np.array(lbs, dtype=np.float64),
-                np.array(ubs, dtype=np.float64), bytes(codes),
-                np.array(costs, dtype=np.float64))
+            return checked
+
+        checked = _each(check, "column", names, lbs, ubs, kinds, costs)
+        lbs, ubs, codes, costs = zip(*checked) if checked else ((),) * 4
+        return lbs, ubs, bytes(codes), costs
+
+    def _append_columns(self, names, lbs, ubs, codes, costs) -> range:
+        """Append variables that passed their checks: their bounds and
+        costs as floats, their kinds as bytes."""
+        new = range(len(self.var_names), len(self.var_names) + len(names))
+        self.var_names.extend(names)
+        self.lb.frombytes(_raw(lbs, np.float64))
+        self.ub.frombytes(_raw(ubs, np.float64))
+        self.kinds += codes
+        self.objective.frombytes(_raw(costs, np.float64))
+        if self._var_ids is not None:
+            self._var_ids.update(zip(names, new))
+        return new
 
     def add_constraint(self, name: str, terms, sense: str, rhs: float) -> int:
         """Append a row. ``terms`` is a dict {var id: coeff} or a sequence
@@ -387,15 +411,8 @@ class Model:
         if self.frozen:
             raise ModelError("model is frozen")
         ids, coeffs, rhs = self._check_row(name, terms, sense, rhs)
-        # every check has passed: only now does the row enter the block
-        self.ids.fromlist(ids)
-        self.coeffs.fromlist(coeffs)
-        self.starts.append(len(self.ids))
-        self.row_names.append(name)
-        self.senses.append(sense)
-        self.rhs.append(rhs)
-        self._con_names.add(name)  # _check_row built the set
-        return len(self.row_names) - 1
+        return self._append_rows([name], [sense], [rhs], [0, len(ids)], ids,
+                                 coeffs)[0]
 
     def _row_name_set(self) -> set[str]:
         """The row names as a set. Only one-by-one row checks need it, so
@@ -490,22 +507,18 @@ class Model:
         index as ``row``. Returns the rows' (rhs, starts, ids, coeffs) in
         canonical form."""
         taken = set()
-        out_rhs, out_starts, out_ids, out_coeffs = [], [0], [], []
-        for r, name in enumerate(names):
-            a, b = starts[r], starts[r + 1]
-            try:
-                row_ids, row_coeffs, row_rhs = self._check_row(
-                    name, zip(ids[a:b], coeffs[a:b]), senses[r], rhs[r],
-                    taken)
-            except ModelError as e:
-                e.row = r
-                raise
+
+        def check(name, a, b, sense, row_rhs):
+            checked = self._check_row(name, zip(ids[a:b], coeffs[a:b]), sense,
+                                      row_rhs, taken)
             taken.add(name)
-            out_ids += row_ids
-            out_coeffs += row_coeffs
-            out_starts.append(len(out_ids))
-            out_rhs.append(row_rhs)
-        return out_rhs, out_starts, out_ids, out_coeffs
+            return checked
+
+        checked = _each(check, "row", names, starts, starts[1:], senses, rhs)
+        row_ids, row_coeffs, rhs = zip(*checked) if checked else ((),) * 3
+        return (rhs, [0, *accumulate(map(len, row_ids))],
+                list(chain.from_iterable(row_ids)),
+                list(chain.from_iterable(row_coeffs)))
 
     def _valid_block(self, names, senses, rhs, starts, ids, coeffs):
         """The block's (rhs, starts, ids, coeffs) in canonical form, as the
@@ -514,11 +527,11 @@ class Model:
         whole block, with numpy on the terms, and do not name the failing
         row; ids that numpy does not hold as integers, or coefficients it
         does not hold as numbers, are left to the row checks."""
+        rhs = _finite_floats(rhs)
         try:
-            rhs = list(map(float, rhs))
-            if not (_names_ok(names, self.row_names, self.objective_name)
-                    and _SENSE_SET.issuperset(senses)
-                    and all(map(isfinite, rhs))):
+            if rhs is None or not (
+                    _names_ok(names, self.row_names, self.objective_name)
+                    and _SENSE_SET.issuperset(senses)):
                 return None
             ids, coeffs = np.asarray(ids), np.asarray(coeffs)
         except (TypeError, ValueError, OverflowError):
@@ -560,43 +573,6 @@ class Model:
         if self._con_names is not None:
             self._con_names.update(names)
         return range(first, first + len(names))
-
-    def set_objective(self, terms) -> None:
-        """Replace the (minimization) objective. ``terms`` is a dict {var
-        id: coeff} or a sequence of (var id, coeff) pairs. An id must be an
-        integer of a declared variable, and a coefficient must be finite; a
-        repeated id keeps its last coefficient, and every variable not
-        listed costs 0."""
-        if self.frozen:
-            raise ModelError("model is frozen")
-        self.objective = self._check_objective(
-            terms if isinstance(terms, dict) else dict(_pairs(terms)))
-
-    def _check_objective(self, terms: dict):
-        """Check the objective's terms one by one and return the dense
-        objective; the first failing term raises, its id and value checked
-        in ``terms``' order, its finiteness in id order."""
-        dense = [0.0] * len(self.var_names)
-        for vid, c in terms.items():
-            try:
-                i = index(vid)
-            except TypeError:
-                raise ModelError(f"objective: variable id {vid!r} is not an "
-                                 "integer") from None
-            if not (0 <= i < len(dense)):
-                raise ModelError(f"objective references undeclared variable "
-                                 f"id {vid}")
-            try:
-                dense[i] = float(c) + 0.0  # -0.0 is stored as 0.0
-            except (TypeError, ValueError, OverflowError):
-                raise ModelError(f"objective coefficient of variable id {i} "
-                                 f"must be a number, got {c!r}") from None
-        if not all(map(isfinite, dense)):
-            vid, c = next((i, c) for i, c in enumerate(dense)
-                          if not isfinite(c))
-            raise ModelError(f"objective coefficient of variable id "
-                             f"{vid} must be finite, got {c}")
-        return array("d", dense)
 
     def freeze(self) -> "Model":
         self.frozen = True
@@ -649,37 +625,18 @@ class Model:
                          or all((lbs[j], ubs[j]) in _BINARY_BOUNDS for j in
                                 compress(range(len(lbs)), self.kinds)))):
                 return lbs, ubs
-        lbs, ubs = array("d"), array("d")
-        for j, name in enumerate(self.var_names):
-            try:
-                lo, hi = _check_bounds(name, lb[j], ub[j],
-                                       KINDS[self.kinds[j]])
-            except ModelError as e:
-                e.column = j
-                raise
-            lbs.append(lo)
-            ubs.append(hi)
-        return lbs, ubs
+        bounds = _each(_check_bounds, "column", self.var_names, lb, ub,
+                       map(KINDS.__getitem__, self.kinds))
+        return (array("d", [lo for lo, _ in bounds]),
+                array("d", [hi for _, hi in bounds]))
 
     def _new_rhs(self, rhs) -> list[float]:
         """``rhs`` as a list of floats, if every row's right-hand side
         passes :meth:`add_constraint`'s checks; else the first failing one
         raises, with its index as ``row``."""
-        try:
-            out = list(map(float, rhs))
-        except (TypeError, ValueError, OverflowError):
-            pass  # the checks below name the row
-        else:
-            if all(map(isfinite, out)):
-                return out
-        out = []
-        for r, name in enumerate(self.row_names):
-            try:
-                out.append(_check_rhs(name, rhs[r]))
-            except ModelError as e:
-                e.row = r
-                raise
-        return out
+        out = _finite_floats(rhs)
+        return (_each(_check_rhs, "row", self.row_names, rhs) if out is None
+                else out)
 
     # -- queries --------------------------------------------------------
 

@@ -4,6 +4,7 @@ Exit-code contract: 0 success (a proven infeasible/unbounded model is an
 answer), 1 usage error, 2 data error, 3 solve failure.
 """
 
+import dataclasses
 import json
 import math
 
@@ -12,6 +13,7 @@ import pytest
 from ucbench import (Line, Network, Solution, generate_instance,
                      save_instance)
 from ucbench import cli as cli_module
+from ucbench import oracle
 from ucbench.cli import cli
 
 from conftest import make_instance, ramped
@@ -483,4 +485,25 @@ class TestOracle:
     def test_inconclusive_exits_three(self, inst_file, capsys):
         assert cli(["oracle", inst_file, "--guard", "1"]) == 3
         report = json.loads(capsys.readouterr().out)
+        assert report["conclusive"] is False
+
+    def test_optima_away_from_the_enumeration_exit_three(
+            self, tmp_path, capsys, monkeypatch):
+        # every module ends optimal, 1e-6 (relative) above the enumeration
+        solve = oracle.solve_mip
+
+        def off(model, config):
+            res = solve(model, config)
+            return dataclasses.replace(res,
+                                       objective=res.objective * (1 + 1e-6))
+
+        monkeypatch.setattr(oracle, "solve_mip", off)
+        path = tmp_path / "pair.json"
+        save_instance(make_instance([0.0, 10.0], name="pair",
+                                    pre_offline=1), path)
+        assert cli(["oracle", str(path)]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert {entry["status"] for entry
+                in report["formulations"].values()} == {"optimal"}
+        assert report["max_rel_deviation"] == pytest.approx(1e-6)
         assert report["conclusive"] is False

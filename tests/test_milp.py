@@ -30,13 +30,12 @@ def models_equal(a: Model, b: Model) -> bool:
 
 def small_model() -> Model:
     m = Model("small")
-    v = m.add_variable("v_1_1", 0, 1, "binary")
-    p = m.add_variable("p_1_1", 0.0, 500.0)
+    v = m.add_variable("v_1_1", 0, 1, "binary", cost=5.0)
+    p = m.add_variable("p_1_1", 0.0, 500.0, cost=0.5)
     f = m.add_variable("f_1", -INF, INF)
     m.add_constraint("lim_hi_1_1", {p: 1.0, v: -500.0}, "<=", 0.0)
     m.add_constraint("demand_1", {p: 1.0}, "=", 130.0)
     m.add_constraint("flow_1", {f: 1.0, p: -0.4}, "=", 0.0)
-    m.set_objective({v: 5.0, p: 0.5})
     return m
 
 
@@ -111,14 +110,6 @@ class TestModelConstruction:
         assert m.n_constraints == 1
 
     @pytest.mark.parametrize("call, message", [
-        (lambda m: m.set_objective([1, 2]),
-         "objective: term 1 is not a (variable id, coefficient) pair"),
-        (lambda m: m.set_objective([(0,)]),
-         "objective: term (0,) is not a (variable id, coefficient) pair"),
-        (lambda m: m.set_objective([(0, 1.0, 2.0)]), "objective: term "
-         "(0, 1.0, 2.0) is not a (variable id, coefficient) pair"),
-        (lambda m: m.set_objective(5), "objective: terms must be a dict "
-         "or a sequence of (variable id, coefficient) pairs, got 5"),
         (lambda m: m.add_constraint("d", [1], "<=", 1),
          "constraint 'd': term 1 is not a (variable id, coefficient) pair"),
         (lambda m: m.add_constraint("d", [(0, 1.0), (1,)], "<=", 1),
@@ -127,14 +118,12 @@ class TestModelConstruction:
         (lambda m: m.add_constraint("d", None, "<=", 1),
          "constraint 'd': terms must be a dict or a sequence of (variable "
          "id, coefficient) pairs, got None"),
-    ], ids=["objective_ints", "objective_short", "objective_long",
-            "objective_int", "row_ints", "row_short", "row_none"])
+    ], ids=["row_ints", "row_short", "row_none"])
     def test_terms_that_are_not_pairs_rejected(self, call, message):
         m = Model("m")
         m.add_variables(["x", "y"], [0.0, 0.0], [1.0, 1.0],
-                        ["continuous"] * 2)
+                        ["continuous"] * 2, [0.0, 2.0])
         m.add_constraint("c", {0: 1.0}, "<=", 1.0)
-        m.set_objective({1: 2.0})
         before = rows(m), list(m.starts), objective_terms(m)
         with pytest.raises(ModelError) as info:
             call(m)
@@ -213,31 +202,28 @@ class TestMpsWriter:
 class TestMpsRoundTrip:
     def test_one_var_one_constraint(self):
         m = Model("tiny")
-        x = m.add_variable("x", 0.0, 10.0)
+        x = m.add_variable("x", 0.0, 10.0, cost=1.0)
         m.add_constraint("floor", {x: 1.0}, ">=", 3.0)
-        m.set_objective({x: 1.0})
         assert models_equal(read_mps(write_mps(m)), m)
 
     def test_mixed_model_with_all_bound_shapes(self):
         m = Model("shapes")
-        m.add_variable("bin", 0, 1, "binary")
+        m.add_variable("bin", 0, 1, "binary", cost=17.0)
         m.add_variable("box", 1.5, 2.5)
         m.add_variable("fixed", 4.0, 4.0)
-        m.add_variable("free", -INF, INF)
+        m.add_variable("free", -INF, INF, cost=-1.0)
         m.add_variable("lower_only", -3.0, INF)
         m.add_variable("upper_only", 0.0, 9.0)
         m.add_variable("orphan", 0.0, 1.0)  # appears in no row
         m.add_constraint("c1", {0: 1.0, 1: -2.0, 3: 0.25}, "<=", 1.0)
         m.add_constraint("c2", {2: 1.0, 4: 1.0}, ">=", -2.0)
         m.add_constraint("c3", {5: 3.0}, "=", 6.0)
-        m.set_objective({0: 17.0, 3: -1.0})
         assert models_equal(read_mps(write_mps(m)), m)
 
     def test_objective_constant_free_round_trip_precision(self):
         m = Model("precise")
-        x = m.add_variable("x", 0.0, 1e30)
+        x = m.add_variable("x", 0.0, 1e30, cost=1e-17)
         m.add_constraint("c", {x: 1.0 / 3.0}, ">=", 0.1 + 0.2)
-        m.set_objective({x: 1e-17})
         back = read_mps(write_mps(m))
         assert rows(back)[0].coeffs[0] == 1.0 / 3.0
         assert rows(back)[0].rhs == 0.1 + 0.2
@@ -535,22 +521,29 @@ def models(draw):
     zero, tiny and inexact coefficients (add_constraint drops the zeros)."""
     m = Model(draw(st.sampled_from(["m", "Model_2"])))
     n = draw(st.integers(0, 6))
+    columns = []
     for j in range(n):
         if draw(st.booleans()):
             lb, ub = draw(st.sampled_from([(0, 1), (0, 0), (1, 1)]))
-            m.add_variable(f"b{j}", lb, ub, "binary")
+            columns.append((f"b{j}", lb, ub, "binary"))
         else:
             lb, ub = draw(st.tuples(BOUND, BOUND).map(sorted).filter(
                 lambda b: b[0] < INF and b[1] > -INF))
-            m.add_variable(f"x{j}", lb, ub)
+            columns.append((f"x{j}", lb, ub, "continuous"))
     var_ids = st.integers(0, n - 1) if n else st.nothing()
+    row_args = []
     for r in range(draw(st.integers(0, 5))):
         ids = draw(st.lists(var_ids, unique=True, max_size=n))
-        m.add_constraint(f"c{r}", [(i, draw(COEFFS)) for i in ids],
+        row_args.append((f"c{r}", [(i, draw(COEFFS)) for i in ids],
                          draw(st.sampled_from(["<=", "=", ">="])),
-                         draw(COEFFS))
-    m.set_objective({i: draw(COEFFS)
-                     for i in draw(st.lists(var_ids, unique=True))})
+                         draw(COEFFS)))
+    # the costs are drawn last, after the rows; each enters with its
+    # column, so the columns are added once everything is drawn
+    costs = {i: draw(COEFFS) for i in draw(st.lists(var_ids, unique=True))}
+    for j, column in enumerate(columns):
+        m.add_variable(*column, cost=costs.get(j, 0.0))
+    for args in row_args:
+        m.add_constraint(*args)
     return m
 
 
@@ -709,8 +702,8 @@ class TestColumnSlices:
         m = Model("m")
         m.add_variables(["a", "b", "x", "c"], [0.0, 0.0, -1.0, 0.0],
                         [1.0, 1.0, 5.0, 1.0],
-                        ["binary", "binary", "continuous", "binary"])
-        m.set_objective({1: 2.0, 2: -1.5})
+                        ["binary", "binary", "continuous", "binary"],
+                        [0.0, 2.0, -1.5, 0.0])
         lines, slices = self.columns(m, size)
         assert len(slices) == 1
         assert lines == ["    MARKER 'MARKER' 'INTORG'", "    a COST 0",
@@ -722,10 +715,9 @@ class TestColumnSlices:
     def test_columns_without_entries(self, size):
         m = Model("m")
         m.add_variables([f"x{j}" for j in range(6)], [0.0] * 6, [1.0] * 6,
-                        ["continuous"] * 6)
+                        ["continuous"] * 6, [0.0] * 4 + [5.0, 0.0])
         m.add_constraint("r0", {1: 1.0, 4: 2.0}, "<=", 1.0)
         m.add_constraint("r1", {1: 3.0, 4: 4.0}, ">=", 0.0)
-        m.set_objective({4: 5.0})
         lines, _ = self.columns(m, size)
         assert lines == ["    x0 COST 0", "    x1 r0 1", "    x1 r1 3",
                          "    x2 COST 0", "    x3 COST 0", "    x4 COST 5",
@@ -735,10 +727,9 @@ class TestColumnSlices:
     def test_a_binary_run_that_ends_on_the_last_column(self, size):
         m = Model("m")
         m.add_variables(["x", "b0", "b1"], [0.0] * 3, [9.0, 1.0, 1.0],
-                        ["continuous", "binary", "binary"])
+                        ["continuous", "binary", "binary"], [0.0, 1.0, 0.0])
         m.add_constraint("r0", {0: 1.0, 1: 1.0, 2: 1.0}, "<=", 1.0)
         m.add_constraint("r1", {2: -1.0}, "<=", 0.0)
-        m.set_objective({1: 1.0})
         lines, slices = self.columns(m, size)
         assert lines == ["    x r0 1", "    MARKER 'MARKER' 'INTORG'",
                          "    b0 COST 1", "    b0 r0 1", "    b1 r0 1",
@@ -1008,26 +999,11 @@ class TestNonFiniteNumbers:
             f"admits no value, got [{lb}, {ub}]")
         assert m.n_variables == 2
 
-    @pytest.mark.parametrize("key", [0.5, "1", None])
-    def test_objective_rejects_a_non_integer_id(self, key):
-        m = self.model()
-        m.set_objective({0: 1.0})
-        with pytest.raises(ModelError) as info:
-            m.set_objective({key: 1.0, 1: 2.0})
-        assert str(info.value) == (f"objective: variable id {key!r} is not "
-                                   "an integer")
-        assert objective_terms(m) == {0: 1.0}
-        m.set_objective([(np.int64(1), 3.0), (True, 2.0)])
-        assert objective_terms(m) == {1: 2.0}
-        # one coefficient per variable, wherever the ids came from
-        assert m.objective == array("d", [0.0, 2.0])
-
     @pytest.mark.parametrize("value", [None, "abc", [1.0]])
     def test_a_value_that_is_not_a_number_names_its_row_or_variable(self,
                                                                     value):
         m = self.model()
         m.add_constraint("c", {0: "1.5"}, "<=", "2")  # numeric strings
-        m.set_objective({0: 1.0})
         before = rows(m), list(m.starts)
         with pytest.raises(ModelError) as info:
             m.add_constraint("d", {0: 1.0}, ">=", value)
@@ -1039,23 +1015,35 @@ class TestNonFiniteNumbers:
         assert (str(bulk.value), bulk.value.row) == (
             str(info.value).replace("'d'", "'e'"), 1)
         with pytest.raises(ModelError) as info:
-            m.set_objective({0: 2.0, 1: value})
-        assert str(info.value) == ("objective coefficient of variable id 1 "
-                                   f"must be a number, got {value!r}")
+            m.add_variable("z", 0.0, 1.0, cost=value)
+        assert str(info.value) == ("variable 'z': cost must be a number, "
+                                   f"got {value!r}")
+        with pytest.raises(ModelError) as bulk:
+            m.add_variables(["z", "w"], [0.0] * 2, [1.0] * 2,
+                            ["continuous"] * 2, [1.0, value])
+        assert (str(bulk.value), bulk.value.column) == (
+            str(info.value).replace("'z'", "'w'"), 1)
         assert (rows(m), list(m.starts)) == before
         assert rows(m) == [("c", [0], [1.5], "<=", 2.0)]
-        assert objective_terms(m) == {0: 1.0}
-        m.set_objective({0: "0", 1: "2.5"})
-        assert objective_terms(m) == {1: 2.5}
+        assert m.n_variables == 2 and objective_terms(m) == {}
+        m.add_variable("z", 0.0, 1.0, cost="2.5")  # a numeric string
+        assert objective_terms(m) == {2: 2.5}
 
     @pytest.mark.parametrize("value", [math.nan, INF, -INF])
     def test_objective_rejects_non_finite_coefficients(self, value):
+        """An objective coefficient enters as its column's cost, in
+        either form."""
         m = self.model()
-        m.set_objective({0: 1.0})
-        with pytest.raises(ModelError, match="objective coefficient of "
-                                             "variable id 1 must be finite"):
-            m.set_objective({0: 2.0, 1: value})
-        assert objective_terms(m) == {0: 1.0}
+        with pytest.raises(ModelError) as info:
+            m.add_variable("z", 0.0, 1.0, cost=value)
+        assert str(info.value) == ("variable 'z': cost must be finite, "
+                                   f"got {value}")
+        with pytest.raises(ModelError) as bulk:
+            m.add_variables(["z", "w"], [0.0] * 2, [1.0] * 2,
+                            ["continuous"] * 2, [2.0, value])
+        assert (str(bulk.value), bulk.value.column) == (
+            str(info.value).replace("'z'", "'w'"), 1)
+        assert m.n_variables == 2 and objective_terms(m) == {}
 
 
 class TestColumnStore:
@@ -1113,7 +1101,7 @@ class TestColumnStore:
 
 class TestObjectiveArrays:
     """A dense objective given as the costs of a block of columns sets
-    what set_objective's pairs set."""
+    what add_variable's costs set one by one."""
 
     def model(self, costs=None):
         m = Model("m")
@@ -1134,12 +1122,13 @@ class TestObjectiveArrays:
         dense = [0.0] * 3
         for i, c in zip(ids, coeffs):
             dense[i] = c
+        by_pairs = Model("m")  # each variable with its cost, one by one
+        for name, cost in zip("xyz", dense):
+            by_pairs.add_variable(name, 0.0, 1.0, cost=cost)
         if isinstance(coeffs, np.ndarray):  # in the same container
             dense = np.array(dense)
         elif isinstance(coeffs, array):
             dense = array("d", dense)
-        by_pairs = self.model()
-        by_pairs.set_objective(list(zip(ids, coeffs)))
         by_arrays = self.model(dense)
         assert by_arrays.objective == by_pairs.objective
         assert by_arrays == by_pairs

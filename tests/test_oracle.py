@@ -6,6 +6,7 @@ MILP formulations against, so these tests pin its behavior on instances
 small enough to check by hand.
 """
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -333,6 +334,41 @@ class TestCertifyEquivalence:
                                             0.6))
         assert report["formulations"]["temp"]["status"] == "time_limit"
         assert report["conclusive"] is False
+
+    def test_optima_away_from_the_enumeration_are_inconclusive(
+            self, monkeypatch):
+        # every module ends optimal, 1e-6 (relative) above the enumeration
+        solve = oracle.solve_mip
+
+        def off(model, config):
+            res = solve(model, config)
+            return dataclasses.replace(res,
+                                       objective=res.objective * (1 + 1e-6))
+
+        monkeypatch.setattr(oracle, "solve_mip", off)
+        report = certify_equivalence(make_instance([0.0, 10.0],
+                                                   pre_offline=1))
+        assert {entry["status"] for entry
+                in report["formulations"].values()} == {"optimal"}
+        assert report["max_rel_deviation"] == pytest.approx(1e-6)
+        assert report["conclusive"] is False
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 20: the extended base's ramp rows cut off short runs "
+        "and let a unit start and stop in one period"))
+    @pytest.mark.parametrize("seed, horizon, ramp", [
+        (26, 4, None),  # all four modules 3539.71, the oracle 3054.29
+        (26, 6, None),  # 6664.24 against 6203.83
+        (49, 6, None),  # 1051.58 against 942.46
+        (7003, 4, 0.3),  # one_bin 10063.90, below the oracle's 10076.46
+    ])
+    def test_extended_base_meets_the_enumeration(self, seed, horizon, ramp):
+        inst = generate_instance(seed, 2, horizon)
+        if ramp is not None:
+            inst = ramped(inst, ramp)
+        report = certify_equivalence(inst, base="extended")
+        assert report["conclusive"] is True
+        assert report["max_rel_deviation"] <= 1e-9
 
 
 def record_solves(monkeypatch):

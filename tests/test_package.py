@@ -157,3 +157,20 @@ def test_cli_import_loads_no_process_xml_or_scipy_module():
                          capture_output=True, text=True, timeout=120,
                          check=True).stdout
     assert out == "[]\n"
+
+
+def test_cli_import_loads_no_package_but_numpy_and_ucbench():
+    """Every command, and the benchmark's setup, starts with ``import
+    ucbench.cli``; a top-level package outside the standard library,
+    numpy and ucbench would add its import time to every one of them."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import ucbench.cli\n"
+        "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "             - sys.stdlib_module_names))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ucbench.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True).stdout
+    assert out == "['numpy', 'ucbench']\n"

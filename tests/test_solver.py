@@ -27,9 +27,8 @@ INF = float("inf")
 class TestSolveLp:
     def test_single_bounded_variable(self):
         m = Model("one")
-        x = m.add_variable("x", 0.0, 10.0)
+        x = m.add_variable("x", 0.0, 10.0, cost=1.0)
         m.add_constraint("floor", {x: 1.0}, ">=", 3.0)
-        m.set_objective({x: 1.0})
         res = solve_lp(m)
         assert res.status == "optimal"
         assert res.objective == pytest.approx(3.0)
@@ -39,53 +38,48 @@ class TestSolveLp:
         # one always-on unit, two periods: cost is B*(L1+L2) plus the
         # per-period fixed cost carried by a pinned indicator column
         m = Model("dispatch")
-        c = m.add_variable("on", 1.0, 1.0)
-        p1 = m.add_variable("p_1_1", 10.0, 20.0)
-        p2 = m.add_variable("p_1_2", 10.0, 20.0)
+        m.add_variable("on", 1.0, 1.0, cost=2 * 5.0)
+        p1 = m.add_variable("p_1_1", 10.0, 20.0, cost=2.0)
+        p2 = m.add_variable("p_1_2", 10.0, 20.0, cost=2.0)
         m.add_constraint("demand_1", {p1: 1.0}, "=", 12.0)
         m.add_constraint("demand_2", {p2: 1.0}, "=", 15.0)
-        m.set_objective({c: 2 * 5.0, p1: 2.0, p2: 2.0})
         res = solve_lp(m)
         assert res.status == "optimal"
         assert res.objective == pytest.approx(2 * 5.0 + 2.0 * (12 + 15))
 
     def test_demand_above_capacity_is_infeasible(self):
         m = Model("over")
-        p = m.add_variable("p", 0.0, 20.0)
+        p = m.add_variable("p", 0.0, 20.0, cost=1.0)
         m.add_constraint("demand_1", {p: 1.0}, "=", 25.0)
-        m.set_objective({p: 1.0})
         assert solve_lp(m).status == "infeasible"
 
     def test_unbounded_direction_detected(self):
         # no rows
         m = Model("down")
-        x = m.add_variable("x", 0.0, INF)
-        m.set_objective({x: -1.0})
+        m.add_variable("x", 0.0, INF, cost=-1.0)
         assert solve_lp(m).status == "unbounded"
         # a row: the ray x = y -> inf; the dual phase one finds no dual
         # feasible basis, and a zero-cost run finds a feasible point
         m = Model("ray")
-        x = m.add_variable("x", 0.0, INF)
+        x = m.add_variable("x", 0.0, INF, cost=-1.0)
         y = m.add_variable("y", 0.0, INF)
         m.add_constraint("tie", {x: 1.0, y: -1.0}, "=", 0.0)
-        m.set_objective({x: -1.0})
         res = solve_lp(m)
         assert (res.status, res.best_bound) == ("unbounded", -INF)
         # a binary: branch-and-bound reports the unbounded root
         m = Model("ray_mip")
-        x = m.add_variable("x", 0.0, INF)
-        b = m.add_variable("b", 0, 1, "binary")
+        x = m.add_variable("x", 0.0, INF, cost=-1.0)
+        b = m.add_variable("b", 0, 1, "binary", cost=1.0)
         m.add_constraint("cover", {x: 1.0, b: -1.0}, ">=", 0.0)
-        m.set_objective({x: -1.0, b: 1.0})
         res = solve_mip(m)
         assert (res.status, res.best_bound) == ("unbounded", -INF)
 
     def test_degenerate_ties_are_deterministic(self):
         def run():
             m = Model("tie")
-            xs = [m.add_variable(f"x{i}", 0.0, 1.0) for i in range(6)]
+            xs = [m.add_variable(f"x{i}", 0.0, 1.0, cost=1.0)
+                  for i in range(6)]
             m.add_constraint("pick", {x: 1.0 for x in xs}, ">=", 2.0)
-            m.set_objective({x: 1.0 for x in xs})
             r = solve_lp(m)
             return r.objective, tuple(sorted(r.values.items()))
 
@@ -100,10 +94,9 @@ class TestSolveLp:
         pinch.add_constraint("floor", {x: 1.0, y: 1.0}, ">=", 3.0)
         pinch.add_constraint("ceiling", {x: 1.0, y: 1.0}, "<=", 1.0)
         ray = Model("ray")
-        x = ray.add_variable("x", 0.0, INF)
+        x = ray.add_variable("x", 0.0, INF, cost=-1.0)
         y = ray.add_variable("y", 0.0, INF)
         ray.add_constraint("tie", {x: 1.0, y: -1.0}, "=", 0.0)
-        ray.set_objective({x: -1.0})
         ends = {"optimal": solver.LpCore(pair_demand(30.0)).solve(),
                 "infeasible": solver.LpCore(pinch).solve(),
                 "unbounded": solver.LpCore(ray).solve()}
@@ -161,10 +154,9 @@ class TestSolveLp:
 class TestSolveMip:
     def test_integral_root_solves_in_one_node(self):
         m = Model("root")
-        x1 = m.add_variable("x1", 0, 1, "binary")
-        x2 = m.add_variable("x2", 0, 1, "binary")
+        x1 = m.add_variable("x1", 0, 1, "binary", cost=1.0)
+        m.add_variable("x2", 0, 1, "binary", cost=1.0)
         m.add_constraint("need", {x1: 1.0}, ">=", 1.0)
-        m.set_objective({x1: 1.0, x2: 1.0})
         res = solve_mip(m)
         assert res.status == "optimal"
         assert res.objective == pytest.approx(1.0)
@@ -188,12 +180,11 @@ class TestSolveMip:
         # the sibling (bound 92) trips the 10% gap test
         def build():
             m = Model("gapper")
-            c = m.add_variable("c", 1.0, 1.0)
+            m.add_variable("c", 1.0, 1.0, cost=92.0)
             x = m.add_variable("x", 0, 1, "binary")
-            y = m.add_variable("y", 0.0, 1.0)
+            y = m.add_variable("y", 0.0, 1.0, cost=16.0)
             m.add_constraint("lo", {y: 1.0, x: 1.0}, ">=", 0.5)
             m.add_constraint("hi", {y: 1.0, x: -1.0}, ">=", -0.5)
-            m.set_objective({c: 92.0, y: 16.0})
             return m
 
         res = solve_mip(build(), SolveConfig(gap=0.10))
@@ -208,10 +199,9 @@ class TestSolveMip:
 
     def test_infeasible_binary_model(self):
         m = Model("conflict")
-        x = m.add_variable("x", 0, 1, "binary")
+        x = m.add_variable("x", 0, 1, "binary", cost=1.0)
         m.add_constraint("half_lo", {x: 1.0}, ">=", 0.25)
         m.add_constraint("half_hi", {x: 1.0}, "<=", 0.75)
-        m.set_objective({x: 1.0})
         assert solve_mip(m).status == "infeasible"
 
     def test_time_limit_reports_time_limit_status(self):
@@ -466,9 +456,8 @@ def lp_solves(monkeypatch):
 def pair_demand(load, sense="="):
     """Two outputs in [10, 20] serving one demand row."""
     m = Model("pair")
-    p = [m.add_variable(f"p{i}", 10.0, 20.0) for i in (1, 2)]
+    p = [m.add_variable(f"p{i}", 10.0, 20.0, cost=float(i)) for i in (1, 2)]
     m.add_constraint("demand", {p[0]: 1.0, p[1]: 1.0}, sense, load)
-    m.set_objective({p[0]: 1.0, p[1]: 2.0})
     return m
 
 
@@ -606,11 +595,10 @@ class TestVertexOracleAgreement:
 
             model = Model(f"rand_{trial}")
             for j, (lo, hi) in enumerate(bounds):
-                model.add_variable(f"x{j}", lo, hi)
+                model.add_variable(f"x{j}", lo, hi, cost=cost[j])
             for i, (a, s, r) in enumerate(zip(rows, senses, rhs)):
                 model.add_constraint(f"r{i}",
                                      {j: a[j] for j in range(n)}, s, r)
-            model.set_objective({j: cost[j] for j in range(n)})
             res = solve_lp(model)
             ref = best_vertex(bounds, rows, senses, rhs, cost)
             assert res.status == "optimal"
@@ -811,12 +799,12 @@ class TestWarmStart:
                       (5, -5, 3, -1), (3, 0, -5, 2), (-5, -4, -2, 5)]
         senses = [">=", "=", "=", "<=", "=", "="]
         m = Model("dependent")
-        xs = [m.add_variable(f"x{j}", 0.0, 10.0) for j in range(5)]
+        xs = [m.add_variable(f"x{j}", 0.0, 10.0, cost=cost)
+              for j, cost in enumerate([1.0, 2.0, 3.0, 4.0, 4.0])]
         for i, (a0, a1, a3, a4) in enumerate(short_rows):
             coeffs = np.array([a0, a1, a0 / 3 + a1 * (2 / 7), a3, a4])
             m.add_constraint(f"r{i}", dict(zip(xs, coeffs)), senses[i],
                              float(coeffs @ np.array([3, 1, 2, 2, 3])))
-        m.set_objective(dict(zip(xs, [1.0, 2.0, 3.0, 4.0, 4.0])))
         core = solver.LpCore(m)
         basis = np.array([0, 1, 2, 8, 9, 10])
         assert np.linalg.cond(core.A[:, basis], np.inf) > 1e16
@@ -826,12 +814,12 @@ class TestWarmStart:
     @given(data=st.data(), n=st.integers(2, 5), m=st.integers(1, 4))
     def test_random_boxed_lps(self, data, n, m):
         ints = st.integers(-6, 6)
-        model = Model("box")
+        boxes = []
         x0 = []  # an integer point every row admits, so the root is optimal
         for j in range(n):
             lo = data.draw(st.integers(-5, 3))
             up = lo + data.draw(st.integers(1, 6))
-            model.add_variable(f"x{j}", lo, up)
+            boxes.append((lo, up))
             x0.append(data.draw(st.integers(lo, up)))
         rows, senses, rhs = [], [], []
         for i in range(m):
@@ -840,12 +828,15 @@ class TestWarmStart:
             slack = 0 if sense == "=" else data.draw(st.integers(0, 3))
             b = float(np.dot(coeffs, x0))
             b += slack if sense == "<=" else -slack
-            model.add_constraint(f"r{i}", dict(enumerate(coeffs)), sense, b)
             rows.append(coeffs)
             senses.append(sense)
             rhs.append(b)
         cost = [data.draw(ints) for j in range(n)]
-        model.set_objective(dict(enumerate(cost)))
+        model = Model("box")
+        for j, (lo, up) in enumerate(boxes):
+            model.add_variable(f"x{j}", lo, up, cost=cost[j])
+        for i, (coeffs, sense, b) in enumerate(zip(rows, senses, rhs)):
+            model.add_constraint(f"r{i}", dict(enumerate(coeffs)), sense, b)
         core = solver.LpCore(model)
         root = core.solve()
         assert root.status == "optimal"
@@ -870,10 +861,9 @@ class TestWarmStart:
         # so row 1 leaves (score 1 against 0.25), not the larger violation
         m = Model("dse")
         x = m.add_variable("x", 0.0, 10.0)
-        y = m.add_variable("y", 0.0, 10.0)
+        y = m.add_variable("y", 0.0, 10.0, cost=1.0)
         m.add_constraint("r0", {x: 0.1, y: 1.0}, "=", 1.5)
         m.add_constraint("r1", {y: 1.0}, ">=", 1.0)
-        m.set_objective({y: 1.0})
         core = solver.LpCore(m)
         basis = np.array([0, 3])
         vstat = np.array([solver._BASIC, solver._AT_LOWER, solver._AT_LOWER,
@@ -887,9 +877,8 @@ class TestWarmStart:
 
     def test_a_basis_that_is_not_dual_feasible_is_repaired(self):
         m = Model("up")
-        x = m.add_variable("x", 0.0, 10.0)
+        x = m.add_variable("x", 0.0, 10.0, cost=-1.0)
         m.add_constraint("cap", {x: 1.0}, "<=", 5.0)
-        m.set_objective({x: -1.0})
         core = solver.LpCore(m)
         # cold, x rests at the upper bound its negative cost prefers; the
         # warm basis puts it at its lower bound, where it prices wrong
@@ -903,9 +892,8 @@ class TestWarmStart:
         # the only column that can repair the violated row enters with a
         # pivot of 1e-8, below DUAL_PIVOT_TOL
         m = Model("tiny")
-        x = m.add_variable("x", 0.0, 10.0)
+        x = m.add_variable("x", 0.0, 10.0, cost=1.0)
         m.add_constraint("floor", {x: 1e-8}, ">=", 1e-8)
-        m.set_objective({x: 1.0})
         res = solver.LpCore(m).solve()
         assert (res.status, res.objective) == ("optimal", 1.0)
         assert res.iterations == 1
@@ -1010,10 +998,9 @@ class TestDualPhaseOne:
     def test_free_column(self):
         # x >= 1 - y >= -9
         m = Model("free")
-        x = m.add_variable("x", -INF, INF)
+        x = m.add_variable("x", -INF, INF, cost=1.0)
         y = m.add_variable("y", 0.0, 10.0)
         m.add_constraint("floor", {x: 1.0, y: 1.0}, ">=", 1.0)
-        m.set_objective({x: 1.0})
         res = solve_lp(m)
         assert (res.status, res.objective) == ("optimal", -9.0)
         assert res.values == {"x": -9.0, "y": 10.0}
@@ -1022,10 +1009,9 @@ class TestDualPhaseOne:
         # x rests at its upper bound 5, where a cost of 1 prices it wrong;
         # x >= 2 - y >= -1
         m = Model("upper")
-        x = m.add_variable("x", -INF, 5.0)
+        x = m.add_variable("x", -INF, 5.0, cost=1.0)
         y = m.add_variable("y", 0.0, 3.0)
         m.add_constraint("floor", {x: 1.0, y: 1.0}, ">=", 2.0)
-        m.set_objective({x: 1.0})
         res = solve_lp(m)
         assert (res.status, res.objective) == ("optimal", -1.0)
         assert res.values == {"x": -1.0, "y": 3.0}
@@ -1034,11 +1020,10 @@ class TestDualPhaseOne:
         # min -x over x = y would run down the ray x = y -> inf, but
         # y <= -1 and x >= 0 leave no point at all
         m = Model("no_ray")
-        x = m.add_variable("x", 0.0, INF)
+        x = m.add_variable("x", 0.0, INF, cost=-1.0)
         y = m.add_variable("y", -INF, INF)
         m.add_constraint("tie", {x: 1.0, y: -1.0}, "=", 0.0)
         m.add_constraint("cap", {y: 1.0}, "<=", -1.0)
-        m.set_objective({x: -1.0})
         assert solver._unreachable_row(m) is None
         assert solve_lp(m).status == "infeasible"
 
@@ -1046,8 +1031,7 @@ class TestDualPhaseOne:
     @given(data=st.data(), n=st.integers(1, 4), m=st.integers(0, 3))
     def test_agrees_with_highs(self, linprog, data, n, m):
         ints = st.integers(-4, 4)
-        model = Model("diff")
-        bounds = []
+        boxes, bounds = [], []
         for j in range(n):
             kind = data.draw(st.sampled_from(
                 ["free", "lower", "upper", "boxed", "fixed"]))
@@ -1056,15 +1040,16 @@ class TestDualPhaseOne:
             lo, up = {"free": (-INF, INF), "lower": (lo, INF),
                       "upper": (-INF, up), "boxed": (lo, up),
                       "fixed": (lo, lo)}[kind]
-            model.add_variable(f"x{j}", lo, up)
+            boxes.append((lo, up))
             bounds.append((None if lo == -INF else lo,
                            None if up == INF else up))
+        row_args = []
         A_ub, b_ub, A_eq, b_eq = [], [], [], []
         for i in range(m):
             coeffs = [data.draw(ints) for _ in range(n)]
             sense = data.draw(st.sampled_from(["<=", ">=", "="]))
             b = data.draw(st.integers(-6, 6))
-            model.add_constraint(f"r{i}", dict(enumerate(coeffs)), sense, b)
+            row_args.append((f"r{i}", dict(enumerate(coeffs)), sense, b))
             if sense == "=":
                 A_eq.append(coeffs)
                 b_eq.append(b)
@@ -1073,7 +1058,11 @@ class TestDualPhaseOne:
                 A_ub.append([sign * a for a in coeffs])
                 b_ub.append(sign * b)
         cost = [data.draw(ints) for _ in range(n)]
-        model.set_objective(dict(enumerate(cost)))
+        model = Model("diff")
+        for j, (lo, up) in enumerate(boxes):
+            model.add_variable(f"x{j}", lo, up, cost=cost[j])
+        for args in row_args:
+            model.add_constraint(*args)
         ref = linprog(cost, A_ub=A_ub or None, b_ub=b_ub or None,
                       A_eq=A_eq or None, b_eq=b_eq or None, bounds=bounds,
                       method="highs")
