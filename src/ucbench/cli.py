@@ -9,10 +9,11 @@ budget). A proven infeasible or unbounded model is an *answer*, not a failure.
 Commands raise on bad data; :func:`cli` alone turns those exceptions
 into exit code 2. A command returns 2 or 3 itself only for outcomes that
 are not exceptions: ``validate``'s violations, ``solve``'s failed solve
-and ``oracle``'s inconclusive report: a size-guard trip, a formulation
-that does not end as the enumeration does (optimal if some schedule is
-feasible, infeasible if none is), or optima more than 1e-9 (relative)
-away from the enumeration's optimum or from each other.
+and, from ``oracle``, an inconclusive report (a size-guard trip, or a
+formulation that does not end as the enumeration does: optimal if some
+schedule is feasible, infeasible if none is) or a ``max_rel_deviation``
+above 1e-9 (optima away from the enumeration's optimum or from each
+other).
 """
 
 from __future__ import annotations
@@ -122,7 +123,8 @@ def _cmd_oracle(args) -> int:
     report = certify_equivalence(load_instance(args.instance),
                                  base=args.base, guard=args.guard)
     print(json.dumps(report, indent=2, sort_keys=True))
-    return 0 if report["conclusive"] else 3
+    dev = report["max_rel_deviation"] or 0.0
+    return 0 if report["conclusive"] and dev <= 1e-9 else 3
 
 
 def _checked(check):

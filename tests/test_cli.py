@@ -506,4 +506,4 @@ class TestOracle:
         assert {entry["status"] for entry
                 in report["formulations"].values()} == {"optimal"}
         assert report["max_rel_deviation"] == pytest.approx(1e-6)
-        assert report["conclusive"] is False
+        assert report["conclusive"] is True

@@ -6,7 +6,6 @@ MILP formulations against, so these tests pin its behavior on instances
 small enough to check by hand.
 """
 
-import dataclasses
 import itertools
 import tracemalloc
 
@@ -333,24 +332,6 @@ class TestCertifyEquivalence:
         report = certify_equivalence(ramped(generate_instance(102, 2, 4),
                                             0.6))
         assert report["formulations"]["temp"]["status"] == "time_limit"
-        assert report["conclusive"] is False
-
-    def test_optima_away_from_the_enumeration_are_inconclusive(
-            self, monkeypatch):
-        # every module ends optimal, 1e-6 (relative) above the enumeration
-        solve = oracle.solve_mip
-
-        def off(model, config):
-            res = solve(model, config)
-            return dataclasses.replace(res,
-                                       objective=res.objective * (1 + 1e-6))
-
-        monkeypatch.setattr(oracle, "solve_mip", off)
-        report = certify_equivalence(make_instance([0.0, 10.0],
-                                                   pre_offline=1))
-        assert {entry["status"] for entry
-                in report["formulations"].values()} == {"optimal"}
-        assert report["max_rel_deviation"] == pytest.approx(1e-6)
         assert report["conclusive"] is False
 
     @pytest.mark.xfail(strict=True, reason=(
