@@ -199,38 +199,50 @@ def _dispatch_template(instance: Instance, base: str) -> Model:
     T = instance.horizon
     units = instance.units
     model = Model("dispatch")
-    for k, u in enumerate(units):
-        for t in range(1, T + 1):
-            model.add_variable(f"p_{k + 1}_{t}", u.p_min, u.p_max,
-                               cost=u.cost_variable)
     # p_{k+1}_t is column k * T + t - 1
+    model.add_variables(
+        [f"p_{k + 1}_{t}" for k in range(len(units)) for t in range(1, T + 1)],
+        [u.p_min for u in units for _ in range(T)],
+        [u.p_max for u in units for _ in range(T)],
+        ["continuous"] * (len(units) * T),
+        [u.cost_variable for u in units for _ in range(T)])
+    names, senses, rhs, starts, ids, coeffs = [], [], [], [0], [], []
+
+    def row(name, terms, sense, b):
+        """Queue one row; terms are (id, coeff) pairs in increasing id."""
+        names.append(name)
+        senses.append(sense)
+        rhs.append(b)
+        for j, a in terms:
+            ids.append(j)
+            coeffs.append(a)
+        starts.append(len(ids))
+
     for t in range(1, T + 1):
-        model.add_constraint(
-            f"demand_{t}", {k * T + t - 1: 1.0 for k in range(len(units))},
+        row(f"demand_{t}", [(k * T + t - 1, 1.0) for k in range(len(units))],
             "=", instance.load[t - 1])
     for k, u in enumerate(units):
         for t in range(2, T + 1):
             j = k * T + t - 1
-            model.add_constraint(f"up_{k + 1}_{t}", {j: 1.0, j - 1: -1.0},
-                                 "<=", u.ramp_up)
-            model.add_constraint(f"down_{k + 1}_{t}", {j: -1.0, j - 1: 1.0},
-                                 "<=", u.ramp_down)
+            row(f"up_{k + 1}_{t}", [(j - 1, -1.0), (j, 1.0)], "<=",
+                u.ramp_up)
+            row(f"down_{k + 1}_{t}", [(j - 1, 1.0), (j, -1.0)], "<=",
+                u.ramp_down)
     if base == "extended" and instance.network is not None:
         net = instance.network
         for m, line in enumerate(net.lines, 1):
             shift = sum(line.alpha.get(nd, 0.0) * g
                         for nd, g in net.nodes.items())
             for t in range(1, T + 1):
-                terms = {}
+                terms = []
                 for k, u in enumerate(units):
                     w = line.alpha.get(u.node, 0.0)
                     if w != 0.0:
-                        terms[k * T + t - 1] = w
-                rhs = shift * instance.load[t - 1]
-                model.add_constraint(f"flow_hi_{m}_{t}", dict(terms), "<=",
-                                     line.capacity + rhs)
-                model.add_constraint(f"flow_lo_{m}_{t}", terms, ">=",
-                                     -line.capacity + rhs)
+                        terms.append((k * T + t - 1, w))
+                b = shift * instance.load[t - 1]
+                row(f"flow_hi_{m}_{t}", terms, "<=", line.capacity + b)
+                row(f"flow_lo_{m}_{t}", terms, ">=", -line.capacity + b)
+    model.add_rows(names, senses, rhs, starts, ids, coeffs)
     return model
 
 

@@ -80,16 +80,27 @@ to the lowest column index. After five restores a singular basis ends
 the solve in one place: ``refresh`` raises ``_Singular``, and
 ``_Simplex.dual`` returns it as the solve's error.
 
-MIP solving is best-first branch-and-bound on binary variables:
-node selection by (bound, creation index), branching on the most
-fractional binary with ties to the lowest variable index. Node and
-iteration counts are deterministic for a fixed BLAS library, kernel set
-and thread count; a product can round differently under another and
-lead to another pivot, or flip a check of the inverse. The seeded 3×12
-extended/one_bin root takes 199 iterations under one thread and 196
-under two. The gap-0 tree of extended/temp on
-``generate_instance(5021, 2, 3)`` takes 79 LP iterations over 11 nodes
-under OpenBLAS's SkylakeX kernels and 89 over 15 under its Haswell ones.
+MIP solving is best-first branch-and-bound on binary variables, with
+node selection by (bound, creation index). A node branches on one of its
+fractional binaries, chosen by Driebeek–Tomlin penalties
+(``_penalties``): the objective rise of the dual simplex's first step in
+each child, read off the node's optimal basis, which bounds that child's
+optimum from below. The branch variable has the largest product score
+max(D, 1e-6)·max(U, 1e-6) of its down and up penalties (Achterberg, Koch
+& Martin, Oper. Res. Lett. 33, 2005), ties within 1e-9 relative going to
+the lowest variable index. Each child's bound is its parent's objective
+plus its own penalty. A child whose penalty is infinite has no column
+that can start that step, so its LP would end infeasible after 0
+iterations; it is never pushed. Node and iteration counts are
+deterministic for a fixed BLAS library, kernel set and thread count; a
+product can round differently under another and lead to another pivot,
+or flip a check of the inverse. The seeded 3×12 extended/one_bin root
+takes 199 iterations under one thread and 196 under two. The gap-0 tree
+of extended/temp on ``generate_instance(5021, 2, 3)`` takes 69 LP
+iterations over 10 nodes under both OpenBLAS's SkylakeX and Haswell
+kernels, but that of extended/three_bin on
+``generate_instance(1032, 3, 3)`` takes 132 over 19 under SkylakeX and
+131 under Haswell.
 The root node is solved whatever the time budget, cold, on the model's
 own bounds, i.e. exactly as ``solve_lp`` solves a model that
 passes its row check (a model that fails it has no optimal root
@@ -101,11 +112,14 @@ their nearest integers, solved from the root's result. If it is
 optimal, it is the first incumbent, and the gap test may end the search
 at the next node popped. At gap 0 it is skipped: best-first search pops
 every node whose bound is below the optimum whatever the incumbent, so
-it would only cost an LP. ``Solution.nodes`` counts tree nodes, not the
-rounding LP; ``Solution.iterations`` of a MIP is the LP iteration count
-summed over all nodes and the rounding LP. One DEBUG line per
-``solve_mip`` reports status, nodes, iterations, root and best bound,
-and seconds, and one INFO line per new incumbent reports it with the
+it would only cost an LP. ``Solution.nodes`` counts the nodes whose LP
+was solved: not the rounding LP, not a child closed by an infinite
+penalty, and not one popped after the incumbent has reached its bound.
+``Solution.iterations`` of a MIP is the LP iteration count summed over
+all nodes and the rounding LP. One DEBUG line per ``solve_mip`` reports
+status, nodes, iterations, the children closed by an infinite penalty,
+root and best bound, and seconds, and one INFO line per new incumbent
+reports it with the
 nodes solved so far, the best bound of the open nodes and the relative
 gap.
 """
@@ -701,13 +715,16 @@ def solve_lp(model: Model) -> Solution:
 def solve_mip(model: Model, config: SolveConfig | None = None) -> Solution:
     """Best-first branch-and-bound over the model's binary variables.
 
-    Nodes are keyed by (LP bound of the parent, creation index); the
-    branch variable is the most fractional binary, ties going to the
-    lowest variable id. Node and iteration counts are deterministic for a
-    fixed BLAS library, kernel set and thread count (see the module
-    docstring). The root LP is
-    solved from the slack basis, whatever the time budget, so
-    ``root_bound`` is always, bit for bit, the relaxation ``solve_lp``
+    Nodes are keyed by (bound, creation index), where a child's bound is
+    its parent's LP objective plus the child's Driebeek–Tomlin penalty.
+    The branch variable is the fractional binary with the largest product
+    of its two penalties, ties within 1e-9 relative going to the lowest
+    variable id, and a child whose penalty is infinite is infeasible and
+    never pushed (see the module docstring). ``Solution.nodes`` counts
+    the nodes whose LP was solved. Node and iteration counts are
+    deterministic for a fixed BLAS library, kernel set and thread count.
+    The root LP is solved from the slack basis, whatever the time budget,
+    so ``root_bound`` is always, bit for bit, the relaxation ``solve_lp``
     would report. Each child LP starts from its parent's optimal
     ``_LpResult``, with the inverse, basic values and reduced costs that
     the parent's verdict rested on, and needs no refactorization to reach
@@ -722,25 +739,58 @@ def solve_mip(model: Model, config: SolveConfig | None = None) -> Solution:
     config = config or SolveConfig()
     core = LpCore(model)
     t0 = time.monotonic()
-    sol = _branch_and_bound(core, config, t0)
+    sol, closed = _branch_and_bound(core, config, t0)
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("mip: %s after %d nodes, %d LP iterations; root bound %r, "
-                  "best bound %r; %.3f s", sol.status, sol.nodes,
-                  sol.iterations, sol.root_bound, sol.best_bound,
-                  time.monotonic() - t0)
+        log.debug("mip: %s after %d nodes, %d LP iterations, %d children "
+                  "closed by an infinite penalty; root bound %r, best bound "
+                  "%r; %.3f s", sol.status, sol.nodes, sol.iterations, closed,
+                  sol.root_bound, sol.best_bound, time.monotonic() - t0)
     return sol
 
 
+def _penalties(A, res: _LpResult, movable, cols):
+    """Driebeek–Tomlin penalties (down, up) of fixing each binary of cols,
+    basic and fractional in the optimal node result res, at 0 and at 1.
+
+    Fixing x_j = x_B[r] at 0 or at 1 leaves row r as the only row out of
+    its bounds, by x_j or by 1 - x_j. The dual simplex's first step from
+    res's basis takes the pivot row alpha = Binv[r] A and the columns that
+    ``_Simplex.iterate`` finds eligible to push x_j that way; one dual
+    step of length t = min |rc_k / alpha_k| over them stays dual feasible
+    for the child and raises its objective by x_j t (or (1 - x_j) t), a
+    lower bound on the child's optimum by weak duality (Driebeek, Mgmt.
+    Sci. 12, 1966; Tomlin, Oper. Res. 19, 1971).
+    A direction with no eligible column has an infinite penalty: from
+    res's state the dual simplex reports that child infeasible after 0
+    iterations. Each alpha is computed as the child's first iteration
+    computes it, so the two agree bit for bit."""
+    row_of = np.empty(A.shape[1], dtype=np.intp)
+    row_of[res.basis] = np.arange(len(res.basis))
+    alpha = np.stack([res.Binv[r] @ A for r in row_of[cols]])
+    pos, neg = alpha > PIVOT_TOL, alpha < -PIVOT_TOL
+    inc, dec = _directions(res.vstat, movable)
+    ratios = np.divide(np.abs(res.state[2]), np.abs(alpha),
+                       out=np.full(alpha.shape, INF), where=pos | neg)
+    falls = ratios.min(axis=1, where=(inc & pos) | (dec & neg), initial=INF)
+    rises = ratios.min(axis=1, where=(dec & pos) | (inc & neg), initial=INF)
+    x = res.x[cols]
+    return x * falls, (1.0 - x) * rises
+
+
 def _branch_and_bound(core: LpCore, config: SolveConfig,
-                      t0: float) -> Solution:
+                      t0: float) -> tuple[Solution, int]:
+    """The search of ``solve_mip``, and how many children an infinite
+    penalty closed."""
     bin_ids = core.binary_ids
     incumbent = math.inf
     incumbent_x: np.ndarray | None = None
     nodes_solved = 0
+    closed = 0                # children an infinite penalty closed
     iterations = 0
     root_bound = math.nan
     counter = 0
-    # heap entries: (parent LP bound, creation index, lo, up, parent LP);
+    # heap entries: (bound, creation index, lo, up, parent LP), where a
+    # child's bound is its parent's LP objective plus the child's penalty;
     # the counter breaks bound ties deterministically and keeps heapq from
     # ever comparing the payloads. The root has no parent and the core's
     # own bounds, which each child copies before it fixes a binary.
@@ -748,9 +798,10 @@ def _branch_and_bound(core: LpCore, config: SolveConfig,
     stop: str | None = None   # why the loop broke, if early
     best_open = math.inf      # bound of the best node left unexplored
 
-    def done(status: str, **kw) -> Solution:
+    def done(status: str, **kw) -> tuple[Solution, int]:
         return Solution(status=status, nodes=nodes_solved,
-                        iterations=iterations, root_bound=root_bound, **kw)
+                        iterations=iterations, root_bound=root_bound,
+                        **kw), closed
 
     def take(res: _LpResult) -> None:
         """Make an integral LP result the incumbent and log it."""
@@ -795,16 +846,26 @@ def _branch_and_bound(core: LpCore, config: SolveConfig,
             continue
 
         xb = res.x[bin_ids]
-        frac = np.minimum(xb - np.floor(xb), np.ceil(xb) - xb)
-        if not len(frac) or frac.max() <= INT_TOL:
+        fractional = np.minimum(xb - np.floor(xb), np.ceil(xb) - xb) > INT_TOL
+        if not np.count_nonzero(fractional):
             take(res)
             continue
-        j = int(bin_ids[np.argmax(frac)])  # argmax: lowest index wins ties
-        for val in (0.0, 1.0):
+        cols = bin_ids[fractional]
+        falls, rises = _penalties(core.A, res, (up - lo) > 0, cols)
+        # the product score (Achterberg, Koch & Martin, Oper. Res. Lett.
+        # 33, 2005); ties within 1e-9 relative go to the lowest id
+        score = np.maximum(falls, 1e-6) * np.maximum(rises, 1e-6)
+        i = int(np.argmax(score >= score.max() * (1.0 - 1e-9)))
+        j = int(cols[i])
+        for val, penalty in ((0.0, float(falls[i])), (1.0, float(rises[i]))):
+            if penalty == INF:  # its LP would end infeasible at once
+                closed += 1
+                continue
             lo2, up2 = lo.copy(), up.copy()
             lo2[j] = up2[j] = val
             counter += 1
-            heapq.heappush(heap, (res.objective, counter, lo2, up2, res))
+            heapq.heappush(heap, (res.objective + penalty, counter, lo2, up2,
+                                  res))
         if nodes_solved == 1 and config.gap > 0:
             # the root rounded: one LP with every binary fixed at its
             # nearest integer, from the root's result; not a node

@@ -19,7 +19,7 @@ from ucbench import (BASES, STARTUPS, Model, SolveConfig, solve_lp,
                      generate_instance)
 from ucbench import solver
 
-from conftest import make_instance, make_unit
+from conftest import make_instance, make_unit, ramped
 
 INF = float("inf")
 
@@ -151,6 +151,24 @@ class TestSolveLp:
         assert float(out[1]) == pytest.approx(32614.45999937468, rel=1e-9)
 
 
+# status, objective repr, nodes and iterations of each tree that the
+# pinned_trees fixture solves
+PINNED_TREES = {
+    "2x3/basic/one_bin": ["optimal", "5027.866084736637", 6, 24],
+    "2x3/basic/one_bin_star": ["optimal", "5027.866084736637", 6, 24],
+    "2x3/basic/three_bin": ["optimal", "5027.866084736637", 6, 30],
+    "2x3/basic/temp": ["optimal", "5027.866084736637", 6, 34],
+    "2x3/extended/one_bin": ["optimal", "5027.866084736637", 4, 26],
+    "2x3/extended/one_bin_star": ["optimal", "5027.866084736637", 4, 26],
+    "2x3/extended/three_bin": ["optimal", "5027.866084736637", 4, 28],
+    "2x3/extended/temp": ["optimal", "5027.866084736637", 4, 35],
+    "2x4-ramps/basic/one_bin": ["optimal", "5685.033102533476", 13, 64],
+    "2x4-ramps/basic/one_bin_star": ["optimal", "5685.033102533477", 13, 65],
+    "2x4-ramps/basic/three_bin": ["optimal", "5685.033102533474", 8, 63],
+    "2x4-ramps/basic/temp": ["optimal", "5685.033102533476", 8, 71],
+}
+
+
 class TestSolveMip:
     def test_integral_root_solves_in_one_node(self):
         m = Model("root")
@@ -262,25 +280,29 @@ class TestSolveMip:
         assert len(lines) == 1
         assert re.fullmatch(
             re.escape(f"mip: optimal after {res.nodes} nodes, "
-                      f"{res.iterations} LP iterations; root bound "
-                      f"{res.root_bound!r}, best bound {res.best_bound!r}; ")
+                      f"{res.iterations} LP iterations, ")
+            + r"\d+ children closed by an infinite penalty; "
+            + re.escape(f"root bound {res.root_bound!r}, best bound "
+                        f"{res.best_bound!r}; ")
             + r"\d+\.\d{3} s", lines[0])
 
     def test_a_rounded_root_incumbent_ends_the_search(self, monkeypatch):
         # the root rounded is this model's optimum, 0.073% above the root
-        # bound, so the first node popped meets the 1% gap
+        # bound; both root children's bounds, the root bound plus each
+        # child's penalty, reach it, so no child LP is solved and the tree
+        # is exhausted: the search ends optimal after the root
         model, _ = build_model(generate_instance(1, 2, 3),
                                FormulationChoice("basic", "one_bin", 0.0))
         solves = lp_solves(monkeypatch)
         res = solve_mip(model, SolveConfig(gap=0.01))
         root, rounded = solves
         assert rounded.status == "optimal"
-        assert res.status == "gap_reached"
+        assert res.status == "optimal"
         assert res.nodes == 1
         assert res.iterations == root.iterations + rounded.iterations
-        assert res.objective == rounded.objective
-        assert res.best_bound == res.root_bound == root.objective
-        assert (res.objective - res.best_bound) / res.objective <= 0.01
+        assert res.objective == rounded.objective == res.best_bound
+        assert res.root_bound == root.objective < res.objective
+        assert (res.objective - res.root_bound) / res.objective <= 0.01
         ids = solver.LpCore(model).binary_ids
         assert all(res.values[model.var_names[j]]
                    == round(root.x[j]) for j in ids)
@@ -321,7 +343,10 @@ class TestSolveMip:
                 assert len(solves) == res.nodes
 
     def test_progress_log_of_the_rounded_incumbent(self, caplog):
-        model, _ = build_model(generate_instance(1, 2, 3),
+        # the root is solved and open in its two children, the better of
+        # which is bounded by the root bound plus its penalty; the gap to
+        # that bound meets the 1% target at the first node popped
+        model, _ = build_model(generate_instance(2, 2, 3),
                                FormulationChoice("basic", "one_bin", 0.0))
         with caplog.at_level(logging.INFO, logger="ucbench.solver"):
             res = solve_mip(model, SolveConfig(gap=0.01))
@@ -332,39 +357,25 @@ class TestSolveMip:
             if r.name == "ucbench.solver" and r.levelno == logging.INFO]
         assert len(progress) == 1 and progress[0]
         incumbent, nodes, bound, gap = progress[0].groups()
-        # the root is solved and open in its two children
+        assert (res.status, res.nodes) == ("gap_reached", 1)
         assert (float(incumbent), int(nodes), float(bound)) \
-            == (res.objective, 1, res.root_bound)
-        assert gap == "0.000734"
+            == (res.objective, 1, res.best_bound)
+        assert res.root_bound < res.best_bound < res.objective
+        assert float(bound) == pytest.approx(7831.063483747051, rel=1e-12)
+        assert gap == "7.67e-05"
         assert float(gap) == pytest.approx(
-            (res.objective - res.root_bound) / res.objective, rel=5e-3)
+            (res.objective - res.best_bound) / res.objective, rel=5e-3)
 
-    @pytest.mark.parametrize(
-        "instance, base, module, objective, nodes, iterations", [
-        ("2x3", "basic", "one_bin", "5027.866084736637", 9, 25),
-        ("2x3", "basic", "one_bin_star", "5027.866084736637", 9, 25),
-        ("2x3", "basic", "three_bin", "5027.866084736637", 11, 37),
-        ("2x3", "basic", "temp", "5027.866084736637", 9, 34),
-        ("2x3", "extended", "one_bin", "5027.866084736637", 11, 42),
-        ("2x3", "extended", "one_bin_star", "5027.866084736637", 11, 42),
-        ("2x3", "extended", "three_bin", "5027.866084736637", 11, 41),
-        ("2x3", "extended", "temp", "5027.866084736637", 11, 57),
-        ("2x4-ramps", "basic", "one_bin", "5685.033102533475", 21, 72),
-        ("2x4-ramps", "basic", "one_bin_star", "5685.033102533476", 17, 61),
-        ("2x4-ramps", "basic", "three_bin", "5685.033102533482", 23, 107),
-        ("2x4-ramps", "basic", "temp", "5685.033102533476", 23, 104),
-    ])
-    def test_pinned_trees(self, pinned_trees, instance, base, module,
-                          objective, nodes, iterations):
-        assert pinned_trees[f"{instance}/{base}/{module}"] \
-            == ["optimal", objective, nodes, iterations]
+    @pytest.mark.parametrize("tree", PINNED_TREES)
+    def test_pinned_trees(self, pinned_trees, tree):
+        assert pinned_trees[tree] == PINNED_TREES[tree]
 
     def test_progress_log_of_each_new_incumbent(self, caplog):
-        # best-first search meets an incumbent of 5690.41 at node 8, one of
-        # 5398.19 at node 10, then the optimum at node 11, the last node;
-        # so it did under OpenBLAS's Haswell and SkylakeX kernels both
-        model, _ = build_model(generate_instance(1004, 2, 3),
-                               FormulationChoice("extended", "three_bin", 0.0))
+        # best-first search meets an incumbent of 3922.48 at node 12, then
+        # the optimum at node 15, and proves it at node 22; so it did under
+        # OpenBLAS's Haswell and SkylakeX kernels both
+        model, _ = build_model(generate_instance(1032, 3, 3),
+                               FormulationChoice("basic", "one_bin", 0.0))
         with caplog.at_level(logging.INFO, logger="ucbench.solver"):
             res = solve_mip(model, SolveConfig(gap=0.0))
         progress = [re.fullmatch(
@@ -372,19 +383,17 @@ class TestSolveMip:
             r"gap (\S+)", r.getMessage())
             for r in caplog.records
             if r.name == "ucbench.solver" and r.levelno == logging.INFO]
-        assert len(progress) == 3 and all(progress)
+        assert len(progress) == 2 and all(progress)
         incumbents = [float(p[1]) for p in progress]
         assert incumbents == pytest.approx(
-            [5690.414695562026, 5398.192743477796, 5027.866084736637],
-            rel=1e-12)
+            [3922.4831586651203, 3825.2845223915037], rel=1e-12)
         assert incumbents[-1] == res.objective
-        assert [int(p[2]) for p in progress] == [8, 10, 11]
-        assert res.nodes == 11
+        assert [int(p[2]) for p in progress] == [12, 15]
+        assert res.nodes == 22
         bounds = [float(p[3]) for p in progress]
         assert bounds == pytest.approx(
-            [5025.375490281636, 5026.620787509137, 5027.866084736637],
-            rel=1e-12)
-        assert [p[4] for p in progress] == ["0.117", "0.0688", "0"]
+            [3582.969424032975, 3614.267435353829], rel=1e-12)
+        assert [p[4] for p in progress] == ["0.0866", "0.0552"]
         for incumbent, bound, p in zip(incumbents, bounds, progress):
             assert res.root_bound <= bound <= incumbent
             # the gap is printed to 3 significant digits
@@ -399,9 +408,9 @@ def pinned_trees():
     ramps (0.6 of each unit's output range) bind, gap 0; a change of any
     pivot shows as other counts or last digits. They are solved in a
     child process on one thread of OpenBLAS's Haswell kernels, which any
-    x86-64 CPU with AVX2 runs. Other kernels end these trees otherwise:
-    under SkylakeX, 7 of the 12 take other iteration counts and one more
-    ends on another last digit."""
+    x86-64 CPU with AVX2 runs. Other kernels may end these trees
+    otherwise: under SkylakeX, all 12 take the same node and iteration
+    counts, but one ends on another last digit."""
     script = textwrap.dedent("""
         import json
         from conftest import openblas_corename, ramped
@@ -988,6 +997,60 @@ class TestWarmStart:
             assert res.message == "basis became singular"
         else:
             assert res.objective == objective
+
+
+class TestPenalties:
+    """The penalty of branching a fractional binary one way is the
+    objective rise of the dual simplex's first step from the node's
+    optimal basis: a lower bound on that child's optimum by weak duality.
+    An infinite penalty means that no column can start the step, so the
+    child's LP, started from the node's result, ends infeasible after 0
+    iterations."""
+
+    def test_every_child_ends_at_or_above_its_bound(self):
+        # both children of every fractional binary at the root, and at
+        # each optimal child of the root, of every model of two seeded 2x3
+        # instances and two 2x4 ones whose ramps (0.6 of each unit's
+        # output range) bind
+        instances = [generate_instance(1, 2, 3), generate_instance(1004, 2, 3),
+                     ramped(generate_instance(5, 2, 4), 0.6),
+                     ramped(generate_instance(7, 2, 4), 0.6)]
+        ends = {"closed": 0, "optimal": 0, "infeasible": 0}
+        for instance, base, module in itertools.product(instances, BASES,
+                                                        STARTUPS):
+            model, _ = build_model(
+                instance, FormulationChoice(base, module, 0.0))
+            core = solver.LpCore(model)
+            root = core.solve()
+            assert root.status == "optimal"
+            nodes = [(core.lo, core.up, root, True)]
+            while nodes:
+                lo, up, res, is_root = nodes.pop()
+                z = res.objective
+                xb = res.x[core.binary_ids]
+                cols = core.binary_ids[
+                    np.abs(xb - np.round(xb)) > solver.INT_TOL]
+                if not len(cols):
+                    continue
+                falls, rises = solver._penalties(core.A, res, up > lo, cols)
+                for j, fall, rise in zip(cols, falls, rises):
+                    for val, penalty in ((0.0, fall), (1.0, rise)):
+                        lo2, up2 = lo.copy(), up.copy()
+                        lo2[j] = up2[j] = val
+                        child = core.solve(lo2, up2, res)
+                        if penalty == INF:
+                            assert (child.status, child.iterations) \
+                                == ("infeasible", 0)
+                            ends["closed"] += 1
+                            continue
+                        assert penalty >= 0.0
+                        if child.status == "optimal":
+                            assert child.objective \
+                                >= z + penalty - 1e-9 * max(1.0, abs(z))
+                            if is_root:
+                                nodes.append((lo2, up2, child, False))
+                        ends[child.status] += 1
+        assert all(ends.values()), ends
 
 
 class TestDualPhaseOne:
