@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from random import Random
 
+from . import formulations
 from .domain import (Instance, Line, Network, Unit, check_instance,
                      load_instance, read_field, read_json_object)
 from .formulations import (STARTUPS, FormulationChoice, build_model,
@@ -179,12 +180,14 @@ class BenchConfig:
 
 
 def measure_gap(instance: Instance, choice: FormulationChoice,
-                config: BenchConfig) -> GapRow:
+                config: BenchConfig, base=None) -> GapRow:
     """Build one model, solve the MIP, and emit a report row. The LP
     bound is the solve's own ``root_bound``, the branch-and-bound root
-    node, which ``solve_mip`` solves whatever the time budget."""
+    node, which ``solve_mip`` solves whatever the time budget. ``base``
+    is passed to :func:`build_model`: the instance's base, built once
+    for all its rows; its build is then not in the row's ``wall_ms``."""
     t0 = time.perf_counter()
-    model, _ = build_model(instance, choice)
+    model, _ = build_model(instance, choice, base=base)
     mip = solve_mip(model, SolveConfig(config.gap, config.time_limit,
                                        config.backend))
     z_lp = mip.root_bound
@@ -231,11 +234,19 @@ def gap_rows(config: BenchConfig) -> tuple[list[GapRow], dict[str, int]]:
         names.add(inst.name)
     rows: list[GapRow] = []
     for inst in instances:
+        # every row of an instance extends one base; if it fails, so
+        # does each of those rows, with its error
+        try:
+            base, failed = formulations.build_base(inst, config.base), None
+        except Exception as exc:
+            base, failed = None, exc
         for formulation in config.formulations:
             for ktol in config.ktols:
                 choice = FormulationChoice(config.base, formulation, ktol)
                 try:
-                    rows.append(measure_gap(inst, choice, config))
+                    if failed is not None:
+                        raise failed
+                    rows.append(measure_gap(inst, choice, config, base))
                 except Exception as exc:  # record, keep going
                     rows.append(GapRow(
                         instance=inst.name, formulation=formulation,
@@ -243,6 +254,7 @@ def gap_rows(config: BenchConfig) -> tuple[list[GapRow], dict[str, int]]:
                         gap_abs=math.nan, gap_rel=math.nan, wall_ms=0.0,
                         nodes=0, status=f"error: {exc}",
                         backend=config.backend))
+        del base  # hold one instance's base at a time
     rows.sort(key=lambda r: (r.instance, r.formulation, r.ktol))
     return rows, {inst.name: inst.horizon for inst in instances}
 

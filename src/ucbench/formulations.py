@@ -37,6 +37,12 @@ gather their rows family by family, in model order, for one
 :meth:`~ucbench.milp.Model.add_rows` call (one per ``_FLUSH_TERMS``
 terms on a large model). The step-based modules derive each unit's step
 table from ktol before they touch the model.
+
+The modules only add to the model and assign :class:`VarIndex`
+attributes, so several modules can share one base: :func:`build_model`
+takes a base that :func:`build_base` returned and extends a copy of it,
+which shares no container with the base. A comparison of the four
+modules on one instance builds its base once.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ import logging
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain, product, repeat
 
 from .domain import Instance, check_instance
@@ -669,10 +675,28 @@ def add_startup_temp(model: Model, vix: VarIndex, instance: Instance
     rows.flush()
 
 
-def build_model(instance: Instance,
-                choice: FormulationChoice) -> tuple[Model, VarIndex]:
-    """Build the full MILP for one formulation choice."""
-    model, vix = build_base(instance, choice.base)
+def build_model(instance: Instance, choice: FormulationChoice,
+                base: tuple[Model, VarIndex] | None = None
+                ) -> tuple[Model, VarIndex]:
+    """Build the full MILP for one formulation choice.
+
+    ``base``, when given, is what ``build_base(instance, choice.base)``
+    returned; the module then extends a copy of it, which shares no
+    container with it, so one base serves every module of an instance.
+    A base whose model name is not the one ``build_base`` gives this
+    instance and base raises ValueError. Without ``base``, the base is
+    built here."""
+    if base is None:
+        model, vix = build_base(instance, choice.base)
+    else:
+        model, vix = base
+        if model.name != _model_name(instance.name, choice.base):
+            raise ValueError(f"base model {model.name!r} was not built for "
+                             f"instance {instance.name!r} on the "
+                             f"{choice.base} base")
+        # the modules only assign VarIndex attributes, so a shallow copy
+        # keeps the shared base's lists as they are
+        model, vix = model.rebound(model.lb, model.ub), replace(vix)
     model.name = _model_name(instance.name, choice.base, choice.startup)
     if choice.startup == "temp":
         add_startup_temp(model, vix, instance)

@@ -22,6 +22,17 @@ row's largest activity within the new bounds as its right-hand side
 cannot bind, and the row check below always passes it. A start or a
 stop is capped by its speed bound alone.
 
+All of that depends on one unit's own on/off row, so each admissible
+row is priced once (``_price_row``): its bounds, its ramp pairs'
+right-hand sides, its fixed-on cost terms and its start-up costs. A
+schedule's bounds and right-hand sides are then those of its units'
+priced rows, one after another, and its costs are summed from them unit
+by unit, period by period and start by start, as a schedule priced
+whole would sum them. The later units' priced rows are listed, since
+every head repeats them; the first unit's rows stream, each priced once
+as the enumeration reaches it, so that a one-unit instance over a long
+horizon holds one of them at a time.
+
 Almost every enumerated schedule fails on capacity alone: in some
 period the load lies outside [sum of lo, sum of hi] of the online units'
 ``_period_bounds``. Those bounds are the dispatch variables' bounds and
@@ -39,7 +50,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
+from . import formulations
 from .domain import (CostBreakdown, Instance, Schedule, check_instance,
                      offline_runs)
 from .formulations import STARTUPS, FormulationChoice, check_base
@@ -83,6 +96,17 @@ def enumerate_schedules(instance: Instance, base: str = "basic",
     ``guard`` caps units x T (the enumeration is exponential); raise it
     consciously.
     """
+    return (Schedule([list(r) for r in rows])
+            for rows in _schedules(instance, base, guard, lambda u, r: r))
+
+
+def _schedules(instance: Instance, base: str, guard: int, price):
+    """The enumeration behind :func:`enumerate_schedules`, checks and
+    order included: each schedule as a tuple of ``price(unit, row)``, one
+    per unit, where ``row`` is the unit's on/off row as a tuple. Each
+    later unit's rows are priced once and listed; the first unit's rows
+    stream and are priced once each, so the enumeration holds one of them
+    at a time."""
     check_instance(instance)
     check_base(base)
     n, T = len(instance.units), instance.horizon
@@ -95,16 +119,17 @@ def enumerate_schedules(instance: Instance, base: str = "basic",
                 or _commitment_ok(r, u.min_up, u.min_down, u.pre_offline))
 
     if not instance.units:
-        yield Schedule([])
+        yield ()
         return
     first, *others = instance.units
     # the first unit's rows stream (product would hold them all); each
     # later unit's rows repeat, so they are listed: n >= 2 units keep
     # T <= guard / 2, i.e. at most 2^12 rows each under the default guard
-    later = [list(admissible(u)) for u in others]
+    later = [[price(u, r) for r in admissible(u)] for u in others]
     for head in admissible(first):
+        head = price(first, head)
         for tail in product(*later):
-            yield Schedule([list(head)] + [list(r) for r in tail])
+            yield (head, *tail)
 
 
 def _commitment_ok(row, min_up: int, min_down: int, pre_offline: int) -> bool:
@@ -246,41 +271,66 @@ def _dispatch_template(instance: Instance, base: str) -> Model:
     return model
 
 
-def _dispatch(template: Model, instance: Instance, on_off
+class _UnitRow(NamedTuple):
+    """One unit's on/off row, priced for the dispatch LP: what a schedule
+    holding it needs of that unit, the same for every such schedule."""
+
+    on: tuple
+    lb: list[float]  # the unit's output bounds, period by period:
+    ub: list[float]  # _period_bounds when online, [0, 0] when offline
+    ramp_rhs: list[float]  # its up/down pairs' right-hand sides, t = 2..T
+    fixed_on: list[float]  # its fixed cost, once per online period
+    startups: list[float]  # startup_cost of each start, as offline_runs
+                           # lists them
+
+
+def _price_row(u, row) -> _UnitRow:
+    """Price one unit's row (see :class:`_UnitRow`). A ramp pair online in
+    both periods keeps the template's ``ramp_up``/``ramp_down``; any other
+    pair gets the row's largest activity within the row's bounds, so that
+    it cannot bind."""
+    T = len(row)
+    lb, ub, fixed_on = [0.0] * T, [0.0] * T, []
+    for t in range(1, T + 1):
+        if row[t - 1]:
+            lb[t - 1], ub[t - 1] = _period_bounds(u, row, t, T)
+            fixed_on.append(u.cost_fixed_on)
+    ramp_rhs = []
+    for t in range(1, T):  # the pair of periods t and t + 1
+        if row[t - 1] and row[t]:
+            ramp_rhs += (u.ramp_up, u.ramp_down)
+        else:
+            ramp_rhs += (ub[t] - lb[t - 1], ub[t - 1] - lb[t])
+    startups = [startup_cost(u, length) for _, length
+                in offline_runs(Schedule([list(row)]), 0, u.pre_offline)]
+    return _UnitRow(tuple(row), lb, ub, ramp_rhs, fixed_on, startups)
+
+
+def _dispatch(template: Model, instance: Instance, rows
               ) -> tuple[list, float] | None:
     """Dispatch LP with v fixed: a copy of ``template`` (see
-    ``_dispatch_template``) with the schedule's bounds, an offline
-    period's output fixed at 0, and on each ramp pair that is not online
-    in both periods a right-hand side equal to the row's largest activity
-    within those bounds, so that it cannot bind."""
+    ``_dispatch_template``) with the bounds and ramp right-hand sides of
+    the schedule's priced rows (:func:`_price_row`, one per unit, in unit
+    order); the demand and line rows keep theirs. Returns the dispatch
+    and its cost, the fixed costs of the online periods included, or
+    None when the LP is not optimal."""
     T = instance.horizon
-    units = instance.units
-    lb = [0.0] * (len(units) * T)
-    ub = lb[:]
-    rhs = template.rhs[:]
-    fixed_on_cost = 0.0
-    for k, u in enumerate(units):
-        row = on_off[k]
-        for t in range(1, T + 1):
-            if row[t - 1]:
-                j = k * T + t - 1
-                lb[j], ub[j] = _period_bounds(u, row, t, T)
-                fixed_on_cost += u.cost_fixed_on
-        r = T + 2 * (T - 1) * k  # the row of up_{k+1}_2; each down follows
-        for t in range(2, T + 1):
-            if not (row[t - 1] and row[t - 2]):
-                j = k * T + t - 1  # p_{k+1}_t; p_{k+1}_{t-1} precedes it
-                rhs[r] = ub[j] - lb[j - 1]
-                rhs[r + 1] = ub[j - 1] - lb[j]
-            r += 2
+    lb, ub, rhs = [], [], template.rhs[:T]  # the demand rows come first
+    for r in rows:
+        lb += r.lb
+        ub += r.ub
+        rhs += r.ramp_rhs
+    rhs += template.rhs[len(rhs):]  # the line rows
     res = solve_lp(template.rebound(lb, ub, rhs))
     if res.status != "optimal":
         return None
-    p = [[0.0] * T for _ in units]
-    for k, row in enumerate(on_off):
-        for t in range(1, T + 1):
-            if row[t - 1]:
-                p[k][t - 1] = res.values[template.var_names[k * T + t - 1]]
+    fixed_on_cost = 0.0  # unit by unit, period by period
+    p = []
+    for k, r in enumerate(rows):
+        for c in r.fixed_on:
+            fixed_on_cost += c
+        p.append([res.values[template.var_names[k * T + t]] if on else 0.0
+                  for t, on in enumerate(r.on)])
     return p, fixed_on_cost + res.objective
 
 
@@ -292,17 +342,19 @@ def optimal_dispatch(instance: Instance, schedule: Schedule,
     per-period fixed cost of online units. ``base`` matters only for the
     line limits: the extended base enforces them, the basic base ignores
     the network entirely (mirroring the MILP builders). The LP is the
-    instance's one dispatch model re-bounded for the schedule, the path
-    :func:`brute_force_optimum` takes (see the module docstring: a ramp
-    pair that is not online in both periods gets a right-hand side that
-    cannot bind). Raises ValueError if the schedule cannot meet demand.
+    instance's one dispatch model re-bounded for the schedule's priced
+    rows, the path :func:`brute_force_optimum` takes (see the module
+    docstring: a ramp pair that is not online in both periods gets a
+    right-hand side that cannot bind). Raises ValueError if the schedule
+    cannot meet demand.
     """
     check_instance(instance)
     if schedule.n_units != len(instance.units) \
             or schedule.horizon != instance.horizon:
         raise ValueError("schedule dimensions do not match the instance")
     out = _dispatch(_dispatch_template(instance, base), instance,
-                    schedule.on_off)
+                    [_price_row(u, row)
+                     for u, row in zip(instance.units, schedule.on_off)])
     if out is None:
         raise ValueError("infeasible schedule: demand unreachable under "
                          "limits and ramps")
@@ -341,40 +393,40 @@ def brute_force_optimum(instance: Instance, base: str = "basic",
     between consecutive online periods (and no line limits apply); the
     dispatch LP covers the rest. There the instance's dispatch model is
     built once, and every schedule gets one LP, a copy of it re-bounded
-    for the schedule; a ramp pair that is not online in both periods gets
-    a right-hand side that cannot bind, so the copy has the rows of the
-    schedule's own LP and inert ones (see the module docstring). A
-    schedule whose load leaves the online capacity window in some period
-    is rejected by the LP's row check without a simplex run, so it costs
-    only the copy. ``n_feasible`` counts the schedules whose dispatch
-    succeeded. Raises ValueError when no schedule is feasible or the size
-    guard trips.
+    from the schedule's priced rows; a ramp pair that is not online in
+    both periods gets a right-hand side that cannot bind, so the copy has
+    the rows of the schedule's own LP and inert ones (see the module
+    docstring). A schedule whose load leaves the online capacity window
+    in some period is rejected by the LP's row check without a simplex
+    run, so it costs only the copy. ``n_feasible`` counts the schedules
+    whose dispatch succeeded. Raises ValueError when no schedule is
+    feasible or the size guard trips.
     """
     separable = _ramps_never_bind(instance, base)
-    units = instance.units
-    best = None  # (total, schedule, p, production)
+    best = None  # (total, rows, p, production)
     n_feasible = 0
     template = None  # built once the enumeration has checked the instance
-    for sched in enumerate_schedules(instance, base, guard):
+    for rows in _schedules(instance, base, guard, _price_row):
         if separable:
-            out = _greedy_dispatch(instance, sched.on_off)
+            out = _greedy_dispatch(instance, [r.on for r in rows])
         else:
             template = template or _dispatch_template(instance, base)
-            out = _dispatch(template, instance, sched.on_off)
+            out = _dispatch(template, instance, rows)
         if out is None:
             continue
         n_feasible += 1
         p, production = out
         total = production
-        for k, u in enumerate(units):
-            for _, length in offline_runs(sched, k, u.pre_offline):
-                total += startup_cost(u, length)
+        for r in rows:  # unit by unit, each start in offline_runs order
+            for c in r.startups:
+                total += c
         if best is None or total < best[0] - 1e-12:
-            best = (total, sched, p, production)
+            best = (total, rows, p, production)
     if best is None:
         raise _NoFeasibleSchedule("no feasible schedule: every commitment "
                                   "pattern fails to meet demand")
-    _, sched, p, production = best
+    _, rows, p, production = best
+    sched = Schedule([list(r.on) for r in rows])
     return OracleResult(schedule=sched, dispatch=p,
                         breakdown=_breakdown(instance, sched, production),
                         n_feasible=n_feasible)
@@ -387,10 +439,6 @@ def certify_equivalence(instance: Instance, base: str = "basic",
     end as it does (optimal if some schedule is feasible, infeasible if
     none is). A size-guard trip or any other status marks it inconclusive
     instead of raising."""
-    # imported at call time, so that a wrapped formulations.build_model
-    # (perfbench's tracing wraps it) is the one called
-    from .formulations import build_model
-
     report: dict = {"instance": instance.name, "base": base,
                     "formulations": {}, "conclusive": True}
     try:
@@ -408,9 +456,12 @@ def certify_equivalence(instance: Instance, base: str = "basic",
         report["conclusive"] = bool(expect)
 
     objectives = []
+    # one base for the four modules; both builders are looked up on the
+    # module when called, so a wrapped one (perfbench wraps them) is used
+    shared = formulations.build_base(instance, base)
     for startup in STARTUPS:
-        model, _ = build_model(instance,
-                               FormulationChoice(base, startup, 0.0))
+        model, _ = formulations.build_model(
+            instance, FormulationChoice(base, startup, 0.0), base=shared)
         res = solve_mip(model, SolveConfig(gap=0.0))
         entry = {"status": res.status, "objective": res.objective,
                  "nodes": res.nodes}

@@ -810,8 +810,11 @@ def _branch_and_bound(core: LpCore, config: SolveConfig,
         incumbent_x = res.x
         if log.isEnabledFor(logging.INFO):
             # res's node is closed or branched; the open ones are
-            # bounded by heap[0]
-            open_bound = min(heap[0][0], incumbent) if heap else incumbent
+            # bounded by heap[0], unless it lies within the 1e-9 relative
+            # of the incumbent that makes the search drop every one of them
+            close = incumbent - 1e-9 * max(1.0, abs(incumbent))
+            open_bound = (heap[0][0] if heap and heap[0][0] < close
+                          else incumbent)
             log.info("mip: incumbent %r after %d nodes; best bound %r, "
                      "gap %.3g", incumbent, nodes_solved, open_bound,
                      (incumbent - open_bound) / max(abs(incumbent), 1e-9))

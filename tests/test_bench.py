@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 from ucbench import (
+    BASES,
     STARTUPS,
     BenchConfig,
     FormulationChoice,
+    build_base,
     build_model,
     generate_instance,
     measure_gap,
@@ -18,6 +20,7 @@ from ucbench import (
     solve_lp,
     validate_instance,
 )
+from ucbench.bench import gap_rows
 
 from conftest import make_instance
 
@@ -98,6 +101,16 @@ class TestMeasureGap:
         row = measure_gap(inst, FormulationChoice("basic", "temp"),
                           BenchConfig(gap=0.0, record_timing=True))
         assert row.wall_ms > 0.0
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_a_shared_base_gives_the_row_of_a_fresh_build(self, base):
+        inst = generate_instance(3, 2, 4)
+        shared = build_base(inst, base)
+        for startup in STARTUPS:
+            choice = FormulationChoice(base, startup, 0.05)
+            assert measure_gap(inst, choice, BenchConfig(gap=0.0),
+                               base=shared) \
+                == measure_gap(inst, choice, BenchConfig(gap=0.0))
 
     def test_integral_relaxation_has_zero_gap(self):
         """Fixing p_min = p_max pins the indicator in the relaxation, so
@@ -240,7 +253,7 @@ class TestRunBenchmark:
                                                   monkeypatch):
         import ucbench.bench as bench
 
-        def failing_build(instance, choice):
+        def failing_build(instance, choice, base=None):
             raise ValueError("build failed")
 
         monkeypatch.setattr(bench, "build_model", failing_build)
@@ -252,3 +265,25 @@ class TestRunBenchmark:
         assert r["z_mip"] is None  # NaN serialized as null
         summary = Path(paths["summary"]).read_text(encoding="utf-8").splitlines()
         assert summary[1] == "6,1,0"
+
+    def test_a_failing_base_fails_each_row_of_its_instance(self,
+                                                           monkeypatch):
+        """An instance's rows share one base build; when it raises, each
+        of them records the error and the other instances' rows run."""
+        import ucbench.formulations as formulations
+        build_base = formulations.build_base
+
+        def failing_base(instance, base="basic"):
+            if instance.name == "gen-s1-u2-t6":
+                raise ValueError("base failed")
+            return build_base(instance, base)
+
+        monkeypatch.setattr(formulations, "build_base", failing_base)
+        cfg = self.config(generate=[{"seed": 1, "n_units": 2, "T": 6},
+                                    {"seed": 3, "n_units": 2, "T": 6}])
+        rows, _ = gap_rows(cfg)
+        assert [(r.instance, r.formulation, r.ktol, r.status) for r in rows] \
+            == [("gen-s1-u2-t6", m, k, "error: base failed")
+                for m in ("one_bin", "temp") for k in (0.0, 0.05)] \
+            + [("gen-s3-u2-t6", m, k, "optimal")
+               for m in ("one_bin", "temp") for k in (0.0, 0.05)]

@@ -16,6 +16,7 @@ import pytest
 
 from ucbench import (
     BASES,
+    STARTUPS,
     FormulationChoice,
     Line,
     Network,
@@ -26,9 +27,11 @@ from ucbench import (
     build_model,
     enumerate_schedules,
     fix_variables,
+    generate_instance,
     offline_runs,
     solve_lp,
     startup_cost,
+    write_mps,
 )
 from ucbench.formulations import step_functions
 
@@ -510,6 +513,44 @@ class TestStepModules:
         model.name = built.name
         assert model == built
         assert vix == built_vix
+
+
+class TestSharedBase:
+    """build_model on a base that build_base returned builds what it
+    builds on its own, and leaves the base as it was, so one base serves
+    every module of an instance."""
+
+    SHAPES = {
+        "2x3": lambda seed: generate_instance(seed, 2, 3),
+        "3x6": lambda seed: generate_instance(seed, 3, 6),
+        "2x6-net": lambda seed: generate_instance(seed, 2, 6,
+                                                  with_network=True),
+    }
+
+    @pytest.mark.parametrize("base", BASES)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_equals_a_fresh_build(self, shape, base):
+        for seed in range(1, 9):
+            inst = self.SHAPES[shape](seed)
+            shared = build_base(inst, base)
+            shared_mps = write_mps(shared[0])
+            shared_vix = copy.deepcopy(shared[1])
+            for startup in STARTUPS:
+                for ktol in (0.0, 0.05):
+                    choice = FormulationChoice(base, startup, ktol)
+                    model, vix = build_model(inst, choice, base=shared)
+                    fresh, fresh_vix = build_model(inst, choice)
+                    assert model == fresh, (seed, startup, ktol)
+                    assert vix == fresh_vix
+                    assert write_mps(model) == write_mps(fresh)
+            assert write_mps(shared[0]) == shared_mps
+            assert shared[1] == shared_vix
+
+    def test_a_base_of_another_kind_is_refused(self):
+        inst = generate_instance(1, 2, 3)
+        with pytest.raises(ValueError, match="not built for instance"):
+            build_model(inst, FormulationChoice("extended", "temp"),
+                        base=build_base(inst, "basic"))
 
 
 class TestModelNaming:

@@ -238,6 +238,34 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="guard"):
             brute_force_optimum(inst)
 
+    def test_priced_rows_stream(self, monkeypatch):
+        """One unit over 16 periods whose ramps bind: each of its 2^16
+        rows is priced for the dispatch LP as the enumeration reaches it,
+        and none is kept. Every LP is infeasible, and the search is cut
+        after 2048 of them; a table of the rows, whether made up front or
+        as they come, would hold over 2 MB by then."""
+        inst = make_instance([15.0] * 16, units=[
+            make_unit("g1", ramp_up=5.0, ramp_down=5.0)])
+        lps = itertools.count(1)
+
+        class Cut(Exception):
+            pass
+
+        def infeasible(model):
+            if next(lps) > 2048:
+                raise Cut
+            return solver.Solution("infeasible")
+
+        monkeypatch.setattr(oracle, "solve_lp", infeasible)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Cut):
+                brute_force_optimum(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 18
+
     def test_greedy_and_lp_dispatch_paths_agree(self):
         """Units that can sweep their whole range take a closed-form
         merit-order fill; capping the ramps below that threshold reroutes

@@ -366,6 +366,27 @@ class TestSolveMip:
         assert float(gap) == pytest.approx(
             (res.objective - res.best_bound) / res.objective, rel=5e-3)
 
+    def test_progress_log_of_an_incumbent_that_closes_the_search(self,
+                                                                caplog):
+        # both root children's keys lie within 1e-9 relative of the
+        # rounded incumbent, so the search drops them and ends optimal; the
+        # line reports the incumbent as the bound, under any BLAS kernels
+        # (under OpenBLAS's SkylakeX ones, the better key is one ulp below)
+        model, _ = build_model(generate_instance(1, 2, 3),
+                               FormulationChoice("basic", "one_bin", 0.0))
+        with caplog.at_level(logging.INFO, logger="ucbench.solver"):
+            res = solve_mip(model, SolveConfig(gap=0.01))
+        progress = [re.fullmatch(
+            r"mip: incumbent (\S+) after (\d+) nodes; best bound (\S+), "
+            r"gap (\S+)", r.getMessage())
+            for r in caplog.records
+            if r.name == "ucbench.solver" and r.levelno == logging.INFO]
+        assert len(progress) == 1 and progress[0]
+        incumbent, nodes, bound, gap = progress[0].groups()
+        assert (res.status, res.nodes) == ("optimal", 1)
+        assert float(incumbent) == float(bound) == res.objective
+        assert gap == "0"
+
     @pytest.mark.parametrize("tree", PINNED_TREES)
     def test_pinned_trees(self, pinned_trees, tree):
         assert pinned_trees[tree] == PINNED_TREES[tree]
