@@ -127,11 +127,11 @@ def _cmd_oracle(args) -> int:
     return 0 if report["conclusive"] and dev <= 1e-9 else 3
 
 
-def _checked(check):
-    """An argparse type: a float that ``check`` accepts; its ValueError
-    becomes the usage error."""
-    def number(text: str) -> float:
-        val = float(text)
+def _checked(check, kind=float):
+    """An argparse type: a number of type ``kind`` that ``check`` accepts;
+    its ValueError becomes the usage error."""
+    def number(text: str):
+        val = kind(text)
         try:
             check(val)
         except ValueError as exc:
@@ -141,6 +141,11 @@ def _checked(check):
 
 
 _ktol = _checked(check_ktol)
+
+
+def _check_guard(guard: int) -> None:
+    if guard < 0:
+        raise ValueError(f"guard must be at least 0, got {guard}")
 
 
 @functools.cache
@@ -208,7 +213,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="certify formulation equivalence")
     p.add_argument("instance")
     p.add_argument("--base", default="basic", choices=BASES)
-    p.add_argument("--guard", type=int, default=24,
+    p.add_argument("--guard", type=_checked(_check_guard, int), default=24,
                    help="enumeration size cap (units x periods)")
     p.set_defaults(func=_cmd_oracle)
     return ap

@@ -27,13 +27,14 @@ block that fails that check is checked item by item, by one loop that
 sets the failing item's index on its error, so that the first failing
 item raises the single form's error.
 
-:func:`write_mps` joins its text once, from one string per section,
-and makes COLUMNS in slices of ``_SLICE`` entries, each joined into one
-string as soon as it is formatted. A ROWS, COLUMNS or RHS line enters
-its join as three pieces that it shares with other lines (for a COLUMNS
-entry: its column's prefix, its row's name and its value's text), never
+:func:`write_mps` makes every section's lines the same way, in slices
+of ``_SLICE`` lines, each joined into one string as soon as it is
+formatted; the text is then joined once from those strings. A line, be
+it a ROWS, COLUMNS, RHS or BOUNDS line or a marker, enters its join as
+three pieces that it shares with other lines (a head such as its
+column's prefix, a name such as its row's, and its value's text), never
 as a string of its own. So the writer needs a little over twice the
-text's size: the pieces, the result, arrays over the nonzeros and the
+text's size: the slices, the result, arrays over the nonzeros and the
 names.
 
 :func:`read_mps` reads the text with one loop per section. A section's
@@ -55,9 +56,9 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress
 from math import isfinite
-from operator import add, index, itemgetter, le
+from operator import index, itemgetter, le
 
 import numpy as np
 
@@ -749,9 +750,12 @@ def _fmt(x: float) -> str:
 # MPS writer
 # ---------------------------------------------------------------------------
 
-_SLICE = 1 << 13  # COLUMNS entries formatted and joined at a time
+_SLICE = 1 << 13  # lines formatted and joined at a time
 _ROW_TYPES = {sense: f" {row} " for sense, row in _SENSE_TO_ROW.items()}
-_MARKERS = ("    MARKER 'MARKER' 'INTORG'\n", "    MARKER 'MARKER' 'INTEND'\n")
+_MARKERS = ("    MARKER 'MARKER' 'INTORG'", "    MARKER 'MARKER' 'INTEND'")
+# INF's bit pattern: a line with no value ends at its name (no written
+# value, a coefficient, cost, right-hand side or FX, LO or UP bound, is INF)
+_NO_VALUE = int(np.float64(INF).view(np.int64))
 
 
 def write_mps(model: Model) -> str:
@@ -764,116 +768,96 @@ def write_mps(model: Model) -> str:
     objective coefficient is kept alive by an explicit zero objective
     entry (the parser drops zero coefficients, so round trips are exact).
 
-    The text is joined once, from one string per section and one per
-    slice of ``_SLICE`` COLUMNS entries; each ROWS, COLUMNS and RHS line
-    enters its join as the pieces it shares with other lines (the module
-    docstring gives the memory this takes).
+    Every ROWS, COLUMNS, RHS and BOUNDS line is made by :func:`_lines`
+    from three pieces it shares with other lines, one string per slice of
+    ``_SLICE`` lines, and the text is joined once from those strings (the
+    module docstring gives the memory this takes).
     """
     model.freeze()
-    n_rows = model.n_constraints
+    rows = np.arange(model.n_constraints)
+    rhs = np.array(model.rhs, dtype=np.float64)
+    nonzero = np.flatnonzero(rhs)
     return "".join((
         f"NAME {model.name}\nROWS\n N {model.objective_name}\n",
-        _lines(n_rows, map(_ROW_TYPES.__getitem__, model.senses),
-               model.row_names, repeat("\n", n_rows)),
+        *_lines(list(map(_ROW_TYPES.__getitem__, model.senses)),
+                model.row_names, rows, rows, np.full(len(rows), INF)),
         "COLUMNS\n",
-        *_columns_text(model),
+        *_columns(model),
         "RHS\n",
-        _rhs_text(model),
+        *_lines(["    RHS "], model.row_names, np.zeros_like(nonzero),
+                nonzero, rhs[nonzero]),
         "BOUNDS\n",
-        _bounds_text(model),
+        *_bounds(model),
         "ENDATA\n"))
 
 
-def _lines(n: int, firsts, seconds, thirds) -> str:
-    """``n`` lines, each joined from the next item of ``firsts``,
-    ``seconds`` and ``thirds``: one join, with no string per line."""
-    parts = [None] * (3 * n)
-    parts[0::3], parts[1::3], parts[2::3] = firsts, seconds, thirds
-    return "".join(parts)
-
-
-def _rhs_text(model: Model) -> str:
-    """The RHS lines of the rows whose right-hand side is not 0."""
-    nonzero = list(map(bool, model.rhs))
-    values = list(compress(model.rhs, nonzero))
-    text = {v: f" {_fmt(v)}\n" for v in dict.fromkeys(values)}
-    return _lines(len(values), repeat("    RHS ", len(values)),
-                  compress(model.row_names, nonzero),
-                  map(text.__getitem__, values))
-
-
-def _columns_text(model: Model) -> list[str]:
-    """The COLUMNS section's lines, markers and entries, as one string for
-    each slice of ``_SLICE`` entries; a slice also holds the markers and
-    objective entries that go before its entries, and the last slice
-    those after the last entry. So the lists that make a slice hold at
-    most ``_SLICE`` entries."""
-    # each entry's column, row and value in column-major order: the block
-    # is row-major, so a stable sort by column keeps each column's rows in
-    # model order
-    cols = np.asarray(model.ids)
-    order = np.argsort(cols, kind="stable")
-    cols = cols[order]
-    rows = np.repeat(np.arange(model.n_constraints),
-                     np.diff(model.starts))[order]
-    values = np.asarray(model.coeffs)[order]
-    del order
-    # before its entries, a column has a marker if a run of one kind
-    # starts there (INTORG before a binary run, INTEND after it: the run
-    # of continuous columns after the last binary run may be empty), then
-    # its objective entry if it has one; an empty column gets an objective
-    # entry of 0 to keep it alive. These heads, in column order, are
-    # lines of three pieces like the entries: an objective entry is its
-    # column's prefix, the objective's row part and its value; a marker is
-    # its whole line, then "" and "" (the row part after the objective's,
-    # and the text of INF, which no coefficient takes)
-    n_vars, n_rows = model.n_variables, model.n_constraints
-    col_starts = np.searchsorted(cols, np.arange(n_vars + 1))
-    objective = np.asarray(model.objective)
-    obj_cols = np.flatnonzero((objective != 0.0)
-                              | (col_starts[1:] == col_starts[:-1]))
-    switches = np.flatnonzero(np.diff(np.asarray(model.kinds), prepend=0,
-                                      append=0))
-    heads = np.argsort(np.concatenate((switches * 2, obj_cols * 2 + 1)))
-    at = col_starts[np.concatenate((switches, obj_cols))[heads]]
-    n_switches = len(switches)
-    head_firsts = np.concatenate((n_vars + np.arange(n_switches) % 2,
-                                  obj_cols))[heads]
-    head_rows = np.repeat((n_rows + 1, n_rows),
-                          (n_switches, len(obj_cols)))[heads]
-    head_values = np.concatenate((np.full(n_switches, INF),
-                                  objective[obj_cols]))[heads]
-
-    firsts = [f"    {name} " for name in model.var_names] + list(_MARKERS)
-    seconds = [f"{name} " for name in model.row_names]
-    seconds += (f"{model.objective_name} ", "")
-    text = {INF: ""}  # each distinct value's text, its line end included
-    starts = range(0, len(cols) or 1, _SLICE)
-    head_ends = np.searchsorted(at, starts[1:]).tolist() + [len(at)]
-    out, h = [], 0
-    for first, head_end in zip(starts, head_ends):
-        end, pos = first + _SLICE, at[h:head_end] - first
-        lines = [np.insert(entries[first:end], pos, line_heads[h:head_end])
-                 for entries, line_heads in ((cols, head_firsts),
-                                             (rows, head_rows),
-                                             (values, head_values))]
+def _lines(heads, names, head_ids, name_ids, values, key=None) -> list[str]:
+    """Line ``i`` is ``heads[head_ids[i]]``, ``names[name_ids[i]]`` and
+    the text of ``values[i]``: ``" <%.17g>\n"``, or ``"\n"`` for INF.
+    The lines come in the stable order of ``key`` (if given), as one
+    joined string per slice of ``_SLICE`` lines; a line never becomes a
+    string of its own. Values are told apart by their bit pattern, so
+    that 0.0 and -0.0 keep their own texts; each is formatted once."""
+    if key is not None:
+        # sorted before the slices: the callers keep none of these arrays,
+        # so on CPython 3.11+ (which hands a call's arguments over) each
+        # unsorted one is freed as it is replaced
+        order = np.argsort(key, kind="stable")
+        del key
+        head_ids = head_ids[order]
+        name_ids = name_ids[order]
+        values = values[order]
+        del order
+    text = {_NO_VALUE: "\n"}
+    out = []
+    for first in range(0, len(values), _SLICE):
+        at = slice(first, first + _SLICE)
         # each line's value as an index into the slice's distinct values
-        distinct, lines[2] = np.unique(lines[2], return_inverse=True)
-        distinct = distinct.tolist()
-        for v in set(distinct) - text.keys():
-            text[v] = _fmt(v) + "\n"
-        out.append(_lines(len(lines[0]), *(
-            map(pieces.__getitem__, ids.tolist()) for pieces, ids in zip(
-                (firsts, seconds, list(map(text.__getitem__, distinct))),
-                lines))))
-        h = head_end
+        bits, inverse = np.unique(values[at].view(np.int64),
+                                  return_inverse=True)
+        for b, v in zip(bits.tolist(), bits.view(np.float64).tolist()):
+            if b not in text:
+                text[b] = f" {_fmt(v)}\n"
+        ends = list(map(text.__getitem__, bits.tolist()))
+        parts = [None] * (3 * len(inverse))
+        parts[0::3] = map(heads.__getitem__, head_ids[at].tolist())
+        parts[1::3] = map(names.__getitem__, name_ids[at].tolist())
+        parts[2::3] = map(ends.__getitem__, inverse.tolist())
+        out.append("".join(parts))
     return out
 
 
-def _bounds_text(model: Model) -> str:
+def _columns(model: Model) -> list[str]:
+    """The COLUMNS lines. Column ``j`` has keys ``3j``, ``3j + 1`` and
+    ``3j + 2``: first its marker, if a run of one kind starts there
+    (INTORG before a binary run, INTEND after it, with key ``3n`` after
+    the last column), then its objective entry, if it has one (a column
+    with no entries gets one of 0, to keep it alive), then its entries in
+    row order (the block is row-major, and the order is stable)."""
+    n, m = model.n_variables, model.n_constraints
+    ids = np.asarray(model.ids)
+    objective = np.asarray(model.objective)
+    costed = np.flatnonzero((objective != 0.0)
+                            | (np.bincount(ids, minlength=n) == 0))
+    switches = np.flatnonzero(np.diff(np.asarray(model.kinds), prepend=0,
+                                      append=0))
+    k = len(switches)
+    return _lines(
+        [f"    {name} " for name in model.var_names] + [*_MARKERS],
+        model.row_names + [model.objective_name, ""],
+        np.concatenate((n + np.arange(k) % 2, costed, ids)),
+        np.concatenate((np.full(k, m + 1), np.full(len(costed), m),
+                        np.repeat(np.arange(m), np.diff(model.starts)))),
+        np.concatenate((np.full(k, INF), objective[costed],
+                        np.asarray(model.coeffs))),
+        key=np.concatenate((3 * switches, 3 * costed + 1, 3 * ids + 2)))
+
+
+def _bounds(model: Model) -> list[str]:
     """The BOUNDS lines of every variable, in variable order: BV for a
     [0, 1] binary, FX for a fixed variable, FR for a free one, else MI or
-    LO for a lower bound other than 0 and UP for a finite upper bound."""
+    LO for a lower bound other than 0 and UP for a finite upper bound.
+    Variable ``j``'s UP line has key ``2j + 1``, its other line ``2j``."""
     lb, ub = np.asarray(model.lb), np.asarray(model.ub)
     bv = (np.asarray(model.kinds) == _BINARY) & (lb == 0.0) & (ub == 1.0)
     fx = ~bv & (lb == ub)
@@ -882,26 +866,16 @@ def _bounds_text(model: Model) -> str:
     mi = ranged & ~fr & (lb == -INF)
     lo = ranged & (lb != -INF) & (lb != 0.0)
     up = ranged & ~fr & (ub != INF)
-    names = model.var_names
-    text = {v: f" {_fmt(v)}\n" for v in dict.fromkeys(chain(
-        lb[fx | lo].tolist(), ub[up].tolist()))}
-
-    def lines(kind, mask, bounds=None):
-        """One line of this kind for each variable in ``mask``, keyed by
-        its place among the variable's lines (the UP line comes last)."""
-        at = np.flatnonzero(mask)
-        heads = map(add, repeat(f" {kind} BND "),
-                    map(names.__getitem__, at.tolist()))
-        ends = (repeat("\n") if bounds is None
-                else map(text.__getitem__, bounds[at].tolist()))
-        return list(map(add, heads, ends)), at * 2 + (kind == "UP")
-
-    parts = [lines("BV", bv), lines("FX", fx, lb), lines("FR", fr),
-             lines("MI", mi), lines("LO", lo, lb), lines("UP", up, ub)]
-    merged = list(chain.from_iterable(part for part, _ in parts))
-    keys = np.concatenate([at for _, at in parts])
-    return "".join(map(merged.__getitem__,
-                       np.argsort(keys, kind="stable").tolist()))
+    none = np.full(len(lb), INF)
+    kinds = (("BV", bv, none), ("FX", fx, lb), ("FR", fr, none),
+             ("MI", mi, none), ("LO", lo, lb), ("UP", up, ub))
+    cols = [np.flatnonzero(mask) for _, mask, _ in kinds]
+    values = np.concatenate([v[c] for c, (_, _, v) in zip(cols, kinds)])
+    head_ids = np.repeat(np.arange(len(kinds)), list(map(len, cols)))
+    cols = np.concatenate(cols)
+    return _lines([f" {kind} BND " for kind, _, _ in kinds],
+                  model.var_names, head_ids, cols, values,
+                  key=2 * cols + (head_ids == len(kinds) - 1))
 
 
 # ---------------------------------------------------------------------------

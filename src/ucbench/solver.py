@@ -626,14 +626,14 @@ def _norm(M, out=None):
     return np.abs(M, out=out).sum(axis=1).max(initial=0.0)
 
 
-def _finish(A, b, c, lo, up, basis, vstat, Binv, xB, iters, xN=None,
-            rc=None) -> _LpResult:
+def _finish(A, b, c, lo, up, basis, vstat, Binv, xB, iters, xN,
+            rc) -> _LpResult:
     """The end of a solve on a fresh basis with no row out of bounds:
     optimal, unless x breaks its bounds or a row by more than the
-    tolerances. Given the fresh nonbasic values xN and reduced costs rc,
-    an optimal result keeps (xN, xB, rc) as its ``state``."""
+    tolerances. xN holds the fresh nonbasic values and rc the reduced
+    costs; an optimal result keeps (xN, xB, rc) as its ``state``."""
     m, n = A.shape
-    x = _nonbasic_values(vstat, lo, up) if xN is None else xN.copy()
+    x = xN.copy()
     x[basis] = xB
     clipped = np.clip(x, lo, up)
     drift = float(np.max(np.abs(x - clipped), initial=0.0))
@@ -647,7 +647,7 @@ def _finish(A, b, c, lo, up, basis, vstat, Binv, xB, iters, xN=None,
                          f"row residual {resid:g} after solve")
     ns = n - m
     return _LpResult("optimal", float(c @ x), x[:ns], basis, vstat, iters,
-                     Binv=Binv, state=None if rc is None else (xN, xB, rc))
+                     Binv=Binv, state=(xN, xB, rc))
 
 
 # ---------------------------------------------------------------------------

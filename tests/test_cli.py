@@ -65,6 +65,7 @@ class TestUsage:
                     "--ktol", "inf", "--out", "x.mps"]) == 1
         assert cli(["gap", inst_file, "--formulations", "one_bin",
                     "--ktol", "inf"]) == 1
+        assert cli(["oracle", inst_file, "--guard", "-3"]) == 1
 
 
 class TestValidate:

@@ -185,7 +185,7 @@ class TestMpsWriter:
 
     def test_memory_stays_within_four_times_the_text(self):
         """The writer's transient memory is the text twice over, arrays
-        over the nonzeros and the names (3.0 times the text here); a
+        over the nonzeros and the names (2.1 times the text here); a
         writer that holds one string per line needs 6.0 times."""
         model, _ = build_model(generate_instance(1, 10, 48),
                                FormulationChoice("extended", "one_bin", 0.05))
@@ -336,6 +336,18 @@ class TestMpsRoundTrip:
         assert objective_terms(m) == {0: 2.0}
         assert rows(m)[0].rhs == 4.0
         assert m.ub[0] == 9.0
+
+    @pytest.mark.parametrize("zeros", [(-0.0, 0.0), (0.0, -0.0)])
+    def test_each_bound_keeps_its_sign_of_zero(self, zeros):
+        # -0.0 == 0.0, so Model.__eq__ cannot see a lost sign: compare the
+        # bounds' bytes. Each zero is written in both orders, as FX bounds
+        # and as UP bounds
+        m = Model("z")
+        m.add_variables(["a", "b", "c", "d"], [*zeros, -5.0, -5.0],
+                        [*zeros, *zeros], ["continuous"] * 4)
+        back = read_mps(write_mps(m))
+        assert bytes(back.lb) == bytes(m.lb)
+        assert bytes(back.ub) == bytes(m.ub)
 
     def test_a_foreign_negative_zero_cost_reads_as_zero(self):
         text = ("NAME d\nROWS\n N COST\n L c1\nCOLUMNS\n    x COST -0\n"
@@ -673,29 +685,43 @@ def reshaped(text: str) -> str:
 
 
 class TestColumnSlices:
-    """write_mps formats COLUMNS in slices of ``milp._SLICE`` entries, each
-    with the markers and objective entries that go before its entries;
-    its bytes do not depend on the slice size."""
+    """write_mps makes every section, COLUMNS included, in slices of
+    ``milp._SLICE`` lines; its bytes do not depend on the slice size."""
 
     SIZES = (1, 2, 3)
+    SECTIONS = ("ROWS", "COLUMNS", "RHS", "BOUNDS")
 
-    def columns(self, m, size):
-        """The COLUMNS lines written with slices of ``size`` entries (the
-        whole text must match the default's), and the slices."""
+    def sections(self, m, size):
+        """Each section's lines and slices, written with slices of ``size``
+        lines. The whole text must match the default's, and each section
+        must come as ceil(lines / size) slices of ``size`` lines (the last
+        of those left)."""
         text = write_mps(m)
-        with mock.patch.object(milp, "_SLICE", size):
+        made, lines_of = [], milp._lines
+
+        def recorded(*args, **kwargs):
+            made.append(lines_of(*args, **kwargs))
+            return made[-1]
+
+        with mock.patch.object(milp, "_SLICE", size), \
+                mock.patch.object(milp, "_lines", recorded):
             assert write_mps(m) == text
-            slices = milp._columns_text(m)
-        assert len(slices) == max(1, -(-len(m.ids) // size))
         lines = text.splitlines()
-        assert "".join(slices).splitlines() == \
-            lines[lines.index("COLUMNS") + 1:lines.index("RHS")]
-        return "".join(slices).splitlines(), slices
+        heads = [lines.index(head) for head in (*self.SECTIONS, "ENDATA")]
+        heads[0] += 1  # the N row is not one of the ROWS section's lines
+        out = {}
+        for name, a, b, slices in zip(self.SECTIONS, heads, heads[1:], made):
+            body = lines[a + 1:b]
+            assert len(slices) == -(-len(body) // size)
+            assert slices == ["".join(line + "\n" for line in body[i:i + size])
+                              for i in range(0, len(body), size)]
+            out[name] = body, slices
+        return out
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(m=models(), size=st.sampled_from(SIZES))
     def test_bytes_do_not_depend_on_the_slice_size(self, m, size):
-        self.columns(m, size)
+        self.sections(m, size)
 
     @pytest.mark.parametrize("size", SIZES)
     def test_a_model_without_rows(self, size):
@@ -704,12 +730,13 @@ class TestColumnSlices:
                         [1.0, 1.0, 5.0, 1.0],
                         ["binary", "binary", "continuous", "binary"],
                         [0.0, 2.0, -1.5, 0.0])
-        lines, slices = self.columns(m, size)
-        assert len(slices) == 1
-        assert lines == ["    MARKER 'MARKER' 'INTORG'", "    a COST 0",
-                         "    b COST 2", "    MARKER 'MARKER' 'INTEND'",
-                         "    x COST -1.5", "    MARKER 'MARKER' 'INTORG'",
-                         "    c COST 0", "    MARKER 'MARKER' 'INTEND'"]
+        sections = self.sections(m, size)
+        assert sections["ROWS"] == sections["RHS"] == ([], [])
+        assert sections["COLUMNS"][0] == [
+            "    MARKER 'MARKER' 'INTORG'", "    a COST 0", "    b COST 2",
+            "    MARKER 'MARKER' 'INTEND'", "    x COST -1.5",
+            "    MARKER 'MARKER' 'INTORG'", "    c COST 0",
+            "    MARKER 'MARKER' 'INTEND'"]
 
     @pytest.mark.parametrize("size", SIZES)
     def test_columns_without_entries(self, size):
@@ -718,7 +745,7 @@ class TestColumnSlices:
                         ["continuous"] * 6, [0.0] * 4 + [5.0, 0.0])
         m.add_constraint("r0", {1: 1.0, 4: 2.0}, "<=", 1.0)
         m.add_constraint("r1", {1: 3.0, 4: 4.0}, ">=", 0.0)
-        lines, _ = self.columns(m, size)
+        lines, _ = self.sections(m, size)["COLUMNS"]
         assert lines == ["    x0 COST 0", "    x1 r0 1", "    x1 r1 3",
                          "    x2 COST 0", "    x3 COST 0", "    x4 COST 5",
                          "    x4 r0 2", "    x4 r1 4", "    x5 COST 0"]
@@ -730,27 +757,46 @@ class TestColumnSlices:
                         ["continuous", "binary", "binary"], [0.0, 1.0, 0.0])
         m.add_constraint("r0", {0: 1.0, 1: 1.0, 2: 1.0}, "<=", 1.0)
         m.add_constraint("r1", {2: -1.0}, "<=", 0.0)
-        lines, slices = self.columns(m, size)
+        lines, slices = self.sections(m, size)["COLUMNS"]
         assert lines == ["    x r0 1", "    MARKER 'MARKER' 'INTORG'",
                          "    b0 COST 1", "    b0 r0 1", "    b1 r0 1",
                          "    b1 r1 -1", "    MARKER 'MARKER' 'INTEND'"]
-        # the closing marker follows the last entry, in the last slice
-        assert slices[-1].endswith("    b1 r1 -1\n"
-                                   "    MARKER 'MARKER' 'INTEND'\n")
+        # the closing marker, keyed after the last column, ends the last
+        # slice
+        assert slices[-1].endswith("    MARKER 'MARKER' 'INTEND'\n")
 
     @pytest.mark.parametrize("size", SIZES)
     def test_objective_entries_at_a_slice_first_entry(self, size):
-        # six columns of one entry each: with slices of 1, 2 or 3 entries
-        # some slice after the first opens with a column's objective entry
+        # six columns of one entry each: with slices of 1 or 3 lines some
+        # slice after the first opens with a column's objective entry, and
+        # some with an entry
         m = Model("m")
         m.add_variables([f"x{j}" for j in range(6)], [0.0] * 6, [1.0] * 6,
                         ["continuous"] * 6, [0.5] * 6)
         m.add_rows(["r"], ["<="], [1.0], [0, 6], range(6), [1.0] * 6)
-        lines, slices = self.columns(m, size)
+        lines, slices = self.sections(m, size)["COLUMNS"]
         assert lines == [line for j in range(6) for line in
                          (f"    x{j} COST 0.5", f"    x{j} r 1")]
-        assert all(piece.startswith(f"    x{k * size} COST 0.5\n")
-                   for k, piece in enumerate(slices))
+        assert [piece.splitlines()[0] for piece in slices] == lines[::size]
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_bounds_and_rhs_lines(self, size):
+        # a variable's UP line follows its other line, whichever slice
+        # either falls in; a line with no value ends at its name
+        m = Model("m")
+        m.add_variables(["f", "y", "z", "b", "k", "u", "w"],
+                        [-INF, -INF, 2.0, 0.0, 7.0, 0.0, -1.0],
+                        [INF, 4.0, 3.0, 1.0, 7.0, 5.0, INF],
+                        ["continuous"] * 3 + ["binary"] + ["continuous"] * 3)
+        m.add_rows(["c0", "c1", "c2"], ["<=", "=", ">="], [2.0, 0.0, -0.5],
+                   [0, 1, 2, 3], [0, 1, 2], [1.0, 1.0, 1.0])
+        sections = self.sections(m, size)
+        assert sections["ROWS"][0] == [" L c0", " E c1", " G c2"]
+        assert sections["RHS"][0] == ["    RHS c0 2", "    RHS c2 -0.5"]
+        assert sections["BOUNDS"][0] == [
+            " FR BND f", " MI BND y", " UP BND y 4", " LO BND z 2",
+            " UP BND z 3", " BV BND b", " FX BND k 7", " UP BND u 5",
+            " LO BND w -1"]
 
 
 def _mps(rows=" L c1", columns="    x c1 1", rhs="", bounds="",

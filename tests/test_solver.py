@@ -107,7 +107,9 @@ class TestSolveLp:
         basis = np.array([0, 2])
         ends["error"] = solver._finish(
             core.A, core.b, core.c, core.lo, core.up, basis, vstat,
-            solver._factorize(core.A, basis), np.array([11.0, 0.0]), 0)
+            solver._factorize(core.A, basis), np.array([11.0, 0.0]), 0,
+            solver._nonbasic_values(vstat, core.lo, core.up),
+            np.zeros(len(vstat)))
         for status, res in ends.items():
             assert res.status == status
             fields = (res.basis, res.vstat, res.Binv, res.state)
