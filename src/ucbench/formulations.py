@@ -173,12 +173,9 @@ class _Rows:
         senses, rhs, terms = zip(*kinds)
         self.names += names
         self.senses += senses * n
-        if all(map(isinstance, rhs, repeat((float, int)))):
-            self.rhs += rhs * n
-        else:
-            self.rhs += chain.from_iterable(zip(
-                *(repeat(r, n) if isinstance(r, (float, int)) else r
-                  for r in rhs), strict=True))
+        self.rhs += chain.from_iterable(zip(
+            *(repeat(r, n) if isinstance(r, (float, int)) else r
+              for r in rhs), strict=True))
         self.lengths += tuple(map(len, terms)) * n
         terms = list(chain.from_iterable(terms))
         if terms:

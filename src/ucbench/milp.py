@@ -37,10 +37,11 @@ as a string of its own. So the writer needs a little over twice the
 text's size: the slices, the result, arrays over the nonzeros and the
 names.
 
-:func:`read_mps` reads the text with one loop per section. A section's
-common line, whose every lookup succeeds, is stored without the checks
-that every other line takes, so that a fault gives the same message and
-line number in any shape.
+:func:`read_mps` reads the text with two loops: one for COLUMNS, and one
+that takes the lines of every other section through their section's
+checks. COLUMNS's common line, whose every lookup succeeds, is stored
+without the checks that every other line takes, so that a fault gives
+the same message and line number in any shape.
 
 Determinism is a design requirement: models store their terms in a
 canonical order (sorted by variable id within each row, zero coefficients
@@ -763,10 +764,11 @@ def write_mps(model: Model) -> str:
 
     Sections: NAME, ROWS (single N row first), COLUMNS (column-major, one
     row/value pair per line, binary runs bracketed by INTORG/INTEND
-    markers), RHS (nonzero only), BOUNDS (canonical minimal set; BV for
-    [0,1] binaries), ENDATA. A variable that appears in no row and has no
-    objective coefficient is kept alive by an explicit zero objective
-    entry (the parser drops zero coefficients, so round trips are exact).
+    markers), RHS (nonzero or -0 only), BOUNDS (canonical minimal set;
+    BV for [0,1] binaries), ENDATA. A variable that appears in no row
+    and has no objective coefficient is kept alive by an explicit zero
+    objective entry (the parser drops zero coefficients, so round trips
+    are exact).
 
     Every ROWS, COLUMNS, RHS and BOUNDS line is made by :func:`_lines`
     from three pieces it shares with other lines, one string per slice of
@@ -776,7 +778,7 @@ def write_mps(model: Model) -> str:
     model.freeze()
     rows = np.arange(model.n_constraints)
     rhs = np.array(model.rhs, dtype=np.float64)
-    nonzero = np.flatnonzero(rhs)
+    nonzero = np.flatnonzero((rhs != 0.0) | np.signbit(rhs))  # -0 too
     return "".join((
         f"NAME {model.name}\nROWS\n N {model.objective_name}\n",
         *_lines(list(map(_ROW_TYPES.__getitem__, model.senses)),
@@ -855,16 +857,20 @@ def _columns(model: Model) -> list[str]:
 
 def _bounds(model: Model) -> list[str]:
     """The BOUNDS lines of every variable, in variable order: BV for a
-    [0, 1] binary, FX for a fixed variable, FR for a free one, else MI or
-    LO for a lower bound other than 0 and UP for a finite upper bound.
-    Variable ``j``'s UP line has key ``2j + 1``, its other line ``2j``."""
+    [0, 1] binary, FX for a fixed variable (both bounds with one sign
+    bit), FR for a free one, else MI or LO for a lower bound other than
+    +0.0 and UP for a finite upper bound. So a bound of -0.0 is written
+    ``-0`` and reads back with its sign. Variable ``j``'s UP line has key
+    ``2j + 1``, its other line ``2j``."""
     lb, ub = np.asarray(model.lb), np.asarray(model.ub)
-    bv = (np.asarray(model.kinds) == _BINARY) & (lb == 0.0) & (ub == 1.0)
-    fx = ~bv & (lb == ub)
+    negative = np.signbit(lb)  # -0.0 too, which only LO or FX keeps
+    bv = ((np.asarray(model.kinds) == _BINARY) & (lb == 0.0) & ~negative
+          & (ub == 1.0))
+    fx = ~bv & (lb == ub) & (negative == np.signbit(ub))
     ranged = ~bv & ~fx
     fr = ranged & (lb == -INF) & (ub == INF)
     mi = ranged & ~fr & (lb == -INF)
-    lo = ranged & (lb != -INF) & (lb != 0.0)
+    lo = ranged & (lb != -INF) & ((lb != 0.0) | negative)
     up = ranged & ~fr & (ub != INF)
     none = np.full(len(lb), INF)
     kinds = (("BV", bv, none), ("FX", fx, lb), ("FR", fr, none),
@@ -912,18 +918,17 @@ def read_mps(text: str) -> Model:
     general (non-binary) integers, multiple objective rows — raise
     :class:`MpsParseError` with the offending line number.
 
-    One loop per section reads the section's lines, up to the header line
-    that ends it. A section's common line is stored without its checks
-    when every lookup it needs succeeds: a new constraint row in ROWS; in
-    COLUMNS, an entry of the previous entry's column in a constraint row;
-    in RHS, a first value for a constraint row; in both, a value that is
-    a finite token seen before. Every other line, and every BOUNDS line,
-    takes the checks. The loops collect the columns, their bounds in typed
-    arrays, their objective entries, and each constraint entry as its row
-    index and value under the current column's id; the columns then enter
-    the model as one block, with their costs, through
-    :meth:`Model.add_variables`, and the entries as one block through
-    :meth:`Model.add_rows`."""
+    Two loops read the lines, each up to the header line that ends its
+    section: one for COLUMNS, and one for every other section, which
+    takes each line through its section's checks. COLUMNS's common line,
+    an entry of the previous entry's column in a constraint row whose
+    value is a finite token seen before, is stored without the checks
+    that every other COLUMNS line takes. The loops collect the columns,
+    their bounds in typed arrays, their objective entries, and each
+    constraint entry as its row index and value under the current
+    column's id; the columns then enter the model as one block, with
+    their costs, through :meth:`Model.add_variables`, and the entries as
+    one block through :meth:`Model.add_rows`."""
     model_name, name_line = "model", 0
     objective_name, objective_line = None, 0
     # constraint rows in ROWS order; row_index maps a constraint row's
@@ -948,8 +953,8 @@ def read_mps(text: str) -> Model:
     ent_rows, ent_vals = array("q"), array("d")
     add_row, add_val = ent_rows.append, ent_vals.append
     run_cols, run_starts = array("q"), array("q")
-    # the value of each finite number token seen, so that a common line
-    # need not parse its value
+    # the value of each finite number token seen, so that COLUMNS's
+    # common line need not parse its value
     numbers: dict[str, float] = {}
     col = cid = None  # the column of the previous entry
     integer_mode = False
@@ -977,9 +982,9 @@ def read_mps(text: str) -> Model:
 
     lines = _numbered_lines(text)
     while section != "ENDATA":
-        # one loop per section reads its lines up to the header line that
-        # ends it; the common line of a section skips the checks that all
-        # its other lines take
+        # COLUMNS has a loop of its own, whose common line skips the
+        # checks that all its other lines take; one loop reads the lines
+        # of every other section up to the header line that ends it
         head = None
         if section == "COLUMNS":
             for lineno, raw in lines:
@@ -1042,18 +1047,15 @@ def read_mps(text: str) -> Model:
                     elif value:
                         add_row(r)
                         add_val(value)
-        elif section == "ROWS":
+        else:
             for lineno, raw in lines:
                 tokens = raw.split()
-                # every line but a new constraint row takes the checks
-                if (len(tokens) != 2 or raw[0] != " "
-                        or tokens[0] not in _ROW_TO_SENSE
-                        or tokens[1] in row_index):
-                    if not tokens or tokens[0][0] == "*":
-                        continue
-                    if not raw[0].isspace():
-                        head = tokens
-                        break
+                if not tokens or tokens[0][0] == "*":
+                    continue
+                if not raw[0].isspace():
+                    head = tokens
+                    break
+                if section == "ROWS":
                     if len(tokens) != 2:
                         err(lineno, f"expected 'type name', got "
                                     f"{raw.strip()!r}")
@@ -1068,100 +1070,76 @@ def read_mps(text: str) -> Model:
                         err(lineno, f"unknown row type {rtype!r}")
                     if rname in row_index:
                         err(lineno, f"duplicate row name {rname!r}")
-                rtype, rname = tokens
-                row_index[rname] = len(row_names)
-                row_names.append(rname)
-                row_senses.append(_ROW_TO_SENSE[rtype])
-                row_lines.append(lineno)
-        elif section == "RHS":
-            for lineno, raw in lines:
-                tokens = raw.split()
-                # a new constraint row's value, a finite token seen before
-                if (len(tokens) == 3 and raw[0] == " " and tokens[0][0] != "*"
-                        and (r := row_index.get(tokens[1], -1)) >= 0
-                        and r not in rhs
-                        and (value := numbers.get(tokens[2])) is not None):
-                    rhs[r] = value
-                    continue
-                if not tokens or tokens[0][0] == "*":
-                    continue
-                if not raw[0].isspace():
-                    head = tokens
-                    break
-                if len(tokens) not in (3, 5):
-                    err(lineno, "expected 'setname row value' "
-                                "(optionally twice per line)")
-                for row, tok in zip(tokens[1::2], tokens[2::2]):
-                    r = row_index.get(row)
-                    if r is None:
-                        err(lineno, f"unknown row {row!r}")
-                    if r < 0:
-                        err(lineno, "objective constants are not supported")
-                    if r in rhs:
-                        err(lineno, f"duplicate RHS entry for row {row!r}")
-                    value = rhs[r] = value_of(tok, lineno)
-                    if value != value:
-                        err(lineno, f"right-hand side must be a number, "
-                                    f"got {tok!r}")
-                    if not isfinite(value):
+                    row_index[rname] = len(row_names)
+                    row_names.append(rname)
+                    row_senses.append(_ROW_TO_SENSE[rtype])
+                    row_lines.append(lineno)
+                elif section == "RHS":
+                    if len(tokens) not in (3, 5):
+                        err(lineno, "expected 'setname row value' "
+                                    "(optionally twice per line)")
+                    for row, tok in zip(tokens[1::2], tokens[2::2]):
+                        r = row_index.get(row)
+                        if r is None:
+                            err(lineno, f"unknown row {row!r}")
+                        if r < 0:
+                            err(lineno,
+                                "objective constants are not supported")
+                        if r in rhs:
+                            err(lineno,
+                                f"duplicate RHS entry for row {row!r}")
+                        value = rhs[r] = value_of(tok, lineno)
+                        if value != value:
+                            err(lineno, f"right-hand side must be a "
+                                        f"number, got {tok!r}")
+                        if not isfinite(value):
+                            err(lineno, f"right-hand side must be "
+                                        f"finite, got {tok!r}")
+                elif section == "BOUNDS":
+                    if len(tokens) < 3:
                         err(lineno,
-                            f"right-hand side must be finite, got {tok!r}")
-        elif section == "BOUNDS":
-            for lineno, raw in lines:
-                tokens = raw.split()
-                if not tokens or tokens[0][0] == "*":
-                    continue
-                if not raw[0].isspace():
-                    head = tokens
-                    break
-                if len(tokens) < 3:
-                    err(lineno, f"malformed bound line {raw.strip()!r}")
-                btype, cname = tokens[0], tokens[2]
-                j = col_index.get(cname)
-                if j is None:
-                    err(lineno, f"bound for undeclared column {cname!r}")
-                bit = _BOUND_BITS.get(btype)
-                if bit is None:
-                    err(lineno, f"unknown bound type {btype!r}")
-                if j >= len(lbs):
-                    pad_bounds()
-                if bounds_seen[j] & bit:
-                    err(lineno,
-                        f"duplicate {btype} bound for column {cname!r}")
-                bounds_seen[j] |= bit
-                if btype in ("LO", "UP", "FX"):
-                    if len(tokens) != 4:
-                        err(lineno, f"{btype} bound requires a value")
-                    val = value_of(tokens[3], lineno)
-                    if val != val:
-                        err(lineno, f"bound must be a number, got "
-                                    f"{tokens[3]!r}")
-                    if btype == "UP":
-                        ubs[j] = val
-                    else:
-                        lbs[j] = val
-                        if btype == "FX":
+                            f"malformed bound line {raw.strip()!r}")
+                    btype, cname = tokens[0], tokens[2]
+                    j = col_index.get(cname)
+                    if j is None:
+                        err(lineno,
+                            f"bound for undeclared column {cname!r}")
+                    bit = _BOUND_BITS.get(btype)
+                    if bit is None:
+                        err(lineno, f"unknown bound type {btype!r}")
+                    if j >= len(lbs):
+                        pad_bounds()
+                    if bounds_seen[j] & bit:
+                        err(lineno, f"duplicate {btype} bound for "
+                                    f"column {cname!r}")
+                    bounds_seen[j] |= bit
+                    if btype in ("LO", "UP", "FX"):
+                        if len(tokens) != 4:
+                            err(lineno, f"{btype} bound requires a value")
+                        val = value_of(tokens[3], lineno)
+                        if val != val:
+                            err(lineno, f"bound must be a number, got "
+                                        f"{tokens[3]!r}")
+                        if btype == "UP":
                             ubs[j] = val
-                elif btype == "MI":
-                    lbs[j] = -INF
-                elif btype == "PL":
-                    ubs[j] = INF
-                elif btype == "FR":
-                    lbs[j], ubs[j] = -INF, INF
-                else:  # BV
-                    lbs[j], ubs[j] = 0.0, 1.0
-                    col_kinds[j] = "binary"
-        else:  # before the first header, or in NAME: no data may come
-            for lineno, raw in lines:
-                tokens = raw.split()
-                if not tokens or tokens[0][0] == "*":
-                    continue
-                if not raw[0].isspace():
-                    head = tokens
-                    break
-                where = ("data before any section header" if section is None
-                         else "unexpected data in NAME section")
-                err(lineno, f"{where}: {raw.strip()!r}")
+                        else:
+                            lbs[j] = val
+                            if btype == "FX":
+                                ubs[j] = val
+                    elif btype == "MI":
+                        lbs[j] = -INF
+                    elif btype == "PL":
+                        ubs[j] = INF
+                    elif btype == "FR":
+                        lbs[j], ubs[j] = -INF, INF
+                    else:  # BV
+                        lbs[j], ubs[j] = 0.0, 1.0
+                        col_kinds[j] = "binary"
+                else:  # before the first header, or in NAME: no data
+                    where = ("data before any section header"
+                             if section is None
+                             else "unexpected data in NAME section")
+                    err(lineno, f"{where}: {raw.strip()!r}")
         if head is None:
             raise MpsParseError(f"line {lineno}: missing ENDATA")
         section = head[0]

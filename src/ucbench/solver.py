@@ -17,14 +17,10 @@ A branch-and-bound child's warm start is its parent's optimal
 a refactorization. An LP ends optimal only on a checked inverse (see
 below), so the inverse a child starts from is within CHECK_TOL of an
 exact one, and the check at the child's own verdict bounds the drift
-that the child adds. The result also keeps the nonbasic values xN, the
-basic values xB and the reduced costs that the verdict rested on (its
-``state``). A child whose nonbasic values are xN takes copies of xB and
-the reduced costs instead of recomputing them, which gives the same
-bits. A branching child always qualifies: the binary it fixes was
-fractional, hence basic, so no nonbasic value moves. The tree
-therefore holds one result, its x, its state and its m×m inverse, per
-open parent, shared by its two children. The slack
+that the child adds. Every LP, a child too, computes its basic values
+and reduced costs from its start inverse before its first iteration.
+The tree therefore holds one result, its x, its reduced costs and its
+m×m inverse, per open parent, shared by its two children. The slack
 basis starts from the identity, bit for bit its computed inverse. It
 rests each structural at its lower bound when finite, else at its upper
 bound when finite, else free at 0; a column with both bounds finite and
@@ -217,10 +213,9 @@ class _LpResult:
     # accepted, so a child that starts from this result need not invert
     # its basis again; set when optimal, like basis
     Binv: np.ndarray | None = None
-    # the fresh (xN, xB, rc) that verdict rested on, which a child whose
-    # nonbasic values are xN takes instead of recomputing them; set when
-    # optimal, like basis
-    state: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    # the fresh reduced costs that verdict rested on, which ``_penalties``
+    # reads; set when optimal, like basis
+    rc: np.ndarray | None = None
 
 
 class _Singular(Exception):
@@ -270,8 +265,7 @@ class LpCore:
         from the slack basis or from copies of an optimal parent's basis,
         statuses and checked inverse, which ``pivot`` updates in place.
         The inherited inverse counts as checked, not as refactorized: a
-        tiny pivot needs a refactorization first. A child whose nonbasic
-        values are its parent's starts from the parent's ``state``."""
+        tiny pivot needs a refactorization first."""
         lo = self.lo if lo is None else lo
         up = self.up if up is None else up
         if parent is None:
@@ -280,8 +274,7 @@ class LpCore:
             start = (parent.basis.copy(), parent.vstat.copy(),
                      parent.Binv.copy())
         return _Simplex(self.A, self.b, self.c, lo, up, *start,
-                        factored=parent is None,
-                        state=None if parent is None else parent.state).dual()
+                        factored=parent is None).dual()
 
 
 def _resting(lo, up, d, basis):
@@ -333,17 +326,15 @@ class _Simplex:
     pivots) and ``refresh``. ``fresh`` says that xB and rc were just
     recomputed on a checked or refactorized inverse, so that a verdict
     may rest on them; ``factored``, that Binv is a refactorization's
-    (or the slack basis's identity) with no update since. A start
-    ``state`` is a parent's fresh (xN, xB, rc) for this basis and Binv:
-    where xN is also this LP's, xB and rc are copied, bit for bit what
-    ``settle`` would compute, and otherwise ``settle`` runs. The state
-    lives on an object rather than in nested closures: under CPython
-    3.11, closures over 20 variables made per solve raised a process's
-    peak RSS by about 0.3 MB (their freed closure tuples piled up until a
-    full garbage collection)."""
+    (or the slack basis's identity) with no update since. Every solve
+    starts with ``settle`` on its start inverse. The state lives on an
+    object rather than in nested closures: under CPython 3.11, closures
+    over 20 variables made per solve raised a process's peak RSS by about
+    0.3 MB (their freed closure tuples piled up until a full garbage
+    collection)."""
 
     def __init__(self, A, b, c, lo, up, basis, vstat, Binv, iters=0,
-                 factored=True, state=None):
+                 factored=True):
         self.A, self.b, self.c, self.lo, self.up = A, b, c, lo, up
         m, n = A.shape
         self.basis, self.vstat, self.Binv = basis, vstat, Binv
@@ -356,12 +347,7 @@ class _Simplex:
         self.movable = (up - lo) > 0  # fixed columns never enter
         self.ckpt = (basis.copy(), vstat.copy())  # last invertible basis
         self.restores = 0
-        xN = None if state is None else _nonbasic_values(vstat, lo, up)
-        if xN is not None and np.array_equal(xN, state[0]):
-            self.xN, self.xB, self.rc = xN, state[1].copy(), state[2].copy()
-            self.fresh = True
-        else:
-            self.settle()
+        self.settle()
 
     def error(self, message):
         return _LpResult("error", math.nan, None, None, None, self.iters,
@@ -631,7 +617,7 @@ def _finish(A, b, c, lo, up, basis, vstat, Binv, xB, iters, xN,
     """The end of a solve on a fresh basis with no row out of bounds:
     optimal, unless x breaks its bounds or a row by more than the
     tolerances. xN holds the fresh nonbasic values and rc the reduced
-    costs; an optimal result keeps (xN, xB, rc) as its ``state``."""
+    costs, which an optimal result keeps."""
     m, n = A.shape
     x = xN.copy()
     x[basis] = xB
@@ -647,7 +633,7 @@ def _finish(A, b, c, lo, up, basis, vstat, Binv, xB, iters, xN,
                          f"row residual {resid:g} after solve")
     ns = n - m
     return _LpResult("optimal", float(c @ x), x[:ns], basis, vstat, iters,
-                     Binv=Binv, state=(xN, xB, rc))
+                     Binv=Binv, rc=rc)
 
 
 # ---------------------------------------------------------------------------
@@ -726,9 +712,9 @@ def solve_mip(model: Model, config: SolveConfig | None = None) -> Solution:
     The root LP is solved from the slack basis, whatever the time budget,
     so ``root_bound`` is always, bit for bit, the relaxation ``solve_lp``
     would report. Each child LP starts from its parent's optimal
-    ``_LpResult``, with the inverse, basic values and reduced costs that
-    the parent's verdict rested on, and needs no refactorization to reach
-    its own verdict when its updated inverse passes the check.
+    ``_LpResult``, with the basis and the inverse that the parent's
+    verdict rested on, and needs no refactorization to reach its own
+    verdict when its updated inverse passes the check.
 
     With ``config.gap > 0``, a fractional optimal root is rounded: one LP
     with every binary fixed at ``round(x)``, from the root's result. An
@@ -761,7 +747,7 @@ def _penalties(A, res: _LpResult, movable, cols):
     lower bound on the child's optimum by weak duality (Driebeek, Mgmt.
     Sci. 12, 1966; Tomlin, Oper. Res. 19, 1971).
     A direction with no eligible column has an infinite penalty: from
-    res's state the dual simplex reports that child infeasible after 0
+    res's basis the dual simplex reports that child infeasible after 0
     iterations. Each alpha is computed as the child's first iteration
     computes it, so the two agree bit for bit."""
     row_of = np.empty(A.shape[1], dtype=np.intp)
@@ -769,7 +755,7 @@ def _penalties(A, res: _LpResult, movable, cols):
     alpha = np.stack([res.Binv[r] @ A for r in row_of[cols]])
     pos, neg = alpha > PIVOT_TOL, alpha < -PIVOT_TOL
     inc, dec = _directions(res.vstat, movable)
-    ratios = np.divide(np.abs(res.state[2]), np.abs(alpha),
+    ratios = np.divide(np.abs(res.rc), np.abs(alpha),
                        out=np.full(alpha.shape, INF), where=pos | neg)
     falls = ratios.min(axis=1, where=(inc & pos) | (dec & neg), initial=INF)
     rises = ratios.min(axis=1, where=(dec & pos) | (inc & neg), initial=INF)

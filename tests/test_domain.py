@@ -168,10 +168,43 @@ class TestJsonRoundTrip:
         with pytest.raises((InstanceFormatError, json.JSONDecodeError)):
             load_instance(p)
 
+    def test_a_top_level_that_is_not_an_object_raises(self, tmp_path):
+        p = tmp_path / "list.json"
+        p.write_text("[1, 2]")
+        with pytest.raises(InstanceFormatError) as info:
+            load_instance(p)
+        assert str(info.value) == f"{p}: top level must be an object"
+
 
 class TestViolationReports:
     """Bad parameter values are reported, not raised, so a CLI can list
     every problem in one pass."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("min_up", 0, "unit u1: min_up must be >= 1, got 0"),
+        ("min_down", -1, "unit u1: min_down must be >= 1, got -1"),
+        ("startup_var_cost", -1.0,
+         "unit u1: startup_var_cost must be >= 0, got -1.0"),
+        ("startup_fixed_cost", -2.5,
+         "unit u1: startup_fixed_cost must be >= 0, got -2.5"),
+    ])
+    def test_each_unit_rule_is_named(self, field, value, message):
+        inst = make_instance([12.0], units=[make_unit(**{field: value})])
+        assert validate_instance(inst) == [message]
+
+    def test_each_network_rule_is_named(self):
+        net = Network(nodes={"n1": 1.0},
+                      lines=[Line(id="l1", capacity=0.0,
+                                  alpha={"n1": 0.5, "n9": 0.5})])
+        units = [make_unit("u1", node="n1"), make_unit("u2", node="n7"),
+                 make_unit("u3")]
+        assert validate_instance(make_instance([12.0], units=units,
+                                               network=net)) == [
+            "line l1: capacity must be > 0, got 0.0",
+            "line l1: shift factor references undeclared node 'n9'",
+            "unit u2: node 'n7' is not declared in the network",
+            "unit u3: node None is not declared in the network",
+        ]
 
     def test_heat_loss_must_be_in_open_unit_interval(self):
         for bad in (0.0, 1.0, 1.5, -0.2):

@@ -150,6 +150,10 @@ class TestModelConstruction:
         m.freeze()
         with pytest.raises(ModelError, match="frozen"):
             m.add_variable("extra", 0, 1, "binary")
+        with pytest.raises(ModelError) as info:
+            m.add_constraint("extra", {0: 1.0}, "<=", 1.0)
+        assert str(info.value) == "model is frozen"
+        assert m.n_constraints == 3
 
     def test_stats_count_matrix_nonzeros(self):
         s = model_stats(small_model())
@@ -348,6 +352,32 @@ class TestMpsRoundTrip:
         back = read_mps(write_mps(m))
         assert bytes(back.lb) == bytes(m.lb)
         assert bytes(back.ub) == bytes(m.ub)
+
+    def test_lower_bounds_and_rhs_of_minus_zero_keep_their_sign(self):
+        # the reader's defaults are a lower bound and a right-hand side of
+        # +0.0, so -0.0 needs an LO or RHS line of -0; a binary on
+        # [-0.0, 1] is not BV, and a column on [-0.0, 0.0] is not FX
+        zeros = (0.0, -0.0)
+        columns = [(lb, ub, "continuous") for lb in (*zeros, -5.0, -INF)
+                   for ub in (*zeros, 1.0, INF)]
+        columns += [(lb, ub, "binary") for lb in zeros
+                    for ub in (*zeros, 1.0)] + [(1.0, 1.0, "binary")]
+        lbs, ubs, kinds = zip(*columns)
+        m = Model("z")
+        ids = m.add_variables([f"x{j}" for j in range(len(columns))],
+                              lbs, ubs, kinds)
+        for j in ids:
+            m.add_constraint(f"r{j}", {j: 1.0}, milp.SENSES[j % 3],
+                             (0.0, -0.0, 3.0)[j % 3])
+        text = write_mps(m)
+        assert " LO BND x4 -0\n" in text and "    RHS r1 -0\n" in text
+        back = read_mps(text)
+        assert back == m
+        for store in ("lb", "ub", "rhs"):
+            assert np.array(getattr(back, store)).tobytes() \
+                == np.array(getattr(m, store)).tobytes()
+        assert back.kinds == m.kinds
+        assert write_mps(back) == text
 
     def test_a_foreign_negative_zero_cost_reads_as_zero(self):
         text = ("NAME d\nROWS\n N COST\n L c1\nCOLUMNS\n    x COST -0\n"
@@ -635,9 +665,10 @@ class TestMpsReaderProperties:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(m=models())
     def test_text_off_the_common_line_shapes_reads_alike(self, m):
-        """read_mps reads each section's common line shape without its
-        checks; the same text in other shapes takes them all, and must
-        give the same model."""
+        """read_mps reads COLUMNS's common line shape without its checks;
+        the same text in other shapes takes them all, and must give the
+        same model. ROWS, RHS and BOUNDS lines take their checks in
+        every shape."""
         text = write_mps(m)
         assert read_mps(reshaped(text)) == read_mps(text) == m
 
@@ -957,6 +988,16 @@ class TestMpsErrors:
         m = read_mps(_mps(bounds=" LO BND x -inf\n UP BND x inf"))
         assert (m.lb[0], m.ub[0]) == (-INF, INF)
 
+    @pytest.mark.parametrize("bounds, ub", [
+        (" PL BND x", INF),
+        (" UP BND x 4\n PL BND x", INF),
+        (" PL BND x\n UP BND x 4", 4.0),
+    ])
+    def test_a_pl_bound_lifts_the_upper_bound(self, bounds, ub):
+        # PL and UP are bound types of their own, so each may come once
+        m = read_mps(_mps(bounds=bounds))
+        assert (m.lb[0], m.ub[0]) == (0.0, ub)
+
     def test_grammar_errors_come_in_line_order_before_model_errors(self):
         # line 4 declares a bad row name; line 7 holds a bad number
         text = _mps(rows=" L 1c", columns="    x 1c 1\n    x COST one")
@@ -1118,6 +1159,9 @@ class TestColumnStore:
             with pytest.raises(ModelError, match="duplicate variable name"):
                 m.add_variables([name], [0.0], [1.0], ["continuous"])
         assert m.objective == array("d", [0.0] * 4)
+        with pytest.raises(ModelError) as info:
+            m.var_id("e")
+        assert str(info.value) == "unknown variable 'e'"
 
     @pytest.mark.parametrize("j", [-1, 3, 10])
     def test_an_id_outside_the_columns_is_unknown(self, j):

@@ -87,7 +87,7 @@ class TestSolveLp:
 
     def test_only_an_optimal_result_carries_a_basis(self):
         # a child starts only from an optimal parent, so every other end
-        # leaves basis, vstat, Binv and state unset
+        # leaves basis, vstat, Binv and rc unset
         pinch = Model("pinch")
         x = pinch.add_variable("x", 0.0, 10.0)
         y = pinch.add_variable("y", 0.0, 10.0)
@@ -112,7 +112,7 @@ class TestSolveLp:
             np.zeros(len(vstat)))
         for status, res in ends.items():
             assert res.status == status
-            fields = (res.basis, res.vstat, res.Binv, res.state)
+            fields = (res.basis, res.vstat, res.Binv, res.rc)
             if status == "optimal":
                 assert all(f is not None for f in fields)
             else:
@@ -722,10 +722,8 @@ class TestWarmStart:
                 root = core.solve()
                 assert root.status == "optimal"
                 shared = root.Binv.tobytes()
-                # without the state, which rests on the parent's own Binv
                 refactored = dataclasses.replace(
-                    root, Binv=solver._factorize(core.A, root.basis),
-                    state=None)
+                    root, Binv=solver._factorize(core.A, root.basis))
                 xb = root.x[core.binary_ids]
                 for j in core.binary_ids[np.abs(xb - np.round(xb)) > 1e-6]:
                     for val in (0.0, 1.0):
@@ -734,51 +732,6 @@ class TestWarmStart:
                         assert root.Binv.tobytes() == shared
                         assert_same_outcome(
                             inherited, core.solve(lo, up, refactored))
-
-    def test_a_child_from_its_parents_state_is_the_settled_child(
-            self, monkeypatch):
-        # a fractional binary is basic, so fixing it moves no nonbasic
-        # value: the parent's xB and rc are what settle would compute for
-        # the child, bit for bit, and the child skips that settle
-        settles = []
-        real = solver._Simplex.settle
-
-        def counting(simplex):
-            settles.append(simplex)
-            return real(simplex)
-
-        monkeypatch.setattr(solver._Simplex, "settle", counting)
-        inst = generate_instance(1004, 2, 3)  # the pinned trees' 2x3
-        children = 0
-        for base in BASES:
-            for module in STARTUPS:
-                model, _ = build_model(
-                    inst, FormulationChoice(base, module, 0.0))
-                core = solver.LpCore(model)
-                root = core.solve()
-                assert root.status == "optimal"
-                stateless = dataclasses.replace(root, state=None)
-                xb = root.x[core.binary_ids]
-                for j in core.binary_ids[np.abs(xb - np.round(xb)) > 1e-6]:
-                    for val in (0.0, 1.0):
-                        lo, up = child_bounds(core, j, val, val)
-                        settles.clear()
-                        kept = core.solve(lo, up, root)
-                        kept_settles = len(settles)
-                        settles.clear()
-                        settled = core.solve(lo, up, stateless)
-                        assert kept_settles == len(settles) - 1
-                        assert kept.status == settled.status
-                        assert kept.iterations == settled.iterations
-                        if settled.status == "optimal":
-                            assert kept.objective.hex() \
-                                == settled.objective.hex()
-                            assert kept.basis.tobytes() \
-                                == settled.basis.tobytes()
-                            assert kept.vstat.tobytes() \
-                                == settled.vstat.tobytes()
-                        children += 1
-        assert children >= 40
 
     @pytest.mark.parametrize("seed, n, T", [(1, 2, 3), (2, 2, 4)])
     def test_every_optimal_inverse_meets_the_residual_bound(self, seed, n, T):
@@ -1020,6 +973,91 @@ class TestWarmStart:
             assert res.message == "basis became singular"
         else:
             assert res.objective == objective
+
+
+class TestGuards:
+    """Guards that the seeded models do not reach, each reached here by
+    patching one constant or function of the solver."""
+
+    def test_tiny_pivots_on_an_inherited_inverse_are_looked_at_again(
+            self, monkeypatch):
+        # a child starts from its parent's inverse, which counts as updated:
+        # with every pivot-row entry below DUAL_PIVOT_TOL, its first pass
+        # refactorizes before it takes one, and the child still ends as
+        # under the default tolerance
+        model, _ = build_model(generate_instance(1, 2, 3),
+                               FormulationChoice("extended", "one_bin", 0.0))
+        core = solver.LpCore(model)
+        root = core.solve()
+        xb = root.x[core.binary_ids]
+        children = [child_bounds(core, j, val, val) for j
+                    in core.binary_ids[np.abs(xb - np.round(xb)) > 1e-6]
+                    for val in (0.0, 1.0)]
+        default = [core.solve(lo, up, root) for lo, up in children]
+        assert sum(res.iterations > 0 for res in default) >= 4
+
+        refresh, looks = solver._Simplex.refresh, []
+
+        def recorded_refresh(run):
+            if run.iters == 0 and not run.factored:
+                looks.append(run)  # before the first pivot: the look-again
+            return refresh(run)
+
+        monkeypatch.setattr(solver, "DUAL_PIVOT_TOL", 1e6)
+        monkeypatch.setattr(solver._Simplex, "refresh", recorded_refresh)
+        for (lo, up), res in zip(children, default):
+            looks.clear()
+            tiny = core.solve(lo, up, root)
+            # a child that pivots at all looks again before its first pivot
+            assert len(looks) == (res.iterations > 0)
+            assert_same_outcome(tiny, res)
+
+    def test_a_row_residual_past_the_tolerance_is_an_error(self,
+                                                          monkeypatch):
+        monkeypatch.setattr(solver, "RESID_TOL", -1.0)
+        res = solver.LpCore(pair_demand(30.0)).solve()
+        assert res.status == "error"
+        assert re.fullmatch(r"row residual \S+ after solve", res.message)
+        assert (res.x, res.basis, res.rc) == (None, None, None)
+
+    def test_a_failing_node_lp_ends_the_search(self, monkeypatch):
+        # the root solves; every LP after it fails, and the first failure
+        # ends the search with its message
+        model, _ = build_model(generate_instance(1, 2, 3),
+                               FormulationChoice("extended", "one_bin", 0.0))
+        real = solver.LpCore.solve
+
+        def failing(core, lo=None, up=None, parent=None):
+            if parent is None:
+                return real(core, lo, up)
+            return solver._LpResult("error", math.nan, None, None, None, 3,
+                                    "basis became singular")
+
+        monkeypatch.setattr(solver.LpCore, "solve", failing)
+        res = solve_mip(model, SolveConfig(gap=0.0))
+        assert (res.status, res.message) \
+            == ("error", "node LP failed: basis became singular")
+        assert res.nodes == 2
+        assert not math.isnan(res.root_bound)  # the root solved
+        assert math.isnan(res.objective)
+
+    def test_an_exactly_singular_basis_has_no_inverse(self, monkeypatch):
+        # np.linalg.inv raises on an exact zero pivot; _factorize turns
+        # that into None, as it does a basis it finds too ill-conditioned
+        A = np.array([[1.0, 2.0, 1.0, 0.0], [2.0, 4.0, 0.0, 1.0]])
+        inv, raised = np.linalg.inv, []
+
+        def recorded_inv(B):
+            try:
+                return inv(B)
+            except np.linalg.LinAlgError:
+                raised.append(B)
+                raise
+
+        monkeypatch.setattr(np.linalg, "inv", recorded_inv)
+        assert solver._factorize(A, np.array([0, 1])) is None
+        assert len(raised) == 1
+        assert solver._factorize(A, np.array([0, 2])) is not None
 
 
 class TestPenalties:

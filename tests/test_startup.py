@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from ucbench import approximate_steps, minimal_steps_oracle, startup_cost
+from ucbench import (Step, StepFunction, approximate_steps,
+                     minimal_steps_oracle, startup_cost)
 
 from conftest import make_unit
 
@@ -29,6 +30,28 @@ class TestStartupCost:
     def test_negative_off_time_rejected(self):
         with pytest.raises(ValueError):
             startup_cost(HOT_HALF, -1)
+
+
+class TestStepFunction:
+    """A step function's steps cover 1..domain_end in order, with values
+    rising strictly; any other list is refused with its rule."""
+
+    @pytest.mark.parametrize("steps, message", [
+        # a gap between two steps, then a step that ends before it starts
+        ([Step(1, 2, 5.0), Step(4, 5, 6.0)],
+         "steps must partition the off-time range consecutively with "
+         "lo <= hi"),
+        ([Step(1, 0, 5.0)],
+         "steps must partition the off-time range consecutively with "
+         "lo <= hi"),
+        ([Step(1, 2, 5.0), Step(3, 5, 5.0)],
+         "step values must be strictly increasing"),
+        ([Step(1, 2, 5.0), Step(3, 4, 6.0)], "steps end at 4, expected 5"),
+    ])
+    def test_a_broken_invariant_is_refused(self, steps, message):
+        with pytest.raises(ValueError) as info:
+            StepFunction(steps, domain_end=5, ktol=0.0)
+        assert str(info.value) == message
 
 
 class TestApproximateSteps:
