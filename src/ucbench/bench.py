@@ -6,7 +6,9 @@ where z_LP is the untightened root relaxation solved by the bundled
 simplex (no cuts, no presolve), so gaps are comparable across start-up
 modules and not polluted by solver-side tightening. z_LP is the root
 node of the branch-and-bound run that yields z_MIP, so each row costs
-one solve.
+one MIP solve. Every row of an instance extends one base, built once,
+whose LP is solved once (``root_start``): each row's root starts from
+that LP's optimal basis rather than solving the base rows again.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .domain import (Instance, Line, Network, Unit, check_instance,
                      load_instance, read_field, read_json_object)
 from .formulations import (STARTUPS, FormulationChoice, build_model,
                            check_base, check_startup)
-from .solver import SolveConfig, solve_lp, solve_mip
+from .solver import SolveConfig, root_start, solve_lp, solve_mip
 from .startup import check_ktol
 
 # solve_lp is for perfbench: test_span_self_times_are_within_their_parent
@@ -180,16 +182,23 @@ class BenchConfig:
 
 
 def measure_gap(instance: Instance, choice: FormulationChoice,
-                config: BenchConfig, base=None) -> GapRow:
+                config: BenchConfig, base=None, start=None) -> GapRow:
     """Build one model, solve the MIP, and emit a report row. The LP
     bound is the solve's own ``root_bound``, the branch-and-bound root
-    node, which ``solve_mip`` solves whatever the time budget. ``base``
-    is passed to :func:`build_model`: the instance's base, built once
-    for all its rows; its build is then not in the row's ``wall_ms``."""
+    node, which ``solve_mip`` solves whatever the time budget, from
+    ``start``. ``base`` is passed to :func:`build_model`: the instance's
+    base, built once for all its rows, and ``start`` is what
+    :func:`root_start` returned for its model (None: a cold root). Their
+    build and solve are then not in the row's ``wall_ms``. Without
+    ``base``, both are made here, inside ``wall_ms``, so that the row is
+    the one a shared base and its start give."""
     t0 = time.perf_counter()
+    if base is None:
+        base = formulations.build_base(instance, choice.base)
+        start = root_start(base[0])
     model, _ = build_model(instance, choice, base=base)
     mip = solve_mip(model, SolveConfig(config.gap, config.time_limit,
-                                       config.backend))
+                                       config.backend), start)
     z_lp = mip.root_bound
     wall_ms = (time.perf_counter() - t0) * 1000.0
     z_mip = mip.objective
@@ -234,19 +243,22 @@ def gap_rows(config: BenchConfig) -> tuple[list[GapRow], dict[str, int]]:
         names.add(inst.name)
     rows: list[GapRow] = []
     for inst in instances:
-        # every row of an instance extends one base; if it fails, so
-        # does each of those rows, with its error
+        # every row of an instance extends one base, and each row's root
+        # starts from the base's LP; if either fails, so does each of
+        # those rows, with its error
         try:
             base, failed = formulations.build_base(inst, config.base), None
+            start = root_start(base[0])
         except Exception as exc:
-            base, failed = None, exc
+            base, start, failed = None, None, exc
         for formulation in config.formulations:
             for ktol in config.ktols:
                 choice = FormulationChoice(config.base, formulation, ktol)
                 try:
                     if failed is not None:
                         raise failed
-                    rows.append(measure_gap(inst, choice, config, base))
+                    rows.append(measure_gap(inst, choice, config, base,
+                                            start))
                 except Exception as exc:  # record, keep going
                     rows.append(GapRow(
                         instance=inst.name, formulation=formulation,
@@ -254,7 +266,7 @@ def gap_rows(config: BenchConfig) -> tuple[list[GapRow], dict[str, int]]:
                         gap_abs=math.nan, gap_rel=math.nan, wall_ms=0.0,
                         nodes=0, status=f"error: {exc}",
                         backend=config.backend))
-        del base  # hold one instance's base at a time
+        del base, start  # hold one instance's base at a time
     rows.sort(key=lambda r: (r.instance, r.formulation, r.ktol))
     return rows, {inst.name: inst.horizon for inst in instances}
 

@@ -57,7 +57,7 @@ from .domain import (CostBreakdown, Instance, Schedule, check_instance,
                      offline_runs)
 from .formulations import STARTUPS, FormulationChoice, check_base
 from .milp import Model
-from .solver import SolveConfig, solve_lp, solve_mip
+from .solver import SolveConfig, root_start, solve_lp, solve_mip
 from .startup import startup_cost
 
 __all__ = ["OracleResult", "brute_force_optimum", "certify_equivalence",
@@ -456,13 +456,15 @@ def certify_equivalence(instance: Instance, base: str = "basic",
         report["conclusive"] = bool(expect)
 
     objectives = []
-    # one base for the four modules; both builders are looked up on the
-    # module when called, so a wrapped one (perfbench wraps them) is used
+    # one base for the four modules, and one base LP whose optimal basis
+    # starts their roots; both builders are looked up on the module when
+    # called, so a wrapped one (perfbench wraps them) is used
     shared = formulations.build_base(instance, base)
+    start = root_start(shared[0])
     for startup in STARTUPS:
         model, _ = formulations.build_model(
             instance, FormulationChoice(base, startup, 0.0), base=shared)
-        res = solve_mip(model, SolveConfig(gap=0.0))
+        res = solve_mip(model, SolveConfig(gap=0.0), start=start)
         entry = {"status": res.status, "objective": res.objective,
                  "nodes": res.nodes}
         if res.status == "optimal":

@@ -11,7 +11,8 @@ row and no bound, and it reports infeasible only where the simplex could
 not have reported optimal.
 
 Every LP enters the dual loop through ``LpCore.solve``. Without a
-parent it starts from the slack basis (every ``solve_lp``, every root).
+parent it starts from the slack basis (every ``solve_lp``, every root
+that ``solve_mip`` is given no start for).
 A branch-and-bound child's warm start is its parent's optimal
 ``_LpResult``: copies of the parent's basis, statuses and inverse, not
 a refactorization. An LP ends optimal only on a checked inverse (see
@@ -97,12 +98,34 @@ iterations over 10 nodes under both OpenBLAS's SkylakeX and Haswell
 kernels, but that of extended/three_bin on
 ``generate_instance(1032, 3, 3)`` takes 132 over 19 under SkylakeX and
 131 under Haswell.
-The root node is solved whatever the time budget, cold, on the model's
-own bounds, i.e. exactly as ``solve_lp`` solves a model that
-passes its row check (a model that fails it has no optimal root
-either); its objective is kept as ``Solution.root_bound``
-(NaN unless that LP is optimal), so a caller that wants both z_LP and
-z_MIP needs one run. With a positive gap target, an optimal root that
+The root node is solved whatever the time budget, on the model's own
+bounds; its objective is kept as ``Solution.root_bound`` (NaN unless
+that LP is optimal), so a caller that wants both z_LP and z_MIP needs
+one run. Without a start the root is solved cold, i.e. exactly as
+``solve_lp`` solves a model that passes its row check (a model that
+fails it has no optimal root either).
+
+A start (``root_start``) is the optimal basis of a base model that the
+MIP's model extends: the same columns, bounds, costs and rows first,
+then more rows and columns, whose new columns have no term in the base
+rows. That is how each start-up module extends its instance's base, so
+one base LP serves the four modules' roots. The root then starts, as a
+child does, from the base's basis, statuses and checked inverse,
+extended with the new rows' slacks, which are basic. With X the new
+rows restricted to the base's basic columns, the extended basis is
+[[B_b, 0], [X, I]], and its inverse is [[Binv_b, 0], [-X Binv_b, I]].
+That inverse stands in for a checked one as a parent's does: its top
+block is the base's checked inverse, the identity is exact, and the
+lower block is one product, whose rounding adds about m·eps·|X||Binv_b|
+to the residual. The start is dual feasible: the new rows' duals are 0,
+so every old column keeps its base reduced cost and every new column's
+reduced cost is its cost, and a new column rests where ``_resting``
+puts it for that cost. The base rows keep the base's basic values, so
+the dual simplex starts with only new rows out of their bounds. The
+root's optimum is the same LP's, but it can be another vertex of it,
+and its objective can differ from a cold root's in the last bits.
+
+With a positive gap target, an optimal root that
 is fractional is followed by one more LP: the root's binaries fixed at
 their nearest integers, solved from the root's result. If it is
 optimal, it is the first incumbent, and the gap test may end the search
@@ -113,11 +136,11 @@ was solved: not the rounding LP, not a child closed by an infinite
 penalty, and not one popped after the incumbent has reached its bound.
 ``Solution.iterations`` of a MIP is the LP iteration count summed over
 all nodes and the rounding LP. One DEBUG line per ``solve_mip`` reports
-status, nodes, iterations, the children closed by an infinite penalty,
-root and best bound, and seconds, and one INFO line per new incumbent
-reports it with the
-nodes solved so far, the best bound of the open nodes and the relative
-gap.
+status, nodes, iterations, how the root started (the slack basis or a
+base's basis) and its iterations, the children closed by an infinite
+penalty, root and best bound, and seconds, and one INFO line per new
+incumbent reports it with the nodes solved so far, the best bound of
+the open nodes and the relative gap.
 """
 
 from __future__ import annotations
@@ -127,6 +150,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -698,7 +722,102 @@ def solve_lp(model: Model) -> Solution:
     return sol
 
 
-def solve_mip(model: Model, config: SolveConfig | None = None) -> Solution:
+class _RootStart(NamedTuple):
+    """What ``root_start`` keeps of a base model's optimal LP: the model,
+    its basis, its nonbasic statuses and the checked inverse of its
+    basis, all three arrays read-only. No dense ``A``: each module's
+    ``LpCore`` has its own."""
+
+    model: Model
+    basis: np.ndarray
+    vstat: np.ndarray
+    Binv: np.ndarray
+
+
+def root_start(base: Model) -> _RootStart | None:
+    """Solve the LP of ``base`` (frozen here, as ``solve_lp`` freezes it)
+    from the slack basis, for ``solve_mip``'s ``start``: the roots of the
+    models that extend ``base`` then start from its optimal basis. None
+    when that LP is not optimal; those roots then run cold."""
+    res = LpCore(base).solve()
+    if res.status != "optimal":
+        return None
+    for a in (res.basis, res.vstat, res.Binv):
+        a.setflags(write=False)
+    return _RootStart(base, res.basis, res.vstat, res.Binv)
+
+
+def _first(diff: np.ndarray) -> int | None:
+    """The first index where the boolean array diff is set, or None."""
+    hits = np.flatnonzero(diff)
+    return int(hits[0]) if hits.size else None
+
+
+def _misfit(model: Model, base: Model) -> str | None:
+    """How ``model`` fails to extend ``base``, named at the first
+    difference, or None when it does: it has at least the base's columns
+    and rows, and over those its bounds, costs, senses, right-hand sides
+    and row terms are the base's. Numpy compares the prefixes, in O(nnz)
+    of the base."""
+    n, m = base.n_variables, base.n_constraints
+    if model.n_variables < n or model.n_constraints < m:
+        return (f"the model has {model.n_variables} columns and "
+                f"{model.n_constraints} rows, the base {n} and {m}")
+    for what, mine, theirs in (("lower bound", model.lb, base.lb),
+                               ("upper bound", model.ub, base.ub),
+                               ("cost", model.objective, base.objective)):
+        mine = np.frombuffer(mine, np.float64, n)
+        theirs = np.frombuffer(theirs, np.float64)
+        j = _first(mine != theirs)
+        if j is not None:
+            return (f"column {model.var_names[j]!r} has {what} "
+                    f"{float(mine[j])!r} in the model and "
+                    f"{float(theirs[j])!r} in the base")
+    for what, mine, theirs in (("sense", model.senses, base.senses),
+                               ("right-hand side", model.rhs, base.rhs)):
+        i = _first(np.asarray(mine[:m]) != np.asarray(theirs))
+        if i is not None:
+            return (f"row {model.row_names[i]!r} has {what} {mine[i]!r} in "
+                    f"the model and {theirs[i]!r} in the base")
+    starts = np.frombuffer(base.starts, np.int64)
+    nnz = int(starts[-1])
+    i = _first(np.frombuffer(model.starts, np.int64, m + 1) != starts)
+    if i is None:
+        k = _first((np.frombuffer(model.ids, np.int64, nnz)
+                    != np.frombuffer(base.ids, np.int64))
+                   | (np.frombuffer(model.coeffs, np.float64, nnz)
+                      != np.frombuffer(base.coeffs, np.float64)))
+        if k is None:
+            return None
+        i = int(np.searchsorted(starts, k, side="right"))
+    return (f"row {model.row_names[i - 1]!r} has other terms in the model "
+            "than in the base")
+
+
+def _extended(core: LpCore, start: _RootStart) -> _LpResult:
+    """The start's optimal basis, statuses and inverse on the model of
+    core, which extends the start's base: the base's basic columns, with
+    each base slack moved past the model's structurals, then the new
+    rows' slacks; the block-triangular inverse of the module docstring.
+    A new column rests where ``_resting`` puts it for its cost."""
+    base = start.model
+    ns_b, m_b = base.n_variables, base.n_constraints
+    ns, m = core.n_struct, core.m
+    old = np.where(start.basis < ns_b, start.basis, start.basis + (ns - ns_b))
+    basis = np.concatenate((old, np.arange(ns + m_b, ns + m)))
+    vstat = _resting(core.lo, core.up, core.c, basis)
+    vstat[:ns_b] = start.vstat[:ns_b]
+    vstat[ns:ns + m_b] = start.vstat[ns_b:]
+    Binv = np.zeros((m, m))
+    Binv[:m_b, :m_b] = start.Binv
+    Binv[m_b:, :m_b] = core.A[m_b:, old] @ start.Binv
+    np.negative(Binv[m_b:, :m_b], out=Binv[m_b:, :m_b])
+    Binv[m_b:, m_b:][np.diag_indices(m - m_b)] = 1.0
+    return _LpResult("optimal", math.nan, None, basis, vstat, 0, Binv=Binv)
+
+
+def solve_mip(model: Model, config: SolveConfig | None = None,
+              start: _RootStart | None = None) -> Solution:
     """Best-first branch-and-bound over the model's binary variables.
 
     Nodes are keyed by (bound, creation index), where a child's bound is
@@ -709,12 +828,20 @@ def solve_mip(model: Model, config: SolveConfig | None = None) -> Solution:
     never pushed (see the module docstring). ``Solution.nodes`` counts
     the nodes whose LP was solved. Node and iteration counts are
     deterministic for a fixed BLAS library, kernel set and thread count.
-    The root LP is solved from the slack basis, whatever the time budget,
-    so ``root_bound`` is always, bit for bit, the relaxation ``solve_lp``
-    would report. Each child LP starts from its parent's optimal
-    ``_LpResult``, with the basis and the inverse that the parent's
-    verdict rested on, and needs no refactorization to reach its own
-    verdict when its updated inverse passes the check.
+    The root LP is solved whatever the time budget. Each child LP starts
+    from its parent's optimal ``_LpResult``, with the basis and the
+    inverse that the parent's verdict rested on, and needs no
+    refactorization to reach its own verdict when its updated inverse
+    passes the check.
+
+    Without ``start`` the root LP is solved from the slack basis, so
+    ``root_bound`` is always, bit for bit, the relaxation ``solve_lp``
+    would report. With ``start``, what ``root_start`` returned for a
+    base that ``model`` extends, the root starts from that base's
+    optimal basis (see the module docstring), and ``root_bound`` is the
+    same relaxation's optimum, up to rounding. A model that does not
+    extend the start's base raises ValueError, naming the first
+    difference, before any LP.
 
     With ``config.gap > 0``, a fractional optimal root is rounded: one LP
     with every binary fixed at ``round(x)``, from the root's result. An
@@ -723,14 +850,22 @@ def solve_mip(model: Model, config: SolveConfig | None = None) -> Solution:
     incumbent is logged at INFO.
     """
     config = config or SolveConfig()
+    if start is not None:
+        misfit = _misfit(model, start.model)
+        if misfit is not None:
+            raise ValueError(f"the start does not fit: {misfit}")
     core = LpCore(model)
     t0 = time.monotonic()
-    sol, closed = _branch_and_bound(core, config, t0)
+    root = None if start is None else _extended(core, start)
+    sol, closed, root_iters = _branch_and_bound(core, config, t0, root)
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("mip: %s after %d nodes, %d LP iterations, %d children "
-                  "closed by an infinite penalty; root bound %r, best bound "
-                  "%r; %.3f s", sol.status, sol.nodes, sol.iterations, closed,
-                  sol.root_bound, sol.best_bound, time.monotonic() - t0)
+        log.debug("mip: %s after %d nodes, %d LP iterations (%d at the "
+                  "root, from %s), %d children closed by an infinite "
+                  "penalty; root bound %r, best bound %r; %.3f s",
+                  sol.status, sol.nodes, sol.iterations, root_iters,
+                  "the slack basis" if start is None else "a base's basis",
+                  closed, sol.root_bound, sol.best_bound,
+                  time.monotonic() - t0)
     return sol
 
 
@@ -763,10 +898,12 @@ def _penalties(A, res: _LpResult, movable, cols):
     return x * falls, (1.0 - x) * rises
 
 
-def _branch_and_bound(core: LpCore, config: SolveConfig,
-                      t0: float) -> tuple[Solution, int]:
-    """The search of ``solve_mip``, and how many children an infinite
-    penalty closed."""
+def _branch_and_bound(core: LpCore, config: SolveConfig, t0: float,
+                      root: _LpResult | None) -> tuple[Solution, int, int]:
+    """The search of ``solve_mip``, whose root LP starts from ``root``
+    as a child from its parent (None: from the slack basis); also how
+    many children an infinite penalty closed, and the root's
+    iterations."""
     bin_ids = core.binary_ids
     incumbent = math.inf
     incumbent_x: np.ndarray | None = None
@@ -774,20 +911,21 @@ def _branch_and_bound(core: LpCore, config: SolveConfig,
     closed = 0                # children an infinite penalty closed
     iterations = 0
     root_bound = math.nan
+    root_iters = 0
     counter = 0
     # heap entries: (bound, creation index, lo, up, parent LP), where a
     # child's bound is its parent's LP objective plus the child's penalty;
     # the counter breaks bound ties deterministically and keeps heapq from
-    # ever comparing the payloads. The root has no parent and the core's
-    # own bounds, which each child copies before it fixes a binary.
-    heap: list = [(-INF, counter, core.lo, core.up, None)]
+    # ever comparing the payloads. The root has the core's own bounds,
+    # which each child copies before it fixes a binary.
+    heap: list = [(-INF, counter, core.lo, core.up, root)]
     stop: str | None = None   # why the loop broke, if early
     best_open = math.inf      # bound of the best node left unexplored
 
-    def done(status: str, **kw) -> tuple[Solution, int]:
+    def done(status: str, **kw) -> tuple[Solution, int, int]:
         return Solution(status=status, nodes=nodes_solved,
                         iterations=iterations, root_bound=root_bound,
-                        **kw), closed
+                        **kw), closed, root_iters
 
     def take(res: _LpResult) -> None:
         """Make an integral LP result the incumbent and log it."""
@@ -822,8 +960,10 @@ def _branch_and_bound(core: LpCore, config: SolveConfig,
         res = core.solve(lo, up, parent)
         nodes_solved += 1
         iterations += res.iterations
-        if nodes_solved == 1 and res.status == "optimal":
-            root_bound = res.objective
+        if nodes_solved == 1:
+            root_iters = res.iterations
+            if res.status == "optimal":
+                root_bound = res.objective
         if res.status == "infeasible":
             continue
         if res.status == "unbounded":

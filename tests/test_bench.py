@@ -16,6 +16,7 @@ from ucbench import (
     build_model,
     generate_instance,
     measure_gap,
+    root_start,
     run_benchmark,
     solve_lp,
     validate_instance,
@@ -106,10 +107,11 @@ class TestMeasureGap:
     def test_a_shared_base_gives_the_row_of_a_fresh_build(self, base):
         inst = generate_instance(3, 2, 4)
         shared = build_base(inst, base)
+        start = root_start(shared[0])
         for startup in STARTUPS:
             choice = FormulationChoice(base, startup, 0.05)
             assert measure_gap(inst, choice, BenchConfig(gap=0.0),
-                               base=shared) \
+                               base=shared, start=start) \
                 == measure_gap(inst, choice, BenchConfig(gap=0.0))
 
     def test_integral_relaxation_has_zero_gap(self):
@@ -125,8 +127,9 @@ class TestMeasureGap:
 
 
 class TestRootBoundSource:
-    """z_LP is the branch-and-bound root node; it must be exactly what a
-    stand-alone ``solve_lp`` reports, and no second LP is solved for it."""
+    """z_LP is the branch-and-bound root node, which starts from the
+    base LP's optimal basis; it must be what a stand-alone ``solve_lp``
+    reports, up to rounding, and no second LP is solved for it."""
 
     CHOICES = [FormulationChoice(base, m, 0.0)
                for base in ("basic", "extended") for m in STARTUPS]
@@ -145,7 +148,8 @@ class TestRootBoundSource:
         for choice in self.CHOICES:
             model, _ = build_model(inst, choice)
             row = measure_gap(inst, choice, cfg)
-            assert row.z_lp == solve_lp(model).objective, choice
+            z_lp = solve_lp(model).objective
+            assert abs(row.z_lp - z_lp) <= 1e-12 * abs(z_lp), choice
 
 
 class TestBenchConfig:
@@ -287,3 +291,28 @@ class TestRunBenchmark:
                 for m in ("one_bin", "temp") for k in (0.0, 0.05)] \
             + [("gen-s3-u2-t6", m, k, "optimal")
                for m in ("one_bin", "temp") for k in (0.0, 0.05)]
+
+    def test_one_base_lp_per_instance_starts_each_of_its_rows(self,
+                                                              monkeypatch):
+        """gap_rows solves each instance's base LP once and hands that
+        start to every row of the instance."""
+        import ucbench.bench as bench
+        starts, given = [], []
+
+        def counted_start(model):
+            starts.append(root_start(model))
+            return starts[-1]
+
+        def measured(inst, choice, config, base=None, start=None):
+            given.append(start)
+            return measure_gap(inst, choice, config, base, start)
+
+        monkeypatch.setattr(bench, "root_start", counted_start)
+        monkeypatch.setattr(bench, "measure_gap", measured)
+        cfg = self.config(generate=[{"seed": 1, "n_units": 2, "T": 6},
+                                    {"seed": 3, "n_units": 2, "T": 6}])
+        rows, _ = gap_rows(cfg)
+        assert len(starts) == 2 and None not in starts
+        assert [id(s) for s in given] == [id(s) for s in starts
+                                          for _ in range(4)]
+        assert {r.status for r in rows} == {"optimal"}

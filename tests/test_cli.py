@@ -493,8 +493,8 @@ class TestOracle:
         # every module ends optimal, 1e-6 (relative) above the enumeration
         solve = oracle.solve_mip
 
-        def off(model, config):
-            res = solve(model, config)
+        def off(model, config, start=None):
+            res = solve(model, config, start)
             return dataclasses.replace(res,
                                        objective=res.objective * (1 + 1e-6))
 

@@ -350,11 +350,11 @@ class TestCertifyEquivalence:
         # the last module's MIP runs out of time
         solve, calls = oracle.solve_mip, []
 
-        def short_on_temp(model, config):
+        def short_on_temp(model, config, start=None):
             calls.append(model)
             if len(calls) == STARTUPS.index("temp") + 1:
                 return solver.Solution(status="time_limit")
-            return solve(model, config)
+            return solve(model, config, start)
 
         monkeypatch.setattr(oracle, "solve_mip", short_on_temp)
         report = certify_equivalence(ramped(generate_instance(102, 2, 4),

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ucbench import (BASES, STARTUPS, Model, SolveConfig, solve_lp,
-                     solve_mip, build_model, FormulationChoice,
-                     generate_instance)
+from ucbench import (BASES, STARTUPS, Model, SolveConfig, build_base,
+                     root_start, solve_lp, solve_mip, build_model,
+                     FormulationChoice, generate_instance)
 from ucbench import solver
 
 from conftest import make_instance, make_unit, ramped
@@ -282,7 +282,8 @@ class TestSolveMip:
         assert len(lines) == 1
         assert re.fullmatch(
             re.escape(f"mip: optimal after {res.nodes} nodes, "
-                      f"{res.iterations} LP iterations, ")
+                      f"{res.iterations} LP iterations (")
+            + r"\d+ at the root, from the slack basis\), "
             + r"\d+ children closed by an infinite penalty; "
             + re.escape(f"root bound {res.root_bound!r}, best bound "
                         f"{res.best_bound!r}; ")
@@ -1058,6 +1059,175 @@ class TestGuards:
         assert solver._factorize(A, np.array([0, 1])) is None
         assert len(raised) == 1
         assert solver._factorize(A, np.array([0, 2])) is not None
+
+
+class TestRootStart:
+    """A root that starts from the optimal basis of the base its model
+    extends (``root_start``) ends at the cold root's optimum, and
+    ``solve_mip`` refuses a start whose base the model does not extend,
+    before any LP."""
+
+    @staticmethod
+    def shared(seed=1, base="basic"):
+        """A seeded 2x3 instance, its base and that base's start."""
+        inst = generate_instance(seed, 2, 3)
+        shared = build_base(inst, base)
+        return inst, shared, root_start(shared[0])
+
+    @staticmethod
+    def refused(model, start, monkeypatch):
+        """The ValueError's message of solve_mip(model, start=start),
+        checking that no LP was solved first."""
+        solves = lp_solves(monkeypatch)
+        with pytest.raises(ValueError) as info:
+            solve_mip(model, SolveConfig(gap=0.0), start=start)
+        assert solves == []
+        return str(info.value)
+
+    def test_a_model_built_apart_from_the_base_fits(self):
+        inst, shared, start = self.shared()
+        choice = FormulationChoice("basic", "temp", 0.0)
+        fresh, _ = build_model(inst, choice)
+        warm = solve_mip(fresh, SolveConfig(gap=0.0), start=start)
+        cold = solve_mip(fresh, SolveConfig(gap=0.0))
+        assert warm.status == cold.status == "optimal"
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+
+    def test_a_model_smaller_than_the_base_is_refused(self, monkeypatch):
+        inst, shared, _ = self.shared()
+        model, _ = build_model(inst, FormulationChoice("basic", "temp", 0.0))
+        start = root_start(model)
+        base = shared[0]
+        assert self.refused(base, start, monkeypatch) == (
+            f"the start does not fit: the model has {base.n_variables} "
+            f"columns and {base.n_constraints} rows, the base "
+            f"{model.n_variables} and {model.n_constraints}")
+
+    @pytest.mark.parametrize("what", ["lower bound", "upper bound", "cost"])
+    def test_a_column_that_differs_is_named(self, what, monkeypatch):
+        inst, shared, start = self.shared()
+        model, _ = build_model(inst, FormulationChoice("basic", "one_bin",
+                                                       0.0), base=shared)
+        j = model.var_id("p_1_2")
+        if what == "cost":
+            model.objective[j] += 0.5
+            was, now = shared[0].objective[j], model.objective[j]
+        else:
+            lb, ub = list(model.lb), list(model.ub)
+            bounds = lb if what == "lower bound" else ub
+            was = bounds[j]
+            bounds[j] = now = 3.0 if what == "lower bound" else 5e3
+            model = model.rebound(lb, ub)
+        assert self.refused(model, start, monkeypatch) == (
+            f"the start does not fit: column 'p_1_2' has {what} {now!r} in "
+            f"the model and {was!r} in the base")
+
+    @pytest.mark.parametrize("what", ["sense", "right-hand side"])
+    def test_a_row_that_differs_is_named(self, what, monkeypatch):
+        inst, shared, start = self.shared()
+        model, _ = build_model(inst, FormulationChoice("basic", "three_bin",
+                                                       0.0), base=shared)
+        i = model.row_names.index("demand_2")
+        if what == "sense":
+            model.senses[i] = now = ">="
+        else:
+            rhs = list(model.rhs)
+            rhs[i] = now = rhs[i] + 1.0
+            model = model.rebound(model.lb, model.ub, rhs)
+        was = (shared[0].senses if what == "sense" else shared[0].rhs)[i]
+        assert self.refused(model, start, monkeypatch) == (
+            f"the start does not fit: row 'demand_2' has {what} {now!r} in "
+            f"the model and {was!r} in the base")
+
+    def test_a_row_whose_terms_differ_is_named(self, monkeypatch):
+        inst, shared, start = self.shared()
+        model, _ = build_model(inst, FormulationChoice("basic", "temp", 0.0),
+                               base=shared)
+        i = model.row_names.index("lim_hi_2_1")
+        model.coeffs[model.starts[i]] *= 2.0
+        assert self.refused(model, start, monkeypatch) == (
+            "the start does not fit: row 'lim_hi_2_1' has other terms in "
+            "the model than in the base")
+
+    def test_a_new_column_in_a_base_row_is_refused(self, monkeypatch):
+        base = Model("base")
+        x, y = (base.add_variable(n, 0.0, 4.0, cost=1.0) for n in "xy")
+        base.add_constraint("r0", {x: 1.0}, "<=", 3.0)
+        base.add_constraint("r1", {x: 1.0, y: 1.0}, ">=", 1.0)
+        model = Model("model")
+        x, y, z = (model.add_variable(n, 0.0, 4.0, cost=1.0) for n in "xyz")
+        model.add_constraint("r0", {x: 1.0}, "<=", 3.0)
+        model.add_constraint("r1", {x: 1.0, y: 1.0, z: 1.0}, ">=", 1.0)
+        assert self.refused(model, root_start(base), monkeypatch) == (
+            "the start does not fit: row 'r1' has other terms in the model "
+            "than in the base")
+
+    def test_an_infeasible_base_gives_no_start_and_cold_roots(self):
+        # no output at all cannot meet the demand rows
+        inst = generate_instance(1, 2, 3)
+        model, vix = build_base(inst, "basic")
+        ub = list(model.ub)
+        for j in itertools.chain.from_iterable(p[1:] for p in vix.p):
+            ub[j] = 0.0
+        dark = model.rebound(model.lb, ub)
+        assert root_start(dark) is None
+        full, _ = build_model(inst, FormulationChoice("basic", "temp", 0.0),
+                              base=(dark, vix))
+        res = solve_mip(full, SolveConfig(gap=0.0), start=root_start(dark))
+        assert res.status == "infeasible"
+        assert math.isnan(res.root_bound)
+
+    def test_the_debug_line_names_the_base_start(self, caplog):
+        inst, shared, start = self.shared(2, "extended")
+        model, _ = build_model(inst, FormulationChoice("extended", "temp",
+                                                       0.0), base=shared)
+        core = solver.LpCore(model)
+        root = core.solve(parent=solver._extended(core, start))
+        with caplog.at_level(logging.DEBUG, logger="ucbench.solver"):
+            res = solve_mip(model, SolveConfig(gap=0.0), start=start)
+        (line,) = [r.getMessage() for r in caplog.records
+                   if r.levelno == logging.DEBUG]
+        assert (f"{res.iterations} LP iterations ({root.iterations} at the "
+                "root, from a base's basis), ") in line
+        assert root.iterations < solver.LpCore(model).solve().iterations
+
+    @pytest.mark.parametrize("base", BASES)
+    @pytest.mark.parametrize("n, T, ramp", [(2, 3, None), (3, 6, None),
+                                            (2, 4, 0.6)])
+    def test_warm_roots_against_cold_ones(self, n, T, ramp, base):
+        """Seeds 1-8, the four modules on one shared base each: the warm
+        root ends as solve_lp does, within 1e-12 relative; at gap 0 the
+        MIP ends as the cold one, within 1e-9 relative; every extended
+        start inverse passes the check a verdict rests on; and the four
+        solves leave the start as they found it."""
+        for seed in range(1, 9):
+            inst = generate_instance(seed, n, T)
+            if ramp is not None:
+                inst = ramped(inst, ramp)
+            shared = build_base(inst, base)
+            start = root_start(shared[0])
+            assert start is not None, seed
+            saved = [a.copy() for a in start[1:]]
+            for module in STARTUPS:
+                model, _ = build_model(
+                    inst, FormulationChoice(base, module, 0.0), base=shared)
+                core = solver.LpCore(model)
+                ext = solver._extended(core, start)
+                assert solver._verified(core.A, ext.basis, ext.Binv)
+                lp = solve_lp(model)
+                assert core.solve(parent=ext).status == lp.status
+                warm = solve_mip(model, SolveConfig(gap=0.0), start=start)
+                cold = solve_mip(model, SolveConfig(gap=0.0))
+                key = (seed, module)
+                if lp.status == "optimal":
+                    assert abs(warm.root_bound - lp.objective) \
+                        <= 1e-12 * abs(lp.objective), key
+                assert warm.status == cold.status, key
+                if cold.status == "optimal":
+                    assert warm.objective == pytest.approx(
+                        cold.objective, rel=1e-9), key
+            for a, b in zip(start[1:], saved):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestPenalties:
