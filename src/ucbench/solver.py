@@ -810,9 +810,8 @@ def _extended(core: LpCore, start: _RootStart) -> _LpResult:
     vstat[ns:ns + m_b] = start.vstat[ns_b:]
     Binv = np.zeros((m, m))
     Binv[:m_b, :m_b] = start.Binv
-    Binv[m_b:, :m_b] = core.A[m_b:, old] @ start.Binv
-    np.negative(Binv[m_b:, :m_b], out=Binv[m_b:, :m_b])
-    Binv[m_b:, m_b:][np.diag_indices(m - m_b)] = 1.0
+    Binv[m_b:, :m_b] = -(core.A[m_b:, old] @ start.Binv)
+    np.fill_diagonal(Binv[m_b:, m_b:], 1.0)
     return _LpResult("optimal", math.nan, None, basis, vstat, 0, Binv=Binv)
 
 
