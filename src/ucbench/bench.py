@@ -182,20 +182,16 @@ class BenchConfig:
 
 
 def measure_gap(instance: Instance, choice: FormulationChoice,
-                config: BenchConfig, base=None, start=None) -> GapRow:
+                config: BenchConfig, base, start) -> GapRow:
     """Build one model, solve the MIP, and emit a report row. The LP
     bound is the solve's own ``root_bound``, the branch-and-bound root
     node, which ``solve_mip`` solves whatever the time budget, from
     ``start``. ``base`` is passed to :func:`build_model`: the instance's
     base, built once for all its rows, and ``start`` is what
-    :func:`root_start` returned for its model (None: a cold root). Their
-    build and solve are then not in the row's ``wall_ms``. Without
-    ``base``, both are made here, inside ``wall_ms``, so that the row is
-    the one a shared base and its start give."""
+    :func:`root_start` returned for its model (None when that LP is not
+    optimal: a cold root). Their build and solve are not in the row's
+    ``wall_ms``."""
     t0 = time.perf_counter()
-    if base is None:
-        base = formulations.build_base(instance, choice.base)
-        start = root_start(base[0])
     model, _ = build_model(instance, choice, base=base)
     mip = solve_mip(model, SolveConfig(config.gap, config.time_limit,
                                        config.backend), start)

@@ -14,28 +14,30 @@ Each instance has one dispatch model, built once: the LP of the schedule
 that keeps every unit online, with an output variable for every unit
 and period and every demand, ramp and line row. A schedule's dispatch LP
 is a copy of it with new bounds and right-hand sides
-(:meth:`Model.rebound`): an online period gets ``_period_bounds``, an
-offline one [0, 0]. A ramp row caps the change between two online
-periods only; a pair of periods that is not online in both gets that
-row's largest activity within the new bounds as its right-hand side
-(``ub_t - lb_{t-1}`` for ``up``, ``ub_{t-1} - lb_t`` for ``down``), so it
-cannot bind, and the row check below always passes it. A start or a
-stop is capped by its speed bound alone.
+(:meth:`Model.rebound`): an online period gets [p_min, p_max], capped
+at a start's or a stop's speed, an offline one [0, 0]. A ramp row caps
+the change between two online periods only; a pair of periods that is
+not online in both gets that row's largest activity within the new
+bounds as its right-hand side (``ub_t - lb_{t-1}`` for ``up``,
+``ub_{t-1} - lb_t`` for ``down``), so it cannot bind, and the row check
+below always passes it. A start or a stop is capped by its speed bound
+alone.
 
-All of that depends on one unit's own on/off row, so each admissible
-row is priced once (``_price_row``): its bounds, its ramp pairs'
-right-hand sides, its fixed-on cost terms and its start-up costs. A
-schedule's bounds and right-hand sides are then those of its units'
-priced rows, one after another, and its costs are summed from them unit
-by unit, period by period and start by start, as a schedule priced
-whole would sum them. The later units' priced rows are listed, since
-every head repeats them; the first unit's rows stream, each priced once
-as the enumeration reaches it, so that a one-unit instance over a long
-horizon holds one of them at a time.
+All of that depends on one unit's own on/off row, and so does whether
+the base admits it, so ``_price_row`` is the one code that reads a row:
+in one pass it rejects a row the base forbids, or prices it once, with
+its bounds, its ramp pairs' right-hand sides, its fixed-on cost terms
+and its start-up costs. A schedule's bounds and right-hand sides are
+then those of its units' priced rows, one after another, and its costs
+are summed from them unit by unit, period by period and start by start,
+as a schedule priced whole would sum them. The later units' priced rows
+are listed, since every head repeats them; the first unit's rows
+stream, each priced once as the enumeration reaches it, so that a
+one-unit instance over a long horizon holds one of them at a time.
 
 Almost every enumerated schedule fails on capacity alone: in some
 period the load lies outside [sum of lo, sum of hi] of the online units'
-``_period_bounds``. Those bounds are the dispatch variables' bounds and
+priced bounds. Those bounds are the dispatch variables' bounds and
 the demand row sums exactly those variables (an offline unit's is fixed
 at 0), so ``solve_lp``'s row check (``solver._unreachable_row``) rejects
 such a dispatch LP before any simplex work. That rejection is sound: it
@@ -86,27 +88,31 @@ def enumerate_schedules(instance: Instance, base: str = "basic",
 
     The basic base imposes nothing on v itself, so all 2^(units x T)
     matrices come out. The extended base applies the indicator logic:
-    every window of min_up periods contains at most one start and the
-    unit stays on for min_up periods after starting (symmetrically for
-    shutdowns and min_down), and a unit offline for 0 < pre_offline <
-    min_down periods entering the horizon stays off until the remainder
-    of its downtime has elapsed. Production feasibility is *not* checked
-    here — that is :func:`optimal_dispatch`'s job.
+    in every period t >= min_up, the min_up periods ending at t hold at
+    most one start, and none unless the unit is on at t (symmetrically,
+    from t >= min_down, at most one shutdown, and none unless it is off
+    at t), and a unit offline for 0 < pre_offline < min_down periods
+    entering the horizon stays off until the remainder of its downtime
+    has elapsed. The windows begin at t = min_up and t = min_down, as
+    the MILP's rows do, so they do not hold a unit on (or off) for its
+    minimum time after a switch early in the horizon: with min_up =
+    min_down = 8 over T = 5, every row is admitted, [1, 0, 1, 0, 1]
+    included. Production feasibility is *not* checked here — that is
+    :func:`optimal_dispatch`'s job.
 
     ``guard`` caps units x T (the enumeration is exponential); raise it
     consciously.
     """
-    return (Schedule([list(r) for r in rows])
-            for rows in _schedules(instance, base, guard, lambda u, r: r))
+    return (Schedule([list(r.on) for r in rows])
+            for rows in _schedules(instance, base, guard))
 
 
-def _schedules(instance: Instance, base: str, guard: int, price):
+def _schedules(instance: Instance, base: str, guard: int):
     """The enumeration behind :func:`enumerate_schedules`, checks and
-    order included: each schedule as a tuple of ``price(unit, row)``, one
-    per unit, where ``row`` is the unit's on/off row as a tuple. Each
-    later unit's rows are priced once and listed; the first unit's rows
-    stream and are priced once each, so the enumeration holds one of them
-    at a time."""
+    order included: each schedule as a tuple of priced rows
+    (:func:`_price_row`), one per unit. Each later unit's admitted rows
+    are priced once and listed; the first unit's rows stream and are
+    priced once each, so the enumeration holds one of them at a time."""
     check_instance(instance)
     check_base(base)
     n, T = len(instance.units), instance.horizon
@@ -114,9 +120,9 @@ def _schedules(instance: Instance, base: str, guard: int, price):
         raise ValueError(f"enumeration guard exceeded: units x horizon = "
                          f"{n * T} > {guard}")
 
-    def admissible(u):  # the basic base admits every row
-        return (r for r in product((0, 1), repeat=T) if base == "basic"
-                or _commitment_ok(r, u.min_up, u.min_down, u.pre_offline))
+    def priced(u):  # the unit's rows that the base admits, in order
+        return (r for row in product((0, 1), repeat=T)
+                if (r := _price_row(u, row, base)) is not None)
 
     if not instance.units:
         yield ()
@@ -125,49 +131,73 @@ def _schedules(instance: Instance, base: str, guard: int, price):
     # the first unit's rows stream (product would hold them all); each
     # later unit's rows repeat, so they are listed: n >= 2 units keep
     # T <= guard / 2, i.e. at most 2^12 rows each under the default guard
-    later = [[price(u, r) for r in admissible(u)] for u in others]
-    for head in admissible(first):
-        head = price(first, head)
+    later = [list(priced(u)) for u in others]
+    for head in priced(first):
         for tail in product(*later):
             yield (head, *tail)
 
 
-def _commitment_ok(row, min_up: int, min_down: int, pre_offline: int) -> bool:
-    """Start/stop window rules for one unit's on/off row."""
+class _UnitRow(NamedTuple):
+    """One unit's on/off row, priced for dispatch: what a schedule holding
+    it needs of that unit, the same for every such schedule."""
+
+    on: tuple
+    lb: list[float]  # the unit's output bounds, period by period: [p_min,
+    ub: list[float]  # p_max] when online, capped at a start's or a stop's
+                     # speed, and [0, 0] when offline
+    ramp_rhs: list[float]  # its up/down pairs' right-hand sides, t = 2..T
+    fixed_on: list[float]  # its fixed cost, once per online period
+    startups: list[float]  # startup_cost of each start, as offline_runs
+                           # lists them
+
+
+def _price_row(u, row, base: str = "basic") -> _UnitRow | None:
+    """Price one unit's row (see :class:`_UnitRow`), or None when ``base``
+    does not admit it (see :func:`enumerate_schedules`).
+
+    One pass derives the row's starts and stops from the pre-horizon
+    state (online unless ``pre_offline`` > 0). A start caps its period's
+    output at ``startup_ramp`` and a stop caps the period before it at
+    ``shutdown_ramp``, where the MILP rows reach: a start in period 1 and
+    a run still on at T are horizon-boundary cases with no cap. A ramp
+    pair online in both periods keeps the template's
+    ``ramp_up``/``ramp_down``; any other pair gets the row's largest
+    activity within the row's bounds, so that it cannot bind."""
     T = len(row)
-    v_prev = 0 if pre_offline > 0 else 1
-    y = [0] * (T + 1)  # 1-based
-    z = [0] * (T + 1)
-    for t in range(1, T + 1):
-        y[t] = 1 if (row[t - 1] == 1 and v_prev == 0) else 0
-        z[t] = 1 if (row[t - 1] == 0 and v_prev == 1) else 0
-        v_prev = row[t - 1]
-    for t in range(min_up, T + 1):
-        if sum(y[t - min_up + 1:t + 1]) > row[t - 1]:
-            return False
-    for t in range(min_down, T + 1):
-        if sum(z[t - min_down + 1:t + 1]) > 1 - row[t - 1]:
-            return False
-    if 0 < pre_offline < min_down:
-        for t in range(1, min(T, min_down - pre_offline) + 1):
-            if row[t - 1]:
-                return False
-    return True
-
-
-def _period_bounds(u, row, t: int, T: int) -> tuple[float, float]:
-    """Output interval of an online unit in period t under the fixed row.
-
-    Start/stop speed caps apply only where the MILP rows reach: a start
-    in period 1 and a run still on at T are horizon-boundary cases with
-    no cap.
-    """
-    hi = u.p_max
-    if t >= 2 and row[t - 2] == 0:
-        hi = min(hi, u.startup_ramp)
-    if t <= T - 1 and row[t] == 0:
-        hi = min(hi, u.shutdown_ramp)
-    return u.p_min, hi
+    lb, ub, fixed_on, starts, stops = [0.0] * T, [0.0] * T, [], [], []
+    prev = 0 if u.pre_offline > 0 else 1
+    for t, on in enumerate(row, 1):
+        if on != prev:
+            (starts if on else stops).append(t)
+        # the extended base: a start within the last min_up periods needs
+        # the unit on, a stop within the last min_down periods needs it
+        # off, and neither window holds two; a recorded outage shorter
+        # than min_down keeps the unit off for the rest of it
+        if base == "extended" and (
+                t >= u.min_up
+                and sum(s > t - u.min_up for s in starts) > on
+                or t >= u.min_down
+                and sum(s > t - u.min_down for s in stops) > 1 - on
+                or on and 0 < u.pre_offline
+                and t <= u.min_down - u.pre_offline):
+            return None
+        if on:
+            lb[t - 1], ub[t - 1] = u.p_min, u.p_max
+            if t >= 2 and not prev:
+                ub[t - 1] = min(ub[t - 1], u.startup_ramp)
+            fixed_on.append(u.cost_fixed_on)
+        elif t >= 2 and prev:
+            ub[t - 2] = min(ub[t - 2], u.shutdown_ramp)
+        prev = on
+    ramp_rhs = []
+    for t in range(1, T):  # the pair of periods t and t + 1
+        if row[t - 1] and row[t]:
+            ramp_rhs += (u.ramp_up, u.ramp_down)
+        else:
+            ramp_rhs += (ub[t] - lb[t - 1], ub[t - 1] - lb[t])
+    startups = [startup_cost(u, length) for _, length
+                in offline_runs(Schedule([list(row)]), 0, u.pre_offline)]
+    return _UnitRow(tuple(row), lb, ub, ramp_rhs, fixed_on, startups)
 
 
 def _ramps_never_bind(instance: Instance, base: str) -> bool:
@@ -181,34 +211,32 @@ def _ramps_never_bind(instance: Instance, base: str) -> bool:
                for u in instance.units)
 
 
-def _greedy_dispatch(instance: Instance, on_off) -> tuple[list, float] | None:
-    """Exact merit-order dispatch for the separable case; None when some
-    period's demand falls outside the online capacity window."""
+def _greedy_dispatch(instance: Instance, rows) -> tuple[list, float] | None:
+    """Exact merit-order dispatch for the separable case, within the
+    bounds of the schedule's priced rows (one per unit, in unit order);
+    None when some period's demand falls outside the online capacity
+    window."""
     T = instance.horizon
     units = instance.units
     order = sorted(range(len(units)), key=lambda k: units[k].cost_variable)
     p = [[0.0] * T for _ in units]
     cost = 0.0
-    for t in range(1, T + 1):
+    for t in range(T):
         lo_sum = 0.0
-        bounds = {}
-        for k, u in enumerate(units):
-            if on_off[k][t - 1]:
-                b = _period_bounds(u, on_off[k], t, T)
-                bounds[k] = b
-                lo_sum += b[0]
+        for u, r in zip(units, rows):
+            if r.on[t]:
+                lo_sum += r.lb[t]
                 cost += u.cost_fixed_on
-        rem = instance.load[t - 1] - lo_sum
+        rem = instance.load[t] - lo_sum
         if rem < -1e-9:
             return None
         for k in order:
-            if k not in bounds:
-                continue
-            lo, hi = bounds[k]
-            take = min(rem, hi - lo)
-            p[k][t - 1] = lo + take
-            rem -= take
-            cost += units[k].cost_variable * p[k][t - 1]
+            r = rows[k]
+            if r.on[t]:
+                take = min(rem, r.ub[t] - r.lb[t])
+                p[k][t] = r.lb[t] + take
+                rem -= take
+                cost += units[k].cost_variable * p[k][t]
         if rem > 1e-9:
             return None
     return p, cost
@@ -269,41 +297,6 @@ def _dispatch_template(instance: Instance, base: str) -> Model:
                 row(f"flow_lo_{m}_{t}", terms, ">=", -line.capacity + b)
     model.add_rows(names, senses, rhs, starts, ids, coeffs)
     return model
-
-
-class _UnitRow(NamedTuple):
-    """One unit's on/off row, priced for the dispatch LP: what a schedule
-    holding it needs of that unit, the same for every such schedule."""
-
-    on: tuple
-    lb: list[float]  # the unit's output bounds, period by period:
-    ub: list[float]  # _period_bounds when online, [0, 0] when offline
-    ramp_rhs: list[float]  # its up/down pairs' right-hand sides, t = 2..T
-    fixed_on: list[float]  # its fixed cost, once per online period
-    startups: list[float]  # startup_cost of each start, as offline_runs
-                           # lists them
-
-
-def _price_row(u, row) -> _UnitRow:
-    """Price one unit's row (see :class:`_UnitRow`). A ramp pair online in
-    both periods keeps the template's ``ramp_up``/``ramp_down``; any other
-    pair gets the row's largest activity within the row's bounds, so that
-    it cannot bind."""
-    T = len(row)
-    lb, ub, fixed_on = [0.0] * T, [0.0] * T, []
-    for t in range(1, T + 1):
-        if row[t - 1]:
-            lb[t - 1], ub[t - 1] = _period_bounds(u, row, t, T)
-            fixed_on.append(u.cost_fixed_on)
-    ramp_rhs = []
-    for t in range(1, T):  # the pair of periods t and t + 1
-        if row[t - 1] and row[t]:
-            ramp_rhs += (u.ramp_up, u.ramp_down)
-        else:
-            ramp_rhs += (ub[t] - lb[t - 1], ub[t - 1] - lb[t])
-    startups = [startup_cost(u, length) for _, length
-                in offline_runs(Schedule([list(row)]), 0, u.pre_offline)]
-    return _UnitRow(tuple(row), lb, ub, ramp_rhs, fixed_on, startups)
 
 
 def _dispatch(template: Model, instance: Instance, rows
@@ -406,9 +399,9 @@ def brute_force_optimum(instance: Instance, base: str = "basic",
     best = None  # (total, rows, p, production)
     n_feasible = 0
     template = None  # built once the enumeration has checked the instance
-    for rows in _schedules(instance, base, guard, _price_row):
+    for rows in _schedules(instance, base, guard):
         if separable:
-            out = _greedy_dispatch(instance, [r.on for r in rows])
+            out = _greedy_dispatch(instance, rows)
         else:
             template = template or _dispatch_template(instance, base)
             out = _dispatch(template, instance, rows)

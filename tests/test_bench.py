@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from ucbench import (
-    BASES,
     STARTUPS,
     BenchConfig,
     FormulationChoice,
@@ -82,11 +81,18 @@ class TestGenerateInstance:
             generate_instance(1, 2, 6, volatility=1.5)
 
 
+def measure(inst, choice, config):
+    """measure_gap as gap_rows calls it: on the instance's base, with its
+    LP's optimal basis as the root's start."""
+    base = build_base(inst, choice.base)
+    return measure_gap(inst, choice, config, base, root_start(base[0]))
+
+
 class TestMeasureGap:
     def test_row_semantics_on_a_seeded_instance(self):
         inst = generate_instance(1, 2, 6)
-        row = measure_gap(inst, FormulationChoice("basic", "one_bin"),
-                          BenchConfig(gap=0.0))
+        row = measure(inst, FormulationChoice("basic", "one_bin"),
+                      BenchConfig(gap=0.0))
         assert row.status == "optimal"
         assert row.backend == "reference"
         assert row.instance == inst.name
@@ -99,27 +105,16 @@ class TestMeasureGap:
 
     def test_record_timing_flag(self):
         inst = make_instance([15.0, 15.0])
-        row = measure_gap(inst, FormulationChoice("basic", "temp"),
-                          BenchConfig(gap=0.0, record_timing=True))
+        row = measure(inst, FormulationChoice("basic", "temp"),
+                      BenchConfig(gap=0.0, record_timing=True))
         assert row.wall_ms > 0.0
-
-    @pytest.mark.parametrize("base", BASES)
-    def test_a_shared_base_gives_the_row_of_a_fresh_build(self, base):
-        inst = generate_instance(3, 2, 4)
-        shared = build_base(inst, base)
-        start = root_start(shared[0])
-        for startup in STARTUPS:
-            choice = FormulationChoice(base, startup, 0.05)
-            assert measure_gap(inst, choice, BenchConfig(gap=0.0),
-                               base=shared, start=start) \
-                == measure_gap(inst, choice, BenchConfig(gap=0.0))
 
     def test_integral_relaxation_has_zero_gap(self):
         """Fixing p_min = p_max pins the indicator in the relaxation, so
         root LP and MIP coincide exactly."""
         inst = make_instance([15.0, 15.0], p_min=15.0, p_max=15.0)
-        row = measure_gap(inst, FormulationChoice("basic", "one_bin"),
-                          BenchConfig(gap=0.0))
+        row = measure(inst, FormulationChoice("basic", "one_bin"),
+                      BenchConfig(gap=0.0))
         assert row.status == "optimal"
         assert row.nodes == 1
         assert row.gap_abs == 0.0
@@ -147,7 +142,7 @@ class TestRootBoundSource:
         cfg = BenchConfig(time_limit=time_limit)
         for choice in self.CHOICES:
             model, _ = build_model(inst, choice)
-            row = measure_gap(inst, choice, cfg)
+            row = measure(inst, choice, cfg)
             z_lp = solve_lp(model).objective
             assert abs(row.z_lp - z_lp) <= 1e-12 * abs(z_lp), choice
 
@@ -303,7 +298,7 @@ class TestRunBenchmark:
             starts.append(root_start(model))
             return starts[-1]
 
-        def measured(inst, choice, config, base=None, start=None):
+        def measured(inst, choice, config, base, start):
             given.append(start)
             return measure_gap(inst, choice, config, base, start)
 

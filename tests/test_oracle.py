@@ -6,6 +6,7 @@ MILP formulations against, so these tests pin its behavior on instances
 small enough to check by hand.
 """
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -15,6 +16,7 @@ from ucbench import (
     STARTUPS,
     Schedule,
     brute_force_optimum,
+    build_base,
     certify_equivalence,
     enumerate_schedules,
     exact_total_cost,
@@ -24,7 +26,7 @@ from ucbench import (
 )
 from ucbench import oracle, solver
 
-from conftest import make_instance, make_unit, ramped
+from conftest import make_instance, make_unit, ramped, rows
 
 
 def bit_rows(schedules):
@@ -66,15 +68,11 @@ class TestEnumerateSchedules:
 
     @staticmethod
     def listed_rows(inst, base):
-        """The enumeration as a product over a materialized row list."""
-        rows = list(itertools.product((0, 1), repeat=inst.horizon))
-        if base == "basic":
-            per_unit = [rows] * len(inst.units)
-        else:
-            per_unit = [[r for r in rows if oracle._commitment_ok(
-                r, u.min_up, u.min_down, u.pre_offline)] for u in inst.units]
-        return [[list(r) for r in combo]
-                for combo in itertools.product(*per_unit)]
+        """The enumeration as a product over each unit's rows, listed from
+        the enumeration of a one-unit instance."""
+        per_unit = [[s.on_off[0] for s in enumerate_schedules(
+            dataclasses.replace(inst, units=[u]), base)] for u in inst.units]
+        return [list(combo) for combo in itertools.product(*per_unit)]
 
     @pytest.mark.parametrize("base", ["basic", "extended"])
     @pytest.mark.parametrize("inst", [
@@ -106,6 +104,56 @@ class TestEnumerateSchedules:
         assert peak < 1 << 20
         assert first[0].on_off == [[0] * 18]
         assert first[-1].on_off == [[0] * 8 + [1, 1, 1, 1, 1, 0, 0, 1, 1, 1]]
+
+
+class TestAdmissionMatchesTheBuilders:
+    """The extended base's commitment rows, one unit at a time: a row is
+    enumerated exactly when its lifted point, v the row and y and z its
+    starts and stops from the pre-horizon state, satisfies every
+    ``logic_``, ``minup_``, ``mindown_`` and ``predown_`` row that
+    ``build_base`` emits. The windows' reach (from t >= min_up and t >=
+    min_down, min times past the horizon included) and the pre-horizon
+    rule are thus pinned to the MILP's, independently of the oracle."""
+
+    FAMILIES = ("logic_", "minup_", "mindown_", "predown_")
+
+    @staticmethod
+    def holds(row, x):
+        lhs = sum(a * x[j] for j, a in zip(row.ids, row.coeffs))
+        if row.sense == "<=":
+            return lhs <= row.rhs + 1e-9
+        if row.sense == ">=":
+            return lhs >= row.rhs - 1e-9
+        return abs(lhs - row.rhs) <= 1e-9
+
+    @pytest.mark.parametrize("T", [4, 6])
+    def test_enumerated_rows_are_the_lifted_points_the_rows_admit(self, T):
+        inst = generate_instance(1, 1, T)
+        checked = admitted_total = 0
+        for min_up, min_down, pre_offline in itertools.product(
+                range(1, 9), range(1, 9), (0, 1, 2, 3, 5, 9)):
+            one = dataclasses.replace(inst, units=[dataclasses.replace(
+                inst.units[0], min_up=min_up, min_down=min_down,
+                pre_offline=pre_offline)])
+            admitted = {tuple(s.on_off[0])
+                        for s in enumerate_schedules(one, "extended")}
+            model, vix = build_base(one, "extended")
+            commit = [r for r in rows(model)
+                      if r.name.startswith(self.FAMILIES)]
+            assert sum(r.name.startswith("logic_") for r in commit) == T
+            v, y, z = vix.v[0], vix.y[0], vix.z[0]
+            for on in itertools.product((0, 1), repeat=T):
+                x, prev = {}, 0 if pre_offline > 0 else 1
+                for t, b in enumerate(on, 1):
+                    x[v[t]], x[y[t]], x[z[t]] = b, int(b > prev), int(b < prev)
+                    prev = b
+                feasible = all(self.holds(r, x) for r in commit)
+                assert (on in admitted) == feasible, \
+                    (min_up, min_down, pre_offline, on)
+                checked += 1
+            admitted_total += len(admitted)
+        assert checked == 384 * 2 ** T
+        assert 0 < admitted_total < checked
 
 
 class TestOptimalDispatch:
@@ -149,6 +197,20 @@ class TestOptimalDispatch:
                              startup_ramp=18.0)
         with pytest.raises(ValueError, match="infeasible schedule"):
             optimal_dispatch(over, Schedule([[0, 1, 1]]))
+
+    @pytest.mark.parametrize("pre_offline", [0, 2])
+    def test_a_stop_in_period_two_caps_period_one(self, pre_offline):
+        """A unit online in period 1 alone stops in period 2, so period 1
+        is capped at the shutdown ramp; the startup ramp does not cap it,
+        whether the unit was online before the horizon or starts at its
+        boundary."""
+        def inst(load):
+            return make_instance(load, startup_ramp=10.0, shutdown_ramp=18.0,
+                                 pre_offline=pre_offline)
+        p, _ = optimal_dispatch(inst([18.0, 0.0]), Schedule([[1, 0]]))
+        assert p == [[18.0, 0.0]]
+        with pytest.raises(ValueError, match="infeasible schedule"):
+            optimal_dispatch(inst([18.5, 0.0]), Schedule([[1, 0]]))
 
     def test_last_period_reaches_a_shutdown_ramp_above_ramp_down(self):
         """Likewise ramp_down does not apply to the pair of periods 2-3:
