@@ -111,17 +111,30 @@ then more rows and columns, whose new columns have no term in the base
 rows. That is how each start-up module extends its instance's base, so
 one base LP serves the four modules' roots. The root then starts, as a
 child does, from the base's basis, statuses and checked inverse,
-extended with the new rows' slacks, which are basic. With X the new
-rows restricted to the base's basic columns, the extended basis is
-[[B_b, 0], [X, I]], and its inverse is [[Binv_b, 0], [-X Binv_b, I]].
-That inverse stands in for a checked one as a parent's does: its top
-block is the base's checked inverse, the identity is exact, and the
-lower block is one product, whose rounding adds about m·eps·|X||Binv_b|
-to the residual. The start is dual feasible: the new rows' duals are 0,
-so every old column keeps its base reduced cost and every new column's
-reduced cost is its cost, and a new column rests where ``_resting``
-puts it for that cost. The base rows keep the base's basic values, so
-the dual simplex starts with only new rows out of their bounds. The
+extended by one basic column per new row. A crash (Bixby, ORSA J.
+Computing 4(3), 1992; ``_crash``) puts some new rows on a new column of
+cost 0 in place of their slack: equality rows first, then the rest,
+each row taking the untaken such column with its largest |coefficient|;
+the other new rows keep their slacks. With X the new rows restricted to
+the base's basic columns and D their block over the new basic columns
+(the identity where a slack stayed), the extended basis is
+[[B_b, 0], [X, D]], and its inverse is
+[[Binv_b, 0], [-D^-1 X Binv_b, D^-1]]. Only S, the picks' block of
+their own rows, is inverted (see ``_extended``); an S that
+``_factorize`` refuses leaves every new row on its slack, so that D = I
+and the lower block is -X Binv_b, one product. That inverse stands in
+for a checked one as a parent's does: its top block is the base's
+checked inverse, and the lower block is a few products with it, whose
+rounding adds about m·eps·|X||Binv_b|, times up to κ∞(S), to the
+residual. The start is dual feasible: every new basic column costs
+0, so the new rows' duals are 0, every old column keeps its base reduced
+cost and every new column's reduced cost is its cost; a new column and
+a displaced slack rest where ``_resting`` puts them for that cost. A
+new column has no term in a base row, so the base rows keep the base's
+basic values, and the dual simplex starts with only the new rows' basic
+columns out of their bounds. A crashed row spares the dual simplex the
+pivot that would have taken its slack out of the basis, as ``temp``'s
+rows defining its temperature and heating columns otherwise cost. The
 root's optimum is the same LP's, but it can be another vertex of it,
 and its objective can differ from a cold root's in the last bits.
 
@@ -136,8 +149,9 @@ was solved: not the rounding LP, not a child closed by an infinite
 penalty, and not one popped after the incumbent has reached its bound.
 ``Solution.iterations`` of a MIP is the LP iteration count summed over
 all nodes and the rounding LP. One DEBUG line per ``solve_mip`` reports
-status, nodes, iterations, how the root started (the slack basis or a
-base's basis) and its iterations, the children closed by an infinite
+status, nodes, iterations, how the root started (the slack basis, or a
+base's basis with how many of the new rows the crash put on a column)
+and its iterations, the children closed by an infinite
 penalty, root and best bound, and seconds, and one INFO line per new
 incumbent reports it with the nodes solved so far, the best bound of
 the open nodes and the relative gap.
@@ -794,24 +808,80 @@ def _misfit(model: Model, base: Model) -> str | None:
             "than in the base")
 
 
+def _crash(model: Model, ns_b: int, m_b: int) -> tuple[list[int], list[int]]:
+    """A crash basis (Bixby, ORSA J. Computing 4(3), 1992) for the rows
+    that ``model`` adds to a base of ns_b columns and m_b rows: the rows
+    that start on a new column instead of their slack, and those
+    columns. A candidate is a new column of cost 0 with up > lo. The new
+    rows are visited equality rows first, then the rest, each group in
+    row order, and each takes the untaken candidate with its largest
+    |coefficient|, ties going to the lowest id. The new rows' terms are
+    read as lists once; a model stores no zero term."""
+    cost, lb, ub = model.objective, model.lb, model.ub
+    free = {j for j in range(ns_b, model.n_variables)
+            if cost[j] == 0.0 and ub[j] > lb[j]}
+    rows: list[int] = []
+    cols: list[int] = []
+    if not free:
+        return rows, cols
+    s0 = model.starts[m_b]
+    ends = [s - s0 for s in model.starts[m_b:]]
+    ids, coeffs = model.ids[s0:].tolist(), model.coeffs[s0:].tolist()
+    senses = model.senses[m_b:]
+    for i in ([i for i, s in enumerate(senses) if s == "="]
+              + [i for i, s in enumerate(senses) if s != "="]):
+        pick, size = -1, 0.0
+        for k in range(ends[i], ends[i + 1]):
+            j = ids[k]
+            if j in free:
+                a = abs(coeffs[k])
+                if a > size or (a == size and j < pick):
+                    pick, size = j, a
+        if pick >= 0:
+            free.remove(pick)
+            rows.append(m_b + i)
+            cols.append(pick)
+    return rows, cols
+
+
 def _extended(core: LpCore, start: _RootStart) -> _LpResult:
     """The start's optimal basis, statuses and inverse on the model of
     core, which extends the start's base: the base's basic columns, with
-    each base slack moved past the model's structurals, then the new
-    rows' slacks; the block-triangular inverse of the module docstring.
-    A new column rests where ``_resting`` puts it for its cost."""
+    each base slack moved past the model's structurals, then one basic
+    column per new row, the new column ``_crash`` picks for it or else
+    its slack; the block-triangular inverse of the module docstring. A
+    new column and a displaced slack rest where ``_resting`` puts them
+    for their cost.
+
+    Only the picks' block S of their own rows is inverted. Over the new
+    rows the basis is D = I + (C - E) E', with C the picks' columns and E
+    the identity's columns of their rows, so D^-1 = I - (C - E) S^-1 E'
+    (Woodbury), and the lower block D^-1 [-X Binv_b | I] of the inverse
+    is [-X Binv_b | I] less (C - E) G, where G is S^-1 times that
+    block's picked rows. An S that ``_factorize`` refuses leaves every
+    new row on its slack, as does a model with no candidate: its start
+    is then the slack rows' start, bit for bit, with no algebra added."""
     base = start.model
     ns_b, m_b = base.n_variables, base.n_constraints
     ns, m = core.n_struct, core.m
     old = np.where(start.basis < ns_b, start.basis, start.basis + (ns - ns_b))
     basis = np.concatenate((old, np.arange(ns + m_b, ns + m)))
-    vstat = _resting(core.lo, core.up, core.c, basis)
-    vstat[:ns_b] = start.vstat[:ns_b]
-    vstat[ns:ns + m_b] = start.vstat[ns_b:]
     Binv = np.zeros((m, m))
     Binv[:m_b, :m_b] = start.Binv
     Binv[m_b:, :m_b] = -(core.A[m_b:, old] @ start.Binv)
     np.fill_diagonal(Binv[m_b:, m_b:], 1.0)
+    rows, cols = _crash(core.model, ns_b, m_b)
+    if rows:
+        rows, cols = np.array(rows), np.array(cols)
+        Sinv = _factorize(core.A[rows], cols)
+        if Sinv is not None:
+            G = Sinv @ Binv[rows]
+            Binv[m_b:] -= core.A[m_b:, cols] @ G
+            Binv[rows] += G
+            basis[rows] = cols
+    vstat = _resting(core.lo, core.up, core.c, basis)
+    vstat[:ns_b] = start.vstat[:ns_b]
+    vstat[ns:ns + m_b] = start.vstat[ns_b:]
     return _LpResult("optimal", math.nan, None, basis, vstat, 0, Binv=Binv)
 
 
@@ -837,10 +907,12 @@ def solve_mip(model: Model, config: SolveConfig | None = None,
     ``root_bound`` is always, bit for bit, the relaxation ``solve_lp``
     would report. With ``start``, what ``root_start`` returned for a
     base that ``model`` extends, the root starts from that base's
-    optimal basis (see the module docstring), and ``root_bound`` is the
-    same relaxation's optimum, up to rounding. A model that does not
-    extend the start's base raises ValueError, naming the first
-    difference, before any LP.
+    optimal basis, with a crash basis (Bixby, ORSA J. Computing 4(3),
+    1992) that puts some of the model's new rows on zero-cost new
+    columns and the others on their slacks (see the module docstring),
+    and ``root_bound`` is the same relaxation's optimum, up to rounding.
+    A model that does not extend the start's base raises ValueError,
+    naming the first difference, before any LP.
 
     With ``config.gap > 0``, a fractional optimal root is rounded: one LP
     with every binary fixed at ``round(x)``, from the root's result. An
@@ -858,11 +930,16 @@ def solve_mip(model: Model, config: SolveConfig | None = None,
     root = None if start is None else _extended(core, start)
     sol, closed, root_iters = _branch_and_bound(core, config, t0, root)
     if log.isEnabledFor(logging.DEBUG):
+        how = "the slack basis"
+        if root is not None:  # the new rows whose basic column is no slack
+            m_b = start.model.n_constraints
+            crashed = np.count_nonzero(root.basis[m_b:] < core.n_struct)
+            how = (f"a base's basis, {crashed} of {core.m - m_b} new rows "
+                   "crashed")
         log.debug("mip: %s after %d nodes, %d LP iterations (%d at the "
                   "root, from %s), %d children closed by an infinite "
                   "penalty; root bound %r, best bound %r; %.3f s",
-                  sol.status, sol.nodes, sol.iterations, root_iters,
-                  "the slack basis" if start is None else "a base's basis",
+                  sol.status, sol.nodes, sol.iterations, root_iters, how,
                   closed, sol.root_bound, sol.best_bound,
                   time.monotonic() - t0)
     return sol

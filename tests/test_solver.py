@@ -1061,9 +1061,29 @@ class TestGuards:
         assert solver._factorize(A, np.array([0, 2])) is not None
 
 
+def slack_rows(core, start):
+    """The warm start with every new row on its slack: the base's basis,
+    statuses and inverse, each base slack moved past the model's
+    structurals, and the inverse [[Binv_b, 0], [-X Binv_b, I]]."""
+    ns_b, m_b = start.model.n_variables, start.model.n_constraints
+    ns, m = core.n_struct, core.m
+    old = np.where(start.basis < ns_b, start.basis, start.basis + ns - ns_b)
+    basis = np.concatenate((old, np.arange(ns + m_b, ns + m)))
+    vstat = solver._resting(core.lo, core.up, core.c, basis)
+    vstat[:ns_b] = start.vstat[:ns_b]
+    vstat[ns:ns + m_b] = start.vstat[ns_b:]
+    Binv = np.zeros((m, m))
+    Binv[:m_b, :m_b] = start.Binv
+    Binv[m_b:, :m_b] = -(core.A[m_b:, old] @ start.Binv)
+    Binv[m_b:, m_b:] = np.eye(m - m_b)
+    return solver._LpResult("optimal", math.nan, None, basis, vstat, 0,
+                            Binv=Binv)
+
+
 class TestRootStart:
     """A root that starts from the optimal basis of the base its model
-    extends (``root_start``) ends at the cold root's optimum, and
+    extends (``root_start``), with the crash that puts some new rows on
+    zero-cost new columns, ends at the cold root's optimum, and
     ``solve_mip`` refuses a start whose base the model does not extend,
     before any LP."""
 
@@ -1187,9 +1207,45 @@ class TestRootStart:
             res = solve_mip(model, SolveConfig(gap=0.0), start=start)
         (line,) = [r.getMessage() for r in caplog.records
                    if r.levelno == logging.DEBUG]
+        # the crash puts trec and tcost rows on tmp or h columns
+        n_b = shared[0].n_constraints
+        rows, _ = solver._crash(model, shared[0].n_variables, n_b)
+        assert {model.row_names[i].split("_")[0] for i in rows} \
+            == {"trec", "tcost"}
         assert (f"{res.iterations} LP iterations ({root.iterations} at the "
-                "root, from a base's basis), ") in line
+                f"root, from a base's basis, {len(rows)} of "
+                f"{model.n_constraints - n_b} new rows crashed), ") in line
         assert root.iterations < solver.LpCore(model).solve().iterations
+
+    def test_a_singular_crash_keeps_the_slacks(self):
+        # two new equality rows over the zero-cost columns u and w, in
+        # proportion there: the crash picks u for r1 and w for r2, whose
+        # block [[1, 1], [2, 2]] is singular, so both rows keep their
+        # slacks
+        def model(name, new):
+            m = Model(name)
+            x, y = (m.add_variable(n, 0.0, 4.0, cost=c)
+                    for n, c in (("x", 1.0), ("y", 2.0)))
+            m.add_constraint("r0", {x: 1.0, y: 1.0}, ">=", 2.0)
+            if new:
+                u, w = (m.add_variable(n, 0.0, 10.0) for n in "uw")
+                m.add_constraint("r1", {x: 1.0, u: 1.0, w: 1.0}, "=", 3.0)
+                m.add_constraint("r2", {y: 1.0, u: 2.0, w: 2.0}, "=", 5.0)
+            return m
+
+        base, full = model("base", False), model("full", True)
+        start = root_start(base)
+        core = solver.LpCore(full)
+        assert solver._crash(full, 2, 1) == ([1, 2], [2, 3])
+        ext, slack = solver._extended(core, start), slack_rows(core, start)
+        for a, b in zip((ext.basis, ext.vstat, ext.Binv),
+                        (slack.basis, slack.vstat, slack.Binv)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        lp = solve_lp(full)
+        assert lp.status == "optimal"
+        warm = solve_mip(full, SolveConfig(gap=0.0), start=start)
+        assert abs(warm.root_bound - lp.objective) \
+            <= 1e-12 * abs(lp.objective)
 
     @pytest.mark.parametrize("base", BASES)
     @pytest.mark.parametrize("n, T, ramp", [(2, 3, None), (3, 6, None),
@@ -1198,8 +1254,13 @@ class TestRootStart:
         """Seeds 1-8, the four modules on one shared base each: the warm
         root ends as solve_lp does, within 1e-12 relative; at gap 0 the
         MIP ends as the cold one, within 1e-9 relative; every extended
-        start inverse passes the check a verdict rests on; and the four
-        solves leave the start as they found it."""
+        start inverse passes the check a verdict rests on, and its fresh
+        reduced costs price no column wrong; the four solves leave the
+        start as they found it. A module with no zero-cost new column
+        (one_bin, one_bin_star) starts from the slack rows' start bit for
+        bit, and temp's crashed roots take fewer iterations in all than
+        from that start."""
+        crashed = slack = 0  # temp's root iterations from either start
         for seed in range(1, 9):
             inst = generate_instance(seed, n, T)
             if ramp is not None:
@@ -1214,8 +1275,22 @@ class TestRootStart:
                 core = solver.LpCore(model)
                 ext = solver._extended(core, start)
                 assert solver._verified(core.A, ext.basis, ext.Binv)
+                fresh = solver._Simplex(
+                    core.A, core.b, core.c, core.lo, core.up,
+                    ext.basis.copy(), ext.vstat.copy(), ext.Binv.copy())
+                assert not solver._priced_wrong(*solver._directions(
+                    fresh.vstat, fresh.movable), fresh.rc).any()
+                rows = slack_rows(core, start)
+                if module in ("one_bin", "one_bin_star"):
+                    for a, b in zip((ext.basis, ext.vstat, ext.Binv),
+                                    (rows.basis, rows.vstat, rows.Binv)):
+                        assert a.dtype == b.dtype and np.array_equal(a, b)
                 lp = solve_lp(model)
-                assert core.solve(parent=ext).status == lp.status
+                root = core.solve(parent=ext)
+                assert root.status == lp.status
+                if module == "temp":
+                    crashed += root.iterations
+                    slack += core.solve(parent=rows).iterations
                 warm = solve_mip(model, SolveConfig(gap=0.0), start=start)
                 cold = solve_mip(model, SolveConfig(gap=0.0))
                 key = (seed, module)
@@ -1228,6 +1303,7 @@ class TestRootStart:
                         cold.objective, rel=1e-9), key
             for a, b in zip(start[1:], saved):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert crashed < slack
 
 
 class TestPenalties:
