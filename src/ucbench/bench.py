@@ -59,7 +59,12 @@ def generate_instance(seed: int, n_units: int, T: int,
     per unit, uniform demand factors, and one line per spoke whose flow
     equals the spoke's net injection. Capacities are drawn tight enough
     to restrict peak-period dispatch but never below the spoke's own
-    peak demand (an offline unit must stay importable).
+    peak demand (an offline unit must stay importable). No check makes
+    sure that some schedule fits them on both bases: the extended base's
+    ramping rows can leave none. ``generate_instance(1, 2, 6,
+    with_network=True)`` has no feasible schedule on the extended base,
+    so every module's MIP is infeasible there, and an optimum on the
+    basic base.
     """
     if n_units < 1:
         raise ValueError(f"n_units must be >= 1, got {n_units}")

@@ -18,10 +18,21 @@ A branch-and-bound child's warm start is its parent's optimal
 a refactorization. An LP ends optimal only on a checked inverse (see
 below), so the inverse a child starts from is within CHECK_TOL of an
 exact one, and the check at the child's own verdict bounds the drift
-that the child adds. Every LP, a child too, computes its basic values
-and reduced costs from its start inverse before its first iteration.
-The tree therefore holds one result, its x, its reduced costs and its
-m×m inverse, per open parent, shared by its two children. The slack
+that the child adds. An optimal result also keeps the nonbasic values,
+the unclipped basic values and the reduced costs that its verdict
+computed from that inverse. A child fixes a binary that is basic in its
+parent, so none of its nonbasic values moves, and it takes copies of
+those three (a ``_Warm`` start) instead of computing the same bits
+again; so does the rounding LP below, which fixes each nonbasic binary
+where it rests. A child is handed its first pivot too: the branched
+binary's row is its only row out of bounds, the branching penalty has
+already formed that row's pivot row, and ``_branch`` picks the entering
+column from it by the loop's own rule. A child whose pivot row has no
+entry of at least DUAL_PIVOT_TOL gets no step and settles, as every
+other LP does before its first iteration: ``solve_lp``, a root, and
+``LpCore.solve`` given any other bounds. The tree therefore holds one
+result, its x, its fresh values and its m×m inverse, per open parent,
+shared by its two children. The slack
 basis starts from the identity, bit for bit its computed inverse. It
 rests each structural at its lower bound when finite, else at its upper
 bound when finite, else free at 0; a column with both bounds finite and
@@ -151,10 +162,11 @@ penalty, and not one popped after the incumbent has reached its bound.
 all nodes and the rounding LP. One DEBUG line per ``solve_mip`` reports
 status, nodes, iterations, how the root started (the slack basis, or a
 base's basis with how many of the new rows the crash put on a column)
-and its iterations, the children closed by an infinite
-penalty, root and best bound, and seconds, and one INFO line per new
-incumbent reports it with the nodes solved so far, the best bound of
-the open nodes and the relative gap.
+and its iterations, the children solved from their parent's step,
+those that settled and those an infinite penalty closed, root and best
+bound, and seconds, and one INFO line per new incumbent reports it
+with the nodes solved so far, the best bound of the open nodes and the
+relative gap.
 """
 
 from __future__ import annotations
@@ -251,9 +263,26 @@ class _LpResult:
     # accepted, so a child that starts from this result need not invert
     # its basis again; set when optimal, like basis
     Binv: np.ndarray | None = None
-    # the fresh reduced costs that verdict rested on, which ``_penalties``
-    # reads; set when optimal, like basis
+    # the fresh nonbasic values, unclipped basic values and reduced costs
+    # that verdict rested on: ``_penalties`` reads rc, and a ``_Warm``
+    # start copies all three; set when optimal, like basis
     rc: np.ndarray | None = None
+    xN: np.ndarray | None = None
+    xB: np.ndarray | None = None
+
+
+class _Warm(NamedTuple):
+    """A start from an optimal parent result whose nonbasic values the
+    LP's bounds leave where they are: a branch-and-bound child, whose
+    branched binary is basic in the parent, or the rounding LP, which
+    fixes each nonbasic binary where it rests. The LP takes copies of the
+    parent's fresh xN, xB and rc, bit for bit what ``settle`` would
+    compute from the parent's inverse, and then applies step, if any: its
+    first pivot (r, q, alpha), which ``_branch`` read off the parent's
+    penalty row."""
+
+    parent: _LpResult
+    step: tuple[int, int, np.ndarray] | None = None
 
 
 class _Singular(Exception):
@@ -294,25 +323,40 @@ class LpCore:
         up[ns:] = [_SLACK_UP[sense] for sense in model.senses]
         self.lo = lo
         self.up = up
+        self.resid_tol = _resid_tol(self.b)
         self.binary_ids = np.flatnonzero(
             np.asarray(model.kinds) == KINDS.index("binary"))
 
     def solve(self, lo: np.ndarray | None = None, up: np.ndarray | None = None,
-              parent: _LpResult | None = None) -> _LpResult:
+              parent: _LpResult | _Warm | None = None) -> _LpResult:
         """The dual simplex within bounds lo, up (the core's by default),
         from the slack basis or from copies of an optimal parent's basis,
         statuses and checked inverse, which ``pivot`` updates in place.
         The inherited inverse counts as checked, not as refactorized: a
-        tiny pivot needs a refactorization first."""
+        tiny pivot needs a refactorization first. A parent result settles
+        its start on the bounds given, whatever they are; a ``_Warm``
+        start, whose bounds must leave the parent's nonbasic values as
+        they are, takes the parent's fresh values and its first step."""
         lo = self.lo if lo is None else lo
         up = self.up if up is None else up
         if parent is None:
-            start = _cold_start(self.A, lo, up, self.c)
-        else:
-            start = (parent.basis.copy(), parent.vstat.copy(),
-                     parent.Binv.copy())
-        return _Simplex(self.A, self.b, self.c, lo, up, *start,
-                        factored=parent is None).dual()
+            return _Simplex(self.A, self.b, self.c, lo, up,
+                            *_cold_start(self.A, lo, up, self.c),
+                            resid_tol=self.resid_tol).dual()
+        state = step = None
+        if isinstance(parent, _Warm):
+            parent, step = parent
+            state = (parent.xN.copy(), parent.xB.copy(), parent.rc.copy())
+        return _Simplex(self.A, self.b, self.c, lo, up, parent.basis.copy(),
+                        parent.vstat.copy(), parent.Binv.copy(),
+                        factored=False, resid_tol=self.resid_tol,
+                        state=state, step=step).dual()
+
+
+def _resid_tol(b):
+    """The largest row residual ``_finish`` accepts: RESID_TOL * (1 +
+    max|b|)."""
+    return RESID_TOL * (1.0 + float(np.max(np.abs(b), initial=0.0)))
 
 
 def _resting(lo, up, d, basis):
@@ -364,15 +408,20 @@ class _Simplex:
     pivots) and ``refresh``. ``fresh`` says that xB and rc were just
     recomputed on a checked or refactorized inverse, so that a verdict
     may rest on them; ``factored``, that Binv is a refactorization's
-    (or the slack basis's identity) with no update since. Every solve
-    starts with ``settle`` on its start inverse. The state lives on an
+    (or the slack basis's identity) with no update since. A solve starts
+    with ``settle`` on its start inverse, unless it is handed the fresh
+    state (xN, xB, rc) of that inverse; then, if one is handed over, with
+    step: a first pivot (r, q, alpha) that its first pass would take.
+    The nonbasic values xN follow each pivot, so that a settle on a
+    checked inverse keeps them; only a new basis from ``refresh`` or from
+    the dual phase one rebuilds them. The state lives on an
     object rather than in nested closures: under CPython 3.11, closures
     over 20 variables made per solve raised a process's peak RSS by about
     0.3 MB (their freed closure tuples piled up until a full garbage
     collection)."""
 
     def __init__(self, A, b, c, lo, up, basis, vstat, Binv, iters=0,
-                 factored=True):
+                 factored=True, resid_tol=None, state=None, step=None):
         self.A, self.b, self.c, self.lo, self.up = A, b, c, lo, up
         m, n = A.shape
         self.basis, self.vstat, self.Binv = basis, vstat, Binv
@@ -385,17 +434,26 @@ class _Simplex:
         self.movable = (up - lo) > 0  # fixed columns never enter
         self.ckpt = (basis.copy(), vstat.copy())  # last invertible basis
         self.restores = 0
-        self.settle()
+        self.resid_tol = _resid_tol(b) if resid_tol is None else resid_tol
+        self.step = step
+        if state is None:
+            self.settle()
+        else:
+            self.xN, self.xB, self.rc = state
+            self.fresh = True
 
     def error(self, message):
         return _LpResult("error", math.nan, None, None, None, self.iters,
                          message)
 
-    def settle(self):
+    def settle(self, keep_xN=False):
         """Recompute xB and the reduced costs rc from scratch from Binv,
-        which a verdict may now rest on."""
+        which a verdict may now rest on, and the nonbasic values xN from
+        the statuses unless keep_xN: the values the pivots kept are the
+        same bits."""
         A = self.A
-        self.xN = _nonbasic_values(self.vstat, self.lo, self.up)
+        if not keep_xN:
+            self.xN = _nonbasic_values(self.vstat, self.lo, self.up)
         self.xB = self.Binv @ (self.b - A @ self.xN)
         self.rc = self.c - (self.c[self.basis] @ self.Binv) @ A
         self.fresh = True
@@ -404,7 +462,7 @@ class _Simplex:
         """Settle on the updated Binv if ``_verified`` accepts it for the
         current basis, else refactorize."""
         if _verified(self.A, self.basis, self.Binv):
-            self.settle()
+            self.settle(keep_xN=True)
         else:
             self.refresh()
 
@@ -435,20 +493,19 @@ class _Simplex:
         self.factored = True
         self.settle()
 
-    def pivot(self, r, q, alpha, delta, leave_upper, refactor):
-        """Move nonbasic column q by delta into row r, whose pivot row is
-        alpha = Binv[r] A and whose variable leaves for its upper bound if
-        leave_upper, else for its lower one; count the iteration and
-        refactorize when due, or at once if refactor."""
+    def pivot(self, r, q, alpha, rising, refactor):
+        """Move nonbasic column q into row r, whose pivot row is alpha =
+        Binv[r] A, until the variable of row r reaches the bound it
+        violates and leaves there: its lower bound if rising, else its
+        upper one; count the iteration and refactorize when due, or at
+        once if refactor."""
         basis, vstat, xN, xB = self.basis, self.vstat, self.xN, self.xB
         w = self.Binv @ self.A[:, q]
         leave = int(basis[r])
-        if leave_upper:
-            vstat[leave] = _AT_UPPER
-            xN[leave] = self.up[leave]
-        else:
-            vstat[leave] = _AT_LOWER
-            xN[leave] = self.lo[leave]
+        bound = self.lo[leave] if rising else self.up[leave]
+        delta = (xB[r] - bound) / alpha[q]
+        vstat[leave] = _AT_LOWER if rising else _AT_UPPER
+        xN[leave] = bound
         enter_val = (xN[q] if vstat[q] != _AT_FREE else 0.0) + delta
         xB -= delta * w
         xB[r] = enter_val
@@ -487,6 +544,15 @@ class _Simplex:
         mag, abs_rc, ratios = np.empty(n), np.empty(n), np.empty(n)
         best = -INF
         stalled = 0
+        if self.step is not None:
+            # the first pass's pivot, handed over: that pass would find the
+            # start fresh and dual feasible, row r the only one out of its
+            # bounds and q its entering column, and would set best here
+            r, q, alpha = self.step
+            best = float(c[self.basis] @ self.xB + c @ self.xN)
+            k = self.basis[r]
+            self.pivot(r, q, alpha,
+                       bool(lo[k] - self.xB[r] > self.xB[r] - up[k]), False)
         while True:
             if self.iters >= self.max_iter:
                 return self.error("iteration limit exceeded")
@@ -507,7 +573,7 @@ class _Simplex:
             if not np.count_nonzero(out):
                 if self.fresh:
                     return _finish(A, b, c, lo, up, basis, vstat, Binv, xB,
-                                   self.iters, xN, rc)
+                                   self.iters, xN, rc, self.resid_tol)
                 self.verify()
                 continue
 
@@ -559,18 +625,9 @@ class _Simplex:
                 # tiny entries may be drift; look again on a refactorization
                 self.refresh()
                 continue
-            ratios.fill(INF)
-            np.divide(np.abs(rc, out=abs_rc), mag, out=ratios, where=eligible)
-            ties = (ratios <= np.minimum.reduce(ratios) + 1e-12).nonzero()[0]
-            if self.bland:
-                q = int(ties[0])
-            else:
-                # largest |alpha|, then the lowest j
-                q = int(ties[mag[ties].argmax()])
-
-            target = lo[basis[r]] if rising else up[basis[r]]
-            self.pivot(r, q, alpha, (xB[r] - target) / alpha[q], not rising,
-                       small)
+            q = _entering(np.abs(rc, out=abs_rc), mag, eligible, self.bland,
+                          ratios)
+            self.pivot(r, q, alpha, rising, small)
 
     def make_dual_feasible(self, rc):
         """Repair a fresh basis on which the reduced costs rc price some
@@ -605,11 +662,26 @@ class _Simplex:
         # the LP's dual is infeasible, so the LP is unbounded if it has a
         # feasible point at all, and infeasible if not
         res = _Simplex(A, self.b, np.zeros(len(c)), lo, up, self.basis,
-                       self.vstat, self.Binv, self.iters).dual()
+                       self.vstat, self.Binv, self.iters,
+                       resid_tol=self.resid_tol).dual()
         if res.status == "optimal":
             return _LpResult("unbounded", -INF, None, None, None,
                              res.iterations)
         return res
+
+
+def _entering(abs_rc, mag, eligible, bland, ratios):
+    """The entering column of a pivot row alpha: among the eligible
+    columns, the smallest |rc| / |alpha| (abs_rc over mag = |alpha|),
+    ties within 1e-12 going to the largest |alpha| and then to the lowest
+    index, or under Bland's rule to the lowest index. ratios is a
+    per-column buffer."""
+    ratios.fill(INF)
+    np.divide(abs_rc, mag, out=ratios, where=eligible)
+    ties = (ratios <= np.minimum.reduce(ratios) + 1e-12).nonzero()[0]
+    if bland:
+        return int(ties[0])
+    return int(ties[mag[ties].argmax()])
 
 
 def _factorize(A, basis):
@@ -650,12 +722,13 @@ def _norm(M, out=None):
     return np.abs(M, out=out).sum(axis=1).max(initial=0.0)
 
 
-def _finish(A, b, c, lo, up, basis, vstat, Binv, xB, iters, xN,
-            rc) -> _LpResult:
+def _finish(A, b, c, lo, up, basis, vstat, Binv, xB, iters, xN, rc,
+            resid_tol) -> _LpResult:
     """The end of a solve on a fresh basis with no row out of bounds:
-    optimal, unless x breaks its bounds or a row by more than the
-    tolerances. xN holds the fresh nonbasic values and rc the reduced
-    costs, which an optimal result keeps."""
+    optimal, unless x breaks its bounds by more than 1e-7 or a row by
+    more than resid_tol (``_resid_tol``). xN holds the fresh nonbasic
+    values, xB the basic ones and rc the reduced costs, which an optimal
+    result keeps."""
     m, n = A.shape
     x = xN.copy()
     x[basis] = xB
@@ -666,12 +739,12 @@ def _finish(A, b, c, lo, up, basis, vstat, Binv, xB, iters, xN,
                          f"solution violates bounds by {drift:g}")
     x = clipped
     resid = float(np.max(np.abs(A @ x - b), initial=0.0))
-    if resid > RESID_TOL * (1.0 + float(np.max(np.abs(b), initial=0.0))):
+    if resid > resid_tol:
         return _LpResult("error", math.nan, None, None, None, iters,
                          f"row residual {resid:g} after solve")
     ns = n - m
     return _LpResult("optimal", float(c @ x), x[:ns], basis, vstat, iters,
-                     Binv=Binv, rc=rc)
+                     Binv=Binv, rc=rc, xN=xN, xB=xB)
 
 
 # ---------------------------------------------------------------------------
@@ -771,8 +844,9 @@ def _misfit(model: Model, base: Model) -> str | None:
     """How ``model`` fails to extend ``base``, named at the first
     difference, or None when it does: it has at least the base's columns
     and rows, and over those its bounds, costs, senses, right-hand sides
-    and row terms are the base's. Numpy compares the prefixes, in O(nnz)
-    of the base."""
+    and row terms are the base's. Each store's prefix is compared by value
+    in one C-level equality of memoryviews or lists, in O(nnz) of the
+    base; numpy looks for the first difference only to name it."""
     n, m = base.n_variables, base.n_constraints
     if model.n_variables < n or model.n_constraints < m:
         return (f"the model has {model.n_variables} columns and "
@@ -780,6 +854,8 @@ def _misfit(model: Model, base: Model) -> str | None:
     for what, mine, theirs in (("lower bound", model.lb, base.lb),
                                ("upper bound", model.ub, base.ub),
                                ("cost", model.objective, base.objective)):
+        if memoryview(mine)[:n] == memoryview(theirs):
+            continue
         mine = np.frombuffer(mine, np.float64, n)
         theirs = np.frombuffer(theirs, np.float64)
         j = _first(mine != theirs)
@@ -789,12 +865,18 @@ def _misfit(model: Model, base: Model) -> str | None:
                     f"{float(theirs[j])!r} in the base")
     for what, mine, theirs in (("sense", model.senses, base.senses),
                                ("right-hand side", model.rhs, base.rhs)):
+        if mine[:m] == theirs:
+            continue
         i = _first(np.asarray(mine[:m]) != np.asarray(theirs))
         if i is not None:
             return (f"row {model.row_names[i]!r} has {what} {mine[i]!r} in "
                     f"the model and {theirs[i]!r} in the base")
+    nnz = base.starts[-1]
+    if (memoryview(model.starts)[:m + 1] == memoryview(base.starts)
+            and memoryview(model.ids)[:nnz] == memoryview(base.ids)
+            and memoryview(model.coeffs)[:nnz] == memoryview(base.coeffs)):
+        return None
     starts = np.frombuffer(base.starts, np.int64)
-    nnz = int(starts[-1])
     i = _first(np.frombuffer(model.starts, np.int64, m + 1) != starts)
     if i is None:
         k = _first((np.frombuffer(model.ids, np.int64, nnz)
@@ -898,10 +980,13 @@ def solve_mip(model: Model, config: SolveConfig | None = None,
     the nodes whose LP was solved. Node and iteration counts are
     deterministic for a fixed BLAS library, kernel set and thread count.
     The root LP is solved whatever the time budget. Each child LP starts
-    from its parent's optimal ``_LpResult``, with the basis and the
-    inverse that the parent's verdict rested on, and needs no
+    from its parent's optimal ``_LpResult``, with the basis, the inverse
+    and the fresh values that the parent's verdict rested on, takes as
+    its first pivot the step ``_branch`` priced on the parent's pivot
+    row (settling first when that row offers none), and needs no
     refactorization to reach its own verdict when its updated inverse
-    passes the check.
+    passes the check. The DEBUG line counts the children of either
+    start.
 
     Without ``start`` the root LP is solved from the slack basis, so
     ``root_bound`` is always, bit for bit, the relaxation ``solve_lp``
@@ -928,7 +1013,8 @@ def solve_mip(model: Model, config: SolveConfig | None = None,
     core = LpCore(model)
     t0 = time.monotonic()
     root = None if start is None else _extended(core, start)
-    sol, closed, root_iters = _branch_and_bound(core, config, t0, root)
+    sol, (root_iters, stepped, settled, closed) = _branch_and_bound(
+        core, config, t0, root)
     if log.isEnabledFor(logging.DEBUG):
         how = "the slack basis"
         if root is not None:  # the new rows whose basic column is no slack
@@ -937,15 +1023,26 @@ def solve_mip(model: Model, config: SolveConfig | None = None,
             how = (f"a base's basis, {crashed} of {core.m - m_b} new rows "
                    "crashed")
         log.debug("mip: %s after %d nodes, %d LP iterations (%d at the "
-                  "root, from %s), %d children closed by an infinite "
-                  "penalty; root bound %r, best bound %r; %.3f s",
+                  "root, from %s), %d children solved from their parent's "
+                  "step, %d settled, %d closed by an infinite penalty; "
+                  "root bound %r, best bound %r; %.3f s",
                   sol.status, sol.nodes, sol.iterations, root_iters, how,
-                  closed, sol.root_bound, sol.best_bound,
+                  stepped, settled, closed, sol.root_bound, sol.best_bound,
                   time.monotonic() - t0)
     return sol
 
 
-def _penalties(A, res: _LpResult, movable, cols):
+def _pivot_rows(A, res: _LpResult, cols):
+    """The row r of res's basis where each column of cols is basic, and
+    its pivot row alpha = Binv[r] A, computed as a child's first
+    iteration computes it, so that the two agree bit for bit."""
+    row_of = np.empty(A.shape[1], dtype=np.intp)
+    row_of[res.basis] = np.arange(len(res.basis))
+    rows = row_of[cols]
+    return rows, np.stack([res.Binv[r] @ A for r in rows])
+
+
+def _penalties(A, res: _LpResult, movable, cols, alpha=None):
     """Driebeek–Tomlin penalties (down, up) of fixing each binary of cols,
     basic and fractional in the optimal node result res, at 0 and at 1.
 
@@ -959,11 +1056,11 @@ def _penalties(A, res: _LpResult, movable, cols):
     Sci. 12, 1966; Tomlin, Oper. Res. 19, 1971).
     A direction with no eligible column has an infinite penalty: from
     res's basis the dual simplex reports that child infeasible after 0
-    iterations. Each alpha is computed as the child's first iteration
-    computes it, so the two agree bit for bit."""
-    row_of = np.empty(A.shape[1], dtype=np.intp)
-    row_of[res.basis] = np.arange(len(res.basis))
-    alpha = np.stack([res.Binv[r] @ A for r in row_of[cols]])
+    iterations. The pivot rows alpha are ``_pivot_rows``', computed here
+    unless given; ``_branch`` hands the branch variable's row on to its
+    children as their first pivot row."""
+    if alpha is None:
+        alpha = _pivot_rows(A, res, cols)[1]
     pos, neg = alpha > PIVOT_TOL, alpha < -PIVOT_TOL
     inc, dec = _directions(res.vstat, movable)
     ratios = np.divide(np.abs(res.rc), np.abs(alpha),
@@ -974,34 +1071,71 @@ def _penalties(A, res: _LpResult, movable, cols):
     return x * falls, (1.0 - x) * rises
 
 
+def _branch(A, res: _LpResult, movable, cols):
+    """The branch variable among cols, the fractional binaries of the
+    optimal node result res, and its children as (value, penalty, step),
+    the down child first. The variable has the largest product score of
+    its ``_penalties`` (Achterberg, Koch & Martin, Oper. Res. Lett. 33,
+    2005), ties within 1e-9 relative going to the lowest id.
+
+    A child's step is the first pivot (r, q, alpha) of its dual simplex
+    from res: alpha is the variable's pivot row, whose ratios priced the
+    penalty, and q the column that ``_entering`` picks from it among the
+    entries of at least DUAL_PIVOT_TOL that push the variable toward its
+    fixed value, as the child's first pass would. None when no entry
+    reaches DUAL_PIVOT_TOL: that pass would refactorize first."""
+    rows, alpha = _pivot_rows(A, res, cols)
+    falls, rises = _penalties(A, res, movable, cols, alpha)
+    score = np.maximum(falls, 1e-6) * np.maximum(rises, 1e-6)
+    i = int(np.argmax(score >= score.max() * (1.0 - 1e-9)))
+    row = alpha[i]
+    pos, neg = row >= DUAL_PIVOT_TOL, row <= -DUAL_PIVOT_TOL
+    inc, dec = _directions(res.vstat, movable)
+    abs_rc, ratios = np.abs(res.rc), np.empty(len(row))
+    children = []
+    for val, penalty, eligible in ((0.0, falls[i], (inc & pos) | (dec & neg)),
+                                   (1.0, rises[i], (dec & pos) | (inc & neg))):
+        step = None
+        if np.count_nonzero(eligible):
+            step = (int(rows[i]),
+                    _entering(abs_rc, np.abs(row), eligible, False, ratios),
+                    row)
+        children.append((val, float(penalty), step))
+    return int(cols[i]), children
+
+
 def _branch_and_bound(core: LpCore, config: SolveConfig, t0: float,
-                      root: _LpResult | None) -> tuple[Solution, int, int]:
+                      root: _LpResult | None) -> tuple[Solution, tuple]:
     """The search of ``solve_mip``, whose root LP starts from ``root``
-    as a child from its parent (None: from the slack basis); also how
-    many children an infinite penalty closed, and the root's
-    iterations."""
+    as a child from its parent (None: from the slack basis); also the
+    counts its DEBUG line reports: the root's iterations, the children
+    solved from their parent's step, those that settled, and those an
+    infinite penalty closed."""
     bin_ids = core.binary_ids
     incumbent = math.inf
     incumbent_x: np.ndarray | None = None
     nodes_solved = 0
+    stepped = settled = 0     # children solved from a step, or settled
     closed = 0                # children an infinite penalty closed
     iterations = 0
     root_bound = math.nan
     root_iters = 0
     counter = 0
-    # heap entries: (bound, creation index, lo, up, parent LP), where a
-    # child's bound is its parent's LP objective plus the child's penalty;
-    # the counter breaks bound ties deterministically and keeps heapq from
-    # ever comparing the payloads. The root has the core's own bounds,
-    # which each child copies before it fixes a binary.
+    # heap entries: (bound, creation index, lo, up, start), where a
+    # child's bound is its parent's LP objective plus the child's penalty
+    # and its start a ``_Warm`` one from its parent's result, or that
+    # result when it has no step; the counter breaks bound ties
+    # deterministically and keeps heapq from ever comparing the payloads.
+    # The root has the core's own bounds, which each child copies before
+    # it fixes a binary.
     heap: list = [(-INF, counter, core.lo, core.up, root)]
     stop: str | None = None   # why the loop broke, if early
     best_open = math.inf      # bound of the best node left unexplored
 
-    def done(status: str, **kw) -> tuple[Solution, int, int]:
+    def done(status: str, **kw) -> tuple[Solution, tuple]:
         return Solution(status=status, nodes=nodes_solved,
                         iterations=iterations, root_bound=root_bound,
-                        **kw), closed, root_iters
+                        **kw), (root_iters, stepped, settled, closed)
 
     def take(res: _LpResult) -> None:
         """Make an integral LP result the incumbent and log it."""
@@ -1020,7 +1154,7 @@ def _branch_and_bound(core: LpCore, config: SolveConfig, t0: float,
                      (incumbent - open_bound) / max(abs(incumbent), 1e-9))
 
     while heap:
-        bound, _, lo, up, parent = heapq.heappop(heap)
+        bound, _, lo, up, start = heapq.heappop(heap)
         if bound >= incumbent - 1e-9 * max(1.0, abs(incumbent)):
             continue  # cannot improve the incumbent; neither can the rest,
                       # but draining the heap here is cheap and simple
@@ -1033,13 +1167,17 @@ def _branch_and_bound(core: LpCore, config: SolveConfig, t0: float,
             stop, best_open = "time_limit", bound
             break
 
-        res = core.solve(lo, up, parent)
+        res = core.solve(lo, up, start)
         nodes_solved += 1
         iterations += res.iterations
         if nodes_solved == 1:
             root_iters = res.iterations
             if res.status == "optimal":
                 root_bound = res.objective
+        elif isinstance(start, _Warm):
+            stepped += 1
+        else:
+            settled += 1
         if res.status == "infeasible":
             continue
         if res.status == "unbounded":
@@ -1055,28 +1193,25 @@ def _branch_and_bound(core: LpCore, config: SolveConfig, t0: float,
         if not np.count_nonzero(fractional):
             take(res)
             continue
-        cols = bin_ids[fractional]
-        falls, rises = _penalties(core.A, res, (up - lo) > 0, cols)
-        # the product score (Achterberg, Koch & Martin, Oper. Res. Lett.
-        # 33, 2005); ties within 1e-9 relative go to the lowest id
-        score = np.maximum(falls, 1e-6) * np.maximum(rises, 1e-6)
-        i = int(np.argmax(score >= score.max() * (1.0 - 1e-9)))
-        j = int(cols[i])
-        for val, penalty in ((0.0, float(falls[i])), (1.0, float(rises[i]))):
+        j, children = _branch(core.A, res, (up - lo) > 0,
+                              bin_ids[fractional])
+        for val, penalty, step in children:
             if penalty == INF:  # its LP would end infeasible at once
                 closed += 1
                 continue
             lo2, up2 = lo.copy(), up.copy()
-            lo2[j] = up2[j] = val
+            lo2[j] = up2[j] = val  # j is basic in res: no nonbasic moves
             counter += 1
             heapq.heappush(heap, (res.objective + penalty, counter, lo2, up2,
-                                  res))
+                                  res if step is None else _Warm(res, step)))
         if nodes_solved == 1 and config.gap > 0:
             # the root rounded: one LP with every binary fixed at its
-            # nearest integer, from the root's result; not a node
+            # nearest integer, from the root's result and its fresh
+            # values, since each nonbasic binary is fixed where it rests;
+            # not a node
             lo2, up2 = lo.copy(), up.copy()
             lo2[bin_ids] = up2[bin_ids] = np.round(xb)
-            rounded = core.solve(lo2, up2, res)
+            rounded = core.solve(lo2, up2, _Warm(res))
             iterations += rounded.iterations
             if rounded.status == "optimal":
                 take(rounded)

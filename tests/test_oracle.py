@@ -377,6 +377,22 @@ class TestCertifyEquivalence:
         assert report["conclusive"] is True
         assert report["max_rel_deviation"] < 1e-6
 
+    def test_a_network_draw_with_no_extended_schedule(self):
+        # generate_instance does not check that a network draw fits some
+        # schedule on both bases: this one has none on the extended base,
+        # where all four MILPs prove it, and an optimum on the basic one
+        inst = generate_instance(1, 2, 6, with_network=True)
+        report = certify_equivalence(inst, base="extended")
+        assert report["conclusive"] is True
+        assert report["oracle"]["error"].startswith("no feasible schedule")
+        assert {entry["status"] for entry
+                in report["formulations"].values()} == {"infeasible"}
+        report = certify_equivalence(inst, base="basic")
+        assert report["conclusive"] is True
+        assert {entry["status"] for entry
+                in report["formulations"].values()} == {"optimal"}
+        assert report["max_rel_deviation"] < 1e-9
+
     def test_guard_failure_is_reported_not_raised(self):
         inst = make_instance([15.0, 15.0])
         report = certify_equivalence(inst, guard=1)

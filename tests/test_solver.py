@@ -87,7 +87,7 @@ class TestSolveLp:
 
     def test_only_an_optimal_result_carries_a_basis(self):
         # a child starts only from an optimal parent, so every other end
-        # leaves basis, vstat, Binv and rc unset
+        # leaves basis, vstat, Binv, rc, xN and xB unset
         pinch = Model("pinch")
         x = pinch.add_variable("x", 0.0, 10.0)
         y = pinch.add_variable("y", 0.0, 10.0)
@@ -109,14 +109,14 @@ class TestSolveLp:
             core.A, core.b, core.c, core.lo, core.up, basis, vstat,
             solver._factorize(core.A, basis), np.array([11.0, 0.0]), 0,
             solver._nonbasic_values(vstat, core.lo, core.up),
-            np.zeros(len(vstat)))
+            np.zeros(len(vstat)), core.resid_tol)
         for status, res in ends.items():
             assert res.status == status
-            fields = (res.basis, res.vstat, res.Binv, res.rc)
+            fields = (res.basis, res.vstat, res.Binv, res.rc, res.xN, res.xB)
             if status == "optimal":
                 assert all(f is not None for f in fields)
             else:
-                assert fields == (None, None, None, None)
+                assert fields == (None,) * 6
 
     def test_lp_that_once_ended_on_a_singular_basis(self):
         # the primal simplex this solver once ran took a 3.4e-10 pivot
@@ -280,14 +280,18 @@ class TestSolveMip:
         lines = [r.getMessage() for r in caplog.records
                  if r.name == "ucbench.solver" and r.levelno == logging.DEBUG]
         assert len(lines) == 1
-        assert re.fullmatch(
+        line = re.fullmatch(
             re.escape(f"mip: optimal after {res.nodes} nodes, "
                       f"{res.iterations} LP iterations (")
             + r"\d+ at the root, from the slack basis\), "
-            + r"\d+ children closed by an infinite penalty; "
+            + r"(\d+) children solved from their parent's step, (\d+) "
+            + r"settled, \d+ closed by an infinite penalty; "
             + re.escape(f"root bound {res.root_bound!r}, best bound "
                         f"{res.best_bound!r}; ")
             + r"\d+\.\d{3} s", lines[0])
+        # every node but the root is a child, from a step or settled
+        assert line and int(line[1]) + int(line[2]) == res.nodes - 1
+        assert int(line[1]) > 0
 
     def test_a_rounded_root_incumbent_ends_the_search(self, monkeypatch):
         # the root rounded is this model's optimum, 0.073% above the root
@@ -1013,6 +1017,24 @@ class TestGuards:
             assert len(looks) == (res.iterations > 0)
             assert_same_outcome(tiny, res)
 
+    def test_a_child_with_no_step_settles(self, monkeypatch, caplog):
+        # with every pivot-row entry below DUAL_PIVOT_TOL, no child is
+        # handed a first step: each settles, and its first pass
+        # refactorizes; the search ends as under the default tolerance
+        model, _ = build_model(generate_instance(1, 2, 3),
+                               FormulationChoice("extended", "one_bin", 0.0))
+        default = solve_mip(model, SolveConfig(gap=0.0))
+        monkeypatch.setattr(solver, "DUAL_PIVOT_TOL", 1e6)
+        with caplog.at_level(logging.DEBUG, logger="ucbench.solver"):
+            res = solve_mip(model, SolveConfig(gap=0.0))
+        (line,) = [r.getMessage() for r in caplog.records
+                   if r.levelno == logging.DEBUG]
+        assert res.nodes > 1
+        assert (f" 0 children solved from their parent's step, "
+                f"{res.nodes - 1} settled, ") in line
+        assert res.status == default.status == "optimal"
+        assert res.objective == pytest.approx(default.objective, rel=1e-9)
+
     def test_a_row_residual_past_the_tolerance_is_an_error(self,
                                                           monkeypatch):
         monkeypatch.setattr(solver, "RESID_TOL", -1.0)
@@ -1212,9 +1234,14 @@ class TestRootStart:
         rows, _ = solver._crash(model, shared[0].n_variables, n_b)
         assert {model.row_names[i].split("_")[0] for i in rows} \
             == {"trec", "tcost"}
-        assert (f"{res.iterations} LP iterations ({root.iterations} at the "
-                f"root, from a base's basis, {len(rows)} of "
-                f"{model.n_constraints - n_b} new rows crashed), ") in line
+        counts = re.fullmatch(
+            re.escape(f"mip: {res.status} after {res.nodes} nodes, "
+                      f"{res.iterations} LP iterations ({root.iterations} "
+                      f"at the root, from a base's basis, {len(rows)} of "
+                      f"{model.n_constraints - n_b} new rows crashed), ")
+            + r"(\d+) children solved from their parent's step, (\d+) "
+            r"settled, \d+ closed by an infinite penalty; .*", line)
+        assert counts and sum(map(int, counts.groups())) == res.nodes - 1
         assert root.iterations < solver.LpCore(model).solve().iterations
 
     def test_a_singular_crash_keeps_the_slacks(self):
@@ -1314,15 +1341,14 @@ class TestPenalties:
     child's LP, started from the node's result, ends infeasible after 0
     iterations."""
 
-    def test_every_child_ends_at_or_above_its_bound(self):
-        # both children of every fractional binary at the root, and at
-        # each optimal child of the root, of every model of two seeded 2x3
-        # instances and two 2x4 ones whose ramps (0.6 of each unit's
-        # output range) bind
+    @staticmethod
+    def grid():
+        """The core and the optimal root LP of every model of two seeded
+        2x3 instances and two 2x4 ones whose ramps (0.6 of each unit's
+        output range) bind."""
         instances = [generate_instance(1, 2, 3), generate_instance(1004, 2, 3),
                      ramped(generate_instance(5, 2, 4), 0.6),
                      ramped(generate_instance(7, 2, 4), 0.6)]
-        ends = {"closed": 0, "optimal": 0, "infeasible": 0}
         for instance, base, module in itertools.product(instances, BASES,
                                                         STARTUPS):
             model, _ = build_model(
@@ -1330,6 +1356,13 @@ class TestPenalties:
             core = solver.LpCore(model)
             root = core.solve()
             assert root.status == "optimal"
+            yield core, root
+
+    def test_every_child_ends_at_or_above_its_bound(self):
+        # both children of every fractional binary at the root, and at
+        # each optimal child of the root, of every model of the grid
+        ends = {"closed": 0, "optimal": 0, "infeasible": 0}
+        for core, root in self.grid():
             nodes = [(core.lo, core.up, root, True)]
             while nodes:
                 lo, up, res, is_root = nodes.pop()
@@ -1358,6 +1391,65 @@ class TestPenalties:
                                 nodes.append((lo2, up2, child, False))
                         ends[child.status] += 1
         assert all(ends.values()), ends
+
+    def test_a_child_from_its_parents_step_is_the_settled_child(self):
+        # the pushed children of the branch variable at the root and at
+        # each optimal child of the root, and the root rounded, of every
+        # model of the grid: each started as branch-and-bound starts it,
+        # from the parent's fresh values and, for a child, the first pivot
+        # handed over, ends with the very result that the same LP started
+        # from the parent's result stripped of its fresh values, settled
+        # from scratch, does
+        starts = {"step": 0, "settled": 0, "rounded": 0}
+        for core, root in self.grid():
+            xb = root.x[core.binary_ids]
+            lo, up = core.lo.copy(), core.up.copy()
+            lo[core.binary_ids] = up[core.binary_ids] = np.round(xb)
+            rounded = core.solve(lo, up, solver._Warm(root))
+            assert_same_result(rounded, core.solve(lo, up, stripped(root)))
+            starts["rounded"] += 1
+            nodes = [(core.lo, core.up, root, True)]
+            while nodes:
+                lo, up, res, is_root = nodes.pop()
+                xb = res.x[core.binary_ids]
+                cols = core.binary_ids[
+                    np.abs(xb - np.round(xb)) > solver.INT_TOL]
+                if not len(cols):
+                    continue
+                j, children = solver._branch(core.A, res, up > lo, cols)
+                for val, penalty, step in children:
+                    if penalty == INF:  # never pushed
+                        assert step is None
+                        continue
+                    lo2, up2 = lo.copy(), up.copy()
+                    lo2[j] = up2[j] = val
+                    if step is None:
+                        starts["settled"] += 1
+                        continue
+                    child = core.solve(lo2, up2, solver._Warm(res, step))
+                    assert_same_result(
+                        child, core.solve(lo2, up2, stripped(res)))
+                    starts["step"] += 1
+                    if is_root and child.status == "optimal":
+                        nodes.append((lo2, up2, child, False))
+        assert starts["step"] >= 50 and starts["rounded"] == 32, starts
+
+
+def stripped(res):
+    """An optimal LP result without the fresh values a ``_Warm`` start
+    takes, so that an LP started from it must settle."""
+    return dataclasses.replace(res, rc=None, xN=None, xB=None)
+
+
+def assert_same_result(a, b):
+    """The two LP results agree bit for bit in status, iterations,
+    objective, x, basis and inverse."""
+    assert (a.status, a.iterations, repr(a.objective)) \
+        == (b.status, b.iterations, repr(b.objective))
+    for f, g in ((a.x, b.x), (a.basis, b.basis), (a.Binv, b.Binv)):
+        assert (f is None) == (g is None)
+        if f is not None:
+            assert f.dtype == g.dtype and f.tobytes() == g.tobytes()
 
 
 class TestDualPhaseOne:
