@@ -25,14 +25,15 @@ parent, so none of its nonbasic values moves, and it takes copies of
 those three (a ``_Warm`` start) instead of computing the same bits
 again; so does the rounding LP below, which fixes each nonbasic binary
 where it rests. A child is handed its first pivot too: the branched
-binary's row is its only row out of bounds, the branching penalty has
-already formed that row's pivot row, and ``_branch`` picks the entering
-column from it by the loop's own rule. A child whose pivot row has no
-entry of at least DUAL_PIVOT_TOL gets no step and settles, as every
-other LP does before its first iteration: ``solve_lp``, a root, and
-``LpCore.solve`` given any other bounds. The tree therefore holds one
-result, its x, its fresh values and its m×m inverse, per open parent,
-shared by its two children. The slack
+binary's row is its only row out of bounds, ``_branch`` has already
+formed that row's pivot row for the branching penalty, and it picks the
+entering column from that row by the loop's own rule. A child whose
+pivot row has no entry of at least DUAL_PIVOT_TOL gets no step; it still
+takes the copied values, and its first pass refactorizes before it
+pivots. Every other LP settles before its first iteration: ``solve_lp``,
+a root, and ``LpCore.solve`` given a bare parent result and other
+bounds. The tree therefore holds one result, its x, its fresh values and
+its m×m inverse, per open parent, shared by its two children. The slack
 basis starts from the identity, bit for bit its computed inverse. It
 rests each structural at its lower bound when finite, else at its upper
 bound when finite, else free at 0; a column with both bounds finite and
@@ -91,7 +92,7 @@ the solve in one place: ``refresh`` raises ``_Singular``, and
 MIP solving is best-first branch-and-bound on binary variables, with
 node selection by (bound, creation index). A node branches on one of its
 fractional binaries, chosen by Driebeek–Tomlin penalties
-(``_penalties``): the objective rise of the dual simplex's first step in
+(``_branch``): the objective rise of the dual simplex's first step in
 each child, read off the node's optimal basis, which bounds that child's
 optimum from below. The branch variable has the largest product score
 max(D, 1e-6)·max(U, 1e-6) of its down and up penalties (Achterberg, Koch
@@ -163,7 +164,7 @@ all nodes and the rounding LP. One DEBUG line per ``solve_mip`` reports
 status, nodes, iterations, how the root started (the slack basis, or a
 base's basis with how many of the new rows the crash put on a column)
 and its iterations, the children solved from their parent's step,
-those that settled and those an infinite penalty closed, root and best
+those without one and those an infinite penalty closed, root and best
 bound, and seconds, and one INFO line per new incumbent reports it
 with the nodes solved so far, the best bound of the open nodes and the
 relative gap.
@@ -264,7 +265,7 @@ class _LpResult:
     # its basis again; set when optimal, like basis
     Binv: np.ndarray | None = None
     # the fresh nonbasic values, unclipped basic values and reduced costs
-    # that verdict rested on: ``_penalties`` reads rc, and a ``_Warm``
+    # that verdict rested on: ``_branch`` reads rc, and a ``_Warm``
     # start copies all three; set when optimal, like basis
     rc: np.ndarray | None = None
     xN: np.ndarray | None = None
@@ -278,8 +279,9 @@ class _Warm(NamedTuple):
     fixes each nonbasic binary where it rests. The LP takes copies of the
     parent's fresh xN, xB and rc, bit for bit what ``settle`` would
     compute from the parent's inverse, and then applies step, if any: its
-    first pivot (r, q, alpha), which ``_branch`` read off the parent's
-    penalty row."""
+    first pivot (r, q, alpha), which ``_branch`` read off the pivot row
+    that priced the child's penalty. Every child starts this way, with a
+    step or without one."""
 
     parent: _LpResult
     step: tuple[int, int, np.ndarray] | None = None
@@ -333,10 +335,12 @@ class LpCore:
         from the slack basis or from copies of an optimal parent's basis,
         statuses and checked inverse, which ``pivot`` updates in place.
         The inherited inverse counts as checked, not as refactorized: a
-        tiny pivot needs a refactorization first. A parent result settles
-        its start on the bounds given, whatever they are; a ``_Warm``
-        start, whose bounds must leave the parent's nonbasic values as
-        they are, takes the parent's fresh values and its first step."""
+        tiny pivot needs a refactorization first. A bare parent result
+        (the module root that ``_extended`` builds, or a caller's start on
+        other bounds) settles its start on the bounds given, whatever they
+        are; a ``_Warm`` start, whose bounds must leave the parent's
+        nonbasic values as they are, takes the parent's fresh values and
+        its first step, if it has one."""
         lo = self.lo if lo is None else lo
         up = self.up if up is None else up
         if parent is None:
@@ -625,8 +629,9 @@ class _Simplex:
                 # tiny entries may be drift; look again on a refactorization
                 self.refresh()
                 continue
-            q = _entering(np.abs(rc, out=abs_rc), mag, eligible, self.bland,
-                          ratios)
+            ratios.fill(INF)
+            np.divide(np.abs(rc, out=abs_rc), mag, out=ratios, where=eligible)
+            q = _entering(ratios, mag, self.bland)
             self.pivot(r, q, alpha, rising, small)
 
     def make_dual_feasible(self, rc):
@@ -670,14 +675,11 @@ class _Simplex:
         return res
 
 
-def _entering(abs_rc, mag, eligible, bland, ratios):
-    """The entering column of a pivot row alpha: among the eligible
-    columns, the smallest |rc| / |alpha| (abs_rc over mag = |alpha|),
-    ties within 1e-12 going to the largest |alpha| and then to the lowest
-    index, or under Bland's rule to the lowest index. ratios is a
-    per-column buffer."""
-    ratios.fill(INF)
-    np.divide(abs_rc, mag, out=ratios, where=eligible)
+def _entering(ratios, mag, bland):
+    """The entering column of a pivot row alpha, given mag = |alpha| and
+    the ratios |rc| / |alpha| at its eligible columns, INF at the others:
+    the smallest ratio, ties within 1e-12 going to the largest |alpha| and
+    then to the lowest index, or under Bland's rule to the lowest index."""
     ties = (ratios <= np.minimum.reduce(ratios) + 1e-12).nonzero()[0]
     if bland:
         return int(ties[0])
@@ -983,10 +985,10 @@ def solve_mip(model: Model, config: SolveConfig | None = None,
     from its parent's optimal ``_LpResult``, with the basis, the inverse
     and the fresh values that the parent's verdict rested on, takes as
     its first pivot the step ``_branch`` priced on the parent's pivot
-    row (settling first when that row offers none), and needs no
-    refactorization to reach its own verdict when its updated inverse
-    passes the check. The DEBUG line counts the children of either
-    start.
+    row (none when that row has no entry of at least DUAL_PIVOT_TOL), and
+    needs no refactorization to reach its own verdict when its updated
+    inverse passes the check. The DEBUG line counts the children with a
+    step and those without one.
 
     Without ``start`` the root LP is solved from the slack basis, so
     ``root_bound`` is always, bit for bit, the relaxation ``solve_lp``
@@ -1013,7 +1015,7 @@ def solve_mip(model: Model, config: SolveConfig | None = None,
     core = LpCore(model)
     t0 = time.monotonic()
     root = None if start is None else _extended(core, start)
-    sol, (root_iters, stepped, settled, closed) = _branch_and_bound(
+    sol, (root_iters, stepped, stepless, closed) = _branch_and_bound(
         core, config, t0, root)
     if log.isEnabledFor(logging.DEBUG):
         how = "the slack basis"
@@ -1024,82 +1026,65 @@ def solve_mip(model: Model, config: SolveConfig | None = None,
                    "crashed")
         log.debug("mip: %s after %d nodes, %d LP iterations (%d at the "
                   "root, from %s), %d children solved from their parent's "
-                  "step, %d settled, %d closed by an infinite penalty; "
+                  "step, %d without one, %d closed by an infinite penalty; "
                   "root bound %r, best bound %r; %.3f s",
                   sol.status, sol.nodes, sol.iterations, root_iters, how,
-                  stepped, settled, closed, sol.root_bound, sol.best_bound,
+                  stepped, stepless, closed, sol.root_bound, sol.best_bound,
                   time.monotonic() - t0)
     return sol
-
-
-def _pivot_rows(A, res: _LpResult, cols):
-    """The row r of res's basis where each column of cols is basic, and
-    its pivot row alpha = Binv[r] A, computed as a child's first
-    iteration computes it, so that the two agree bit for bit."""
-    row_of = np.empty(A.shape[1], dtype=np.intp)
-    row_of[res.basis] = np.arange(len(res.basis))
-    rows = row_of[cols]
-    return rows, np.stack([res.Binv[r] @ A for r in rows])
-
-
-def _penalties(A, res: _LpResult, movable, cols, alpha=None):
-    """Driebeek–Tomlin penalties (down, up) of fixing each binary of cols,
-    basic and fractional in the optimal node result res, at 0 and at 1.
-
-    Fixing x_j = x_B[r] at 0 or at 1 leaves row r as the only row out of
-    its bounds, by x_j or by 1 - x_j. The dual simplex's first step from
-    res's basis takes the pivot row alpha = Binv[r] A and the columns that
-    ``_Simplex.iterate`` finds eligible to push x_j that way; one dual
-    step of length t = min |rc_k / alpha_k| over them stays dual feasible
-    for the child and raises its objective by x_j t (or (1 - x_j) t), a
-    lower bound on the child's optimum by weak duality (Driebeek, Mgmt.
-    Sci. 12, 1966; Tomlin, Oper. Res. 19, 1971).
-    A direction with no eligible column has an infinite penalty: from
-    res's basis the dual simplex reports that child infeasible after 0
-    iterations. The pivot rows alpha are ``_pivot_rows``', computed here
-    unless given; ``_branch`` hands the branch variable's row on to its
-    children as their first pivot row."""
-    if alpha is None:
-        alpha = _pivot_rows(A, res, cols)[1]
-    pos, neg = alpha > PIVOT_TOL, alpha < -PIVOT_TOL
-    inc, dec = _directions(res.vstat, movable)
-    ratios = np.divide(np.abs(res.rc), np.abs(alpha),
-                       out=np.full(alpha.shape, INF), where=pos | neg)
-    falls = ratios.min(axis=1, where=(inc & pos) | (dec & neg), initial=INF)
-    rises = ratios.min(axis=1, where=(dec & pos) | (inc & neg), initial=INF)
-    x = res.x[cols]
-    return x * falls, (1.0 - x) * rises
 
 
 def _branch(A, res: _LpResult, movable, cols):
     """The branch variable among cols, the fractional binaries of the
     optimal node result res, and its children as (value, penalty, step),
-    the down child first. The variable has the largest product score of
-    its ``_penalties`` (Achterberg, Koch & Martin, Oper. Res. Lett. 33,
-    2005), ties within 1e-9 relative going to the lowest id.
+    the down child first, all read off res's basis in one pass.
 
-    A child's step is the first pivot (r, q, alpha) of its dual simplex
-    from res: alpha is the variable's pivot row, whose ratios priced the
-    penalty, and q the column that ``_entering`` picks from it among the
-    entries of at least DUAL_PIVOT_TOL that push the variable toward its
-    fixed value, as the child's first pass would. None when no entry
-    reaches DUAL_PIVOT_TOL: that pass would refactorize first."""
-    rows, alpha = _pivot_rows(A, res, cols)
-    falls, rises = _penalties(A, res, movable, cols, alpha)
+    Fixing x_j = x_B[r] at 0 or at 1 leaves row r as the only row out of
+    its bounds, by x_j or by 1 - x_j. The dual simplex's first step from
+    res's basis takes the pivot row alpha = Binv[r] A, formed here row by
+    row as that step forms it, so that the two agree bit for bit, and the
+    columns that ``_Simplex.iterate`` finds eligible to push x_j that way.
+    One dual step of length t = min |rc_k / alpha_k| over them stays dual
+    feasible for the child and raises its objective by x_j t (or
+    (1 - x_j) t): the child's Driebeek–Tomlin penalty, a lower bound on
+    its optimum by weak duality (Driebeek, Mgmt. Sci. 12, 1966; Tomlin,
+    Oper. Res. 19, 1971). A direction with no eligible column has an
+    infinite penalty: from res's basis the dual simplex reports that child
+    infeasible after 0 iterations. The variable has the largest product
+    score of its two penalties (Achterberg, Koch & Martin, Oper. Res.
+    Lett. 33, 2005), ties within 1e-9 relative going to the lowest id.
+
+    A child's step is that first pivot (r, q, alpha): q is the column that
+    ``_entering`` picks from the penalty's ratios among the eligible
+    entries of at least DUAL_PIVOT_TOL, as the child's first pass would.
+    None when no entry reaches DUAL_PIVOT_TOL: that pass would
+    refactorize first."""
+    row_of = np.empty(A.shape[1], dtype=np.intp)
+    row_of[res.basis] = np.arange(len(res.basis))
+    rows = row_of[cols]
+    alpha = np.stack([res.Binv[r] @ A for r in rows])
+    mag = np.abs(alpha)
+    pos, neg = alpha > PIVOT_TOL, alpha < -PIVOT_TOL
+    inc, dec = _directions(res.vstat, movable)
+    ratios = np.divide(np.abs(res.rc), mag, out=np.full(alpha.shape, INF),
+                       where=pos | neg)
+    down = (inc & pos) | (dec & neg)  # the columns that push x_j down
+    up = (dec & pos) | (inc & neg)
+    x = res.x[cols]
+    falls = x * ratios.min(axis=1, where=down, initial=INF)
+    rises = (1.0 - x) * ratios.min(axis=1, where=up, initial=INF)
     score = np.maximum(falls, 1e-6) * np.maximum(rises, 1e-6)
     i = int(np.argmax(score >= score.max() * (1.0 - 1e-9)))
-    row = alpha[i]
-    pos, neg = row >= DUAL_PIVOT_TOL, row <= -DUAL_PIVOT_TOL
-    inc, dec = _directions(res.vstat, movable)
-    abs_rc, ratios = np.abs(res.rc), np.empty(len(row))
+    large = mag[i] >= DUAL_PIVOT_TOL
     children = []
-    for val, penalty, eligible in ((0.0, falls[i], (inc & pos) | (dec & neg)),
-                                   (1.0, rises[i], (dec & pos) | (inc & neg))):
+    for val, penalty, eligible in ((0.0, falls[i], down[i] & large),
+                                   (1.0, rises[i], up[i] & large)):
         step = None
         if np.count_nonzero(eligible):
             step = (int(rows[i]),
-                    _entering(abs_rc, np.abs(row), eligible, False, ratios),
-                    row)
+                    _entering(np.where(eligible, ratios[i], INF), mag[i],
+                              False),
+                    alpha[i])
         children.append((val, float(penalty), step))
     return int(cols[i]), children
 
@@ -1109,13 +1094,13 @@ def _branch_and_bound(core: LpCore, config: SolveConfig, t0: float,
     """The search of ``solve_mip``, whose root LP starts from ``root``
     as a child from its parent (None: from the slack basis); also the
     counts its DEBUG line reports: the root's iterations, the children
-    solved from their parent's step, those that settled, and those an
+    solved from their parent's step, those without one, and those an
     infinite penalty closed."""
     bin_ids = core.binary_ids
     incumbent = math.inf
     incumbent_x: np.ndarray | None = None
     nodes_solved = 0
-    stepped = settled = 0     # children solved from a step, or settled
+    stepped = stepless = 0    # children solved from a step, or without
     closed = 0                # children an infinite penalty closed
     iterations = 0
     root_bound = math.nan
@@ -1123,8 +1108,8 @@ def _branch_and_bound(core: LpCore, config: SolveConfig, t0: float,
     counter = 0
     # heap entries: (bound, creation index, lo, up, start), where a
     # child's bound is its parent's LP objective plus the child's penalty
-    # and its start a ``_Warm`` one from its parent's result, or that
-    # result when it has no step; the counter breaks bound ties
+    # and its start a ``_Warm`` one from its parent's result, with or
+    # without a first step; the counter breaks bound ties
     # deterministically and keeps heapq from ever comparing the payloads.
     # The root has the core's own bounds, which each child copies before
     # it fixes a binary.
@@ -1135,7 +1120,7 @@ def _branch_and_bound(core: LpCore, config: SolveConfig, t0: float,
     def done(status: str, **kw) -> tuple[Solution, tuple]:
         return Solution(status=status, nodes=nodes_solved,
                         iterations=iterations, root_bound=root_bound,
-                        **kw), (root_iters, stepped, settled, closed)
+                        **kw), (root_iters, stepped, stepless, closed)
 
     def take(res: _LpResult) -> None:
         """Make an integral LP result the incumbent and log it."""
@@ -1174,10 +1159,10 @@ def _branch_and_bound(core: LpCore, config: SolveConfig, t0: float,
             root_iters = res.iterations
             if res.status == "optimal":
                 root_bound = res.objective
-        elif isinstance(start, _Warm):
+        elif start.step is not None:
             stepped += 1
         else:
-            settled += 1
+            stepless += 1
         if res.status == "infeasible":
             continue
         if res.status == "unbounded":
@@ -1203,7 +1188,7 @@ def _branch_and_bound(core: LpCore, config: SolveConfig, t0: float,
             lo2[j] = up2[j] = val  # j is basic in res: no nonbasic moves
             counter += 1
             heapq.heappush(heap, (res.objective + penalty, counter, lo2, up2,
-                                  res if step is None else _Warm(res, step)))
+                                  _Warm(res, step)))
         if nodes_solved == 1 and config.gap > 0:
             # the root rounded: one LP with every binary fixed at its
             # nearest integer, from the root's result and its fresh

@@ -1,6 +1,7 @@
 """Benchmark harness tests: generator determinism and ranges, gap
 measurement semantics, and the CSV/JSON report contract."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -119,6 +120,17 @@ class TestMeasureGap:
         assert row.nodes == 1
         assert row.gap_abs == 0.0
         assert row.gap_rel == 0.0
+
+    def test_a_zero_optimum_has_a_zero_relative_gap(self):
+        # with no load every unit stays off at no cost: z_mip = z_lp = 0.0
+        # on both bases, and gap_rel is 0.0 rather than 0 / 0
+        inst = generate_instance(1, 2, 3)
+        inst = dataclasses.replace(inst, load=[0.0] * inst.horizon)
+        for base in ("basic", "extended"):
+            row = measure(inst, FormulationChoice(base, "one_bin", 0.0),
+                          BenchConfig(gap=0.0))
+            assert (row.status, row.z_mip, row.z_lp, row.gap_abs,
+                    row.gap_rel) == ("optimal", 0.0, 0.0, 0.0, 0.0)
 
 
 class TestRootBoundSource:

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from ucbench import (Instance, InstanceFormatError, Line, Network, Schedule,
-                     Unit, generate_instance, load_instance, offline_runs,
-                     save_instance, validate_instance)
+from ucbench import (CostBreakdown, Instance, InstanceFormatError, Line,
+                     Network, Schedule, Unit, generate_instance,
+                     load_instance, offline_runs, save_instance,
+                     validate_instance)
 
 from conftest import make_instance, make_unit
 
@@ -79,6 +80,22 @@ class TestOfflineRuns:
     def test_multiple_gaps(self):
         sched = Schedule([[0, 1, 0, 0, 1, 1]])
         assert offline_runs(sched, 0, pre_offline=1) == [(2, 2), (5, 2)]
+
+    def test_a_unit_index_out_of_range_is_refused(self):
+        sched = Schedule([[0, 1]])
+        for i in (-1, 1):
+            with pytest.raises(IndexError, match=f"unit index {i} out of"):
+                offline_runs(sched, i, pre_offline=0)
+
+
+class TestCostBreakdown:
+    def test_the_total_defaults_to_the_sum_of_the_parts(self):
+        assert CostBreakdown(10.0, 2.5, 1.5).total == 14.0
+
+    def test_an_inconsistent_total_is_refused(self):
+        assert CostBreakdown(10.0, 2.5, 1.5, total=14.0).total == 14.0
+        with pytest.raises(ValueError, match="inconsistent breakdown"):
+            CostBreakdown(10.0, 2.5, 1.5, total=14.5)
 
 
 class TestSchedule:

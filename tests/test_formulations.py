@@ -8,6 +8,7 @@ checks the minimized cost against the closed-form start-up curve.
 """
 
 import copy
+import dataclasses
 import itertools
 import logging
 import math
@@ -244,6 +245,16 @@ class TestStartupLookbackRows:
 
 class TestStartTypeRows:
     """The selector module: one weighted start type per step and period."""
+
+    def test_start_indicators_without_shutdown_ones_are_refused(self):
+        # the cap rows read the shutdown indicators z of the start
+        # indicators y that an index holds; the model is left as it was
+        inst = make_instance([15.0] * 3)
+        model, vix = build_base(inst, "extended")
+        size = (model.n_variables, model.n_constraints)
+        with pytest.raises(ValueError, match="need shutdown indicators"):
+            add_startup_3bin(model, dataclasses.replace(vix, z=[]), inst)
+        assert (model.n_variables, model.n_constraints) == size
 
     def test_single_step_table_needs_no_caps(self):
         inst = make_instance([15.0, 15.0])

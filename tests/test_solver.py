@@ -285,11 +285,11 @@ class TestSolveMip:
                       f"{res.iterations} LP iterations (")
             + r"\d+ at the root, from the slack basis\), "
             + r"(\d+) children solved from their parent's step, (\d+) "
-            + r"settled, \d+ closed by an infinite penalty; "
+            + r"without one, \d+ closed by an infinite penalty; "
             + re.escape(f"root bound {res.root_bound!r}, best bound "
                         f"{res.best_bound!r}; ")
             + r"\d+\.\d{3} s", lines[0])
-        # every node but the root is a child, from a step or settled
+        # every node but the root is a child, with a step or without one
         assert line and int(line[1]) + int(line[2]) == res.nodes - 1
         assert int(line[1]) > 0
 
@@ -1017,10 +1017,12 @@ class TestGuards:
             assert len(looks) == (res.iterations > 0)
             assert_same_outcome(tiny, res)
 
-    def test_a_child_with_no_step_settles(self, monkeypatch, caplog):
+    def test_children_without_a_step_reach_the_default_optimum(
+            self, monkeypatch, caplog):
         # with every pivot-row entry below DUAL_PIVOT_TOL, no child is
-        # handed a first step: each settles, and its first pass
-        # refactorizes; the search ends as under the default tolerance
+        # handed a first step: each starts from its parent's fresh values,
+        # and its first pass refactorizes; the search ends as under the
+        # default tolerance
         model, _ = build_model(generate_instance(1, 2, 3),
                                FormulationChoice("extended", "one_bin", 0.0))
         default = solve_mip(model, SolveConfig(gap=0.0))
@@ -1031,7 +1033,7 @@ class TestGuards:
                    if r.levelno == logging.DEBUG]
         assert res.nodes > 1
         assert (f" 0 children solved from their parent's step, "
-                f"{res.nodes - 1} settled, ") in line
+                f"{res.nodes - 1} without one, ") in line
         assert res.status == default.status == "optimal"
         assert res.objective == pytest.approx(default.objective, rel=1e-9)
 
@@ -1240,7 +1242,7 @@ class TestRootStart:
                       f"at the root, from a base's basis, {len(rows)} of "
                       f"{model.n_constraints - n_b} new rows crashed), ")
             + r"(\d+) children solved from their parent's step, (\d+) "
-            r"settled, \d+ closed by an infinite penalty; .*", line)
+            r"without one, \d+ closed by an infinite penalty; .*", line)
         assert counts and sum(map(int, counts.groups())) == res.nodes - 1
         assert root.iterations < solver.LpCore(model).solve().iterations
 
@@ -1372,9 +1374,10 @@ class TestPenalties:
                     np.abs(xb - np.round(xb)) > solver.INT_TOL]
                 if not len(cols):
                     continue
-                falls, rises = solver._penalties(core.A, res, up > lo, cols)
-                for j, fall, rise in zip(cols, falls, rises):
-                    for val, penalty in ((0.0, fall), (1.0, rise)):
+                for k, j in enumerate(cols):
+                    _, children = solver._branch(core.A, res, up > lo,
+                                                 cols[k:k + 1])
+                    for val, penalty, _ in children:
                         lo2, up2 = lo.copy(), up.copy()
                         lo2[j] = up2[j] = val
                         child = core.solve(lo2, up2, res)
@@ -1392,15 +1395,16 @@ class TestPenalties:
                         ends[child.status] += 1
         assert all(ends.values()), ends
 
-    def test_a_child_from_its_parents_step_is_the_settled_child(self):
-        # the pushed children of the branch variable at the root and at
-        # each optimal child of the root, and the root rounded, of every
-        # model of the grid: each started as branch-and-bound starts it,
-        # from the parent's fresh values and, for a child, the first pivot
-        # handed over, ends with the very result that the same LP started
-        # from the parent's result stripped of its fresh values, settled
-        # from scratch, does
-        starts = {"step": 0, "settled": 0, "rounded": 0}
+    def check_pushed_children(self):
+        """Start the pushed children of the branch variable at the root
+        and at each optimal child of the root, and the root rounded, of
+        every model of the grid, as branch-and-bound starts them: from the
+        parent's fresh values and, for a child with one, the first pivot
+        handed over. Each must end with the very result that the same LP
+        started from the parent's result stripped of its fresh values,
+        settled from scratch, does. Returns how many children had a step,
+        how many had none, and how many roots were rounded."""
+        starts = {"step": 0, "no step": 0, "rounded": 0}
         for core, root in self.grid():
             xb = root.x[core.binary_ids]
             lo, up = core.lo.copy(), core.up.copy()
@@ -1423,16 +1427,25 @@ class TestPenalties:
                         continue
                     lo2, up2 = lo.copy(), up.copy()
                     lo2[j] = up2[j] = val
-                    if step is None:
-                        starts["settled"] += 1
-                        continue
                     child = core.solve(lo2, up2, solver._Warm(res, step))
                     assert_same_result(
                         child, core.solve(lo2, up2, stripped(res)))
-                    starts["step"] += 1
+                    starts["no step" if step is None else "step"] += 1
                     if is_root and child.status == "optimal":
                         nodes.append((lo2, up2, child, False))
+        return starts
+
+    def test_a_child_from_its_parents_step_is_the_settled_child(self):
+        starts = self.check_pushed_children()
         assert starts["step"] >= 50 and starts["rounded"] == 32, starts
+
+    def test_a_child_without_a_step_is_the_settled_child(self, monkeypatch):
+        # with every pivot-row entry below DUAL_PIVOT_TOL, ``_branch``
+        # hands no child a step: each starts from its parent's fresh
+        # values alone, which are bit for bit what settling computes
+        monkeypatch.setattr(solver, "DUAL_PIVOT_TOL", 1e6)
+        starts = self.check_pushed_children()
+        assert starts["step"] == 0 and starts["no step"] >= 50, starts
 
 
 def stripped(res):
